@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet check clean
+.PHONY: all build test race allocs lint vet check clean
 
 all: check
 
@@ -14,6 +14,12 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# allocs runs the garbage-budget tests (heap objects per wire exchange,
+# per lookup step, per route lookup). They are built only without -race,
+# where allocation counts are exact.
+allocs:
+	$(GO) test -count=1 -run AllocBudget ./internal/wire ./internal/transport ./internal/routes
 
 # lint is the blocking contract gate: stock vet plus the repo's own
 # analyzer suite (determinism, lock-across-RPC, retry idempotency,

@@ -29,6 +29,12 @@ type entryKey struct {
 	addr  string
 }
 
+// ringKey identifies one ring of one layer.
+type ringKey struct {
+	layer int
+	ring  string
+}
+
 // Table is a thread-safe membership-event set. The zero value is not
 // ready; use New. Table methods never perform I/O and never call out,
 // so a Table can be consulted under any lock discipline (the transport
@@ -37,11 +43,16 @@ type entryKey struct {
 type Table struct {
 	mu     sync.RWMutex
 	events map[entryKey]wire.RouteEvent
+	// members indexes each ring's joined peers in successor-search order.
+	// It is derived from events: an event that advances the table drops
+	// its ring's entry and the next Owner or Members rebuilds it, so a
+	// lookup is a binary search instead of a scan and sort of every event.
+	members map[ringKey][]wire.Peer
 }
 
 // New returns an empty table.
 func New() *Table {
-	return &Table{events: make(map[entryKey]wire.RouteEvent)}
+	return &Table{events: make(map[entryKey]wire.RouteEvent), members: make(map[ringKey][]wire.Peer)}
 }
 
 // beats reports whether event a supersedes event b under the merge
@@ -71,6 +82,7 @@ func (t *Table) applyLocked(ev wire.RouteEvent) bool {
 		return false
 	}
 	t.events[k] = ev
+	delete(t.members, ringKey{ev.Layer, ev.Ring})
 	return true
 }
 
@@ -154,22 +166,40 @@ func (t *Table) Latest(layer int, ring, addr string) (wire.RouteEvent, bool) {
 // Members returns the peers whose latest event in (layer, ring) is a
 // join — the table's view of the ring's live membership — sorted by ID
 // (ties by address) so the slice doubles as the successor-search ring.
+// The slice is the caller's own.
 func (t *Table) Members(layer int, ring string) []wire.Peer {
+	return append([]wire.Peer(nil), t.ringMembers(layer, ring)...)
+}
+
+// ringMembers returns the ring's indexed members. A published slice is
+// never written again — a change to the ring drops it from the index
+// instead — so callers read it without the lock, and must not modify it.
+func (t *Table) ringMembers(layer int, ring string) []wire.Peer {
+	k := ringKey{layer, ring}
 	t.mu.RLock()
-	var out []wire.Peer
-	for k, ev := range t.events {
-		if k.layer == layer && k.ring == ring && ev.Kind == wire.RouteJoin {
-			out = append(out, ev.Peer)
+	members, ok := t.members[k]
+	t.mu.RUnlock()
+	if ok {
+		return members
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if members, ok = t.members[k]; ok {
+		return members // another caller rebuilt it meanwhile
+	}
+	for ek, ev := range t.events {
+		if ek.layer == layer && ek.ring == ring && ev.Kind == wire.RouteJoin {
+			members = append(members, ev.Peer)
 		}
 	}
-	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if c := bytes.Compare(out[i].ID[:], out[j].ID[:]); c != 0 {
+	sort.Slice(members, func(i, j int) bool {
+		if c := bytes.Compare(members[i].ID[:], members[j].ID[:]); c != 0 {
 			return c < 0
 		}
-		return out[i].Addr < out[j].Addr
+		return members[i].Addr < members[j].Addr
 	})
-	return out
+	t.members[k] = members
+	return members
 }
 
 // Owner resolves a key to its owner in (layer, ring) per the table's
@@ -178,16 +208,14 @@ func (t *Table) Members(layer int, ring string) []wire.Peer {
 // no live member of the ring. The answer is exactly as fresh as the
 // table — callers must treat it as a hint and verify before trusting.
 func (t *Table) Owner(layer int, ring string, key [20]byte) (wire.Peer, bool) {
-	members := t.Members(layer, ring)
+	members := t.ringMembers(layer, ring)
 	if len(members) == 0 {
 		return wire.Peer{}, false
 	}
-	for _, p := range members {
-		if bytes.Compare(p.ID[:], key[:]) >= 0 {
-			return p, true
-		}
-	}
-	return members[0], true
+	i := sort.Search(len(members), func(i int) bool {
+		return bytes.Compare(members[i].ID[:], key[:]) >= 0
+	})
+	return members[i%len(members)], true
 }
 
 // NextStamp returns a stamp that supersedes whatever the table holds

@@ -1,9 +1,11 @@
 package routes
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/wire"
@@ -187,5 +189,96 @@ func TestOwner(t *testing.T) {
 	}
 	if _, ok := tbl.Owner(1, "g", [20]byte{0x05}); ok {
 		t.Error("Owner answered from a fully tombstoned ring")
+	}
+}
+
+// scanMembers and scanOwner are the reference Members and Owner are
+// checked against: the scan-and-sort over every event that the sorted
+// index replaced.
+func scanMembers(tbl *Table, layer int, ring string) []wire.Peer {
+	var out []wire.Peer
+	for _, e := range tbl.Events() {
+		if e.Layer == layer && e.Ring == ring && e.Kind == wire.RouteJoin {
+			out = append(out, e.Peer)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if c := bytes.Compare(out[i].ID[:], out[j].ID[:]); c != 0 {
+			return c < 0
+		}
+		return out[i].Addr < out[j].Addr
+	})
+	return out
+}
+
+func scanOwner(tbl *Table, layer int, ring string, key [20]byte) (wire.Peer, bool) {
+	members := scanMembers(tbl, layer, ring)
+	for _, p := range members {
+		if bytes.Compare(p.ID[:], key[:]) >= 0 {
+			return p, true
+		}
+	}
+	if len(members) == 0 {
+		return wire.Peer{}, false
+	}
+	return members[0], true
+}
+
+// TestOwnerIndexMatchesScan drives random event sequences — joins,
+// leaves, evictions, re-joins with older and with newer stamps,
+// equal-stamp kind ties, two rings, two peers sharing an identifier —
+// and after every event compares the indexed Owner and Members with the
+// reference, probing the keys where they could part: each member's
+// identifier, its neighbours, and both ends of the identifier space
+// (the wrap-around).
+func TestOwnerIndexMatchesScan(t *testing.T) {
+	rings := []struct {
+		layer int
+		ring  string
+	}{{1, ""}, {2, "02"}}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tbl := New()
+		for step := 0; step < 200; step++ {
+			r := rings[rng.Intn(len(rings))]
+			peer := rng.Intn(12)
+			e := wire.RouteEvent{
+				Layer: r.layer, Ring: r.ring,
+				Peer:  wire.Peer{Addr: fmt.Sprintf("n%d", peer), ID: [20]byte{byte(peer / 2 * 40), byte(peer / 2)}},
+				Kind:  uint8(rng.Intn(3)),
+				Stamp: uint64(rng.Intn(8)), // few stamps: older, newer and tied events all occur
+			}
+			if rng.Intn(4) == 0 {
+				tbl.ApplyAll([]wire.RouteEvent{e, e})
+			} else {
+				tbl.Apply(e)
+			}
+			for _, r := range rings {
+				want := scanMembers(tbl, r.layer, r.ring)
+				got := tbl.Members(r.layer, r.ring)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d ring %q: Members = %v, reference %v", seed, step, r.ring, got, want)
+				}
+				keys := [][20]byte{{}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}
+				for _, p := range want {
+					below, above := p.ID, p.ID
+					below[1]--
+					above[19]++
+					keys = append(keys, p.ID, below, above)
+				}
+				for _, key := range keys {
+					wantOwner, wantOK := scanOwner(tbl, r.layer, r.ring, key)
+					gotOwner, gotOK := tbl.Owner(r.layer, r.ring, key)
+					if gotOwner != wantOwner || gotOK != wantOK {
+						t.Fatalf("seed %d step %d ring %q key %x: Owner = %v %v, reference %v %v",
+							seed, step, r.ring, key[:2], gotOwner, gotOK, wantOwner, wantOK)
+					}
+				}
+			}
+			// Members hands out a copy: scribbling on it must not reach the index.
+			if got := tbl.Members(1, ""); len(got) > 0 {
+				got[0] = wire.Peer{Addr: "scribble"}
+			}
+		}
 	}
 }

@@ -1,0 +1,138 @@
+//go:build !race
+
+package transport
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/id"
+	"repro/internal/wire"
+)
+
+// memCluster starts n classic-mode nodes on one MemNet ("n0".."n<n-1>",
+// two binning clusters, the first two nodes as landmarks), joins and
+// stabilises them and builds their fingers. Every node's outgoing RPCs
+// are counted by type in rpcs.
+func memCluster(t *testing.T, n int, rpcs *[32]atomic.Uint64) []*Node {
+	t.Helper()
+	mem := wire.NewMemNet()
+	var nodes []*Node
+	t.Cleanup(func() {
+		for _, nd := range nodes {
+			_ = nd.Close()
+		}
+	})
+	for i := 0; i < n; i++ {
+		ln, err := mem.Listen(fmt.Sprintf("n%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd, err := Start("", Config{
+			Depth: 2, Landmarks: []string{"n0", "n1"}, Coord: [2]float64{float64(i%2*1000 + i), 0},
+			RouteMode: RouteClassic, Listener: ln, Dial: mem.Dial,
+			WrapCaller: func(_ string, inner wire.Caller) wire.Caller {
+				return wire.CallerFunc(func(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
+					rpcs[req.Type].Add(1)
+					return inner.Call(ctx, addr, req)
+				})
+			},
+		})
+		if err != nil {
+			_ = ln.Close()
+			t.Fatal(err)
+		}
+		nodes = append(nodes, nd)
+	}
+	if err := nodes[0].CreateNetwork(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < n; i++ {
+		if err := nodes[i].Join("n0"); err != nil {
+			t.Fatalf("join n%d: %v", i, err)
+		}
+		stabilizeAll(t, nodes[:i+1], 3)
+	}
+	stabilizeAll(t, nodes, 3)
+	for _, nd := range nodes {
+		if err := nd.BuildAllFingers(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return nodes
+}
+
+// TestAllocBudgetLookupWalk: a classic hierarchical lookup may create at
+// most 6 heap objects per find_closest it issues, counting everything
+// every node does to answer — the whole path bench/perf's lookup-walk
+// measures (retrier, instrumented pool, MemNet, server session, handler,
+// decode). Four are spent today: the attempt's deadline context, the go
+// statement's closure and the two address strings of the decoded reply,
+// plus one LayerHops slice per lookup.
+func TestAllocBudgetLookupWalk(t *testing.T) {
+	var rpcs [32]atomic.Uint64
+	nodes := memCluster(t, 8, &rpcs)
+	keys := make([]id.ID, 64)
+	for i := range keys {
+		keys[i] = LiveKeyID(fmt.Sprintf("budget-%d", i))
+	}
+	lookup := func(i int) {
+		key := keys[i%len(keys)]
+		res, err := nodes[i%len(nodes)].Lookup(context.Background(), key)
+		if err != nil {
+			t.Fatalf("lookup: %v", err)
+		}
+		if want := trueOwner(nodes, key); res.Owner.Addr != want.Addr() {
+			t.Fatalf("lookup of %s found %s, want %s", key.Short(), res.Owner.Addr, want.Addr())
+		}
+	}
+	for i := 0; i < 2*len(keys); i++ {
+		lookup(i) // dial every connection the measured lookups will use
+	}
+	const runs = 512
+	i := 0
+	before := rpcs[wire.TFindClosest].Load()
+	perLookup := testing.AllocsPerRun(runs, func() {
+		lookup(i)
+		i++
+	})
+	// AllocsPerRun calls the function once more than runs, to warm up.
+	steps := float64(rpcs[wire.TFindClosest].Load()-before) / (runs + 1)
+	if steps < 1 {
+		t.Fatalf("%.2f find_closest per lookup: the walk is not being exercised", steps)
+	}
+	perStep := perLookup / steps
+	t.Logf("%.1f heap objects per lookup, %.2f find_closest per lookup: %.2f per find_closest", perLookup, steps, perStep)
+	if perStep > 6 {
+		t.Errorf("a lookup made %.2f heap objects per find_closest, budget 6", perStep)
+	}
+}
+
+// TestAllocBudgetKeyIDs: identifiers are hashed from a stack buffer, so
+// a key of up to 64 bytes costs no heap object — RangeDigest derives one
+// per stored item — and they are the identifiers the concatenating
+// expression produced, byte for byte.
+func TestAllocBudgetKeyIDs(t *testing.T) {
+	for _, key := range []string{"", "k", "127.0.0.1:24107", strings.Repeat("x", 64), strings.Repeat("long", 100)} {
+		if got, want := LiveKeyID(key), id.HashString("key:"+key); got != want {
+			t.Errorf("LiveKeyID(%q) = %s, want %s", key, got, want)
+		}
+		if got, want := NodeID(key), id.HashString("live:"+key); got != want {
+			t.Errorf("NodeID(%q) = %s, want %s", key, got, want)
+		}
+		if len(key) > 64 {
+			continue
+		}
+		var sink id.ID
+		if avg := testing.AllocsPerRun(200, func() { sink = LiveKeyID(key) }); avg != 0 {
+			t.Errorf("LiveKeyID of a %d-byte key made %.1f heap objects, budget 0", len(key), avg)
+		}
+		if avg := testing.AllocsPerRun(200, func() { sink = NodeID(key) }); avg != 0 {
+			t.Errorf("NodeID of a %d-byte address made %.1f heap objects, budget 0", len(key), avg)
+		}
+		_ = sink
+	}
+}

@@ -225,11 +225,20 @@ type Node struct {
 }
 
 // NodeID derives a live node's identifier from its address.
-func NodeID(addr string) id.ID { return id.HashString("live:" + addr) }
+func NodeID(addr string) id.ID { return hashTagged("live:", addr) }
 
 // LiveKeyID derives the identifier of an application key (shared with the
 // kv convention).
-func LiveKeyID(key string) id.ID { return id.HashString("key:" + key) }
+func LiveKeyID(key string) id.ID { return hashTagged("key:", key) }
+
+// hashTagged is id.HashString(tag + s), hashed from a stack buffer: the
+// concatenation and its []byte copy were two heap objects per call, and
+// a range digest calls LiveKeyID once per stored item. Keys beyond the
+// buffer (tag + s > 96 B) cost the one allocation append makes.
+func hashTagged(tag, s string) id.ID {
+	var stack [96]byte
+	return id.HashBytes(append(append(stack[:0], tag...), s...))
+}
 
 // liveKeyBytes is LiveKeyID in the raw-array form the replica layer's
 // range digests use.

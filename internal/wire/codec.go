@@ -135,12 +135,18 @@ func putFrameHeader(buf []byte, tag uint64) {
 	binary.BigEndian.PutUint64(buf[4:12], tag)
 }
 
-// readFrame reads one frame from r, appending the payload to buf[:0]
-// and returning the (possibly grown) buffer. A payload length above
+// readFrame reads one frame from r into buf's array, returning the
+// payload in the (possibly grown) buffer. The header is read into the
+// same array and parsed before the payload overwrites it: a header
+// array of readFrame's own would move to the heap on every frame,
+// because it crosses the io.Reader interface. A payload length above
 // maxFramePayload is a protocol error.
 func readFrame(r io.Reader, buf []byte) (payload []byte, tag uint64, err error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < frameHeader {
+		buf = make([]byte, frameHeader, 512)
+	}
+	hdr := buf[:frameHeader]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return buf, 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[0:4])

@@ -10,12 +10,15 @@ import (
 
 // AllMsgTypes lists every protocol operation, so instrumentation can
 // pre-curry per-type child metrics once instead of formatting label
-// values on the hot path.
-var AllMsgTypes = []MsgType{
-	TPing, TGetInfo, TFindClosest, TGetNeighbors, TNotify, TGetRingTable,
-	TPutRingTable, TPut, TGet, TLeaveSucc, TLeavePred, TEvict,
-	TStorePut, TStoreGet, TReplicate, THandoff,
-}
+// values on the hot path. It is generated from the constant block's end
+// marker, so a new operation cannot be left out.
+var AllMsgTypes = func() []MsgType {
+	all := make([]MsgType, 0, numMsgTypes-1)
+	for t := TPing; int(t) < numMsgTypes; t++ {
+		all = append(all, t)
+	}
+	return all
+}()
 
 // CountingConn wraps a net.Conn and tallies bytes read and written. The
 // counters are plain ints: use it only where one goroutine owns the
@@ -55,7 +58,7 @@ type Metrics struct {
 	reqVec, errVec       *metrics.CounterVec
 	srvReqVec, srvErrVec *metrics.CounterVec
 	// Pre-curried children indexed by MsgType (index 0 unused).
-	reqs, errs, srvReqs, srvErrs [THandoff + 1]*metrics.Counter
+	reqs, errs, srvReqs, srvErrs [numMsgTypes]*metrics.Counter
 }
 
 // NewMetrics registers the wire metric families on reg.
@@ -85,7 +88,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 	return m
 }
 
-func pick(curried *[THandoff + 1]*metrics.Counter, vec *metrics.CounterVec, t MsgType) *metrics.Counter {
+func pick(curried *[numMsgTypes]*metrics.Counter, vec *metrics.CounterVec, t MsgType) *metrics.Counter {
 	if int(t) < len(curried) && curried[t] != nil {
 		return curried[t]
 	}

@@ -14,7 +14,7 @@ import (
 var ErrConnRefused = errors.New("connection refused")
 
 // MemNet is an in-process transport: a registry of named listeners whose
-// connections are synchronous in-memory pipes. It exists for the
+// connections are synchronous in-memory pipes (memConn). It exists for the
 // property-based invariant harness (internal/simcheck), which needs two
 // things TCP loopback cannot give it:
 //
@@ -45,7 +45,7 @@ type memAddr string
 func (a memAddr) Network() string { return "mem" }
 func (a memAddr) String() string  { return string(a) }
 
-// memListener implements net.Listener over a channel of pipe ends.
+// memListener implements net.Listener over a channel of connection ends.
 type memListener struct {
 	net    *MemNet
 	name   string
@@ -99,7 +99,7 @@ func (m *MemNet) Listen(name string) (net.Listener, error) {
 }
 
 // Dial connects to a registered listener, handing it the server end of a
-// fresh pipe. It is a DialFunc. A dead (closed or never-registered)
+// fresh connection. It is a DialFunc. A dead (closed or never-registered)
 // address fails immediately.
 func (m *MemNet) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	m.mu.Lock()
@@ -108,7 +108,7 @@ func (m *MemNet) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("memnet: connect %s: %w", addr, ErrConnRefused)
 	}
-	client, server := net.Pipe()
+	client, server := newMemConnPair(addr)
 	var timer <-chan time.Time
 	if timeout > 0 {
 		t := time.NewTimer(timeout)

@@ -268,7 +268,7 @@ func (pp *poolPeer) dial(ctx context.Context) (*muxConn, error) {
 		codec:        o.Codec,
 		writeTimeout: o.WriteTimeout,
 		nextTag:      1,
-		pending:      make(map[uint64]chan muxResult),
+		pending:      make(map[uint64]*exchange),
 	}
 	go c.readLoop()
 	return c, nil
@@ -291,6 +291,58 @@ type muxResult struct {
 	err  error
 }
 
+// exchange is the client's record of one in-flight request: the copy of
+// the request the encoder reads (a request crossing the Codec interface
+// lives on the heap, so it may as well live here), the one-slot channel
+// the reader delivers into, and the timer that enforces the context's
+// deadline. Records are pooled per exchange, not per connection — a
+// cluster holds a thousand connections and a handful of exchanges. Only
+// a cleanly completed exchange returns its record: once a tag is
+// abandoned (timeout, cancel, failed write, dead connection) the reader
+// may still deliver into the record, so it is left to the collector.
+type exchange struct {
+	req   Request
+	ch    chan muxResult
+	timer *time.Timer // idle (stopped and drained) whenever the record is pooled
+}
+
+var exchangePool = sync.Pool{
+	New: func() interface{} { return &exchange{ch: make(chan muxResult, 1)} },
+}
+
+// arm starts the deadline timer, d from now.
+func (x *exchange) arm(d time.Duration) {
+	if x.timer == nil {
+		x.timer = time.NewTimer(d)
+	} else {
+		x.timer.Reset(d)
+	}
+}
+
+// disarm returns an armed timer whose channel was not received from to
+// idle. The channel is the pre-Go-1.23 kind (go.mod says 1.22): a timer
+// that fired before Stop has left a value in it, which the record's next
+// exchange would take for its own deadline.
+func (x *exchange) disarm() {
+	if !x.timer.Stop() {
+		<-x.timer.C
+	}
+}
+
+// expired reports why an exchange under ctx must stop at time now: the
+// context's cause once it is done, or DeadlineExceeded once its deadline
+// has passed — which a deadline-only context (see Caller) never signals
+// through Done.
+func expired(ctx context.Context, now time.Time) error {
+	if ctx.Err() != nil {
+		return context.Cause(ctx)
+	}
+	if dl, ok := ctx.Deadline(); ok && !now.Before(dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // muxConn is one multiplexed connection: a single writer lock serializes
 // tagged request frames out, one reader goroutine matches response
 // frames back to waiting exchanges by tag.
@@ -306,7 +358,7 @@ type muxConn struct {
 
 	mu       sync.Mutex
 	nextTag  uint64
-	pending  map[uint64]chan muxResult
+	pending  map[uint64]*exchange
 	inflight int
 	failed   error // set once: the connection is dead
 	strikes  int   // consecutive abandoned waits since the last completion
@@ -326,13 +378,18 @@ func (c *muxConn) broken() bool {
 
 // roundTrip runs one pipelined exchange: encode (no lock), register a
 // tag, write the frame (write lock only around the deadline re-arm and
-// the write), then wait for the reader to deliver the matching response
-// or for ctx to cancel — cancellation abandons the tag without harming
-// the connection's other exchanges.
+// the write), then wait for the reader to deliver the matching response,
+// for ctx to cancel or for ctx's deadline to pass — either of the last
+// two abandons the tag without harming the connection's other exchanges.
+// The deadline is enforced here, on the exchange's own timer, whether or
+// not ctx would signal it through Done (see Caller).
 func (c *muxConn) roundTrip(ctx context.Context, addr string, req Request) (Response, error) {
+	x := exchangePool.Get().(*exchange)
+	x.req = req
 	pb := getFrameBuf()
 	buf := append((*pb)[:0], frameHole[:]...)
-	buf, encErr := c.codec.AppendRequest(buf, &req)
+	buf, encErr := c.codec.AppendRequest(buf, &x.req)
+	x.req = Request{} // encoded: the record keeps none of the caller's memory alive
 	if encErr != nil {
 		*pb = buf
 		putFrameBuf(pb)
@@ -349,8 +406,7 @@ func (c *muxConn) roundTrip(ctx context.Context, addr string, req Request) (Resp
 	}
 	tag := c.nextTag
 	c.nextTag++
-	ch := make(chan muxResult, 1)
-	c.pending[tag] = ch
+	c.pending[tag] = x
 	c.inflight++
 	c.mu.Unlock()
 	putFrameHeader(buf, tag)
@@ -361,14 +417,15 @@ func (c *muxConn) roundTrip(ctx context.Context, addr string, req Request) (Resp
 	// before writing: an expired exchange releases its tag slot here and
 	// sends nothing, instead of shipping a frame whose response nobody
 	// will claim.
-	if err := ctx.Err(); err != nil {
+	now := time.Now()
+	if err := expired(ctx, now); err != nil {
 		c.wmu.Unlock()
 		*pb = buf
 		putFrameBuf(pb)
 		c.forget(tag, false)
-		return Response{}, &NetError{Addr: addr, Op: "send", Sent: false, Err: context.Cause(ctx)}
+		return Response{}, &NetError{Addr: addr, Op: "send", Sent: false, Err: err}
 	}
-	err := c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+	err := c.conn.SetWriteDeadline(now.Add(c.writeTimeout))
 	var n int
 	if err == nil {
 		n, err = c.conn.Write(buf)
@@ -382,21 +439,38 @@ func (c *muxConn) roundTrip(ctx context.Context, addr string, req Request) (Resp
 		return Response{}, &NetError{Addr: addr, Op: "send", Sent: n > 0, Err: err}
 	}
 
+	var timeout <-chan time.Time
+	deadline, bounded := ctx.Deadline()
+	if bounded {
+		x.arm(time.Until(deadline))
+		timeout = x.timer.C
+	}
+	var cause error
 	select {
-	case r := <-ch:
+	case r := <-x.ch:
+		if bounded {
+			x.disarm()
+		}
 		if r.err != nil {
 			return Response{}, r.err
 		}
+		exchangePool.Put(x)
 		if !r.resp.OK {
 			return r.resp, &RemoteError{Type: req.Type, Msg: r.resp.Err}
 		}
 		return r.resp, nil
 	case <-ctx.Done():
-		if c.forget(tag, true) {
-			c.fail(fmt.Errorf("wire: connection wedged (%d consecutive exchange timeouts)", wedgeStrikes))
+		if bounded {
+			x.disarm()
 		}
-		return Response{}, &NetError{Addr: addr, Op: "call", Sent: true, Err: context.Cause(ctx)}
+		cause = context.Cause(ctx)
+	case <-timeout:
+		cause = context.DeadlineExceeded
 	}
+	if c.forget(tag, true) {
+		c.fail(fmt.Errorf("wire: connection wedged (%d consecutive exchange timeouts)", wedgeStrikes))
+	}
+	return Response{}, &NetError{Addr: addr, Op: "call", Sent: true, Err: cause}
 }
 
 // forget abandons a registered tag (cancelled wait or failed write). With
@@ -427,12 +501,12 @@ func (c *muxConn) fail(cause error) {
 	}
 	c.failed = cause
 	pending := c.pending
-	c.pending = make(map[uint64]chan muxResult)
+	c.pending = make(map[uint64]*exchange)
 	c.inflight = 0
 	c.mu.Unlock()
 	c.conn.Close()
-	for _, ch := range pending {
-		ch <- muxResult{err: &NetError{Addr: c.addr, Op: "recv", Sent: true, Err: cause}}
+	for _, x := range pending {
+		x.ch <- muxResult{err: &NetError{Addr: c.addr, Op: "recv", Sent: true, Err: cause}}
 	}
 }
 
@@ -456,7 +530,7 @@ func (c *muxConn) readLoop() {
 			return
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[tag]
+		x, ok := c.pending[tag]
 		if ok {
 			delete(c.pending, tag)
 			c.inflight--
@@ -464,7 +538,7 @@ func (c *muxConn) readLoop() {
 		}
 		c.mu.Unlock()
 		if ok {
-			ch <- muxResult{resp: resp}
+			x.ch <- muxResult{resp: resp}
 		}
 		// An unknown tag is an abandoned exchange: the response is
 		// discarded, the connection stays healthy.

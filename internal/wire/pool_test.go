@@ -528,3 +528,60 @@ func TestPoolExpiredContextSendsNothing(t *testing.T) {
 		t.Fatalf("server handled %d frame(s) from an expired exchange, want none", got-warm)
 	}
 }
+
+// TestPoolAttemptDeadlineTimesOutLikeCtx pins the Caller deadline
+// contract at the one place that blocks: under a Retrier the attempt's
+// bound arrives as a deadline with no Done channel behind it (the parent
+// context here has neither), and the pool must still time the exchange
+// out with the same error, free its tag slot at once and count a wedge
+// strike — exactly what a context timeout does.
+func TestPoolAttemptDeadlineTimesOutLikeCtx(t *testing.T) {
+	leakcheck.Watchdog(t, 30*time.Second)
+	mn := NewMemNet()
+	release := make(chan struct{})
+	servePool(t, mn, "peer", func(req Request) Response {
+		if req.Name == "stuck" {
+			<-release
+		}
+		return Response{OK: true}
+	})
+	defer close(release)
+	p := NewPool(PoolOptions{Dial: mn.Dial, Size: 1})
+	defer p.Close()
+	r := NewRetrier(p, RetryPolicy{MaxAttempts: 1, PerAttempt: 25 * time.Millisecond}, BreakerPolicy{Threshold: -1}, nil)
+
+	if _, err := r.Call(context.Background(), "peer", Request{Type: TPing}); err != nil {
+		t.Fatal(err)
+	}
+	conn := func() *muxConn {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.peers["peer"].conns[0]
+	}()
+	strikes := func() int {
+		conn.mu.Lock()
+		defer conn.mu.Unlock()
+		return conn.strikes
+	}
+
+	for i := 1; i <= wedgeStrikes; i++ {
+		start := time.Now()
+		_, err := r.Call(context.Background(), "peer", Request{Type: TGet, Name: "stuck"})
+		var ne *NetError
+		if !errors.As(err, &ne) || ne.Op != "call" || !ne.Sent || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("attempt %d: err = %v, want a sent \"call\" NetError wrapping context.DeadlineExceeded", i, err)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("attempt %d took %v: the attempt deadline was not enforced", i, elapsed)
+		}
+		if got := conn.load(); got != 0 {
+			t.Fatalf("load = %d right after attempt %d timed out, want 0", got, i)
+		}
+		if got := strikes(); got != i {
+			t.Fatalf("strikes = %d after %d attempt timeouts", got, i)
+		}
+	}
+	if !conn.broken() {
+		t.Fatalf("%d attempt timeouts in a row did not tear the connection down", wedgeStrikes)
+	}
+}

@@ -20,10 +20,10 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the per-retry sleep (0 = default 500ms).
 	MaxBackoff time.Duration
-	// PerAttempt bounds each individual attempt: the retrier derives a
-	// child context with this timeout per try, so one hung attempt
-	// cannot eat the whole budget. 0 = DefaultTimeout; negative leaves
-	// attempts bounded only by the caller's context.
+	// PerAttempt bounds each individual attempt: the retrier hands every
+	// try a context whose deadline is at most this far away, so one hung
+	// attempt cannot eat the whole budget. 0 = DefaultTimeout; negative
+	// leaves attempts bounded only by the caller's context.
 	PerAttempt time.Duration
 	// Overall, when positive, bounds the whole call including backoff
 	// sleeps: a retry that cannot start before the budget expires is not
@@ -152,8 +152,8 @@ func NewRetrier(inner Caller, rp RetryPolicy, bp BreakerPolicy, reg *metrics.Reg
 
 // Call implements Caller with retries and breaker checks. The overall
 // budget is the tighter of the caller's context deadline and the
-// policy's Overall; each attempt additionally gets a PerAttempt child
-// timeout, and backoff sleeps abort on cancellation.
+// policy's Overall; each attempt additionally gets a PerAttempt
+// deadline, and backoff sleeps abort on cancellation.
 func (r *Retrier) Call(ctx context.Context, addr string, req Request) (Response, error) {
 	deadline, bounded := ctx.Deadline()
 	if r.rp.Overall > 0 {
@@ -204,15 +204,31 @@ func (r *Retrier) Call(ctx context.Context, addr string, req Request) (Response,
 	return Response{}, lastErr
 }
 
-// attempt runs one try under the policy's per-attempt timeout.
+// attempt runs one try under the policy's per-attempt timeout. The bound
+// travels as a deadline only (attemptCtx): nothing below the retrier
+// blocks without honouring Deadline — that is Caller's contract — so no
+// timer, cancel func or Done channel is built per attempt.
 func (r *Retrier) attempt(ctx context.Context, addr string, req Request) (Response, error) {
 	if r.rp.PerAttempt <= 0 {
 		return r.inner.Call(ctx, addr, req)
 	}
-	actx, cancel := context.WithTimeout(ctx, r.rp.PerAttempt)
-	defer cancel()
-	return r.inner.Call(actx, addr, req)
+	deadline := time.Now().Add(r.rp.PerAttempt)
+	if dl, ok := ctx.Deadline(); ok && !deadline.Before(dl) {
+		return r.inner.Call(ctx, addr, req) // the caller's own deadline is the tighter one
+	}
+	return r.inner.Call(&attemptCtx{Context: ctx, deadline: deadline}, addr, req)
 }
+
+// attemptCtx is its parent with an earlier deadline and nothing to
+// enforce it: Done, Err and Value are the parent's, so it reports
+// cancellation of the call but never its own expiry.
+type attemptCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+// Deadline implements context.Context.
+func (c *attemptCtx) Deadline() (time.Time, bool) { return c.deadline, true }
 
 // backoff returns the jittered sleep before retry number `retry` (1 is
 // the first retry): base doubled per step, capped, scaled into

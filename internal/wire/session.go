@@ -99,11 +99,8 @@ func ServeConn(conn net.Conn, h Handler, o ServeOptions) error {
 		return err
 	}
 
-	var (
-		wmu sync.Mutex
-		wg  sync.WaitGroup
-	)
-	defer wg.Wait()
+	s := &session{conn: conn, codec: codec, handler: h, observe: o.Observe, writeTimeout: wt}
+	defer s.wg.Wait()
 
 	pb := getFrameBuf()
 	buf := *pb
@@ -123,22 +120,55 @@ func ServeConn(conn net.Conn, h Handler, o ServeOptions) error {
 			}
 			return rerr
 		}
-		req, derr := codec.DecodeRequest(payload)
-		if derr != nil {
+		x := servedPool.Get().(*served)
+		var derr error
+		if x.req, derr = codec.DecodeRequest(payload); derr != nil {
 			// Framing survives a bad payload, but a client whose encoder
 			// disagrees with ours is not worth keeping: drop the session.
 			return fmt.Errorf("wire: decoding request frame: %w", derr)
 		}
-		wg.Add(1)
-		go func(tag uint64, req Request) {
-			defer wg.Done()
-			resp := h(req)
-			if o.Observe != nil {
-				o.Observe(req.Type, resp.OK)
-			}
-			writeFrame(conn, &wmu, codec, tag, &resp, wt)
-		}(tag, req)
+		x.s, x.tag = s, tag
+		s.wg.Add(1)
+		go x.serve()
 	}
+}
+
+// session is what one ServeConn shares with its per-request goroutines.
+type session struct {
+	conn         net.Conn
+	codec        Codec
+	handler      Handler
+	observe      func(t MsgType, ok bool)
+	writeTimeout time.Duration
+	wmu          sync.Mutex // serializes response frames
+	wg           sync.WaitGroup
+}
+
+// served is the server's record of one in-flight request: everything
+// its goroutine needs, so starting it copies a pointer instead of a
+// Request, and the response is encoded from memory that is already on
+// the heap. The goroutine is the record's only holder and pools it when
+// it is done.
+type served struct {
+	s    *session
+	tag  uint64
+	req  Request
+	resp Response
+}
+
+var servedPool = sync.Pool{New: func() interface{} { return new(served) }}
+
+// serve answers the request and returns the record to the pool.
+func (x *served) serve() {
+	s := x.s
+	defer s.wg.Done()
+	x.resp = s.handler(x.req)
+	if s.observe != nil {
+		s.observe(x.req.Type, x.resp.OK)
+	}
+	writeFrame(s.conn, &s.wmu, s.codec, x.tag, &x.resp, s.writeTimeout)
+	*x = served{} // the pool keeps none of the request's or response's memory alive
+	servedPool.Put(x)
 }
 
 // writeFrame encodes resp and writes it as one tagged frame. Encoding

@@ -84,6 +84,11 @@ const (
 	// it knows that the sender does not (Response.Events). The merge is a
 	// join-semilattice, so replays and reordering are no-ops.
 	TRouteGossip
+
+	// numMsgTypes is one past the last operation: the size of a table
+	// indexed by MsgType. It is an int, not a MsgType, so it is no
+	// operation to classify (see Idempotent).
+	numMsgTypes int = iota + 1
 )
 
 func (m MsgType) String() string {
@@ -278,6 +283,16 @@ const DefaultTimeout = 3 * time.Second
 // implement it, so the node stack composes its call chain — coalescing
 // above retries, retries above injectors, injectors above the pool —
 // without knowing the concrete layers.
+//
+// The deadline contract: a Caller that blocks honours ctx.Deadline(),
+// not only ctx.Done(). The Retrier bounds each attempt with a context
+// that carries the attempt's deadline but whose Done and Err are the
+// parent's (a timer and a Done channel per attempt were a fifth of an
+// exchange's garbage), so beneath it Done closes on cancellation alone
+// and an implementation that waits on nothing else waits out the whole
+// call. Pool arms a timer from Deadline for the one wait it has, CallVia
+// sets it as the connection deadline; a Caller that only delegates, or
+// sleeps a bounded time of its own (faultnet's delays), owes nothing.
 type Caller interface {
 	Call(ctx context.Context, addr string, req Request) (Response, error)
 }
@@ -319,15 +334,15 @@ func CallVia(ctx context.Context, dial DialFunc, codec Codec, addr string, req R
 	if codec == nil {
 		codec = DefaultCodec()
 	}
+	now := time.Now()
 	deadline, hasDeadline := ctx.Deadline()
 	if !hasDeadline {
-		deadline = time.Now().Add(DefaultTimeout)
+		deadline = now.Add(DefaultTimeout)
 	}
-	timeout := time.Until(deadline)
-	if timeout <= 0 || ctx.Err() != nil {
-		return Response{}, &NetError{Addr: addr, Op: "dial", Sent: false, Err: context.Cause(ctx)}
+	if err := expired(ctx, now); err != nil {
+		return Response{}, &NetError{Addr: addr, Op: "dial", Sent: false, Err: err}
 	}
-	conn, err := dial(addr, timeout)
+	conn, err := dial(addr, deadline.Sub(now))
 	if err != nil {
 		return Response{}, &NetError{Addr: addr, Op: "dial", Sent: false, Err: err}
 	}
@@ -385,11 +400,12 @@ const oneShotTag = 1
 var frameHole [frameHeader]byte
 
 // ctxCause reports why an I/O operation failed: if ctx was canceled the
-// watcher closed the connection, so the cancellation — not the resulting
-// "use of closed network connection" — is the root cause.
+// watcher closed the connection, and if its deadline passed the
+// connection deadline fired, so the context — not the resulting "use of
+// closed network connection" or "i/o timeout" — is the root cause.
 func ctxCause(ctx context.Context, ioErr error) error {
-	if ctx.Err() != nil {
-		return context.Cause(ctx)
+	if err := expired(ctx, time.Now()); err != nil {
+		return err
 	}
 	return ioErr
 }
