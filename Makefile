@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race allocs lint vet check clean
+.PHONY: all build test race allocs perf-smoke lint vet check clean
 
 all: check
 
@@ -20,6 +20,12 @@ race:
 # where allocation counts are exact.
 allocs:
 	$(GO) test -count=1 -run AllocBudget ./internal/wire ./internal/transport ./internal/routes
+
+# perf-smoke runs every bench/perf workload briefly. The harness checks
+# each answer and exits non-zero when one is wrong; the timings of a run
+# this short are for reading, not for comparing.
+perf-smoke:
+	$(GO) run ./bench/perf -seconds 1 -scale 0.25 -json > perf.json
 
 # lint is the blocking contract gate: stock vet plus the repo's own
 # analyzer suite (determinism, lock-across-RPC, retry idempotency,

@@ -32,37 +32,14 @@ func main() {
 	log.SetPrefix("hieras-bench: ")
 
 	var (
-		scale     = flag.Float64("scale", 0.1, "scale factor on the paper's node counts")
-		paper     = flag.Bool("paper", false, "run at full paper scale (overrides -scale)")
-		seed      = flag.Int64("seed", 2003, "base random seed")
-		workers   = flag.Int("workers", 0, "batch-engine workers per comparison (0 = all CPUs)")
-		only      = flag.String("only", "", "comma-separated subset: t1,t2,t3,fig2..fig9,overhead,algos,can,resilience,cache")
-		dumpMet   = flag.Bool("metrics", false, "dump the cache study's Prometheus-text metrics after the run")
-		kvOut     = flag.String("kv-bench", "", "run the replicated-KV benchmark on the live stack and write its JSON artifact here (e.g. BENCH_kv.json); skips the paper suite unless -only is also given")
-		kvKeys    = flag.Int("kv-keys", 400, "distinct keys the KV benchmark writes (gets run 2x)")
-		wireOut   = flag.String("wire-bench", "", "run the wire-path benchmark (gob/per-call baseline vs binary/pooled) and write its JSON artifact here (e.g. BENCH_wire.json); skips the paper suite unless -only is also given")
-		wireOps   = flag.Int("wire-lookups", 4000, "lookups per wire configuration in the wire benchmark")
-		routesOut = flag.String("routes-bench", "", "run the route-mode benchmark (classic vs cached vs onehop, plus live gossip cost) and write its JSON artifact here (e.g. BENCH_routes.json); skips the paper suite unless -only is also given")
-		routesOps = flag.Int("routes-lookups", 4000, "lookups per route mode in the routes benchmark")
+		scale   = flag.Float64("scale", 0.1, "scale factor on the paper's node counts")
+		paper   = flag.Bool("paper", false, "run at full paper scale (overrides -scale)")
+		seed    = flag.Int64("seed", 2003, "base random seed")
+		workers = flag.Int("workers", 0, "batch-engine workers per comparison (0 = all CPUs)")
+		only    = flag.String("only", "", "comma-separated subset: t1,t2,t3,fig2..fig9,overhead,algos,can,resilience,cache")
+		dumpMet = flag.Bool("metrics", false, "dump the cache study's Prometheus-text metrics after the run")
 	)
 	flag.Parse()
-
-	ranArtifact := false
-	if *kvOut != "" {
-		fatalIf(runKVBench(*seed, *kvKeys, *kvOut, os.Stdout))
-		ranArtifact = true
-	}
-	if *wireOut != "" {
-		fatalIf(runWireBench(*seed, *wireOps, *wireOut, os.Stdout))
-		ranArtifact = true
-	}
-	if *routesOut != "" {
-		fatalIf(runRoutesBench(*seed, *routesOps, *routesOut, os.Stdout))
-		ranArtifact = true
-	}
-	if ranArtifact && *only == "" {
-		return
-	}
 
 	sc := *scale
 	requests := 10000

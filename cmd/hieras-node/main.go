@@ -56,9 +56,6 @@ func main() {
 	flag.IntVar(&opts.Depth, "depth", def.Depth, "hierarchy depth")
 	flag.IntVar(&opts.LookupCache, "cache", def.LookupCache, "location-cache capacity (0 disables caching)")
 	flag.StringVar(&opts.RouteMode, "route-mode", def.RouteMode, "lookup acceleration tier: classic | cached | onehop (onehop gossips a full route table and answers in one verified hop)")
-	flag.StringVar(&opts.Codec, "codec", def.Codec, "wire encoding for outgoing calls: binary | gob")
-	flag.IntVar(&opts.PoolSize, "pool-size", def.PoolSize, "per-peer connection pool size (0 = default, negative = one connection per call)")
-	flag.BoolVar(&opts.Coalesce, "coalesce", def.Coalesce, "share one exchange between identical in-flight read RPCs")
 
 	flag.IntVar(&opts.Replicas, "r", def.Replicas, "replication factor: copies per key, the owner plus r-1 successors")
 	flag.IntVar(&opts.WriteQuorum, "w-quorum", def.WriteQuorum, "write quorum: replica acks before a put is acknowledged (0 = majority of r)")

@@ -60,6 +60,5 @@ wire_breaker_closes_total
 wire_breaker_fail_fast_total
 wire_breaker_open
 wire_breaker_opens_total
-wire_coalesced_total
 wire_retries_total
 `

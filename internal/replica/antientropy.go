@@ -129,8 +129,8 @@ func coveringArc(ids []id.ID) (lo, hi id.ID) {
 
 // itemWireBytes approximates one item's on-the-wire cost: key, value
 // and writer bytes plus the fixed stamp fields. It is the unit both
-// the anti-entropy accounting and the full-sweep baseline use, so the
-// two are directly comparable.
+// the anti-entropy accounting and the full-transfer figure (SweepBytes)
+// use, so the two are directly comparable.
 func itemWireBytes(it wire.StoreItem) uint64 {
 	return uint64(len(it.Key) + len(it.Value) + len(it.Writer) + 12)
 }
@@ -139,15 +139,15 @@ func itemWireBytes(it wire.StoreItem) uint64 {
 // plus DigestBuckets 8-byte digests.
 const digestWireBytes = 40 + 8*DigestBuckets
 
-// AntiEntropyOnce runs one digest-based anti-entropy round, the
-// replacement for full-key SweepOnce re-replication:
+// AntiEntropyOnce runs one digest-based anti-entropy round, the node's
+// one replica repair path:
 //
 //  1. Purge locally expired items (values and tombstones).
 //  2. Republish: re-stamp owner-held live items inside the last half
 //     of their TTL, pushing their expiry out before they die.
 //  3. Re-home foreign keys (self no longer in the replica set) by
 //     pushing them to the current members and dropping the local copy
-//     once every member confirmed — the one job SweepOnce keeps.
+//     once every member confirmed.
 //  4. For every replica-set peer sharing keys with this node, exchange
 //     a DigestBuckets-bucket digest over the covering arc of the
 //     shared keys, pull only the divergent buckets, merge them under
@@ -226,8 +226,6 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 		sort.Strings(peerKeys[addr])
 	}
 
-	// Re-home foreign keys exactly as the sweep did: push to every
-	// current member, drop only once all of them confirmed.
 	dropped = c.rehomeForeign(ctx, keyMembers, selfMember, &firstErr)
 
 	for _, peer := range peers {
@@ -315,7 +313,7 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 		pushed += pushResp.Applied
 		if pushResp.Applied > 0 {
 			// Push-backs repair under-replication, so they count as
-			// re-replication traffic alongside the full-sweep path.
+			// re-replication traffic alongside re-homed keys.
 			for _, it := range push {
 				m.RereplBytes.Add(uint64(len(it.Value)))
 			}
@@ -327,9 +325,10 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 }
 
 // rehomeForeign pushes keys this node no longer owes to their current
-// replica-set members and drops the local copies once every member
-// confirmed — SweepOnce's re-homing contract, kept verbatim inside the
-// anti-entropy round.
+// replica-set members, batched per member in deterministic (sorted-key,
+// set-order) sequence, and drops a local copy only once every member of
+// the key's set confirmed the batch that carried it — so a copy is never
+// destroyed before its replacement provably exists.
 func (c *Coordinator) rehomeForeign(ctx context.Context, keyMembers map[string][]string, selfMember map[string]bool, firstErr *error) (dropped int) {
 	m := c.metrics()
 	type plan struct{ items []wire.StoreItem }
@@ -393,12 +392,11 @@ func (c *Coordinator) rehomeForeign(ctx context.Context, keyMembers map[string][
 	return dropped
 }
 
-// SweepBytes reports what one full-key SweepOnce round would put on
-// the wire for the current store and placement — every held item
-// pushed whole to every other member of its replica set, regardless of
-// divergence. It issues no replication traffic; the chaos suite and
-// the KV benchmark use it as the bandwidth baseline digest sync is
-// measured against.
+// SweepBytes reports what a full-transfer repair round would put on the
+// wire for the current store and placement — every held item pushed
+// whole to every other member of its replica set, regardless of
+// divergence. It is an analytic figure and issues no traffic; the chaos
+// suite uses it as the denominator digest sync is measured against.
 func (c *Coordinator) SweepBytes(ctx context.Context) (uint64, error) {
 	var total uint64
 	for _, key := range c.Engine.Keys() {

@@ -49,9 +49,9 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 	}
 	return &Metrics{
 		Lag: reg.NewGauge("replica_lag",
-			"Stale or missing key copies observed (and refreshed) by the last re-replication sweep."),
+			"Stale or missing key copies the last anti-entropy round refreshed (items pulled plus items pushed back)."),
 		RereplBytes: reg.NewCounter("rereplication_bytes_total",
-			"Value bytes pushed to peers by re-replication: full-key sweeps and anti-entropy push-backs."),
+			"Value bytes pushed to peers by re-replication: anti-entropy push-backs and re-homed foreign keys."),
 		WriteSeconds: reg.NewHistogram("quorum_write_seconds",
 			"Latency of quorum writes, from replica-set resolution to quorum ack.", quorumBuckets),
 		ReadSeconds: reg.NewHistogram("quorum_read_seconds",
@@ -63,7 +63,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		HandoffItems: reg.NewCounter("replica_handoff_items_total",
 			"Versioned items transferred by graceful-leave handoffs."),
 		Dropped: reg.NewCounter("replica_dropped_total",
-			"Keys dropped locally after a sweep confirmed the node left their replica set."),
+			"Keys dropped locally after an anti-entropy round confirmed every current replica-set member holds them."),
 		AERounds: reg.NewCounter("antientropy_rounds_total",
 			"Digest-based anti-entropy rounds completed."),
 		AEBytes: reg.NewCounter("antientropy_bytes_total",
@@ -74,7 +74,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 }
 
 // Coordinator drives quorum writes, quorum reads with read-repair, and
-// re-replication sweeps against an Engine. It issues replica-set RPCs
+// anti-entropy rounds against an Engine. It issues replica-set RPCs
 // through Call; it never takes locks across those calls (the Engine
 // locks only around its own map operations).
 type Coordinator struct {
@@ -146,7 +146,7 @@ func (c *Coordinator) now() time.Time {
 // the owner's current version, stamp the value past it, and install
 // the item on every member, acknowledging once WriteQuorum members
 // (clamped to the set size) accepted it. Failing members are tolerated
-// as long as the quorum holds; the sweep re-replicates to them later.
+// as long as the quorum holds; anti-entropy re-replicates to them later.
 func (c *Coordinator) Put(ctx context.Context, key string, value []byte) error {
 	m := c.metrics()
 	start := c.now()
@@ -349,99 +349,4 @@ func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, bool, error)
 		return nil, false, nil
 	}
 	return best.Value, true, nil
-}
-
-// SweepOnce re-homes every locally held key: resolve its current
-// replica set, push the held item to members that are behind, and
-// drop the local copy once the node is no longer a member and every
-// member confirmed the item. Pushes are batched per member and issued
-// in deterministic (sorted-key, set-order) sequence. It returns the
-// number of item-pushes applied remotely and keys dropped locally.
-func (c *Coordinator) SweepOnce(ctx context.Context) (applied, dropped int, firstErr error) {
-	m := c.metrics()
-	opts := c.Opts.WithDefaults()
-	if opts.DropReplicaWrites {
-		return 0, 0, nil // bug seam: sweeps neither replicate nor drop
-	}
-	type plan struct {
-		items []wire.StoreItem
-		keys  []string
-	}
-	batches := map[string]*plan{}
-	var order []string            // member send order (first appearance)
-	memberOK := map[string]bool{} // member → batch delivered
-	keyMembers := map[string][]string{}
-	selfMember := map[string]bool{}
-
-	for _, key := range c.Engine.Keys() {
-		item, ok := c.Engine.Get(key)
-		if !ok {
-			continue
-		}
-		set, err := c.Resolve(ctx, key)
-		if err != nil || len(set) == 0 {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			continue // unresolved: keep the copy, try next sweep
-		}
-		keyMembers[key] = set
-		for _, addr := range set {
-			if addr == c.Self {
-				selfMember[key] = true
-				continue
-			}
-			b := batches[addr]
-			if b == nil {
-				b = &plan{}
-				batches[addr] = b
-				order = append(order, addr)
-			}
-			b.items = append(b.items, item)
-			b.keys = append(b.keys, key)
-		}
-	}
-
-	lag := 0
-	for _, addr := range order {
-		b := batches[addr]
-		resp, err := c.Call(ctx, addr, wire.Request{Type: wire.TReplicate, Items: b.items})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		memberOK[addr] = true
-		applied += resp.Applied
-		lag += resp.Applied
-		if resp.Applied > 0 {
-			for _, it := range b.items {
-				m.RereplBytes.Add(uint64(len(it.Value)))
-			}
-		}
-	}
-	m.Lag.Set(float64(lag))
-
-	// Drop copies this node no longer owes — but only once every member
-	// of the key's current set confirmed the batch that carried it, so a
-	// copy is never destroyed before its replacement provably exists.
-	for key, set := range keyMembers {
-		if selfMember[key] {
-			continue
-		}
-		confirmed := true
-		for _, addr := range set {
-			if addr != c.Self && !memberOK[addr] {
-				confirmed = false
-				break
-			}
-		}
-		if confirmed {
-			c.Engine.Drop(key)
-			m.Dropped.Inc()
-			dropped++
-		}
-	}
-	return applied, dropped, firstErr
 }

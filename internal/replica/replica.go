@@ -2,16 +2,16 @@
 // HIERAS node stack: per-key replica sets of configurable factor r
 // placed on the owner's global successor list, quorum writes (W) and
 // quorum reads (R) with version stamps and read-repair, handoff of
-// versioned items on graceful leave, and periodic re-replication
-// sweeps that re-home data after churn.
+// versioned items on graceful leave, and periodic digest anti-entropy
+// rounds that re-converge replicas and re-home data after churn.
 //
 // The package has two halves. Engine is the node-local store: a
 // versioned last-writer-wins map whose merges are idempotent, so the
 // TStorePut/TReplicate/THandoff wire operations retry safely. The
 // quorum coordination logic (replica-set resolution, ack counting,
-// read-repair, sweep planning) lives in the transport client, which
-// owns lookups and the successor lists; this package supplies the
-// ordering rule (Supersedes) both halves must agree on.
+// read-repair, anti-entropy planning) lives in the transport client,
+// which owns lookups and the successor lists; this package supplies
+// the ordering rule (Supersedes) both halves must agree on.
 package replica
 
 import (
@@ -40,8 +40,8 @@ type Options struct {
 	ReadQuorum int
 	// DropReplicaWrites, when set, makes the node acknowledge writes
 	// after storing only the owner copy and skip pushing copies during
-	// sweeps. It exists solely as a deterministic bug seam for the
-	// simcheck harness: the durability invariant must catch it.
+	// anti-entropy rounds. It exists solely as a deterministic bug seam
+	// for the simcheck harness: the durability invariant must catch it.
 	DropReplicaWrites bool
 }
 
@@ -219,8 +219,8 @@ func (e *Engine) Bump(key, self string, value []byte) wire.StoreItem {
 	return it
 }
 
-// Drop removes key from the store (used when a sweep determines the
-// node is no longer in the key's replica set).
+// Drop removes key from the store (used when an anti-entropy round
+// determines the node is no longer in the key's replica set).
 func (e *Engine) Drop(key string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -234,8 +234,9 @@ func (e *Engine) Len() int {
 	return len(e.items)
 }
 
-// Keys returns the held keys in sorted order — sweeps iterate this so
-// their wire traffic is deterministic under the simcheck harness.
+// Keys returns the held keys in sorted order — anti-entropy rounds
+// iterate this so their wire traffic is deterministic under the simcheck
+// harness.
 func (e *Engine) Keys() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()

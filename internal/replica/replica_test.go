@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/id"
 	"repro/internal/wire"
 )
 
@@ -155,9 +156,17 @@ func (fc *fakeCluster) call(ctx context.Context, addr string, req wire.Request) 
 		return wire.Response{OK: true, Found: ok, Value: it.Value, Version: it.Version, Writer: it.Writer}, nil
 	case wire.TStorePut, wire.TReplicate, wire.THandoff:
 		return wire.Response{OK: true, Applied: e.ApplyBatch(req.Items)}, nil
+	case wire.TDigest:
+		return wire.Response{OK: true, Digests: e.RangeDigest(testKeyID, req.Key, req.KeyHi)}, nil
+	case wire.TSyncPull:
+		return wire.Response{OK: true, Items: e.RangeItems(testKeyID, req.Key, req.KeyHi, req.Buckets)}, nil
 	}
 	return wire.Response{}, fmt.Errorf("unexpected %v", req.Type)
 }
+
+// testKeyID is the key → ring identifier mapping the fake cluster's
+// members and coordinators share.
+func testKeyID(key string) [20]byte { return id.HashString(key) }
 
 func (fc *fakeCluster) coordinator(self string, opts Options) *Coordinator {
 	return &Coordinator{
@@ -166,6 +175,7 @@ func (fc *fakeCluster) coordinator(self string, opts Options) *Coordinator {
 		Engine:  fc.engines[self],
 		Resolve: func(context.Context, string) ([]string, error) { return fc.set, nil },
 		Call:    fc.call,
+		KeyID:   testKeyID,
 	}
 }
 
@@ -238,28 +248,36 @@ func TestCoordinatorGetDistrustsPartialSilence(t *testing.T) {
 	}
 }
 
+// TestCoordinatorSweepReplicatesAndDrops pins anti-entropy's re-homing
+// half: a key held by a node outside its replica set is pushed to every
+// member and dropped locally once all of them confirmed.
 func TestCoordinatorSweepReplicatesAndDrops(t *testing.T) {
 	fc := newFakeCluster("n0", "n1", "n2", "n3")
-	// n3 holds a copy of a key whose replica set is {n0,n1,n2} (it left
-	// the set after churn) plus a key it still owes.
-	orphan := item("orphan", "x", 3, "w#1")
-	fc.engines["n3"].Apply(orphan)
+	// n3 holds a copy of a key whose replica set is {n0,n1,n2}: it left
+	// the set after churn.
+	fc.engines["n3"].Apply(item("orphan", "x", 3, "w#1"))
 	fc.set = []string{"n0", "n1", "n2"}
 	co := fc.coordinator("n3", Options{Factor: 3})
-	applied, dropped, err := co.SweepOnce(context.Background())
+	pulled, pushed, dropped, err := co.AntiEntropyOnce(context.Background())
 	if err != nil {
-		t.Fatalf("sweep: %v", err)
+		t.Fatalf("anti-entropy: %v", err)
 	}
-	if applied != 3 || dropped != 1 {
-		t.Errorf("sweep applied=%d dropped=%d, want 3 and 1", applied, dropped)
+	if pulled != 0 || pushed != 0 || dropped != 1 {
+		t.Errorf("anti-entropy pulled=%d pushed=%d dropped=%d, want 0, 0 and 1", pulled, pushed, dropped)
 	}
 	for _, m := range fc.set {
 		if it, ok := fc.engines[m].Get("orphan"); !ok || string(it.Value) != "x" {
-			t.Errorf("member %s missing re-replicated key (found %v)", m, ok)
+			t.Errorf("member %s missing re-homed key (found %v)", m, ok)
 		}
 	}
 	if _, ok := fc.engines["n3"].Get("orphan"); ok {
 		t.Error("n3 must drop the key after all members confirmed")
+	}
+	if got := co.Metrics.Dropped.Value(); got != 1 {
+		t.Errorf("replica_dropped_total = %d, want 1", got)
+	}
+	if got := co.Metrics.RereplBytes.Value(); got != 3 {
+		t.Errorf("rereplication_bytes_total = %d, want 3 (one value byte to each of three members)", got)
 	}
 }
 
@@ -269,7 +287,10 @@ func TestCoordinatorSweepKeepsCopyWhileMemberUnreachable(t *testing.T) {
 	fc.set = []string{"n0", "n1", "n2"}
 	fc.dead["n2"] = true
 	co := fc.coordinator("n3", Options{Factor: 3})
-	_, dropped, _ := co.SweepOnce(context.Background())
+	_, _, dropped, err := co.AntiEntropyOnce(context.Background())
+	if err == nil {
+		t.Error("a round that could not reach a member must report it")
+	}
 	if dropped != 0 {
 		t.Error("must not drop the local copy before every member confirmed")
 	}
@@ -278,6 +299,9 @@ func TestCoordinatorSweepKeepsCopyWhileMemberUnreachable(t *testing.T) {
 	}
 }
 
+// TestCoordinatorSweepDeterministicOrder pins that a round's wire
+// traffic — digests, pulls and push-backs to two peers that lack three
+// keys — is the same call sequence on every run.
 func TestCoordinatorSweepDeterministicOrder(t *testing.T) {
 	run := func() []string {
 		fc := newFakeCluster("n0", "n1", "n2")
@@ -285,15 +309,15 @@ func TestCoordinatorSweepDeterministicOrder(t *testing.T) {
 			fc.engines["n0"].Apply(item(k, "v", 1, "w#1"))
 		}
 		co := fc.coordinator("n0", Options{Factor: 3})
-		if _, _, err := co.SweepOnce(context.Background()); err != nil {
-			t.Fatal(err)
+		if _, pushed, _, err := co.AntiEntropyOnce(context.Background()); err != nil || pushed != 6 {
+			t.Fatalf("anti-entropy pushed=%d err=%v, want 6 (three keys to two peers)", pushed, err)
 		}
 		return fc.calls
 	}
 	first := run()
 	for i := 0; i < 5; i++ {
 		if got := run(); !reflect.DeepEqual(got, first) {
-			t.Fatalf("sweep wire order not deterministic:\n  %v\n  %v", first, got)
+			t.Fatalf("anti-entropy wire order not deterministic:\n  %v\n  %v", first, got)
 		}
 	}
 }
@@ -307,7 +331,10 @@ func TestCoordinatorDropReplicaWritesBugSeam(t *testing.T) {
 	if _, ok := fc.engines["n1"].Get("doc"); ok {
 		t.Error("bug seam must not push replica copies")
 	}
-	if applied, dropped, _ := co.SweepOnce(context.Background()); applied != 0 || dropped != 0 {
-		t.Error("bug seam must disable sweeps")
+	if pulled, pushed, dropped, _ := co.AntiEntropyOnce(context.Background()); pulled != 0 || pushed != 0 || dropped != 0 {
+		t.Error("bug seam must disable anti-entropy")
+	}
+	if _, ok := fc.engines["n1"].Get("doc"); ok {
+		t.Error("bug seam anti-entropy must not push replica copies")
 	}
 }

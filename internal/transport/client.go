@@ -25,7 +25,7 @@ const maxWalkRestarts = 2
 // including retries; each attempt is additionally capped by the
 // configured per-attempt timeout.
 func (n *Node) call(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
-	return n.caller.Call(ctx, addr, req)
+	return n.retrier.Call(ctx, addr, req)
 }
 
 // callBG is call for maintenance paths (stabilization, repair, leave,
@@ -227,9 +227,7 @@ func (n *Node) pushRoutes(targets []string) {
 }
 
 // routeEventsBytes measures the gossip payload cost of an event set: the
-// size of its binary-codec encoding. Metering through one fixed codec
-// keeps the maintenance-bandwidth metric comparable across runs
-// regardless of the session codec in use.
+// size of its wire encoding.
 func routeEventsBytes(evs []wire.RouteEvent) uint64 {
 	if len(evs) == 0 {
 		return 0
@@ -721,7 +719,7 @@ func (n *Node) resolveReplicaSet(ctx context.Context, key string) ([]string, err
 // to the key's replica set (the owner plus its successors). The write
 // is acknowledged once Replication.WriteQuorum members accepted it;
 // members missed here are caught up by read-repair and the
-// re-replication sweep.
+// anti-entropy round.
 func (n *Node) Put(ctx context.Context, key string, value []byte) error {
 	return n.co.Put(ctx, key, value)
 }
@@ -749,34 +747,22 @@ func (n *Node) Delete(ctx context.Context, key string) error {
 	return n.co.Delete(ctx, key)
 }
 
-// ReplicaSweepOnce runs one re-replication/republish sweep: every
-// locally held key is re-resolved against the current ring, members
-// that are behind receive the held item, and copies this node no
-// longer owes are dropped once every responsible member confirmed
-// theirs. Returns the number of remote item installs and local drops.
-// The sweep runs under the node's lifecycle context, so Close aborts
-// it promptly instead of waiting out in-flight member calls. Kept as
-// the full-transfer baseline; the stabilize cadence runs the digest
-// anti-entropy round instead.
-func (n *Node) ReplicaSweepOnce() (applied, dropped int, err error) {
-	return n.co.SweepOnce(n.lifeCtx)
-}
-
 // ReplicaAntiEntropyOnce runs one digest-based anti-entropy round:
 // purge expired items, republish owner-held items nearing expiry,
 // re-home keys this node no longer owes, then exchange compact range
 // digests with every replica-set peer and transfer only the divergent
-// buckets. Returns pulled/pushed item counts and local drops. Like the
-// sweep it runs under the node's lifecycle context.
+// buckets. Returns pulled/pushed item counts and local drops. It runs
+// under the node's lifecycle context, so Close aborts it promptly
+// instead of waiting out in-flight member calls.
 func (n *Node) ReplicaAntiEntropyOnce() (pulled, pushed, dropped int, err error) {
 	return n.co.AntiEntropyOnce(n.lifeCtx)
 }
 
-// ReplicaFullSweepBytes reports the bytes one full-transfer SweepOnce
-// round would ship from this node right now — every held item pushed
-// whole to every other replica-set member. It moves no data; the chaos
-// suite and the KV benchmark use it as the bandwidth baseline the
-// digest protocol's antientropy_bytes_total is compared against.
+// ReplicaFullSweepBytes reports the bytes a full-transfer repair round
+// would ship from this node right now — every held item pushed whole to
+// every other replica-set member. It is an analytic figure and moves no
+// data; the chaos suite uses it as the denominator the digest protocol's
+// antientropy_bytes_total is compared against.
 func (n *Node) ReplicaFullSweepBytes() (uint64, error) {
 	return n.co.SweepBytes(n.lifeCtx)
 }

@@ -61,21 +61,6 @@ type Config struct {
 	// retry policy's PerAttempt timeout and the write deadline of pooled
 	// and server-side connections.
 	CallTimeout time.Duration
-	// Codec selects the wire encoding for outgoing calls (default
-	// wire.DefaultCodec(), the binary codec; wire.Gob is the
-	// compatibility codec). Servers accept either: the client announces
-	// its codec in the session preamble.
-	Codec wire.Codec
-	// PoolSize is the per-peer connection pool size (0 = wire
-	// DefaultPoolSize). Negative disables pooling and opens one
-	// connection per call — the pre-overhaul behaviour, kept as a
-	// benchmark baseline.
-	PoolSize int
-	// Coalesce deduplicates identical in-flight read RPCs (TFindClosest,
-	// TStoreGet): concurrent callers share one exchange. Off by default
-	// because collapsing calls changes the observable call sequence,
-	// which deterministic fault-replay harnesses depend on.
-	Coalesce bool
 	// Retry configures the retry policy applied to every outgoing RPC:
 	// exponential backoff with jitter, idempotency-aware (state-installing
 	// writes are only retried when the request provably never reached the
@@ -124,9 +109,9 @@ type Config struct {
 	// reads).
 	Replication replica.Options
 	// AntiEntropyEvery runs the digest-based anti-entropy round on every
-	// k-th StabilizeOnce round (default 1 = every round). Like sweeps,
-	// evictions force a round immediately, so death-triggered repair does
-	// not wait out the cadence.
+	// k-th StabilizeOnce round (default 1 = every round). Evictions
+	// force a round immediately, so death-triggered repair does not
+	// wait out the cadence.
 	AntiEntropyEvery int
 	// TTL is the lifetime stamped onto coordinated writes, in the units
 	// of Clock — nanoseconds under the default wall clock, so a plain
@@ -204,7 +189,8 @@ type Node struct {
 	wg      sync.WaitGroup
 
 	// lifeCtx is cancelled by Close, so in-flight maintenance RPC chains
-	// (sweeps, anti-entropy) abort promptly instead of stalling shutdown.
+	// (stabilization, anti-entropy) abort promptly instead of stalling
+	// shutdown.
 	lifeCtx    context.Context
 	lifeCancel context.CancelFunc
 	clock      func() uint64 // data-lifecycle time base (Config.Clock or wall nanos)
@@ -212,16 +198,14 @@ type Node struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{} // live server-side sessions, force-closed on Close
 
-	nm        *nodeMetrics
-	store     *replica.Engine      // versioned local KV store
-	co        *replica.Coordinator // quorum write/read/sweep driver over the store
-	cache     *lookupCache         // nil when Config.LookupCache == 0
-	routes    *routes.Table        // one-hop membership table; nil unless RouteMode == RouteOneHop
-	caller    wire.Caller          // full outgoing chain: (coalescer) → retrier → (injector) → instrumented pool
-	retrier   *wire.Retrier
-	coalescer *wire.Coalescer // nil unless Config.Coalesce; drained on Close
-	pool      *wire.Pool
-	suspect   int // consecutive-failure count that triggers eviction
+	nm      *nodeMetrics
+	store   *replica.Engine      // versioned local KV store
+	co      *replica.Coordinator // quorum write/read/anti-entropy driver over the store
+	cache   *lookupCache         // nil when Config.LookupCache == 0
+	routes  *routes.Table        // one-hop membership table; nil unless RouteMode == RouteOneHop
+	retrier *wire.Retrier        // full outgoing chain: retrier → (injector) → instrumented pool
+	pool    *wire.Pool
+	suspect int // consecutive-failure count that triggers eviction
 }
 
 // NodeID derives a live node's identifier from its address.
@@ -312,9 +296,7 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 	}
 	n.nm = newNodeMetrics(reg, cfg.Depth)
 	n.pool = wire.NewPool(wire.PoolOptions{
-		Codec:        cfg.Codec,
 		Dial:         cfg.Dial,
-		Size:         cfg.PoolSize,
 		DialTimeout:  cfg.CallTimeout,
 		WriteTimeout: cfg.CallTimeout,
 		ConnWrap:     n.nm.wm.CountConn,
@@ -328,11 +310,6 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 		retry.PerAttempt = cfg.CallTimeout
 	}
 	n.retrier = wire.NewRetrier(base, retry, cfg.Breaker, reg)
-	n.caller = n.retrier
-	if cfg.Coalesce {
-		n.coalescer = wire.NewCoalescer(n.retrier, reg)
-		n.caller = n.coalescer
-	}
 	n.suspect = cfg.EvictSuspicion
 	if n.suspect <= 0 {
 		n.suspect = cfg.Retry.EffectiveAttempts()
@@ -408,14 +385,9 @@ func (n *Node) Close() error {
 	default:
 	}
 	close(n.closed)
-	n.lifeCancel() // abort in-flight sweeps and anti-entropy rounds
+	n.lifeCancel() // abort in-flight maintenance chains and anti-entropy rounds
 	err := n.ln.Close()
 	n.pool.Close()
-	if n.coalescer != nil {
-		// The pool just failed every in-flight exchange, so the shared
-		// flights end promptly; wait so no flight goroutine outlives Close.
-		n.coalescer.Close()
-	}
 	// Peers hold persistent pooled sessions to this node; their server
 	// goroutines would otherwise block in a frame read until the idle
 	// timeout. Force-close them — ServeConn drains in-flight handlers

@@ -35,18 +35,6 @@ type Options struct {
 	// LookupCache, matching the pre-onehop behaviour.
 	RouteMode string
 
-	// Codec names the wire encoding for outgoing calls: "binary" (the
-	// default zero-alloc codec) or "gob" (the compatibility codec).
-	// Empty means binary.
-	Codec string
-	// PoolSize is the per-peer connection pool size (0 = wire
-	// DefaultPoolSize; negative = one connection per call, the
-	// benchmark baseline).
-	PoolSize int
-	// Coalesce shares one exchange between identical in-flight read
-	// RPCs. Off by default.
-	Coalesce bool
-
 	// Replicas is the replication factor r: the owner plus r-1
 	// successors hold each key (default 3).
 	Replicas int
@@ -93,7 +81,6 @@ func DefaultOptions() Options {
 		Depth:            2,
 		CallTimeout:      3 * time.Second,
 		LookupCache:      256,
-		Codec:            "binary",
 		Replicas:         3,
 		Retries:          3,
 		RetryBackoff:     20 * time.Millisecond,
@@ -105,8 +92,8 @@ func DefaultOptions() Options {
 }
 
 // WithDefaults fills zero-valued fields with their defaults. Fields
-// whose zero value is meaningful (LookupCache, PoolSize, Coalesce,
-// WriteQuorum, ReadQuorum, BreakerThreshold) are left alone.
+// whose zero value is meaningful (LookupCache, WriteQuorum, ReadQuorum,
+// BreakerThreshold) are left alone.
 func (o Options) WithDefaults() Options {
 	d := DefaultOptions()
 	if o.Depth == 0 {
@@ -114,9 +101,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.CallTimeout == 0 {
 		o.CallTimeout = d.CallTimeout
-	}
-	if o.Codec == "" {
-		o.Codec = d.Codec
 	}
 	if o.Replicas == 0 {
 		o.Replicas = d.Replicas
@@ -158,9 +142,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: route mode %q, want %s, %s or %s",
 			ErrBadOptions, o.RouteMode, RouteClassic, RouteCached, RouteOneHop)
 	}
-	if _, err := wire.CodecByName(o.Codec); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadOptions, err)
-	}
 	if o.Replicas < 1 {
 		return fmt.Errorf("%w: replication factor %d, must be >= 1", ErrBadOptions, o.Replicas)
 	}
@@ -199,16 +180,12 @@ func (o Options) Validate() error {
 }
 
 // Config compiles the options into a node Config: defaults applied,
-// fields validated, names resolved (codec string → wire.Codec, breaker
-// "0 = off" → the wire layer's -1 sentinel).
+// fields validated, the breaker's "0 = off" resolved to the wire layer's
+// -1 sentinel.
 func (o Options) Config() (Config, error) {
 	o = o.WithDefaults()
 	if err := o.Validate(); err != nil {
 		return Config{}, err
-	}
-	codec, err := wire.CodecByName(o.Codec)
-	if err != nil {
-		return Config{}, fmt.Errorf("%w: %v", ErrBadOptions, err)
 	}
 	breaker := o.BreakerThreshold
 	if breaker <= 0 {
@@ -219,9 +196,6 @@ func (o Options) Config() (Config, error) {
 		CallTimeout: o.CallTimeout,
 		LookupCache: o.LookupCache,
 		RouteMode:   o.RouteMode,
-		Codec:       codec,
-		PoolSize:    o.PoolSize,
-		Coalesce:    o.Coalesce,
 		Replication: replica.Options{
 			Factor:      o.Replicas,
 			WriteQuorum: o.WriteQuorum,

@@ -19,8 +19,8 @@ func TestOptionsWithDefaultsFillsZeros(t *testing.T) {
 		t.Errorf("WithDefaults() = %+v, want %+v", got, want)
 	}
 	// Explicit values survive.
-	o := Options{Depth: 3, Codec: "gob", Retries: 1, PoolSize: -1}.WithDefaults()
-	if o.Depth != 3 || o.Codec != "gob" || o.Retries != 1 || o.PoolSize != -1 {
+	o := Options{Depth: 3, Retries: 1, RouteMode: RouteOneHop}.WithDefaults()
+	if o.Depth != 3 || o.Retries != 1 || o.RouteMode != RouteOneHop {
 		t.Errorf("explicit fields overwritten: %+v", o)
 	}
 }
@@ -34,7 +34,6 @@ func TestOptionsValidateRejections(t *testing.T) {
 		{"zero depth", func(o *Options) { o.Depth = 0 }},
 		{"zero timeout", func(o *Options) { o.CallTimeout = 0 }},
 		{"negative cache", func(o *Options) { o.LookupCache = -1 }},
-		{"unknown codec", func(o *Options) { o.Codec = "json" }},
 		{"zero replicas", func(o *Options) { o.Replicas = 0 }},
 		{"write quorum above factor", func(o *Options) { o.WriteQuorum = 4 }},
 		{"negative read quorum", func(o *Options) { o.ReadQuorum = -1 }},
@@ -68,16 +67,10 @@ func TestOptionsValidateRejections(t *testing.T) {
 
 func TestOptionsConfigTranslation(t *testing.T) {
 	o := DefaultOptions()
-	o.Codec, o.PoolSize, o.Coalesce, o.WriteQuorum = "gob", -1, true, 2
+	o.WriteQuorum = 2
 	cfg, err := o.Config()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.Codec == nil || cfg.Codec.Name() != "gob" {
-		t.Errorf("codec = %v, want gob", cfg.Codec)
-	}
-	if cfg.PoolSize != -1 || !cfg.Coalesce {
-		t.Errorf("pool/coalesce not carried: %+v", cfg)
 	}
 	if cfg.Replication.Factor != 3 || cfg.Replication.WriteQuorum != 2 {
 		t.Errorf("replication = %+v", cfg.Replication)
@@ -113,8 +106,8 @@ func TestOptionsConfigTranslation(t *testing.T) {
 		t.Errorf("breaker-off threshold = %d, want -1", cfg.Breaker.Threshold)
 	}
 
-	if _, err := (Options{Codec: "xml"}).Config(); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("bad codec Config() = %v, want ErrBadOptions", err)
+	if _, err := (Options{Depth: -1}).Config(); !errors.Is(err, ErrBadOptions) {
+		t.Errorf("bad depth Config() = %v, want ErrBadOptions", err)
 	}
 }
 

@@ -55,7 +55,7 @@ func (p *RTTProber) Latency(ctx context.Context, addr string) (float64, error) {
 func probe(ctx context.Context, dial wire.DialFunc, addr string, req wire.Request, timeout time.Duration) error {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	_, err := wire.CallVia(ctx, dial, nil, addr, req)
+	_, err := wire.CallVia(ctx, dial, addr, req)
 	return err
 }
 
@@ -79,7 +79,7 @@ func (p *VirtualProber) Latency(ctx context.Context, addr string) (float64, erro
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	resp, err := wire.CallVia(ctx, p.Dial, nil, addr, wire.Request{Type: wire.TGetInfo})
+	resp, err := wire.CallVia(ctx, p.Dial, addr, wire.Request{Type: wire.TGetInfo})
 	if err != nil {
 		return 0, fmt.Errorf("transport: get_info %s: %w", addr, err)
 	}

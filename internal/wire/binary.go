@@ -7,29 +7,26 @@ import (
 	"math"
 )
 
-// Binary is the default wire codec: a hand-rolled, reflection-free,
+// Binary is the wire codec: a hand-rolled, reflection-free,
 // length-checked encoding of the two envelopes. The layout is
 //
 //	Request:  [type u8][field mask uvarint][present fields in order]
 //	Response: [field mask uvarint][present fields in order]
 //
 // where the mask has one bit per envelope field (bools are carried by the
-// mask itself) and a field is present iff it is non-zero, mirroring gob's
-// omit-zero semantics so the two codecs are value-equivalent under the
-// nil≡empty normalization the fuzz targets use. Scalars are varints
+// mask itself) and a field is present iff it is non-zero, so nil and
+// empty slices are one value on the wire (the nil≡empty normalization the
+// round-trip tests and fuzz targets compare under). Scalars are varints
 // (zigzag for signed), strings and byte slices are uvarint-length-prefixed,
 // identifiers are 20 raw bytes, and composite values (Peer, RingTable,
 // StoreItem) encode their fields unconditionally so re-encoding a decoded
 // envelope is canonical. Encoding appends to the caller's buffer and
-// allocates nothing; decoding validates every length claim against the
-// remaining input and never panics.
+// allocates nothing, so the pooled transport and the server session loop
+// reuse frame buffers; decoding validates every length claim against the
+// remaining input, never panics, and retains none of its input (decoded
+// values own their memory). It is a stateless value, safe for concurrent
+// use.
 type Binary struct{}
-
-// Name implements Codec.
-func (Binary) Name() string { return "binary" }
-
-// ID implements Codec.
-func (Binary) ID() byte { return codecIDBinary }
 
 var (
 	errTruncated = errors.New("wire: truncated binary envelope")
@@ -84,7 +81,8 @@ const (
 	rsKnown = rsEvents<<1 - 1
 )
 
-// AppendRequest implements Codec.
+// AppendRequest appends one encoded request envelope to dst and returns
+// the extended slice.
 func (Binary) AppendRequest(dst []byte, req *Request) ([]byte, error) {
 	dst = append(dst, byte(req.Type))
 	var mask uint64
@@ -173,7 +171,8 @@ func (Binary) AppendRequest(dst []byte, req *Request) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeRequest implements Codec.
+// DecodeRequest decodes one request envelope from a complete frame
+// payload.
 func (Binary) DecodeRequest(data []byte) (Request, error) {
 	var req Request
 	r := breader{b: data}
@@ -251,7 +250,7 @@ func (Binary) DecodeRequest(data []byte) (Request, error) {
 	return req, nil
 }
 
-// AppendResponse implements Codec.
+// AppendResponse appends one encoded response envelope to dst.
 func (Binary) AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 	var mask uint64
 	if resp.OK {
@@ -388,7 +387,7 @@ func (Binary) AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeResponse implements Codec.
+// DecodeResponse decodes one response envelope from a frame payload.
 func (Binary) DecodeResponse(data []byte) (Response, error) {
 	var resp Response
 	r := breader{b: data}

@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// FuzzDecodeMessage feeds arbitrary bytes to every codec's envelope
-// decoders. The contract under fuzz: decoding never panics, and any
-// input that decodes successfully re-encodes to a canonical byte form
-// that decodes to the same value (no lossy or ambiguous envelopes, up
-// to the nil≡empty equivalence both codecs share).
+// FuzzDecodeMessage feeds arbitrary bytes to the envelope decoders. The
+// contract under fuzz: decoding never panics, and any input that decodes
+// successfully re-encodes to a canonical byte form that decodes to the
+// same value and is a fixed point of decode-then-encode (no lossy or
+// ambiguous envelopes, up to the nil≡empty equivalence).
 func FuzzDecodeMessage(f *testing.F) {
 	seedReq := &Request{
 		Type: TFindClosest, Layer: 2, Key: [20]byte{1, 2, 3}, Name: "ring:az",
@@ -47,29 +47,15 @@ func FuzzDecodeMessage(f *testing.F) {
 		OK: true, Applied: 1,
 		Events: []RouteEvent{{Layer: 1, Ring: "global", Peer: Peer{Addr: "n6:9000"}, Kind: RouteLeave, Stamp: 7}},
 	}
-	for _, c := range Codecs() {
-		if b, err := c.AppendRequest(nil, seedReq); err == nil {
+	reqs := append([]Request{*seedReq, *seedStore, *seedDigest, *seedGossip}, testRequests()...)
+	for i := range reqs {
+		if b, err := (Binary{}).AppendRequest(nil, &reqs[i]); err == nil {
 			f.Add(b)
 		}
-		if b, err := c.AppendResponse(nil, seedResp); err == nil {
-			f.Add(b)
-		}
-		if b, err := c.AppendRequest(nil, seedStore); err == nil {
-			f.Add(b)
-		}
-		if b, err := c.AppendResponse(nil, seedStoreResp); err == nil {
-			f.Add(b)
-		}
-		if b, err := c.AppendRequest(nil, seedDigest); err == nil {
-			f.Add(b)
-		}
-		if b, err := c.AppendResponse(nil, seedDigestResp); err == nil {
-			f.Add(b)
-		}
-		if b, err := c.AppendRequest(nil, seedGossip); err == nil {
-			f.Add(b)
-		}
-		if b, err := c.AppendResponse(nil, seedGossipResp); err == nil {
+	}
+	resps := append([]Response{*seedResp, *seedStoreResp, *seedDigestResp, *seedGossipResp}, testResponses()...)
+	for i := range resps {
+		if b, err := (Binary{}).AppendResponse(nil, &resps[i]); err == nil {
 			f.Add(b)
 		}
 	}
@@ -77,42 +63,18 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, c := range Codecs() {
-			if req, err := c.DecodeRequest(data); err == nil {
-				canon, encErr := c.AppendRequest(nil, &req)
-				if encErr != nil {
-					t.Fatalf("%s: re-encode decoded request: %v", c.Name(), encErr)
-				}
-				req2, decErr := c.DecodeRequest(canon)
-				if decErr != nil {
-					t.Fatalf("%s: decode canonical request bytes: %v", c.Name(), decErr)
-				}
-				if !reflect.DeepEqual(normalizeReq(req), normalizeReq(req2)) {
-					t.Fatalf("%s: request not stable through codec:\n  first  %#v\n  second %#v",
-						c.Name(), req, req2)
-				}
-			}
-			if resp, err := c.DecodeResponse(data); err == nil {
-				canon, encErr := c.AppendResponse(nil, &resp)
-				if encErr != nil {
-					t.Fatalf("%s: re-encode decoded response: %v", c.Name(), encErr)
-				}
-				resp2, decErr := c.DecodeResponse(canon)
-				if decErr != nil {
-					t.Fatalf("%s: decode canonical response bytes: %v", c.Name(), decErr)
-				}
-				if !reflect.DeepEqual(normalizeResp(resp), normalizeResp(resp2)) {
-					t.Fatalf("%s: response not stable through codec:\n  first  %#v\n  second %#v",
-						c.Name(), resp, resp2)
-				}
-			}
+		if req, err := (Binary{}).DecodeRequest(data); err == nil {
+			checkCanonicalRequest(t, "fuzz input", req)
+		}
+		if resp, err := (Binary{}).DecodeResponse(data); err == nil {
+			checkCanonicalResponse(t, "fuzz input", resp)
 		}
 	})
 }
 
 // FuzzRoundTrip builds request and response envelopes from fuzzed fields
-// and asserts encode→decode is the identity for every codec — through
-// the raw codec and through a full framed MemNet exchange.
+// and asserts encode→decode is the identity on the original value —
+// through the raw codec and through a full framed MemNet exchange.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint8(TPing), 1, []byte("key material"), "ring:a", "n0:9000", []byte("value"), true)
 	f.Add(uint8(TPut), 3, []byte{}, "", "", []byte(nil), false)
@@ -154,41 +116,22 @@ func FuzzRoundTrip(f *testing.F) {
 			Events:  req.Events,
 		}
 
-		for _, c := range Codecs() {
-			enc, err := c.AppendRequest(nil, &req)
-			if err != nil {
-				t.Fatalf("%s: encode request: %v", c.Name(), err)
-			}
-			got, err := c.DecodeRequest(enc)
-			if err != nil {
-				t.Fatalf("%s: decode request: %v", c.Name(), err)
-			}
-			if !reflect.DeepEqual(normalizeReq(req), normalizeReq(got)) {
-				t.Fatalf("%s: request round trip mismatch:\n  sent %#v\n  got  %#v", c.Name(), req, got)
-			}
-
-			encResp, err := c.AppendResponse(nil, &resp)
-			if err != nil {
-				t.Fatalf("%s: encode response: %v", c.Name(), err)
-			}
-			gotResp, err := c.DecodeResponse(encResp)
-			if err != nil {
-				t.Fatalf("%s: decode response: %v", c.Name(), err)
-			}
-			if !reflect.DeepEqual(normalizeResp(resp), normalizeResp(gotResp)) {
-				t.Fatalf("%s: response round trip mismatch:\n  sent %#v\n  got  %#v", c.Name(), resp, gotResp)
-			}
+		if _, got := roundTripRequest(t, "fuzzed", &req); !reflect.DeepEqual(normalizeReq(req), normalizeReq(got)) {
+			t.Fatalf("request round trip mismatch:\n  sent %#v\n  got  %#v", req, got)
+		}
+		if _, got := roundTripResponse(t, "fuzzed", &resp); !reflect.DeepEqual(normalizeResp(resp), normalizeResp(got)) {
+			t.Fatalf("response round trip mismatch:\n  sent %#v\n  got  %#v", resp, got)
 		}
 
-		// Same envelopes through a full framed MemNet exchange, once per
-		// codec: what a peer receives is exactly what was sent.
+		// Same envelopes through a full framed MemNet exchange: what a
+		// peer receives is exactly what was sent.
 		mn := NewMemNet()
 		ln, err := mn.Listen("peer")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer ln.Close()
-		served := make(chan Request, len(Codecs()))
+		served := make(chan Request, 1)
 		go func() {
 			for {
 				conn, acceptErr := ln.Accept()
@@ -203,27 +146,24 @@ func FuzzRoundTrip(f *testing.F) {
 				}()
 			}
 		}()
-		for _, c := range Codecs() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			viaWire, callErr := CallVia(ctx, mn.Dial, c, "peer", req)
-			cancel()
-			if callErr != nil {
-				t.Fatalf("%s: exchange: %v", c.Name(), callErr)
-			}
-			if !reflect.DeepEqual(normalizeResp(resp), normalizeResp(viaWire)) {
-				t.Fatalf("%s: response altered by wire exchange:\n  sent %#v\n  got  %#v",
-					c.Name(), resp, viaWire)
-			}
-			if !reflect.DeepEqual(normalizeReq(req), normalizeReq(<-served)) {
-				t.Fatalf("%s: request altered by wire exchange", c.Name())
-			}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		viaWire, callErr := CallVia(ctx, mn.Dial, "peer", req)
+		cancel()
+		if callErr != nil {
+			t.Fatalf("exchange: %v", callErr)
+		}
+		if !reflect.DeepEqual(normalizeResp(resp), normalizeResp(viaWire)) {
+			t.Fatalf("response altered by wire exchange:\n  sent %#v\n  got  %#v", resp, viaWire)
+		}
+		if !reflect.DeepEqual(normalizeReq(req), normalizeReq(<-served)) {
+			t.Fatalf("request altered by wire exchange")
 		}
 	})
 }
 
-// normalizeReq maps a request to its canonical comparable form: gob does
-// not distinguish nil from empty slices/strings inside composite values,
-// so the codec identity holds up to that equivalence.
+// normalizeReq maps a request to its canonical comparable form: a field
+// is on the wire iff it is non-zero, so nil and empty slices are one
+// value and the codec identity holds up to that equivalence.
 func normalizeReq(r Request) Request {
 	if len(r.Value) == 0 {
 		r.Value = nil

@@ -34,7 +34,7 @@ func echoServe(t *testing.T, ln net.Listener, wg *sync.WaitGroup) {
 func callVia(dial DialFunc, addr string, req Request, timeout time.Duration) (Response, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	return CallVia(ctx, dial, nil, addr, req)
+	return CallVia(ctx, dial, addr, req)
 }
 
 func TestMemNetCall(t *testing.T) {

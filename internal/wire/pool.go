@@ -11,14 +11,10 @@ import (
 
 // PoolOptions configures a Pool.
 type PoolOptions struct {
-	// Codec is the wire codec announced in each connection's preamble
-	// (nil = DefaultCodec).
-	Codec Codec
 	// Dial opens connections (nil = TCP).
 	Dial DialFunc
-	// Size caps the live connections kept per peer. 0 means
-	// DefaultPoolSize; negative disables pooling entirely — every call
-	// dials, exchanges once and closes (the benchmark baseline mode).
+	// Size caps the live connections kept per peer (0 or less means
+	// DefaultPoolSize).
 	Size int
 	// DialTimeout bounds connection establishment when the caller's
 	// context allows more (0 = DefaultTimeout).
@@ -72,13 +68,10 @@ type Pool struct {
 
 // NewPool builds a pooled caller. Close releases its connections.
 func NewPool(o PoolOptions) *Pool {
-	if o.Codec == nil {
-		o.Codec = DefaultCodec()
-	}
 	if o.Dial == nil {
 		o.Dial = tcpDial
 	}
-	if o.Size == 0 {
+	if o.Size <= 0 {
 		o.Size = DefaultPoolSize
 	}
 	if o.DialTimeout <= 0 {
@@ -96,9 +89,6 @@ func NewPool(o PoolOptions) *Pool {
 func (p *Pool) Call(ctx context.Context, addr string, req Request) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, &NetError{Addr: addr, Op: "dial", Sent: false, Err: context.Cause(ctx)}
-	}
-	if p.o.Size < 0 {
-		return CallVia(ctx, p.o.dialWrapped, p.o.Codec, addr, req)
 	}
 	c, err := p.peer(addr).conn(ctx)
 	if err != nil {
@@ -121,16 +111,6 @@ func (p *Pool) Close() error {
 	}
 	p.growWG.Wait()
 	return nil
-}
-
-// dialWrapped applies ConnWrap on top of the configured dialer; it backs
-// the unpooled (Size < 0) mode.
-func (o *PoolOptions) dialWrapped(addr string, timeout time.Duration) (net.Conn, error) {
-	conn, err := o.Dial(addr, timeout)
-	if err != nil || o.ConnWrap == nil {
-		return conn, err
-	}
-	return o.ConnWrap(conn), nil
 }
 
 func (p *Pool) peer(addr string) *poolPeer {
@@ -257,15 +237,13 @@ func (pp *poolPeer) dial(ctx context.Context) (*muxConn, error) {
 		conn.Close()
 		return nil, &NetError{Addr: pp.addr, Op: "dial", Sent: false, Err: err}
 	}
-	var pre [preambleLen]byte
-	if _, err := conn.Write(appendPreamble(pre[:0], o.Codec)); err != nil {
+	if _, err := conn.Write(preamble[:]); err != nil {
 		conn.Close()
 		return nil, &NetError{Addr: pp.addr, Op: "dial", Sent: false, Err: err}
 	}
 	c := &muxConn{
 		conn:         conn,
 		addr:         pp.addr,
-		codec:        o.Codec,
 		writeTimeout: o.WriteTimeout,
 		nextTag:      1,
 		pending:      make(map[uint64]*exchange),
@@ -291,17 +269,15 @@ type muxResult struct {
 	err  error
 }
 
-// exchange is the client's record of one in-flight request: the copy of
-// the request the encoder reads (a request crossing the Codec interface
-// lives on the heap, so it may as well live here), the one-slot channel
-// the reader delivers into, and the timer that enforces the context's
-// deadline. Records are pooled per exchange, not per connection — a
-// cluster holds a thousand connections and a handful of exchanges. Only
-// a cleanly completed exchange returns its record: once a tag is
-// abandoned (timeout, cancel, failed write, dead connection) the reader
-// may still deliver into the record, so it is left to the collector.
+// exchange is the client's record of one in-flight request: the one-slot
+// channel the reader delivers into and the timer that enforces the
+// context's deadline. Records are pooled per exchange, not per
+// connection — a cluster holds a thousand connections and a handful of
+// exchanges. Only a cleanly completed exchange returns its record: once
+// a tag is abandoned (timeout, cancel, failed write, dead connection) the
+// reader may still deliver into the record, so it is left to the
+// collector.
 type exchange struct {
-	req   Request
 	ch    chan muxResult
 	timer *time.Timer // idle (stopped and drained) whenever the record is pooled
 }
@@ -349,7 +325,6 @@ func expired(ctx context.Context, now time.Time) error {
 type muxConn struct {
 	conn         net.Conn
 	addr         string
-	codec        Codec
 	writeTimeout time.Duration
 
 	// wmu serializes frame writes; the write deadline is re-armed under
@@ -385,11 +360,9 @@ func (c *muxConn) broken() bool {
 // not ctx would signal it through Done (see Caller).
 func (c *muxConn) roundTrip(ctx context.Context, addr string, req Request) (Response, error) {
 	x := exchangePool.Get().(*exchange)
-	x.req = req
 	pb := getFrameBuf()
 	buf := append((*pb)[:0], frameHole[:]...)
-	buf, encErr := c.codec.AppendRequest(buf, &x.req)
-	x.req = Request{} // encoded: the record keeps none of the caller's memory alive
+	buf, encErr := Binary{}.AppendRequest(buf, &req)
 	if encErr != nil {
 		*pb = buf
 		putFrameBuf(pb)
@@ -524,7 +497,7 @@ func (c *muxConn) readLoop() {
 			return
 		}
 		buf = payload
-		resp, derr := c.codec.DecodeResponse(payload)
+		resp, derr := Binary{}.DecodeResponse(payload)
 		if derr != nil {
 			c.fail(fmt.Errorf("wire: decoding response frame: %w", derr))
 			return

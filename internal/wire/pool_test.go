@@ -6,12 +6,9 @@ import (
 	"io"
 	"net"
 	"repro/internal/lint/leakcheck"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // servePool runs a ServeConn accept loop on a fresh MemNet listener,
@@ -316,139 +313,6 @@ func TestPoolWedgedConnStrikeLimit(t *testing.T) {
 	}
 	if n := atomic.LoadInt32(accepts); n != 2 {
 		t.Errorf("wedge recovery used %d connections, want 2 (wedged + replacement)", n)
-	}
-}
-
-// TestPoolBaselineModeDialsPerCall pins Size < 0: no pooling, one fresh
-// connection per exchange (the benchmark baseline).
-func TestPoolBaselineModeDialsPerCall(t *testing.T) {
-	mn := NewMemNet()
-	accepts := servePool(t, mn, "peer", func(req Request) Response {
-		return Response{OK: true}
-	})
-	p := NewPool(PoolOptions{Dial: mn.Dial, Size: -1})
-	defer p.Close()
-	const calls = 5
-	for i := 0; i < calls; i++ {
-		if _, err := poolCall(p, "peer", Request{Type: TPing}, 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := atomic.LoadInt32(accepts); n != calls {
-		t.Errorf("baseline mode opened %d connections for %d calls", n, calls)
-	}
-}
-
-// countingCaller counts inner calls and blocks until released.
-type countingCaller struct {
-	calls   atomic.Int32
-	release chan struct{}
-}
-
-func (c *countingCaller) Call(ctx context.Context, addr string, req Request) (Response, error) {
-	c.calls.Add(1)
-	if c.release != nil {
-		<-c.release
-	}
-	return Response{OK: true, Err: req.Name}, nil
-}
-
-func TestCoalescerSharesIdenticalReads(t *testing.T) {
-	inner := &countingCaller{release: make(chan struct{})}
-	reg := metrics.NewRegistry()
-	co := NewCoalescer(inner, reg)
-	req := Request{Type: TFindClosest, Layer: 1, Key: [20]byte{9}, Name: "r"}
-
-	const waiters = 4
-	var wg sync.WaitGroup
-	results := make(chan Response, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := co.Call(context.Background(), "peer", req)
-			if err != nil {
-				t.Errorf("coalesced call: %v", err)
-			}
-			results <- resp
-		}()
-	}
-	// Wait for the flight to exist and the waiters to pile on.
-	deadline := time.Now().Add(2 * time.Second)
-	for inner.calls.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond)
-	close(inner.release)
-	wg.Wait()
-	if got := inner.calls.Load(); got != 1 {
-		t.Errorf("%d identical in-flight reads issued %d inner calls, want 1", waiters, got)
-	}
-	for i := 0; i < waiters; i++ {
-		if resp := <-results; resp.Err != "r" {
-			t.Errorf("waiter got wrong response: %+v", resp)
-		}
-	}
-}
-
-func TestCoalescerDoesNotCoalesceWrites(t *testing.T) {
-	inner := &countingCaller{}
-	co := NewCoalescer(inner, nil)
-	req := Request{Type: TPut, Name: "k", Value: []byte("v")}
-	for i := 0; i < 3; i++ {
-		if _, err := co.Call(context.Background(), "peer", req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := inner.calls.Load(); got != 3 {
-		t.Errorf("3 writes issued %d inner calls, want 3 (writes must never coalesce)", got)
-	}
-}
-
-func TestCoalescerWaiterCancelDoesNotKillFlight(t *testing.T) {
-	leakcheck.Watchdog(t, 30*time.Second)
-	inner := &countingCaller{release: make(chan struct{})}
-	co := NewCoalescer(inner, nil)
-	req := Request{Type: TStoreGet, Name: "k"}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	canceledErr := make(chan error, 1)
-	go func() {
-		_, err := co.Call(ctx, "peer", req)
-		canceledErr <- err
-	}()
-	survivor := make(chan Response, 1)
-	go func() {
-		resp, err := co.Call(context.Background(), "peer", req)
-		if err != nil {
-			t.Errorf("surviving waiter: %v", err)
-		}
-		survivor <- resp
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for inner.calls.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	select {
-	case err := <-canceledErr:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("canceled waiter error = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("canceled waiter did not return")
-	}
-	close(inner.release)
-	select {
-	case resp := <-survivor:
-		if resp.Err != "k" {
-			t.Errorf("survivor got wrong response: %+v", resp)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("surviving waiter starved: the canceled waiter killed the flight")
-	}
-	if got := inner.calls.Load(); got != 1 {
-		t.Errorf("inner calls = %d, want 1", got)
 	}
 }
 

@@ -252,7 +252,7 @@ func TestWriteFrameStalledReader(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		resp := Response{OK: true, Value: make([]byte, 1<<20)}
-		done <- writeFrame(server, &wmu, Binary{}, 1, &resp, 200*time.Millisecond)
+		done <- writeFrame(server, &wmu, 1, &resp, 200*time.Millisecond)
 	}()
 	select {
 	case err := <-done:

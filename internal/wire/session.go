@@ -13,35 +13,42 @@ import (
 // Session preamble: the first bytes a client writes on a new connection,
 // before any frame.
 //
-//	[0x00]['H']['W'][version u8][codec id u8][3 reserved zero bytes]
+//	[0x00]['H']['W'][version u8][envelope format u8][3 reserved zero bytes]
 //
-// The leading zero byte can never begin a gob stream or a frame of
-// plausible length, so a peer speaking an older or foreign protocol fails
-// fast with a clear error instead of a decode hang.
+// The leading zero byte can never begin a frame of plausible length, so a
+// peer speaking an older or foreign protocol fails fast with a clear
+// error instead of a decode hang. The envelope-format byte names the
+// payload encoding; Binary is the only one (1 was the retired gob
+// encoding), and a session announcing any other value is refused.
 const (
 	preambleLen     = 8
 	protocolVersion = 1
+	envelopeFormat  = 2
 )
 
-// appendPreamble appends the session preamble for codec c.
-func appendPreamble(dst []byte, c Codec) []byte {
-	return append(dst, 0x00, 'H', 'W', protocolVersion, c.ID(), 0, 0, 0)
-}
+// errEnvelopeFormat refuses a session whose preamble announces an
+// envelope format other than envelopeFormat.
+var errEnvelopeFormat = errors.New("wire: unsupported envelope format")
 
-// readPreamble consumes and validates a session preamble, returning the
-// codec the client chose.
-func readPreamble(r io.Reader) (Codec, error) {
+// preamble is the session preamble every client writes.
+var preamble = [preambleLen]byte{0x00, 'H', 'W', protocolVersion, envelopeFormat}
+
+// readPreamble consumes and validates a session preamble.
+func readPreamble(r io.Reader) error {
 	var p [preambleLen]byte
 	if _, err := io.ReadFull(r, p[:]); err != nil {
-		return nil, err
+		return err
 	}
 	if p[0] != 0x00 || p[1] != 'H' || p[2] != 'W' {
-		return nil, fmt.Errorf("wire: bad session preamble %x", p[:3])
+		return fmt.Errorf("wire: bad session preamble %x", p[:3])
 	}
 	if p[3] != protocolVersion {
-		return nil, fmt.Errorf("wire: unsupported protocol version %d", p[3])
+		return fmt.Errorf("wire: unsupported protocol version %d", p[3])
 	}
-	return codecByID(p[4])
+	if p[4] != envelopeFormat {
+		return fmt.Errorf("%w %d (preamble byte 4, want %d)", errEnvelopeFormat, p[4], envelopeFormat)
+	}
+	return nil
 }
 
 // Handler answers one decoded request. Handlers run on per-request
@@ -54,7 +61,8 @@ type ServeOptions struct {
 	// WriteTimeout bounds each response write. The deadline is re-armed
 	// from the current time for every frame, so it never accumulates
 	// across the many exchanges of a long-lived multiplexed connection.
-	// 0 means DefaultTimeout.
+	// It also bounds the wait for the session preamble. 0 means
+	// DefaultTimeout.
 	WriteTimeout time.Duration
 	// IdleTimeout bounds the wait for the next request frame; a pooled
 	// client that goes quiet longer than this has its connection closed
@@ -87,19 +95,21 @@ func ServeConn(conn net.Conn, h Handler, o ServeOptions) error {
 		idle = DefaultIdleTimeout
 	}
 
-	if err := conn.SetReadDeadline(time.Now().Add(idle)); err != nil {
+	// Every client writes the preamble in the same breath as the dial, so
+	// a peer that connects and stays silent gets the write timeout, not
+	// the idle timeout a quiet but established session is allowed.
+	if err := conn.SetReadDeadline(time.Now().Add(wt)); err != nil {
 		return err
 	}
 	br := bufio.NewReaderSize(conn, 4096)
-	codec, err := readPreamble(br)
-	if err != nil {
+	if err := readPreamble(br); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil // probe connect-and-close
 		}
 		return err
 	}
 
-	s := &session{conn: conn, codec: codec, handler: h, observe: o.Observe, writeTimeout: wt}
+	s := &session{conn: conn, handler: h, observe: o.Observe, writeTimeout: wt}
 	defer s.wg.Wait()
 
 	pb := getFrameBuf()
@@ -122,7 +132,7 @@ func ServeConn(conn net.Conn, h Handler, o ServeOptions) error {
 		}
 		x := servedPool.Get().(*served)
 		var derr error
-		if x.req, derr = codec.DecodeRequest(payload); derr != nil {
+		if x.req, derr = (Binary{}).DecodeRequest(payload); derr != nil {
 			// Framing survives a bad payload, but a client whose encoder
 			// disagrees with ours is not worth keeping: drop the session.
 			return fmt.Errorf("wire: decoding request frame: %w", derr)
@@ -136,7 +146,6 @@ func ServeConn(conn net.Conn, h Handler, o ServeOptions) error {
 // session is what one ServeConn shares with its per-request goroutines.
 type session struct {
 	conn         net.Conn
-	codec        Codec
 	handler      Handler
 	observe      func(t MsgType, ok bool)
 	writeTimeout time.Duration
@@ -166,7 +175,7 @@ func (x *served) serve() {
 	if s.observe != nil {
 		s.observe(x.req.Type, x.resp.OK)
 	}
-	writeFrame(s.conn, &s.wmu, s.codec, x.tag, &x.resp, s.writeTimeout)
+	writeFrame(s.conn, &s.wmu, x.tag, &x.resp, s.writeTimeout)
 	*x = served{} // the pool keeps none of the request's or response's memory alive
 	servedPool.Put(x)
 }
@@ -175,10 +184,10 @@ func (x *served) serve() {
 // happens outside the write lock; the write deadline is re-armed per
 // frame (never accumulated) while the lock is held, so one slow reader
 // cannot extend another response's budget.
-func writeFrame(conn net.Conn, wmu *sync.Mutex, codec Codec, tag uint64, resp *Response, timeout time.Duration) error {
+func writeFrame(conn net.Conn, wmu *sync.Mutex, tag uint64, resp *Response, timeout time.Duration) error {
 	pb := getFrameBuf()
 	buf := append((*pb)[:0], frameHole[:]...)
-	buf, err := codec.AppendResponse(buf, resp)
+	buf, err := Binary{}.AppendResponse(buf, resp)
 	if err == nil {
 		putFrameHeader(buf, tag)
 		wmu.Lock()

@@ -1,0 +1,147 @@
+package wire
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"os"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/lint/leakcheck"
+)
+
+// serveOne accepts one connection on a fresh MemNet listener and runs
+// ServeConn on it, reporting the session's result and counting handler
+// invocations.
+func serveOne(t *testing.T, mn *MemNet, o ServeOptions) (result <-chan error, handled *atomic.Int32) {
+	t.Helper()
+	ln, err := mn.Listen("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	done := make(chan error, 1)
+	handled = new(atomic.Int32)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			done <- err
+			return
+		}
+		done <- ServeConn(conn, func(Request) Response {
+			handled.Add(1)
+			return Response{OK: true}
+		}, o)
+	}()
+	return done, handled
+}
+
+// TestServeConnBoundsPreambleWait pins that a peer which connects and
+// never sends its preamble is dropped after the write timeout, not kept
+// for the idle timeout an established session is allowed.
+func TestServeConnBoundsPreambleWait(t *testing.T) {
+	leakcheck.Watchdog(t, 30*time.Second)
+	mn := NewMemNet()
+	result, handled := serveOne(t, mn, ServeOptions{WriteTimeout: 50 * time.Millisecond, IdleTimeout: time.Minute})
+	conn, err := mn.Dial("peer", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	select {
+	case err := <-result:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("silent peer: ServeConn = %v, want a deadline error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("silent peer still held after 10s: the preamble wait is bounded by the idle timeout")
+	}
+	if n := handled.Load(); n != 0 {
+		t.Errorf("handler ran %d times for a peer that sent nothing", n)
+	}
+}
+
+// formatConn rewrites the envelope-format byte of the preamble, which
+// every client writes at the head of its first write.
+type formatConn struct {
+	net.Conn
+	format  byte
+	patched bool
+}
+
+func (c *formatConn) Write(p []byte) (int, error) {
+	if !c.patched && len(p) >= preambleLen {
+		c.patched = true
+		p = append([]byte(nil), p...)
+		p[4] = c.format
+	}
+	return c.Conn.Write(p)
+}
+
+// TestServeConnRefusesOtherEnvelopeFormats pins the preamble's format
+// byte: 1 (the retired gob encoding) and any value never assigned refuse
+// the session with an error naming the byte, the connection closes, and
+// the client gets a typed transport failure instead of a hang.
+func TestServeConnRefusesOtherEnvelopeFormats(t *testing.T) {
+	leakcheck.Watchdog(t, 30*time.Second)
+	for _, format := range []byte{1, 3} {
+		t.Run(fmt.Sprintf("format=%d", format), func(t *testing.T) {
+			mn := NewMemNet()
+			result, handled := serveOne(t, mn, ServeOptions{})
+			dial := func(addr string, timeout time.Duration) (net.Conn, error) {
+				conn, err := mn.Dial(addr, timeout)
+				if err != nil {
+					return nil, err
+				}
+				return &formatConn{Conn: conn, format: format}, nil
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			_, err := CallVia(ctx, dial, "peer", Request{Type: TPing})
+			var ne *NetError
+			if !errors.As(err, &ne) {
+				t.Fatalf("client error = %v, want *NetError", err)
+			}
+			if errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("client waited out its deadline instead of seeing the refusal: %v", err)
+			}
+			if serr := <-result; !errors.Is(serr, errEnvelopeFormat) {
+				t.Errorf("ServeConn = %v, want the envelope-format refusal", serr)
+			}
+			if n := handled.Load(); n != 0 {
+				t.Errorf("handler ran %d times on a refused session", n)
+			}
+		})
+	}
+}
+
+// deadlineFailConn is a connection whose deadline cannot be set.
+type deadlineFailConn struct{ net.Conn }
+
+func (deadlineFailConn) SetDeadline(time.Time) error { return errors.New("deadline not supported") }
+
+// TestCallViaTypesSetDeadlineFailure pins CallVia's error contract on its
+// least likely branch: a connection that refuses its deadline is a
+// transport failure before anything was sent, so even a non-idempotent
+// request may be retried.
+func TestCallViaTypesSetDeadlineFailure(t *testing.T) {
+	dial := func(string, time.Duration) (net.Conn, error) {
+		client, server := net.Pipe()
+		t.Cleanup(func() { server.Close() })
+		return deadlineFailConn{client}, nil
+	}
+	_, err := CallVia(context.Background(), dial, "peer", Request{Type: TPut, Name: "k"})
+	var ne *NetError
+	if !errors.As(err, &ne) {
+		t.Fatalf("CallVia = %v, want *NetError", err)
+	}
+	if ne.Sent {
+		t.Errorf("Sent = true for a failure before the first write")
+	}
+	if !Retryable(TPut, err) {
+		t.Errorf("a non-idempotent request that never left must be retryable: %v", err)
+	}
+}

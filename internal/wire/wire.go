@@ -1,10 +1,10 @@
 // Package wire defines the message protocol spoken by live HIERAS nodes
 // (package transport): a request/response scheme carried as tagged,
 // length-prefixed frames over persistent connections. A connection opens
-// with a fixed preamble naming the codec (the zero-alloc Binary codec by
-// default, gob as a compatibility option) and then multiplexes many
-// in-flight exchanges, matched by tag — so the hot path pays no dial,
-// no handshake and no serialization reflection per call. Lookup traffic
+// with a fixed preamble naming the protocol version and envelope format
+// (the zero-alloc Binary codec) and then multiplexes many in-flight
+// exchanges, matched by tag — so the hot path pays no dial, no handshake
+// and no serialization reflection per call. Lookup traffic
 // stays client-driven and iterative, and handlers never issue outgoing
 // RPCs, so node handlers remain trivially deadlock-free.
 //
@@ -12,8 +12,7 @@
 // from the caller through Caller.Call(ctx, addr, req) instead of fixed
 // per-dial timeouts. Pool provides the pooled multiplexed client,
 // ServeConn the server side, and Call/CallVia a one-shot
-// connection-per-call exchange (the benchmark baseline and the path of
-// last resort).
+// connection-per-call exchange for probes and tools.
 package wire
 
 import (
@@ -278,11 +277,10 @@ const DefaultTimeout = 3 * time.Second
 // Caller abstracts one RPC exchange with a peer. The deadline and
 // cancellation come from ctx: a context with no deadline is bounded by
 // DefaultTimeout at whatever layer performs I/O. The pooled transport
-// (Pool), the instrumented wrapper (Metrics.Wrap), the coalescer, the
-// fault-injecting callers of internal/faultnet and the Retrier all
-// implement it, so the node stack composes its call chain — coalescing
-// above retries, retries above injectors, injectors above the pool —
-// without knowing the concrete layers.
+// (Pool), the instrumented wrapper (Metrics.Wrap), the fault-injecting
+// callers of internal/faultnet and the Retrier all implement it, so the
+// node stack composes its call chain — retries above injectors,
+// injectors above the pool — without knowing the concrete layers.
 //
 // The deadline contract: a Caller that blocks honours ctx.Deadline(),
 // not only ctx.Done(). The Retrier bounds each attempt with a context
@@ -315,24 +313,19 @@ func tcpDial(addr string, timeout time.Duration) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, timeout)
 }
 
-// Call performs one connection-per-call RPC with the default codec over
-// TCP: dial, preamble, one framed exchange, close. Failures are typed: a
-// *RemoteError when the peer answered with Response.OK == false, a
-// *NetError for dial/send/receive breakage. Production traffic goes
-// through Pool; Call remains for probes, tools and as the benchmark
-// baseline.
+// Call performs one connection-per-call RPC over TCP: dial, preamble,
+// one framed exchange, close. Failures are typed: a *RemoteError when the
+// peer answered with Response.OK == false, a *NetError for
+// dial/send/receive breakage. Production traffic goes through Pool; Call
+// remains for probes and tools.
 func Call(ctx context.Context, addr string, req Request) (Response, error) {
-	return CallVia(ctx, nil, nil, addr, req)
+	return CallVia(ctx, nil, addr, req)
 }
 
-// CallVia is Call over an explicit dialer and codec (nil = TCP, nil =
-// DefaultCodec).
-func CallVia(ctx context.Context, dial DialFunc, codec Codec, addr string, req Request) (Response, error) {
+// CallVia is Call over an explicit dialer (nil = TCP).
+func CallVia(ctx context.Context, dial DialFunc, addr string, req Request) (Response, error) {
 	if dial == nil {
 		dial = tcpDial
-	}
-	if codec == nil {
-		codec = DefaultCodec()
 	}
 	now := time.Now()
 	deadline, hasDeadline := ctx.Deadline()
@@ -350,14 +343,14 @@ func CallVia(ctx context.Context, dial DialFunc, codec Codec, addr string, req R
 	stop := watchCtx(ctx, conn)
 	defer stop()
 	if err := conn.SetDeadline(deadline); err != nil {
-		return Response{}, err
+		return Response{}, &NetError{Addr: addr, Op: "dial", Sent: false, Err: err}
 	}
 
 	pb := getFrameBuf()
-	buf := appendPreamble((*pb)[:0], codec)
+	buf := append((*pb)[:0], preamble[:]...)
 	frameStart := len(buf)
 	buf = append(buf, frameHole[:]...)
-	buf, encErr := codec.AppendRequest(buf, &req)
+	buf, encErr := Binary{}.AppendRequest(buf, &req)
 	if encErr != nil {
 		*pb = buf
 		putFrameBuf(pb)
@@ -378,7 +371,7 @@ func CallVia(ctx context.Context, dial DialFunc, codec Codec, addr string, req R
 		if tag != oneShotTag {
 			rerr = fmt.Errorf("wire: response tag %d for one-shot exchange", tag)
 		} else {
-			resp, rerr = codec.DecodeResponse(payload)
+			resp, rerr = Binary{}.DecodeResponse(payload)
 		}
 	}
 	*rb = payload

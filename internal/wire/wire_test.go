@@ -157,29 +157,25 @@ func TestComplexPayloadsSurviveCodecs(t *testing.T) {
 			Coord:     [2]float64{1.5, -2.5},
 		}
 	})
-	for _, codec := range Codecs() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		resp, err := CallVia(ctx, nil, codec, addr, Request{
-			Type:  TGetRingTable,
-			Table: table,
-			Peer:  Peer{Addr: "e:5", ID: [20]byte{5}},
-		})
-		cancel()
-		if err != nil {
-			t.Fatalf("%s: %v", codec.Name(), err)
-		}
-		if resp.Table != table {
-			t.Errorf("%s: table mangled: %+v", codec.Name(), resp.Table)
-		}
-		if len(resp.Succ) != 2 || resp.Succ[0].Addr != "e:5" {
-			t.Errorf("%s: succ mangled: %+v", codec.Name(), resp.Succ)
-		}
-		if resp.RingNames[1] != "2201" || resp.Coord[1] != -2.5 {
-			t.Errorf("%s: auxiliary fields mangled", codec.Name())
-		}
-		if !resp.Found {
-			t.Errorf("%s: bool lost", codec.Name())
-		}
+	resp, err := callT(addr, Request{
+		Type:  TGetRingTable,
+		Table: table,
+		Peer:  Peer{Addr: "e:5", ID: [20]byte{5}},
+	}, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Table != table {
+		t.Errorf("table mangled: %+v", resp.Table)
+	}
+	if len(resp.Succ) != 2 || resp.Succ[0].Addr != "e:5" {
+		t.Errorf("succ mangled: %+v", resp.Succ)
+	}
+	if resp.RingNames[1] != "2201" || resp.Coord[1] != -2.5 {
+		t.Errorf("auxiliary fields mangled")
+	}
+	if !resp.Found {
+		t.Errorf("bool lost")
 	}
 }
 
