@@ -201,7 +201,7 @@ func BenchmarkFigure9DepthLatency(b *testing.B) {
 // defers to future work: per-node state and join/maintenance messages for
 // Chord (depth 1) versus HIERAS (depths 2-3).
 func BenchmarkOverheadAnalysis(b *testing.B) {
-	s := experiments.Scenario{Nodes: 120, Seed: 5, Requests: 100}
+	s := experiments.Scenario{Nodes: 80, Seed: 5, Requests: 100}
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Overhead(s, []int{1, 2, 3})
 		if err != nil {

@@ -36,14 +36,14 @@ func main() {
 		JoinEvery:        8,
 		LookupEvery:      0.4,
 		StabilizeEvery:   2,
-		Duration:         300,
+		Duration:         200,
 		Seed:             99,
 		Depth:            2,
 		Landmarks:        4,
 		SuccessorListLen: 6,
 	}
 
-	fmt.Println("lookup correctness vs failure intensity (60 initial nodes, 300 s)")
+	fmt.Println("lookup correctness vs failure intensity (60 initial nodes, 200 s)")
 	fmt.Printf("%-22s %10s %10s %10s\n", "mean time between", "failures", "correct", "completed")
 	fmt.Printf("%-22s %10s %10s %10s\n", "failures (s)", "", "", "")
 	for _, failEvery := range []float64{0, 40, 20, 10, 5} {

@@ -1,12 +1,9 @@
 package hieras
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cache"
@@ -83,9 +80,7 @@ func (s *System) OneHop() *OneHopSystem {
 			Kind: wire.RouteJoin, Stamp: 1,
 		})
 	}
-	os := &OneHopSystem{sys: s, table: t}
-	os.members = t.Members(1, "")
-	return os
+	return &OneHopSystem{sys: s, table: t}
 }
 
 // OneHopSystem is a System answering lookups from a near-full one-hop
@@ -97,28 +92,6 @@ type OneHopSystem struct {
 	table *routes.Table
 	hits  atomic.Uint64
 	stale atomic.Uint64
-	// members caches the table's layer-1 Join members in ring order, so
-	// the per-lookup owner hint is a binary search instead of a rebuild
-	// and sort of the full membership. Evict/Restore are the only
-	// mutation paths, and they refresh it.
-	mu      sync.RWMutex
-	members []wire.Peer
-}
-
-// ownerHint returns the table's owner candidate for key: the first ring
-// member at or after it, wrapping — the same successor rule the live
-// transport's route table applies.
-func (os *OneHopSystem) ownerHint(key [20]byte) (wire.Peer, bool) {
-	os.mu.RLock()
-	ring := os.members
-	os.mu.RUnlock()
-	if len(ring) == 0 {
-		return wire.Peer{}, false
-	}
-	i := sort.Search(len(ring), func(j int) bool {
-		return bytes.Compare(ring[j].ID[:], key[:]) >= 0
-	})
-	return ring[i%len(ring)], true
 }
 
 // Lookup resolves key through the one-hop table first. A verified hit
@@ -132,7 +105,9 @@ func (os *OneHopSystem) Lookup(origin int, key string) (Route, error) {
 	kid := core.KeyID(key)
 	o := os.sys.overlay
 	truth := o.Global().SuccessorIndex(kid)
-	if hint, ok := os.ownerHint([20]byte(kid)); ok {
+	// The table's owner candidate is the first ring member at or after the
+	// key, wrapping — the successor rule the live transport applies.
+	if hint, ok := os.table.Owner(1, "", [20]byte(kid)); ok {
 		idx, err := strconv.Atoi(hint.Addr)
 		if err == nil && idx == truth {
 			// Verified: the verification round trip IS the lookup's one hop
@@ -184,14 +159,11 @@ func (os *OneHopSystem) applyMembership(peer int, kind uint8) error {
 		return err
 	}
 	addr := strconv.Itoa(peer)
-	os.mu.Lock()
-	defer os.mu.Unlock()
 	os.table.Apply(wire.RouteEvent{
 		Layer: 1, Ring: "",
 		Peer: wire.Peer{Addr: addr, ID: [20]byte(os.sys.overlay.Node(peer).ID)},
 		Kind: kind, Stamp: os.table.NextStamp(1, "", addr, 0),
 	})
-	os.members = os.table.Members(1, "")
 	return nil
 }
 

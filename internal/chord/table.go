@@ -1,14 +1,10 @@
 // Package chord implements the Chord distributed hash table (Stoica et
 // al.), which HIERAS uses as its underlying routing algorithm in every
-// layer. Two construction paths are provided:
-//
-//   - Table: an oracle-built routing structure over a known member set,
-//     used for large-scale trace-driven experiments (the paper simulates
-//     up to 10,000 nodes and 100,000 requests). Finger tables are exact.
-//   - Proto (proto.go): a message-level protocol implementation with
-//     join, stabilization, fix-fingers and failure handling, used for
-//     protocol correctness tests, churn simulation and overhead
-//     accounting.
+// layer. Table is an oracle-built routing structure over a known member
+// set, used for large-scale trace-driven experiments (the paper simulates
+// up to 10,000 nodes and 100,000 requests); finger tables are exact. The
+// protocol itself — join, stabilization, fix-fingers, failure handling —
+// is package transport's live node.
 //
 // Identifiers live in the 160-bit space of package id. A Table may cover
 // any subset of the system's peers: HIERAS builds one Table per P2P ring.

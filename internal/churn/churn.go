@@ -1,9 +1,10 @@
-// Package churn simulates node dynamics on the message-level HIERAS
-// overlay using the eventsim kernel: nodes join, leave gracefully and fail
-// silently as Poisson processes while lookups measure routing availability
-// and periodic stabilization repairs the rings. The paper assumes Chord's
-// failure machinery carries over to every layer (§3.3); this package
-// quantifies that claim.
+// Package churn drives node dynamics on the live HIERAS node: real
+// transport.Nodes on an in-process wire.MemNet (Cluster) join, leave
+// gracefully and fail silently as Poisson processes on the eventsim
+// clock, while lookups measure routing availability and a periodic
+// maintenance round repairs the rings. The paper assumes Chord's failure
+// machinery carries over to every layer (§3.3); this package quantifies
+// that claim on the code that ships, in requests actually served.
 package churn
 
 import (
@@ -12,11 +13,11 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/eventsim"
 	"repro/internal/id"
 	"repro/internal/metrics"
 	"repro/internal/topology"
+	"repro/internal/transport"
 )
 
 // Config parametrises a churn run. All times are in simulated seconds;
@@ -83,149 +84,108 @@ func Run(net *topology.Network, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("churn: %d initial nodes exceed %d hosts", cfg.InitialNodes, net.Hosts())
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	po, err := core.NewProtoOverlay(net, core.Config{
-		Depth:            cfg.Depth,
-		Landmarks:        cfg.Landmarks,
-		SuccessorListLen: cfg.SuccessorListLen,
-	}, rng)
+	c, err := NewCluster(net, cfg.Depth, cfg.Landmarks, cfg.SuccessorListLen, rng)
 	if err != nil {
 		return nil, err
 	}
+	defer c.Close()
+	return drive(c, cfg, rng)
+}
 
+// drive populates c and runs cfg's event processes on it until
+// cfg.Duration, leaving the survivors up.
+func drive(c *Cluster, cfg Config, rng *rand.Rand) (*Result, error) {
 	// Host pool management.
-	var live []*core.ProtoNode
-	free := make([]int, 0, net.Hosts())
-	for h := net.Hosts() - 1; h >= cfg.InitialNodes; h-- {
+	free := make([]int, 0, c.net.Hosts())
+	for h := c.net.Hosts() - 1; h >= cfg.InitialNodes; h-- {
 		free = append(free, h)
 	}
-	for h := 0; h < cfg.InitialNodes; h++ {
-		var boot *core.ProtoNode
-		if len(live) > 0 {
-			boot = live[rng.Intn(len(live))]
+	randomLive := func() *transport.Node {
+		live := c.Live()
+		if len(live) == 0 {
+			return nil
 		}
-		n, _, err := po.Join(h, boot, rng)
-		if err != nil {
+		return live[rng.Intn(len(live))]
+	}
+	// One maintenance round after each join, as nodes with a stabilize
+	// timer would run: joining everyone first leaves successor chains
+	// that take a round per node to straighten.
+	for h := 0; h < cfg.InitialNodes; h++ {
+		if err := c.Join(h, randomLive()); err != nil {
 			return nil, fmt.Errorf("churn: initial join %d: %w", h, err)
 		}
-		live = append(live, n)
+		c.Round(1)
 	}
-	for i := 0; i < 3; i++ {
-		po.StabilizeAll()
-	}
-	if err := po.FixAllFingers(); err != nil {
-		return nil, err
-	}
+	c.Round(1)
+	c.Round(id.Bits) // the early joiners built their fingers in a small ring
 
 	res := &Result{}
 	ctr := newCounters(cfg.Metrics)
 	var sim eventsim.Sim
-	exp := func(mean float64) float64 { return rng.ExpFloat64() * mean }
-	removeLive := func(i int) *core.ProtoNode {
-		n := live[i]
-		live[i] = live[len(live)-1]
-		live = live[:len(live)-1]
-		free = append(free, n.Host)
-		return n
+	// every runs fn as a renewal process: it fires after each delay() and
+	// draws the next delay once fn has returned.
+	every := func(delay func() float64, fn func()) {
+		var arm func()
+		arm = func() { _ = sim.After(delay(), func() { defer arm(); fn() }) }
+		arm()
 	}
-
-	var scheduleJoin, scheduleLeave, scheduleFail, scheduleLookup, scheduleStab func()
-	scheduleJoin = func() {
-		if cfg.JoinEvery <= 0 {
+	poisson := func(mean float64, fn func()) {
+		if mean > 0 {
+			every(func() float64 { return rng.ExpFloat64() * mean }, fn)
+		}
+	}
+	depart := func(graceful bool, count *int, total *metrics.Counter) func() {
+		return func() {
+			if len(c.Live()) <= 2 {
+				return
+			}
+			free = append(free, c.Remove(rng.Intn(len(c.Live())), graceful))
+			*count++
+			total.Inc()
+		}
+	}
+	poisson(cfg.JoinEvery, func() {
+		if len(free) == 0 || len(c.Live()) == 0 {
 			return
 		}
-		_ = sim.After(exp(cfg.JoinEvery), func() {
-			defer scheduleJoin()
-			if len(free) == 0 || len(live) == 0 {
-				return
-			}
-			h := free[len(free)-1]
-			free = free[:len(free)-1]
-			boot := live[rng.Intn(len(live))]
-			n, _, err := po.Join(h, boot, rng)
-			if err != nil {
-				free = append(free, h) // bootstrap raced a failure; retry later
-				ctr.joinRetries.Inc()
-				return
-			}
-			live = append(live, n)
-			res.Joins++
-			ctr.joins.Inc()
-		})
-	}
-	scheduleLeave = func() {
-		if cfg.LeaveEvery <= 0 {
+		h := free[len(free)-1]
+		if err := c.Join(h, randomLive()); err != nil {
+			ctr.joinRetries.Inc() // the join ran into a failure; retry later
 			return
 		}
-		_ = sim.After(exp(cfg.LeaveEvery), func() {
-			defer scheduleLeave()
-			if len(live) <= 2 {
-				return
-			}
-			po.Leave(removeLive(rng.Intn(len(live))))
-			res.Leaves++
-			ctr.leaves.Inc()
-		})
-	}
-	scheduleFail = func() {
-		if cfg.FailEvery <= 0 {
+		free = free[:len(free)-1]
+		res.Joins++
+		ctr.joins.Inc()
+	})
+	poisson(cfg.LeaveEvery, depart(true, &res.Leaves, ctr.leaves))
+	poisson(cfg.FailEvery, depart(false, &res.Fails, ctr.fails))
+	poisson(cfg.LookupEvery, func() {
+		from := randomLive()
+		if from == nil {
 			return
 		}
-		_ = sim.After(exp(cfg.FailEvery), func() {
-			defer scheduleFail()
-			if len(live) <= 2 {
-				return
-			}
-			po.Fail(removeLive(rng.Intn(len(live))))
-			res.Fails++
-			ctr.fails.Inc()
-		})
-	}
-	scheduleLookup = func() {
-		_ = sim.After(exp(cfg.LookupEvery), func() {
-			defer scheduleLookup()
-			if len(live) == 0 {
-				return
-			}
-			res.Lookups++
-			ctr.lookups.Inc()
-			from := live[rng.Intn(len(live))]
-			key := id.Rand(rng)
-			dest, _, err := po.Route(from, key)
-			if err != nil {
-				ctr.lookupErrors.Inc()
-				return
-			}
-			res.Completed++
-			if dest.ID == trueOwner(live, key) {
-				res.Correct++
-			} else {
-				ctr.wrongOwner.Inc()
-			}
-		})
-	}
-	scheduleStab = func() {
-		_ = sim.After(cfg.StabilizeEvery, func() {
-			defer scheduleStab()
-			po.StabilizeAll()
-			po.RepairRingTables()
-			// One finger refresh per node per period, as real Chord would
-			// rotate through fix_fingers.
-			for _, n := range live {
-				if n.Global.Alive() {
-					_ = po.GlobalProto().FixFinger(n.Global)
-				}
-			}
-		})
-	}
-	scheduleJoin()
-	scheduleLeave()
-	scheduleFail()
-	scheduleLookup()
-	scheduleStab()
+		res.Lookups++
+		ctr.lookups.Inc()
+		key := id.Rand(rng)
+		got, err := from.Lookup(c.ctx, key)
+		if err != nil {
+			ctr.lookupErrors.Inc()
+			return
+		}
+		res.Completed++
+		if got.Owner.Addr == trueOwner(c.Live(), key).Addr() {
+			res.Correct++
+		} else {
+			ctr.wrongOwner.Inc()
+		}
+	})
+	// One finger refresh per layer per period, as real Chord rotates
+	// through fix_fingers.
+	every(func() float64 { return cfg.StabilizeEvery }, func() { c.Round(1) })
 	sim.RunUntil(cfg.Duration)
 
-	res.FinalNodes = len(live)
-	res.Msgs = po.Msgs()
+	res.FinalNodes = len(c.Live())
+	res.Msgs = c.Msgs()
 	if res.Lookups > 0 {
 		res.CorrectRate = float64(res.Correct) / float64(res.Lookups)
 		res.CompletionRate = float64(res.Completed) / float64(res.Lookups)
@@ -233,22 +193,17 @@ func Run(net *topology.Network, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// trueOwner returns the identifier of the key's owner among the live
-// nodes: the first live identifier clockwise from the key.
-func trueOwner(live []*core.ProtoNode, key id.ID) id.ID {
-	best := id.ID{}
-	bestSet := false
-	var bestDist id.ID
-	for _, n := range live {
-		d := id.Dist(key, n.ID)
-		if !bestSet || cmpID(d, bestDist) < 0 {
-			best, bestDist, bestSet = n.ID, d, true
+// trueOwner returns the key's owner among the live nodes: the first live
+// identifier clockwise from the key.
+func trueOwner(live []*transport.Node, key id.ID) *transport.Node {
+	best, bestDist := live[0], id.Dist(key, live[0].ID())
+	for _, n := range live[1:] {
+		if d := id.Dist(key, n.ID()); d.Cmp(bestDist) < 0 {
+			best, bestDist = n, d
 		}
 	}
 	return best
 }
-
-func cmpID(a, b id.ID) int { return a.Cmp(b) }
 
 // Sweep runs churn at several failure intensities and reports rows of
 // (mean fail interarrival, correctness). Used by the ablation benches.

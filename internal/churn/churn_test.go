@@ -26,10 +26,10 @@ func testNet(t testing.TB, hosts int, seed int64) *topology.Network {
 
 func baseConfig() Config {
 	return Config{
-		InitialNodes:     30,
+		InitialNodes:     20,
 		LookupEvery:      0.5,
 		StabilizeEvery:   2,
-		Duration:         200,
+		Duration:         100,
 		Seed:             1,
 		Depth:            2,
 		Landmarks:        4,
@@ -74,7 +74,7 @@ func TestStableSystemPerfectLookups(t *testing.T) {
 	if res.Joins != 0 || res.Leaves != 0 || res.Fails != 0 {
 		t.Error("disabled processes fired")
 	}
-	if res.FinalNodes != 30 {
+	if res.FinalNodes != cfg.InitialNodes {
 		t.Errorf("FinalNodes = %d", res.FinalNodes)
 	}
 }
@@ -140,7 +140,7 @@ func TestChurnDeterministic(t *testing.T) {
 func TestFailureSweep(t *testing.T) {
 	net := testNet(t, 60, 6)
 	cfg := baseConfig()
-	cfg.Duration = 100
+	cfg.Duration = 50
 	rows, err := FailureSweep(net, cfg, []float64{50, 10})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,6 @@ func TestFailureSweep(t *testing.T) {
 func TestFailureSweepEmpty(t *testing.T) {
 	net := testNet(t, 60, 6)
 	cfg := baseConfig()
-	cfg.Duration = 50
 	rows, err := FailureSweep(net, cfg, nil)
 	if err != nil {
 		t.Fatalf("empty sweep errored: %v", err)
@@ -170,7 +169,7 @@ func TestFailureSweepZeroMatchesBaseline(t *testing.T) {
 	// FailEvery 0 disables the failure process, so that sweep row must
 	// reproduce a plain no-churn Run on an identical network and seed.
 	cfg := baseConfig()
-	cfg.Duration = 100
+	cfg.Duration = 50
 	rows, err := FailureSweep(testNet(t, 60, 7), cfg, []float64{0})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,9 @@ package churn
 import (
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/lint/leakcheck"
 	"repro/internal/topology"
 	"repro/internal/topology/transitstub"
 )
@@ -13,6 +15,7 @@ import (
 // depths. The whole replay story (and the invariant harness's shrinking)
 // rests on this.
 func TestRunDeterminismProperty(t *testing.T) {
+	leakcheck.Watchdog(t, 3*time.Minute) // eight live runs: the package's longest test
 	build := func(seed int64) *topology.Network {
 		rng := rand.New(rand.NewSource(seed))
 		m, err := transitstub.Generate(transitstub.DefaultConfig(40), rng)
@@ -32,13 +35,13 @@ func TestRunDeterminismProperty(t *testing.T) {
 		depth int
 	}{{101, 1}, {102, 2}, {103, 2}, {104, 3}} {
 		cfg := Config{
-			InitialNodes:   25,
+			InitialNodes:   16,
 			JoinEvery:      40,
 			LeaveEvery:     90,
 			FailEvery:      120,
 			LookupEvery:    2,
 			StabilizeEvery: 10,
-			Duration:       400,
+			Duration:       200,
 			Seed:           tc.seed,
 			Depth:          tc.depth,
 			Landmarks:      3,

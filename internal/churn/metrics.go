@@ -28,7 +28,7 @@ func newCounters(reg *metrics.Registry) *counters {
 		joins: reg.NewCounter("churn_joins_total",
 			"Nodes that completed the join protocol during the run."),
 		joinRetries: reg.NewCounter("churn_join_retries_total",
-			"Join attempts abandoned because the bootstrap peer died."),
+			"Join attempts that failed against a fresh failure or a not yet evicted previous incarnation; the host rejoins later."),
 		leaves: reg.NewCounter("churn_leaves_total",
 			"Graceful departures."),
 		fails: reg.NewCounter("churn_fails_total",

@@ -6,13 +6,10 @@
 // algorithm once per layer, starting in the request originator's most
 // local ring, so most hops traverse low-latency links.
 //
-// Two construction paths exist, mirroring package chord:
-//
-//   - Overlay (this file): oracle-built routing state over a known node
-//     population, for large trace-driven experiments.
-//   - ProtoOverlay (proto.go): the message-level join protocol of paper
-//     §3.3 with ring tables, used for protocol tests and overhead
-//     accounting.
+// Overlay is oracle-built routing state over a known node population, for
+// large trace-driven experiments. The join protocol of paper §3.3, ring
+// maintenance and failure handling live in package transport — the live
+// node — which internal/simcheck holds to this package's structure.
 package core
 
 import (

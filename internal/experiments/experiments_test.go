@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -246,6 +247,17 @@ func TestOverheadAnalysis(t *testing.T) {
 	if d2.JoinMsgs <= d1.JoinMsgs {
 		t.Errorf("depth-2 join (%.1f msgs) should cost more than depth-1 (%.1f)",
 			d2.JoinMsgs, d1.JoinMsgs)
+	}
+	again, err := Overhead(Scenario{Nodes: 60, Seed: 12, Requests: 100}, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, again) {
+		t.Errorf("same seed, different overhead table:\n%+v\n%+v", res.Rows, again.Rows)
+	}
+	if d2.StabilizeMsgsPerNode <= d1.StabilizeMsgsPerNode {
+		t.Errorf("a depth-2 maintenance round (%.1f msgs/node) should cost more than depth-1 (%.1f)",
+			d2.StabilizeMsgsPerNode, d1.StabilizeMsgsPerNode)
 	}
 	var buf bytes.Buffer
 	res.Table().Render(&buf)

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/churn"
 	"repro/internal/core"
 	"repro/internal/stats"
+	"repro/internal/topology"
+	"repro/internal/transport"
 )
 
 // OverheadRow quantifies HIERAS's extra state and protocol cost at one
@@ -13,11 +16,12 @@ import (
 type OverheadRow struct {
 	Depth int
 	State core.StateStats
-	// JoinMsgs is the mean protocol messages per node join, measured on a
-	// protocol overlay.
+	// JoinMsgs is the mean requests served per node join (§3.3 join plus
+	// the finger build), measured on live nodes.
 	JoinMsgs float64
-	// StabilizeMsgs is the messages of one full stabilization round over
-	// every ring, divided by the node count.
+	// StabilizeMsgsPerNode is the requests served during one maintenance
+	// round of every live node (stabilize every ring, repair ring tables,
+	// refresh one finger per ring), divided by the node count.
 	StabilizeMsgsPerNode float64
 }
 
@@ -29,9 +33,18 @@ type OverheadResult struct {
 	Rows  []OverheadRow
 }
 
-// Overhead measures state and protocol costs across depths. The protocol
-// measurements cap the population at 150 nodes to keep the message-level
-// simulation fast; state statistics use the full scenario size.
+// overheadLiveNodes caps the population of the live protocol measurement.
+// Join cost is averaged over every join with one maintenance round after
+// each, so wall time grows with the square of it: 120 nodes keep
+// `hieras-bench -only overhead` (depths 1-4) under 30 s on a 2-core box.
+const overheadLiveNodes = 120
+
+// Overhead measures state and protocol costs across depths. State
+// statistics use the full scenario size (oracle overlay); the protocol
+// costs are requests actually served by live transport nodes — a
+// churn.Cluster of at most overheadLiveNodes hosts on the same underlay,
+// each joining through the first with one maintenance round after every
+// join, then one more round measured on its own.
 func Overhead(base Scenario, depths []int) (*OverheadResult, error) {
 	base = base.withDefaults()
 	res := &OverheadResult{Nodes: base.Nodes}
@@ -43,48 +56,42 @@ func Overhead(base Scenario, depths []int) (*OverheadResult, error) {
 			return nil, fmt.Errorf("depth %d: %w", depth, err)
 		}
 		row := OverheadRow{Depth: depth, State: o.StateStats()}
-
-		// Protocol costs on a smaller population.
-		protoNodes := base.Nodes
-		if protoNodes > 150 {
-			protoNodes = 150
-		}
-		net := o.Network()
-		// Reuse the big network's first protoNodes hosts: build a protocol
-		// overlay directly on the same underlay.
-		rng := rand.New(rand.NewSource(s.Seed + 17))
-		po, err := core.NewProtoOverlay(net, core.Config{
-			Depth:     depth,
-			Landmarks: s.Landmarks,
-		}, rng)
+		row.JoinMsgs, row.StabilizeMsgsPerNode, err = liveOverhead(o.Network(), s)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("depth %d: %w", depth, err)
 		}
-		var joins stats.Online
-		var first *core.ProtoNode
-		for h := 0; h < protoNodes; h++ {
-			var boot *core.ProtoNode
-			if first != nil {
-				boot = first
-			}
-			n, cost, err := po.Join(h, boot, rng)
-			if err != nil {
-				return nil, fmt.Errorf("depth %d join %d: %w", depth, h, err)
-			}
-			if first == nil {
-				first = n
-			} else {
-				joins.Add(float64(cost))
-			}
-		}
-		row.JoinMsgs = joins.Mean()
-		before := po.Msgs()
-		po.StabilizeAll()
-		po.RepairRingTables()
-		row.StabilizeMsgsPerNode = float64(po.Msgs()-before) / float64(protoNodes)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// liveOverhead returns the mean requests served per join and the requests
+// one maintenance round costs per node, on a live cluster over net.
+func liveOverhead(net *topology.Network, s Scenario) (joinMsgs, roundMsgsPerNode float64, err error) {
+	nodes := min(s.Nodes, overheadLiveNodes)
+	c, err := churn.NewCluster(net, s.Depth, s.Landmarks, 0, rand.New(rand.NewSource(s.Seed+17)))
+	if err != nil {
+		return 0, 0, err
+	}
+	defer c.Close()
+	var joins stats.Online
+	for h := 0; h < nodes; h++ {
+		var boot *transport.Node
+		if h > 0 {
+			boot = c.Live()[0]
+		}
+		before := c.Msgs()
+		if err := c.Join(h, boot); err != nil {
+			return 0, 0, fmt.Errorf("join %d: %w", h, err)
+		}
+		if h > 0 {
+			joins.Add(float64(c.Msgs() - before))
+		}
+		c.Round(1)
+	}
+	before := c.Msgs()
+	c.Round(1)
+	return joins.Mean(), float64(c.Msgs()-before) / float64(nodes), nil
 }
 
 // Table renders the overhead analysis.

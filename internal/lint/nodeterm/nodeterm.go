@@ -35,6 +35,7 @@ import (
 // may override this to point at fixtures.
 var Deterministic = map[string][]string{
 	"repro/internal/eventsim":    nil,
+	"repro/internal/churn":       nil,
 	"repro/internal/simcheck":    nil,
 	"repro/internal/faultnet":    nil,
 	"repro/internal/experiments": nil,

@@ -39,6 +39,7 @@ func TestOutOfScopePackageIsIgnored(t *testing.T) {
 func TestRealScopeCoversContractPackages(t *testing.T) {
 	for _, pkg := range []string{
 		"repro/internal/eventsim",
+		"repro/internal/churn",
 		"repro/internal/simcheck",
 		"repro/internal/faultnet",
 		"repro/internal/experiments",

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -113,7 +114,7 @@ func (n *Node) Join(bootstrap string) error {
 	self := n.Self()
 
 	// Highest layer first: find our global successor through bootstrap.
-	gsucc, _, err := n.walkOwner(n.lifeCtx, bootstrap, 1, n.id)
+	gsucc, err := n.joinSuccessor(bootstrap, 1)
 	if err != nil {
 		return fmt.Errorf("transport: global join lookup: %w", err)
 	}
@@ -140,6 +141,21 @@ func (n *Node) Join(bootstrap string) error {
 	n.mu.Unlock()
 	n.announceRoutes()
 	return nil
+}
+
+// joinSuccessor finds this node's successor in a ring it is about to
+// join, walking from via. A ring that answers with the joiner's own
+// address still lists a previous incarnation of it (a crashed node that
+// restarts within one stabilization period); adopting that answer would
+// make the joiner its own successor, a self-loop the ring routes into.
+// The join is refused instead, to be retried once the stale entry has
+// been evicted.
+func (n *Node) joinSuccessor(via string, layer int) (wire.Peer, error) {
+	succ, _, err := n.walkOwner(n.lifeCtx, via, layer, n.id)
+	if err == nil && succ.Addr == n.addr {
+		err = fmt.Errorf("layer %d still lists a previous incarnation of %s", layer, n.addr)
+	}
+	return succ, err
 }
 
 // routeSubject names one ring a node is a member of: the gossip subject
@@ -310,7 +326,7 @@ func (n *Node) joinRing(bootstrap string, layer int, name string, self wire.Peer
 	if err != nil {
 		return err
 	}
-	rsucc, _, err := n.walkOwner(n.lifeCtx, member.Addr, layer, n.id)
+	rsucc, err := n.joinSuccessor(member.Addr, layer)
 	if err != nil {
 		return err
 	}
@@ -417,26 +433,32 @@ func (n *Node) evictAt(at string, layer int, dead string) {
 	})
 }
 
-// walkOwner iteratively routes within one layer starting from `via`,
-// returning the key's owner in that layer and the number of hops. A dead
-// hop is handled in stages: the step is retried from the node that
-// supplied the hop (which is told to evict the reference once the
-// suspicion tracker confirms the peer dead), and when no supplier is
-// left, the walk restarts from `via` (bounded by maxWalkRestarts) rather
-// than aborting. Application-level errors mean the hop is alive and are
-// fatal immediately — never grounds for eviction.
-func (n *Node) walkOwner(ctx context.Context, via string, layer int, key id.ID) (wire.Peer, int, error) {
-	cur := via
-	prev := ""
-	hops := 0
-	restarts := 0
+// errWalkDiverged marks a walk that used up maxWalk steps: routing state
+// is inconsistent, which no amount of climbing or restarting repairs.
+var errWalkDiverged = errors.New("walk did not converge")
+
+// walk routes one key through one ring: TFindClosest steps in `layer`
+// starting at `from`, until a node gives a terminal reply (it owns the
+// key, or the key falls between it and its successor). It returns that
+// reply — resp.Self is where the walk ended — and the forwarding steps
+// taken. A dead hop is handled in stages: the step is retried from the
+// node that supplied the hop (which is told to evict the reference once
+// the suspicion tracker confirms the peer dead), and when no supplier is
+// left, the walk restarts from `home` (bounded by maxWalkRestarts); the
+// error of the hop the policy finally gave up on is returned.
+// Application-level errors mean the hop is alive and are returned at
+// once — never grounds for eviction.
+func (n *Node) walk(ctx context.Context, from, home string, layer int, key id.ID, hierarchical bool) (wire.Response, int, error) {
+	cur, prev := from, ""
+	hops, restarts := 0, 0
 	for i := 0; i < maxWalk; i++ {
 		resp, err := n.call(ctx, cur, wire.Request{
 			Type: wire.TFindClosest, Layer: layer, Key: [20]byte(key),
+			Hierarchical: hierarchical,
 		})
 		if err != nil {
 			if wire.IsRemote(err) {
-				return wire.Peer{}, hops, err
+				return wire.Response{}, hops, err
 			}
 			suspect := n.suspectDead(cur)
 			if suspect {
@@ -450,29 +472,35 @@ func (n *Node) walkOwner(ctx context.Context, via string, layer int, key id.ID) 
 				cur, prev = prev, ""
 				continue
 			}
-			if restarts < maxWalkRestarts && cur != via {
+			if restarts < maxWalkRestarts && cur != home {
 				restarts++
 				n.nm.walkRestarts.Inc()
-				cur, prev = via, ""
+				cur, prev = home, ""
 				continue
 			}
-			return wire.Peer{}, hops, err
+			return wire.Response{}, hops, err
 		}
 		if resp.Done {
-			return resp.Next, hops + boolHop(resp), nil
+			return resp, hops, nil
 		}
-		prev = cur
-		cur = resp.Next.Addr
+		prev, cur = cur, resp.Next.Addr
 		hops++
 	}
-	return wire.Peer{}, hops, fmt.Errorf("walk for %s did not converge", key.Short())
+	return wire.Response{}, hops, fmt.Errorf("transport: layer %d walk for %s: %w", layer, key.Short(), errWalkDiverged)
 }
 
-func boolHop(resp wire.Response) int {
-	if resp.Owner {
-		return 0 // the queried node itself owns the key
+// walkOwner walks one layer's ring from `via` (ring-local ownership, no
+// hierarchical destination check) and returns the key's owner in that
+// layer and the number of hops.
+func (n *Node) walkOwner(ctx context.Context, via string, layer int, key id.ID) (wire.Peer, int, error) {
+	resp, hops, err := n.walk(ctx, via, via, layer, key, false)
+	if err != nil {
+		return wire.Peer{}, hops, err
 	}
-	return 1 // final forward to the successor
+	if !resp.Owner {
+		hops++ // the final forward to the last hop's successor
+	}
+	return resp.Next, hops, nil
 }
 
 // LookupResult describes a completed hierarchical lookup.
@@ -556,124 +584,39 @@ func (n *Node) verifyCachedOwner(ctx context.Context, owner wire.Peer, key id.ID
 	return res, true
 }
 
-// lookupFull is the uncached hierarchical routing procedure. It degrades
-// gracefully under failures: a dead hop is first retried from the node
-// that supplied it (with eviction once suspicion is confirmed), then the
-// layer walk restarts from this node, and when a lower layer stays
-// unroutable the lookup climbs to the next layer up instead of aborting
-// — the global ring is the final authority on ownership, so skipping a
-// broken lower ring costs hops, never correctness.
+// lookupFull is the uncached hierarchical routing procedure: one walk per
+// layer, most local ring first, each starting where the previous one
+// ended. It degrades gracefully under failures: when a lower ring stays
+// unroutable after walk's retries and restarts, the lookup climbs to the
+// next layer up from this node instead of aborting — the global ring is
+// the final authority on ownership, so skipping a broken lower ring
+// costs hops, never correctness.
 func (n *Node) lookupFull(ctx context.Context, key id.ID) (LookupResult, error) {
 	res := LookupResult{LayerHops: make([]int, n.cfg.Depth)}
 	cur := n.addr
-	prev := ""
-	// Lower layers, most local first.
-	for layer := n.cfg.Depth; layer >= 2; layer-- {
-		prev = ""
-		restarts := 0
-		for i := 0; ; i++ {
-			if i >= maxWalk {
-				return res, fmt.Errorf("transport: layer %d walk did not converge", layer)
-			}
-			resp, err := n.call(ctx, cur, wire.Request{
-				Type: wire.TFindClosest, Layer: layer, Key: [20]byte(key),
-				Hierarchical: true,
-			})
-			if err != nil {
-				if wire.IsRemote(err) {
-					return res, err
-				}
-				suspect := n.suspectDead(cur)
-				if suspect {
-					n.evictLocal(layer, cur)
-				}
-				if prev != "" && prev != cur {
-					n.nm.walkRetries.Inc()
-					if suspect {
-						n.evictAt(prev, layer, cur)
-					}
-					cur, prev = prev, ""
-					continue
-				}
-				if restarts < maxWalkRestarts && cur != n.addr {
-					restarts++
-					n.nm.walkRestarts.Inc()
-					cur, prev = n.addr, ""
-					continue
-				}
-				// This ring is unroutable right now; climb a layer and
-				// keep going rather than failing the lookup.
-				n.nm.failoverClimbs.Inc()
-				cur, prev = n.addr, ""
-				break
-			}
-			if resp.Owner {
-				res.Owner = resp.Next
-				return res, nil
-			}
-			if resp.Done {
-				n.nm.ringClimbs.Inc()
-				cur = resp.Self.Addr // continue upward from the ring predecessor
-				break
-			}
-			prev = cur
-			cur = resp.Next.Addr
-			res.Hops++
-			res.LayerHops[layer-1]++
-			n.nm.hops[layer-1].Inc()
+	for layer := n.cfg.Depth; ; layer-- {
+		resp, hops, err := n.walk(ctx, cur, n.addr, layer, key, true)
+		if err == nil && layer == 1 && !resp.Owner {
+			hops++ // the final forward to the last hop's successor, the owner
 		}
-	}
-	// Global ring.
-	prev = ""
-	restarts := 0
-	for i := 0; ; i++ {
-		if i >= maxWalk {
-			return res, fmt.Errorf("transport: global walk did not converge")
-		}
-		resp, err := n.call(ctx, cur, wire.Request{
-			Type: wire.TFindClosest, Layer: 1, Key: [20]byte(key),
-			Hierarchical: true,
-		})
-		if err != nil {
-			if wire.IsRemote(err) {
-				return res, err
-			}
-			suspect := n.suspectDead(cur)
-			if suspect {
-				n.evictLocal(1, cur)
-			}
-			if prev != "" && prev != cur {
-				n.nm.walkRetries.Inc()
-				if suspect {
-					n.evictAt(prev, 1, cur)
-				}
-				cur, prev = prev, ""
-				continue
-			}
-			if restarts < maxWalkRestarts && cur != n.addr {
-				restarts++
-				n.nm.walkRestarts.Inc()
-				cur, prev = n.addr, ""
-				continue
-			}
+		res.Hops += hops
+		res.LayerHops[layer-1] += hops
+		n.nm.hops[layer-1].Add(uint64(hops))
+		switch {
+		case err == nil && (resp.Owner || layer == 1):
+			res.Owner = resp.Next
+			return res, nil
+		case err == nil:
+			n.nm.ringClimbs.Inc()
+			cur = resp.Self.Addr // continue upward from the ring predecessor
+		case layer == 1 || wire.IsRemote(err) || errors.Is(err, errWalkDiverged):
 			return res, err
+		default:
+			// This ring is unroutable right now; climb a layer and
+			// keep going rather than failing the lookup.
+			n.nm.failoverClimbs.Inc()
+			cur = n.addr
 		}
-		if resp.Owner {
-			res.Owner = resp.Next
-			return res, nil
-		}
-		if resp.Done {
-			res.Owner = resp.Next
-			res.Hops++
-			res.LayerHops[0]++
-			n.nm.hops[0].Inc()
-			return res, nil
-		}
-		prev = cur
-		cur = resp.Next.Addr
-		res.Hops++
-		res.LayerHops[0]++
-		n.nm.hops[0].Inc()
 	}
 }
 

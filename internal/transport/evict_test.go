@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -142,5 +143,128 @@ func TestLocalEvictionSkipsSelf(t *testing.T) {
 	succ, pred, fingers := layerSnapshot(n, 1)
 	if len(succ) != 1 || pred.Addr != self.Addr || fingers[0].Addr != self.Addr {
 		t.Error("evictLocal purged the node's own references")
+	}
+}
+
+// constProber puts every node at the same distance from every landmark,
+// so all of them bin into one lower ring without any landmark process.
+type constProber float64
+
+func (p constProber) Latency(context.Context, string) (float64, error) { return float64(p), nil }
+
+// startOneRing starts a depth-2 node on mem whose constant prober bins it
+// into the same lower ring as every other node started this way.
+func startOneRing(t *testing.T, mem *wire.MemNet, addr string) *Node {
+	t.Helper()
+	ln, err := mem.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := Start("", Config{
+		Depth: 2, Landmarks: []string{"lm"}, Prober: constProber(10),
+		CallTimeout: 2 * time.Second, Listener: ln, Dial: mem.Dial,
+		Retry:   wire.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond},
+		Breaker: wire.BreakerPolicy{Threshold: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+// TestEmptiedLowerRingListClimbs pins the reply of a joined node whose
+// lower-ring successor list was just purged to nothing: until its next
+// stabilization round it answers as the singleton ring it is about to
+// become, so a lookup entering that ring climbs to the global ring and a
+// joiner adopts the node, instead of both dying on "layer 2 not joined".
+func TestEmptiedLowerRingListClimbs(t *testing.T) {
+	mem := wire.NewMemNet()
+	a, b := startOneRing(t, mem, "a"), startOneRing(t, mem, "b")
+	if err := a.CreateNetwork(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Join("a"); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		for _, n := range []*Node{a, b} {
+			if err := n.StabilizeOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if succ, _, _ := layerSnapshot(a, 2); len(succ) != 1 || succ[0].Addr != "b" {
+		t.Fatalf("a's layer-2 successors = %v, want [b]", succ)
+	}
+	if _, err := a.call(context.Background(), "a", wire.Request{
+		Type: wire.TEvict, Layer: 2, Peer: peerFor("b"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if succ, pred, _ := layerSnapshot(a, 2); len(succ) != 0 || pred.Addr != "" {
+		t.Fatalf("evict left succ=%v pred=%v, want both empty", succ, pred)
+	}
+	res, err := a.Lookup(context.Background(), b.ID())
+	if err != nil {
+		t.Fatalf("lookup through the emptied ring: %v", err)
+	}
+	if res.Owner.Addr != "b" {
+		t.Errorf("owner = %s, want b", res.Owner.Addr)
+	}
+	// A joiner the ring table sends to a adopts it as ring successor.
+	if succ, _, err := a.walkOwner(context.Background(), "a", 2, NodeID("c")); err != nil || succ.Addr != "a" {
+		t.Errorf("join walk via the emptied ring = %v, %v; want a", succ.Addr, err)
+	}
+	// The global ring is the authority on ownership and never guesses.
+	a.evictLocal(1, "b")
+	if _, err := a.Lookup(context.Background(), b.ID()); !wire.IsRemote(err) {
+		t.Errorf("lookup with an emptied global list = %v, want a remote refusal", err)
+	}
+}
+
+// TestRejoinBeforeEvictionIsRefused: a crashed node that restarts under
+// its old address before its predecessor has stabilized is still listed
+// as a member, so the join walk names the joiner itself. Adopting that
+// answer left the node its own successor and predecessor — a self-loop
+// the rest of the ring routed into; the join is refused and succeeds
+// once the stale entry is gone.
+func TestRejoinBeforeEvictionIsRefused(t *testing.T) {
+	mem := wire.NewMemNet()
+	nodes := []*Node{startOneRing(t, mem, "a"), startOneRing(t, mem, "b"), startOneRing(t, mem, "c")}
+	if err := nodes[0].CreateNetwork(); err != nil {
+		t.Fatal(err)
+	}
+	stabilize := func(ns ...*Node) {
+		for round := 0; round < 3; round++ {
+			for _, n := range ns {
+				if err := n.StabilizeOnce(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for i, n := range nodes[1:] {
+		if err := n.Join("a"); err != nil {
+			t.Fatal(err)
+		}
+		stabilize(nodes[:i+2]...)
+	}
+	nodes[1].Close()
+	early := startOneRing(t, mem, "b")
+	if err := early.Join("a"); err == nil {
+		succ, pred, _ := layerSnapshot(early, 1)
+		t.Fatalf("rejoin before eviction succeeded with successors %v, predecessor %v", succ, pred)
+	}
+	early.Close()
+	stabilize(nodes[0], nodes[2])
+	late := startOneRing(t, mem, "b")
+	if err := late.Join("a"); err != nil {
+		t.Fatalf("rejoin after eviction: %v", err)
+	}
+	for layer := 1; layer <= 2; layer++ {
+		if succ, _, _ := layerSnapshot(late, layer); len(succ) != 1 || succ[0].Addr == "b" {
+			t.Errorf("layer %d successors after rejoin = %v, want one other node", layer, succ)
+		}
 	}
 }

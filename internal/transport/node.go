@@ -739,10 +739,21 @@ func (n *Node) findClosestLocked(req wire.Request) wire.Response {
 		// successor within the queried ring.
 		return wire.Response{OK: true, Next: n.selfLocked(), Done: true, Owner: true, Self: n.selfLocked()}
 	}
-	if len(ls.succ) == 0 {
+	// An eviction can purge the last entry of a joined node's lower-ring
+	// list; until the next stabilization round re-anchors or collapses
+	// the ring, answer as the singleton it is about to become, so the
+	// caller climbs a layer (or a joiner adopts this node). The global
+	// ring decides ownership and must not guess: there an empty list
+	// stays a refusal, like a layer that never joined.
+	var succ0 wire.Peer
+	switch {
+	case len(ls.succ) > 0:
+		succ0 = ls.succ[0]
+	case n.joined && req.Layer > 1:
+		succ0 = n.selfLocked()
+	default:
 		return wire.Errorf("layer %d not joined", req.Layer)
 	}
-	succ0 := ls.succ[0]
 	if id.InOpenClosed(key, n.id, peerID(succ0)) {
 		return wire.Response{OK: true, Next: succ0, Done: true, Self: n.selfLocked()}
 	}
