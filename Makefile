@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race allocs perf-smoke lint vet check clean
+.PHONY: all build test race allocs perf-smoke size lint vet check clean
 
 all: check
 
@@ -26,6 +26,12 @@ allocs:
 # this short are for reading, not for comparing.
 perf-smoke:
 	$(GO) run ./bench/perf -seconds 1 -scale 0.25 -json > perf.json
+
+# size prints the line count ROADMAP's "lines removed" aim is judged by:
+# non-test Go outside bench/perf (the harness is frozen by BENCHMARK.json)
+# and the analyzers' testdata fixtures.
+size:
+	@find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './bench/perf/*' | xargs cat | wc -l
 
 # lint is the blocking contract gate: stock vet plus the repo's own
 # analyzer suite (determinism, lock-across-RPC, retry idempotency,

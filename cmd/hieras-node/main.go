@@ -41,8 +41,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hieras-node: ")
 
-	def := transport.DefaultOptions()
-	var opts transport.Options
+	var cfg transport.Config
 	var (
 		listen    = flag.String("listen", "127.0.0.1:0", "listen address")
 		create    = flag.Bool("create", false, "create a new overlay instead of joining")
@@ -53,33 +52,34 @@ func main() {
 		stabMs    = flag.Int("stabilize", 500, "stabilization period in milliseconds")
 		metrics   = flag.String("metrics", "", "serve /metrics and /healthz on this address (e.g. 127.0.0.1:9090)")
 	)
-	flag.IntVar(&opts.Depth, "depth", def.Depth, "hierarchy depth")
-	flag.IntVar(&opts.LookupCache, "cache", def.LookupCache, "location-cache capacity (0 disables caching)")
-	flag.StringVar(&opts.RouteMode, "route-mode", def.RouteMode, "lookup acceleration tier: classic | cached | onehop (onehop gossips a full route table and answers in one verified hop)")
+	flag.IntVar(&cfg.Depth, "depth", 2, "hierarchy depth")
+	flag.IntVar(&cfg.LookupCache, "cache", 256, "location-cache capacity (0 disables caching)")
+	flag.StringVar(&cfg.RouteMode, "route-mode", "", "lookup acceleration tier: classic | cached | onehop (onehop gossips a full route table and answers in one verified hop)")
 
-	flag.IntVar(&opts.Replicas, "r", def.Replicas, "replication factor: copies per key, the owner plus r-1 successors")
-	flag.IntVar(&opts.WriteQuorum, "w-quorum", def.WriteQuorum, "write quorum: replica acks before a put is acknowledged (0 = majority of r)")
-	flag.IntVar(&opts.ReadQuorum, "r-quorum", def.ReadQuorum, "read quorum: replica answers before a get trusts the freshest value (0 = first answer)")
+	flag.IntVar(&cfg.Replication.Factor, "r", 3, "replication factor: copies per key, the owner plus r-1 successors")
+	flag.IntVar(&cfg.Replication.WriteQuorum, "w-quorum", 0, "write quorum: replica acks before a put is acknowledged (0 = majority of r)")
+	flag.IntVar(&cfg.Replication.ReadQuorum, "r-quorum", 0, "read quorum: replica answers before a get trusts the freshest value (0 = first answer)")
 
-	flag.IntVar(&opts.Retries, "retries", def.Retries, "RPC attempts per call, first try included (1 disables retrying)")
-	flag.DurationVar(&opts.RetryBackoff, "retry-backoff", def.RetryBackoff, "backoff before the first retry (doubles per retry, jittered)")
-	flag.DurationVar(&opts.RetryMaxBackoff, "retry-max-backoff", def.RetryMaxBackoff, "cap on the per-retry backoff")
-	flag.IntVar(&opts.BreakerThreshold, "breaker-threshold", def.BreakerThreshold, "consecutive failures that open a peer's circuit breaker (0 disables it)")
-	flag.DurationVar(&opts.BreakerCooldown, "breaker-cooldown", def.BreakerCooldown, "how long an open breaker rejects calls before probing")
+	flag.IntVar(&cfg.Retry.MaxAttempts, "retries", 3, "RPC attempts per call, first try included (1 disables retrying)")
+	flag.DurationVar(&cfg.Retry.BaseBackoff, "retry-backoff", 20*time.Millisecond, "backoff before the first retry (doubles per retry, jittered)")
+	flag.DurationVar(&cfg.Retry.MaxBackoff, "retry-max-backoff", 500*time.Millisecond, "cap on the per-retry backoff")
+	flag.IntVar(&cfg.Breaker.Threshold, "breaker-threshold", 5, "consecutive failures that open a peer's circuit breaker (0 disables it)")
+	flag.DurationVar(&cfg.Breaker.Cooldown, "breaker-cooldown", 2*time.Second, "how long an open breaker rejects calls before probing")
 
-	flag.DurationVar(&opts.TTL, "ttl", def.TTL, "data lifetime: puts expire and tombstones are pruned after this long (0 keeps data forever)")
-	flag.IntVar(&opts.AntiEntropyEvery, "anti-entropy-every", def.AntiEntropyEvery, "run the digest replica-sync round every N stabilize ticks")
+	flag.DurationVar(&cfg.TTL, "ttl", 0, "data lifetime: puts expire and tombstones are pruned after this long (0 keeps data forever)")
+	flag.IntVar(&cfg.AntiEntropyEvery, "anti-entropy-every", 1, "run the digest replica-sync round every N stabilize ticks")
 	flag.Parse()
 
-	coord, err := parseCoord(*coordStr)
-	if err != nil {
+	var err error
+	if cfg.Coord, err = parseCoord(*coordStr); err != nil {
 		log.Fatal(err)
 	}
-	cfg, err := opts.Config()
-	if err != nil {
-		log.Fatal(err)
+	switch {
+	case cfg.Breaker.Threshold < 0:
+		log.Fatalf("negative breaker threshold %d (use 0 to disable)", cfg.Breaker.Threshold)
+	case cfg.Breaker.Threshold == 0:
+		cfg.Breaker.Threshold = -1 // the flag's 0 is "off"; Config's zero means "default"
 	}
-	cfg.Coord = coord
 	if *landmarks != "" {
 		cfg.Landmarks = strings.Split(*landmarks, ",")
 	}

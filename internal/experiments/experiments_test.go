@@ -259,6 +259,14 @@ func TestOverheadAnalysis(t *testing.T) {
 		t.Errorf("a depth-2 maintenance round (%.1f msgs/node) should cost more than depth-1 (%.1f)",
 			d2.StabilizeMsgsPerNode, d1.StabilizeMsgsPerNode)
 	}
+	// What one lower ring adds to a node's maintenance round is the
+	// machine-independent price of depth: 18.17 requests at this
+	// population with one entry-point consultation per ring per round
+	// (consulting it twice, once to scan and once to re-announce, cost
+	// 24.65).
+	if added := d2.StabilizeMsgsPerNode - d1.StabilizeMsgsPerNode; added > 19 {
+		t.Errorf("a lower ring adds %.2f maintenance requests per node per round, want <= 19", added)
+	}
 	var buf bytes.Buffer
 	res.Table().Render(&buf)
 	if !strings.Contains(buf.String(), "Overhead analysis") {

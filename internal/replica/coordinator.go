@@ -148,54 +148,11 @@ func (c *Coordinator) now() time.Time {
 // (clamped to the set size) accepted it. Failing members are tolerated
 // as long as the quorum holds; anti-entropy re-replicates to them later.
 func (c *Coordinator) Put(ctx context.Context, key string, value []byte) error {
-	m := c.metrics()
-	start := c.now()
-	opts := c.Opts.WithDefaults()
-	set, err := c.Resolve(ctx, key)
+	err := c.write(ctx, "put", wire.StoreItem{Key: key, Value: value})
 	if err != nil {
-		m.Failures.With("put").Inc()
-		return fmt.Errorf("replica put %q: resolve: %w", key, err)
+		c.metrics().Failures.With("put").Inc()
 	}
-	if len(set) == 0 {
-		m.Failures.With("put").Inc()
-		return fmt.Errorf("replica put %q: empty replica set", key)
-	}
-
-	// Freshest version visible at the owner orders this write after
-	// everything already acknowledged there. An unreachable owner is
-	// fine: the local engine's stamp still advances past anything this
-	// node has seen, and the writer nonce keeps stamps unique.
-	var seen uint64
-	if resp, getErr := c.Call(ctx, set[0], wire.Request{Type: wire.TStoreGet, Name: key}); getErr == nil && resp.Found {
-		seen = resp.Version
-	}
-	version, writer := c.Engine.Stamp(key, c.Self, seen)
-	item := wire.StoreItem{Key: key, Value: value, Version: version, Writer: writer, Expire: c.expireStamp()}
-
-	targets := set
-	if opts.DropReplicaWrites {
-		targets = set[:1] // bug seam: owner copy only, no replicas
-	}
-	need := opts.WriteQuorum
-	if need > len(set) {
-		need = len(set)
-	}
-	acks := 0
-	var lastErr error
-	for _, addr := range targets {
-		req := wire.Request{Type: wire.TStorePut, Name: key, Items: []wire.StoreItem{item}}
-		if _, callErr := c.Call(ctx, addr, req); callErr != nil {
-			lastErr = callErr
-			continue
-		}
-		acks++
-	}
-	if acks < need && !(opts.DropReplicaWrites && acks >= 1) {
-		m.Failures.With("put").Inc()
-		return fmt.Errorf("replica put %q: %d/%d acks (need %d): %w", key, acks, len(targets), need, lastErr)
-	}
-	c.observe(m.WriteSeconds, start)
-	return nil
+	return err
 }
 
 // Delete performs one quorum delete: a tombstone item is stamped past
@@ -206,25 +163,39 @@ func (c *Coordinator) Put(ctx context.Context, key string, value []byte) error {
 // garbage-collected TTL after the delete (and kept forever when TTL is
 // 0, trading space for a delete that can never be forgotten).
 func (c *Coordinator) Delete(ctx context.Context, key string) error {
-	m := c.metrics()
+	err := c.write(ctx, "delete", wire.StoreItem{Key: key, Tombstone: true})
+	if err != nil {
+		c.metrics().Failures.With("delete").Inc()
+	}
+	return err
+}
+
+// write is the quorum write under Put and Delete: it stamps item (a
+// value or a tombstone) and installs it on the key's replica set. op
+// names the caller in errors. Counting the failure is the caller's, so
+// the metric label stays a constant and costs nothing on success.
+func (c *Coordinator) write(ctx context.Context, op string, item wire.StoreItem) error {
 	start := c.now()
 	opts := c.Opts.WithDefaults()
+	key := item.Key
 	set, err := c.Resolve(ctx, key)
 	if err != nil {
-		m.Failures.With("delete").Inc()
-		return fmt.Errorf("replica delete %q: resolve: %w", key, err)
+		return fmt.Errorf("replica %s %q: resolve: %w", op, key, err)
 	}
 	if len(set) == 0 {
-		m.Failures.With("delete").Inc()
-		return fmt.Errorf("replica delete %q: empty replica set", key)
+		return fmt.Errorf("replica %s %q: empty replica set", op, key)
 	}
 
+	// Freshest version visible at the owner orders this write after
+	// everything already acknowledged there. An unreachable owner is
+	// fine: the local engine's stamp still advances past anything this
+	// node has seen, and the writer nonce keeps stamps unique.
 	var seen uint64
 	if resp, getErr := c.Call(ctx, set[0], wire.Request{Type: wire.TStoreGet, Name: key}); getErr == nil && resp.Found {
 		seen = resp.Version
 	}
-	version, writer := c.Engine.Stamp(key, c.Self, seen)
-	item := wire.StoreItem{Key: key, Version: version, Writer: writer, Tombstone: true, Expire: c.expireStamp()}
+	item.Version, item.Writer = c.Engine.Stamp(key, c.Self, seen)
+	item.Expire = c.expireStamp()
 
 	targets := set
 	if opts.DropReplicaWrites {
@@ -245,10 +216,9 @@ func (c *Coordinator) Delete(ctx context.Context, key string) error {
 		acks++
 	}
 	if acks < need && !(opts.DropReplicaWrites && acks >= 1) {
-		m.Failures.With("delete").Inc()
-		return fmt.Errorf("replica delete %q: %d/%d acks (need %d): %w", key, acks, len(targets), need, lastErr)
+		return fmt.Errorf("replica %s %q: %d/%d acks (need %d): %w", op, key, acks, len(targets), need, lastErr)
 	}
-	c.observe(m.WriteSeconds, start)
+	c.observe(c.metrics().WriteSeconds, start)
 	return nil
 }
 

@@ -314,51 +314,33 @@ func checkRingTables(w *world) error {
 	return nil
 }
 
-// routeSubject keys one gossip ring: the global ring is (1, ""), a
-// lower-layer ring is its layer and binned name.
-type routeSubject struct {
-	Layer int
-	Ring  string
-}
-
 // checkRouteAccuracy: the one-hop route tables stay truthful. Always
-// on, it checks event well-formedness — every gossiped peer identifier
-// is NodeID(addr), layers exist, only layer 1 is the nameless global
-// ring, and stamps are live — because a malformed event is a bug no
-// matter how stale the table is allowed to be. At a quiescent fixpoint
-// it is exact: on every live node, the Join-latest members of every
-// subject ring equal that ring's live membership, so a table answer
-// resolves to the true owner — the property that makes the single-hop
-// tier a verified accelerator. Mid-churn the tables may lag behind
-// membership; the verify-or-fallback contract covers that window
-// (reachability and get-safety hold lookups to the true owner), so
-// exactness is only asserted once maintenance has converged.
+// on, it checks event well-formedness — the table tracks the global
+// ring only, so every event is for layer 1 and the nameless ring (a
+// lower-ring event is state no lookup reads), every gossiped peer
+// identifier is NodeID(addr), and stamps are live — because a malformed
+// event is a bug no matter how stale the table is allowed to be. At a
+// quiescent fixpoint it is exact: on every live node, the Join-latest
+// members equal the live set, so a table answer resolves to the true
+// owner — the property that makes the single-hop tier a verified
+// accelerator. Mid-churn the tables may lag behind membership; the
+// verify-or-fallback contract covers that window (reachability and
+// get-safety hold lookups to the true owner), so exactness is only
+// asserted once maintenance has converged.
 func checkRouteAccuracy(w *world) error {
-	// Oracle membership per subject, from snapshots alone: layer 1 is
-	// every live node, lower layers group by the binned ring names.
-	oracle := map[routeSubject][]string{}
-	for layer := 1; layer <= w.Depth; layer++ {
-		for name, g := range ringGroups(w, layer) {
-			addrs := make([]string, 0, len(g))
-			for _, v := range g {
-				addrs = append(addrs, v.Snap.Addr)
-			}
-			sort.Strings(addrs)
-			oracle[routeSubject{layer, name}] = addrs
-		}
+	live := make([]string, 0, len(w.Live))
+	for _, v := range w.Live {
+		live = append(live, v.Snap.Addr)
 	}
+	sort.Strings(live)
 	for _, v := range w.Live {
 		if v.Snap.Routes == nil {
 			return fmt.Errorf("%s: no one-hop route table in a one-hop cluster", v.Snap.Addr)
 		}
-		members := map[routeSubject][]string{}
+		var members []string
 		for _, ev := range v.Snap.Routes {
-			if ev.Layer < 1 || ev.Layer > w.Depth {
-				return fmt.Errorf("%s: route event for %s names layer %d outside [1,%d]",
-					v.Snap.Addr, ev.Peer.Addr, ev.Layer, w.Depth)
-			}
-			if (ev.Ring == "") != (ev.Layer == 1) {
-				return fmt.Errorf("%s: route event for %s pairs layer %d with ring %q — only layer 1 is the global ring",
+			if ev.Layer != 1 || ev.Ring != "" {
+				return fmt.Errorf("%s: route event for %s names layer %d ring %q — the table tracks only the global ring (1, \"\")",
 					v.Snap.Addr, ev.Peer.Addr, ev.Layer, ev.Ring)
 			}
 			if ev.Stamp == 0 {
@@ -369,37 +351,12 @@ func checkRouteAccuracy(w *world) error {
 					v.Snap.Addr, ev.Peer.Addr, ev.Peer.ID, want.Short())
 			}
 			if ev.Kind == wire.RouteJoin {
-				s := routeSubject{ev.Layer, ev.Ring}
-				members[s] = append(members[s], ev.Peer.Addr)
+				members = append(members, ev.Peer.Addr)
 			}
 		}
-		if !w.Quiescent {
-			continue
-		}
-		subjects := map[routeSubject]bool{}
-		for s := range oracle {
-			subjects[s] = true
-		}
-		for s := range members {
-			subjects[s] = true
-		}
-		ordered := make([]routeSubject, 0, len(subjects))
-		for s := range subjects {
-			ordered = append(ordered, s)
-		}
-		sort.Slice(ordered, func(i, j int) bool {
-			if ordered[i].Layer != ordered[j].Layer {
-				return ordered[i].Layer < ordered[j].Layer
-			}
-			return ordered[i].Ring < ordered[j].Ring
-		})
-		for _, s := range ordered {
-			got, want := members[s], oracle[s]
-			sort.Strings(got) // snapshot order is already sorted; re-sort defensively
-			if strings.Join(got, " ") != strings.Join(want, " ") {
-				return fmt.Errorf("%s layer %d ring %q: one-hop table members %v, live membership is %v",
-					v.Snap.Addr, s.Layer, s.Ring, got, want)
-			}
+		sort.Strings(members) // snapshot order is already sorted; re-sort defensively
+		if w.Quiescent && strings.Join(members, " ") != strings.Join(live, " ") {
+			return fmt.Errorf("%s: one-hop table members %v, live membership is %v", v.Snap.Addr, members, live)
 		}
 	}
 	return nil

@@ -40,7 +40,8 @@ type Config struct {
 	// forever.
 	TTL uint64
 	// SkipRepairLayer, when in 1..Depth, suppresses that layer's
-	// stabilization during maintenance — a deliberately seeded
+	// stabilization during maintenance, and with it the entry-point
+	// consultation that keeps the ring's table — a deliberately seeded
 	// maintenance bug used to prove the invariant suite catches and
 	// shrinks real regressions. 0 checks the honest protocol.
 	SkipRepairLayer int

@@ -66,10 +66,7 @@ func (n *Node) CreateNetwork() error {
 		ls.pred = self
 	}
 	for l, name := range names {
-		t := wire.RingTable{
-			Layer: l + 2, Name: name,
-			Smallest: self, SecondSm: self, Largest: self, SecondLg: self,
-		}
+		t := updateBoundaries(wire.RingTable{Layer: l + 2, Name: name}, self)
 		n.tables[ringKey(t.Layer, t.Name)] = t
 	}
 	n.mu.Unlock()
@@ -111,29 +108,23 @@ func (n *Node) Join(bootstrap string) error {
 	if err != nil {
 		return err
 	}
-	self := n.Self()
-
-	// Highest layer first: find our global successor through bootstrap.
-	gsucc, err := n.joinSuccessor(bootstrap, 1)
-	if err != nil {
-		return fmt.Errorf("transport: global join lookup: %w", err)
-	}
 	n.mu.Lock()
 	n.ringNames = names
 	n.landmarks = append([]string(nil), n.cfg.Landmarks...)
-	n.layers[0].succ = []wire.Peer{gsucc}
 	n.mu.Unlock()
-	if _, err := n.callBG(gsucc.Addr, wire.Request{
-		Type: wire.TNotify, Layer: 1, Peer: self,
-	}); err != nil {
-		return fmt.Errorf("transport: notify global successor: %w", err)
-	}
 
+	// Highest layer first: find our global successor through bootstrap.
+	gsucc, _, err := n.walkOwner(n.lifeCtx, bootstrap, 1, n.id)
+	if err == nil {
+		err = n.joinAt(1, gsucc)
+	}
+	if err != nil {
+		return fmt.Errorf("transport: joining the global ring: %w", err)
+	}
 	// Lower layers: ring table lookup, then join inside the ring.
 	for l, name := range names {
-		layer := l + 2
-		if err := n.joinRing(bootstrap, layer, name, self); err != nil {
-			return fmt.Errorf("transport: joining ring %d:%q: %w", layer, name, err)
+		if err := n.joinRing(bootstrap, l+2, name); err != nil {
+			return fmt.Errorf("transport: joining ring %d:%q: %w", l+2, name, err)
 		}
 	}
 	n.mu.Lock()
@@ -143,59 +134,50 @@ func (n *Node) Join(bootstrap string) error {
 	return nil
 }
 
-// joinSuccessor finds this node's successor in a ring it is about to
-// join, walking from via. A ring that answers with the joiner's own
-// address still lists a previous incarnation of it (a crashed node that
-// restarts within one stabilization period); adopting that answer would
-// make the joiner its own successor, a self-loop the ring routes into.
-// The join is refused instead, to be retried once the stale entry has
-// been evicted.
-func (n *Node) joinSuccessor(via string, layer int) (wire.Peer, error) {
-	succ, _, err := n.walkOwner(n.lifeCtx, via, layer, n.id)
-	if err == nil && succ.Addr == n.addr {
-		err = fmt.Errorf("layer %d still lists a previous incarnation of %s", layer, n.addr)
+// joinAt makes succ this node's successor in a ring it is joining and
+// notifies it. A ring that answers with the joiner's own address still
+// lists a previous incarnation of it (a crashed node that restarts within
+// one stabilization period); adopting that answer would make the joiner
+// its own successor, a self-loop the ring routes into. The join is
+// refused instead, to be retried once the stale entry has been evicted.
+func (n *Node) joinAt(layer int, succ wire.Peer) error {
+	if succ.Addr == n.addr {
+		return fmt.Errorf("layer %d still lists a previous incarnation of %s", layer, n.addr)
 	}
-	return succ, err
-}
-
-// routeSubject names one ring a node is a member of: the gossip subject
-// space is (layer, ring, peer).
-type routeSubject struct {
-	layer int
-	ring  string
-}
-
-// ringSubjects returns every (layer, ring) this node belongs to: the
-// global ring plus its lower-layer rings.
-func (n *Node) ringSubjects() []routeSubject {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	subs := []routeSubject{{1, ""}}
-	for l, name := range n.ringNames {
-		subs = append(subs, routeSubject{l + 2, name})
-	}
-	return subs
+	n.layers[layer-1].succ = []wire.Peer{succ}
+	n.mu.Unlock()
+	_, err := n.callBG(succ.Addr, wire.Request{Type: wire.TNotify, Layer: layer, Peer: n.Self()})
+	return err
 }
 
-// announceRoutes records this node's own membership in every ring it
-// belongs to as join events; gossip spreads them on the stabilize
-// cadence. It doubles as self-defense: a node that finds itself
-// tombstoned (a false eviction minted during a partition) re-announces
-// with a NextStamp that outranks the tombstone, so a live node always
-// wins its way back into remote tables.
-func (n *Node) announceRoutes() {
-	if n.routes == nil {
-		return
+// routeEvent records a membership event for p in the one-hop table,
+// stamped past everything seen for p. Every event goes under the global
+// ring's subject (1, ""): ownership is the global ring's to decide, so it
+// is the one ring lookups read the table for.
+func (n *Node) routeEvent(p wire.Peer, kind uint8) {
+	n.routes.Apply(wire.RouteEvent{
+		Layer: 1, Ring: "", Peer: p, Kind: kind,
+		Stamp: n.routes.NextStamp(1, "", p.Addr, n.clock()),
+	})
+}
+
+// learnRoute records p as a live member unless the table already says so.
+// The fresh stamp outranks any tombstone the table holds for p.
+func (n *Node) learnRoute(p wire.Peer) {
+	if cur, ok := n.routes.Latest(1, "", p.Addr); !ok || cur.Kind != wire.RouteJoin {
+		n.routeEvent(p, wire.RouteJoin)
 	}
-	self := n.Self()
-	for _, s := range n.ringSubjects() {
-		if cur, ok := n.routes.Latest(s.layer, s.ring, n.addr); ok && cur.Kind == wire.RouteJoin {
-			continue
-		}
-		n.routes.Apply(wire.RouteEvent{
-			Layer: s.layer, Ring: s.ring, Peer: self, Kind: wire.RouteJoin,
-			Stamp: n.routes.NextStamp(s.layer, s.ring, n.addr, n.clock()),
-		})
+}
+
+// announceRoutes records this node's own membership as a join event;
+// gossip spreads it on the stabilize cadence. It doubles as self-defense:
+// a node that finds itself tombstoned (a false eviction minted during a
+// partition) re-announces with a stamp that outranks the tombstone, so a
+// live node always wins its way back into remote tables.
+func (n *Node) announceRoutes() {
+	if n.routes != nil {
+		n.learnRoute(n.Self())
 	}
 }
 
@@ -281,89 +263,125 @@ func (n *Node) announceLeaveRoutes() {
 	if n.routes == nil {
 		return
 	}
-	self := n.Self()
-	for _, s := range n.ringSubjects() {
-		n.routes.Apply(wire.RouteEvent{
-			Layer: s.layer, Ring: s.ring, Peer: self, Kind: wire.RouteLeave,
-			Stamp: n.routes.NextStamp(s.layer, s.ring, n.addr, n.clock()),
-		})
-	}
+	n.routeEvent(n.Self(), wire.RouteLeave)
 	if !n.cfg.DropRouteGossip {
 		n.pushRoutes(n.gossipFanout())
 	}
 }
 
-// joinRing implements one lower-layer join: route to the ring table's
-// storing node, learn a member, integrate via that member, and update the
-// ring table if we became a boundary node.
-func (n *Node) joinRing(bootstrap string, layer int, name string, self wire.Peer) error {
-	rid := ringID(layer, name)
-	storing, _, err := n.walkOwner(n.lifeCtx, bootstrap, 1, rid)
+// ringEntry is what one consultation of a lower ring's entry point found.
+type ringEntry struct {
+	storing wire.Peer      // global-ring owner of the ring's id, where its table lives
+	stored  wire.RingTable // the table as stored there; the zero table when none is
+	live    wire.RingTable // stored, less the boundary slots that failed a ping
+	succ    wire.Peer      // this node's successor by the ring's own account; zero when the table names no live node but this one
+}
+
+// enterRing consults a lower ring's entry point (paper §3.3): route on the
+// global ring from via to the node storing the ring's table, read the
+// table, and walk the ring from one of its boundary nodes to this node's
+// successor. Join, the merge scan, the re-anchor of a ring whose successor
+// list died and the table re-announce are all uses of this one chain.
+//
+// Boundary slots that no longer answer a ping are dropped on the way.
+// Boundary sets are otherwise grow-only (updateBoundaries keeps whatever
+// extremes it has seen), so a ring whose smallest/largest members crashed
+// would advertise only dead contact points forever and become unjoinable;
+// pruning on every consultation lets the surviving members reclaim the
+// slots. This node is never pinged and never walked through: it knows it
+// is alive, and a walk through its own address would ask the ring about
+// itself — of a joiner whose old incarnation the table still lists, a
+// ring it has not joined yet.
+func (n *Node) enterRing(via string, layer int, name string) (ringEntry, error) {
+	storing, _, err := n.walkOwner(n.lifeCtx, via, 1, ringID(layer, name))
+	if err != nil {
+		return ringEntry{}, err
+	}
+	e := ringEntry{storing: storing}
+	if storing.Addr == n.addr {
+		n.mu.Lock()
+		e.stored = n.tables[ringKey(layer, name)]
+		n.mu.Unlock()
+	} else {
+		resp, getErr := n.callBG(storing.Addr, wire.Request{
+			Type:  wire.TGetRingTable,
+			Table: wire.RingTable{Layer: layer, Name: name},
+		})
+		if getErr != nil {
+			return ringEntry{}, getErr
+		}
+		e.stored = resp.Table
+	}
+	e.live = e.stored
+	e.live.Layer, e.live.Name = layer, name
+	var member wire.Peer
+	alive := map[string]bool{n.addr: true, "": false}
+	for _, p := range []*wire.Peer{&e.live.Smallest, &e.live.Largest, &e.live.SecondSm, &e.live.SecondLg} {
+		ok, pinged := alive[p.Addr]
+		if !pinged {
+			_, pingErr := n.callBG(p.Addr, wire.Request{Type: wire.TPing})
+			ok = pingErr == nil
+			alive[p.Addr] = ok
+		}
+		if !ok {
+			*p = wire.Peer{}
+		} else if member.Addr == "" && p.Addr != n.addr {
+			member = *p
+		}
+	}
+	if member.Addr == "" {
+		return e, nil
+	}
+	e.succ, _, err = n.walkOwner(n.lifeCtx, member.Addr, layer, n.id)
+	return e, err
+}
+
+// announce merges this node into the ring table an entry-point
+// consultation read and writes the result back when it differs from what
+// is stored (paper: "if it should replace one of them, it sends a ring
+// table modification message back") — which includes the case that
+// nothing is stored. Re-creating a missing table closes a split window: if
+// the node that stored it crashed before stabilization re-homed it, the
+// next joiner binned into that ring would find no table and create a
+// second, disjoint ring under the same name.
+func (n *Node) announce(e ringEntry) error {
+	t := updateBoundaries(e.live, n.Self())
+	if t == e.stored {
+		return nil
+	}
+	if e.storing.Addr == n.addr {
+		n.mu.Lock()
+		n.tables[ringKey(t.Layer, t.Name)] = t
+		n.mu.Unlock()
+		return nil
+	}
+	_, err := n.callBG(e.storing.Addr, wire.Request{Type: wire.TPutRingTable, Table: t})
+	return err
+}
+
+// joinRing implements one lower-layer join: consult the ring's entry
+// point, integrate via the successor it names — or found the ring when it
+// names no live member — and enter this node into the ring table.
+func (n *Node) joinRing(bootstrap string, layer int, name string) error {
+	e, err := n.enterRing(bootstrap, layer, name)
 	if err != nil {
 		return err
 	}
-	resp, err := n.callBG(storing.Addr, wire.Request{
-		Type:  wire.TGetRingTable,
-		Table: wire.RingTable{Layer: layer, Name: name},
-	})
-	if err != nil {
-		return err
-	}
-	if !resp.Found {
-		// First member of a brand-new ring.
+	if e.succ.Addr == "" {
+		self := n.Self()
 		n.mu.Lock()
 		n.layers[layer-1].succ = []wire.Peer{self}
 		n.layers[layer-1].pred = self
 		n.mu.Unlock()
-		t := wire.RingTable{
-			Layer: layer, Name: name,
-			Smallest: self, SecondSm: self, Largest: self, SecondLg: self,
-		}
-		_, putErr := n.callBG(storing.Addr, wire.Request{Type: wire.TPutRingTable, Table: t})
-		return putErr
-	}
-	member, err := n.liveTableMember(resp.Table)
-	if err != nil {
+	} else if err := n.joinAt(layer, e.succ); err != nil {
 		return err
 	}
-	rsucc, err := n.joinSuccessor(member.Addr, layer)
-	if err != nil {
-		return err
-	}
-	n.mu.Lock()
-	n.layers[layer-1].succ = []wire.Peer{rsucc}
-	n.mu.Unlock()
-	if _, err := n.callBG(rsucc.Addr, wire.Request{
-		Type: wire.TNotify, Layer: layer, Peer: self,
-	}); err != nil {
-		return err
-	}
-	// Boundary update (paper: "if it should replace one of them, it sends
-	// a ring table modification message back").
-	if t, changed := updateBoundaries(resp.Table, self); changed {
-		if _, err := n.callBG(storing.Addr, wire.Request{Type: wire.TPutRingTable, Table: t}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// liveTableMember returns the first reachable peer named by a ring table.
-func (n *Node) liveTableMember(t wire.RingTable) (wire.Peer, error) {
-	for _, p := range []wire.Peer{t.Smallest, t.Largest, t.SecondSm, t.SecondLg} {
-		if p.Addr == "" {
-			continue
-		}
-		if _, err := n.callBG(p.Addr, wire.Request{Type: wire.TPing}); err == nil {
-			return p, nil
-		}
-	}
-	return wire.Peer{}, fmt.Errorf("ring table %d:%q names no live member", t.Layer, t.Name)
+	return n.announce(e)
 }
 
 // updateBoundaries merges a candidate into the table's four boundary
-// slots, reporting whether anything changed.
-func updateBoundaries(t wire.RingTable, cand wire.Peer) (wire.RingTable, bool) {
+// slots.
+func updateBoundaries(t wire.RingTable, cand wire.Peer) wire.RingTable {
 	peers := []wire.Peer{t.Smallest, t.SecondSm, t.Largest, t.SecondLg, cand}
 	// Dedupe and sort by ID.
 	uniq := peers[:0]
@@ -379,42 +397,11 @@ func updateBoundaries(t wire.RingTable, cand wire.Peer) (wire.RingTable, bool) {
 			uniq[j], uniq[j-1] = uniq[j-1], uniq[j]
 		}
 	}
-	out := t
 	k := len(uniq)
-	out.Smallest = uniq[0]
-	out.Largest = uniq[k-1]
+	t.Smallest, t.SecondSm = uniq[0], uniq[0]
+	t.Largest, t.SecondLg = uniq[k-1], uniq[k-1]
 	if k >= 2 {
-		out.SecondSm = uniq[1]
-		out.SecondLg = uniq[k-2]
-	} else {
-		out.SecondSm = uniq[0]
-		out.SecondLg = uniq[0]
-	}
-	changed := out != t
-	return out, changed
-}
-
-// pruneDeadBoundaries drops ring-table boundary entries that no longer
-// answer a ping. Boundary sets are otherwise grow-only (updateBoundaries
-// keeps whatever extremes it has seen), so a ring whose smallest/largest
-// members crashed would advertise only dead contact points forever and
-// become unjoinable; pruning during the periodic re-announce lets the
-// surviving members reclaim the boundary slots.
-func (n *Node) pruneDeadBoundaries(t wire.RingTable) wire.RingTable {
-	verdict := map[string]bool{n.addr: true, "": false}
-	alive := func(addr string) bool {
-		v, ok := verdict[addr]
-		if !ok {
-			_, err := n.callBG(addr, wire.Request{Type: wire.TPing})
-			v = err == nil
-			verdict[addr] = v
-		}
-		return v
-	}
-	for _, p := range []*wire.Peer{&t.Smallest, &t.SecondSm, &t.Largest, &t.SecondLg} {
-		if !alive(p.Addr) {
-			*p = wire.Peer{}
-		}
+		t.SecondSm, t.SecondLg = uniq[1], uniq[k-2]
 	}
 	return t
 }
@@ -556,12 +543,7 @@ func (n *Node) Lookup(ctx context.Context, key id.ID) (LookupResult, error) {
 			// Learn the authoritative owner the walk just confirmed, so the
 			// next lookup in this key region goes single-hop. A live owner
 			// also outranks any false tombstone the table may hold for it.
-			if cur, ok := n.routes.Latest(1, "", res.Owner.Addr); !ok || cur.Kind != wire.RouteJoin {
-				n.routes.Apply(wire.RouteEvent{
-					Layer: 1, Ring: "", Peer: res.Owner, Kind: wire.RouteJoin,
-					Stamp: n.routes.NextStamp(1, "", res.Owner.Addr, n.clock()),
-				})
-			}
+			n.learnRoute(res.Owner)
 		}
 	}
 	return res, err
@@ -720,9 +702,9 @@ func (n *Node) markSweepNeeded() {
 }
 
 // StabilizeOnce runs one stabilization round on every layer: verify the
-// successor, adopt a closer one, refresh the successor list, notify, and
-// repair ring tables whose ownership moved or whose storing node died.
-// It finishes with a best-effort digest anti-entropy round on the
+// successor, adopt a closer one, refresh the successor list, notify,
+// consult the layer's entry points, and re-home stored ring tables whose
+// ownership moved. It finishes with a best-effort digest anti-entropy round on the
 // AntiEntropyEvery cadence (or immediately after an eviction), so data
 // re-homes and diverged replicas re-converge on the same clock that
 // heals the rings.
@@ -756,12 +738,35 @@ func (n *Node) StabilizeOnce() error {
 }
 
 // StabilizeLayer runs one stabilization round on a single layer (1 =
-// global ring). Exposed separately so harnesses can drive — or, to seed a
-// bug, selectively withhold — maintenance per layer.
+// global ring): Chord's stabilization of the successor list, then one
+// consultation of the layer's entry points, which is at once the merge
+// scan of a healthy ring, the re-anchor of one whose successor list died,
+// the probe of a singleton for the rest of its ring and, on a lower ring,
+// the re-announce of its ring table. Exposed separately so harnesses can
+// drive — or, to seed a bug, selectively withhold — maintenance per layer.
 func (n *Node) StabilizeLayer(layer int) error {
 	if layer < 1 || layer > n.cfg.Depth {
 		return fmt.Errorf("transport: layer %d out of range (depth %d)", layer, n.cfg.Depth)
 	}
+	n.mu.Lock()
+	joined := n.joined
+	n.mu.Unlock()
+	if !joined {
+		return nil // not part of an overlay yet; nothing to stabilize or re-anchor to
+	}
+	live := n.stabilizeSuccessors(layer)
+	if !n.adoptAnchor(layer, n.findAnchor(layer), live) && live.Addr == "" {
+		n.repairLayer(layer)
+	}
+	return nil
+}
+
+// stabilizeSuccessors is Chord's stabilization of one layer: drop a dead
+// predecessor, find the first live successor, adopt its predecessor when
+// that sits between, rebuild the successor list from its list and notify
+// it. It returns the successor the round settled on — this node itself on
+// a singleton ring, the zero peer when no listed successor answered.
+func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 	self := n.Self()
 	n.mu.Lock()
 	ls := n.layers[layer-1]
@@ -788,22 +793,21 @@ func (n *Node) StabilizeLayer(layer int) error {
 	// (locally when the successor is ourselves).
 	var s0 wire.Peer
 	var nb wire.Response
-	found := false
 	for _, cand := range succ {
 		if cand.Addr == n.addr {
 			n.mu.Lock()
 			nb = wire.Response{Pred: ls.pred, Succ: append([]wire.Peer(nil), ls.succ...)}
 			n.mu.Unlock()
-			s0, found = cand, true
+			s0 = cand
 			break
 		}
 		resp, err := n.callBG(cand.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer})
 		if err == nil {
-			s0, nb, found = cand, resp, true
+			s0, nb = cand, resp
 			break
 		}
 	}
-	if !found {
+	if s0.Addr == "" {
 		// Every listed successor just failed a call, so each one's
 		// suspicion counter grew; drop the entries the failure detector
 		// now confirms dead. Without this a node whose whole list died
@@ -811,7 +815,6 @@ func (n *Node) StabilizeLayer(layer int) error {
 		// ever contacts them again — and can never collapse to the
 		// singleton state repairLayer knows how to rebuild from.
 		n.mu.Lock()
-		ls := n.layers[layer-1]
 		kept := ls.succ[:0]
 		for _, p := range ls.succ {
 			if p.Addr == n.addr || !n.suspectDead(p.Addr) {
@@ -822,34 +825,30 @@ func (n *Node) StabilizeLayer(layer int) error {
 		}
 		ls.succ = kept
 		n.mu.Unlock()
-		n.repairLayer(layer)
-		return nil
+		return wire.Peer{}
 	}
 	// Adopt the successor's predecessor when it sits between us; when
 	// we are our own successor this adopts the first joiner that
-	// notified us (Between(x, a, a) holds for every x != a).
+	// notified us (Between(x, a, a) holds for every x != a). One that
+	// does not answer is not adopted: the successor that did answer
+	// stands and the round goes on.
 	if nb.Pred.Addr != "" && nb.Pred.Addr != n.addr &&
 		id.Between(peerID(nb.Pred), n.id, peerID(s0)) {
-		if _, err := n.callBG(nb.Pred.Addr, wire.Request{Type: wire.TPing}); err == nil {
-			s0 = nb.Pred
-			resp, err := n.callBG(s0.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer})
-			if err != nil {
-				return nil
-			}
-			nb = resp
+		if resp, err := n.callBG(nb.Pred.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer}); err == nil {
+			s0, nb = nb.Pred, resp
 		}
 	}
 	if s0.Addr == n.addr {
-		// Still a singleton ring: own the whole identifier space, but keep
-		// probing for the rest of the network — after a healed partition
-		// this is how an isolated node finds its way back in.
+		// Still a singleton ring: own the whole identifier space. The
+		// entry-point consultation that follows keeps probing for the
+		// rest of the network — after a healed partition this is how an
+		// isolated node finds its way back in.
 		n.mu.Lock()
-		if n.layers[layer-1].pred.Addr == "" {
-			n.layers[layer-1].pred = self
+		if ls.pred.Addr == "" {
+			ls.pred = self
 		}
 		n.mu.Unlock()
-		n.mergeProbe(layer)
-		return nil
+		return s0
 	}
 	// Rebuild the successor list from s0's list and notify it. Tail
 	// entries are pinged before adoption: a departed node otherwise
@@ -872,255 +871,133 @@ func (n *Node) StabilizeLayer(layer int) error {
 		list = append(list, p)
 	}
 	n.mu.Lock()
-	n.layers[layer-1].succ = list
+	ls.succ = list
 	n.mu.Unlock()
 	_, _ = n.callBG(s0.Addr, wire.Request{Type: wire.TNotify, Layer: layer, Peer: self})
-	// Even with a healthy successor, the ring as a whole may be one of
-	// two components left by a healed partition; scan the entry points
-	// for a closer successor from the other component.
-	n.mergeScan(layer)
-	return nil
+	return s0
 }
 
-// repairLayer rebuilds a layer's successor state when no listed successor
-// answers. Escalation order: re-anchor through the overlay's entry points
-// (landmarks for the global ring, the ring table for a lower ring), fall
-// back to a live predecessor, and only when the successor list has been
-// fully purged by confirmed suspicion collapse to a singleton ring.
-// Stale-but-unpurged entries are deliberately kept otherwise: when a
-// partition heals they are exactly what re-merges the ring.
-func (n *Node) repairLayer(layer int) {
+// findAnchor asks a layer's entry points for this node's key-space
+// successor: the landmarks on the global ring, the ring table — which the
+// same consultation re-announces this node in — on a lower ring. On a
+// healthy ring the entry points name this node itself; after a healed
+// partition they name a member of the other component. The zero peer
+// means no entry point answered.
+func (n *Node) findAnchor(layer int) wire.Peer {
 	n.mu.Lock()
-	joined := n.joined
-	succLen := len(n.layers[layer-1].succ)
-	pred := n.layers[layer-1].pred
+	landmarks, names := n.landmarks, n.ringNames // assigned whole at join time, never written in place
 	n.mu.Unlock()
-	if !joined {
-		return // not part of an overlay yet; nothing to re-anchor to
-	}
-	if n.reanchor(layer) {
-		n.nm.repairs.Inc()
-		return
-	}
-	self := n.Self()
-	if pred.Addr != "" && pred.Addr != n.addr {
-		if _, err := n.callBG(pred.Addr, wire.Request{Type: wire.TPing}); err == nil {
-			n.mu.Lock()
-			n.layers[layer-1].succ = []wire.Peer{pred}
-			n.mu.Unlock()
-			_, _ = n.callBG(pred.Addr, wire.Request{Type: wire.TNotify, Layer: layer, Peer: self})
-			n.nm.repairs.Inc()
-			return
-		}
-	}
-	if succLen == 0 {
-		n.mu.Lock()
-		n.layers[layer-1].succ = []wire.Peer{self}
-		if n.layers[layer-1].pred.Addr == "" {
-			n.layers[layer-1].pred = self
-		}
-		n.mu.Unlock()
-		n.nm.repairs.Inc()
-	}
-}
-
-// mergeProbe checks whether a ring this node believes it has to itself
-// actually has other members — the state an isolated node is left in once
-// a partition ends — and rejoins them when it does.
-func (n *Node) mergeProbe(layer int) {
-	n.mu.Lock()
-	joined := n.joined
-	n.mu.Unlock()
-	if !joined {
-		return
-	}
-	if n.reanchor(layer) {
-		n.nm.repairs.Inc()
-	}
-}
-
-// reanchor finds this layer's ring through the overlay's entry points and
-// adopts the key-space successor it names: via a live landmark on the
-// global ring, via the ring table (routed on the global ring) for a lower
-// ring. Reports whether a successor was adopted.
-func (n *Node) reanchor(layer int) bool {
-	cand, ok := n.findAnchor(layer)
-	if !ok {
-		return false
-	}
-	n.mu.Lock()
-	n.layers[layer-1].succ = []wire.Peer{cand}
-	n.mu.Unlock()
-	_, _ = n.callBG(cand.Addr, wire.Request{Type: wire.TNotify, Layer: layer, Peer: n.Self()})
-	return true
-}
-
-// mergeScan looks for this node's key-space successor through the
-// layer's entry points and adopts it when it is strictly closer than the
-// current successor. On a healthy ring the entry points name this node
-// itself and the scan is a no-op; after a healed partition they name a
-// member of the other component, and adopting it is what splices the two
-// rings back into one. repairLayer/mergeProbe cannot do this: they only
-// fire when the successor list is dead or collapsed to a singleton, and
-// a symmetric split leaves both components internally healthy.
-func (n *Node) mergeScan(layer int) {
-	cand, ok := n.findAnchor(layer)
-	if !ok {
-		return
-	}
-	n.mu.Lock()
-	ls := n.layers[layer-1]
-	var cur wire.Peer
-	if len(ls.succ) > 0 {
-		cur = ls.succ[0]
-	}
-	adopt := cur.Addr == "" || cur.Addr == n.addr ||
-		(cand.Addr != cur.Addr && id.Between(peerID(cand), n.id, peerID(cur)))
-	if adopt {
-		// Prepend: the old successors are still clockwise-after the new
-		// one, so they keep their value as fallbacks.
-		list := append([]wire.Peer{cand}, ls.succ...)
-		if len(list) > n.cfg.SuccListLen {
-			list = list[:n.cfg.SuccListLen]
-		}
-		ls.succ = list
-	}
-	n.mu.Unlock()
-	if adopt {
-		_, _ = n.callBG(cand.Addr, wire.Request{Type: wire.TNotify, Layer: layer, Peer: n.Self()})
-		n.nm.repairs.Inc()
-	}
-}
-
-// findAnchor discovers this node's key-space successor in a layer from
-// the overlay's entry points, without touching local routing state: via
-// a live landmark for the global ring, via the ring table for a lower
-// ring. ok is false when no entry point answers or they all name this
-// node itself (the healthy steady state).
-func (n *Node) findAnchor(layer int) (wire.Peer, bool) {
 	if layer == 1 {
-		n.mu.Lock()
-		landmarks := append([]string(nil), n.landmarks...)
-		n.mu.Unlock()
 		for _, lm := range landmarks {
 			if lm == n.addr {
 				continue
 			}
-			owner, _, err := n.walkOwner(n.lifeCtx, lm, 1, n.id)
-			if err != nil || owner.Addr == "" || owner.Addr == n.addr {
-				continue
+			if owner, _, err := n.walkOwner(n.lifeCtx, lm, 1, n.id); err == nil && owner.Addr != n.addr {
+				return owner
 			}
-			return owner, true
 		}
-		return wire.Peer{}, false
+		return wire.Peer{}
 	}
-	n.mu.Lock()
-	var name string
-	if layer-2 < len(n.ringNames) {
-		name = n.ringNames[layer-2]
+	if layer-2 >= len(names) {
+		return wire.Peer{}
 	}
-	n.mu.Unlock()
-	if name == "" {
-		return wire.Peer{}, false
-	}
-	rid := ringID(layer, name)
-	storing, _, err := n.walkOwner(n.lifeCtx, n.addr, 1, rid)
+	e, err := n.enterRing(n.addr, layer, names[layer-2])
 	if err != nil {
-		return wire.Peer{}, false
+		return wire.Peer{}
 	}
-	resp, err := n.callBG(storing.Addr, wire.Request{
-		Type:  wire.TGetRingTable,
-		Table: wire.RingTable{Layer: layer, Name: name},
-	})
-	if err != nil || !resp.Found {
-		return wire.Peer{}, false
-	}
-	member, err := n.liveTableMember(resp.Table)
-	if err != nil || member.Addr == n.addr {
-		return wire.Peer{}, false
-	}
-	rsucc, _, err := n.walkOwner(n.lifeCtx, member.Addr, layer, n.id)
-	if err != nil || rsucc.Addr == "" || rsucc.Addr == n.addr {
-		return wire.Peer{}, false
-	}
-	return rsucc, true
+	_ = n.announce(e)
+	return e.succ
 }
 
-// RepairRingTables re-homes stored ring tables whose responsible node
-// changed as the global ring grew, then re-announces this node's own
-// rings' tables. The re-announce closes a split window: if the node that
-// stored a ring table crashed before stabilization re-homed it, the next
-// joiner binned into that ring would find no table and create a second,
-// disjoint ring under the same name.
-func (n *Node) RepairRingTables() error {
+// adoptAnchor makes cand this node's successor when it is strictly closer
+// than live, the successor stabilization just settled on; with none, or
+// on a singleton ring, any candidate is closer. Adopting it is what
+// splices two components of a healed partition back into one ring, and a
+// dead successor list or a singleton cannot be the only triggers: a
+// symmetric split leaves both components internally healthy. The
+// candidate is prepended — the old successors are still clockwise-after
+// it, so they keep their value as fallbacks until the next round rebuilds
+// the list from the new successor's. Reports whether cand was adopted.
+func (n *Node) adoptAnchor(layer int, cand, live wire.Peer) bool {
+	if cand.Addr == "" || cand.Addr == n.addr || cand.Addr == live.Addr {
+		return false
+	}
+	if live.Addr != "" && live.Addr != n.addr && !id.Between(peerID(cand), n.id, peerID(live)) {
+		return false
+	}
 	n.mu.Lock()
-	joined := n.joined
+	ls := n.layers[layer-1]
+	list := []wire.Peer{cand}
+	for _, p := range ls.succ {
+		if p.Addr != cand.Addr && len(list) < n.cfg.SuccListLen {
+			list = append(list, p)
+		}
+	}
+	ls.succ = list
+	n.mu.Unlock()
+	_, _ = n.callBG(cand.Addr, wire.Request{Type: wire.TNotify, Layer: layer, Peer: n.Self()})
+	n.nm.repairs.Inc()
+	return true
+}
+
+// repairLayer is what is left of a repair when no listed successor
+// answers and the entry points name nobody: fall back to the predecessor
+// (this round's check_predecessor just heard from it), and only when the
+// successor list has been fully purged by confirmed suspicion collapse to
+// a singleton ring. Stale-but-unpurged entries are deliberately kept
+// otherwise: when a partition heals they are exactly what re-merges the
+// ring.
+func (n *Node) repairLayer(layer int) {
+	n.mu.Lock()
+	ls := n.layers[layer-1]
+	pred, purged := ls.pred, len(ls.succ) == 0
+	n.mu.Unlock()
+	if n.adoptAnchor(layer, pred, wire.Peer{}) || !purged {
+		return
+	}
+	self := n.Self()
+	n.mu.Lock()
+	ls.succ = []wire.Peer{self}
+	if ls.pred.Addr == "" {
+		ls.pred = self
+	}
+	n.mu.Unlock()
+	n.nm.repairs.Inc()
+}
+
+// storedTablesLocked returns the ring tables this node stores, ordered by
+// (layer, name): n.tables is a map, and what is done per table must not
+// depend on its iteration order.
+func (n *Node) storedTablesLocked() []wire.RingTable {
 	tables := make([]wire.RingTable, 0, len(n.tables))
 	for _, t := range n.tables {
 		tables = append(tables, t)
 	}
-	names := append([]string(nil), n.ringNames...)
-	n.mu.Unlock()
-	// Deterministic order: n.tables is a map.
 	sort.Slice(tables, func(i, j int) bool {
 		if tables[i].Layer != tables[j].Layer {
 			return tables[i].Layer < tables[j].Layer
 		}
 		return tables[i].Name < tables[j].Name
 	})
+	return tables
+}
+
+// RepairRingTables re-homes stored ring tables whose responsible node
+// changed as the global ring grew. Keeping each ring's own entry in its
+// table current is StabilizeLayer's entry-point consultation.
+func (n *Node) RepairRingTables() error {
+	n.mu.Lock()
+	tables := n.storedTablesLocked()
+	n.mu.Unlock()
 	for _, t := range tables {
 		owner, _, err := n.walkOwner(n.lifeCtx, n.addr, 1, ringID(t.Layer, t.Name))
-		if err != nil {
+		if err != nil || owner.Addr == n.addr {
 			continue
 		}
-		if owner.Addr != n.addr {
-			if _, err := n.callBG(owner.Addr, wire.Request{Type: wire.TPutRingTable, Table: t}); err == nil {
-				n.mu.Lock()
-				delete(n.tables, ringKey(t.Layer, t.Name))
-				n.mu.Unlock()
-			}
-		}
-	}
-	if !joined {
-		return nil
-	}
-	self := n.Self()
-	for l, name := range names {
-		layer := l + 2
-		owner, _, err := n.walkOwner(n.lifeCtx, n.addr, 1, ringID(layer, name))
-		if err != nil || owner.Addr == "" {
-			continue
-		}
-		var resp wire.Response
-		if owner.Addr == n.addr {
+		if _, err := n.callBG(owner.Addr, wire.Request{Type: wire.TPutRingTable, Table: t}); err == nil {
 			n.mu.Lock()
-			t, ok := n.tables[ringKey(layer, name)]
+			delete(n.tables, ringKey(t.Layer, t.Name))
 			n.mu.Unlock()
-			resp = wire.Response{OK: true, Table: t, Found: ok}
-		} else {
-			resp, err = n.callBG(owner.Addr, wire.Request{
-				Type:  wire.TGetRingTable,
-				Table: wire.RingTable{Layer: layer, Name: name},
-			})
-			if err != nil {
-				continue
-			}
-		}
-		orig := resp.Table
-		t := orig
-		if !resp.Found {
-			t = wire.RingTable{Layer: layer, Name: name}
-		}
-		t = n.pruneDeadBoundaries(t)
-		t2, _ := updateBoundaries(t, self)
-		if changed := t2 != orig; !resp.Found || changed {
-			if owner.Addr == n.addr {
-				n.mu.Lock()
-				n.tables[ringKey(layer, name)] = t2
-				n.mu.Unlock()
-			} else {
-				_, _ = n.callBG(owner.Addr, wire.Request{Type: wire.TPutRingTable, Table: t2})
-			}
 		}
 	}
 	return nil
@@ -1221,18 +1098,9 @@ func (n *Node) Leave() error {
 			break
 		}
 	}
-	tables := make([]wire.RingTable, 0, len(n.tables))
-	for _, t := range n.tables {
-		tables = append(tables, t)
-	}
+	tables := n.storedTablesLocked()
 	n.mu.Unlock()
 	items := n.store.Items()
-	sort.Slice(tables, func(i, j int) bool {
-		if tables[i].Layer != tables[j].Layer {
-			return tables[i].Layer < tables[j].Layer
-		}
-		return tables[i].Name < tables[j].Name
-	})
 	if gsucc.Addr != "" {
 		if len(items) > 0 {
 			if _, err := n.callBG(gsucc.Addr, wire.Request{Type: wire.THandoff, Items: items}); err == nil {

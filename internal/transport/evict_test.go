@@ -154,18 +154,22 @@ func (p constProber) Latency(context.Context, string) (float64, error) { return 
 
 // startOneRing starts a depth-2 node on mem whose constant prober bins it
 // into the same lower ring as every other node started this way.
-func startOneRing(t *testing.T, mem *wire.MemNet, addr string) *Node {
+func startOneRing(t *testing.T, mem *wire.MemNet, addr string, tweaks ...func(*Config)) *Node {
 	t.Helper()
 	ln, err := mem.Listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Start("", Config{
+	cfg := Config{
 		Depth: 2, Landmarks: []string{"lm"}, Prober: constProber(10),
 		CallTimeout: 2 * time.Second, Listener: ln, Dial: mem.Dial,
 		Retry:   wire.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond},
 		Breaker: wire.BreakerPolicy{Threshold: -1},
-	})
+	}
+	for _, tweak := range tweaks {
+		tweak(&cfg)
+	}
+	n, err := Start("", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,21 +183,8 @@ func startOneRing(t *testing.T, mem *wire.MemNet, addr string) *Node {
 // become, so a lookup entering that ring climbs to the global ring and a
 // joiner adopts the node, instead of both dying on "layer 2 not joined".
 func TestEmptiedLowerRingListClimbs(t *testing.T) {
-	mem := wire.NewMemNet()
-	a, b := startOneRing(t, mem, "a"), startOneRing(t, mem, "b")
-	if err := a.CreateNetwork(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Join("a"); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 3; round++ {
-		for _, n := range []*Node{a, b} {
-			if err := n.StabilizeOnce(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	nodes := oneRingCluster(t, wire.NewMemNet(), []string{"a", "b"})
+	a, b := nodes[0], nodes[1]
 	if succ, _, _ := layerSnapshot(a, 2); len(succ) != 1 || succ[0].Addr != "b" {
 		t.Fatalf("a's layer-2 successors = %v, want [b]", succ)
 	}
@@ -231,25 +222,7 @@ func TestEmptiedLowerRingListClimbs(t *testing.T) {
 // once the stale entry is gone.
 func TestRejoinBeforeEvictionIsRefused(t *testing.T) {
 	mem := wire.NewMemNet()
-	nodes := []*Node{startOneRing(t, mem, "a"), startOneRing(t, mem, "b"), startOneRing(t, mem, "c")}
-	if err := nodes[0].CreateNetwork(); err != nil {
-		t.Fatal(err)
-	}
-	stabilize := func(ns ...*Node) {
-		for round := 0; round < 3; round++ {
-			for _, n := range ns {
-				if err := n.StabilizeOnce(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	for i, n := range nodes[1:] {
-		if err := n.Join("a"); err != nil {
-			t.Fatal(err)
-		}
-		stabilize(nodes[:i+2]...)
-	}
+	nodes := oneRingCluster(t, mem, []string{"a", "b", "c"})
 	nodes[1].Close()
 	early := startOneRing(t, mem, "b")
 	if err := early.Join("a"); err == nil {
@@ -257,7 +230,7 @@ func TestRejoinBeforeEvictionIsRefused(t *testing.T) {
 		t.Fatalf("rejoin before eviction succeeded with successors %v, predecessor %v", succ, pred)
 	}
 	early.Close()
-	stabilize(nodes[0], nodes[2])
+	stabilizeAll(t, without(nodes, nodes[1]), 3)
 	late := startOneRing(t, mem, "b")
 	if err := late.Join("a"); err != nil {
 		t.Fatalf("rejoin after eviction: %v", err)

@@ -2,9 +2,17 @@
 // protocol over TCP — the "real implementation" the paper lists as future
 // work. Nodes join through the §3.3 protocol (landmark probing, ring-table
 // lookup, per-ring integration), route hierarchically, and maintain their
-// rings with Chord-style stabilization. Lookups are client-driven and
+// rings with Chord-style stabilization. The §3.3 way into a lower ring —
+// route to the node storing the ring's table, pick a live boundary node,
+// walk the ring to your successor, write the table back — exists once
+// (enterRing, announce, adoptAnchor): a join runs it from the bootstrap,
+// and every stabilization round runs it once more per ring as merge scan,
+// re-anchor and table upkeep in one. Lookups are client-driven and
 // iterative, so request handlers never issue nested RPCs and cannot
 // deadlock.
+//
+// Config is the one configuration surface: zero fields take defaults and
+// Start refuses a malformed one with an error wrapping ErrBadOptions.
 //
 // Latency probing is pluggable: RTTProber measures real round trips, while
 // VirtualProber lets tests and demos place nodes on a synthetic coordinate
@@ -13,6 +21,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -94,8 +103,8 @@ type Config struct {
 	// RouteCached or RouteOneHop. Empty derives the mode from
 	// LookupCache for compatibility (cached when a cache is sized,
 	// classic otherwise). RouteOneHop maintains a gossip-fed near-full
-	// membership table per ring and answers lookups from it with a
-	// single verification RPC; the table is disseminated via
+	// membership table of the global ring and answers lookups from it
+	// with a single verification RPC; the table is disseminated via
 	// TRouteGossip on the stabilize cadence.
 	RouteMode string
 	// DropRouteGossip is a seeded-bug seam for the invariant harness: the
@@ -135,6 +144,64 @@ type Config struct {
 	Dial wire.DialFunc
 }
 
+// ErrBadOptions reports an invalid Config: every validation failure
+// wraps it, so callers can errors.Is once instead of matching message
+// strings (the same contract the root package's hieras.ErrBadOptions
+// provides for simulator options).
+var ErrBadOptions = errors.New("transport: invalid options")
+
+// validate rejects a malformed Config before Start defaults it. Zero
+// still means "use the default" everywhere, so only values no default
+// can stand in for are refused.
+func (c Config) validate() error {
+	if c.Depth < 0 {
+		return fmt.Errorf("%w: depth %d, must be >= 1", ErrBadOptions, c.Depth)
+	}
+	if c.CallTimeout < 0 {
+		return fmt.Errorf("%w: negative call timeout %v", ErrBadOptions, c.CallTimeout)
+	}
+	if c.LookupCache < 0 {
+		return fmt.Errorf("%w: negative lookup-cache capacity %d", ErrBadOptions, c.LookupCache)
+	}
+	switch c.RouteMode {
+	case "", RouteClassic, RouteCached, RouteOneHop:
+	default:
+		return fmt.Errorf("%w: route mode %q, want %s, %s or %s",
+			ErrBadOptions, c.RouteMode, RouteClassic, RouteCached, RouteOneHop)
+	}
+	if c.Replication.Factor < 0 {
+		return fmt.Errorf("%w: replication factor %d, must be >= 1", ErrBadOptions, c.Replication.Factor)
+	}
+	factor := c.Replication.WithDefaults().Factor
+	if q := c.Replication.WriteQuorum; q < 0 || q > factor {
+		return fmt.Errorf("%w: write quorum %d outside [0, %d]", ErrBadOptions, q, factor)
+	}
+	if q := c.Replication.ReadQuorum; q < 0 || q > factor {
+		return fmt.Errorf("%w: read quorum %d outside [0, %d]", ErrBadOptions, q, factor)
+	}
+	if c.Retry.MaxAttempts < 0 {
+		return fmt.Errorf("%w: %d attempts per call, must be >= 1 (1 disables retrying)", ErrBadOptions, c.Retry.MaxAttempts)
+	}
+	if c.Retry.BaseBackoff < 0 {
+		return fmt.Errorf("%w: negative retry backoff %v", ErrBadOptions, c.Retry.BaseBackoff)
+	}
+	if c.Retry.MaxBackoff != 0 && c.Retry.MaxBackoff < c.Retry.BaseBackoff {
+		return fmt.Errorf("%w: max backoff %v below base backoff %v",
+			ErrBadOptions, c.Retry.MaxBackoff, c.Retry.BaseBackoff)
+	}
+	if c.Breaker.Cooldown < 0 {
+		return fmt.Errorf("%w: negative breaker cooldown %v", ErrBadOptions, c.Breaker.Cooldown)
+	}
+	if c.TTL < 0 {
+		return fmt.Errorf("%w: negative ttl %v (use 0 to keep data forever)", ErrBadOptions, c.TTL)
+	}
+	if c.AntiEntropyEvery < 0 {
+		return fmt.Errorf("%w: anti-entropy cadence %d, must be >= 1 stabilize rounds",
+			ErrBadOptions, c.AntiEntropyEvery)
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.Depth == 0 {
 		c.Depth = 2
@@ -145,7 +212,7 @@ func (c Config) withDefaults() Config {
 	if c.CallTimeout == 0 {
 		c.CallTimeout = 3 * time.Second
 	}
-	if c.AntiEntropyEvery < 1 {
+	if c.AntiEntropyEvery == 0 {
 		c.AntiEntropyEvery = 1
 	}
 	if c.RouteMode == "" {
@@ -237,13 +304,14 @@ func ringID(layer int, name string) id.ID {
 func peerID(p wire.Peer) id.ID { return id.ID(p.ID) }
 
 // Start listens on listenAddr ("127.0.0.1:0" for tests) and serves the
-// protocol. The node is not part of any network until CreateNetwork or
-// Join is called.
+// protocol. A malformed cfg is refused with an error wrapping
+// ErrBadOptions; zero fields take their defaults. The node is not part of
+// any network until CreateNetwork or Join is called.
 func Start(listenAddr string, cfg Config) (*Node, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Depth < 1 {
-		return nil, fmt.Errorf("transport: depth must be >= 1")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	switch cfg.RouteMode {
 	case RouteClassic:
 		// An explicit classic mode switches every acceleration tier off.
@@ -252,9 +320,6 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 		if cfg.LookupCache == 0 {
 			cfg.LookupCache = 256
 		}
-	case RouteOneHop:
-	default:
-		return nil, fmt.Errorf("transport: unknown route mode %q", cfg.RouteMode)
 	}
 	if cfg.Depth > 1 && cfg.Ladder == nil {
 		l, err := binning.DefaultLadder(cfg.Depth)
@@ -679,41 +744,20 @@ func (n *Node) evictLocal(layer int, dead string) {
 	n.recordEvictLocked(layer, dead)
 }
 
-// ringNameLocked maps a layer to the ring name used in route-gossip
-// events: the global ring is "", lower layers use this node's own ring
-// name (a node only names rings it is a member of).
-func (n *Node) ringNameLocked(layer int) (string, bool) {
-	if layer == 1 {
-		return "", true
-	}
-	if layer-2 >= 0 && layer-2 < len(n.ringNames) {
-		return n.ringNames[layer-2], true
-	}
-	return "", false
-}
-
 // recordEvictLocked stamps an eviction tombstone into the one-hop table
-// on fresh failure evidence for a peer. A subject that is already a
-// departure is left alone: re-stamping on every repeated failure would
-// push stamps arbitrarily far ahead of the clock, and a runaway
-// tombstone can shadow the peer's genuine rejoin.
+// on fresh failure evidence for a peer. The table tracks the global ring
+// only (see routeEvent), so only layer-1 evidence is recorded. A subject
+// that is already a departure is left alone: re-stamping on every
+// repeated failure would push stamps arbitrarily far ahead of the clock,
+// and a runaway tombstone can shadow the peer's genuine rejoin.
 func (n *Node) recordEvictLocked(layer int, dead string) {
-	if n.routes == nil || dead == "" || dead == n.addr {
+	if n.routes == nil || layer != 1 || dead == "" || dead == n.addr {
 		return
 	}
-	name, ok := n.ringNameLocked(layer)
-	if !ok {
+	if cur, ok := n.routes.Latest(1, "", dead); ok && cur.Kind != wire.RouteJoin {
 		return
 	}
-	if cur, ok := n.routes.Latest(layer, name, dead); ok && cur.Kind != wire.RouteJoin {
-		return
-	}
-	n.routes.Apply(wire.RouteEvent{
-		Layer: layer, Ring: name,
-		Peer:  wire.Peer{Addr: dead, ID: [20]byte(NodeID(dead))},
-		Kind:  wire.RouteEvict,
-		Stamp: n.routes.NextStamp(layer, name, dead, n.clock()),
-	})
+	n.routeEvent(wire.Peer{Addr: dead, ID: [20]byte(NodeID(dead))}, wire.RouteEvict)
 }
 
 // findClosestLocked is one iterative routing step in a layer (paper §3.2):

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"sort"
-
 	"repro/internal/id"
 	"repro/internal/wire"
 )
@@ -55,7 +53,7 @@ func (n *Node) Snapshot() Snapshot {
 		Layers:    make([]LayerSnapshot, len(n.layers)),
 		Keys:      n.store.Keys(),
 		Items:     n.store.Items(),
-		Tables:    make([]wire.RingTable, 0, len(n.tables)),
+		Tables:    n.storedTablesLocked(),
 	}
 	for i, ls := range n.layers {
 		layer := LayerSnapshot{
@@ -69,18 +67,9 @@ func (n *Node) Snapshot() Snapshot {
 		}
 		s.Layers[i] = layer
 	}
-	for _, t := range n.tables {
-		s.Tables = append(s.Tables, t)
-	}
 	if n.routes != nil {
 		s.Routes = n.routes.Events()
 	}
-	sort.Slice(s.Tables, func(i, j int) bool {
-		if s.Tables[i].Layer != s.Tables[j].Layer {
-			return s.Tables[i].Layer < s.Tables[j].Layer
-		}
-		return s.Tables[i].Name < s.Tables[j].Name
-	})
 	return s
 }
 
