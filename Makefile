@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race allocs perf-smoke size lint vet check clean
+.PHONY: all build test race allocs perf-smoke tables-check size lint vet check clean
 
 all: check
 
@@ -26,6 +26,15 @@ allocs:
 # this short are for reading, not for comparing.
 perf-smoke:
 	$(GO) run ./bench/perf -seconds 1 -scale 0.25 -json > perf.json
+
+# tables-check regenerates every EXPERIMENTS table and diffs it against
+# the archive (~30 s). The output is a function of the seed alone, at any
+# -workers, so any difference is a behaviour change: silent means every
+# printed table is byte-identical.
+tables-check:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	$(GO) run ./cmd/hieras-bench -scale 0.2 -seed 2003 > "$$tmp" && \
+	diff docs/evaluation-scale0.2.txt "$$tmp"
 
 # size prints the line count ROADMAP's "lines removed" aim is judged by:
 # non-test Go outside bench/perf (the harness is frozen by BENCHMARK.json)

@@ -73,10 +73,8 @@ func main() {
 		Routers:   *routers,
 		Workers:   *workers,
 	}
-	s.Pool = experiments.NewPool(*workers)
 	if *dumpMet {
 		s.Metrics = metrics.NewRegistry()
-		s.Pool.Instrument(s.Metrics)
 	}
 	fmt.Printf("building %s underlay with %d peers (depth %d, %d landmarks, seed %d)...\n",
 		s.Model, s.Nodes, s.Depth, s.Landmarks, s.Seed)
@@ -100,7 +98,7 @@ func main() {
 					p.HierasLatencyMs, p.ChordLatencyMs, p.LatencyRatio)
 			}
 		}
-		fmt.Printf("\nrouting %d requests on %d workers...\n", s.Requests, s.Pool.Workers())
+		fmt.Printf("\nrouting %d requests on %d workers...\n", s.Requests, experiments.NewPool(*workers).Workers())
 	}
 	cmp, err := experiments.CompareStream(context.Background(), o, s, onProgress)
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 	"repro/internal/topology/brite"
 	"repro/internal/topology/inet"
 	"repro/internal/topology/transitstub"
-	"repro/internal/topology/waxman"
 )
 
 func main() {
@@ -28,7 +27,7 @@ func main() {
 	log.SetPrefix("topogen: ")
 
 	var (
-		model   = flag.String("model", "ts", "topology model: ts, inet, brite or waxman")
+		model   = flag.String("model", "ts", "topology model: ts, inet or brite")
 		nodes   = flag.Int("nodes", 1000, "overlay hosts (sizes the ts underlay)")
 		routers = flag.Int("routers", 512, "router count for inet/brite")
 		seed    = flag.Int64("seed", 1, "random seed")
@@ -57,12 +56,6 @@ func main() {
 	case "brite":
 		var err error
 		u, err = brite.Generate(brite.Config{Routers: *routers}, rng)
-		if err != nil {
-			log.Fatal(err)
-		}
-	case "waxman":
-		var err error
-		u, err = waxman.Generate(waxman.Config{Routers: *routers}, rng)
 		if err != nil {
 			log.Fatal(err)
 		}

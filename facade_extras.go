@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/routes"
 	"repro/internal/wire"
 )
@@ -180,18 +179,6 @@ func (os *OneHopSystem) HitRate() float64 {
 		return 0
 	}
 	return float64(h) / float64(h+s)
-}
-
-// Instrument exposes the hit/stale counts on reg as onehop_hits_total /
-// onehop_stale_total, tagged with the given labels so several one-hop
-// views can share one registry.
-func (os *OneHopSystem) Instrument(reg *metrics.Registry, labels ...metrics.Label) {
-	reg.NewCounterFunc("onehop_hits_total",
-		"Lookups answered by the one-hop route table with a verified owner.",
-		func() float64 { h, _ := os.Stats(); return float64(h) }, labels...)
-	reg.NewCounterFunc("onehop_stale_total",
-		"One-hop lookups that fell back to the classic walk (stale or missing table entry).",
-		func() float64 { _, s := os.Stats(); return float64(s) }, labels...)
 }
 
 // FailPeers returns a degraded view of the system in which `fraction` of

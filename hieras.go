@@ -17,8 +17,9 @@
 //	cmp, err := sys.Compare(10000)
 //
 // Every lookup surface — the plain System, the location-caching
-// CachedSystem and the failure-injecting DegradedSystem — implements the
-// Lookuper interface, so harness code is written once against it.
+// CachedSystem, the route-table OneHopSystem and the failure-injecting
+// DegradedSystem — implements the Lookuper interface, so harness code is
+// written once against it.
 // Bulk measurement goes through the parallel batch query engine:
 // System.BatchLookup fans explicit requests across workers, and
 // System.Compare / CompareContext run the full HIERAS-vs-Chord workload
@@ -39,9 +40,9 @@ import (
 
 // Lookuper is the unified lookup surface of this package: Lookup routes
 // hierarchically (HIERAS), ChordLookup routes over the flat global ring
-// (the paper's baseline). System, CachedSystem and DegradedSystem all
-// implement it, so experiment harnesses and cmd/* accept any of the
-// three interchangeably.
+// (the paper's baseline). System, CachedSystem, OneHopSystem and
+// DegradedSystem all implement it, so experiment harnesses and cmd/*
+// accept any of the four interchangeably.
 type Lookuper interface {
 	Lookup(origin int, key string) (Route, error)
 	ChordLookup(origin int, key string) (Route, error)
@@ -90,7 +91,7 @@ type System struct {
 // topology generation. Zero values mean "use the default" and pass.
 func (o Options) validate() error {
 	switch o.Model {
-	case "", experiments.ModelTS, experiments.ModelInet, experiments.ModelBRITE, experiments.ModelWaxman:
+	case "", experiments.ModelTS, experiments.ModelInet, experiments.ModelBRITE:
 	default:
 		return fmt.Errorf("%w: unknown topology model %q", ErrBadOptions, o.Model)
 	}

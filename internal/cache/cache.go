@@ -9,12 +9,12 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/id"
+	"repro/internal/lru"
 	"repro/internal/metrics"
 )
 
@@ -40,57 +40,14 @@ func (p Policy) String() string {
 	}
 }
 
-// lru is a fixed-capacity LRU map from key id to owner index.
-type lru struct {
-	cap   int
-	order *list.List // front = most recent; values are lruEntry
-	items map[id.ID]*list.Element
-}
-
-type lruEntry struct {
-	key   id.ID
-	owner int
-}
-
-func newLRU(capacity int) *lru {
-	return &lru{cap: capacity, order: list.New(), items: make(map[id.ID]*list.Element, capacity)}
-}
-
-func (c *lru) get(key id.ID) (int, bool) {
-	e, ok := c.items[key]
-	if !ok {
-		return 0, false
-	}
-	c.order.MoveToFront(e)
-	return e.Value.(lruEntry).owner, true
-}
-
-func (c *lru) put(key id.ID, owner int) {
-	if e, ok := c.items[key]; ok {
-		e.Value = lruEntry{key, owner}
-		c.order.MoveToFront(e)
-		return
-	}
-	if c.order.Len() >= c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(lruEntry).key)
-	}
-	c.items[key] = c.order.PushFront(lruEntry{key, owner})
-}
-
-func (c *lru) len() int { return c.order.Len() }
-
 // Overlay wraps a core overlay with per-peer location caches. Safe for
 // concurrent use.
 type Overlay struct {
 	o      *core.Overlay
 	policy Policy
+	caches []*lru.Cache[int] // caches[i]: peer i's key → owner index bindings
 
-	mu     sync.Mutex
-	caches []*lru
-	hits   int64
-	misses int64
+	hits, misses atomic.Int64
 }
 
 // New wraps o with per-peer caches of the given capacity.
@@ -98,9 +55,9 @@ func New(o *core.Overlay, capacity int, policy Policy) (*Overlay, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("cache: capacity must be >= 1, got %d", capacity)
 	}
-	caches := make([]*lru, o.N())
+	caches := make([]*lru.Cache[int], o.N())
 	for i := range caches {
-		caches[i] = newLRU(capacity)
+		caches[i] = lru.New[int](capacity)
 	}
 	return &Overlay{o: o, policy: policy, caches: caches}, nil
 }
@@ -117,13 +74,8 @@ type Result struct {
 // requester's cache first. A hit costs a single direct hop; misses run the
 // full HIERAS procedure and populate caches per the policy.
 func (v *Overlay) Lookup(from int, key id.ID) Result {
-	v.mu.Lock()
-	owner, ok := v.caches[from].get(key)
-	v.mu.Unlock()
-	if ok {
-		v.mu.Lock()
-		v.hits++
-		v.mu.Unlock()
+	if owner, ok := v.caches[from].Get(key); ok {
+		v.hits.Add(1)
 		res := Result{RouteResult: core.RouteResult{Origin: from, Dest: owner, Key: key}, Hit: true}
 		if owner != from {
 			lat := v.o.Network().Latency(v.o.Node(from).Host, v.o.Node(owner).Host)
@@ -133,15 +85,13 @@ func (v *Overlay) Lookup(from int, key id.ID) Result {
 		return res
 	}
 	route := v.o.Route(from, key)
-	v.mu.Lock()
-	v.misses++
-	v.caches[from].put(key, route.Dest)
+	v.misses.Add(1)
+	v.caches[from].Put(key, route.Dest)
 	if v.policy == CacheAlongPath {
 		for _, h := range route.Hops {
-			v.caches[h.To].put(key, route.Dest)
+			v.caches[h.To].Put(key, route.Dest)
 		}
 	}
-	v.mu.Unlock()
 	return Result{RouteResult: route}
 }
 
@@ -161,9 +111,7 @@ func (v *Overlay) Instrument(reg *metrics.Registry, labels ...metrics.Label) {
 
 // Stats returns cumulative hit/miss counts.
 func (v *Overlay) Stats() (hits, misses int64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.hits, v.misses
+	return v.hits.Load(), v.misses.Load()
 }
 
 // HitRate returns hits / lookups (0 before any lookup).
@@ -176,20 +124,4 @@ func (v *Overlay) HitRate() float64 {
 }
 
 // Entries reports how many bindings peer i currently caches.
-func (v *Overlay) Entries(i int) int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.caches[i].len()
-}
-
-// Invalidate removes a binding everywhere (e.g. after the owner departed).
-func (v *Overlay) Invalidate(key id.ID) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, c := range v.caches {
-		if e, ok := c.items[key]; ok {
-			c.order.Remove(e)
-			delete(c.items, key)
-		}
-	}
-}
+func (v *Overlay) Entries(i int) int { return v.caches[i].Len() }

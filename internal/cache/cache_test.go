@@ -32,30 +32,6 @@ func testOverlay(t testing.TB, hosts int, seed int64) *core.Overlay {
 	return o
 }
 
-func TestLRU(t *testing.T) {
-	c := newLRU(2)
-	k1, k2, k3 := id.HashString("1"), id.HashString("2"), id.HashString("3")
-	c.put(k1, 10)
-	c.put(k2, 20)
-	if v, ok := c.get(k1); !ok || v != 10 {
-		t.Fatal("k1 missing")
-	}
-	c.put(k3, 30) // evicts k2 (k1 was touched)
-	if _, ok := c.get(k2); ok {
-		t.Error("k2 should have been evicted")
-	}
-	if _, ok := c.get(k1); !ok {
-		t.Error("k1 should survive")
-	}
-	c.put(k1, 99) // update in place
-	if v, _ := c.get(k1); v != 99 {
-		t.Error("update lost")
-	}
-	if c.len() != 2 {
-		t.Errorf("len = %d", c.len())
-	}
-}
-
 func TestNewErrors(t *testing.T) {
 	o := testOverlay(t, 30, 1)
 	if _, err := New(o, 0, CacheAtOrigin); err == nil {
@@ -176,20 +152,6 @@ func TestZipfWorkloadHitRate(t *testing.T) {
 	if hitN > 0 && missN > 0 && hitLat/float64(hitN) >= missLat/float64(missN) {
 		t.Errorf("hits (%.1f ms) should be cheaper than misses (%.1f ms)",
 			hitLat/float64(hitN), missLat/float64(missN))
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	o := testOverlay(t, 60, 9)
-	v, _ := New(o, 16, CacheAlongPath)
-	key := id.HashString("inval")
-	_ = v.Lookup(3, key)
-	if res := v.Lookup(3, key); !res.Hit {
-		t.Fatal("expected hit before invalidation")
-	}
-	v.Invalidate(key)
-	if res := v.Lookup(3, key); res.Hit {
-		t.Error("hit after invalidation")
 	}
 }
 

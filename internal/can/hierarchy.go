@@ -3,6 +3,7 @@ package can
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/binning"
 	"repro/internal/topology"
@@ -93,8 +94,16 @@ func BuildHierarchy(net *topology.Network, cfg HierarchyConfig, rng *rand.Rand) 
 		h.rings = make([]map[string]*Space, cfg.Depth-1)
 		for l := range byName {
 			h.rings[l] = make(map[string]*Space, len(byName[l]))
-			for name, members := range byName[l] {
-				sp, err := Build(members, cfg.Dims, rng)
+			// Sorted-name order, as core.Build does: every Build draws
+			// from the shared rng, so map order would make each run's
+			// zones (and the printed row) different.
+			names := make([]string, 0, len(byName[l]))
+			for name := range byName[l] {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			for _, name := range names {
+				sp, err := Build(byName[l][name], cfg.Dims, rng)
 				if err != nil {
 					return nil, err
 				}

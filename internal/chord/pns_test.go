@@ -161,3 +161,35 @@ func TestPNSLowersPerHopLatency(t *testing.T) {
 		t.Errorf("PNS per-hop latency %.1f should beat plain %.1f", p, q)
 	}
 }
+
+// TestPNSWorkerInvariant: the worker count decides who samples a block of
+// members, never what is drawn — so every printed PNS row is the same on
+// a 2-core and a 64-core box.
+func TestPNSWorkerInvariant(t *testing.T) {
+	const n = 300
+	net := pnsNet(t, n, 15)
+	rng := rand.New(rand.NewSource(16))
+	ms := makeMembers(rng, n)
+	for i := range ms {
+		ms[i].Host = i
+	}
+	var ref *Table
+	for _, workers := range []int{1, 2, 5} {
+		tbl, err := BuildTablePNS(ms, net.Latency, 8, 17, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = tbl
+			continue
+		}
+		for i := 0; i < n; i++ {
+			for k := uint(0); k < id.Bits; k++ {
+				if tbl.Finger(i, k) != ref.Finger(i, k) {
+					t.Fatalf("workers=%d: finger[%d][%d] = %d, workers=1 chose %d",
+						workers, i, k, tbl.Finger(i, k), ref.Finger(i, k))
+				}
+			}
+		}
+	}
+}

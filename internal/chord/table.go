@@ -132,46 +132,88 @@ func (t *Table) SuccessorIndex(key id.ID) int {
 	return i
 }
 
-// PredecessorIndex returns the member index of the last member strictly
-// before key on the ring.
-func (t *Table) PredecessorIndex(key id.ID) int {
-	return t.Prev(t.SuccessorIndex(key))
-}
-
 // ClosestPrecedingFinger returns the member among i's fingers whose
 // identifier most immediately precedes key, or i itself when no finger
 // falls inside (ids[i], key). This is Chord's closest_preceding_finger.
 func (t *Table) ClosestPrecedingFinger(i int, key id.ID) int {
+	return t.closestPreceding(i, key, nil)
+}
+
+// closestPreceding is ClosestPrecedingFinger over the live members only:
+// a finger pointing at a dead peer is skipped (a timeout in a real
+// deployment) and the next lower one tried. A nil mask means nobody is
+// dead.
+func (t *Table) closestPreceding(i int, key id.ID, dead []bool) int {
 	for k := id.Bits - 1; k >= 0; k-- {
 		f := int(t.fingers[i][k])
-		if f != i && id.Between(t.ids[f], t.ids[i], key) {
+		if f != i && (dead == nil || !dead[f]) && id.Between(t.ids[f], t.ids[i], key) {
 			return f
 		}
 	}
 	return i
 }
 
-// WalkToPredecessor routes from member `from` toward key using fingers,
-// stopping at the member that immediately precedes key in this ring (the
-// node "numerically closest to the requested key than any other peers in
-// this ring" of paper §3.2, one position short of the ring owner). visit,
-// if non-nil, is called once per hop. It returns the final member and the
-// hop count.
-func (t *Table) WalkToPredecessor(from int, key id.ID, visit func(from, to int)) (int, int) {
+// Walk is the one Chord ring walk: it routes from member `from` toward
+// key using fingers and stops at the live member that immediately
+// precedes key in this ring (the node "numerically closest to the
+// requested key than any other peers in this ring" of paper §3.2, one
+// position short of the ring owner). visit, if non-nil, is called once
+// per hop.
+//
+// dead, when non-nil, marks failed members by member index, before any
+// repair has run: a member's successor is then the first live entry of
+// its r-long successor list, and fingers to dead members are skipped.
+// With a nil mask the successor of u is Next(u) and r is unused.
+//
+// It returns the predecessor reached, that member's live successor, and
+// how many dead successors were bridged on the way. ok is false when the
+// walk cannot go on from pred — r consecutive successors are dead, the
+// situation real Chord cannot survive either, or the step bound ran out —
+// and succ is then meaningless.
+func (t *Table) Walk(from int, key id.ID, dead []bool, r int, visit func(from, to int)) (pred, succ, skips int, ok bool) {
+	n := len(t.ids)
+	if r > n-1 {
+		r = n - 1
+	}
 	u := from
-	hops := 0
-	for !id.InOpenClosed(key, t.ids[u], t.ids[t.Next(u)]) {
-		v := t.ClosestPrecedingFinger(u, key)
+	for step := 0; step < 4*id.Bits; step++ {
+		s := t.Next(u)
+		if dead != nil {
+			d := 1
+			for ; d <= r && dead[(u+d)%n]; d++ {
+				skips++
+			}
+			if d > r {
+				return u, u, skips, false
+			}
+			s = (u + d) % n
+		}
+		if id.InOpenClosed(key, t.ids[u], t.ids[s]) {
+			return u, s, skips, true
+		}
+		v := t.closestPreceding(u, key, dead)
 		if v == u {
-			v = t.Next(u)
+			v = s
 		}
 		if visit != nil {
 			visit(u, v)
 		}
 		u = v
-		hops++
 	}
-	return u, hops
+	return u, u, skips, false
+}
+
+// WalkToPredecessor is Walk on a healthy ring: it returns the member
+// immediately preceding key and the hop count.
+func (t *Table) WalkToPredecessor(from int, key id.ID, visit func(from, to int)) (int, int) {
+	hops := 0
+	p, _, _, _ := t.Walk(from, key, nil, 0, func(f, to int) {
+		hops++
+		if visit != nil {
+			visit(f, to)
+		}
+	})
+	return p, hops
 }
 
 // Lookup performs a full Chord lookup from member `from`: it routes to
@@ -184,12 +226,6 @@ func (t *Table) Lookup(from int, key id.ID, visit func(from, to int)) (int, int)
 		return from, 0
 	}
 	p, hops := t.WalkToPredecessor(from, key, visit)
-	if p == owner {
-		// Possible when from == predecessor wrapped into owner via walk;
-		// owner check above handles from==owner, so p != owner implies a
-		// final hop in all other cases.
-		return owner, hops
-	}
 	if visit != nil {
 		visit(p, owner)
 	}

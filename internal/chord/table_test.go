@@ -99,7 +99,7 @@ func TestPredecessorIndex(t *testing.T) {
 	tbl := mustTable(t, makeMembers(rng, 30))
 	for trial := 0; trial < 200; trial++ {
 		key := id.Rand(rng)
-		p := tbl.PredecessorIndex(key)
+		p := tbl.Prev(tbl.SuccessorIndex(key))
 		if !id.InOpenClosed(key, tbl.ID(p), tbl.ID(tbl.Next(p))) {
 			t.Fatalf("predecessor %d does not precede key %s", p, key.Short())
 		}
@@ -244,6 +244,51 @@ func TestWalkToPredecessor(t *testing.T) {
 		if !id.InOpenClosed(key, tbl.ID(p), tbl.ID(tbl.Next(p))) {
 			t.Fatalf("walk ended at %d which does not precede %s", p, key.Short())
 		}
+	}
+}
+
+// TestWalkAroundDeadMembers: with a mask the walk visits live members
+// only, ends at the live member preceding the key with that member's live
+// successor, counts the dead successors it bridged, and gives up when a
+// whole successor list is dead.
+func TestWalkAroundDeadMembers(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	tbl := mustTable(t, makeMembers(rng, 80))
+	dead := make([]bool, tbl.Len())
+	for i := range dead {
+		dead[i] = i%3 == 1
+	}
+	bridged := 0
+	for trial := 0; trial < 300; trial++ {
+		from := 3 * rng.Intn(tbl.Len()/3)
+		key := id.Rand(rng)
+		p, s, skips, ok := tbl.Walk(from, key, dead, 4, func(f, to int) {
+			if dead[f] || dead[to] {
+				t.Fatalf("hop %d -> %d touches a dead member", f, to)
+			}
+		})
+		if !ok {
+			t.Fatal("walk failed with at most one dead member in a row and r = 4")
+		}
+		if dead[p] || dead[s] || !id.InOpenClosed(key, tbl.ID(p), tbl.ID(s)) {
+			t.Fatalf("walk ended at (%d, %d), which does not bracket %s among live members", p, s, key.Short())
+		}
+		for m := tbl.Next(p); m != s; m = tbl.Next(m) {
+			if !dead[m] {
+				t.Fatalf("live member %d lies between predecessor %d and its live successor %d", m, p, s)
+			}
+		}
+		bridged += skips
+	}
+	if bridged == 0 {
+		t.Error("a third of the members are dead and no successor was bridged")
+	}
+	// Only member 0 alive in reach: r consecutive successors are dead.
+	for i := range dead {
+		dead[i] = i != 0
+	}
+	if _, _, skips, ok := tbl.Walk(0, tbl.ID(40), dead, 4, nil); ok || skips != 4 {
+		t.Errorf("walk over a shattered ring: ok=%v skips=%d, want failure after 4 skips", ok, skips)
 	}
 }
 

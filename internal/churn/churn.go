@@ -9,9 +9,7 @@ package churn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/eventsim"
 	"repro/internal/id"
@@ -203,31 +201,4 @@ func trueOwner(live []*transport.Node, key id.ID) *transport.Node {
 		}
 	}
 	return best
-}
-
-// Sweep runs churn at several failure intensities and reports rows of
-// (mean fail interarrival, correctness). Used by the ablation benches.
-type SweepRow struct {
-	FailEvery   float64
-	CorrectRate float64
-	Fails       int
-}
-
-// FailureSweep varies FailEvery and returns one row per setting.
-func FailureSweep(net *topology.Network, base Config, failEvery []float64) ([]SweepRow, error) {
-	var out []SweepRow
-	for _, fe := range failEvery {
-		cfg := base
-		cfg.FailEvery = fe
-		if math.IsNaN(fe) {
-			return nil, fmt.Errorf("churn: NaN failure interval")
-		}
-		r, err := Run(net, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepRow{FailEvery: fe, CorrectRate: r.CorrectRate, Fails: r.Fails})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FailEvery < out[j].FailEvery })
-	return out, nil
 }

@@ -136,56 +136,3 @@ func TestChurnDeterministic(t *testing.T) {
 		t.Error("same seed produced different churn results")
 	}
 }
-
-func TestFailureSweep(t *testing.T) {
-	net := testNet(t, 60, 6)
-	cfg := baseConfig()
-	cfg.Duration = 50
-	rows, err := FailureSweep(net, cfg, []float64{50, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[0].FailEvery > rows[1].FailEvery {
-		t.Error("rows not sorted by failure interval")
-	}
-}
-
-func TestFailureSweepEmpty(t *testing.T) {
-	net := testNet(t, 60, 6)
-	cfg := baseConfig()
-	rows, err := FailureSweep(net, cfg, nil)
-	if err != nil {
-		t.Fatalf("empty sweep errored: %v", err)
-	}
-	if len(rows) != 0 {
-		t.Fatalf("empty sweep produced %d rows", len(rows))
-	}
-}
-
-func TestFailureSweepZeroMatchesBaseline(t *testing.T) {
-	// FailEvery 0 disables the failure process, so that sweep row must
-	// reproduce a plain no-churn Run on an identical network and seed.
-	cfg := baseConfig()
-	cfg.Duration = 50
-	rows, err := FailureSweep(testNet(t, 60, 7), cfg, []float64{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0].Fails != 0 {
-		t.Fatalf("zero-failure row = %+v", rows)
-	}
-	base, err := Run(testNet(t, 60, 7), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Fails != 0 {
-		t.Fatalf("baseline ran failures: %d", base.Fails)
-	}
-	if rows[0].CorrectRate != base.CorrectRate {
-		t.Errorf("zero-failure sweep row diverged from baseline: %.4f vs %.4f",
-			rows[0].CorrectRate, base.CorrectRate)
-	}
-}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/chord"
 	"repro/internal/id"
 )
 
@@ -14,10 +13,10 @@ import (
 // paper says HIERAS inherits in every layer (§3.3). The view is read-only
 // and safe for concurrent use.
 type FaultyView struct {
-	o    *Overlay
-	dead []bool
-	r    int
-	rm   *routeMetrics // overlay instrumentation at view creation; may be nil
+	o     *Overlay
+	dead  []bool           // by overlay node index; also the global ring's mask
+	masks map[*Ring][]bool // the same failures by member index, per ring
+	rm    *routeMetrics    // overlay instrumentation at view creation; may be nil
 }
 
 // WithFailures returns a view of the overlay in which dead[i] peers have
@@ -37,7 +36,17 @@ func (o *Overlay) WithFailures(dead []bool) (*FaultyView, error) {
 	if alive == 0 {
 		return nil, fmt.Errorf("core: all peers failed")
 	}
-	return &FaultyView{o: o, dead: cp, r: o.cfg.SuccessorListLen, rm: o.instr.Load()}, nil
+	v := &FaultyView{o: o, dead: cp, masks: map[*Ring][]bool{o.global: cp}, rm: o.instr.Load()}
+	for _, byName := range o.rings {
+		for _, r := range byName {
+			mask := make([]bool, r.Size())
+			for m, gi := range r.Global {
+				mask[m] = cp[gi]
+			}
+			v.masks[r] = mask
+		}
+	}
+	return v, nil
 }
 
 // Alive reports whether peer i is alive in this view.
@@ -46,153 +55,24 @@ func (v *FaultyView) Alive(i int) bool { return !v.dead[i] }
 // LiveOwner returns the first live peer at or after key on the global
 // ring — where the key's responsibility lands after the failures.
 func (v *FaultyView) LiveOwner(key id.ID) int {
-	u := v.o.global.SuccessorIndex(key)
+	u := v.o.global.Table.SuccessorIndex(key)
 	for i := 0; i < v.o.N(); i++ {
 		if !v.dead[u] {
 			return u
 		}
-		u = v.o.global.Next(u)
+		u = v.o.global.Table.Next(u)
 	}
 	return -1 // unreachable: WithFailures guarantees a live peer
 }
 
-// liveSuccessor finds the first live member after m in the ring's
-// successor list (global index translation via toGlobal). It fails when r
-// consecutive successors are dead — the situation real Chord cannot
-// survive either.
-func (v *FaultyView) liveSuccessor(t *chord.Table, m int, toGlobal func(int) int) (int, bool) {
-	for _, s := range t.SuccessorList(m, v.r) {
-		if !v.dead[toGlobal(s)] {
-			return s, true
-		}
-		if v.rm != nil {
-			v.rm.deadSkips.Inc()
-		}
-	}
-	return 0, false
-}
-
-// walkLayer routes toward key inside one ring, skipping dead fingers,
-// until the current member immediately precedes the key among live ring
-// members. Returns the final member.
-func (v *FaultyView) walkLayer(t *chord.Table, from int, key id.ID, toGlobal func(int) int, record func(f, to int)) (int, error) {
-	u := from
-	for step := 0; step < 4*id.Bits; step++ {
-		s, ok := v.liveSuccessor(t, u, toGlobal)
-		if !ok {
-			return u, fmt.Errorf("core: %d consecutive successors dead", v.r)
-		}
-		if id.InOpenClosed(key, t.ID(u), t.ID(s)) {
-			return u, nil
-		}
-		// Closest preceding LIVE finger.
-		next := -1
-		for k := id.Bits - 1; k >= 0; k-- {
-			f := t.Finger(u, uint(k))
-			if f != u && !v.dead[toGlobal(f)] && id.Between(t.ID(f), t.ID(u), key) {
-				next = f
-				break
-			}
-		}
-		if next == -1 {
-			next = s
-		}
-		record(u, next)
-		u = next
-	}
-	return u, fmt.Errorf("core: faulty walk did not converge")
-}
-
-// Route performs the hierarchical routing procedure under failures. The
-// originator must be alive. On success Dest is the key's live owner.
+// Route performs the hierarchical routing procedure under failures —
+// Overlay.Route's loop with the view's masks. The originator must be
+// alive. On success Dest is the key's live owner.
 func (v *FaultyView) Route(from int, key id.ID) (RouteResult, error) {
-	if v.dead[from] {
-		return RouteResult{}, fmt.Errorf("core: route from dead peer %d", from)
-	}
-	res := RouteResult{Origin: from, Key: key}
-	owner := v.LiveOwner(key)
-	res.Dest = owner
-	record := func(layer int) func(f, tg int) {
-		return func(f, tg int) {
-			lat := v.o.net.Latency(v.o.nodes[f].Host, v.o.nodes[tg].Host)
-			res.Hops = append(res.Hops, Hop{Layer: layer, From: f, To: tg, Latency: lat})
-			res.Latency += lat
-			if layer >= 2 {
-				res.LowerHops++
-				res.LowerLatency += lat
-			}
-			v.rm.hop(layer)
-		}
-	}
-	cur := from
-	for layer := v.o.cfg.Depth; layer >= 2; layer-- {
-		if cur == owner {
-			return res, nil
-		}
-		ring, member := v.o.RingOf(cur, layer)
-		rec := record(layer)
-		p, err := v.walkLayer(ring.Table, member, key, func(m int) int { return int(ring.Global[m]) },
-			func(f, tg int) { rec(int(ring.Global[f]), int(ring.Global[tg])) })
-		// A lower ring can be shattered (r consecutive ring successors
-		// dead) while the overlay as a whole is fine; on error give up on
-		// this layer from wherever the partial walk reached and climb, as
-		// a real peer would after timeouts.
-		cur = int(ring.Global[p])
-		if err != nil && v.rm != nil {
-			v.rm.layerAborts.Inc()
-		}
-	}
-	if cur == owner {
-		return res, nil
-	}
-	rec := record(1)
-	p, err := v.walkLayer(v.o.global, cur, key, func(m int) int { return m }, rec)
-	if err != nil {
-		return res, err
-	}
-	if p != owner {
-		// Final hop to the live owner (possibly skipping dead successors).
-		s, ok := v.liveSuccessor(v.o.global, p, func(m int) int { return m })
-		if !ok {
-			return res, fmt.Errorf("core: owner unreachable past %d", p)
-		}
-		rec(p, s)
-		if s != owner {
-			return res, fmt.Errorf("core: landed on %d, live owner is %d", s, owner)
-		}
-	}
-	return res, nil
+	return v.o.route(from, key, v.o.cfg.Depth, v, v.rm)
 }
 
 // ChordRoute is the flat baseline under the same failures.
 func (v *FaultyView) ChordRoute(from int, key id.ID) (RouteResult, error) {
-	if v.dead[from] {
-		return RouteResult{}, fmt.Errorf("core: route from dead peer %d", from)
-	}
-	res := RouteResult{Origin: from, Key: key}
-	owner := v.LiveOwner(key)
-	res.Dest = owner
-	if from == owner {
-		return res, nil
-	}
-	rec := func(f, tg int) {
-		lat := v.o.net.Latency(v.o.nodes[f].Host, v.o.nodes[tg].Host)
-		res.Hops = append(res.Hops, Hop{Layer: 1, From: f, To: tg, Latency: lat})
-		res.Latency += lat
-	}
-	p, err := v.walkLayer(v.o.global, from, key, func(m int) int { return m }, rec)
-	if err != nil {
-		return res, err
-	}
-	if p != owner {
-		s, ok := v.liveSuccessor(v.o.global, p, func(m int) int { return m })
-		if !ok {
-			return res, fmt.Errorf("core: owner unreachable past %d", p)
-		}
-		rec(p, s)
-		if s != owner {
-			return res, fmt.Errorf("core: landed on %d, live owner is %d", s, owner)
-		}
-	}
-	return res, nil
+	return v.o.route(from, key, 1, v, nil)
 }

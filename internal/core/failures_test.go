@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/id"
@@ -21,32 +22,33 @@ func TestWithFailuresValidation(t *testing.T) {
 	}
 }
 
+// TestNoFailuresMatchesPlainRoute: an all-false mask and no mask must be
+// the same walk — same hops in the same rings at the same latency.
 func TestNoFailuresMatchesPlainRoute(t *testing.T) {
-	o := buildOverlay(t, 80, Config{Depth: 2}, 71)
-	v, err := o.WithFailures(make([]bool, o.N()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(72))
-	for trial := 0; trial < 200; trial++ {
-		from := rng.Intn(o.N())
-		key := id.Rand(rng)
-		fr, err := v.Route(from, key)
+	for depth := 1; depth <= 3; depth++ {
+		o := buildOverlay(t, 80, Config{Depth: depth}, 71)
+		v, err := o.WithFailures(make([]bool, o.N()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain := o.Route(from, key)
-		if fr.Dest != plain.Dest || fr.NumHops() != plain.NumHops() {
-			t.Fatalf("healthy faulty view differs from plain route: %d/%d vs %d/%d",
-				fr.Dest, fr.NumHops(), plain.Dest, plain.NumHops())
-		}
-		cf, err := v.ChordRoute(from, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pc := o.ChordRoute(from, key)
-		if cf.Dest != pc.Dest || cf.NumHops() != pc.NumHops() {
-			t.Fatal("healthy faulty chord view differs from plain")
+		rng := rand.New(rand.NewSource(72))
+		for trial := 0; trial < 200; trial++ {
+			from := rng.Intn(o.N())
+			key := id.Rand(rng)
+			fr, err := v.Route(from, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain := o.Route(from, key); !reflect.DeepEqual(fr, plain) {
+				t.Fatalf("depth %d: healthy faulty view differs from plain route:\n%+v\nvs\n%+v", depth, fr, plain)
+			}
+			cf, err := v.ChordRoute(from, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pc := o.ChordRoute(from, key); !reflect.DeepEqual(cf, pc) {
+				t.Fatalf("depth %d: healthy faulty chord view differs from plain:\n%+v\nvs\n%+v", depth, cf, pc)
+			}
 		}
 	}
 }

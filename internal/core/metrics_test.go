@@ -64,8 +64,9 @@ func TestRouteMetricsMatchResults(t *testing.T) {
 	}
 }
 
-// TestFaultyViewMetrics checks that routing under failures records
-// successor skips once peers die.
+// TestFaultyViewMetrics checks that routing under failures counts what
+// the healthy procedure counts (routes, per-layer hops) plus the dead
+// successors it bridged, and that the flat baseline counts nothing.
 func TestFaultyViewMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	o := buildOverlay(t, 40, Config{Depth: 2, Metrics: reg}, 11)
@@ -84,17 +85,17 @@ func TestFaultyViewMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var hops uint64
+	var hops, routes uint64
 	for i := 0; i < 60; i++ {
 		from := rng.Intn(o.N())
 		if dead[from] {
 			continue
 		}
-		res, err := v.Route(from, KeyID(fmt.Sprintf("f%d", i)))
-		if err != nil {
-			continue
-		}
-		hops += uint64(len(res.Hops))
+		key := KeyID(fmt.Sprintf("f%d", i))
+		v.ChordRoute(from, key) // the baseline is uninstrumented: must move no counter
+		res, _ := v.Route(from, key)
+		routes++
+		hops += uint64(len(res.Hops)) // a failed route reports the hops it did take
 	}
 
 	var b strings.Builder
@@ -102,16 +103,20 @@ func TestFaultyViewMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	var counted uint64
-	for _, l := range []string{"1", "2"} {
-		var n uint64
-		if _, err := fmt.Sscanf(afterPrefix(t, out, fmt.Sprintf("hops_total{layer=%q} ", l)), "%d", &n); err != nil {
-			t.Fatalf("parsing hops_total{layer=%q}: %v", l, err)
+	read := func(prefix string) (n uint64) {
+		if _, err := fmt.Sscanf(afterPrefix(t, out, prefix), "%d", &n); err != nil {
+			t.Fatalf("parsing %s: %v", prefix, err)
 		}
-		counted += n
+		return n
 	}
-	if counted != hops {
-		t.Errorf("hop counters sum to %d, routes reported %d", counted, hops)
+	if counted := read(`hops_total{layer="1"} `) + read(`hops_total{layer="2"} `); counted != hops {
+		t.Errorf("hop counters sum to %d, hierarchical routes reported %d", counted, hops)
+	}
+	if got := read("routes_total "); got != routes {
+		t.Errorf("routes_total = %d, %d hierarchical routes issued", got, routes)
+	}
+	if read("failure_succ_skips_total ") == 0 {
+		t.Error("a quarter of the peers are dead and no dead successor was bridged")
 	}
 }
 

@@ -112,7 +112,8 @@ type Node struct {
 	// RingNames[l] names the node's layer-(l+2) ring (landmark order
 	// string under that layer's thresholds). Empty for depth 1.
 	RingNames []string
-	// rings[l] locates the node inside its layer-(l+2) ring.
+	// rings[l] locates the node inside its layer-(l+2) ring. (In the
+	// layer-1 ring every node is member number its own index.)
 	rings []ringRef
 }
 
@@ -121,10 +122,11 @@ type ringRef struct {
 	member int // index within ring.Table
 }
 
-// Ring is one lower-layer P2P ring: a Chord ring over a subset of peers.
+// Ring is one P2P ring: a Chord ring over a subset of peers — all of them
+// for the layer-1 global ring.
 type Ring struct {
-	Layer int    // 2..depth
-	Name  string // landmark order string
+	Layer int    // 1..depth
+	Name  string // landmark order string; "" for the global ring
 	Table *chord.Table
 	// Global[i] is the overlay node index of ring member i.
 	Global []int32
@@ -142,8 +144,8 @@ type Overlay struct {
 	landmarks []int
 	ladder    binning.Ladder
 
-	nodes  []Node       // index == global ring member index (ascending ID)
-	global *chord.Table // the layer-1 ring over all nodes
+	nodes  []Node // index == global ring member index (ascending ID)
+	global *Ring  // the layer-1 ring over all nodes; Global is the identity
 
 	// rings[l] maps ring name -> ring for layer l+2.
 	rings []map[string]*Ring
@@ -269,7 +271,10 @@ func Build(net *topology.Network, cfg Config, rng *rand.Rand) (*Overlay, error) 
 	if err != nil {
 		return nil, err
 	}
-	o.global = global
+	o.global = &Ring{Layer: 1, Table: global, Global: make([]int32, n)}
+	for i := range o.global.Global {
+		o.global.Global[i] = int32(i)
+	}
 
 	// 5. Lower-layer rings, built in parallel.
 	o.rings = make([]map[string]*Ring, cfg.Depth-1)
@@ -357,7 +362,7 @@ func (o *Overlay) Depth() int { return o.cfg.Depth }
 func (o *Overlay) Node(i int) *Node { return &o.nodes[i] }
 
 // Global returns the layer-1 (global) Chord ring table.
-func (o *Overlay) Global() *chord.Table { return o.global }
+func (o *Overlay) Global() *chord.Table { return o.global.Table }
 
 // Landmarks returns the landmark router indexes.
 func (o *Overlay) Landmarks() []int { return o.landmarks }
@@ -374,8 +379,11 @@ func (o *Overlay) Rings(layer int) map[string]*Ring {
 }
 
 // RingOf returns the layer-l ring containing node i and the node's member
-// index within it.
+// index within it; layer 1 is the global ring, where that index is i.
 func (o *Overlay) RingOf(i, layer int) (*Ring, int) {
+	if layer == 1 {
+		return o.global, i
+	}
 	if layer < 2 || layer > o.cfg.Depth {
 		return nil, -1
 	}
@@ -394,5 +402,5 @@ func (o *Overlay) NumRings() int {
 
 // IndexOfHost returns the overlay node index for a host, or -1.
 func (o *Overlay) IndexOfHost(host int) int {
-	return o.global.IndexOf(NodeID(host))
+	return o.global.Table.IndexOf(NodeID(host))
 }

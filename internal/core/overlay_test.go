@@ -84,6 +84,12 @@ func TestNodesSortedAndIndexed(t *testing.T) {
 		if o.IndexOfHost(o.Node(i).Host) != i {
 			t.Fatal("IndexOfHost broken")
 		}
+		// Layer 1 is a Ring like any other: the global table under the
+		// identity mapping.
+		ring, member := o.RingOf(i, 1)
+		if ring.Layer != 1 || ring.Table != o.Global() || member != i || int(ring.Global[member]) != i {
+			t.Fatalf("RingOf(%d, 1) = (layer %d, member %d), want the global ring and %d", i, ring.Layer, member, i)
+		}
 	}
 	if o.IndexOfHost(9999) != -1 {
 		t.Error("IndexOfHost of unknown host should be -1")

@@ -69,8 +69,8 @@ func (o *Overlay) buildRingTables() {
 				ids[i] = r.Table.ID(i)
 			}
 			rt.boundaryFromSorted(ids)
-			rt.StoredAt = o.global.SuccessorIndex(rt.RingID)
-			rt.Replicas = o.global.SuccessorList(rt.StoredAt, o.cfg.SuccessorListLen)
+			rt.StoredAt = o.global.Table.SuccessorIndex(rt.RingID)
+			rt.Replicas = o.global.Table.SuccessorList(rt.StoredAt, o.cfg.SuccessorListLen)
 			o.ringTables[key] = rt
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/id"
 )
 
@@ -46,18 +48,43 @@ func (r *RouteResult) NumHops() int { return len(r.Hops) }
 // metric counters loaded through o.instr. route_race_test.go exercises
 // this contract under -race.
 func (o *Overlay) Route(from int, key id.ID) RouteResult {
-	res := RouteResult{Origin: from, Key: key}
-	owner := o.global.SuccessorIndex(key)
-	res.Dest = owner
-	cur := from
-	rm := o.instr.Load()
+	res, _ := o.route(from, key, o.cfg.Depth, nil, o.instr.Load())
+	return res
+}
+
+// ChordRoute performs a plain flat Chord lookup over the global ring —
+// the baseline the paper compares against: the same procedure entered at
+// layer 1. The baseline is never instrumented, so the overlay's counters
+// describe the hierarchical procedure alone.
+func (o *Overlay) ChordRoute(from int, key id.ID) RouteResult {
+	res, _ := o.route(from, key, 1, nil, nil)
+	return res
+}
+
+// route is the one routing loop: Chord's ring walk once per layer from
+// ring layer `top` down to the global ring (layer 1), a destination check
+// between loops, and the final forward to the key's owner on the global
+// ring. A non-nil view routes around its failed peers, before any repair
+// has run (paper §3.3); only then can the procedure fail. rm may be nil.
+func (o *Overlay) route(from int, key id.ID, top int, v *FaultyView, rm *routeMetrics) (RouteResult, error) {
+	owner := o.global.Table.SuccessorIndex(key)
+	if v != nil {
+		if v.dead[from] {
+			return RouteResult{}, fmt.Errorf("core: route from dead peer %d", from)
+		}
+		owner = v.LiveOwner(key)
+	}
+	res := RouteResult{Origin: from, Key: key, Dest: owner}
 	if rm != nil {
 		rm.routes.Inc()
 	}
 
-	record := func(layer, f, t int) {
-		lat := o.net.Latency(o.nodes[f].Host, o.nodes[t].Host)
-		res.Hops = append(res.Hops, Hop{Layer: layer, From: f, To: t, Latency: lat})
+	var ring *Ring
+	layer := top
+	record := func(f, t int) {
+		gf, gt := int(ring.Global[f]), int(ring.Global[t])
+		lat := o.net.Latency(o.nodes[gf].Host, o.nodes[gt].Host)
+		res.Hops = append(res.Hops, Hop{Layer: layer, From: gf, To: gt, Latency: lat})
 		res.Latency += lat
 		if layer >= 2 {
 			res.LowerHops++
@@ -66,43 +93,52 @@ func (o *Overlay) Route(from int, key id.ID) RouteResult {
 		rm.hop(layer)
 	}
 
-	// Lower layers, most local first.
-	for layer := o.cfg.Depth; layer >= 2; layer-- {
-		if cur == owner {
-			return res // destination check between loops (paper §3.2)
+	// cur == owner is the destination check between loops (paper §3.2).
+	for cur := from; layer >= 1 && cur != owner; layer-- {
+		if rm != nil && layer < top {
+			rm.ringClimbs.Inc() // the previous, more local layer did not finish
 		}
-		if rm != nil && layer < o.cfg.Depth {
-			rm.ringClimbs.Inc() // previous (more local) layer did not finish
+		if v == nil && o.cfg.AccelerateWithSuccessorList && o.trySuccessorShortcut(&res, rm, cur, owner) {
+			break
 		}
-		if o.cfg.AccelerateWithSuccessorList && o.trySuccessorShortcut(&res, rm, layer, cur, owner) {
-			return res
+		var member int
+		var dead []bool
+		ring, member = o.RingOf(cur, layer)
+		if v != nil {
+			dead = v.masks[ring]
 		}
-		ring, member := o.RingOf(cur, layer)
-		p, _ := ring.Table.WalkToPredecessor(member, key, func(f, t int) {
-			record(layer, int(ring.Global[f]), int(ring.Global[t]))
-		})
+		p, s, skips, ok := ring.Table.Walk(member, key, dead, o.cfg.SuccessorListLen, record)
+		if rm != nil && skips > 0 {
+			rm.deadSkips.Add(uint64(skips))
+		}
 		cur = int(ring.Global[p])
+		switch {
+		case layer > 1:
+			// A lower ring can be shattered (r consecutive ring successors
+			// dead) while the overlay as a whole is fine; give up on this
+			// layer from wherever the partial walk reached and climb, as a
+			// real peer would after timeouts.
+			if !ok && rm != nil {
+				rm.layerAborts.Inc()
+			}
+		case !ok:
+			return res, fmt.Errorf("core: global ring unroutable past peer %d", cur)
+		case cur != owner:
+			// Global ring: the final forward, to the key's owner.
+			record(p, s)
+			if cur = s; cur != owner {
+				return res, fmt.Errorf("core: landed on %d, live owner is %d", cur, owner)
+			}
+		}
 	}
-
-	if cur == owner {
-		return res
-	}
-	if rm != nil && o.cfg.Depth >= 2 {
-		rm.ringClimbs.Inc() // climb from the lowest layer onto the global ring
-	}
-	if o.cfg.AccelerateWithSuccessorList && o.trySuccessorShortcut(&res, rm, 1, cur, owner) {
-		return res
-	}
-	// Global ring: finish at the key's owner.
-	o.global.Lookup(cur, key, func(f, t int) { record(1, f, t) })
-	return res
+	return res, nil
 }
 
 // trySuccessorShortcut implements the paper's successor-list acceleration:
 // if the destination is within the current peer's successor list in the
 // global ring, forward straight to it.
-func (o *Overlay) trySuccessorShortcut(res *RouteResult, rm *routeMetrics, layer, cur, owner int) bool {
-	for _, s := range o.global.SuccessorList(cur, o.cfg.SuccessorListLen) {
+func (o *Overlay) trySuccessorShortcut(res *RouteResult, rm *routeMetrics, cur, owner int) bool {
+	for _, s := range o.global.Table.SuccessorList(cur, o.cfg.SuccessorListLen) {
 		if s == owner {
 			lat := o.net.Latency(o.nodes[cur].Host, o.nodes[owner].Host)
 			res.Hops = append(res.Hops, Hop{Layer: 1, From: cur, To: owner, Latency: lat})
@@ -116,17 +152,4 @@ func (o *Overlay) trySuccessorShortcut(res *RouteResult, rm *routeMetrics, layer
 		}
 	}
 	return false
-}
-
-// ChordRoute performs a plain flat Chord lookup over the global ring —
-// the baseline the paper compares against. Hop accounting mirrors Route.
-func (o *Overlay) ChordRoute(from int, key id.ID) RouteResult {
-	res := RouteResult{Origin: from, Key: key}
-	res.Dest = o.global.SuccessorIndex(key)
-	o.global.Lookup(from, key, func(f, t int) {
-		lat := o.net.Latency(o.nodes[f].Host, o.nodes[t].Host)
-		res.Hops = append(res.Hops, Hop{Layer: 1, From: f, To: t, Latency: lat})
-		res.Latency += lat
-	})
-	return res
 }

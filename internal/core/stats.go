@@ -80,24 +80,18 @@ func (o *Overlay) StateStats() StateStats {
 	}
 	var distinctAll, distinctG int
 	for i := range o.nodes {
+		// The same peer appearing in two layers is still one liveness
+		// probe target, so dedupe by global index across layers.
 		seen := make(map[int32]struct{}, 32)
-		for k := uint(0); k < id.Bits; k++ {
-			f := o.global.Finger(i, k)
-			if f != i {
-				seen[int32(f)] = struct{}{}
-			}
-		}
-		distinctG += len(seen)
-		for l := range o.rings {
-			ring, m := o.RingOf(i, l+2)
+		for layer := 1; layer <= o.cfg.Depth; layer++ {
+			ring, m := o.RingOf(i, layer)
 			for k := uint(0); k < id.Bits; k++ {
-				f := ring.Table.Finger(m, k)
-				if f != m {
-					// Distinguish per-layer entries by global index; the
-					// same peer appearing in two layers is still one
-					// liveness probe target, so dedupe globally.
+				if f := ring.Table.Finger(m, k); f != m {
 					seen[ring.Global[f]] = struct{}{}
 				}
+			}
+			if layer == 1 {
+				distinctG += len(seen)
 			}
 		}
 		distinctAll += len(seen)

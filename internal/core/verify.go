@@ -20,16 +20,36 @@ func (o *Overlay) CheckInvariants() error {
 	if o.cfg.ProximityFingers {
 		verify = (*chord.Table).VerifyPNS
 	}
-	if o.global.Len() != len(o.nodes) {
-		return fmt.Errorf("core: global ring has %d members, overlay has %d nodes",
-			o.global.Len(), len(o.nodes))
+	// checkRing holds for every ring, the global one included: a correct
+	// Chord structure whose member m is overlay node Global[m].
+	checkRing := func(r *Ring) error {
+		if err := verify(r.Table); err != nil {
+			return err
+		}
+		if len(r.Global) != r.Size() {
+			return fmt.Errorf("maps %d members to %d global indexes", r.Size(), len(r.Global))
+		}
+		for m, gi := range r.Global {
+			if r.Table.ID(m) != o.nodes[gi].ID {
+				return fmt.Errorf("member %d id mismatch with node %d", m, gi)
+			}
+		}
+		return nil
 	}
-	if err := verify(o.global); err != nil {
+	if o.global.Layer != 1 || o.global.Name != "" {
+		return fmt.Errorf("core: global ring mislabelled as %d:%q", o.global.Layer, o.global.Name)
+	}
+	if o.global.Size() != len(o.nodes) {
+		return fmt.Errorf("core: global ring has %d members, overlay has %d nodes",
+			o.global.Size(), len(o.nodes))
+	}
+	if err := checkRing(o.global); err != nil {
 		return fmt.Errorf("core: global ring: %w", err)
 	}
 	for i := range o.nodes {
-		if o.global.ID(i) != o.nodes[i].ID {
-			return fmt.Errorf("core: node %d id mismatch with global member %d", i, i)
+		// Overlay node index == global member index: routing relies on it.
+		if r, m := o.RingOf(i, 1); r != o.global || m != i || o.global.Global[i] != int32(i) {
+			return fmt.Errorf("core: global ring does not map member %d to node %d", i, i)
 		}
 		if got := len(o.nodes[i].RingNames); got != o.cfg.Depth-1 {
 			return fmt.Errorf("core: node %d belongs to %d lower rings, depth %d requires %d",
@@ -44,22 +64,14 @@ func (o *Overlay) CheckInvariants() error {
 			if r.Layer != layer || r.Name != name {
 				return fmt.Errorf("core: ring %d:%q mislabelled as %d:%q", layer, name, r.Layer, r.Name)
 			}
-			if err := verify(r.Table); err != nil {
+			if err := checkRing(r); err != nil {
 				return fmt.Errorf("core: ring %d:%q: %w", layer, name, err)
-			}
-			if len(r.Global) != r.Size() {
-				return fmt.Errorf("core: ring %d:%q maps %d members to %d global indexes",
-					layer, name, r.Size(), len(r.Global))
 			}
 			for m, gi := range r.Global {
 				nd := &o.nodes[gi]
 				if nd.RingNames[l] != name {
 					return fmt.Errorf("core: node %d sits in ring %d:%q but is binned into %q",
 						gi, layer, name, nd.RingNames[l])
-				}
-				if r.Table.ID(m) != nd.ID {
-					return fmt.Errorf("core: ring %d:%q member %d id mismatch with node %d",
-						layer, name, m, gi)
 				}
 				if ref := nd.rings[l]; ref.ring != r || ref.member != m {
 					return fmt.Errorf("core: node %d ring reference for layer %d inconsistent", gi, layer)
@@ -75,9 +87,9 @@ func (o *Overlay) CheckInvariants() error {
 			if rt.Smallest != r.Table.ID(0) || rt.Largest != r.Table.ID(last) {
 				return fmt.Errorf("core: ring table %d:%q boundaries do not match the ring", layer, name)
 			}
-			if rt.StoredAt != o.global.SuccessorIndex(rt.RingID) {
+			if rt.StoredAt != o.global.Table.SuccessorIndex(rt.RingID) {
 				return fmt.Errorf("core: ring table %d:%q stored at %d, want successor(%s) = %d",
-					layer, name, rt.StoredAt, rt.RingID.Short(), o.global.SuccessorIndex(rt.RingID))
+					layer, name, rt.StoredAt, rt.RingID.Short(), o.global.Table.SuccessorIndex(rt.RingID))
 			}
 		}
 		// Exactly-one-ring-per-layer: every node counted once.

@@ -51,6 +51,14 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		}
 	})
 
+	t.Run("global ring not the identity", func(t *testing.T) {
+		o.global.Global[3], o.global.Global[4] = 4, 3
+		defer func() { o.global.Global[3], o.global.Global[4] = 3, 4 }()
+		if err := o.CheckInvariants(); err == nil {
+			t.Fatal("permuted layer-1 mapping not detected")
+		}
+	})
+
 	t.Run("missing ring table", func(t *testing.T) {
 		var key RingKey
 		var rt *RingTable
@@ -72,7 +80,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			break
 		}
 		rt.StoredAt = (rt.StoredAt + 1) % o.N()
-		defer func() { rt.StoredAt = o.global.SuccessorIndex(rt.RingID) }()
+		defer func() { rt.StoredAt = o.global.Table.SuccessorIndex(rt.RingID) }()
 		if err := o.CheckInvariants(); err == nil {
 			t.Fatal("misplaced ring table not detected")
 		}

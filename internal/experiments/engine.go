@@ -4,12 +4,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/metrics"
 )
 
 // Pool is the parallel batch query engine: it fans numbered blocks of
@@ -26,14 +22,6 @@ import (
 // prefix of the final result at every callback.
 type Pool struct {
 	workers int
-	m       *poolMetrics
-}
-
-type poolMetrics struct {
-	queueDepth   *metrics.Gauge
-	workerBlocks *metrics.CounterVec
-	blockSeconds *metrics.Histogram
-	runs         *metrics.Counter
 }
 
 // NewPool returns a pool with the given worker bound; workers <= 0 uses
@@ -47,28 +35,6 @@ func NewPool(workers int) *Pool {
 
 // Workers returns the pool's worker bound.
 func (p *Pool) Workers() int { return p.workers }
-
-// Instrument registers the pool's gauges and counters on reg:
-//
-//	pool_queue_depth            blocks not yet claimed by a worker
-//	pool_worker_blocks_total    completed blocks by worker (throughput)
-//	pool_block_seconds          block execution time histogram
-//	pool_runs_total             Run invocations
-//
-// Call at most once per registry (names collide otherwise); several Run
-// calls on one instrumented pool share the same metrics.
-func (p *Pool) Instrument(reg *metrics.Registry) {
-	p.m = &poolMetrics{
-		queueDepth: reg.NewGauge("pool_queue_depth",
-			"Batch-engine blocks not yet claimed by a worker."),
-		workerBlocks: reg.NewCounterVec("pool_worker_blocks_total",
-			"Batch-engine blocks completed, by worker.", "worker"),
-		blockSeconds: reg.NewHistogram("pool_block_seconds",
-			"Batch-engine block execution time in seconds.", metrics.DefLatencyBuckets),
-		runs: reg.NewCounter("pool_runs_total",
-			"Batch-engine Run invocations."),
-	}
-}
 
 // Run executes blocks 0..blocks-1. exec(worker, block) runs concurrently
 // on up to Workers goroutines; commit(block), when non-nil, runs
@@ -93,10 +59,6 @@ func (p *Pool) Run(ctx context.Context, blocks int, exec func(worker, block int)
 		frontier int
 		firstErr error
 	)
-	if p.m != nil {
-		p.m.runs.Inc()
-		p.m.queueDepth.Set(float64(blocks))
-	}
 	fail := func(err error) {
 		mu.Lock()
 		if firstErr == nil {
@@ -111,26 +73,14 @@ func (p *Pool) Run(ctx context.Context, blocks int, exec func(worker, block int)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var throughput *metrics.Counter
-			if p.m != nil {
-				throughput = p.m.workerBlocks.With(strconv.Itoa(w))
-			}
 			for {
 				b := int(next.Add(1)) - 1
 				if b >= blocks || ctx.Err() != nil {
 					return
 				}
-				if p.m != nil {
-					p.m.queueDepth.Set(float64(blocks - b - 1))
-				}
-				start := time.Now() //lint:allow nodeterm pool_block_seconds is report-only; commit order comes from the frontier, never from timing
 				if err := exec(w, b); err != nil {
 					fail(fmt.Errorf("experiments: block %d: %w", b, err))
 					return
-				}
-				if p.m != nil {
-					throughput.Inc()
-					p.m.blockSeconds.Observe(time.Since(start).Seconds()) //lint:allow nodeterm pool_block_seconds is report-only; commit order comes from the frontier, never from timing
 				}
 				mu.Lock()
 				done[b] = true
@@ -149,9 +99,6 @@ func (p *Pool) Run(ctx context.Context, blocks int, exec func(worker, block int)
 		}(w)
 	}
 	wg.Wait()
-	if p.m != nil {
-		p.m.queueDepth.Set(0)
-	}
 	if firstErr != nil {
 		return firstErr
 	}

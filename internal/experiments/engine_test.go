@@ -5,11 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/metrics"
 )
 
 func TestPoolCommitsInOrder(t *testing.T) {
@@ -107,29 +104,6 @@ func TestPoolCancellation(t *testing.T) {
 	err = p.Run(ctx, 5, func(_, b int) error { ran = true; return nil }, nil)
 	if !errors.Is(err, context.Canceled) || ran {
 		t.Fatalf("pre-cancelled run: err=%v ran=%v", err, ran)
-	}
-}
-
-func TestPoolMetrics(t *testing.T) {
-	reg := metrics.NewRegistry()
-	p := NewPool(3)
-	p.Instrument(reg)
-	if err := p.Run(context.Background(), 20, func(_, b int) error { return nil }, nil); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if _, err := reg.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
-	if !strings.Contains(text, "pool_runs_total 1") {
-		t.Errorf("missing pool_runs_total:\n%s", text)
-	}
-	if !strings.Contains(text, "pool_queue_depth 0") {
-		t.Errorf("queue depth should drain to 0:\n%s", text)
-	}
-	if !strings.Contains(text, `pool_worker_blocks_total{worker="0"}`) {
-		t.Errorf("missing per-worker throughput counter:\n%s", text)
 	}
 }
 

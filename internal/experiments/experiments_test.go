@@ -321,11 +321,18 @@ func TestRenderAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	RenderAll(&buf, scale, dist, lm, depth)
+	for _, tbl := range []*Table{
+		scale.HopsTable(), scale.LatencyTable(),
+		dist.PDFTable(), dist.CDFTable(), dist.SummaryTable(),
+		lm.HopsTable(), lm.LatencyTable(),
+		depth.HopsTable(), depth.LatencyTable(),
+	} {
+		tbl.Render(&buf)
+	}
 	for _, fig := range []string{"Figure 2", "Figure 3", "Figure 4", "Figure 5",
 		"Figure 6", "Figure 7", "Figure 8", "Figure 9"} {
 		if !strings.Contains(buf.String(), fig) {
-			t.Errorf("RenderAll missing %s", fig)
+			t.Errorf("rendered figures missing %s", fig)
 		}
 	}
 }

@@ -64,4 +64,17 @@ func TestCompareCAN(t *testing.T) {
 	if !strings.Contains(buf.String(), "hieras-can") {
 		t.Error("rendered table incomplete")
 	}
+	// One seed, one table: ring spaces draw from a shared rng, so they
+	// must be built in a fixed order (map order moved this row every run).
+	for i := 0; i < 5; i++ {
+		again, err := CompareCAN(Scenario{Nodes: 300, Requests: 800, Seed: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b2 bytes.Buffer
+		again.Table().Render(&b2)
+		if b2.String() != buf.String() {
+			t.Fatalf("same seed, different table on run %d:\n%s\nvs\n%s", i+2, buf.String(), b2.String())
+		}
+	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/stats"
 )
@@ -328,25 +327,4 @@ func (r *DepthSweep) LatencyTable() *Table {
 			pct(row.Cmp.LatencyRatio()))
 	}
 	return t
-}
-
-// RenderAll writes every figure table of a full run to w.
-func RenderAll(w io.Writer, scale *ScaleResult, dist *DistributionResult, lm *LandmarkSweep, depth *DepthSweep) {
-	scale.HopsTable().Render(w)
-	fmt.Fprintln(w)
-	scale.LatencyTable().Render(w)
-	fmt.Fprintln(w)
-	dist.PDFTable().Render(w)
-	fmt.Fprintln(w)
-	dist.CDFTable().Render(w)
-	fmt.Fprintln(w)
-	dist.SummaryTable().Render(w)
-	fmt.Fprintln(w)
-	lm.HopsTable().Render(w)
-	fmt.Fprintln(w)
-	lm.LatencyTable().Render(w)
-	fmt.Fprintln(w)
-	depth.HopsTable().Render(w)
-	fmt.Fprintln(w)
-	depth.LatencyTable().Render(w)
 }

@@ -55,13 +55,3 @@ func TestCacheStudy(t *testing.T) {
 		t.Error("missing title")
 	}
 }
-
-func TestWaxmanScenario(t *testing.T) {
-	cmp, err := RunComparison(Scenario{Model: ModelWaxman, Nodes: 150, Requests: 400, Seed: 43})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.LatencyRatio() >= 1.05 {
-		t.Errorf("HIERAS on waxman should not lose: ratio %.3f", cmp.LatencyRatio())
-	}
-}

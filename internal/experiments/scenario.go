@@ -18,16 +18,14 @@ import (
 	"repro/internal/topology/brite"
 	"repro/internal/topology/inet"
 	"repro/internal/topology/transitstub"
-	"repro/internal/topology/waxman"
 	"repro/internal/workload"
 )
 
 // Model names accepted by Scenario.Model.
 const (
-	ModelTS     = "ts"
-	ModelInet   = "inet"
-	ModelBRITE  = "brite"
-	ModelWaxman = "waxman"
+	ModelTS    = "ts"
+	ModelInet  = "inet"
+	ModelBRITE = "brite"
 )
 
 // Scenario describes one simulated system instance.
@@ -55,9 +53,6 @@ type Scenario struct {
 	// counts for a fixed (Seed, BlockSize) pair; changing BlockSize
 	// repartitions the per-block RNG streams and changes the stream.
 	BlockSize int
-	// Pool, when non-nil, runs the comparison workload on this (possibly
-	// Instrument-ed) pool instead of an ephemeral one built from Workers.
-	Pool *Pool
 }
 
 func (s Scenario) withDefaults() Scenario {
@@ -120,12 +115,6 @@ func BuildOverlay(s Scenario) (*core.Overlay, error) {
 	case ModelBRITE:
 		var err error
 		u, err = brite.Generate(brite.Config{Routers: s.Routers}, rng)
-		if err != nil {
-			return nil, err
-		}
-	case ModelWaxman:
-		var err error
-		u, err = waxman.Generate(waxman.Config{Routers: s.Routers}, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -333,12 +322,8 @@ func CompareStream(ctx context.Context, o *core.Overlay, s Scenario, progress fu
 	if err := initHists(out); err != nil {
 		return nil, err
 	}
-	pool := s.Pool
-	if pool == nil {
-		pool = NewPool(s.Workers)
-	}
 	merged := 0
-	err := pool.Run(ctx, blocks,
+	err := NewPool(s.Workers).Run(ctx, blocks,
 		func(_, b int) error {
 			gen, err := workload.NewUniform(blockSeed(s.Seed, b), o.N())
 			if err != nil {

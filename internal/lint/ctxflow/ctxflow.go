@@ -18,8 +18,8 @@
 //     supposed to flow.
 //
 // Escape of a derived-with-cancel context without its cancel being
-// called or returned is the stock lostcancel pass's job; ctxflow
-// deliberately does not duplicate it.
+// called or returned is go vet's lostcancel pass's job (`make lint` runs
+// vet first); ctxflow deliberately does not duplicate it.
 package ctxflow
 
 import (

@@ -42,8 +42,6 @@ func Analyzers() []*analysis.Analyzer {
 		lockorder.Analyzer,
 		chandisc.Analyzer,
 		stock.Nilness,
-		stock.LostCancel,
-		stock.CopyLocks,
 		stock.Shadow,
 	}
 }

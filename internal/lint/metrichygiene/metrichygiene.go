@@ -38,8 +38,7 @@ var Analyzer = &analysis.Analyzer{
 // is a metric name.
 var registerMethods = map[string]bool{
 	"NewCounter": true, "NewGauge": true, "NewHistogram": true,
-	"NewCounterVec": true, "NewGaugeVec": true,
-	"NewCounterFunc": true, "NewGaugeFunc": true,
+	"NewCounterVec": true, "NewCounterFunc": true, "NewGaugeFunc": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -88,9 +87,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, inInit bool) {
 	switch {
 	case registerMethods[fn.Name()] && analysis.NamedFromPkg(recv.Type(), "metrics", "Registry"):
 		checkRegistration(pass, call, fn, inInit)
-	case fn.Name() == "With" &&
-		(analysis.NamedFromPkg(recv.Type(), "metrics", "CounterVec") ||
-			analysis.NamedFromPkg(recv.Type(), "metrics", "GaugeVec")):
+	case fn.Name() == "With" && analysis.NamedFromPkg(recv.Type(), "metrics", "CounterVec"):
 		if len(call.Args) > 0 {
 			checkLabelValue(pass, call.Args[0])
 		}

@@ -21,10 +21,6 @@ type CounterVec struct{}
 
 func (*CounterVec) With(v string) *Counter { return &Counter{} }
 
-type GaugeVec struct{}
-
-func (*GaugeVec) With(v string) *Gauge { return &Gauge{} }
-
 type Registry struct{}
 
 func (*Registry) NewCounter(name, help string) *Counter { return &Counter{} }
@@ -34,9 +30,6 @@ func (*Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
 }
 func (*Registry) NewCounterVec(name, help string, labelNames ...string) *CounterVec {
 	return &CounterVec{}
-}
-func (*Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{}
 }
 func (*Registry) NewCounterFunc(name, help string, fn func() float64, labels ...Label) {}
 func (*Registry) NewGaugeFunc(name, help string, fn func() float64, labels ...Label)   {}

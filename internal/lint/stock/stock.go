@@ -1,13 +1,9 @@
-// Package stock provides lightweight reimplementations of the stock
-// go/analysis passes the multichecker would normally pull in from
-// golang.org/x/tools — nilness, lostcancel, copylocks and shadow. The
-// container has no module proxy, so these cover the highest-value
+// Package stock provides lightweight reimplementations of the two stock
+// go/analysis passes that `go vet` does not run and the multichecker
+// would normally pull in from golang.org/x/tools — nilness and shadow.
+// The container has no module proxy, so these cover the highest-value
 // subset of each upstream pass with the same diagnostic vocabulary:
 //
-//   - lostcancel: a context cancel function that is discarded or never
-//     called leaks the context until its parent ends.
-//   - copylocks: passing a sync.Mutex/RWMutex/WaitGroup/Once (or a
-//     struct containing one) by value forks the lock state.
 //   - shadow: an inner := redeclaring an outer variable of identical
 //     type, where the outer one is still used afterwards — the classic
 //     "err eaten by an if-scope" bug.
@@ -15,7 +11,8 @@
 //     proved it nil.
 //
 // Each is deliberately conservative: fewer checks than upstream, no
-// false positives on this repo's idioms.
+// false positives on this repo's idioms. lostcancel and copylocks are
+// not here: `go vet`, which `make lint` and CI run first, owns them.
 package stock
 
 import (
@@ -25,200 +22,6 @@ import (
 
 	"repro/internal/lint/analysis"
 )
-
-// ---------------------------------------------------------------- lostcancel
-
-// LostCancel flags context cancel functions that are discarded with _
-// or never used.
-var LostCancel = &analysis.Analyzer{
-	Name: "lostcancel",
-	Doc:  "flag discarded or unused context cancel functions",
-	Run:  runLostCancel,
-}
-
-var cancelReturning = map[string]bool{
-	"WithCancel": true, "WithTimeout": true, "WithDeadline": true,
-}
-
-func runLostCancel(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkCancels(pass, fd.Body)
-		}
-	}
-	return nil
-}
-
-func checkCancels(pass *analysis.Pass, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 2 {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := analysis.CalleeFunc(pass.TypesInfo, call)
-		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "context" || !cancelReturning[fn.Name()] {
-			return true
-		}
-		id, ok := as.Lhs[1].(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if id.Name == "_" {
-			pass.Reportf(id.Pos(),
-				"the cancel function returned by context.%s is discarded; a lost cancel leaks the context until its parent is canceled", fn.Name())
-			return true
-		}
-		obj := analysis.ObjectOf(pass.TypesInfo, id)
-		if obj == nil {
-			return true
-		}
-		if !calledOrEscapes(pass, body, obj) {
-			pass.Reportf(id.Pos(),
-				"the cancel function returned by context.%s is never called; call it (usually via defer) or hand it to something that will", fn.Name())
-		}
-		return true
-	})
-}
-
-// calledOrEscapes reports whether obj is invoked, passed to another
-// function, stored, or returned anywhere in body. A cancel func whose
-// only "use" is `_ = cancel` satisfies the compiler but still leaks.
-func calledOrEscapes(pass *analysis.Pass, body *ast.BlockStmt, obj types.Object) bool {
-	usesObj := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && pass.TypesInfo.Uses[id] == obj
-	}
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if usesObj(n.Fun) {
-				found = true // cancel() or defer cancel()
-			}
-			for _, arg := range n.Args {
-				if usesObj(arg) {
-					found = true // handed to something that may call it
-				}
-			}
-		case *ast.AssignStmt:
-			allBlank := true
-			for _, lhs := range n.Lhs {
-				if id, ok := ast.Unparen(lhs).(*ast.Ident); !ok || id.Name != "_" {
-					allBlank = false
-				}
-			}
-			if !allBlank {
-				for _, rhs := range n.Rhs {
-					if usesObj(rhs) {
-						found = true // stored somewhere real
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				if usesObj(r) {
-					found = true
-				}
-			}
-		case *ast.CompositeLit:
-			for _, el := range n.Elts {
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					el = kv.Value
-				}
-				if usesObj(el) {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// ---------------------------------------------------------------- copylocks
-
-// CopyLocks flags function parameters and receivers that copy a lock.
-var CopyLocks = &analysis.Analyzer{
-	Name: "copylocks",
-	Doc:  "flag by-value transfer of types containing sync locks",
-	Run:  runCopyLocks,
-}
-
-func runCopyLocks(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			sig := fn.Type().(*types.Signature)
-			if recv := sig.Recv(); recv != nil {
-				if name := lockPath(recv.Type()); name != "" {
-					pass.Reportf(fd.Recv.Pos(),
-						"receiver copies a lock: %s; use a pointer receiver", name)
-				}
-			}
-			for i := 0; i < sig.Params().Len(); i++ {
-				p := sig.Params().At(i)
-				if name := lockPath(p.Type()); name != "" {
-					pass.Reportf(p.Pos(),
-						"parameter %s copies a lock: %s; pass a pointer", p.Name(), name)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// lockPath returns a human-readable description of the lock a by-value
-// type would copy, or "" if it carries none. Pointers, interfaces,
-// slices and maps share state rather than copying it.
-func lockPath(t types.Type) string {
-	return lockPathRec(t, map[types.Type]bool{})
-}
-
-func lockPathRec(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if n, ok := t.(*types.Named); ok {
-		obj := n.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-				return "sync." + obj.Name()
-			}
-		}
-	}
-	if st, ok := t.Underlying().(*types.Struct); ok {
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			if inner := lockPathRec(f.Type(), seen); inner != "" {
-				return f.Name() + " contains " + inner
-			}
-		}
-	}
-	if arr, ok := t.Underlying().(*types.Array); ok {
-		return lockPathRec(arr.Elem(), seen)
-	}
-	return ""
-}
 
 // ---------------------------------------------------------------- shadow
 

@@ -6,14 +6,6 @@ import (
 	"repro/internal/lint/linttest"
 )
 
-func TestLostCancel(t *testing.T) {
-	linttest.Run(t, "testdata/src", "lcpkg", LostCancel)
-}
-
-func TestCopyLocks(t *testing.T) {
-	linttest.Run(t, "testdata/src", "clpkg", CopyLocks)
-}
-
 func TestShadow(t *testing.T) {
 	linttest.Run(t, "testdata/src", "shpkg", Shadow)
 }

@@ -136,26 +136,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// LinearBuckets returns count upper bounds start, start+width, ...
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
-// ExponentialBuckets returns count upper bounds start, start*factor, ...
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	out := make([]float64, count)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // DefLatencyBuckets covers local RPCs (100µs) through WAN timeouts (10s).
 var DefLatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
@@ -349,51 +329,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 		panic(fmt.Sprintf("metrics: %q is not a counter", v.f.name))
 	}
 	return c.c
-}
-
-// GaugeVec is a gauge family keyed by label values.
-type GaugeVec struct{ f *family }
-
-// NewGaugeVec registers a labelled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	if len(labelNames) == 0 {
-		panic(fmt.Sprintf("metrics: gauge vec %q needs at least one label", name))
-	}
-	return &GaugeVec{f: r.register(name, help, "gauge", labelNames, nil)}
-}
-
-// With returns the pre-curried child for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	c := v.f.lookup(values)
-	if c.g == nil {
-		panic(fmt.Sprintf("metrics: %q is not a gauge", v.f.name))
-	}
-	return c.g
-}
-
-// HistogramVec is a histogram family keyed by label values.
-type HistogramVec struct{ f *family }
-
-// NewHistogramVec registers a labelled histogram family; every child
-// shares the same buckets.
-func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
-	if len(labelNames) == 0 {
-		panic(fmt.Sprintf("metrics: histogram vec %q needs at least one label", name))
-	}
-	if _, err := newHistogram(buckets); err != nil {
-		panic(err.Error())
-	}
-	f := r.register(name, help, "histogram", labelNames, buckets)
-	return &HistogramVec{f: f}
-}
-
-// With returns the pre-curried child for the given label values.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	c := v.f.lookup(values)
-	if c.h == nil {
-		panic(fmt.Sprintf("metrics: %q is not a histogram", v.f.name))
-	}
-	return c.h
 }
 
 // lookup finds or creates the child for the given label values.

@@ -140,17 +140,6 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	r.NewCounter("x_total", "")
 }
 
-func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(1, 2, 3)
-	if lin[0] != 1 || lin[1] != 3 || lin[2] != 5 {
-		t.Errorf("linear: %v", lin)
-	}
-	exp := ExponentialBuckets(1, 10, 3)
-	if exp[0] != 1 || exp[1] != 10 || exp[2] != 100 {
-		t.Errorf("exponential: %v", exp)
-	}
-}
-
 // TestConcurrentUpdates hammers one counter, one gauge and one histogram
 // from 16 goroutines and asserts exact totals — run under -race this is
 // the concurrency-safety regression test for the atomic fast paths.

@@ -31,10 +31,6 @@ lookup_errors_total
 lookups_total
 onehop_hits_total
 onehop_stale_total
-pool_block_seconds
-pool_queue_depth
-pool_runs_total
-pool_worker_blocks_total
 quorum_failures_total
 quorum_read_seconds
 quorum_write_seconds

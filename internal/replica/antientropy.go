@@ -161,10 +161,6 @@ const digestWireBytes = 40 + 8*DigestBuckets
 // converged peer instead of O(data), which is the point.
 func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, dropped int, firstErr error) {
 	m := c.metrics()
-	opts := c.Opts.WithDefaults()
-	if opts.DropReplicaWrites {
-		return 0, 0, 0, nil // bug seam: no replication traffic of any kind
-	}
 	if c.KeyID == nil {
 		return 0, 0, 0, fmt.Errorf("replica anti-entropy: no KeyID mapping configured")
 	}

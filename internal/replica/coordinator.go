@@ -197,17 +197,13 @@ func (c *Coordinator) write(ctx context.Context, op string, item wire.StoreItem)
 	item.Version, item.Writer = c.Engine.Stamp(key, c.Self, seen)
 	item.Expire = c.expireStamp()
 
-	targets := set
-	if opts.DropReplicaWrites {
-		targets = set[:1] // bug seam: owner copy only, no replicas
-	}
 	need := opts.WriteQuorum
 	if need > len(set) {
 		need = len(set)
 	}
 	acks := 0
 	var lastErr error
-	for _, addr := range targets {
+	for _, addr := range set { // ring order, owner first: the order Get polls in
 		req := wire.Request{Type: wire.TStorePut, Name: key, Items: []wire.StoreItem{item}}
 		if _, callErr := c.Call(ctx, addr, req); callErr != nil {
 			lastErr = callErr
@@ -215,8 +211,8 @@ func (c *Coordinator) write(ctx context.Context, op string, item wire.StoreItem)
 		}
 		acks++
 	}
-	if acks < need && !(opts.DropReplicaWrites && acks >= 1) {
-		return fmt.Errorf("replica %s %q: %d/%d acks (need %d): %w", op, key, acks, len(targets), need, lastErr)
+	if acks < need {
+		return fmt.Errorf("replica %s %q: %d/%d acks (need %d): %w", op, key, acks, len(set), need, lastErr)
 	}
 	c.observe(c.metrics().WriteSeconds, start)
 	return nil
@@ -295,16 +291,7 @@ func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, bool, error)
 	// pushes it so stale members converge on the delete instead of
 	// resurrecting the key on a later read.
 	alive := Alive(best, c.clock())
-	// Read-repair: refresh answered members that lack the winner. The
-	// DropReplicaWrites bug seam suppresses this too — the seeded bug is
-	// "this node never pushes copies", with no accidental self-healing.
-	if opts.DropReplicaWrites {
-		c.observe(m.ReadSeconds, start)
-		if !alive {
-			return nil, false, nil
-		}
-		return best.Value, true, nil
-	}
+	// Read-repair: refresh answered members that lack the winner.
 	repair := wire.Request{Type: wire.TStorePut, Name: key, Items: []wire.StoreItem{best}}
 	for _, addr := range polled {
 		if it, ok := held[addr]; ok && it.Version == best.Version && it.Writer == best.Writer {

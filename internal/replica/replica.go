@@ -38,11 +38,6 @@ type Options struct {
 	// before trusting the freshest one (0 = default 1; clamped to
 	// [1, Factor]).
 	ReadQuorum int
-	// DropReplicaWrites, when set, makes the node acknowledge writes
-	// after storing only the owner copy and skip pushing copies during
-	// anti-entropy rounds. It exists solely as a deterministic bug seam
-	// for the simcheck harness: the durability invariant must catch it.
-	DropReplicaWrites bool
 }
 
 // WithDefaults returns o with zero fields resolved and quorums clamped

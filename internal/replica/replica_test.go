@@ -321,20 +321,3 @@ func TestCoordinatorSweepDeterministicOrder(t *testing.T) {
 		}
 	}
 }
-
-func TestCoordinatorDropReplicaWritesBugSeam(t *testing.T) {
-	fc := newFakeCluster("n0", "n1", "n2")
-	co := fc.coordinator("n0", Options{Factor: 3, WriteQuorum: 2, DropReplicaWrites: true})
-	if err := co.Put(context.Background(), "doc", []byte("v1")); err != nil {
-		t.Fatalf("seeded-bug put must still ack: %v", err)
-	}
-	if _, ok := fc.engines["n1"].Get("doc"); ok {
-		t.Error("bug seam must not push replica copies")
-	}
-	if pulled, pushed, dropped, _ := co.AntiEntropyOnce(context.Background()); pulled != 0 || pushed != 0 || dropped != 0 {
-		t.Error("bug seam must disable anti-entropy")
-	}
-	if _, ok := fc.engines["n1"].Get("doc"); ok {
-		t.Error("bug seam anti-entropy must not push replica copies")
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -99,6 +100,10 @@ type harness struct {
 	// function of the program, never of wall time. Atomic because RPC
 	// handler goroutines read it while the executor thread advances it.
 	clock atomic.Uint64
+	// firstSentTo is the seeded replication bug's memory (see wrapCaller);
+	// nodes call out from several goroutines.
+	bugMu       sync.Mutex
+	firstSentTo map[stamp]string
 }
 
 func slotAddr(slot int) string { return fmt.Sprintf("n%d", slot) }
@@ -122,6 +127,7 @@ func newHarness(cfg Config) (*harness, error) {
 		nodes:       make([]*transport.Node, cfg.Slots),
 		coords:      make([][2]float64, cfg.Slots),
 		expectNames: make([][]string, cfg.Slots),
+		firstSentTo: map[stamp]string{},
 		model: &model{
 			vals:     map[string]map[string]bool{},
 			acked:    map[string]bool{},
@@ -187,15 +193,67 @@ func (h *harness) extendLease(key string) {
 // factor 3 with a majority write quorum, so any single crash or failed
 // handoff leaves an acknowledged write with a surviving copy, and a
 // read quorum of 2 so gets cross-check replicas (and read-repair fires).
-// cfg.ReplicationBug flips on the transport's seeded owner-copy-only
-// fault for the replication acceptance test.
 func (h *harness) replOptions() replica.Options {
 	return replica.Options{
-		Factor:            3,
-		WriteQuorum:       2,
-		ReadQuorum:        2,
-		DropReplicaWrites: h.cfg.ReplicationBug,
+		Factor:      3,
+		WriteQuorum: 2,
+		ReadQuorum:  2,
 	}
+}
+
+// stamp identifies one written item version.
+type stamp struct {
+	key     string
+	version uint64
+	writer  string
+}
+
+// wrapCaller is every node's outgoing seam: the fault network and, above
+// it, the faults the acceptance tests seed to prove the invariants catch
+// and shrink real regressions. They are planted here, on the messages, so
+// that no production struct carries a switch production must never set.
+func (h *harness) wrapCaller(self string, inner wire.Caller) wire.Caller {
+	inner = h.fnet.Caller(self, inner)
+	if !h.cfg.RouteGossipBug && !h.cfg.ReplicationBug {
+		return inner
+	}
+	return wire.CallerFunc(func(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
+		switch req.Type {
+		case wire.TRouteGossip:
+			if h.cfg.RouteGossipBug {
+				// Acknowledged empty and never delivered: the pusher
+				// learns nothing back and the receiver never merges, so
+				// every one-hop table knows only what it saw locally.
+				return wire.Response{OK: true}, nil
+			}
+		case wire.TStorePut:
+			if h.cfg.ReplicationBug && len(req.Items) == 1 {
+				// A stamped item is stored only by the first address it
+				// is sent to — the coordinator writes the owner first —
+				// and acknowledged unstored by everyone after: no replica
+				// copies, and no read-repair of that stamp either.
+				it := req.Items[0]
+				st := stamp{it.Key, it.Version, it.Writer}
+				h.bugMu.Lock()
+				first, sent := h.firstSentTo[st]
+				if !sent {
+					h.firstSentTo[st] = addr
+				}
+				h.bugMu.Unlock()
+				if sent && first != addr {
+					return wire.Response{OK: true}, nil
+				}
+			}
+		case wire.TDigest, wire.TSyncPull, wire.TReplicate:
+			if h.cfg.ReplicationBug {
+				// No anti-entropy or re-homing traffic of any kind. A
+				// RemoteError is never evidence that the peer is dead, so
+				// the fault costs copies, not members.
+				return wire.Response{}, &wire.RemoteError{Type: req.Type, Msg: "simcheck: seeded replication bug"}
+			}
+		}
+		return inner.Call(ctx, addr, req)
+	})
 }
 
 func (h *harness) startNode(slot int) error {
@@ -210,10 +268,8 @@ func (h *harness) startNode(slot int) error {
 		CallTimeout: 2 * time.Second,
 		// Every checked cluster runs the one-hop route tier, so the
 		// route-table-accuracy invariant exercises gossip dissemination
-		// on top of ordinary maintenance. cfg.RouteGossipBug flips the
-		// transport's seeded drop-gossip fault for the acceptance test.
-		RouteMode:       transport.RouteOneHop,
-		DropRouteGossip: h.cfg.RouteGossipBug,
+		// on top of ordinary maintenance.
+		RouteMode: transport.RouteOneHop,
 		// Two attempts with near-zero backoff: MemNet refuses dials to
 		// dead peers immediately, so retries cost microseconds, and two
 		// failed attempts reach the default eviction suspicion.
@@ -228,7 +284,7 @@ func (h *harness) startNode(slot int) error {
 		// the same tick units (time.Duration only by type).
 		Clock:      h.clock.Load,
 		TTL:        time.Duration(h.cfg.TTL),
-		WrapCaller: h.fnet.Caller,
+		WrapCaller: h.wrapCaller,
 		Listener:   ln,
 		Dial:       h.mem.Dial,
 	})

@@ -45,20 +45,23 @@ type Config struct {
 	// maintenance bug used to prove the invariant suite catches and
 	// shrinks real regressions. 0 checks the honest protocol.
 	SkipRepairLayer int
-	// ReplicationBug, when true, seeds a replication fault: every node
-	// acknowledges quorum writes after storing only the owner's copy and
-	// never pushes replicas (no replica writes, no re-replication
-	// sweeps, no read-repair). The durability and replica-placement
-	// invariants must catch it and shrink to a replayable artifact.
-	// False checks the honest protocol.
+	// ReplicationBug, when true, seeds a replication fault at the nodes'
+	// outgoing seam (harness.wrapCaller): a written item is stored only
+	// by the first node it is sent to — the owner — and every later
+	// store_put of it is acknowledged and dropped, while digest,
+	// sync_pull and replicate requests are refused. Quorum writes are
+	// thus acknowledged with one copy and nothing ever repairs them (no
+	// replica writes, no re-replication, no read-repair). The durability
+	// and replica-placement invariants must catch it and shrink to a
+	// replayable artifact. False checks the honest protocol.
 	ReplicationBug bool
-	// RouteGossipBug, when true, seeds a route-dissemination fault:
-	// every node keeps its one-hop table to itself — incoming route
-	// gossip is acknowledged and discarded and no push rounds run — so
-	// tables never learn of other members. The route-table-accuracy
-	// invariant must catch it at the first quiescent checkpoint and
-	// shrink it to a replayable artifact. False checks the honest
-	// protocol.
+	// RouteGossipBug, when true, seeds a route-dissemination fault at
+	// the same seam: every route_gossip request is acknowledged empty
+	// and never delivered, so each node keeps its one-hop table to
+	// itself and tables never learn of other members. The
+	// route-table-accuracy invariant must catch it at the first
+	// quiescent checkpoint and shrink it to a replayable artifact. False
+	// checks the honest protocol.
 	RouteGossipBug bool
 }
 

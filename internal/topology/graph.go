@@ -116,17 +116,6 @@ func (g *Graph) EdgeCount() int {
 	return total / 2
 }
 
-// NodesOfKind returns the indexes of all nodes with the given kind.
-func (g *Graph) NodesOfKind(kind NodeKind) []int {
-	var out []int
-	for u, k := range g.kind {
-		if k == kind {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
 // Connected reports whether the graph is connected (true for the empty
 // graph).
 func (g *Graph) Connected() bool {

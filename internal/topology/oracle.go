@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
 // LatencyModel answers router-to-router latency queries for an underlay.
 // Implementations must be safe for concurrent use.
@@ -61,46 +58,6 @@ func (o *DijkstraOracle) RouterLatency(a, b int) float64 {
 		return 0
 	}
 	return o.Row(a)[b]
-}
-
-// Prefetch computes and caches all rows in srcs using a pool of workers
-// (one per CPU when workers <= 0). Bulk experiments call this once so that
-// the measurement loop itself never pays Dijkstra costs.
-func (o *DijkstraOracle) Prefetch(srcs []int, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(srcs) {
-		workers = len(srcs)
-	}
-	if workers == 0 {
-		return
-	}
-	work := make(chan int, len(srcs))
-	for _, s := range srcs {
-		work <- s
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range work {
-				o.Row(s)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// PrefetchAll caches every row (the full all-pairs matrix).
-func (o *DijkstraOracle) PrefetchAll(workers int) {
-	srcs := make([]int, o.g.N())
-	for i := range srcs {
-		srcs[i] = i
-	}
-	o.Prefetch(srcs, workers)
 }
 
 // CachedRows reports how many rows are currently cached (for tests and

@@ -49,21 +49,6 @@ func TestOracleCachesRows(t *testing.T) {
 	}
 }
 
-func TestOraclePrefetchAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g := randomConnectedGraph(rng, 25)
-	o := NewDijkstraOracle(g)
-	o.PrefetchAll(4)
-	if o.CachedRows() != 25 {
-		t.Errorf("CachedRows = %d, want 25", o.CachedRows())
-	}
-	o2 := NewDijkstraOracle(g)
-	o2.Prefetch(nil, 4) // empty source list is a no-op
-	if o2.CachedRows() != 0 {
-		t.Error("Prefetch(nil) should cache nothing")
-	}
-}
-
 func TestOracleConcurrentAccess(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomConnectedGraph(rng, 60)

@@ -241,7 +241,7 @@ func routeEventsBytes(evs []wire.RouteEvent) uint64 {
 // gossip fanout. StabilizeOnce calls it every round; it is exposed
 // separately so harnesses can drive the gossip cadence explicitly.
 func (n *Node) RouteGossipOnce() error {
-	if n.routes == nil || n.cfg.DropRouteGossip {
+	if n.routes == nil {
 		return nil
 	}
 	n.mu.Lock()
@@ -264,9 +264,7 @@ func (n *Node) announceLeaveRoutes() {
 		return
 	}
 	n.routeEvent(n.Self(), wire.RouteLeave)
-	if !n.cfg.DropRouteGossip {
-		n.pushRoutes(n.gossipFanout())
-	}
+	n.pushRoutes(n.gossipFanout())
 }
 
 // ringEntry is what one consultation of a lower ring's entry point found.
@@ -523,12 +521,12 @@ func (n *Node) Lookup(ctx context.Context, key id.ID) (LookupResult, error) {
 		}
 	}
 	if n.cache != nil {
-		if owner, ok := n.cache.get(key); ok {
+		if owner, ok := n.cache.Get(key); ok {
 			if res, ok := n.verifyCachedOwner(ctx, owner, key); ok {
 				n.nm.cacheHits.Inc()
 				return res, nil
 			}
-			n.cache.remove(key)
+			n.cache.Remove(key)
 		}
 		n.nm.cacheMisses.Inc()
 	}
@@ -537,7 +535,7 @@ func (n *Node) Lookup(ctx context.Context, key id.ID) (LookupResult, error) {
 		n.nm.lookupErrors.Inc()
 	} else {
 		if n.cache != nil {
-			n.cache.put(key, res.Owner)
+			n.cache.Put(key, res.Owner)
 		}
 		if n.routes != nil {
 			// Learn the authoritative owner the walk just confirmed, so the

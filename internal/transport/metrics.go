@@ -1,11 +1,8 @@
 package transport
 
 import (
-	"container/list"
 	"strconv"
-	"sync"
 
-	"repro/internal/id"
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
@@ -74,63 +71,3 @@ func newNodeMetrics(reg *metrics.Registry, depth int) *nodeMetrics {
 // Metrics returns the node's metrics registry (serve it with
 // Registry.Handler, or dump it with Registry.WriteTo).
 func (n *Node) Metrics() *metrics.Registry { return n.nm.reg }
-
-// lookupCache is a fixed-capacity LRU of key→owner bindings learned from
-// completed lookups (the DHash-style location caching of internal/cache,
-// applied to the live node). Entries are only trusted after a one-RPC
-// ownership verification, so staleness costs a miss, never a wrong owner.
-type lookupCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recent; values are cacheEntry
-	items map[id.ID]*list.Element
-}
-
-type cacheEntry struct {
-	key   id.ID
-	owner wire.Peer
-}
-
-func newLookupCache(capacity int) *lookupCache {
-	return &lookupCache{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[id.ID]*list.Element, capacity),
-	}
-}
-
-func (c *lookupCache) get(key id.ID) (wire.Peer, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.items[key]
-	if !ok {
-		return wire.Peer{}, false
-	}
-	c.order.MoveToFront(e)
-	return e.Value.(cacheEntry).owner, true
-}
-
-func (c *lookupCache) put(key id.ID, owner wire.Peer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.items[key]; ok {
-		e.Value = cacheEntry{key, owner}
-		c.order.MoveToFront(e)
-		return
-	}
-	if c.order.Len() >= c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(cacheEntry).key)
-	}
-	c.items[key] = c.order.PushFront(cacheEntry{key, owner})
-}
-
-func (c *lookupCache) remove(key id.ID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.items[key]; ok {
-		c.order.Remove(e)
-		delete(c.items, key)
-	}
-}

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/binning"
 	"repro/internal/id"
+	"repro/internal/lru"
 	"repro/internal/metrics"
 	"repro/internal/replica"
 	"repro/internal/routes"
@@ -107,11 +108,6 @@ type Config struct {
 	// with a single verification RPC; the table is disseminated via
 	// TRouteGossip on the stabilize cadence.
 	RouteMode string
-	// DropRouteGossip is a seeded-bug seam for the invariant harness: the
-	// node keeps its one-hop table but neither pushes nor merges gossip,
-	// so membership changes stop disseminating and remote tables go
-	// stale. Production code must never set it.
-	DropRouteGossip bool
 	// Replication configures the replicated KV layer: replica factor,
 	// write quorum and read quorum (see replica.Options). The zero value
 	// uses the replica defaults (factor 3, majority writes, single-reader
@@ -266,11 +262,11 @@ type Node struct {
 	conns  map[net.Conn]struct{} // live server-side sessions, force-closed on Close
 
 	nm      *nodeMetrics
-	store   *replica.Engine      // versioned local KV store
-	co      *replica.Coordinator // quorum write/read/anti-entropy driver over the store
-	cache   *lookupCache         // nil when Config.LookupCache == 0
-	routes  *routes.Table        // one-hop membership table; nil unless RouteMode == RouteOneHop
-	retrier *wire.Retrier        // full outgoing chain: retrier → (injector) → instrumented pool
+	store   *replica.Engine       // versioned local KV store
+	co      *replica.Coordinator  // quorum write/read/anti-entropy driver over the store
+	cache   *lru.Cache[wire.Peer] // key→owner hints, verified before use; nil when Config.LookupCache == 0
+	routes  *routes.Table         // one-hop membership table; nil unless RouteMode == RouteOneHop
+	retrier *wire.Retrier         // full outgoing chain: retrier → (injector) → instrumented pool
 	pool    *wire.Pool
 	suspect int // consecutive-failure count that triggers eviction
 }
@@ -380,7 +376,7 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 		n.suspect = cfg.Retry.EffectiveAttempts()
 	}
 	if cfg.LookupCache > 0 {
-		n.cache = newLookupCache(cfg.LookupCache)
+		n.cache = lru.New[wire.Peer](cfg.LookupCache)
 	}
 	if cfg.RouteMode == RouteOneHop {
 		n.routes = routes.New()
@@ -650,9 +646,9 @@ func (n *Node) handle(req wire.Request) wire.Response {
 		// set, answer with the events we hold that the pusher lacks. Both
 		// halves are local table work, so the no-outgoing-RPC handler
 		// contract holds.
-		if n.routes == nil || n.cfg.DropRouteGossip {
-			// Not running the tier (or the seeded-bug seam is active):
-			// acknowledge without merging so mixed-mode clusters interoperate.
+		if n.routes == nil {
+			// Not running the tier: acknowledge without merging so
+			// mixed-mode clusters interoperate.
 			return wire.Response{OK: true}
 		}
 		applied := n.routes.ApplyAll(req.Events)
