@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race allocs perf-smoke tables-check size lint vet check clean
+.PHONY: all build test race allocs perf-smoke tables-check size unreached lint vet check clean
 
 all: check
 
@@ -41,6 +41,19 @@ tables-check:
 # and the analyzers' testdata fixtures.
 size:
 	@find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './bench/perf/*' | xargs cat | wc -l
+
+# unreached prints the functions no test anywhere in the tree executes:
+# one whole-tree coverage run (-coverpkg=./..., over a minute), filtered
+# to the functions at 0.0% outside the binaries and bench/perf. It is the
+# audit behind "a path stays if a test or a workload executes it": what
+# it prints should be interface obligations (Error, Network, LocalAddr),
+# what hieras-lint runs only when it has a finding to print, and the
+# exceptions ROADMAP names, so a new line is either a test to write or
+# code to delete. Informational; CI appends it to the step summary.
+unreached:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	$(GO) test -count=1 -coverpkg=./... -coverprofile="$$tmp" ./... > /dev/null && \
+	$(GO) tool cover -func="$$tmp" | awk '$$NF == "0.0%" && $$1 !~ /^repro\/(cmd|examples|bench\/perf)\// { print $$1, $$2 }'
 
 # lint is the blocking contract gate: stock vet plus the repo's own
 # analyzer suite (determinism, lock-across-RPC, retry idempotency,

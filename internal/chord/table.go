@@ -132,17 +132,12 @@ func (t *Table) SuccessorIndex(key id.ID) int {
 	return i
 }
 
-// ClosestPrecedingFinger returns the member among i's fingers whose
-// identifier most immediately precedes key, or i itself when no finger
-// falls inside (ids[i], key). This is Chord's closest_preceding_finger.
-func (t *Table) ClosestPrecedingFinger(i int, key id.ID) int {
-	return t.closestPreceding(i, key, nil)
-}
-
-// closestPreceding is ClosestPrecedingFinger over the live members only:
-// a finger pointing at a dead peer is skipped (a timeout in a real
-// deployment) and the next lower one tried. A nil mask means nobody is
-// dead.
+// closestPreceding is Chord's closest_preceding_finger over the live
+// members only: it returns the member among i's fingers whose identifier
+// most immediately precedes key, or i itself when no finger falls inside
+// (ids[i], key). A finger pointing at a dead peer is skipped (a timeout
+// in a real deployment) and the next lower one tried. A nil mask means
+// nobody is dead.
 func (t *Table) closestPreceding(i int, key id.ID, dead []bool) int {
 	for k := id.Bits - 1; k >= 0; k-- {
 		f := int(t.fingers[i][k])

@@ -79,7 +79,7 @@ type topoProber struct {
 	host int
 }
 
-func (p topoProber) Latency(_ context.Context, landmark string) (float64, error) {
+func (p topoProber) Latency(_ context.Context, _ wire.Caller, landmark string) (float64, error) {
 	r, ok := p.c.routers[landmark]
 	if !ok {
 		return 0, fmt.Errorf("churn: unknown landmark %q", landmark)

@@ -110,7 +110,7 @@ func TestPoolCancellation(t *testing.T) {
 // TestCompareWorkerCountInvariance is the engine's headline guarantee:
 // the same seed produces a byte-identical Comparison at any worker count.
 func TestCompareWorkerCountInvariance(t *testing.T) {
-	s := Scenario{Nodes: 120, Requests: 1500, Seed: 9, BlockSize: 128}
+	s := Scenario{Nodes: 120, Requests: 11*blockSize + 92, Seed: 9} // 12 blocks, the last one partial
 	o, err := BuildOverlay(s)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestCompareWorkerCountInvariance(t *testing.T) {
 }
 
 func TestCompareStreamProgress(t *testing.T) {
-	s := Scenario{Nodes: 100, Requests: 700, Seed: 4, BlockSize: 100, Workers: 4}
+	s := Scenario{Nodes: 100, Requests: 7 * blockSize, Seed: 4, Workers: 4}
 	o, err := BuildOverlay(s)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestCompareStreamProgress(t *testing.T) {
 		t.Fatalf("got %d progress callbacks, want 7 (one per block)", len(seen))
 	}
 	for i, p := range seen {
-		if p.Requests != (i+1)*100 || p.Total != 700 {
+		if p.Requests != (i+1)*blockSize || p.Total != 7*blockSize {
 			t.Fatalf("progress %d: %+v", i, p)
 		}
 	}
@@ -184,7 +184,7 @@ func TestCompareContextCancellation(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := CompareStream(ctx, o, s, func(p Progress) {
-			if p.Requests >= 2*DefaultBlockSize {
+			if p.Requests >= 2*blockSize {
 				cancel()
 			}
 		})

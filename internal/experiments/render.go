@@ -73,6 +73,5 @@ func (t *Table) CSV(w io.Writer) error {
 
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
-func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func f4(v float64) string  { return fmt.Sprintf("%.4f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }

@@ -48,11 +48,6 @@ type Scenario struct {
 	// CacheStudy, each swept cache) on this registry. Use one registry
 	// per scenario run: overlay metric names collide otherwise.
 	Metrics *metrics.Registry
-	// BlockSize is the batch engine's deterministic work unit: requests
-	// per block (default 512). Summaries are byte-identical across worker
-	// counts for a fixed (Seed, BlockSize) pair; changing BlockSize
-	// repartitions the per-block RNG streams and changes the stream.
-	BlockSize int
 }
 
 func (s Scenario) withDefaults() Scenario {
@@ -84,14 +79,14 @@ func (s Scenario) withDefaults() Scenario {
 	if s.Workers <= 0 {
 		s.Workers = runtime.GOMAXPROCS(0)
 	}
-	if s.BlockSize <= 0 {
-		s.BlockSize = DefaultBlockSize
-	}
 	return s
 }
 
-// DefaultBlockSize is the default Scenario.BlockSize.
-const DefaultBlockSize = 512
+// blockSize is the batch engine's deterministic work unit: requests per
+// block. It is part of what a seed means — each block draws from its own
+// RNG stream, so summaries are byte-identical across worker counts, and
+// changing it repartitions the streams and moves every archived table.
+const blockSize = 512
 
 // BuildOverlay generates the underlay for the scenario's topology model,
 // attaches the overlay hosts and builds the HIERAS overlay.
@@ -308,14 +303,14 @@ type Progress struct {
 
 // CompareStream runs the comparison workload through the parallel batch
 // query engine. Requests are generated in deterministic blocks of
-// s.BlockSize (each block draws from its own RNG stream split off s.Seed)
+// blockSize (each block draws from its own RNG stream split off s.Seed)
 // and merged in block order, so the result is byte-identical for any
 // worker count. progress, when non-nil, is invoked after every committed
 // block, serialized and in order — long runs can report partial summaries
 // without waiting for the tail.
 func CompareStream(ctx context.Context, o *core.Overlay, s Scenario, progress func(Progress)) (*Comparison, error) {
 	s = s.withDefaults()
-	blocks := (s.Requests + s.BlockSize - 1) / s.BlockSize
+	blocks := (s.Requests + blockSize - 1) / blockSize
 	parts := make([]*Comparison, blocks)
 
 	out := &Comparison{Scenario: s}
@@ -329,8 +324,8 @@ func CompareStream(ctx context.Context, o *core.Overlay, s Scenario, progress fu
 			if err != nil {
 				return err
 			}
-			count := s.BlockSize
-			if last := s.Requests - b*s.BlockSize; count > last {
+			count := blockSize
+			if last := s.Requests - b*blockSize; count > last {
 				count = last
 			}
 			part := &Comparison{}

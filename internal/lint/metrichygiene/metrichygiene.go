@@ -38,7 +38,7 @@ var Analyzer = &analysis.Analyzer{
 // is a metric name.
 var registerMethods = map[string]bool{
 	"NewCounter": true, "NewGauge": true, "NewHistogram": true,
-	"NewCounterVec": true, "NewCounterFunc": true, "NewGaugeFunc": true,
+	"NewCounterVec": true, "NewCounterFunc": true,
 }
 
 func run(pass *analysis.Pass) error {

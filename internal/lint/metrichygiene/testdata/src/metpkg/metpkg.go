@@ -26,7 +26,7 @@ func newGauges(reg *metrics.Registry) *metrics.Gauge {
 }
 
 func (t *thing) Instrument(reg *metrics.Registry) {
-	reg.NewGaugeFunc("queue_depth", "h", func() float64 { return 0 })
+	reg.NewCounterFunc("queue_depth", "h", func() float64 { return 0 })
 }
 
 // A typo'd name splits a time series: flagged against the registry.

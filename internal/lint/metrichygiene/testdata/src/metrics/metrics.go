@@ -32,7 +32,6 @@ func (*Registry) NewCounterVec(name, help string, labelNames ...string) *Counter
 	return &CounterVec{}
 }
 func (*Registry) NewCounterFunc(name, help string, fn func() float64, labels ...Label) {}
-func (*Registry) NewGaugeFunc(name, help string, fn func() float64, labels ...Label)   {}
 
 const KnownMetricNames = `
 antientropy_rounds_total

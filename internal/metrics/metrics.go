@@ -72,7 +72,6 @@ type Histogram struct {
 	uppers  []float64
 	counts  []atomic.Uint64 // len(uppers)+1; last = overflow
 	sumBits atomic.Uint64
-	count   atomic.Uint64
 }
 
 func newHistogram(buckets []float64) (*Histogram, error) {
@@ -93,7 +92,6 @@ func newHistogram(buckets []float64) (*Histogram, error) {
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.uppers, v) // first upper bound >= v
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -101,9 +99,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -278,15 +273,6 @@ func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram
 // callback children under one name; call with no labels for a plain
 // single-sample counter.
 func (r *Registry) NewCounterFunc(name, help string, fn func() float64, labels ...Label) {
-	r.newFunc(name, help, "counter", fn, labels)
-}
-
-// NewGaugeFunc is NewCounterFunc for gauge-typed callbacks.
-func (r *Registry) NewGaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.newFunc(name, help, "gauge", fn, labels)
-}
-
-func (r *Registry) newFunc(name, help, typ string, fn func() float64, labels []Label) {
 	names := make([]string, len(labels))
 	values := make([]string, len(labels))
 	for i, l := range labels {
@@ -296,8 +282,8 @@ func (r *Registry) newFunc(name, help, typ string, fn func() float64, labels []L
 	f := r.families[name]
 	r.mu.RUnlock()
 	if f == nil {
-		f = r.register(name, help, typ, names, nil)
-	} else if f.typ != typ || len(f.labelNames) != len(names) {
+		f = r.register(name, help, "counter", names, nil)
+	} else if f.typ != "counter" || len(f.labelNames) != len(names) {
 		panic(fmt.Sprintf("metrics: callback metric %q re-registered with a different shape", name))
 	}
 	key := renderLabels(names, values)

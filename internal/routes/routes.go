@@ -126,13 +126,6 @@ func sortEvents(evs []wire.RouteEvent) {
 	})
 }
 
-// Len reports the number of (layer, ring, peer) subjects tracked.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.events)
-}
-
 // Diff returns the events this table holds that the given set does not
 // supersede: entries absent from evs, or beaten by the local version.
 // It is the pull half of a push-pull gossip exchange — computable from

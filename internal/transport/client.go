@@ -40,12 +40,12 @@ func (n *Node) callBG(addr string, req wire.Request) (wire.Response, error) {
 }
 
 // suspectDead reports whether addr has accumulated enough consecutive
-// transport failures (or an open breaker) to be treated as dead. Walks
-// consult this before firing TEvict, so a single dropped packet no
-// longer evicts a live peer — the retry layer has to exhaust its
-// attempts first.
+// transport failures — one fully retried failed call — or an open
+// breaker to be treated as dead. Walks consult this before firing TEvict,
+// so a single dropped packet no longer evicts a live peer — the retry
+// layer has to exhaust its attempts first.
 func (n *Node) suspectDead(addr string) bool {
-	return n.retrier.ConsecutiveFailures(addr) >= n.suspect || n.retrier.BreakerOpen(addr)
+	return n.retrier.ConsecutiveFailures(addr) >= n.cfg.Retry.EffectiveAttempts() || n.retrier.BreakerOpen(addr)
 }
 
 // CreateNetwork makes this node the first member of a new overlay: it is
@@ -84,13 +84,13 @@ func (n *Node) computeRingNames() ([]string, error) {
 	}
 	lats := make([]float64, len(n.cfg.Landmarks))
 	for i, lm := range n.cfg.Landmarks {
-		lat, err := n.cfg.Prober.Latency(n.lifeCtx, lm)
+		lat, err := n.cfg.Prober.Latency(n.lifeCtx, n.pool, lm)
 		if err != nil {
 			return nil, fmt.Errorf("transport: probing landmark %s: %w", lm, err)
 		}
 		lats[i] = lat
 	}
-	return binning.RingNames(lats, n.cfg.Ladder)
+	return binning.RingNames(lats, n.ladder)
 }
 
 // Join integrates the node into an existing overlay through bootstrap

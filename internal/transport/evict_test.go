@@ -150,31 +150,24 @@ func TestLocalEvictionSkipsSelf(t *testing.T) {
 // so all of them bin into one lower ring without any landmark process.
 type constProber float64
 
-func (p constProber) Latency(context.Context, string) (float64, error) { return float64(p), nil }
+func (p constProber) Latency(context.Context, wire.Caller, string) (float64, error) {
+	return float64(p), nil
+}
 
 // startOneRing starts a depth-2 node on mem whose constant prober bins it
 // into the same lower ring as every other node started this way.
 func startOneRing(t *testing.T, mem *wire.MemNet, addr string, tweaks ...func(*Config)) *Node {
 	t.Helper()
-	ln, err := mem.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{
 		Depth: 2, Landmarks: []string{"lm"}, Prober: constProber(10),
-		CallTimeout: 2 * time.Second, Listener: ln, Dial: mem.Dial,
-		Retry:   wire.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond},
-		Breaker: wire.BreakerPolicy{Threshold: -1},
+		CallTimeout: 2 * time.Second,
+		Retry:       wire.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond},
+		Breaker:     wire.BreakerPolicy{Threshold: -1},
 	}
 	for _, tweak := range tweaks {
 		tweak(&cfg)
 	}
-	n, err := Start("", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	return n
+	return startMem(t, mem, addr, cfg)
 }
 
 // TestEmptiedLowerRingListClimbs pins the reply of a joined node whose

@@ -16,7 +16,9 @@
 //
 // Latency probing is pluggable: RTTProber measures real round trips, while
 // VirtualProber lets tests and demos place nodes on a synthetic coordinate
-// plane (deterministic binning without sleeping).
+// plane (deterministic binning without sleeping). A probe is an exchange
+// on the node's connection pool, beneath the retry, breaker and fault
+// injection layers (see Prober).
 package transport
 
 import (
@@ -50,12 +52,13 @@ const (
 	RouteOneHop = "onehop"
 )
 
-// Config parametrises a live node.
+// Config parametrises a live node. A value is a field here when two
+// callers that are not tests set it differently, or it is a deployment
+// setting; the binning ladder (binning.DefaultLadder(Depth)) and the
+// eviction threshold (one fully retried failed call) are neither.
 type Config struct {
 	// Depth is the hierarchy depth (>= 1; 1 = plain Chord).
 	Depth int
-	// Ladder overrides the binning ladder (default binning.DefaultLadder).
-	Ladder binning.Ladder
 	// Landmarks are landmark node addresses. Required for Depth > 1 when
 	// creating a network; joiners inherit the bootstrap's list when empty.
 	Landmarks []string
@@ -68,8 +71,8 @@ type Config struct {
 	// Coord).
 	Prober Prober
 	// CallTimeout bounds each RPC attempt (default 3s). It becomes the
-	// retry policy's PerAttempt timeout and the write deadline of pooled
-	// and server-side connections.
+	// retry policy's PerAttempt timeout, the pool's dial timeout and the
+	// write deadline of pooled and server-side connections.
 	CallTimeout time.Duration
 	// Retry configures the retry policy applied to every outgoing RPC:
 	// exponential backoff with jitter, idempotency-aware (state-installing
@@ -81,10 +84,6 @@ type Config struct {
 	// failure-suspicion tracker feeding the TEvict path. The zero value
 	// uses wire defaults; Threshold -1 disables it.
 	Breaker wire.BreakerPolicy
-	// EvictSuspicion is the consecutive transport-failure count at which a
-	// hop is reported dead via TEvict and purged locally. Default: the
-	// effective Retry.MaxAttempts, i.e. one fully retried failed call.
-	EvictSuspicion int
 	// WrapCaller, when non-nil, wraps the node's instrumented base caller
 	// before the retry layer is stacked on top; fault-injection harnesses
 	// (internal/faultnet) interpose here, so retries and breakers are
@@ -224,7 +223,6 @@ func (c Config) withDefaults() Config {
 
 // layerState is one ring's routing state on a node.
 type layerState struct {
-	name    string // ring name; "" for the global ring
 	succ    []wire.Peer
 	pred    wire.Peer
 	fingers []wire.Peer // index k ~ successor(self + 2^k); zero Addr = unset
@@ -233,10 +231,11 @@ type layerState struct {
 
 // Node is a live HIERAS peer.
 type Node struct {
-	cfg  Config
-	id   id.ID
-	addr string
-	ln   net.Listener
+	cfg    Config
+	ladder binning.Ladder // binning.DefaultLadder(cfg.Depth); nil at depth 1
+	id     id.ID
+	addr   string
+	ln     net.Listener
 
 	mu        sync.Mutex
 	layers    []*layerState // layers[0] = global ring, layers[l] = layer l+1
@@ -268,7 +267,6 @@ type Node struct {
 	routes  *routes.Table         // one-hop membership table; nil unless RouteMode == RouteOneHop
 	retrier *wire.Retrier         // full outgoing chain: retrier → (injector) → instrumented pool
 	pool    *wire.Pool
-	suspect int // consecutive-failure count that triggers eviction
 }
 
 // NodeID derives a live node's identifier from its address.
@@ -317,12 +315,12 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 			cfg.LookupCache = 256
 		}
 	}
-	if cfg.Depth > 1 && cfg.Ladder == nil {
-		l, err := binning.DefaultLadder(cfg.Depth)
-		if err != nil {
+	var ladder binning.Ladder
+	if cfg.Depth > 1 {
+		var err error
+		if ladder, err = binning.DefaultLadder(cfg.Depth); err != nil {
 			return nil, err
 		}
-		cfg.Ladder = l
 	}
 	ln := cfg.Listener
 	if ln == nil {
@@ -334,6 +332,7 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		cfg:    cfg,
+		ladder: ladder,
 		addr:   ln.Addr().String(),
 		ln:     ln,
 		store:  replica.NewEngine(),
@@ -349,7 +348,7 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 	}
 	n.store.SetClock(n.clock)
 	if cfg.Prober == nil {
-		n.cfg.Prober = &VirtualProber{Self: cfg.Coord, Timeout: cfg.CallTimeout, Dial: cfg.Dial}
+		n.cfg.Prober = &VirtualProber{Self: cfg.Coord, Timeout: cfg.CallTimeout}
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -357,10 +356,9 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 	}
 	n.nm = newNodeMetrics(reg, cfg.Depth)
 	n.pool = wire.NewPool(wire.PoolOptions{
-		Dial:         cfg.Dial,
-		DialTimeout:  cfg.CallTimeout,
-		WriteTimeout: cfg.CallTimeout,
-		ConnWrap:     n.nm.wm.CountConn,
+		Dial:     cfg.Dial,
+		Timeout:  cfg.CallTimeout,
+		ConnWrap: n.nm.wm.CountConn,
 	})
 	base := n.nm.wm.Wrap(n.pool)
 	if cfg.WrapCaller != nil {
@@ -371,10 +369,6 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 		retry.PerAttempt = cfg.CallTimeout
 	}
 	n.retrier = wire.NewRetrier(base, retry, cfg.Breaker, reg)
-	n.suspect = cfg.EvictSuspicion
-	if n.suspect <= 0 {
-		n.suspect = cfg.Retry.EffectiveAttempts()
-	}
 	if cfg.LookupCache > 0 {
 		n.cache = lru.New[wire.Peer](cfg.LookupCache)
 	}

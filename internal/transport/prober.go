@@ -11,36 +11,35 @@ import (
 
 // Prober estimates the one-way latency in milliseconds to a remote node.
 // The distributed binning scheme only needs approximate values (paper
-// §2.2), so implementations trade accuracy for convenience. The context
-// bounds the whole probe (all samples); each sample is additionally
-// capped by the implementation's per-probe timeout.
+// §2.2), so implementations trade accuracy for convenience. via is the
+// probing node's connection pool itself — beneath its retrier, breaker,
+// metrics wrapper and Config.WrapCaller — so a probe is one plain
+// exchange: never retried, invisible to injected faults, not counted as
+// an RPC, and on the connection the node's later calls to that address
+// reuse. The context bounds the whole probe (all samples); each sample
+// is additionally capped by the implementation's per-probe timeout.
 type Prober interface {
-	Latency(ctx context.Context, addr string) (float64, error)
+	Latency(ctx context.Context, via wire.Caller, addr string) (float64, error)
 }
 
 // RTTProber measures real round-trip times with ping requests and returns
-// the minimum over Samples probes, halved.
+// the minimum over Samples probes, halved. The first sample may pay the
+// pool's dial; the minimum does not.
 type RTTProber struct {
 	Samples int
 	Timeout time.Duration
-	// Dial overrides TCP for the probe calls (nil = TCP).
-	Dial wire.DialFunc
 }
 
 // Latency implements Prober.
-func (p *RTTProber) Latency(ctx context.Context, addr string) (float64, error) {
+func (p *RTTProber) Latency(ctx context.Context, via wire.Caller, addr string) (float64, error) {
 	samples := p.Samples
 	if samples <= 0 {
 		samples = 3
 	}
-	timeout := p.Timeout
-	if timeout == 0 {
-		timeout = 2 * time.Second
-	}
 	best := math.Inf(1)
 	for i := 0; i < samples; i++ {
 		start := time.Now()
-		if err := probe(ctx, p.Dial, addr, wire.Request{Type: wire.TPing}, timeout); err != nil {
+		if _, err := probe(ctx, via, addr, wire.TPing, p.Timeout); err != nil {
 			return 0, fmt.Errorf("transport: ping %s: %w", addr, err)
 		}
 		if rtt := time.Since(start); rtt.Seconds()*1000 < best {
@@ -50,13 +49,15 @@ func (p *RTTProber) Latency(ctx context.Context, addr string) (float64, error) {
 	return best / 2, nil
 }
 
-// probe performs one one-shot exchange bounded by timeout within the
+// probe performs one exchange bounded by timeout (0 = 2s) within the
 // caller's context.
-func probe(ctx context.Context, dial wire.DialFunc, addr string, req wire.Request, timeout time.Duration) error {
+func probe(ctx context.Context, via wire.Caller, addr string, t wire.MsgType, timeout time.Duration) (wire.Response, error) {
+	if timeout == 0 {
+		timeout = 2 * time.Second
+	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	_, err := wire.CallVia(ctx, dial, addr, req)
-	return err
+	return via.Call(ctx, addr, wire.Request{Type: t})
 }
 
 // VirtualProber places nodes on a synthetic 2-D plane: latency is the
@@ -67,19 +68,11 @@ func probe(ctx context.Context, dial wire.DialFunc, addr string, req wire.Reques
 type VirtualProber struct {
 	Self    [2]float64
 	Timeout time.Duration
-	// Dial overrides TCP for the get_info call (nil = TCP).
-	Dial wire.DialFunc
 }
 
 // Latency implements Prober.
-func (p *VirtualProber) Latency(ctx context.Context, addr string) (float64, error) {
-	timeout := p.Timeout
-	if timeout == 0 {
-		timeout = 2 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	resp, err := wire.CallVia(ctx, p.Dial, addr, wire.Request{Type: wire.TGetInfo})
+func (p *VirtualProber) Latency(ctx context.Context, via wire.Caller, addr string) (float64, error) {
+	resp, err := probe(ctx, via, addr, wire.TGetInfo, p.Timeout)
 	if err != nil {
 		return 0, fmt.Errorf("transport: get_info %s: %w", addr, err)
 	}

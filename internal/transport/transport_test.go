@@ -3,8 +3,10 @@ package transport
 import (
 	"context"
 	"fmt"
+	"net"
 	"repro/internal/lint/leakcheck"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,11 +14,14 @@ import (
 	"repro/internal/wire"
 )
 
-// wireCall performs one connection-per-call exchange bounded by timeout.
+// wireCall performs one exchange over TCP on a fresh pool, bounded by
+// timeout.
 func wireCall(addr string, req wire.Request, timeout time.Duration) (wire.Response, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	return wire.Call(ctx, addr, req)
+	p := wire.NewPool(wire.PoolOptions{})
+	defer p.Close()
+	return p.Call(ctx, addr, req)
 }
 
 // cluster starts n live nodes placed in two virtual-coordinate clusters
@@ -339,16 +344,97 @@ func TestRTTProber(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nd.Close()
+	pool := wire.NewPool(wire.PoolOptions{})
+	defer pool.Close()
 	p := &RTTProber{Samples: 2, Timeout: time.Second}
-	lat, err := p.Latency(context.Background(), nd.Addr())
+	lat, err := p.Latency(context.Background(), pool, nd.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lat < 0 || lat > 1000 {
 		t.Errorf("implausible loopback latency %v ms", lat)
 	}
-	if _, err := p.Latency(context.Background(), "127.0.0.1:1"); err == nil {
+	if _, err := p.Latency(context.Background(), pool, "127.0.0.1:1"); err == nil {
 		t.Error("probing a dead address should fail")
+	}
+}
+
+// startMem starts a node listening as addr on mem.
+func startMem(t *testing.T, mem *wire.MemNet, addr string, cfg Config) *Node {
+	t.Helper()
+	ln, err := mem.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Listener = ln
+	if cfg.Dial == nil {
+		cfg.Dial = mem.Dial
+	}
+	n, err := Start("", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+// TestRTTProberExcludesDial pins what a probe times: an exchange on an
+// open connection, not a connection set-up plus an exchange. The first
+// sample pays the pool's dial, the minimum does not. (Through its own
+// one-shot dial per sample, the prober reported half of handshake plus
+// exchange — here at least 15 ms — as the one-way delay.)
+func TestRTTProberExcludesDial(t *testing.T) {
+	mem := wire.NewMemNet()
+	startMem(t, mem, "n", Config{Depth: 1})
+	pool := wire.NewPool(wire.PoolOptions{Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+		time.Sleep(30 * time.Millisecond)
+		return mem.Dial(addr, timeout)
+	}})
+	defer pool.Close()
+	lat, err := (&RTTProber{Samples: 3}).Latency(context.Background(), pool, "n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat >= 15 {
+		t.Errorf("latency = %.1f ms over an in-process pipe: the 30 ms dial was counted", lat)
+	}
+}
+
+// TestJoinOpensOneConnectionPerLandmark pins that landmark probes ride
+// the node's pool: the connection a probe opens is the one the join and
+// the maintenance rounds after it keep using, so a landmark is dialled
+// once, not once to probe and once more to talk.
+func TestJoinOpensOneConnectionPerLandmark(t *testing.T) {
+	leakcheck.Watchdog(t, 30*time.Second)
+	mem := wire.NewMemNet()
+	landmarks := []string{"lm0", "lm1"}
+	lm0 := startMem(t, mem, "lm0", Config{Depth: 2, Landmarks: landmarks})
+	lm1 := startMem(t, mem, "lm1", Config{Depth: 2, Coord: [2]float64{500, 500}})
+	if err := lm0.CreateNetwork(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm1.Join("lm0"); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	dials := make(map[string]int)
+	joiner := startMem(t, mem, "j", Config{Depth: 2, Coord: [2]float64{3, 4},
+		Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+			mu.Lock()
+			dials[addr]++
+			mu.Unlock()
+			return mem.Dial(addr, timeout)
+		}})
+	if err := joiner.Join("lm0"); err != nil {
+		t.Fatal(err)
+	}
+	joiner.StabilizeOnce()
+	mu.Lock()
+	defer mu.Unlock()
+	for _, lm := range landmarks {
+		if dials[lm] != 1 {
+			t.Errorf("joiner dialled landmark %s %d times, want 1", lm, dials[lm])
+		}
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 //	[4 bytes big-endian payload length][8 bytes big-endian tag][payload]
 //
 // The tag matches a response frame to its request on a multiplexed
-// connection; one-shot exchanges use tag 1. The length counts payload
-// bytes only.
+// connection. The length counts payload bytes only.
 const frameHeader = 12
 
 // maxFramePayload bounds one frame so a corrupt or hostile length prefix

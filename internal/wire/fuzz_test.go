@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -146,9 +145,7 @@ func FuzzRoundTrip(f *testing.F) {
 				}()
 			}
 		}()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		viaWire, callErr := CallVia(ctx, mn.Dial, "peer", req)
-		cancel()
+		viaWire, callErr := callVia(mn.Dial, "peer", req, 5*time.Second)
 		if callErr != nil {
 			t.Fatalf("exchange: %v", callErr)
 		}

@@ -20,28 +20,6 @@ var AllMsgTypes = func() []MsgType {
 	return all
 }()
 
-// CountingConn wraps a net.Conn and tallies bytes read and written. The
-// counters are plain ints: use it only where one goroutine owns the
-// connection (tests, one-shot probes); multiplexed connections use the
-// atomic counters of Metrics.CountConn.
-type CountingConn struct {
-	net.Conn
-	ReadBytes    int64
-	WrittenBytes int64
-}
-
-func (c *CountingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.ReadBytes += int64(n)
-	return n, err
-}
-
-func (c *CountingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.WrittenBytes += int64(n)
-	return n, err
-}
-
 // Metrics instruments the wire protocol against a metrics registry:
 // per-MsgType request and error counts for both the client and server
 // roles, total bytes in/out, and a call-latency histogram. One Metrics

@@ -30,11 +30,14 @@ func echoServe(t *testing.T, ln net.Listener, wg *sync.WaitGroup) {
 	}()
 }
 
-// callVia performs one one-shot exchange over dial bounded by timeout.
+// callVia performs one exchange over a fresh pool on dial, bounded by
+// timeout.
 func callVia(dial DialFunc, addr string, req Request, timeout time.Duration) (Response, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	return CallVia(ctx, dial, addr, req)
+	p := NewPool(PoolOptions{Dial: dial})
+	defer p.Close()
+	return p.Call(ctx, addr, req)
 }
 
 func TestMemNetCall(t *testing.T) {
@@ -51,7 +54,7 @@ func TestMemNetCall(t *testing.T) {
 
 	resp, err := callVia(mn.Dial, "n0", Request{Type: TPing, Name: "hello"}, time.Second)
 	if err != nil {
-		t.Fatalf("CallVia: %v", err)
+		t.Fatalf("Call: %v", err)
 	}
 	if resp.Err != "hello" {
 		t.Fatalf("echoed %q, want hello", resp.Err)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -13,53 +14,33 @@ import (
 type PoolOptions struct {
 	// Dial opens connections (nil = TCP).
 	Dial DialFunc
-	// Size caps the live connections kept per peer (0 or less means
-	// DefaultPoolSize).
-	Size int
-	// DialTimeout bounds connection establishment when the caller's
-	// context allows more (0 = DefaultTimeout).
-	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write on a pooled connection; like
-	// the server side, the deadline is re-armed per frame
+	// Timeout bounds connection establishment when the caller's context
+	// allows more, and each frame write on a pooled connection; like the
+	// server side, the write deadline is re-armed per frame
 	// (0 = DefaultTimeout).
-	WriteTimeout time.Duration
+	Timeout time.Duration
 	// ConnWrap, when non-nil, wraps every new connection before use —
 	// the seam for byte accounting (Metrics.CountConn).
 	ConnWrap func(net.Conn) net.Conn
 }
-
-// DefaultPoolSize is the per-peer connection cap when PoolOptions.Size
-// is zero. Two connections keep one head-of-line-blocked stream (a slow
-// large response) from stalling every concurrent exchange while still
-// amortizing dials.
-const DefaultPoolSize = 2
-
-// growInflight is the in-flight count on a peer's least-loaded
-// connection above which the pool dials an additional connection (up to
-// Size) in the background rather than queueing more exchanges onto it.
-const growInflight = 4
 
 // wedgeStrikes is the number of consecutive waiter timeouts (with no
 // intervening completed exchange) after which a pooled connection is
 // declared wedged and torn down.
 const wedgeStrikes = 8
 
-// Pool is the pooled, multiplexed wire client: it keeps up to Size
-// connections per peer, pipelines many tagged in-flight requests on each,
-// and matches responses by tag, so concurrent exchanges to one peer share
-// connections instead of paying a dial each. Broken connections fail all
-// their in-flight exchanges with a *NetError and are replaced on the next
+// errPoolClosed fails the exchanges of a closed pool, in flight and new.
+var errPoolClosed = errors.New("wire: pool closed")
+
+// Pool is the pooled, multiplexed wire client: it keeps one connection
+// per peer, pipelines many tagged in-flight requests on it, and matches
+// responses by tag, so concurrent exchanges to one peer share the
+// connection instead of paying a dial each. A broken connection fails all
+// its in-flight exchanges with a *NetError and is replaced on the next
 // call. Pool implements Caller; cancellation is per-exchange (an
 // abandoned tag, not a closed connection).
 type Pool struct {
 	o PoolOptions
-
-	// lifeCtx is cancelled by Close; background grow-dials derive from it
-	// so none outlives the pool. growWG counts those dial goroutines and
-	// Close waits for them, so a closed pool leaves nothing running.
-	lifeCtx    context.Context
-	lifeCancel context.CancelFunc
-	growWG     sync.WaitGroup
 
 	mu     sync.Mutex
 	peers  map[string]*poolPeer
@@ -71,18 +52,10 @@ func NewPool(o PoolOptions) *Pool {
 	if o.Dial == nil {
 		o.Dial = tcpDial
 	}
-	if o.Size <= 0 {
-		o.Size = DefaultPoolSize
+	if o.Timeout <= 0 {
+		o.Timeout = DefaultTimeout
 	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = DefaultTimeout
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = DefaultTimeout
-	}
-	p := &Pool{o: o, peers: make(map[string]*poolPeer)}
-	p.lifeCtx, p.lifeCancel = context.WithCancel(context.Background()) //lint:allow ctxflow the pool lifecycle root: Close cancels it, and background grow-dials derive from it
-	return p
+	return &Pool{o: o, peers: make(map[string]*poolPeer)}
 }
 
 // Call implements Caller.
@@ -98,24 +71,29 @@ func (p *Pool) Call(ctx context.Context, addr string, req Request) (Response, er
 }
 
 // Close tears down every pooled connection, failing their in-flight
-// exchanges. The pool is unusable afterwards.
+// exchanges; a dial in flight is waited out (it is bounded by Timeout) so
+// that the connection it produces is failed too. Calls on a closed pool
+// fail without dialling.
 func (p *Pool) Close() error {
-	p.lifeCancel()
 	p.mu.Lock()
 	peers := p.peers
-	p.peers = make(map[string]*poolPeer)
+	p.peers = nil
 	p.closed = true
 	p.mu.Unlock()
 	for _, pp := range peers {
 		pp.close()
 	}
-	p.growWG.Wait()
 	return nil
 }
 
+// peer returns addr's record. On a closed pool it is a detached, closed
+// one, so no caller can dial a connection Close will never reach.
 func (p *Pool) peer(addr string) *poolPeer {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.closed {
+		return &poolPeer{pool: p, addr: addr, closed: true}
+	}
 	pp, ok := p.peers[addr]
 	if !ok {
 		pp = &poolPeer{pool: p, addr: addr}
@@ -124,91 +102,34 @@ func (p *Pool) peer(addr string) *poolPeer {
 	return pp
 }
 
-// poolPeer holds one peer's connections.
+// poolPeer holds one peer's connection.
 type poolPeer struct {
 	pool *Pool
 	addr string
 
-	// dialMu serializes synchronous dials so a burst of first calls to a
-	// peer opens one connection, not one per caller.
-	dialMu sync.Mutex
-
-	mu      sync.Mutex
-	conns   []*muxConn
-	growing bool // a background grow-dial is in flight
+	// mu is held across a dial, so a burst of first calls to a peer opens
+	// one connection, not one per caller.
+	mu     sync.Mutex
+	c      *muxConn // nil until the first call
+	closed bool     // the pool closed: a call that raced Close must not dial
 }
 
-// conn returns a connection to run one exchange on: the least-loaded
-// live connection when one exists (kicking off a background dial when
-// it is busy and the pool has room), else a synchronous dial.
+// conn returns the connection to run one exchange on, dialling when there
+// is none or the last one broke.
 func (pp *poolPeer) conn(ctx context.Context) (*muxConn, error) {
-	if best, grow := pp.pick(); best != nil {
-		if grow {
-			pp.pool.growWG.Add(1)
-			go pp.grow()
-		}
-		return best, nil
-	}
-	pp.dialMu.Lock()
-	defer pp.dialMu.Unlock()
-	// Another caller may have dialed while we waited.
-	if best, _ := pp.pick(); best != nil {
-		return best, nil
-	}
-	c, err := pp.dial(ctx)
-	if err != nil {
-		return nil, err
-	}
-	pp.mu.Lock()
-	pp.conns = append(pp.conns, c)
-	pp.mu.Unlock()
-	return c, nil
-}
-
-// pick prunes dead connections and returns the least-loaded live one
-// (nil if none), plus whether the pool should grow in the background.
-func (pp *poolPeer) pick() (best *muxConn, grow bool) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
-	live := pp.conns[:0]
-	for _, c := range pp.conns {
-		if c.broken() {
-			continue
+	if pp.closed {
+		return nil, &NetError{Addr: pp.addr, Op: "dial", Sent: false, Err: errPoolClosed}
+	}
+	if pp.c == nil || pp.c.broken() {
+		c, err := pp.dial(ctx)
+		if err != nil {
+			return nil, err
 		}
-		live = append(live, c)
-		if best == nil || c.load() < best.load() {
-			best = c
-		}
+		pp.c = c
 	}
-	pp.conns = live
-	grow = best != nil && !pp.growing && len(live) < pp.pool.o.Size && best.load() >= growInflight
-	if grow {
-		pp.growing = true
-	}
-	return best, grow
-}
-
-// grow dials one additional connection in the background. The dial is
-// bounded by the pool's lifecycle context, and a connection that lands
-// after Close (or after the pool refilled to Size) is failed rather
-// than registered, so grow can never resurrect a closed peer.
-func (pp *poolPeer) grow() {
-	defer pp.pool.growWG.Done()
-	ctx, cancel := context.WithTimeout(pp.pool.lifeCtx, pp.pool.o.DialTimeout)
-	c, err := pp.dial(ctx)
-	cancel()
-	pp.mu.Lock()
-	pp.growing = false
-	if err == nil && pp.pool.lifeCtx.Err() == nil {
-		if len(pp.conns) < pp.pool.o.Size {
-			pp.conns = append(pp.conns, c)
-			c = nil
-		}
-	}
-	pp.mu.Unlock()
-	if err == nil && c != nil {
-		c.fail(fmt.Errorf("wire: pool full"))
-	}
+	return pp.c, nil
 }
 
 // dial opens, wraps and preambles one connection and starts its reader.
@@ -217,7 +138,7 @@ func (pp *poolPeer) dial(ctx context.Context) (*muxConn, error) {
 		return nil, &NetError{Addr: pp.addr, Op: "dial", Sent: false, Err: context.Cause(ctx)}
 	}
 	o := &pp.pool.o
-	timeout := o.DialTimeout
+	timeout := o.Timeout
 	if dl, ok := ctx.Deadline(); ok {
 		if until := time.Until(dl); until < timeout {
 			timeout = until
@@ -233,7 +154,7 @@ func (pp *poolPeer) dial(ctx context.Context) (*muxConn, error) {
 	if o.ConnWrap != nil {
 		conn = o.ConnWrap(conn)
 	}
-	if err := conn.SetWriteDeadline(time.Now().Add(o.WriteTimeout)); err != nil {
+	if err := conn.SetWriteDeadline(time.Now().Add(o.Timeout)); err != nil {
 		conn.Close()
 		return nil, &NetError{Addr: pp.addr, Op: "dial", Sent: false, Err: err}
 	}
@@ -244,7 +165,7 @@ func (pp *poolPeer) dial(ctx context.Context) (*muxConn, error) {
 	c := &muxConn{
 		conn:         conn,
 		addr:         pp.addr,
-		writeTimeout: o.WriteTimeout,
+		writeTimeout: o.Timeout,
 		nextTag:      1,
 		pending:      make(map[uint64]*exchange),
 	}
@@ -254,11 +175,10 @@ func (pp *poolPeer) dial(ctx context.Context) (*muxConn, error) {
 
 func (pp *poolPeer) close() {
 	pp.mu.Lock()
-	conns := pp.conns
-	pp.conns = nil
-	pp.mu.Unlock()
-	for _, c := range conns {
-		c.fail(fmt.Errorf("wire: pool closed"))
+	defer pp.mu.Unlock()
+	pp.closed = true
+	if pp.c != nil {
+		pp.c.fail(errPoolClosed)
 	}
 }
 
@@ -331,18 +251,11 @@ type muxConn struct {
 	// it for every frame.
 	wmu sync.Mutex
 
-	mu       sync.Mutex
-	nextTag  uint64
-	pending  map[uint64]*exchange
-	inflight int
-	failed   error // set once: the connection is dead
-	strikes  int   // consecutive abandoned waits since the last completion
-}
-
-func (c *muxConn) load() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inflight
+	mu      sync.Mutex
+	nextTag uint64
+	pending map[uint64]*exchange
+	failed  error // set once: the connection is dead
+	strikes int   // consecutive abandoned waits since the last completion
 }
 
 func (c *muxConn) broken() bool {
@@ -380,7 +293,6 @@ func (c *muxConn) roundTrip(ctx context.Context, addr string, req Request) (Resp
 	tag := c.nextTag
 	c.nextTag++
 	c.pending[tag] = x
-	c.inflight++
 	c.mu.Unlock()
 	putFrameHeader(buf, tag)
 
@@ -456,7 +368,6 @@ func (c *muxConn) forget(tag uint64, strike bool) (wedged bool) {
 		return false // the reader beat us to it
 	}
 	delete(c.pending, tag)
-	c.inflight--
 	if strike {
 		c.strikes++
 		return c.strikes >= wedgeStrikes && c.failed == nil
@@ -475,7 +386,6 @@ func (c *muxConn) fail(cause error) {
 	c.failed = cause
 	pending := c.pending
 	c.pending = make(map[uint64]*exchange)
-	c.inflight = 0
 	c.mu.Unlock()
 	c.conn.Close()
 	for _, x := range pending {
@@ -506,7 +416,6 @@ func (c *muxConn) readLoop() {
 		x, ok := c.pending[tag]
 		if ok {
 			delete(c.pending, tag)
-			c.inflight--
 			c.strikes = 0
 		}
 		c.mu.Unlock()

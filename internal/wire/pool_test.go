@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"repro/internal/lint/leakcheck"
@@ -47,7 +48,7 @@ func TestPoolReusesConnections(t *testing.T) {
 	accepts := servePool(t, mn, "peer", func(req Request) Response {
 		return Response{OK: true, Err: req.Name}
 	})
-	p := NewPool(PoolOptions{Dial: mn.Dial, Size: 1})
+	p := NewPool(PoolOptions{Dial: mn.Dial})
 	defer p.Close()
 	for i := 0; i < 20; i++ {
 		resp, err := poolCall(p, "peer", Request{Type: TPing, Name: "x"}, 2*time.Second)
@@ -73,7 +74,7 @@ func TestPoolPipelinesOutOfOrder(t *testing.T) {
 		}
 		return Response{OK: true, Err: req.Name}
 	})
-	p := NewPool(PoolOptions{Dial: mn.Dial, Size: 1})
+	p := NewPool(PoolOptions{Dial: mn.Dial})
 	defer p.Close()
 
 	slowDone := make(chan Response, 1)
@@ -119,15 +120,21 @@ func TestPoolPipelinesOutOfOrder(t *testing.T) {
 	}
 }
 
-// load reports a peer's total in-flight exchanges (test helper).
+// load reports a peer's in-flight exchanges (test helper).
 func (pp *poolPeer) load() int {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
-	total := 0
-	for _, c := range pp.conns {
-		total += c.load()
+	if pp.c == nil {
+		return 0
 	}
-	return total
+	return pp.c.load()
+}
+
+// load reports the tags registered on the connection (test helper).
+func (c *muxConn) load() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending)
 }
 
 // TestPoolCancelAbandonsOneExchange pins per-exchange cancellation: a
@@ -144,7 +151,7 @@ func TestPoolCancelAbandonsOneExchange(t *testing.T) {
 		return Response{OK: true, Err: req.Name}
 	})
 	defer close(release)
-	p := NewPool(PoolOptions{Dial: mn.Dial, Size: 1})
+	p := NewPool(PoolOptions{Dial: mn.Dial})
 	defer p.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -202,7 +209,7 @@ func TestPoolBrokenConnFailsAllInflight(t *testing.T) {
 		}
 	}()
 
-	p := NewPool(PoolOptions{Dial: mn.Dial, Size: 1})
+	p := NewPool(PoolOptions{Dial: mn.Dial})
 	defer p.Close()
 	const inflight = 4
 	errs := make(chan error, inflight)
@@ -266,7 +273,7 @@ func TestPoolWedgedConnStrikeLimit(t *testing.T) {
 		}
 	}()
 
-	p := NewPool(PoolOptions{Dial: mn.Dial, Size: 1})
+	p := NewPool(PoolOptions{Dial: mn.Dial})
 	defer p.Close()
 
 	// A patient exchange rides the wedged connection. Its own deadline is
@@ -317,9 +324,10 @@ func TestPoolWedgedConnStrikeLimit(t *testing.T) {
 }
 
 // TestPoolTimedOutExchangeFreesTagSlot pins the slot-release contract:
-// the moment a waiter gives up on its context, its tag no longer counts
-// toward the connection's load, so the pool's least-loaded routing and
-// grow heuristic see the truth instead of a ghost in-flight exchange.
+// the moment a waiter gives up on its context, its tag leaves the
+// connection's pending table, so a late response is discarded instead of
+// delivered into a record nobody waits on, and the table holds only
+// exchanges somebody is waiting for.
 func TestPoolTimedOutExchangeFreesTagSlot(t *testing.T) {
 	leakcheck.Watchdog(t, 30*time.Second)
 	mn := NewMemNet()
@@ -331,7 +339,7 @@ func TestPoolTimedOutExchangeFreesTagSlot(t *testing.T) {
 		return Response{OK: true}
 	})
 	defer close(release)
-	p := NewPool(PoolOptions{Dial: mn.Dial, Size: 1})
+	p := NewPool(PoolOptions{Dial: mn.Dial})
 	defer p.Close()
 
 	if _, err := poolCall(p, "peer", Request{Type: TPing}, 2*time.Second); err != nil {
@@ -340,7 +348,7 @@ func TestPoolTimedOutExchangeFreesTagSlot(t *testing.T) {
 	conn := func() *muxConn {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		return p.peers["peer"].conns[0]
+		return p.peers["peer"].c
 	}()
 
 	if _, err := poolCall(p, "peer", Request{Type: TGet, Name: "stuck"}, 50*time.Millisecond); err == nil {
@@ -364,7 +372,7 @@ func TestPoolExpiredContextSendsNothing(t *testing.T) {
 		served.Add(1)
 		return Response{OK: true}
 	})
-	p := NewPool(PoolOptions{Dial: mn.Dial, Size: 1})
+	p := NewPool(PoolOptions{Dial: mn.Dial})
 	defer p.Close()
 
 	if _, err := poolCall(p, "peer", Request{Type: TPing}, 2*time.Second); err != nil {
@@ -374,7 +382,7 @@ func TestPoolExpiredContextSendsNothing(t *testing.T) {
 	conn := func() *muxConn {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		return p.peers["peer"].conns[0]
+		return p.peers["peer"].c
 	}()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -410,7 +418,7 @@ func TestPoolAttemptDeadlineTimesOutLikeCtx(t *testing.T) {
 		return Response{OK: true}
 	})
 	defer close(release)
-	p := NewPool(PoolOptions{Dial: mn.Dial, Size: 1})
+	p := NewPool(PoolOptions{Dial: mn.Dial})
 	defer p.Close()
 	r := NewRetrier(p, RetryPolicy{MaxAttempts: 1, PerAttempt: 25 * time.Millisecond}, BreakerPolicy{Threshold: -1}, nil)
 
@@ -420,7 +428,7 @@ func TestPoolAttemptDeadlineTimesOutLikeCtx(t *testing.T) {
 	conn := func() *muxConn {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		return p.peers["peer"].conns[0]
+		return p.peers["peer"].c
 	}()
 	strikes := func() int {
 		conn.mu.Lock()
@@ -447,5 +455,72 @@ func TestPoolAttemptDeadlineTimesOutLikeCtx(t *testing.T) {
 	}
 	if !conn.broken() {
 		t.Fatalf("%d attempt timeouts in a row did not tear the connection down", wedgeStrikes)
+	}
+}
+
+// TestPoolOneConnectionPerPeer pins the connection policy: however many
+// exchanges are in flight to a peer, they share one connection. A first
+// call opens it; the handler then answers nobody until all 64 requests
+// have arrived, so all 64 are in flight on it at once, and each caller
+// still gets its own answer.
+func TestPoolOneConnectionPerPeer(t *testing.T) {
+	leakcheck.Watchdog(t, 30*time.Second)
+	const callers = 64
+	mn := NewMemNet()
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	accepts := servePool(t, mn, "peer", func(req Request) Response {
+		if req.Type == TPing {
+			return Response{OK: true}
+		}
+		if arrived.Add(1) == callers {
+			close(all)
+		}
+		<-all
+		return Response{OK: true, Err: req.Name}
+	})
+	p := NewPool(PoolOptions{Dial: mn.Dial})
+	defer p.Close()
+	if _, err := poolCall(p, "peer", Request{Type: TPing}, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		name := fmt.Sprintf("call-%d", i)
+		go func() {
+			resp, err := poolCall(p, "peer", Request{Type: TGet, Name: name}, 10*time.Second)
+			if err == nil && resp.Err != name {
+				err = fmt.Errorf("%s answered with %q", name, resp.Err)
+			}
+			errs <- err
+		}()
+	}
+	for i := 0; i < callers; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if n := atomic.LoadInt32(accepts); n != 1 {
+		t.Errorf("%d concurrent exchanges opened %d connections, want 1", callers, n)
+	}
+}
+
+// TestPoolCallAfterCloseDoesNotDial pins that Close is final: a call on a
+// closed pool fails as a dial that never happened, instead of opening a
+// connection (and its reader goroutine) that no Close will ever reach —
+// which the package's leak gate would report.
+func TestPoolCallAfterCloseDoesNotDial(t *testing.T) {
+	mn := NewMemNet()
+	accepts := servePool(t, mn, "peer", func(Request) Response { return Response{OK: true} })
+	p := NewPool(PoolOptions{Dial: mn.Dial})
+	p.Close()
+	_, err := poolCall(p, "peer", Request{Type: TPing}, 2*time.Second)
+	var ne *NetError
+	if !errors.As(err, &ne) || ne.Op != "dial" || ne.Sent || !errors.Is(err, errPoolClosed) {
+		t.Fatalf("call on a closed pool = %v, want an unsent dial NetError wrapping errPoolClosed", err)
+	}
+	if n := atomic.LoadInt32(accepts); n != 0 {
+		t.Errorf("call on a closed pool opened %d connection(s)", n)
 	}
 }

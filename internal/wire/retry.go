@@ -25,14 +25,6 @@ type RetryPolicy struct {
 	// attempt cannot eat the whole budget. 0 = DefaultTimeout; negative
 	// leaves attempts bounded only by the caller's context.
 	PerAttempt time.Duration
-	// Overall, when positive, bounds the whole call including backoff
-	// sleeps: a retry that cannot start before the budget expires is not
-	// attempted. 0 leaves the total implicitly bounded by
-	// MaxAttempts × (per-call timeout + backoff).
-	Overall time.Duration
-	// Seed seeds the jitter source (0 = 1). Jitter decorrelates retry
-	// storms between peers; it never affects which calls are retried.
-	Seed int64
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -50,9 +42,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.PerAttempt == 0 {
 		p.PerAttempt = DefaultTimeout
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
 	}
 	return p
 }
@@ -106,7 +95,10 @@ type Retrier struct {
 	rp    RetryPolicy
 	bp    BreakerPolicy
 
-	mu    sync.Mutex
+	mu sync.Mutex
+	// rng draws backoff jitter. Jitter decorrelates retry storms between
+	// peers; it never decides which calls are retried, so one fixed seed
+	// serves every retrier.
 	rng   *rand.Rand
 	peers map[string]*breaker
 
@@ -126,7 +118,7 @@ func NewRetrier(inner Caller, rp RetryPolicy, bp BreakerPolicy, reg *metrics.Reg
 		inner: inner,
 		rp:    rp,
 		bp:    bp,
-		rng:   rand.New(rand.NewSource(rp.Seed)),
+		rng:   rand.New(rand.NewSource(1)),
 		peers: make(map[string]*breaker),
 	}
 	if reg != nil {
@@ -151,16 +143,11 @@ func NewRetrier(inner Caller, rp RetryPolicy, bp BreakerPolicy, reg *metrics.Reg
 }
 
 // Call implements Caller with retries and breaker checks. The overall
-// budget is the tighter of the caller's context deadline and the
-// policy's Overall; each attempt additionally gets a PerAttempt
-// deadline, and backoff sleeps abort on cancellation.
+// budget is the caller's context deadline: a retry whose backoff sleep
+// would end past it is not attempted. Each attempt additionally gets a
+// PerAttempt deadline, and backoff sleeps abort on cancellation.
 func (r *Retrier) Call(ctx context.Context, addr string, req Request) (Response, error) {
 	deadline, bounded := ctx.Deadline()
-	if r.rp.Overall > 0 {
-		if od := time.Now().Add(r.rp.Overall); !bounded || od.Before(deadline) {
-			deadline, bounded = od, true
-		}
-	}
 	var lastErr error
 	for attempt := 0; attempt < r.rp.MaxAttempts; attempt++ {
 		if attempt > 0 {

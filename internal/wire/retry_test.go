@@ -226,10 +226,12 @@ func TestRetrierOverallBudget(t *testing.T) {
 	sc := &scriptCaller{outs: []error{dialErr("p"), dialErr("p"), dialErr("p"), dialErr("p")}}
 	r := NewRetrier(sc, RetryPolicy{
 		MaxAttempts: 4, BaseBackoff: 50 * time.Millisecond,
-		MaxBackoff: 50 * time.Millisecond, Overall: 60 * time.Millisecond,
+		MaxBackoff: 50 * time.Millisecond,
 	}, BreakerPolicy{Threshold: -1}, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	if _, err := r.Call(context.Background(), "p", Request{Type: TPing}); err == nil {
+	if _, err := r.Call(ctx, "p", Request{Type: TPing}); err == nil {
 		t.Fatal("want failure")
 	}
 	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
@@ -288,7 +290,7 @@ func TestWriteDeadlineResetPerFrame(t *testing.T) {
 			}()
 		}
 	}()
-	p := NewPool(PoolOptions{Size: 1, WriteTimeout: 150 * time.Millisecond})
+	p := NewPool(PoolOptions{Timeout: 150 * time.Millisecond})
 	defer p.Close()
 	addr := ln.Addr().String()
 	for i := 0; i < 4; i++ {

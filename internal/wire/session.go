@@ -64,18 +64,15 @@ type ServeOptions struct {
 	// It also bounds the wait for the session preamble. 0 means
 	// DefaultTimeout.
 	WriteTimeout time.Duration
-	// IdleTimeout bounds the wait for the next request frame; a pooled
-	// client that goes quiet longer than this has its connection closed
-	// (it will transparently redial). 0 means DefaultIdleTimeout.
-	IdleTimeout time.Duration
 	// Observe, when non-nil, is invoked once per served request with the
 	// request type and whether the handler answered OK.
 	Observe func(t MsgType, ok bool)
 }
 
-// DefaultIdleTimeout is how long a server session waits for the next
-// request frame before closing an idle connection.
-const DefaultIdleTimeout = 2 * time.Minute
+// idleTimeout bounds the wait for the next request frame; a pooled
+// client that goes quiet longer than this has its connection closed (it
+// will transparently redial).
+const idleTimeout = 2 * time.Minute
 
 // ServeConn runs one server-side session to completion: it reads the
 // preamble, then serves framed requests — each on its own goroutine, so
@@ -89,10 +86,6 @@ func ServeConn(conn net.Conn, h Handler, o ServeOptions) error {
 	wt := o.WriteTimeout
 	if wt <= 0 {
 		wt = DefaultTimeout
-	}
-	idle := o.IdleTimeout
-	if idle <= 0 {
-		idle = DefaultIdleTimeout
 	}
 
 	// Every client writes the preamble in the same breath as the dial, so
@@ -119,7 +112,7 @@ func ServeConn(conn net.Conn, h Handler, o ServeOptions) error {
 		putFrameBuf(pb)
 	}()
 	for {
-		if err := conn.SetReadDeadline(time.Now().Add(idle)); err != nil {
+		if err := conn.SetReadDeadline(time.Now().Add(idleTimeout)); err != nil {
 			return err
 		}
 		payload, tag, rerr := readFrame(br, buf[:0])

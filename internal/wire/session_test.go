@@ -45,7 +45,7 @@ func serveOne(t *testing.T, mn *MemNet, o ServeOptions) (result <-chan error, ha
 func TestServeConnBoundsPreambleWait(t *testing.T) {
 	leakcheck.Watchdog(t, 30*time.Second)
 	mn := NewMemNet()
-	result, handled := serveOne(t, mn, ServeOptions{WriteTimeout: 50 * time.Millisecond, IdleTimeout: time.Minute})
+	result, handled := serveOne(t, mn, ServeOptions{WriteTimeout: 50 * time.Millisecond})
 	conn, err := mn.Dial("peer", time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -98,9 +98,7 @@ func TestServeConnRefusesOtherEnvelopeFormats(t *testing.T) {
 				}
 				return &formatConn{Conn: conn, format: format}, nil
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_, err := CallVia(ctx, dial, "peer", Request{Type: TPing})
+			_, err := callVia(dial, "peer", Request{Type: TPing}, 5*time.Second)
 			var ne *NetError
 			if !errors.As(err, &ne) {
 				t.Fatalf("client error = %v, want *NetError", err)
@@ -118,25 +116,29 @@ func TestServeConnRefusesOtherEnvelopeFormats(t *testing.T) {
 	}
 }
 
-// deadlineFailConn is a connection whose deadline cannot be set.
+// deadlineFailConn is a connection whose write deadline cannot be set.
 type deadlineFailConn struct{ net.Conn }
 
-func (deadlineFailConn) SetDeadline(time.Time) error { return errors.New("deadline not supported") }
+func (deadlineFailConn) SetWriteDeadline(time.Time) error {
+	return errors.New("deadline not supported")
+}
 
-// TestCallViaTypesSetDeadlineFailure pins CallVia's error contract on its
-// least likely branch: a connection that refuses its deadline is a
-// transport failure before anything was sent, so even a non-idempotent
-// request may be retried.
+// TestCallViaTypesSetDeadlineFailure pins the client's error contract on
+// its least likely branch — the pool dial, the one place a client arms a
+// deadline before its first write (the name dates from the one-shot
+// client that carried the same contract): a connection that refuses its
+// deadline is a transport failure before anything was sent, so even a
+// non-idempotent request may be retried.
 func TestCallViaTypesSetDeadlineFailure(t *testing.T) {
 	dial := func(string, time.Duration) (net.Conn, error) {
 		client, server := net.Pipe()
 		t.Cleanup(func() { server.Close() })
 		return deadlineFailConn{client}, nil
 	}
-	_, err := CallVia(context.Background(), dial, "peer", Request{Type: TPut, Name: "k"})
+	_, err := callVia(dial, "peer", Request{Type: TPut, Name: "k"}, time.Second)
 	var ne *NetError
 	if !errors.As(err, &ne) {
-		t.Fatalf("CallVia = %v, want *NetError", err)
+		t.Fatalf("Call = %v, want *NetError", err)
 	}
 	if ne.Sent {
 		t.Errorf("Sent = true for a failure before the first write")

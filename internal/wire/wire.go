@@ -10,9 +10,7 @@
 //
 // The call surface is context-first: deadlines and cancellation flow
 // from the caller through Caller.Call(ctx, addr, req) instead of fixed
-// per-dial timeouts. Pool provides the pooled multiplexed client,
-// ServeConn the server side, and Call/CallVia a one-shot
-// connection-per-call exchange for probes and tools.
+// per-dial timeouts. Pool provides the client, ServeConn the server.
 package wire
 
 import (
@@ -269,9 +267,9 @@ type Response struct {
 }
 
 // DefaultTimeout bounds a call whose context carries no deadline. Every
-// layer that needs a time bound (one-shot dials, pooled frame writes,
-// retry attempts) falls back to it, so a background-context call can
-// never hang forever.
+// layer that needs a time bound (dials, pooled frame writes, retry
+// attempts) falls back to it, so a background-context call can never
+// hang forever.
 const DefaultTimeout = 3 * time.Second
 
 // Caller abstracts one RPC exchange with a peer. The deadline and
@@ -288,9 +286,9 @@ const DefaultTimeout = 3 * time.Second
 // parent's (a timer and a Done channel per attempt were a fifth of an
 // exchange's garbage), so beneath it Done closes on cancellation alone
 // and an implementation that waits on nothing else waits out the whole
-// call. Pool arms a timer from Deadline for the one wait it has, CallVia
-// sets it as the connection deadline; a Caller that only delegates, or
-// sleeps a bounded time of its own (faultnet's delays), owes nothing.
+// call. Pool arms a timer from Deadline for the one wait it has; a Caller
+// that only delegates, or sleeps a bounded time of its own (faultnet's
+// delays), owes nothing.
 type Caller interface {
 	Call(ctx context.Context, addr string, req Request) (Response, error)
 }
@@ -313,113 +311,9 @@ func tcpDial(addr string, timeout time.Duration) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, timeout)
 }
 
-// Call performs one connection-per-call RPC over TCP: dial, preamble,
-// one framed exchange, close. Failures are typed: a *RemoteError when the
-// peer answered with Response.OK == false, a *NetError for
-// dial/send/receive breakage. Production traffic goes through Pool; Call
-// remains for probes and tools.
-func Call(ctx context.Context, addr string, req Request) (Response, error) {
-	return CallVia(ctx, nil, addr, req)
-}
-
-// CallVia is Call over an explicit dialer (nil = TCP).
-func CallVia(ctx context.Context, dial DialFunc, addr string, req Request) (Response, error) {
-	if dial == nil {
-		dial = tcpDial
-	}
-	now := time.Now()
-	deadline, hasDeadline := ctx.Deadline()
-	if !hasDeadline {
-		deadline = now.Add(DefaultTimeout)
-	}
-	if err := expired(ctx, now); err != nil {
-		return Response{}, &NetError{Addr: addr, Op: "dial", Sent: false, Err: err}
-	}
-	conn, err := dial(addr, deadline.Sub(now))
-	if err != nil {
-		return Response{}, &NetError{Addr: addr, Op: "dial", Sent: false, Err: err}
-	}
-	defer conn.Close()
-	stop := watchCtx(ctx, conn)
-	defer stop()
-	if err := conn.SetDeadline(deadline); err != nil {
-		return Response{}, &NetError{Addr: addr, Op: "dial", Sent: false, Err: err}
-	}
-
-	pb := getFrameBuf()
-	buf := append((*pb)[:0], preamble[:]...)
-	frameStart := len(buf)
-	buf = append(buf, frameHole[:]...)
-	buf, encErr := Binary{}.AppendRequest(buf, &req)
-	if encErr != nil {
-		*pb = buf
-		putFrameBuf(pb)
-		return Response{}, &NetError{Addr: addr, Op: "send", Sent: false, Err: encErr}
-	}
-	putFrameHeader(buf[frameStart:], oneShotTag)
-	n, werr := conn.Write(buf)
-	*pb = buf
-	putFrameBuf(pb)
-	if werr != nil {
-		return Response{}, &NetError{Addr: addr, Op: "send", Sent: n > 0, Err: ctxCause(ctx, werr)}
-	}
-
-	rb := getFrameBuf()
-	payload, tag, rerr := readFrame(conn, (*rb)[:0])
-	var resp Response
-	if rerr == nil {
-		if tag != oneShotTag {
-			rerr = fmt.Errorf("wire: response tag %d for one-shot exchange", tag)
-		} else {
-			resp, rerr = Binary{}.DecodeResponse(payload)
-		}
-	}
-	*rb = payload
-	putFrameBuf(rb)
-	if rerr != nil {
-		return Response{}, &NetError{Addr: addr, Op: "recv", Sent: true, Err: ctxCause(ctx, rerr)}
-	}
-	if !resp.OK {
-		return resp, &RemoteError{Type: req.Type, Msg: resp.Err}
-	}
-	return resp, nil
-}
-
-// oneShotTag tags the single exchange of a connection-per-call RPC.
-const oneShotTag = 1
-
 // frameHole reserves header space in an encode buffer; putFrameHeader
 // fills it once the payload length is known.
 var frameHole [frameHeader]byte
-
-// ctxCause reports why an I/O operation failed: if ctx was canceled the
-// watcher closed the connection, and if its deadline passed the
-// connection deadline fired, so the context — not the resulting "use of
-// closed network connection" or "i/o timeout" — is the root cause.
-func ctxCause(ctx context.Context, ioErr error) error {
-	if err := expired(ctx, time.Now()); err != nil {
-		return err
-	}
-	return ioErr
-}
-
-// watchCtx closes conn when ctx is canceled, so a one-shot exchange
-// aborts promptly instead of waiting out its I/O deadline. The returned
-// stop func releases the watcher.
-func watchCtx(ctx context.Context, conn net.Conn) (stop func()) {
-	if ctx.Done() == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
-}
 
 // Errorf builds a failed response.
 func Errorf(format string, args ...interface{}) Response {

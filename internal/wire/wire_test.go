@@ -29,11 +29,9 @@ func echoServer(t *testing.T, handler func(Request) Response) string {
 	return ln.Addr().String()
 }
 
-// callT is a one-shot Call bounded by timeout.
+// callT is callVia over TCP.
 func callT(addr string, req Request, timeout time.Duration) (Response, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return Call(ctx, addr, req)
+	return callVia(nil, addr, req, timeout)
 }
 
 func TestCallRoundTrip(t *testing.T) {
@@ -118,10 +116,12 @@ func TestCallHonorsContextCancel(t *testing.T) {
 		_, _ = conn.Read(buf)
 		<-stall
 	}()
+	p := NewPool(PoolOptions{})
+	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, callErr := Call(ctx, ln.Addr().String(), Request{Type: TPing})
+		_, callErr := p.Call(ctx, ln.Addr().String(), Request{Type: TPing})
 		done <- callErr
 	}()
 	time.Sleep(50 * time.Millisecond)
