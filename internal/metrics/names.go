@@ -38,6 +38,7 @@ read_repairs_total
 replica_dropped_total
 replica_handoff_items_total
 replica_lag
+replica_resolves_total
 rereplication_bytes_total
 ring_climbs_total
 ring_repairs_total

@@ -154,6 +154,13 @@ const digestWireBytes = 40 + 8*DigestBuckets
 //     the LWW order, and push back exactly the items the peer proved
 //     to lack or hold stale.
 //
+// Replica sets are learned once per round, not once per key: the node's
+// verified stretch of the ring (Neighbors) decides every key it owes a
+// copy of without an RPC. Only a key outside the stretch — foreign, on
+// its way to a new home — or a round whose stretch could not be vouched
+// for goes to the network resolver, so the decision to drop a copy is
+// never taken on local state.
+//
 // Pulled items for keys this node has never seen are applied only when
 // the node is actually in the key's replica set, so a transiently
 // mis-scoped digest cannot seed stray copies that would oscillate
@@ -169,6 +176,7 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 	}
 
 	now := c.clock()
+	place := c.placement(ctx)
 	keyMembers := map[string][]string{}
 	selfMember := map[string]bool{}
 	peerKeys := map[string][]string{} // peer -> shared keys (self and peer both members)
@@ -178,7 +186,7 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 		if !ok {
 			continue
 		}
-		set, err := c.Resolve(ctx, key)
+		set, err := c.replicaSet(ctx, place, key)
 		if err != nil || len(set) == 0 {
 			if err != nil && firstErr == nil {
 				firstErr = err
@@ -265,7 +273,7 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 			m.AEBytes.Add(itemWireBytes(it))
 			theirs[it.Key] = it
 			if _, held := c.Engine.Get(it.Key); !held {
-				set, rErr := c.Resolve(ctx, it.Key)
+				set, rErr := c.replicaSet(ctx, place, it.Key)
 				if rErr != nil || !contains(set, c.Self) {
 					continue // not ours to hold: never seed a stray copy
 				}
@@ -391,16 +399,17 @@ func (c *Coordinator) rehomeForeign(ctx context.Context, keyMembers map[string][
 // SweepBytes reports what a full-transfer repair round would put on the
 // wire for the current store and placement — every held item pushed
 // whole to every other member of its replica set, regardless of
-// divergence. It is an analytic figure and issues no traffic; the chaos
+// divergence. It is an analytic figure and moves no data; the chaos
 // suite uses it as the denominator digest sync is measured against.
 func (c *Coordinator) SweepBytes(ctx context.Context) (uint64, error) {
 	var total uint64
+	place := c.placement(ctx)
 	for _, key := range c.Engine.Keys() {
 		item, ok := c.Engine.Get(key)
 		if !ok {
 			continue
 		}
-		set, err := c.Resolve(ctx, key)
+		set, err := c.replicaSet(ctx, place, key)
 		if err != nil {
 			return total, err
 		}

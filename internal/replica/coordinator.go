@@ -36,6 +36,12 @@ type Metrics struct {
 	AERounds     *metrics.Counter
 	AEBytes      *metrics.Counter
 	Expired      *metrics.Counter
+	// LocalSets and WalkSets count replica sets by how they were obtained
+	// (replica_resolves_total{path}): without a resolve round trip — computed
+	// from the ring stretch, or named by the owner on the operation's own
+	// read — or by the network resolver's lookup walk.
+	LocalSets *metrics.Counter
+	WalkSets  *metrics.Counter
 }
 
 var quorumBuckets = []float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}
@@ -47,7 +53,11 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
+	resolves := reg.NewCounterVec("replica_resolves_total",
+		"Replica sets obtained, by path: local (computed from ring state or named by the owner on the operation itself) or walk (the network resolver: a lookup plus a get_neighbors).", "path")
 	return &Metrics{
+		LocalSets: resolves.With("local"),
+		WalkSets:  resolves.With("walk"),
 		Lag: reg.NewGauge("replica_lag",
 			"Stale or missing key copies the last anti-entropy round refreshed (items pulled plus items pushed back)."),
 		RereplBytes: reg.NewCounter("rereplication_bytes_total",
@@ -84,6 +94,14 @@ type Coordinator struct {
 	Resolve ResolveFunc
 	Call    CallFunc
 	Metrics *Metrics
+
+	// Neighbors and OwnerRead are the local sources of replica sets: the
+	// first serves anti-entropy (every key of the node's ring stretch, no
+	// RPC per key), the second the quorum operations (the owner names the
+	// set on the operation's first read). Both are optional and both fall
+	// back to Resolve, the only source a Coordinator without them has.
+	Neighbors NeighborsFunc
+	OwnerRead OwnerReadFunc
 
 	// Now supplies wall-clock readings for latency histograms only; it
 	// never influences control flow. Deterministic harnesses may leave
@@ -142,7 +160,7 @@ func (c *Coordinator) now() time.Time {
 	return time.Time{}
 }
 
-// Put performs one quorum write: resolve the key's replica set, read
+// Put performs one quorum write: locate the key's replica set, read
 // the owner's current version, stamp the value past it, and install
 // the item on every member, acknowledging once WriteQuorum members
 // (clamped to the set size) accepted it. Failing members are tolerated
@@ -178,7 +196,7 @@ func (c *Coordinator) write(ctx context.Context, op string, item wire.StoreItem)
 	start := c.now()
 	opts := c.Opts.WithDefaults()
 	key := item.Key
-	set, err := c.Resolve(ctx, key)
+	set, held, asked, err := c.locate(ctx, key)
 	if err != nil {
 		return fmt.Errorf("replica %s %q: resolve: %w", op, key, err)
 	}
@@ -190,9 +208,14 @@ func (c *Coordinator) write(ctx context.Context, op string, item wire.StoreItem)
 	// everything already acknowledged there. An unreachable owner is
 	// fine: the local engine's stamp still advances past anything this
 	// node has seen, and the writer nonce keeps stamps unique.
+	if !asked {
+		if resp, getErr := c.Call(ctx, set[0], wire.Request{Type: wire.TStoreGet, Name: key}); getErr == nil {
+			held = resp
+		}
+	}
 	var seen uint64
-	if resp, getErr := c.Call(ctx, set[0], wire.Request{Type: wire.TStoreGet, Name: key}); getErr == nil && resp.Found {
-		seen = resp.Version
+	if held.Found {
+		seen = held.Version
 	}
 	item.Version, item.Writer = c.Engine.Stamp(key, c.Self, seen)
 	item.Expire = c.expireStamp()
@@ -229,7 +252,7 @@ func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, bool, error)
 	m := c.metrics()
 	start := c.now()
 	opts := c.Opts.WithDefaults()
-	set, err := c.Resolve(ctx, key)
+	set, atOwner, asked, err := c.locate(ctx, key)
 	if err != nil {
 		m.Failures.With("get").Inc()
 		return nil, false, fmt.Errorf("replica get %q: resolve: %w", key, err)
@@ -249,8 +272,11 @@ func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, bool, error)
 	held := map[string]wire.StoreItem{} // answered members that found the key
 	var polled []string                 // answered members in poll order
 	var lastErr error
-	for _, addr := range set {
-		resp, callErr := c.Call(ctx, addr, wire.Request{Type: wire.TStoreGet, Name: key})
+	for i, addr := range set {
+		resp, callErr := atOwner, error(nil) // the owner's answer may already be in hand
+		if i > 0 || !asked {
+			resp, callErr = c.Call(ctx, addr, wire.Request{Type: wire.TStoreGet, Name: key})
+		}
 		if callErr != nil {
 			lastErr = callErr
 			continue

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/binning"
@@ -600,12 +601,14 @@ func (n *Node) lookupFull(ctx context.Context, key id.ID) (LookupResult, error) 
 	}
 }
 
-// resolveReplicaSet maps a key to its current replica set: the key's
-// owner (by hierarchical lookup) followed by the owner's global
-// successors, deduplicated, at most Replication.Factor members. When
-// the owner's neighbor state is unreachable, the resolver degrades to
-// this node's own successor-list view of the same ring region, so a
-// freshly dead owner does not make the whole key unresolvable.
+// resolveReplicaSet maps a key to its current replica set over the
+// network: the key's owner (by hierarchical lookup) followed by the
+// owner's global successors, deduplicated, at most Replication.Factor
+// members. It is the fallback under the local sources (replicaNeighbors,
+// ownerRead). When the owner's neighbor state is unreachable, the
+// resolver degrades to this node's own successor list, provided that list
+// covers the same ring region, so a freshly dead owner does not make the
+// key unresolvable for the nodes next to it.
 func (n *Node) resolveReplicaSet(ctx context.Context, key string) ([]string, error) {
 	res, err := n.Lookup(ctx, LiveKeyID(key))
 	if err != nil {
@@ -629,13 +632,115 @@ func (n *Node) resolveReplicaSet(ctx context.Context, key string) ([]string, err
 			}
 		}
 		if len(succs) == 0 {
+			// Our own list speaks for the owner's region only when it lists
+			// the owner: what follows it there is the owner's successors.
+			// From anywhere else on the ring it names nodes that are not
+			// replicas, and a write acknowledged by them would be lost to
+			// every reader until anti-entropy re-homed the strays.
 			own, _, _ := n.Neighbors(1)
-			for _, p := range own {
+			at := slices.IndexFunc(own, func(p wire.Peer) bool { return p.Addr == owner })
+			if at < 0 {
+				return nil, fmt.Errorf("transport: replica set of %q: owner %s unreachable: %w", key, owner, nbErr)
+			}
+			for _, p := range own[at+1:] {
 				succs = append(succs, p.Addr)
 			}
 		}
 	}
 	return replica.ReplicaSet(owner, succs, n.cfg.Replication.Factor), nil
+}
+
+// replicaNeighbors is the replica coordinator's local source of replica
+// sets for anti-entropy (replica.NeighborsFunc): this node's stretch of the
+// global ring, [p_Factor … p1, self, successor list]. The predecessor and
+// the successors are the node's own state; every further predecessor costs
+// one TGetNeighbors to the previous one, and a link counts only when both
+// ends agree on it — the answerer's first successor must be the member the
+// chain came from, and it must lie before that member without lapping this
+// node. On a ring of at most Factor nodes the chain arrives back at this
+// node and stops: the stretch is the whole ring. A stretch that cannot be
+// vouched for (no predecessor yet, one that died or changed since the last
+// stabilization round) is not reported; the round then resolves every key
+// over the network, as it did before there was a local source.
+func (n *Node) replicaNeighbors(ctx context.Context) ([]wire.Peer, int, bool) {
+	self := n.Self()
+	succ, pred, _ := n.Neighbors(1)
+	factor := n.cfg.Replication.Factor
+	preds := make([]wire.Peer, 0, factor) // nearest first
+	for from, p := self, pred; ; {
+		if p.Addr == "" || (p.Addr != n.addr && from.Addr != n.addr && !id.Between(peerID(p), n.id, peerID(from))) {
+			return nil, 0, false
+		}
+		preds = append(preds, p)
+		if p.Addr == n.addr || len(preds) == factor {
+			break
+		}
+		nb, err := n.call(ctx, p.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: 1})
+		if err != nil || len(nb.Succ) == 0 || nb.Succ[0].Addr != from.Addr {
+			return nil, 0, false
+		}
+		from, p = p, nb.Pred
+	}
+	slices.Reverse(preds)
+	chain := append(append(preds, self), succ...)
+	return chain, len(preds), true
+}
+
+// ownerRead is the replica coordinator's local source of replica sets for
+// quorum operations (replica.OwnerReadFunc): the operation's first
+// TStoreGet goes straight to the node the one-hop table, else the location
+// cache, else a lookup names as the key's owner, with Layer 1 set — which
+// the handler reads as "answer only if you own this key in the global
+// ring, and name your successors". A vouched answer is at once the
+// ownership verification Lookup spends a find_closest on, the neighbor
+// read resolveReplicaSet spends a get_neighbors on, and the read itself. A
+// refusal or an unreachable hint invalidates the hint exactly as a failed
+// verification in Lookup does, and the caller takes the network path.
+func (n *Node) ownerRead(ctx context.Context, key string) ([]string, wire.Response, bool) {
+	kid := LiveKeyID(key)
+	var owner wire.Peer
+	tableHint, cacheHint := false, false
+	if n.routes != nil {
+		owner, tableHint = n.routes.Owner(1, "", [20]byte(kid))
+	}
+	if !tableHint && n.cache != nil {
+		owner, cacheHint = n.cache.Get(kid)
+	}
+	if !tableHint && !cacheHint {
+		res, err := n.Lookup(ctx, kid)
+		if err != nil {
+			return nil, wire.Response{}, false
+		}
+		owner = res.Owner
+	}
+	resp, err := n.call(ctx, owner.Addr, wire.Request{Type: wire.TStoreGet, Name: key, Layer: 1})
+	if err != nil || !resp.Owner {
+		switch {
+		case tableHint:
+			n.nm.onehopStale.Inc()
+			if n.suspectDead(owner.Addr) {
+				n.evictLocal(1, owner.Addr)
+			}
+		case cacheHint:
+			n.cache.Remove(kid)
+		}
+		return nil, wire.Response{}, false
+	}
+	if tableHint || cacheHint {
+		// A hint the owner confirmed is a lookup answered in one hop.
+		n.nm.lookups.Inc()
+		n.nm.hops[0].Inc()
+		if tableHint {
+			n.nm.onehopHits.Inc()
+		} else {
+			n.nm.cacheHits.Inc()
+		}
+	}
+	succs := make([]string, len(resp.Succ))
+	for i, p := range resp.Succ {
+		succs[i] = p.Addr
+	}
+	return replica.ReplicaSet(owner.Addr, succs, n.cfg.Replication.Factor), resp, true
 }
 
 // Put stores a value durably: a quorum write of a version-stamped item

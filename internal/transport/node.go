@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -386,6 +387,9 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 		KeyID:   liveKeyBytes,
 		Clock:   n.clock,
 		TTL:     uint64(cfg.TTL),
+
+		Neighbors: n.replicaNeighbors,
+		OwnerRead: n.ownerRead,
 	}
 	n.layers = make([]*layerState, cfg.Depth)
 	for i := range n.layers {
@@ -598,17 +602,30 @@ func (n *Node) handle(req wire.Request) wire.Response {
 		return wire.Response{OK: true, Applied: n.store.ApplyBatch(req.Items)}
 
 	case wire.TStoreGet:
+		resp := wire.Response{OK: true}
+		if req.Layer == 1 {
+			// Ownership-checked read (see ownerRead): the destination check
+			// of findClosestLocked's hierarchical branch, on the key's name.
+			// A node that does not own the key says nothing about it.
+			gp := n.layers[0].pred
+			if gp.Addr == "" || !id.InOpenClosed(LiveKeyID(req.Name), peerID(gp), n.id) {
+				return resp
+			}
+			resp.Owner = true
+			resp.Succ = n.replicaSuccessorsLocked()
+		}
 		it, ok := n.store.Get(req.Name)
 		if !ok {
-			return wire.Response{OK: true, Found: false}
+			return resp
 		}
 		// Tombstones and lifecycle stamps are reported as held: quorum
 		// readers must see a fresher tombstone outrank stale live copies,
 		// or a delete would resurrect through read-repair.
-		out := make([]byte, len(it.Value))
-		copy(out, it.Value)
-		return wire.Response{OK: true, Found: true, Value: out, Version: it.Version, Writer: it.Writer,
-			Expire: it.Expire, Tombstone: it.Tombstone}
+		resp.Value = make([]byte, len(it.Value))
+		copy(resp.Value, it.Value)
+		resp.Found, resp.Version, resp.Writer = true, it.Version, it.Writer
+		resp.Expire, resp.Tombstone = it.Expire, it.Tombstone
+		return resp
 
 	case wire.TReplicate, wire.THandoff:
 		for _, it := range req.Items {
@@ -696,6 +713,22 @@ func (n *Node) handle(req wire.Request) wire.Response {
 }
 
 func (n *Node) selfLocked() wire.Peer { return wire.Peer{Addr: n.addr, ID: [20]byte(n.id)} }
+
+// replicaSuccessorsLocked returns the other members of the replica sets
+// this node owns: the first Factor-1 distinct global successors.
+func (n *Node) replicaSuccessorsLocked() []wire.Peer {
+	want := n.cfg.Replication.Factor - 1
+	out := make([]wire.Peer, 0, want)
+	for _, p := range n.layers[0].succ {
+		if len(out) == want {
+			break
+		}
+		if p.Addr != n.addr && !slices.Contains(out, p) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
 
 // purgePeerLocked removes every reference to a dead address from one
 // layer's fingers, successor list and predecessor (Chord's timeout

@@ -57,7 +57,12 @@ const (
 	// receiver's store; the write is a version-guarded merge, so replays
 	// are no-ops.
 	TStorePut
-	// TStoreGet reads a key's versioned item from the receiving node.
+	// TStoreGet reads a key's versioned item from the receiving node. With
+	// Layer set to 1 the read is ownership-checked: the receiver answers
+	// only if it owns the key on the global ring, and then sets Owner and
+	// lists in Succ the successors that complete the key's replica set; a
+	// receiver that does not own the key replies with neither and nothing
+	// about the key.
 	TStoreGet
 	// TReplicate merges a batch of versioned items into the receiver's
 	// store — the re-replication/republish path of the stabilize sweep.
@@ -194,7 +199,7 @@ type RingTable struct {
 // Request is the single request envelope; fields are used per Type.
 type Request struct {
 	Type  MsgType
-	Layer int      // TFindClosest, TGetNeighbors, TNotify: ring layer (1 = global)
+	Layer int      // TFindClosest, TGetNeighbors, TNotify: ring layer (1 = global); TStoreGet: 1 = ownership-checked
 	Key   [20]byte // TFindClosest: routing target; TPut/TGet use Name
 	Name  string   // ring name or kv key
 	Peer  Peer     // TNotify: candidate predecessor; TLeaveSucc: new predecessor; TEvict: the dead peer
