@@ -174,7 +174,7 @@ func repl(node *transport.Node) {
 		case "quit", "exit":
 			return
 		case "info":
-			fmt.Printf("addr %s id %s rings %v handled %d\n",
+			fmt.Printf("addr %s id %s rings %v, %d requests received over the wire\n",
 				node.Addr(), node.ID().Short(), node.RingNames(), node.Handled())
 		case "stats":
 			if _, err := node.Metrics().WriteTo(os.Stdout); err != nil {

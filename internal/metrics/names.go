@@ -41,6 +41,7 @@ replica_lag
 replica_resolves_total
 rereplication_bytes_total
 ring_climbs_total
+ring_consults_total
 ring_repairs_total
 route_gossip_bytes_total
 routes_total

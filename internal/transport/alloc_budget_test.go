@@ -13,50 +13,19 @@ import (
 	"repro/internal/wire"
 )
 
-// memCluster starts n classic-mode nodes on one MemNet ("n0".."n<n-1>",
-// two binning clusters, the first two nodes as landmarks), joins and
-// stabilises them and builds their fingers. Every node's outgoing RPCs
-// are counted by type in rpcs.
+// memCluster is twoRingCluster in classic mode with fingers built. Every
+// node's outgoing RPCs are counted by type in rpcs.
 func memCluster(t *testing.T, n int, rpcs *[32]atomic.Uint64) []*Node {
 	t.Helper()
-	mem := wire.NewMemNet()
-	var nodes []*Node
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
+	nodes := twoRingCluster(t, n, func(cfg *Config) {
+		cfg.RouteMode = RouteClassic
+		cfg.WrapCaller = func(_ string, inner wire.Caller) wire.Caller {
+			return wire.CallerFunc(func(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
+				rpcs[req.Type].Add(1)
+				return inner.Call(ctx, addr, req)
+			})
 		}
 	})
-	for i := 0; i < n; i++ {
-		ln, err := mem.Listen(fmt.Sprintf("n%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd, err := Start("", Config{
-			Depth: 2, Landmarks: []string{"n0", "n1"}, Coord: [2]float64{float64(i%2*1000 + i), 0},
-			RouteMode: RouteClassic, Listener: ln, Dial: mem.Dial,
-			WrapCaller: func(_ string, inner wire.Caller) wire.Caller {
-				return wire.CallerFunc(func(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
-					rpcs[req.Type].Add(1)
-					return inner.Call(ctx, addr, req)
-				})
-			},
-		})
-		if err != nil {
-			_ = ln.Close()
-			t.Fatal(err)
-		}
-		nodes = append(nodes, nd)
-	}
-	if err := nodes[0].CreateNetwork(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < n; i++ {
-		if err := nodes[i].Join("n0"); err != nil {
-			t.Fatalf("join n%d: %v", i, err)
-		}
-		stabilizeAll(t, nodes[:i+1], 3)
-	}
-	stabilizeAll(t, nodes, 3)
 	for _, nd := range nodes {
 		if err := nd.BuildAllFingers(); err != nil {
 			t.Fatal(err)

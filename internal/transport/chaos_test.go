@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -439,11 +440,22 @@ func TestChaosOneHopConvergence(t *testing.T) {
 
 // TestChaosLowerRingClimbOnFailure pins the graceful-degradation path
 // directly: when a node's lower ring stops answering routing steps
-// entirely, a lookup climbs to the global ring instead of aborting.
+// entirely, a lookup leaves it for the global ring instead of aborting,
+// and finds the true owner. The test used to pin failover_climbs_total:
+// the blackout then also hit the walk's first step, which the origin sent
+// to its own listener, so every lower-ring walk failed outright. A node no
+// longer sends itself messages; the first step is answered in-process and
+// cannot be blacked out, so the origin now retires each lower-ring peer
+// that fails it (one fully retried step each) and, left a singleton,
+// climbs the ordinary way (ring_climbs_total). What is pinned is the
+// outcome — 12 of 12 correct owners, every lookup left the lower ring —
+// and its price in RPC attempts.
 func TestChaosLowerRingClimbOnFailure(t *testing.T) {
 	var blackout atomic.Bool
+	var attempts atomic.Int64
 	wrap := func(self string, inner wire.Caller) wire.Caller {
 		return wire.CallerFunc(func(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
+			attempts.Add(1)
 			if blackout.Load() && req.Type == wire.TFindClosest && req.Layer >= 2 {
 				return wire.Response{}, &wire.NetError{
 					Addr: addr, Op: "test:blackout", Sent: false,
@@ -457,11 +469,18 @@ func TestChaosLowerRingClimbOnFailure(t *testing.T) {
 	// pairs, and the blackout only concerns lower-layer routing steps.
 	nodes := chaosCluster(t, 8, wrap, wire.BreakerPolicy{Threshold: -1})
 	blackout.Store(true)
-	before := nodes[0].nm.failoverClimbs.Value()
-	for trial := 0; trial < 12; trial++ {
+	origin := nodes[0]
+	climbs := func() uint64 { return origin.nm.ringClimbs.Value() + origin.nm.failoverClimbs.Value() }
+	const trials = 12
+	before, sent := climbs(), attempts.Load()
+	owned := 0 // keys the origin owns end at the walk's first, in-process step
+	for trial := 0; trial < trials; trial++ {
 		key := id.HashString(fmt.Sprintf("climb-%d", trial))
 		want := trueOwner(nodes, key)
-		res, err := nodes[0].Lookup(context.Background(), key)
+		if want == origin {
+			owned++
+		}
+		res, err := origin.Lookup(context.Background(), key)
 		if err != nil {
 			t.Fatalf("lookup %d under lower-ring blackout: %v", trial, err)
 		}
@@ -469,7 +488,96 @@ func TestChaosLowerRingClimbOnFailure(t *testing.T) {
 			t.Fatalf("trial %d: owner %s, want %s", trial, res.Owner.Addr, want.Addr())
 		}
 	}
-	if nodes[0].nm.failoverClimbs.Value() == before {
-		t.Error("no failover climb recorded despite a blacked-out lower ring")
+	if got := climbs() - before; got != uint64(trials-owned) {
+		t.Errorf("%d lookups left the lower ring, want %d", got, trials-owned)
+	}
+	// Each of the origin's three ring peers costs at most one fully retried
+	// step (4 attempts) and one eviction notice before it is retired; after
+	// that a lookup is its global walk, at most 3 steps among 8 nodes.
+	if got, bound := attempts.Load()-sent, int64(3*(4+1)+trials*3); got > bound {
+		t.Errorf("%d lookups under blackout took %d RPC attempts, want at most %d", trials, got, bound)
+	}
+	t.Logf("%d RPC attempts, %d ring climbs, %d failover climbs", attempts.Load()-sent, origin.nm.ringClimbs.Value(), origin.nm.failoverClimbs.Value())
+}
+
+// TestChaosSupplierDiesBetweenSteps reaches failover_climbs_total the way
+// it can still be reached now that a walk's first step cannot fail: a
+// lower-ring hop is lost, and the remote node that supplied it no longer
+// answers when the walk goes back to ask for another. Restarting from the
+// origin finds the same supplier alive again, and the same thing happens;
+// with the restarts used up the ring counts as unroutable and the lookup
+// climbs out of it from the origin — to the true owner.
+func TestChaosSupplierDiesBetweenSteps(t *testing.T) {
+	var (
+		mu       sync.Mutex
+		origin   string
+		path     []string // record mode: the origin's remote lower-ring steps
+		supplier string   // script mode: answers unless the hop it supplied was just lost
+		hop      string   // script mode: never answers
+		lost     bool
+	)
+	wrap := func(self string, inner wire.Caller) wire.Caller {
+		return wire.CallerFunc(func(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
+			if req.Type != wire.TFindClosest || req.Layer < 2 {
+				return inner.Call(ctx, addr, req)
+			}
+			mu.Lock()
+			if self == origin {
+				path = append(path, addr)
+			}
+			fail := self == origin && hop != "" && (addr == hop || (addr == supplier && lost))
+			if fail {
+				lost = addr == hop
+			}
+			mu.Unlock()
+			if fail {
+				// Not a NetError: the retrier passes it up at once, so no
+				// peer gathers the failures that would get it evicted.
+				return wire.Response{}, errors.New("test: routing step lost")
+			}
+			return inner.Call(ctx, addr, req)
+		})
+	}
+	nodes := chaosCluster(t, 16, wrap, wire.BreakerPolicy{Threshold: -1})
+	from := nodes[0]
+	mu.Lock()
+	origin = from.Addr()
+	mu.Unlock()
+	// Find a key whose lower-ring walk takes two remote steps.
+	var key id.ID
+	for trial := 0; ; trial++ {
+		if trial == 1000 {
+			t.Fatal("no key in 1000 walks two remote lower-ring steps from the origin")
+		}
+		key = id.HashString(fmt.Sprintf("supplier-%d", trial))
+		mu.Lock()
+		path = path[:0]
+		mu.Unlock()
+		if _, err := from.Lookup(context.Background(), key); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		found := len(path) >= 2 && path[0] != path[1]
+		if found {
+			supplier, hop = path[0], path[1]
+		}
+		mu.Unlock()
+		if found {
+			break
+		}
+	}
+	failovers, restarts := from.nm.failoverClimbs.Value(), from.nm.walkRestarts.Value()
+	res, err := from.Lookup(context.Background(), key)
+	if err != nil {
+		t.Fatalf("lookup with a supplier that dies between steps: %v", err)
+	}
+	if want := trueOwner(nodes, key).Addr(); res.Owner.Addr != want {
+		t.Errorf("owner %s, want %s", res.Owner.Addr, want)
+	}
+	if got := from.nm.failoverClimbs.Value() - failovers; got != 1 {
+		t.Errorf("failover_climbs_total moved by %d, want 1", got)
+	}
+	if got := from.nm.walkRestarts.Value() - restarts; got != maxWalkRestarts {
+		t.Errorf("walk_restarts_total moved by %d, want %d", got, maxWalkRestarts)
 	}
 }

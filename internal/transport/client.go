@@ -26,8 +26,33 @@ const maxWalkRestarts = 2
 // instrumented pooled transport. The context bounds the whole call
 // including retries; each attempt is additionally capped by the
 // configured per-attempt timeout.
+//
+// A request addressed to this node itself is answered in-process, above
+// that chain: it never leaves the node, so it is not a message — nothing
+// counts it, nothing can lose it, nothing retries it. Walks start at their
+// origin and a node can be its own ring-table store, its own replica and
+// its own successor, so callers need no local case of their own. The
+// handler keeps what a request carries, and over the wire the codec hands
+// it fresh copies; here the value payloads are copied in its place.
 func (n *Node) call(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
-	return n.retrier.Call(ctx, addr, req)
+	if addr != n.addr {
+		return n.retrier.Call(ctx, addr, req)
+	}
+	if ctx.Err() != nil {
+		return wire.Response{}, &wire.NetError{Addr: addr, Op: "call", Sent: false, Err: context.Cause(ctx)}
+	}
+	req.Value = append([]byte(nil), req.Value...)
+	if len(req.Items) > 0 {
+		req.Items = slices.Clone(req.Items)
+		for i := range req.Items {
+			req.Items[i].Value = append([]byte(nil), req.Items[i].Value...)
+		}
+	}
+	resp := n.handle(req)
+	if !resp.OK {
+		return resp, &wire.RemoteError{Type: req.Type, Msg: resp.Err}
+	}
+	return resp, nil
 }
 
 // callBG is call for maintenance paths (stabilization, repair, leave,
@@ -272,66 +297,84 @@ func (n *Node) announceLeaveRoutes() {
 type ringEntry struct {
 	storing wire.Peer      // global-ring owner of the ring's id, where its table lives
 	stored  wire.RingTable // the table as stored there; the zero table when none is
-	live    wire.RingTable // stored, less the boundary slots that failed a ping
-	succ    wire.Peer      // this node's successor by the ring's own account; zero when the table names no live node but this one
+	live    wire.RingTable // stored, less the boundary slots whose node did not answer the walk's first step
+	succ    wire.Peer      // this node's successor by the ring's own account; zero when the ring was not walked or the table names no live node but this one
 }
 
-// enterRing consults a lower ring's entry point (paper §3.3): route on the
-// global ring from via to the node storing the ring's table, read the
-// table, and walk the ring from one of its boundary nodes to this node's
-// successor. Join, the merge scan, the re-anchor of a ring whose successor
-// list died and the table re-announce are all uses of this one chain.
+// enterRing consults a lower ring's entry point (paper §3.3): read the
+// ring's table at the node storing it, and walk the ring from one of its
+// boundary nodes to this node's successor. Join, the merge scan, the
+// re-anchor of a ring whose successor list died and the table re-announce
+// are all uses of this one chain.
 //
-// Boundary slots that no longer answer a ping are dropped on the way.
-// Boundary sets are otherwise grow-only (updateBoundaries keeps whatever
-// extremes it has seen), so a ring whose smallest/largest members crashed
-// would advertise only dead contact points forever and become unjoinable;
-// pruning on every consultation lets the surviving members reclaim the
-// slots. This node is never pinged and never walked through: it knows it
-// is alive, and a walk through its own address would ask the ring about
-// itself — of a joiner whose old incarnation the table still lists, a
-// ring it has not joined yet.
-func (n *Node) enterRing(via string, layer int, name string) (ringEntry, error) {
-	storing, _, err := n.walkOwner(n.lifeCtx, via, 1, ringID(layer, name))
-	if err != nil {
-		return ringEntry{}, err
+// Each half is skipped when its answer is already here. The storing node is
+// the one that answered last time (verify-or-fallback, like any owner
+// hint): the global ring is walked from via only when there is no such
+// node, it does not answer, or it no longer vouches for the table with
+// Owner. The ring is walked only when that can tell this node something:
+// unsettled (this round's stabilization changed the successor, found none
+// or found a singleton, or this is a join), the table differs from the one
+// the last completed consultation read, this node is itself a boundary —
+// the boundary members are how two healthy components of one ring find
+// each other — or the hint fell back.
+//
+// The walk starts at the first boundary other than this node, and a
+// boundary whose first step fails in transport is dropped from live for
+// announce to write back, so a joiner retires the dead boundaries it meets;
+// RepairRingTables on the storing node retires the rest. Boundary sets are
+// otherwise grow-only (updateBoundaries keeps whatever extremes it has
+// seen), so a ring whose smallest/largest members crashed would advertise
+// only dead contact points forever and become unjoinable. This node is
+// never walked through: a walk through its own address would ask the ring
+// about itself — of a joiner whose old incarnation the table still lists,
+// a ring it has not joined yet.
+func (n *Node) enterRing(via string, layer int, name string, unsettled bool) (ringEntry, error) {
+	n.mu.Lock()
+	ls := n.layers[layer-1]
+	e, last := ringEntry{storing: ls.storing}, ls.table
+	n.mu.Unlock()
+	get := wire.Request{Type: wire.TGetRingTable, Table: wire.RingTable{Layer: layer, Name: name}}
+	var resp wire.Response
+	var err error
+	if e.storing.Addr != "" {
+		resp, err = n.callBG(e.storing.Addr, get)
 	}
-	e := ringEntry{storing: storing}
-	if storing.Addr == n.addr {
-		n.mu.Lock()
-		e.stored = n.tables[ringKey(layer, name)]
-		n.mu.Unlock()
+	hinted := err == nil && resp.Owner
+	if hinted {
+		n.nm.consultHint.Inc()
 	} else {
-		resp, getErr := n.callBG(storing.Addr, wire.Request{
-			Type:  wire.TGetRingTable,
-			Table: wire.RingTable{Layer: layer, Name: name},
-		})
-		if getErr != nil {
-			return ringEntry{}, getErr
+		n.nm.consultWalk.Inc()
+		if e.storing, _, err = n.walkOwner(n.lifeCtx, via, 1, ringID(layer, name)); err != nil {
+			return ringEntry{}, err
 		}
-		e.stored = resp.Table
+		if resp, err = n.callBG(e.storing.Addr, get); err != nil {
+			return ringEntry{}, err
+		}
 	}
+	e.stored = resp.Table
 	e.live = e.stored
 	e.live.Layer, e.live.Name = layer, name
-	var member wire.Peer
-	alive := map[string]bool{n.addr: true, "": false}
-	for _, p := range []*wire.Peer{&e.live.Smallest, &e.live.Largest, &e.live.SecondSm, &e.live.SecondLg} {
-		ok, pinged := alive[p.Addr]
-		if !pinged {
-			_, pingErr := n.callBG(p.Addr, wire.Request{Type: wire.TPing})
-			ok = pingErr == nil
-			alive[p.Addr] = ok
-		}
-		if !ok {
-			*p = wire.Peer{}
-		} else if member.Addr == "" && p.Addr != n.addr {
-			member = *p
+	slots := boundarySlots(&e.live)
+	boundary := slices.ContainsFunc(slots[:], func(p *wire.Peer) bool { return p.Addr == n.addr })
+	if unsettled || !hinted || boundary || e.stored != last {
+		for _, p := range slots {
+			if p.Addr == "" || p.Addr == n.addr {
+				continue
+			}
+			var hops int
+			if e.succ, hops, err = n.walkOwner(n.lifeCtx, p.Addr, layer, n.id); err == nil || hops > 0 || wire.IsRemote(err) {
+				break
+			}
+			err = nil
+			dropBoundary(&e.live, p.Addr)
 		}
 	}
-	if member.Addr == "" {
-		return e, nil
+	n.mu.Lock()
+	ls.storing = e.storing
+	if err == nil {
+		ls.table = e.stored
 	}
-	e.succ, _, err = n.walkOwner(n.lifeCtx, member.Addr, layer, n.id)
+	n.mu.Unlock()
 	return e, err
 }
 
@@ -348,12 +391,6 @@ func (n *Node) announce(e ringEntry) error {
 	if t == e.stored {
 		return nil
 	}
-	if e.storing.Addr == n.addr {
-		n.mu.Lock()
-		n.tables[ringKey(t.Layer, t.Name)] = t
-		n.mu.Unlock()
-		return nil
-	}
 	_, err := n.callBG(e.storing.Addr, wire.Request{Type: wire.TPutRingTable, Table: t})
 	return err
 }
@@ -362,7 +399,7 @@ func (n *Node) announce(e ringEntry) error {
 // point, integrate via the successor it names — or found the ring when it
 // names no live member — and enter this node into the ring table.
 func (n *Node) joinRing(bootstrap string, layer int, name string) error {
-	e, err := n.enterRing(bootstrap, layer, name)
+	e, err := n.enterRing(bootstrap, layer, name, true)
 	if err != nil {
 		return err
 	}
@@ -376,6 +413,21 @@ func (n *Node) joinRing(bootstrap string, layer int, name string) error {
 		return err
 	}
 	return n.announce(e)
+}
+
+// boundarySlots returns t's boundary slots in the order a walk into the
+// ring tries them.
+func boundarySlots(t *wire.RingTable) [4]*wire.Peer {
+	return [4]*wire.Peer{&t.Smallest, &t.Largest, &t.SecondSm, &t.SecondLg}
+}
+
+// dropBoundary blanks every slot of t that names addr.
+func dropBoundary(t *wire.RingTable, addr string) {
+	for _, p := range boundarySlots(t) {
+		if p.Addr == addr {
+			*p = wire.Peer{}
+		}
+	}
 }
 
 // updateBoundaries merges a candidate into the table's four boundary
@@ -858,7 +910,15 @@ func (n *Node) StabilizeLayer(layer int) error {
 		return nil // not part of an overlay yet; nothing to stabilize or re-anchor to
 	}
 	live := n.stabilizeSuccessors(layer)
-	if !n.adoptAnchor(layer, n.findAnchor(layer), live) && live.Addr == "" {
+	// A ring whose successor is the one last round settled on is asked only
+	// what it cannot have told this node already; one that lost its
+	// successor, is a singleton or just changed gets the full consultation.
+	n.mu.Lock()
+	ls := n.layers[layer-1]
+	unsettled := live.Addr == "" || live.Addr == n.addr || live.Addr != ls.settled
+	ls.settled = live.Addr
+	n.mu.Unlock()
+	if !n.adoptAnchor(layer, n.findAnchor(layer, unsettled), live) && live.Addr == "" {
 		n.repairLayer(layer)
 	}
 	return nil
@@ -892,18 +952,10 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 			n.mu.Unlock()
 		}
 	}
-	// Find the first live successor and fetch its neighbor state
-	// (locally when the successor is ourselves).
+	// Find the first live successor and fetch its neighbor state.
 	var s0 wire.Peer
 	var nb wire.Response
 	for _, cand := range succ {
-		if cand.Addr == n.addr {
-			n.mu.Lock()
-			nb = wire.Response{Pred: ls.pred, Succ: append([]wire.Peer(nil), ls.succ...)}
-			n.mu.Unlock()
-			s0 = cand
-			break
-		}
 		resp, err := n.callBG(cand.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer})
 		if err == nil {
 			s0, nb = cand, resp
@@ -985,16 +1037,29 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 // same consultation re-announces this node in — on a lower ring. On a
 // healthy ring the entry points name this node itself; after a healed
 // partition they name a member of the other component. The zero peer
-// means no entry point answered.
-func (n *Node) findAnchor(layer int) wire.Peer {
+// means no entry point answered, or none needed asking.
+//
+// An unsettled global ring walks from every landmark until one names a
+// successor. A settled one walks from one, the same every round (the
+// node's identifier picks it, so a cluster's nodes spread over all of
+// them), and a node that is itself a landmark from every other: two
+// components that each hold a landmark are bridged by those landmarks, and
+// a component that holds none by every one of its nodes, in the first
+// round they can reach each other; the rest of the ring follows through
+// stabilization and, once a successor changes, through the full walk. What
+// a settled lower ring skips is enterRing's.
+func (n *Node) findAnchor(layer int, unsettled bool) wire.Peer {
 	n.mu.Lock()
 	landmarks, names := n.landmarks, n.ringNames // assigned whole at join time, never written in place
 	n.mu.Unlock()
 	if layer == 1 {
+		if at := slices.Index(landmarks, n.addr); at >= 0 {
+			landmarks = slices.Delete(slices.Clone(landmarks), at, at+1)
+		} else if !unsettled && len(landmarks) > 0 {
+			mine := int(n.id[len(n.id)-1]) % len(landmarks)
+			landmarks = landmarks[mine : mine+1]
+		}
 		for _, lm := range landmarks {
-			if lm == n.addr {
-				continue
-			}
 			if owner, _, err := n.walkOwner(n.lifeCtx, lm, 1, n.id); err == nil && owner.Addr != n.addr {
 				return owner
 			}
@@ -1004,7 +1069,7 @@ func (n *Node) findAnchor(layer int) wire.Peer {
 	if layer-2 >= len(names) {
 		return wire.Peer{}
 	}
-	e, err := n.enterRing(n.addr, layer, names[layer-2])
+	e, err := n.enterRing(n.addr, layer, names[layer-2], unsettled)
 	if err != nil {
 		return wire.Peer{}
 	}
@@ -1085,21 +1150,48 @@ func (n *Node) storedTablesLocked() []wire.RingTable {
 	return tables
 }
 
-// RepairRingTables re-homes stored ring tables whose responsible node
-// changed as the global ring grew. Keeping each ring's own entry in its
-// table current is StabilizeLayer's entry-point consultation.
+// RepairRingTables keeps the ring tables this node stores fit to enter a
+// ring by: it pings each table's boundary nodes, once per ring per round
+// where every member used to, and blanks the slots that do not answer —
+// the members' consultations refill them — then re-homes the tables whose
+// responsible node changed as the global ring grew. Keeping each ring's own
+// entry in its table current is StabilizeLayer's entry-point consultation.
 func (n *Node) RepairRingTables() error {
 	n.mu.Lock()
 	tables := n.storedTablesLocked()
 	n.mu.Unlock()
-	for _, t := range tables {
+	for _, old := range tables {
+		key := ringKey(old.Layer, old.Name)
+		asked := map[string]bool{n.addr: true, "": true}
+		var dead []string
+		for _, p := range boundarySlots(&old) {
+			if asked[p.Addr] {
+				continue
+			}
+			asked[p.Addr] = true
+			if _, err := n.callBG(p.Addr, wire.Request{Type: wire.TPing}); err != nil {
+				dead = append(dead, p.Addr)
+			}
+		}
+		n.mu.Lock()
+		t, ok := n.tables[key] // as stored now: a member's put may have replaced it while the pings ran
+		if ok && len(dead) > 0 {
+			for _, addr := range dead {
+				dropBoundary(&t, addr)
+			}
+			n.tables[key] = t
+		}
+		n.mu.Unlock()
+		if !ok {
+			continue
+		}
 		owner, _, err := n.walkOwner(n.lifeCtx, n.addr, 1, ringID(t.Layer, t.Name))
 		if err != nil || owner.Addr == n.addr {
 			continue
 		}
 		if _, err := n.callBG(owner.Addr, wire.Request{Type: wire.TPutRingTable, Table: t}); err == nil {
 			n.mu.Lock()
-			delete(n.tables, ringKey(t.Layer, t.Name))
+			delete(n.tables, key)
 			n.mu.Unlock()
 		}
 	}

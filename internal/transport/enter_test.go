@@ -4,8 +4,10 @@ import (
 	"context"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -112,43 +114,258 @@ func TestRestartedBoundaryRejoins(t *testing.T) {
 	}
 }
 
-// TestOneTableLookupPerRingPerRound: in the steady state one node's round
-// reads its ring's table once — join, merge scan, re-anchor and table
-// re-announce are one consultation — writes nothing back, and never dials
-// itself to learn that it is alive.
-func TestOneTableLookupPerRingPerRound(t *testing.T) {
-	var mu sync.Mutex
-	sent := map[wire.MsgType]int{}
-	selfPings := 0
-	count := func(cfg *Config) {
-		cfg.WrapCaller = func(self string, inner wire.Caller) wire.Caller {
-			return wire.CallerFunc(func(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
-				mu.Lock()
-				sent[req.Type]++
-				if req.Type == wire.TPing && addr == self {
-					selfPings++
-				}
-				mu.Unlock()
-				return inner.Call(ctx, addr, req)
-			})
+// sentCall is one RPC attempt as the WrapCaller seam sees it: what left a
+// node for the wire. Layer is the request's, 0 for types that carry none;
+// done marks the find_closest a walk ended on.
+type sentCall struct {
+	from, to string
+	typ      wire.MsgType
+	layer    int
+	done     bool
+}
+
+// callLog counts RPC attempts at the WrapCaller seam of every node
+// configured with its tweak.
+type callLog struct {
+	mu   sync.Mutex
+	sent map[sentCall]int
+}
+
+func (l *callLog) tweak(cfg *Config) {
+	cfg.WrapCaller = func(self string, inner wire.Caller) wire.Caller {
+		return wire.CallerFunc(func(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
+			resp, err := inner.Call(ctx, addr, req)
+			l.mu.Lock()
+			if l.sent == nil {
+				l.sent = map[sentCall]int{}
+			}
+			l.sent[sentCall{self, addr, req.Type, req.Layer, resp.Done}]++
+			l.mu.Unlock()
+			return resp, err
+		})
+	}
+}
+
+func (l *callLog) reset() {
+	l.mu.Lock()
+	clear(l.sent)
+	l.mu.Unlock()
+}
+
+// count sums the attempts match accepts.
+func (l *callLog) count(match func(sentCall) bool) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	total := 0
+	for c, k := range l.sent {
+		if match(c) {
+			total += k
 		}
 	}
-	nodes := oneRingCluster(t, wire.NewMemNet(), []string{"a", "b", "c", "d", "e", "f"}, count)
+	return total
+}
+
+// chordPingsPerLayer is what Chord's own stabilization pings in one layer
+// of a converged ring of more than SuccListLen nodes: the predecessor and
+// the successor list's tail.
+const chordPingsPerLayer = 4
+
+// tablePings is what the node storing tab pings for it in one round: each
+// distinct boundary other than itself, so at most four.
+func tablePings(tab wire.RingTable, storing string) int {
+	distinct := map[string]bool{}
+	for _, addr := range boundaryAddrs(tab) {
+		if addr != storing {
+			distinct[addr] = true
+		}
+	}
+	return len(distinct)
+}
+
+// TestOneTableLookupPerRingPerRound: in the steady state one node's round
+// reads its ring's table once, at the node it remembers storing it — join,
+// merge scan, re-anchor and table re-announce are one consultation —
+// writes nothing back, walks the global ring for nothing, leaves the
+// boundary pings to the storing node and the ring walk to the boundary
+// members, and sends nothing to itself: what a node can answer from its
+// own state is not a message.
+func TestOneTableLookupPerRingPerRound(t *testing.T) {
+	var log callLog
+	nodes := oneRingCluster(t, wire.NewMemNet(), []string{"a", "b", "c", "d", "e", "f"}, log.tweak)
 	stabilizeAll(t, nodes, 3)
-	mu.Lock()
-	clear(sent)
-	selfPings = 0
-	mu.Unlock()
+	tab, holder := storedRingTable(t, nodes)
+	walks := clusterCounter(t, nodes, `ring_consults_total{path="walk"}`)
+	log.reset()
 	stabilizeAll(t, nodes, 1)
-	// Every node but the one storing the table asks for it, once.
-	if got, want := sent[wire.TGetRingTable], len(nodes)-1; got != want {
+	of := func(typ wire.MsgType) func(sentCall) bool {
+		return func(c sentCall) bool { return c.typ == typ }
+	}
+	// Every node but the one storing the table asks for it, once, there.
+	if got, want := log.count(of(wire.TGetRingTable)), len(nodes)-1; got != want {
 		t.Errorf("get_ring_table sent in one steady-state sweep = %d, want %d", got, want)
 	}
-	if got := sent[wire.TPutRingTable]; got != 0 {
+	if got := log.count(func(c sentCall) bool { return c.typ == wire.TGetRingTable && c.to != holder.Addr() }); got != 0 {
+		t.Errorf("%d get_ring_table sent to a node other than %s, which stores the table", got, holder.Addr())
+	}
+	if got := log.count(of(wire.TPutRingTable)); got != 0 {
 		t.Errorf("put_ring_table sent in one steady-state sweep = %d, want 0", got)
 	}
-	if selfPings != 0 {
-		t.Errorf("%d pings addressed to their own sender", selfPings)
+	// The only layer-1 routing steps are the merge scan's, addressed to the
+	// landmark (which nobody listens on here): nobody walks the global ring
+	// toward the storing node.
+	if got := log.count(func(c sentCall) bool { return c.typ == wire.TFindClosest && c.layer == 1 && c.to != "lm" }); got != 0 {
+		t.Errorf("%d find_closest steps on the global ring, want 0", got)
+	}
+	if got := clusterCounter(t, nodes, `ring_consults_total{path="walk"}`); got != walks {
+		t.Errorf("ring_consults_total{path=walk} moved by %v in a steady-state sweep", got-walks)
+	}
+	// The ring is walked by its boundary members only.
+	boundaries := boundaryAddrs(tab)
+	if got := log.count(func(c sentCall) bool {
+		return c.typ == wire.TFindClosest && c.layer == 2 && !slices.Contains(boundaries[:], c.from)
+	}); got != 0 {
+		t.Errorf("%d lower-ring find_closest steps from nodes that are not boundaries %v", got, boundaries)
+	}
+	// Pings: Chord's own in both layers, and the storing node's for the table.
+	for _, nd := range nodes {
+		want := 2 * chordPingsPerLayer
+		if nd == holder {
+			want += tablePings(tab, holder.Addr())
+		}
+		if got := log.count(func(c sentCall) bool { return c.typ == wire.TPing && c.from == nd.Addr() }); got != want {
+			t.Errorf("%s sent %d pings, want %d", nd.Addr(), got, want)
+		}
+	}
+	if got := log.count(func(c sentCall) bool { return c.from == c.to }); got != 0 {
+		t.Errorf("%d calls addressed to their own sender", got)
+	}
+}
+
+// twoRingCluster starts n nodes "n0".."n<n-1>" on one MemNet at depth 2,
+// the first two of them the landmarks, placed so that even and odd indexes
+// bin into two lower rings; each joins through n0 with three full rounds
+// after it. No fingers are built.
+func twoRingCluster(t *testing.T, n int, tweaks ...func(*Config)) []*Node {
+	t.Helper()
+	mem := wire.NewMemNet()
+	var nodes []*Node
+	for i := 0; i < n; i++ {
+		cfg := Config{
+			Depth: 2, Landmarks: []string{"n0", "n1"}, Coord: [2]float64{float64(i%2*1000 + i), 0},
+			Retry:   wire.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond},
+			Breaker: wire.BreakerPolicy{Threshold: -1},
+		}
+		for _, tweak := range tweaks {
+			tweak(&cfg)
+		}
+		nodes = append(nodes, startMem(t, mem, "n"+strconv.Itoa(i), cfg))
+	}
+	for i, nd := range nodes {
+		if i == 0 {
+			if err := nd.CreateNetwork(); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := nd.Join("n0"); err != nil {
+			t.Fatalf("join n%d: %v", i, err)
+		}
+		stabilizeAll(t, nodes[:i+1], 3)
+	}
+	stabilizeAll(t, nodes, 3)
+	return nodes
+}
+
+// TestSteadyRoundBill itemises one steady-state round of a converged
+// depth-2 network whose two landmarks are members: sixteen nodes, two
+// lower rings of eight. Per node and layer it is Chord's own six requests
+// (one get_neighbors, one notify, the predecessor's ping and three for the
+// successor list's tail); on top of that one hinted get_ring_table per
+// member that does not store its ring's table, one ring walk per boundary
+// member, one global walk from one landmark per node, and the storing
+// nodes' pings of their tables' boundaries — nothing else, and nothing to
+// itself.
+func TestSteadyRoundBill(t *testing.T) {
+	const n = 16
+	var log callLog
+	nodes := twoRingCluster(t, n, log.tweak)
+	walks := clusterCounter(t, nodes, `ring_consults_total{path="walk"}`)
+	hints := clusterCounter(t, nodes, `ring_consults_total{path="hint"}`)
+	log.reset()
+	stabilizeAll(t, nodes, 1)
+
+	// Who stores which ring's table, and who its boundaries are.
+	storing := map[string]*Node{} // ring name -> the node storing its table
+	boundary := map[string]bool{} // members that are a boundary of their ring
+	pings := map[string]int{}     // storing node -> boundary pings for the tables it stores
+	for _, nd := range nodes {
+		for _, tab := range nd.Snapshot().Tables {
+			storing[tab.Name] = nd
+			for _, addr := range boundaryAddrs(tab) {
+				boundary[addr] = true
+			}
+			pings[nd.Addr()] += tablePings(tab, nd.Addr())
+		}
+	}
+	if len(storing) != 2 {
+		t.Fatalf("tables stored for rings %v, want two rings", storing)
+	}
+	for _, nd := range nodes {
+		from := nd.Addr()
+		sent := func(typ wire.MsgType, layer int, done bool) int {
+			return log.count(func(c sentCall) bool {
+				return c.from == from && c.typ == typ && c.layer == layer && c.done == done
+			})
+		}
+		for layer := 1; layer <= 2; layer++ {
+			if got := sent(wire.TGetNeighbors, layer, false); got != 1 {
+				t.Errorf("%s layer %d: %d get_neighbors, want 1", from, layer, got)
+			}
+			if got := sent(wire.TNotify, layer, false); got != 1 {
+				t.Errorf("%s layer %d: %d notify, want 1", from, layer, got)
+			}
+		}
+		if got, want := sent(wire.TPing, 0, false), 2*chordPingsPerLayer+pings[from]; got != want {
+			t.Errorf("%s: %d pings, want %d (%d of them for the tables it stores)", from, got, want, pings[from])
+		}
+		wantGet := 1
+		if storing[nd.RingNames()[0]] == nd {
+			wantGet = 0
+		}
+		if got := sent(wire.TGetRingTable, 0, false); got != wantGet {
+			t.Errorf("%s: %d get_ring_table, want %d", from, got, wantGet)
+		}
+		// One global walk, from the one landmark the node keeps to (a
+		// landmark walks from the other one): it ends on one reply.
+		if got := sent(wire.TFindClosest, 1, true); got != 1 {
+			t.Errorf("%s: %d global-ring walks completed, want 1", from, got)
+		}
+		wantRing := 0
+		if boundary[from] {
+			wantRing = 1
+		}
+		if got := sent(wire.TFindClosest, 2, true); got != wantRing {
+			t.Errorf("%s (boundary: %v): %d lower-ring walks completed, want %d", from, boundary[from], got, wantRing)
+		}
+		if !boundary[from] {
+			if got := sent(wire.TFindClosest, 2, false); got != 0 {
+				t.Errorf("%s is no boundary and sent %d lower-ring find_closest", from, got)
+			}
+		}
+	}
+	accounted := map[wire.MsgType]bool{
+		wire.TGetNeighbors: true, wire.TNotify: true, wire.TPing: true,
+		wire.TGetRingTable: true, wire.TFindClosest: true,
+	}
+	if got := log.count(func(c sentCall) bool { return !accounted[c.typ] }); got != 0 {
+		t.Errorf("%d requests of other types in a steady-state round (classic mode, no data)", got)
+	}
+	if got := log.count(func(c sentCall) bool { return c.from == c.to }); got != 0 {
+		t.Errorf("%d calls addressed to their own sender", got)
+	}
+	if got := clusterCounter(t, nodes, `ring_consults_total{path="walk"}`); got != walks {
+		t.Errorf("ring_consults_total{path=walk} moved by %v in a steady-state round", got-walks)
+	}
+	if got := clusterCounter(t, nodes, `ring_consults_total{path="hint"}`) - hints; got != n {
+		t.Errorf("ring_consults_total{path=hint} moved by %v, want %d", got, n)
 	}
 }
 

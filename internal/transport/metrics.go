@@ -29,6 +29,10 @@ type nodeMetrics struct {
 	onehopHits     *metrics.Counter
 	onehopStale    *metrics.Counter
 	gossipBytes    *metrics.Counter
+	// consultHint and consultWalk count lower-ring consultations by how
+	// the node storing the ring's table was found (ring_consults_total).
+	consultHint *metrics.Counter
+	consultWalk *metrics.Counter
 }
 
 func newNodeMetrics(reg *metrics.Registry, depth int) *nodeMetrics {
@@ -65,6 +69,10 @@ func newNodeMetrics(reg *metrics.Registry, depth int) *nodeMetrics {
 		"One-hop table answers whose owner verification failed (stale table; lookup fell back to the classic walk).")
 	nm.gossipBytes = reg.NewCounter("route_gossip_bytes_total",
 		"Route-gossip payload bytes exchanged by this node's push-pull rounds (both directions, binary-codec size).")
+	consults := reg.NewCounterVec("ring_consults_total",
+		"Lower-ring entry-point consultations, by how the node storing the ring's table was found: hint (the node that answered last time still vouched for it) or walk (a lookup on the global ring: a join, a re-homed table, a hint that did not answer).", "path")
+	nm.consultHint = consults.With("hint")
+	nm.consultWalk = consults.With("walk")
 	return nm
 }
 

@@ -28,6 +28,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/binning"
@@ -228,6 +229,12 @@ type layerState struct {
 	pred    wire.Peer
 	fingers []wire.Peer // index k ~ successor(self + 2^k); zero Addr = unset
 	nextFix int
+
+	// What the last stabilization round learned, so this one asks only for
+	// what may have changed since (see StabilizeLayer, enterRing).
+	settled string         // successor stabilizeSuccessors settled on; "" = none answered
+	storing wire.Peer      // lower ring: the node that answered the last table read as the table's owner
+	table   wire.RingTable // lower ring: the table as the last completed consultation read it
 }
 
 // Node is a live HIERAS peer.
@@ -248,7 +255,7 @@ type Node struct {
 	needSweep bool                      // eviction observed; anti-entropy on the next round
 
 	closed  chan struct{}
-	handled int64 // requests served (also exported via the registry)
+	handled atomic.Int64 // requests received over the wire (also exported via the registry)
 	wg      sync.WaitGroup
 
 	// lifeCtx is cancelled by Close, so in-flight maintenance RPC chains
@@ -429,11 +436,15 @@ func (n *Node) RingNames() []string {
 	return out
 }
 
-// Handled returns the number of requests this node has served.
-func (n *Node) Handled() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.handled
+// Handled returns the number of requests received over the wire. A request
+// this node addressed to itself is answered in-process (see call): it is
+// not a message and is not counted here or by the served-RPC counters.
+func (n *Node) Handled() int64 { return n.handled.Load() }
+
+// observeServed counts one request received over the wire.
+func (n *Node) observeServed(t wire.MsgType, ok bool) {
+	n.handled.Add(1)
+	n.nm.wm.ObserveServed(t, ok)
 }
 
 // Close stops serving. Outstanding handlers finish first.
@@ -502,7 +513,7 @@ func (n *Node) acceptLoop() {
 			defer n.untrack(conn)
 			_ = wire.ServeConn(n.nm.wm.CountConn(conn), n.handle, wire.ServeOptions{
 				WriteTimeout: n.cfg.CallTimeout,
-				Observe:      n.nm.wm.ObserveServed,
+				Observe:      n.observeServed,
 			})
 		}()
 	}
@@ -516,12 +527,23 @@ func (n *Node) layerFor(layer int) (*layerState, error) {
 	return n.layers[layer-1], nil
 }
 
-// handle serves one request. It takes the node mutex and never performs
-// outgoing RPCs.
+// ownsLocked reports whether this node owns key on the global ring: key
+// lies in (global predecessor, self]. A node that does not know its
+// predecessor claims nothing.
+func (n *Node) ownsLocked(key id.ID) bool {
+	gp := n.layers[0].pred
+	return gp.Addr != "" && id.InOpenClosed(key, peerID(gp), n.id)
+}
+
+// handle answers one request from the node's own state. It takes the node
+// mutex and never performs outgoing RPCs. The request owns its memory (the
+// codec's guarantee; call copies for a request that never crossed it), so
+// handlers may keep what it carries. Requests received over the wire are
+// counted by observeServed, after the handler: one frame more on the
+// per-request goroutine's stack is a cost every served request pays.
 func (n *Node) handle(req wire.Request) wire.Response {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.handled++
 	switch req.Type {
 	case wire.TPing:
 		return wire.Response{OK: true, Self: n.selfLocked()}
@@ -563,8 +585,14 @@ func (n *Node) handle(req wire.Request) wire.Response {
 		return wire.Response{OK: true}
 
 	case wire.TGetRingTable:
+		// Owner vouches that the table, or its absence, is this node's to
+		// report: a reader that kept this node as a hint (enterRing) skips
+		// the global walk while the flag stands.
 		t, ok := n.tables[ringKey(req.Table.Layer, req.Table.Name)]
-		return wire.Response{OK: true, Table: t, Found: ok}
+		return wire.Response{
+			OK: true, Table: t, Found: ok,
+			Owner: n.ownsLocked(ringID(req.Table.Layer, req.Table.Name)),
+		}
 
 	case wire.TPutRingTable:
 		if req.Table.Name == "" || req.Table.Layer < 2 {
@@ -607,8 +635,7 @@ func (n *Node) handle(req wire.Request) wire.Response {
 			// Ownership-checked read (see ownerRead): the destination check
 			// of findClosestLocked's hierarchical branch, on the key's name.
 			// A node that does not own the key says nothing about it.
-			gp := n.layers[0].pred
-			if gp.Addr == "" || !id.InOpenClosed(LiveKeyID(req.Name), peerID(gp), n.id) {
+			if !n.ownsLocked(LiveKeyID(req.Name)) {
 				return resp
 			}
 			resp.Owner = true
@@ -732,11 +759,13 @@ func (n *Node) replicaSuccessorsLocked() []wire.Peer {
 
 // purgePeerLocked removes every reference to a dead address from one
 // layer's fingers, successor list and predecessor (Chord's timeout
-// handling; shared by the TEvict handler and local eviction).
-func purgePeerLocked(ls *layerState, dead string) {
+// handling; shared by the TEvict handler and local eviction). It reports
+// whether there was one.
+func purgePeerLocked(ls *layerState, dead string) (purged bool) {
 	for k := range ls.fingers {
 		if ls.fingers[k].Addr == dead {
 			ls.fingers[k] = wire.Peer{}
+			purged = true
 		}
 	}
 	kept := ls.succ[:0]
@@ -745,10 +774,13 @@ func purgePeerLocked(ls *layerState, dead string) {
 			kept = append(kept, s)
 		}
 	}
+	purged = purged || len(kept) < len(ls.succ)
 	ls.succ = kept
 	if ls.pred.Addr == dead {
 		ls.pred = wire.Peer{}
+		purged = true
 	}
+	return purged
 }
 
 // evictLocal purges a suspected-dead peer from this node's own routing
@@ -760,11 +792,16 @@ func (n *Node) evictLocal(layer int, dead string) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.needSweep = true // a confirmed death means replicas need a new home
+	purged := false
 	if ls, err := n.layerFor(layer); err == nil {
-		purgePeerLocked(ls, dead)
+		purged = purgePeerLocked(ls, dead)
 	}
-	n.recordEvictLocked(layer, dead)
+	// A death is news once: replicas need a new home when a reference went
+	// or a tombstone was stamped, not every time a walk meets the same
+	// dead address again (a landmark that is down is met every round).
+	if n.recordEvictLocked(layer, dead) || purged {
+		n.needSweep = true
+	}
 }
 
 // recordEvictLocked stamps an eviction tombstone into the one-hop table
@@ -772,15 +809,17 @@ func (n *Node) evictLocal(layer int, dead string) {
 // only (see routeEvent), so only layer-1 evidence is recorded. A subject
 // that is already a departure is left alone: re-stamping on every
 // repeated failure would push stamps arbitrarily far ahead of the clock,
-// and a runaway tombstone can shadow the peer's genuine rejoin.
-func (n *Node) recordEvictLocked(layer int, dead string) {
+// and a runaway tombstone can shadow the peer's genuine rejoin. It reports
+// whether a tombstone was stamped.
+func (n *Node) recordEvictLocked(layer int, dead string) bool {
 	if n.routes == nil || layer != 1 || dead == "" || dead == n.addr {
-		return
+		return false
 	}
 	if cur, ok := n.routes.Latest(1, "", dead); ok && cur.Kind != wire.RouteJoin {
-		return
+		return false
 	}
 	n.routeEvent(wire.Peer{Addr: dead, ID: [20]byte(NodeID(dead))}, wire.RouteEvict)
+	return true
 }
 
 // findClosestLocked is one iterative routing step in a layer (paper §3.2):
@@ -797,8 +836,7 @@ func (n *Node) findClosestLocked(req wire.Request) wire.Response {
 		// I the key's owner in the GLOBAL ring? Only the first node of a
 		// layer walk can own the key, so this matches the oracle overlay's
 		// between-layer check exactly.
-		gp := n.layers[0].pred
-		if gp.Addr != "" && id.InOpenClosed(key, peerID(gp), n.id) {
+		if n.ownsLocked(key) {
 			return wire.Response{OK: true, Next: n.selfLocked(), Done: true, Owner: true, Self: n.selfLocked()}
 		}
 	} else if ls.pred.Addr != "" && id.InOpenClosed(key, peerID(ls.pred), n.id) {

@@ -171,9 +171,13 @@ func TestLocalReplicaSetsMatchResolver(t *testing.T) {
 // TestReplicaCostPins counts, on the nodes' own per-type RPC counters,
 // what the local sources make the replica layer cost on a converged
 // 8-node one-hop cluster: an anti-entropy round is Factor-1 get_neighbors
-// (the predecessor chain) plus one digest per replica peer, a Get is
-// ReadQuorum store_gets and a Put one store_get and Factor store_puts —
-// no find_closest anywhere, and no replica set obtained by a walk.
+// (the predecessor chain) plus one digest per replica peer, a Get is one
+// store_get per remote member of the read quorum and a Put one store_get
+// at the owner and one store_put per member, each unless that member is the
+// coordinator itself — no find_closest anywhere, and no replica set
+// obtained by a walk. (The pins used to read ReadQuorum and 1 + Factor
+// flat: the coordinator sent itself its own share over its listener. What
+// a node asks itself is answered in-process and is not a message.)
 func TestReplicaCostPins(t *testing.T) {
 	const factor, keys = 3, 64
 	ctx := context.Background()
@@ -208,23 +212,40 @@ func TestReplicaCostPins(t *testing.T) {
 		}
 	}
 
+	// remote counts the members of key i's replica set, the first `polled`
+	// of them, that are not the coordinator.
+	remote := func(i int, coordinator *Node, polled int) (count float64) {
+		for _, m := range replicaSetOf(nodes, keyAt(i), factor)[:polled] {
+			if m != coordinator {
+				count++
+			}
+		}
+		return count
+	}
 	before := rpcsByType(t, nodes...)
+	want := map[string]float64{}
 	for i := 0; i < keys; i++ {
-		v, err := nodes[(i+3)%len(nodes)].Get(ctx, keyAt(i))
+		from := nodes[(i+3)%len(nodes)]
+		v, err := from.Get(ctx, keyAt(i))
 		if err != nil || string(v) != keyAt(i) {
 			t.Fatalf("get %s = %q, %v", keyAt(i), v, err)
 		}
+		want["store_get"] += remote(i, from, factor/2+1)
 	}
-	if got, want := rpcsSince(t, before, nodes...), (map[string]float64{"store_get": 2 * keys}); !reflect.DeepEqual(got, want) {
-		t.Errorf("%d gets cost %v, want %v", keys, got, want)
+	if got := rpcsSince(t, before, nodes...); !reflect.DeepEqual(got, want) || want["store_get"] >= 2*keys {
+		t.Errorf("%d gets cost %v, want %v (under %d: some coordinators are members)", keys, got, want, 2*keys)
 	}
 	before = rpcsByType(t, nodes...)
+	want = map[string]float64{}
 	for i := 0; i < keys; i++ {
-		if err := nodes[(i+5)%len(nodes)].Put(ctx, keyAt(i), []byte("again")); err != nil {
+		from := nodes[(i+5)%len(nodes)]
+		if err := from.Put(ctx, keyAt(i), []byte("again")); err != nil {
 			t.Fatalf("put %s: %v", keyAt(i), err)
 		}
+		want["store_get"] += remote(i, from, 1)
+		want["store_put"] += remote(i, from, factor)
 	}
-	if got, want := rpcsSince(t, before, nodes...), (map[string]float64{"store_get": keys, "store_put": factor * keys}); !reflect.DeepEqual(got, want) {
+	if got := rpcsSince(t, before, nodes...); !reflect.DeepEqual(got, want) {
 		t.Errorf("%d puts cost %v, want %v", keys, got, want)
 	}
 	if got := resolves(t, "walk", nodes...); got != walks {
@@ -456,5 +477,79 @@ func TestFarCoordinatorDoesNotGuessReplicaSet(t *testing.T) {
 	}
 	if err == nil && copiesOf(without(nodes, owner), key) < 2 {
 		t.Error("put acknowledged without a write quorum of replicas")
+	}
+}
+
+// TestDeadLandmarkKeepsAntiEntropyCadence: the landmark "lm" is an address
+// nobody listens on, so every round's merge scan meets the same dead peer.
+// That is not news after the first time: eight rounds at AntiEntropyEvery 4
+// run each node's anti-entropy twice, not eight times. A member's death is
+// news — the round that confirms it runs anti-entropy at once, whatever
+// the cadence says.
+func TestDeadLandmarkKeepsAntiEntropyCadence(t *testing.T) {
+	const factor, keys, every = 3, 32, 4
+	ctx := context.Background()
+	names := []string{"n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7"}
+	nodes := oneRingCluster(t, wire.NewMemNet(), names, replicaTweak(factor, RouteOneHop),
+		func(cfg *Config) { cfg.AntiEntropyEvery = every })
+	for i := 0; i < keys; i++ {
+		if err := nodes[i%len(nodes)].Put(ctx, "cadence-"+strconv.Itoa(i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stabilizeAll(t, nodes, 2*every)
+	digests := func(nd *Node) float64 { return rpcsByType(t, nd)["digest"] }
+	// One anti-entropy round's digests, node by node.
+	perRound := map[*Node]float64{}
+	for _, nd := range nodes {
+		before := digests(nd)
+		if _, _, _, err := nd.ReplicaAntiEntropyOnce(); err != nil {
+			t.Fatal(err)
+		}
+		if perRound[nd] = digests(nd) - before; perRound[nd] == 0 {
+			t.Fatalf("%s: an anti-entropy round sent no digest", nd.Addr())
+		}
+	}
+	before := map[*Node]float64{}
+	recent := map[*Node]bool{} // ran anti-entropy in the last every-1 rounds: not due next round
+	for _, nd := range nodes {
+		before[nd] = digests(nd)
+	}
+	for round := 1; round <= 2*every; round++ {
+		for _, nd := range nodes {
+			sent := digests(nd)
+			if err := nd.StabilizeOnce(); err != nil {
+				t.Fatal(err)
+			}
+			if round > every+1 && digests(nd) != sent {
+				recent[nd] = true
+			}
+		}
+	}
+	for _, nd := range nodes {
+		if got, want := digests(nd)-before[nd], 2*perRound[nd]; got != want {
+			t.Errorf("%s: %v digests in %d rounds at cadence %d, want %v (two anti-entropy rounds)", nd.Addr(), got, 2*every, every, want)
+		}
+	}
+
+	// A lookup that runs into the dead member evicts it — a reference goes, a
+	// tombstone is stamped — and the node's next round does not wait.
+	ring := byIDOrder(nodes)
+	at := slices.IndexFunc(ring, func(nd *Node) bool { return recent[nd] })
+	if at < 0 {
+		t.Fatalf("no node ran anti-entropy in the last %d rounds", every-1)
+	}
+	witness, victim := ring[at], ring[(at+3)%len(ring)] // not neighbours: the lookup has to ask the victim itself
+	victim.Close()
+	_, _ = witness.Lookup(ctx, victim.ID())
+	if succ, _, _ := layerSnapshot(witness, 1); slices.Contains(succ, victim.Self()) {
+		t.Fatalf("%s still lists the dead %s after a lookup ran into it", witness.Addr(), victim.Addr())
+	}
+	sent := digests(witness)
+	if err := witness.StabilizeOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if digests(witness) == sent {
+		t.Errorf("%s evicted a dead member and its next round ran no anti-entropy", witness.Addr())
 	}
 }
