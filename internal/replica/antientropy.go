@@ -63,15 +63,15 @@ func (e *Engine) RangeDigest(keyID func(string) [20]byte, lo, hi [20]byte) []uin
 	defer e.mu.Unlock()
 	now := e.now()
 	digest := make([]uint64, DigestBuckets)
-	for k, it := range e.items {
-		if Expired(it, now) {
+	for k, h := range e.items {
+		if Expired(h.item, now) {
 			continue
 		}
-		kid := keyID(k)
+		kid := e.idLocked(keyID, k, h)
 		if !id.InOpenClosed(id.ID(kid), id.ID(lo), id.ID(hi)) {
 			continue
 		}
-		digest[BucketOf(kid)] ^= ItemHash(it)
+		digest[BucketOf(kid)] ^= ItemHash(h.item)
 	}
 	return digest
 }
@@ -88,16 +88,16 @@ func (e *Engine) RangeItems(keyID func(string) [20]byte, lo, hi [20]byte, bucket
 	defer e.mu.Unlock()
 	now := e.now()
 	var out []wire.StoreItem
-	for k, it := range e.items {
-		if Expired(it, now) {
+	for k, h := range e.items {
+		if Expired(h.item, now) {
 			continue
 		}
-		kid := keyID(k)
+		kid := e.idLocked(keyID, k, h)
 		if !id.InOpenClosed(id.ID(kid), id.ID(lo), id.ID(hi)) || !want[BucketOf(kid)] {
 			continue
 		}
-		cp := it
-		cp.Value = append([]byte(nil), it.Value...)
+		cp := h.item
+		cp.Value = append([]byte(nil), cp.Value...)
 		out = append(out, cp)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
@@ -236,7 +236,7 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 		shared := peerKeys[peer]
 		ids := make([]id.ID, 0, len(shared))
 		for _, key := range shared {
-			ids = append(ids, id.ID(c.KeyID(key)))
+			ids = append(ids, id.ID(c.Engine.KeyID(c.KeyID, key)))
 		}
 		lo, hi := coveringArc(ids)
 		local := c.Engine.RangeDigest(c.KeyID, lo, hi)

@@ -1,0 +1,119 @@
+package replica
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/id"
+	"repro/internal/wire"
+)
+
+// referenceRange is RangeDigest and RangeItems without the memo: every
+// identifier hashed afresh, from the store's own sorted listing.
+func referenceRange(e *Engine, now uint64, lo, hi [20]byte, buckets []uint32) ([]uint64, []wire.StoreItem) {
+	digest := make([]uint64, DigestBuckets)
+	var items []wire.StoreItem
+	for _, it := range e.Items() {
+		kid := testKeyID(it.Key)
+		if Expired(it, now) || !id.InOpenClosed(id.ID(kid), id.ID(lo), id.ID(hi)) {
+			continue
+		}
+		digest[BucketOf(kid)] ^= ItemHash(it)
+		if slices.Contains(buckets, uint32(BucketOf(kid))) {
+			items = append(items, it)
+		}
+	}
+	return digest, items
+}
+
+// TestKeyIDMemoFollowsStore: the identifier kept beside an item is the
+// key's, whatever the store went through — seeded sequences of writes,
+// overwrites, stale deliveries, drops, expiry purges and re-writes of
+// dropped keys, with RangeDigest and RangeItems over a random arc held to
+// the memo-less reference after every step.
+func TestKeyIDMemoFollowsStore(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var now uint64
+		e := NewEngine()
+		e.SetClock(func() uint64 { return now })
+		for step := 0; step < 120; step++ {
+			key := fmt.Sprintf("k%d", rng.Intn(24))
+			switch op := rng.Intn(10); {
+			case op < 6:
+				it := item(key, "v", uint64(1+rng.Intn(6)), fmt.Sprintf("w#%d", rng.Intn(3)))
+				if rng.Intn(3) == 0 {
+					it.Expire = now + uint64(1+rng.Intn(5))
+				}
+				it.Tombstone = rng.Intn(8) == 0
+				e.Apply(it)
+			case op < 8:
+				e.Drop(key)
+			default:
+				now += uint64(rng.Intn(4))
+				e.PurgeExpired()
+			}
+			var lo, hi [20]byte
+			rng.Read(lo[:])
+			if hi = lo; rng.Intn(4) > 0 { // lo == hi is the whole ring
+				rng.Read(hi[:])
+			}
+			buckets := []uint32{uint32(rng.Intn(DigestBuckets)), uint32(rng.Intn(DigestBuckets))}[:1+rng.Intn(2)]
+			wantDigest, wantItems := referenceRange(e, now, lo, hi, buckets)
+			if got := e.RangeDigest(testKeyID, lo, hi); !reflect.DeepEqual(got, wantDigest) {
+				t.Fatalf("seed %d step %d: RangeDigest %x, reference %x", seed, step, got, wantDigest)
+			}
+			if got := e.RangeItems(testKeyID, lo, hi, buckets); !reflect.DeepEqual(got, wantItems) {
+				t.Fatalf("seed %d step %d: RangeItems %v, reference %v", seed, step, got, wantItems)
+			}
+		}
+	}
+}
+
+// TestIdleRoundHashesNoKey: a node's first anti-entropy round hashes each
+// key once per store that holds it — its own, and each peer's when that
+// serves its first digest — and a second, idle round hashes nothing, on
+// either side of any digest.
+func TestIdleRoundHashesNoKey(t *testing.T) {
+	const keys = 48
+	ctx := context.Background()
+	fc := newFakeCluster("n0", "n1", "n2")
+	hashed := 0
+	fc.keyID = func(k string) [20]byte { hashed++; return testKeyID(k) }
+	for i := 0; i < keys; i++ {
+		for _, e := range fc.engines {
+			e.Apply(item(fmt.Sprintf("k%d", i), "v", 1, "w#1"))
+		}
+	}
+	co := fc.coordinator("n0", Options{Factor: 3})
+	// The whole ring is n0's stretch: every key is placed locally.
+	ring := []wire.Peer{{Addr: "n0"}, {Addr: "n1", ID: [20]byte{1}}, {Addr: "n2", ID: [20]byte{2}}, {Addr: "n0"}, {Addr: "n1"}, {Addr: "n2"}}
+	co.Neighbors = func(context.Context) ([]wire.Peer, int, bool) { return ring, 3, true }
+	round := func() {
+		t.Helper()
+		fc.calls = nil
+		if pulled, pushed, dropped, err := co.AntiEntropyOnce(ctx); err != nil || pulled+pushed+dropped != 0 {
+			t.Fatalf("round on a converged cluster: pulled %d pushed %d dropped %d, %v", pulled, pushed, dropped, err)
+		}
+		if want := []string{"n1:digest", "n2:digest"}; !reflect.DeepEqual(fc.calls, want) {
+			t.Fatalf("round's calls %v, want %v", fc.calls, want)
+		}
+	}
+	round()
+	if want := keys * len(fc.engines); hashed != want {
+		t.Errorf("first round hashed %d keys, want %d: each of %d stores its %d keys once", hashed, want, len(fc.engines), keys)
+	}
+	hashed = 0
+	round()
+	if hashed != 0 {
+		t.Errorf("second, idle round hashed %d keys, want 0", hashed)
+	}
+	var whole [20]byte
+	if _, err := fc.call(ctx, "n0", wire.Request{Type: wire.TDigest, Key: whole, KeyHi: whole}); err != nil || hashed != 0 {
+		t.Errorf("a digest served after the round hashed %d keys (%v), want 0", hashed, err)
+	}
+}

@@ -92,7 +92,7 @@ func (c *Coordinator) placement(ctx context.Context) Placement {
 // stretch could not be learned.
 func (c *Coordinator) replicaSet(ctx context.Context, p Placement, key string) ([]string, error) {
 	if len(p.arcs) > 0 {
-		if set, ok := p.SetOf(c.KeyID(key)); ok {
+		if set, ok := p.SetOf(c.Engine.KeyID(c.KeyID, key)); ok {
 			c.metrics().LocalSets.Inc()
 			return set, nil
 		}

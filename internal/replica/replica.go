@@ -86,16 +86,52 @@ func Supersedes(a, b wire.StoreItem) bool {
 // concurrent use. Merges are monotone: an item is replaced only by one
 // that Supersedes it, so applying any batch twice equals applying it
 // once and the wire operations feeding the engine are idempotent.
+//
+// An engine is read through one key-to-identifier mapping for its whole
+// life (the node's; see KeyID): identifiers are memoised beside the items.
 type Engine struct {
 	mu    sync.Mutex
-	items map[string]wire.StoreItem
+	items map[string]held
 	seq   uint64 // node-local write counter, feeds unique Writer stamps
 	clock func() uint64
 }
 
+// held is one stored item and, once something asked for it, its key's
+// ring identifier: a function of the key alone, so it outlives every
+// version of the item and goes only when the key does (Drop, PurgeExpired).
+type held struct {
+	item   wire.StoreItem
+	id     [20]byte
+	hashed bool
+}
+
 // NewEngine returns an empty store.
 func NewEngine() *Engine {
-	return &Engine{items: make(map[string]wire.StoreItem)}
+	return &Engine{items: make(map[string]held)}
+}
+
+// KeyID is keyID(key), computed at most once while key is held: a round
+// of anti-entropy asks for it several times per key (its replica set, each
+// shared arc, each digest sent and served) and the mapping is a SHA-1.
+func (e *Engine) KeyID(keyID func(string) [20]byte, key string) [20]byte {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	h, ok := e.items[key]
+	if !ok {
+		return keyID(key)
+	}
+	return e.idLocked(keyID, key, h)
+}
+
+// idLocked returns the identifier of held key, whose entry is h, filling
+// the memo on first use. Callers hold e.mu; storing under an existing key
+// is safe while ranging over the map.
+func (e *Engine) idLocked(keyID func(string) [20]byte, key string, h held) [20]byte {
+	if !h.hashed {
+		h.id, h.hashed = keyID(key), true
+		e.items[key] = h
+	}
+	return h.id
 }
 
 // SetClock injects the clock item lifecycles are judged against: an
@@ -143,10 +179,11 @@ func (e *Engine) Apply(item wire.StoreItem) bool {
 		return false
 	}
 	cur, ok := e.items[item.Key]
-	if ok && !Supersedes(item, cur) {
+	if ok && !Supersedes(item, cur.item) {
 		return false
 	}
-	e.items[item.Key] = item
+	cur.item = item
+	e.items[item.Key] = cur
 	return true
 }
 
@@ -160,8 +197,8 @@ func (e *Engine) PurgeExpired() int {
 	defer e.mu.Unlock()
 	now := e.now()
 	purged := 0
-	for k, it := range e.items {
-		if Expired(it, now) {
+	for k, h := range e.items {
+		if Expired(h.item, now) {
 			delete(e.items, k)
 			purged++
 		}
@@ -185,8 +222,8 @@ func (e *Engine) ApplyBatch(items []wire.StoreItem) int {
 func (e *Engine) Get(key string) (wire.StoreItem, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	it, ok := e.items[key]
-	return it, ok
+	h, ok := e.items[key]
+	return h.item, ok
 }
 
 // Stamp allocates the next version stamp for a locally coordinated
@@ -197,8 +234,8 @@ func (e *Engine) Stamp(key, self string, seen uint64) (version uint64, writer st
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	version = seen
-	if cur, ok := e.items[key]; ok && cur.Version > version {
-		version = cur.Version
+	if cur, ok := e.items[key]; ok && cur.item.Version > version {
+		version = cur.item.Version
 	}
 	version++
 	e.seq++
@@ -249,9 +286,9 @@ func (e *Engine) Items() []wire.StoreItem {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	items := make([]wire.StoreItem, 0, len(e.items))
-	for _, it := range e.items {
-		cp := it
-		cp.Value = append([]byte(nil), it.Value...)
+	for _, h := range e.items {
+		cp := h.item
+		cp.Value = append([]byte(nil), cp.Value...)
 		items = append(items, cp)
 	}
 	sort.Slice(items, func(i, j int) bool { return items[i].Key < items[j].Key })

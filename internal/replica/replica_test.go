@@ -131,10 +131,13 @@ type fakeCluster struct {
 	dead    map[string]bool
 	set     []string
 	calls   []string // "addr:type" log
+	// keyID is the key → ring identifier mapping the members and the
+	// coordinators share: testKeyID, unless a test counts its calls.
+	keyID func(string) [20]byte
 }
 
 func newFakeCluster(members ...string) *fakeCluster {
-	fc := &fakeCluster{engines: map[string]*Engine{}, dead: map[string]bool{}, set: members}
+	fc := &fakeCluster{engines: map[string]*Engine{}, dead: map[string]bool{}, set: members, keyID: testKeyID}
 	for _, m := range members {
 		fc.engines[m] = NewEngine()
 	}
@@ -157,15 +160,14 @@ func (fc *fakeCluster) call(ctx context.Context, addr string, req wire.Request) 
 	case wire.TStorePut, wire.TReplicate, wire.THandoff:
 		return wire.Response{OK: true, Applied: e.ApplyBatch(req.Items)}, nil
 	case wire.TDigest:
-		return wire.Response{OK: true, Digests: e.RangeDigest(testKeyID, req.Key, req.KeyHi)}, nil
+		return wire.Response{OK: true, Digests: e.RangeDigest(fc.keyID, req.Key, req.KeyHi)}, nil
 	case wire.TSyncPull:
-		return wire.Response{OK: true, Items: e.RangeItems(testKeyID, req.Key, req.KeyHi, req.Buckets)}, nil
+		return wire.Response{OK: true, Items: e.RangeItems(fc.keyID, req.Key, req.KeyHi, req.Buckets)}, nil
 	}
 	return wire.Response{}, fmt.Errorf("unexpected %v", req.Type)
 }
 
-// testKeyID is the key → ring identifier mapping the fake cluster's
-// members and coordinators share.
+// testKeyID is the fake cluster's default key → ring identifier mapping.
 func testKeyID(key string) [20]byte { return id.HashString(key) }
 
 func (fc *fakeCluster) coordinator(self string, opts Options) *Coordinator {
@@ -175,7 +177,7 @@ func (fc *fakeCluster) coordinator(self string, opts Options) *Coordinator {
 		Engine:  fc.engines[self],
 		Resolve: func(context.Context, string) ([]string, error) { return fc.set, nil },
 		Call:    fc.call,
-		KeyID:   testKeyID,
+		KeyID:   fc.keyID,
 	}
 }
 

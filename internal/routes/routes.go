@@ -15,6 +15,7 @@ package routes
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sort"
 	"sync"
 
@@ -48,6 +49,9 @@ type Table struct {
 	// its ring's entry and the next Owner or Members rebuilds it, so a
 	// lookup is a binary search instead of a scan and sort of every event.
 	members map[ringKey][]wire.Peer
+	// summary is the XOR of eventHash over events, kept current by
+	// applyLocked, so two tables compare in one word (see Summary).
+	summary uint64
 }
 
 // New returns an empty table.
@@ -81,9 +85,46 @@ func (t *Table) applyLocked(ev wire.RouteEvent) bool {
 	if ok && !beats(ev, cur) {
 		return false
 	}
+	if ok {
+		t.summary ^= eventHash(&cur)
+	}
+	t.summary ^= eventHash(&ev)
 	t.events[k] = ev
 	delete(t.members, ringKey{ev.Layer, ev.Ring})
 	return true
+}
+
+// Summary is an order-independent 64-bit digest of the event set: tables
+// holding the same events have the same summary whatever order they
+// learned them in, and tables holding different events differ with
+// probability 1 - 2^-64. Gossip sends it ahead of the table, so a peer
+// that is already converged answers "same" instead of receiving the set.
+func (t *Table) Summary() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.summary
+}
+
+// eventHash hashes every field of one event — FNV-1a over a
+// length-prefixed encoding, so ("ab", "c") and ("a", "bc") hash apart —
+// and then a bijective finalizer (splitmix64's), because XOR-combined raw
+// FNV values would let the differences of several events cancel far more
+// often than 2^-64. The buffer stays on the stack for any address a
+// listener can have.
+func eventHash(ev *wire.RouteEvent) uint64 {
+	var buf [128]byte
+	b := binary.AppendUvarint(buf[:0], uint64(ev.Layer))
+	b = append(binary.AppendUvarint(b, uint64(len(ev.Ring))), ev.Ring...)
+	b = append(binary.AppendUvarint(b, uint64(len(ev.Peer.Addr))), ev.Peer.Addr...)
+	b = append(append(b, ev.Peer.ID[:]...), ev.Kind)
+	b = binary.BigEndian.AppendUint64(b, ev.Stamp)
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 // ApplyAll merges a batch and returns how many events advanced the

@@ -282,3 +282,100 @@ func TestOwnerIndexMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// foldSummary is Summary computed from scratch: the reference the
+// incrementally maintained word is held to.
+func foldSummary(evs []wire.RouteEvent) uint64 {
+	var sum uint64
+	for i := range evs {
+		sum ^= eventHash(&evs[i])
+	}
+	return sum
+}
+
+// checkSummaries is the summary's contract on a pair of tables: each
+// table's summary is the fold of its event set, and the two summaries are
+// equal exactly when the event sets are.
+func checkSummaries(t *testing.T, a, b *Table) {
+	t.Helper()
+	ea, eb := a.Events(), b.Events()
+	if got, want := a.Summary(), foldSummary(ea); got != want {
+		t.Fatalf("incremental summary %#x, from-scratch fold %#x over %v", got, want, ea)
+	}
+	if got, want := b.Summary(), foldSummary(eb); got != want {
+		t.Fatalf("incremental summary %#x, from-scratch fold %#x over %v", got, want, eb)
+	}
+	if same := reflect.DeepEqual(ea, eb); (a.Summary() == b.Summary()) != same {
+		t.Fatalf("summaries %#x and %#x, event sets equal: %v\n a %v\n b %v", a.Summary(), b.Summary(), same, ea, eb)
+	}
+}
+
+// streamEvent decodes three bytes into one event of a universe small
+// enough — 2 layers, 2 rings, 4 peers, 3 kinds, 8 stamps — that streams
+// are full of replays, superseded deliveries and equal-stamp ties. One
+// peer in eight carries a second identifier under the same address, the
+// one difference the merge order does not settle.
+func streamEvent(subject, kind, stamp byte) wire.RouteEvent {
+	e := ev(1+int(subject&1), []string{"", "r"}[subject>>1&1], fmt.Sprintf("n%d", subject>>2&3), kind%3, uint64(stamp%8))
+	if subject>>4&7 == 0 {
+		e.Peer.ID[19] = 1
+	}
+	return e
+}
+
+// TestSummaryMatchesEventSet drives two tables with seeded random event
+// streams — joins, leaves, evictions, replays, superseded and reordered
+// deliveries — and holds them to checkSummaries after every delivery.
+// Half the streams end with each table receiving what it missed, in
+// another order: converged tables must then agree in one word.
+func TestSummaryMatchesEventSet(t *testing.T) {
+	for seed := int64(0); seed < 1200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, b := New(), New()
+		var toA, toB []wire.RouteEvent
+		for i, n := 0, 1+rng.Intn(24); i < n; i++ {
+			e := streamEvent(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+			switch rng.Intn(3) {
+			case 0:
+				a.Apply(e)
+				toB = append(toB, e)
+			case 1:
+				b.Apply(e)
+				toA = append(toA, e)
+			default:
+				a.Apply(e)
+				b.Apply(e)
+			}
+			checkSummaries(t, a, b)
+		}
+		if seed%2 == 0 {
+			continue
+		}
+		rng.Shuffle(len(toA), func(i, j int) { toA[i], toA[j] = toA[j], toA[i] })
+		a.ApplyAll(toA)
+		b.ApplyAll(toB)
+		checkSummaries(t, a, b)
+	}
+}
+
+// FuzzSummary holds arbitrary delivery schedules to the same oracle: four
+// bytes a delivery — which table (or both), then the event.
+func FuzzSummary(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 3, 1, 1, 0, 3})                  // the same event to each table
+	f.Add([]byte{0, 1, 0, 3, 1, 1, 2, 3, 2, 1, 1, 3})      // a tie, then a departure at the same stamp
+	f.Add([]byte{2, 0, 0, 1, 0, 0, 0, 1, 1, 16, 0, 1})     // one address under two identifiers
+	f.Add([]byte{0, 5, 0, 7, 0, 5, 1, 2, 1, 5, 1, 2, 255}) // a superseded delivery and a trailing fragment
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := New(), New()
+		for ; len(data) >= 4; data = data[4:] {
+			e := streamEvent(data[1], data[2], data[3])
+			if data[0]%3 != 1 {
+				a.Apply(e)
+			}
+			if data[0]%3 != 0 {
+				b.Apply(e)
+			}
+			checkSummaries(t, a, b)
+		}
+	})
+}

@@ -81,9 +81,8 @@ func TestAllocBudgetLookupWalk(t *testing.T) {
 }
 
 // TestAllocBudgetKeyIDs: identifiers are hashed from a stack buffer, so
-// a key of up to 64 bytes costs no heap object — RangeDigest derives one
-// per stored item — and they are the identifiers the concatenating
-// expression produced, byte for byte.
+// a key of up to 64 bytes costs no heap object, and they are the
+// identifiers the concatenating expression produced, byte for byte.
 func TestAllocBudgetKeyIDs(t *testing.T) {
 	for _, key := range []string{"", "k", "127.0.0.1:24107", strings.Repeat("x", 64), strings.Repeat("long", 100)} {
 		if got, want := LiveKeyID(key), id.HashString("key:"+key); got != want {
@@ -103,5 +102,32 @@ func TestAllocBudgetKeyIDs(t *testing.T) {
 			t.Errorf("NodeID of a %d-byte address made %.1f heap objects, budget 0", len(key), avg)
 		}
 		_ = sink
+	}
+}
+
+// TestGossipProbeAllocBudget: a gossip round between converged tables of
+// 32 events creates what any exchange creates (3 heap objects today, the
+// budget is find_closest's 6) and nothing that grows with the table: no
+// event slice is built, encoded or decoded on either side. Shipping the
+// table made 49.
+func TestGossipProbeAllocBudget(t *testing.T) {
+	a, b := gossipPair(t, RouteOneHop)
+	for i := 0; i < 30; i++ {
+		ev := wire.RouteEvent{Layer: 1, Peer: peerFor(fmt.Sprintf("phantom-%d", i)), Kind: wire.RouteJoin, Stamp: 1}
+		a.routes.Apply(ev)
+		b.routes.Apply(ev)
+	}
+	before := counterValue(t, a, "route_gossip_bytes_total")
+	avg := testing.AllocsPerRun(200, func() {
+		if err := a.RouteGossipOnce(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := (counterValue(t, a, "route_gossip_bytes_total") - before) / 201; got != routeProbeBytes {
+		t.Fatalf("%v gossip payload bytes per round, want one probe's %d: the tables are not converged", got, routeProbeBytes)
+	}
+	t.Logf("%.1f heap objects per converged gossip round", avg)
+	if avg > 6 {
+		t.Errorf("a converged gossip round made %.1f heap objects, budget 6", avg)
 	}
 }

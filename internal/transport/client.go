@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -229,25 +230,43 @@ func (n *Node) gossipFanout() []string {
 	return targets
 }
 
-// pushRoutes pushes the full local event set to each target and merges
-// whatever each reply says we are missing (the pull half). Exchanged
-// payload bytes are counted against route_gossip_bytes_total; at
-// convergence replies are empty, so the steady-state cost is one push
-// frame per neighbor per round.
+// pushRoutes reconciles the one-hop table with each target, asking before
+// it tells: the first message is a probe, TRouteGossip with no events and
+// the table's summary in Key. A target with the same summary says so
+// (Found) and that is the whole exchange — an idle round costs one small
+// frame per neighbor. One that differs replies with its event set; this
+// node merges it and pushes back only what the reply shows the target to
+// lack, again with its summary. The summary is read per target: what one
+// target taught is passed on to the next in the same round. Exchanged
+// payload bytes are counted against route_gossip_bytes_total.
 func (n *Node) pushRoutes(targets []string) {
-	evs := n.routes.Events()
-	if len(evs) == 0 {
-		return
-	}
-	sent := routeEventsBytes(evs)
 	for _, addr := range targets {
-		resp, err := n.callBG(addr, wire.Request{Type: wire.TRouteGossip, Events: evs})
+		resp, err := n.callBG(addr, wire.Request{Type: wire.TRouteGossip, Key: summaryKey(n.routes.Summary())})
 		if err != nil {
 			continue
 		}
-		n.nm.gossipBytes.Add(sent + routeEventsBytes(resp.Events))
+		n.nm.gossipBytes.Add(routeProbeBytes + routeEventsBytes(resp.Events))
+		if resp.Found {
+			continue
+		}
+		n.routes.ApplyAll(resp.Events)
+		news := n.routes.Diff(resp.Events)
+		if len(news) == 0 {
+			continue
+		}
+		resp, err = n.callBG(addr, wire.Request{Type: wire.TRouteGossip, Key: summaryKey(n.routes.Summary()), Events: news})
+		if err != nil {
+			continue // the target still differs next round, and is probed again
+		}
+		n.nm.gossipBytes.Add(routeEventsBytes(news) + routeEventsBytes(resp.Events))
 		n.routes.ApplyAll(resp.Events)
 	}
+}
+
+// summaryKey carries a table summary in a request's Key field.
+func summaryKey(sum uint64) (key [20]byte) {
+	binary.BigEndian.PutUint64(key[:8], sum)
+	return key
 }
 
 // routeEventsBytes measures the gossip payload cost of an event set: the
@@ -263,7 +282,10 @@ func routeEventsBytes(evs []wire.RouteEvent) uint64 {
 	return uint64(len(b))
 }
 
-// RouteGossipOnce runs one push-pull route-gossip exchange with the
+// routeProbeBytes is the payload of a probe: type, field mask and Key.
+const routeProbeBytes = 22
+
+// RouteGossipOnce runs one route-gossip exchange (see pushRoutes) with the
 // gossip fanout. StabilizeOnce calls it every round; it is exposed
 // separately so harnesses can drive the gossip cadence explicitly.
 func (n *Node) RouteGossipOnce() error {
@@ -929,6 +951,12 @@ func (n *Node) StabilizeLayer(layer int) error {
 // that sits between, rebuild the successor list from its list and notify
 // it. It returns the successor the round settled on — this node itself on
 // a singleton ring, the zero peer when no listed successor answered.
+//
+// A global-ring neighbor this round stops referring to because it failed
+// its call is a death confirmed here, with no walk and no eviction
+// involved, and replicas need a new home just the same: the round's
+// anti-entropy does not wait for its cadence. The reference goes with the
+// flag, so a death is news once (compare evictLocal).
 func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 	self := n.Self()
 	n.mu.Lock()
@@ -943,6 +971,7 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 			n.mu.Lock()
 			if n.layers[layer-1].pred == pred {
 				n.layers[layer-1].pred = wire.Peer{}
+				n.needSweep = n.needSweep || layer == 1
 				if n.suspectDead(pred.Addr) {
 					// Fresh, confirmed failure evidence from the ping we
 					// just lost: tombstone the peer in the one-hop table.
@@ -955,12 +984,14 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 	// Find the first live successor and fetch its neighbor state.
 	var s0 wire.Peer
 	var nb wire.Response
+	lost := false // a listed successor failed its call: the rebuilt list leaves it out
 	for _, cand := range succ {
 		resp, err := n.callBG(cand.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer})
 		if err == nil {
 			s0, nb = cand, resp
 			break
 		}
+		lost = true
 	}
 	if s0.Addr == "" {
 		// Every listed successor just failed a call, so each one's
@@ -976,6 +1007,7 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 				kept = append(kept, p)
 			} else {
 				n.recordEvictLocked(layer, p.Addr)
+				n.needSweep = n.needSweep || layer == 1
 			}
 		}
 		ls.succ = kept
@@ -1021,12 +1053,14 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 		}
 		seen[p.Addr] = true
 		if _, err := n.callBG(p.Addr, wire.Request{Type: wire.TPing}); err != nil {
+			lost = lost || slices.Contains(succ, p)
 			continue
 		}
 		list = append(list, p)
 	}
 	n.mu.Lock()
 	ls.succ = list
+	n.needSweep = n.needSweep || (lost && layer == 1)
 	n.mu.Unlock()
 	_, _ = n.callBG(s0.Addr, wire.Request{Type: wire.TNotify, Layer: layer, Peer: self})
 	return s0

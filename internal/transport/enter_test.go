@@ -116,12 +116,14 @@ func TestRestartedBoundaryRejoins(t *testing.T) {
 
 // sentCall is one RPC attempt as the WrapCaller seam sees it: what left a
 // node for the wire. Layer is the request's, 0 for types that carry none;
-// done marks the find_closest a walk ended on.
+// done marks the find_closest a walk ended on, events a route_gossip
+// exchange that shipped membership events in either direction.
 type sentCall struct {
 	from, to string
 	typ      wire.MsgType
 	layer    int
 	done     bool
+	events   bool
 }
 
 // callLog counts RPC attempts at the WrapCaller seam of every node
@@ -139,7 +141,7 @@ func (l *callLog) tweak(cfg *Config) {
 			if l.sent == nil {
 				l.sent = map[sentCall]int{}
 			}
-			l.sent[sentCall{self, addr, req.Type, req.Layer, resp.Done}]++
+			l.sent[sentCall{self, addr, req.Type, req.Layer, resp.Done, len(req.Events)+len(resp.Events) > 0}]++
 			l.mu.Unlock()
 			return resp, err
 		})
@@ -280,13 +282,14 @@ func twoRingCluster(t *testing.T, n int, tweaks ...func(*Config)) []*Node {
 // (one get_neighbors, one notify, the predecessor's ping and three for the
 // successor list's tail); on top of that one hinted get_ring_table per
 // member that does not store its ring's table, one ring walk per boundary
-// member, one global walk from one landmark per node, and the storing
-// nodes' pings of their tables' boundaries — nothing else, and nothing to
-// itself.
+// member, one global walk from one landmark per node, the storing nodes'
+// pings of their tables' boundaries, and one route-gossip probe per
+// global-ring neighbor, none of which ships an event either way — nothing
+// else, and nothing to itself.
 func TestSteadyRoundBill(t *testing.T) {
 	const n = 16
 	var log callLog
-	nodes := twoRingCluster(t, n, log.tweak)
+	nodes := twoRingCluster(t, n, log.tweak, func(cfg *Config) { cfg.RouteMode = RouteOneHop })
 	walks := clusterCounter(t, nodes, `ring_consults_total{path="walk"}`)
 	hints := clusterCounter(t, nodes, `ring_consults_total{path="hint"}`)
 	log.reset()
@@ -350,13 +353,19 @@ func TestSteadyRoundBill(t *testing.T) {
 				t.Errorf("%s is no boundary and sent %d lower-ring find_closest", from, got)
 			}
 		}
+		if got, want := sent(wire.TRouteGossip, 0, false), len(nd.gossipFanout()); got != want {
+			t.Errorf("%s: %d route_gossip probes, want %d (one per global-ring neighbor)", from, got, want)
+		}
+	}
+	if got := log.count(func(c sentCall) bool { return c.events }); got != 0 {
+		t.Errorf("%d route_gossip exchanges shipped events between converged tables", got)
 	}
 	accounted := map[wire.MsgType]bool{
 		wire.TGetNeighbors: true, wire.TNotify: true, wire.TPing: true,
-		wire.TGetRingTable: true, wire.TFindClosest: true,
+		wire.TGetRingTable: true, wire.TFindClosest: true, wire.TRouteGossip: true,
 	}
 	if got := log.count(func(c sentCall) bool { return !accounted[c.typ] }); got != 0 {
-		t.Errorf("%d requests of other types in a steady-state round (classic mode, no data)", got)
+		t.Errorf("%d requests of other types in a steady-state round (no data)", got)
 	}
 	if got := log.count(func(c sentCall) bool { return c.from == c.to }); got != 0 {
 		t.Errorf("%d calls addressed to their own sender", got)

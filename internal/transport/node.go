@@ -285,9 +285,8 @@ func NodeID(addr string) id.ID { return hashTagged("live:", addr) }
 func LiveKeyID(key string) id.ID { return hashTagged("key:", key) }
 
 // hashTagged is id.HashString(tag + s), hashed from a stack buffer: the
-// concatenation and its []byte copy were two heap objects per call, and
-// a range digest calls LiveKeyID once per stored item. Keys beyond the
-// buffer (tag + s > 96 B) cost the one allocation append makes.
+// concatenation and its []byte copy were two heap objects per call. Keys
+// beyond the buffer (tag + s > 96 B) cost the one allocation append makes.
 func hashTagged(tag, s string) id.ID {
 	var stack [96]byte
 	return id.HashBytes(append(append(stack[:0], tag...), s...))
@@ -680,16 +679,20 @@ func (n *Node) handle(req wire.Request) wire.Response {
 		return wire.Response{OK: true, Items: n.store.RangeItems(liveKeyBytes, req.Key, req.KeyHi, req.Buckets)}
 
 	case wire.TRouteGossip:
-		// Push-pull gossip for the one-hop tables: merge the pushed event
-		// set, answer with the events we hold that the pusher lacks. Both
-		// halves are local table work, so the no-outgoing-RPC handler
-		// contract holds.
+		// Gossip for the one-hop tables (see pushRoutes): merge what the
+		// request carries — nothing, in a probe — and say "same" when the
+		// summaries then agree, else answer with the events the request
+		// does not supersede (for a probe, the whole set). All local table
+		// work, so the no-outgoing-RPC handler contract holds.
 		if n.routes == nil {
-			// Not running the tier: acknowledge without merging so
-			// mixed-mode clusters interoperate.
-			return wire.Response{OK: true}
+			// Not running the tier: nothing to reconcile, which is what
+			// "same" tells a prober (a bare OK would draw a push-back).
+			return wire.Response{OK: true, Found: true}
 		}
 		applied := n.routes.ApplyAll(req.Events)
+		if summaryKey(n.routes.Summary()) == req.Key {
+			return wire.Response{OK: true, Applied: applied, Found: true}
+		}
 		return wire.Response{OK: true, Applied: applied, Events: n.routes.Diff(req.Events)}
 
 	case wire.TLeaveSucc:

@@ -553,3 +553,76 @@ func TestDeadLandmarkKeepsAntiEntropyCadence(t *testing.T) {
 		t.Errorf("%s evicted a dead member and its next round ran no anti-entropy", witness.Addr())
 	}
 }
+
+// TestStabilizationDeathForcesAntiEntropy: a death that stabilization
+// itself confirms — the successor that does not answer get_neighbors, the
+// predecessor that fails its ping — is news like an eviction is. No walk
+// ran into the dead node and nobody was told to evict it (the witness is
+// the ring's one landmark, so its rounds walk from nobody), yet the round
+// that drops the reference runs anti-entropy without waiting out
+// AntiEntropyEvery, and the rounds after it are back on the cadence: a
+// death is news once. One ring at depth 1 in classic mode, so neither a
+// lower-ring eviction nor a tombstone can be what sets the flag.
+func TestStabilizationDeathForcesAntiEntropy(t *testing.T) {
+	const factor, keys, every = 3, 32, 4
+	ctx := context.Background()
+	names := []string{"n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8"}
+	nodes := oneRingCluster(t, wire.NewMemNet(), names, replicaTweak(factor, RouteClassic),
+		func(cfg *Config) { cfg.Depth, cfg.Landmarks, cfg.AntiEntropyEvery = 1, names[:1], every })
+	for i := 0; i < keys; i++ {
+		if err := nodes[i%len(nodes)].Put(ctx, "death-"+strconv.Itoa(i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	witness := nodes[0]
+	digests := func() float64 { return rpcsByType(t, witness)["digest"] }
+	tick := func() int {
+		witness.mu.Lock()
+		defer witness.mu.Unlock()
+		return witness.aeTick
+	}
+	for _, tc := range []struct {
+		name   string
+		victim func() wire.Peer
+	}{
+		{"successor", func() wire.Peer { succ, _, _ := layerSnapshot(witness, 1); return succ[0] }},
+		{"predecessor", func() wire.Peer { _, pred, _ := layerSnapshot(witness, 1); return pred }},
+	} {
+		// Settle, and stop the round after the witness's anti-entropy round:
+		// its next is due every-1 rounds from here.
+		stabilizeAll(t, nodes, 2*every)
+		for tick() != 1 {
+			stabilizeAll(t, nodes, 1)
+		}
+		dead := tc.victim()
+		at := slices.IndexFunc(nodes, func(nd *Node) bool { return nd.Addr() == dead.Addr })
+		nodes[at].Close()
+		nodes = slices.Delete(nodes, at, at+1)
+
+		sent := digests()
+		if err := witness.StabilizeOnce(); err != nil {
+			t.Fatal(err)
+		}
+		if succ, pred, _ := layerSnapshot(witness, 1); slices.Contains(succ, dead) || pred == dead {
+			t.Fatalf("%s: %s still refers to the dead %s after its round", tc.name, witness.Addr(), dead.Addr)
+		}
+		if digests() == sent {
+			t.Errorf("%s: stabilization dropped the dead %s and the round ran no anti-entropy", tc.name, dead.Addr)
+		}
+		// The forced round may earn one more: without a predecessor its
+		// replica sets are resolved by lookups, and a lookup that runs into
+		// the dead node evicts it. After that the cadence is back.
+		if err := witness.StabilizeOnce(); err != nil {
+			t.Fatal(err)
+		}
+		sent = digests()
+		for round := 0; round < every-2; round++ {
+			if err := witness.StabilizeOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := digests() - sent; got != 0 {
+			t.Errorf("%s: %v digests in rounds 3..%d after the death, want 0: a death is news once", tc.name, got, every)
+		}
+	}
+}

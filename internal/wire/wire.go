@@ -80,10 +80,13 @@ const (
 	// buckets of a range digest: the arc (Key, KeyHi] filtered to the
 	// bucket indexes listed in Buckets.
 	TSyncPull
-	// TRouteGossip exchanges membership events for the one-hop route
-	// tables: the sender pushes its event set (Request.Events), the
-	// receiver merges it (newest stamp wins) and replies with the events
-	// it knows that the sender does not (Response.Events). The merge is a
+	// TRouteGossip reconciles the one-hop route tables of two nodes. The
+	// request carries a summary of the sender's event set (Request.Key)
+	// and the events it has reason to think the receiver lacks
+	// (Request.Events; none in the probe that opens an exchange). The
+	// receiver merges them (newest stamp wins) and replies Found when its
+	// table then has the same summary, else with the events it knows that
+	// the request did not supersede (Response.Events). The merge is a
 	// join-semilattice, so replays and reordering are no-ops.
 	TRouteGossip
 
@@ -200,7 +203,7 @@ type RingTable struct {
 type Request struct {
 	Type  MsgType
 	Layer int      // TFindClosest, TGetNeighbors, TNotify: ring layer (1 = global); TStoreGet: 1 = ownership-checked
-	Key   [20]byte // TFindClosest: routing target; TPut/TGet use Name
+	Key   [20]byte // TFindClosest: routing target; TPut/TGet use Name; TRouteGossip: the sender's table summary, first 8 bytes
 	Name  string   // ring name or kv key
 	Peer  Peer     // TNotify: candidate predecessor; TLeaveSucc: new predecessor; TEvict: the dead peer
 	Peers []Peer   // TLeavePred: the departing node's successor list
@@ -213,7 +216,7 @@ type Request struct {
 	KeyHi [20]byte
 	// TSyncPull: divergent bucket indexes (into DigestBuckets) to pull.
 	Buckets []uint32
-	// TRouteGossip: the sender's full membership-event set.
+	// TRouteGossip: membership events pushed to the receiver; empty in a probe.
 	Events []RouteEvent
 	// Hierarchical marks a TFindClosest step of a multi-layer routing
 	// procedure: the handler applies the paper's destination check against
@@ -266,7 +269,7 @@ type Response struct {
 	Items []StoreItem
 
 	// TRouteGossip: events the receiver knows that beat or are absent
-	// from the request's set — the pull half of the push-pull exchange.
+	// from the request's set; none when Found reports equal summaries.
 	// Applied counts request events that advanced the receiver's table.
 	Events []RouteEvent
 }
