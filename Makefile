@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race allocs perf-smoke tables-check size unreached lint vet check clean
+.PHONY: all build test race allocs perf-smoke examples node-smoke tables-check size unreached lint vet check clean
 
 all: check
 
@@ -27,6 +27,22 @@ allocs:
 # this short are for reading, not for comparing.
 perf-smoke:
 	$(GO) run ./bench/perf -seconds 1 -scale 0.25 -json > perf.json
+
+# examples runs every examples/* program (~10 s, most of it churnstudy).
+# Each one checks its own result and exits non-zero when it is wrong.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+
+# node-smoke starts one hieras-node with default flags, drives its REPL
+# through a put, a get and a lookup (one verified hop in the default
+# onehop mode), and checks that the retired cached route mode is refused.
+node-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/node" ./cmd/hieras-node && \
+	printf 'put k hello\nget k\nlookup k\nquit\n' | \
+		"$$tmp/node" -listen 127.0.0.1:24090 -create -landmarks 127.0.0.1:24090 > "$$tmp/out" && \
+	grep -q hello "$$tmp/out" && grep -q '(1 hops' "$$tmp/out" || { cat "$$tmp/out"; echo "node-smoke: wrong REPL output"; exit 1; }; \
+	if "$$tmp/node" -route-mode cached -create < /dev/null 2> /dev/null; then echo "node-smoke: -route-mode cached was accepted"; exit 1; fi
 
 # tables-check regenerates every EXPERIMENTS table and diffs it against
 # the archive (~30 s). The output is a function of the seed alone, at any

@@ -17,6 +17,10 @@
 // Then type commands on stdin: put <key> <value> | get <key> |
 // del <key> | lookup <key> | neighbors | info | stats | quit.
 //
+// Nodes route in -route-mode onehop by default, the mode bench/perf's KV
+// workloads measure: a lookup is one verified hop once route gossip has
+// converged. -route-mode classic walks the layered rings every time.
+//
 // Pass -metrics <addr> to serve the node's Prometheus-text metrics on
 // http://<addr>/metrics (plus a /healthz endpoint); `stats` prints the
 // same snapshot on stdout.
@@ -53,8 +57,7 @@ func main() {
 		metrics   = flag.String("metrics", "", "serve /metrics and /healthz on this address (e.g. 127.0.0.1:9090)")
 	)
 	flag.IntVar(&cfg.Depth, "depth", 2, "hierarchy depth")
-	flag.IntVar(&cfg.LookupCache, "cache", 256, "location-cache capacity (0 disables caching)")
-	flag.StringVar(&cfg.RouteMode, "route-mode", "", "lookup acceleration tier: classic | cached | onehop (onehop gossips a full route table and answers in one verified hop)")
+	flag.StringVar(&cfg.RouteMode, "route-mode", transport.RouteOneHop, "lookup acceleration tier: onehop (gossips a full route table and answers in one verified hop) | classic (walks the layered rings every time)")
 
 	flag.IntVar(&cfg.Replication.Factor, "r", 3, "replication factor: copies per key, the owner plus r-1 successors")
 	flag.IntVar(&cfg.Replication.WriteQuorum, "w-quorum", 0, "write quorum: replica acks before a put is acknowledged (0 = majority of r)")

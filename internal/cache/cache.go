@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/id"
-	"repro/internal/lru"
 	"repro/internal/metrics"
 )
 
@@ -45,7 +44,7 @@ func (p Policy) String() string {
 type Overlay struct {
 	o      *core.Overlay
 	policy Policy
-	caches []*lru.Cache[int] // caches[i]: peer i's key → owner index bindings
+	caches []*lru // caches[i]: peer i's key → owner index bindings
 
 	hits, misses atomic.Int64
 }
@@ -55,9 +54,9 @@ func New(o *core.Overlay, capacity int, policy Policy) (*Overlay, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("cache: capacity must be >= 1, got %d", capacity)
 	}
-	caches := make([]*lru.Cache[int], o.N())
+	caches := make([]*lru, o.N())
 	for i := range caches {
-		caches[i] = lru.New[int](capacity)
+		caches[i] = newLRU(capacity)
 	}
 	return &Overlay{o: o, policy: policy, caches: caches}, nil
 }

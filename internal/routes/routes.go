@@ -8,9 +8,9 @@
 //
 // A table answers the one question the fast path needs — who owns this
 // key in this ring? — from local memory. The answer may be stale; the
-// caller's contract is to verify it with a single RPC (the same
-// verify-or-fallback discipline the location cache uses), so staleness
-// costs one wasted hop, never a wrong owner.
+// caller's contract is to verify it with a single RPC before use (falling
+// back to the classic walk on refusal), so staleness costs one wasted
+// hop, never a wrong owner.
 package routes
 
 import (

@@ -572,18 +572,15 @@ type LookupResult struct {
 }
 
 // Lookup routes hierarchically from this node to the owner of key,
-// consulting the acceleration tiers first: the one-hop route table in
-// RouteOneHop mode, then the location cache when one is configured.
-// Both tiers follow the same verify-or-fallback contract — a hinted
-// owner is confirmed with a single RPC before use — so staleness costs
-// one wasted call, never a wrong answer. The context bounds the whole
-// lookup: cancellation or a deadline aborts the walk between (and
-// inside) hops.
+// asking the one-hop route table first in RouteOneHop mode; its hinted
+// owner is confirmed with one RPC before use, so staleness costs one
+// wasted call, never a wrong answer. The context bounds the whole lookup:
+// cancellation or a deadline aborts the walk between (and inside) hops.
 func (n *Node) Lookup(ctx context.Context, key id.ID) (LookupResult, error) {
 	n.nm.lookups.Inc()
 	if n.routes != nil {
 		if owner, ok := n.routes.Owner(1, "", [20]byte(key)); ok {
-			if res, ok := n.verifyCachedOwner(ctx, owner, key); ok {
+			if res, ok := n.verifyOwner(ctx, owner, key); ok {
 				n.nm.onehopHits.Inc()
 				return res, nil
 			}
@@ -595,38 +592,23 @@ func (n *Node) Lookup(ctx context.Context, key id.ID) (LookupResult, error) {
 			}
 		}
 	}
-	if n.cache != nil {
-		if owner, ok := n.cache.Get(key); ok {
-			if res, ok := n.verifyCachedOwner(ctx, owner, key); ok {
-				n.nm.cacheHits.Inc()
-				return res, nil
-			}
-			n.cache.Remove(key)
-		}
-		n.nm.cacheMisses.Inc()
-	}
 	res, err := n.lookupFull(ctx, key)
 	if err != nil {
 		n.nm.lookupErrors.Inc()
-	} else {
-		if n.cache != nil {
-			n.cache.Put(key, res.Owner)
-		}
-		if n.routes != nil {
-			// Learn the authoritative owner the walk just confirmed, so the
-			// next lookup in this key region goes single-hop. A live owner
-			// also outranks any false tombstone the table may hold for it.
-			n.learnRoute(res.Owner)
-		}
+	} else if n.routes != nil {
+		// Learn the authoritative owner the walk just confirmed, so the
+		// next lookup in this key region goes single-hop. A live owner
+		// also outranks any false tombstone the table may hold for it.
+		n.learnRoute(res.Owner)
 	}
 	return res, err
 }
 
-// verifyCachedOwner checks a cached binding with a single RPC: the
-// hierarchical destination check at the cached peer. Only a confirmed
-// owner is used, so cache staleness can waste one call but never
+// verifyOwner checks a route-table hint with a single RPC: the
+// hierarchical destination check at the hinted peer. Only a confirmed
+// owner is used, so a stale table can waste one call but never
 // misroute.
-func (n *Node) verifyCachedOwner(ctx context.Context, owner wire.Peer, key id.ID) (LookupResult, bool) {
+func (n *Node) verifyOwner(ctx context.Context, owner wire.Peer, key id.ID) (LookupResult, bool) {
 	resp, err := n.call(ctx, owner.Addr, wire.Request{
 		Type: wire.TFindClosest, Layer: 1, Key: [20]byte(key), Hierarchical: true,
 	})
@@ -762,25 +744,22 @@ func (n *Node) replicaNeighbors(ctx context.Context) ([]wire.Peer, int, bool) {
 
 // ownerRead is the replica coordinator's local source of replica sets for
 // quorum operations (replica.OwnerReadFunc): the operation's first
-// TStoreGet goes straight to the node the one-hop table, else the location
-// cache, else a lookup names as the key's owner, with Layer 1 set — which
-// the handler reads as "answer only if you own this key in the global
-// ring, and name your successors". A vouched answer is at once the
-// ownership verification Lookup spends a find_closest on, the neighbor
-// read resolveReplicaSet spends a get_neighbors on, and the read itself. A
-// refusal or an unreachable hint invalidates the hint exactly as a failed
-// verification in Lookup does, and the caller takes the network path.
+// TStoreGet goes straight to the node the one-hop table, else a lookup
+// names as the key's owner, with Layer 1 set — which the handler reads as
+// "answer only if you own this key in the global ring, and name your
+// successors". A vouched answer is at once the ownership verification
+// Lookup spends a find_closest on, the neighbor read resolveReplicaSet
+// spends a get_neighbors on, and the read itself. A refusal or an
+// unreachable hint invalidates the hint exactly as a failed verification
+// in Lookup does, and the caller takes the network path.
 func (n *Node) ownerRead(ctx context.Context, key string) ([]string, wire.Response, bool) {
 	kid := LiveKeyID(key)
 	var owner wire.Peer
-	tableHint, cacheHint := false, false
+	hint := false
 	if n.routes != nil {
-		owner, tableHint = n.routes.Owner(1, "", [20]byte(kid))
+		owner, hint = n.routes.Owner(1, "", [20]byte(kid))
 	}
-	if !tableHint && n.cache != nil {
-		owner, cacheHint = n.cache.Get(kid)
-	}
-	if !tableHint && !cacheHint {
+	if !hint {
 		res, err := n.Lookup(ctx, kid)
 		if err != nil {
 			return nil, wire.Response{}, false
@@ -789,26 +768,19 @@ func (n *Node) ownerRead(ctx context.Context, key string) ([]string, wire.Respon
 	}
 	resp, err := n.call(ctx, owner.Addr, wire.Request{Type: wire.TStoreGet, Name: key, Layer: 1})
 	if err != nil || !resp.Owner {
-		switch {
-		case tableHint:
+		if hint {
 			n.nm.onehopStale.Inc()
 			if n.suspectDead(owner.Addr) {
 				n.evictLocal(1, owner.Addr)
 			}
-		case cacheHint:
-			n.cache.Remove(kid)
 		}
 		return nil, wire.Response{}, false
 	}
-	if tableHint || cacheHint {
+	if hint {
 		// A hint the owner confirmed is a lookup answered in one hop.
 		n.nm.lookups.Inc()
 		n.nm.hops[0].Inc()
-		if tableHint {
-			n.nm.onehopHits.Inc()
-		} else {
-			n.nm.cacheHits.Inc()
-		}
+		n.nm.onehopHits.Inc()
 	}
 	succs := make([]string, len(resp.Succ))
 	for i, p := range resp.Succ {

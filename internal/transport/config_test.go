@@ -19,8 +19,9 @@ func TestConfigValidateRejections(t *testing.T) {
 	}{
 		{"negative depth", func(c *Config) { c.Depth = -1 }},
 		{"negative timeout", func(c *Config) { c.CallTimeout = -time.Second }},
-		{"negative cache", func(c *Config) { c.LookupCache = -1 }},
+		{"negative successor list", func(c *Config) { c.SuccListLen = -1 }},
 		{"unknown route mode", func(c *Config) { c.RouteMode = "twohop" }},
+		{"retired cached mode", func(c *Config) { c.RouteMode = "cached" }},
 		{"negative replicas", func(c *Config) { c.Replication.Factor = -1 }},
 		{"write quorum above factor", func(c *Config) { c.Replication.WriteQuorum = 4 }},
 		{"write quorum above explicit factor", func(c *Config) { c.Replication = replica.Options{Factor: 2, WriteQuorum: 3} }},

@@ -24,8 +24,6 @@ type nodeMetrics struct {
 	walkRestarts   *metrics.Counter
 	failoverClimbs *metrics.Counter
 	repairs        *metrics.Counter
-	cacheHits      *metrics.Counter
-	cacheMisses    *metrics.Counter
 	onehopHits     *metrics.Counter
 	onehopStale    *metrics.Counter
 	gossipBytes    *metrics.Counter
@@ -59,10 +57,6 @@ func newNodeMetrics(reg *metrics.Registry, depth int) *nodeMetrics {
 		"Lookups that climbed out of an unroutable lower ring instead of aborting.")
 	nm.repairs = reg.NewCounter("ring_repairs_total",
 		"Isolated-layer repairs: successor state rebuilt from a landmark, ring table or predecessor.")
-	nm.cacheHits = reg.NewCounter("cache_hits_total",
-		"Location cache hits whose owner verification succeeded.")
-	nm.cacheMisses = reg.NewCounter("cache_misses_total",
-		"Location cache misses, including failed verifications.")
 	nm.onehopHits = reg.NewCounter("onehop_hits_total",
 		"Lookups answered by the one-hop route table with a verified owner.")
 	nm.onehopStale = reg.NewCounter("onehop_stale_total",

@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/binning"
 	"repro/internal/id"
-	"repro/internal/lru"
 	"repro/internal/metrics"
 	"repro/internal/replica"
 	"repro/internal/routes"
@@ -43,11 +42,8 @@ import (
 // Route modes: the lookup acceleration tier a node runs with.
 const (
 	// RouteClassic walks the layered rings on every lookup (the paper's
-	// procedure, no acceleration).
+	// procedure, no acceleration; the default).
 	RouteClassic = "classic"
-	// RouteCached consults the verified location cache before walking
-	// (Config.LookupCache entries; the default when a cache is sized).
-	RouteCached = "cached"
 	// RouteOneHop answers from the gossip-maintained near-full route
 	// table first: one verification RPC on the table's owner, falling
 	// back to the classic walk on miss or staleness.
@@ -96,18 +92,11 @@ type Config struct {
 	// creates a fresh per-node registry (reachable via Node.Metrics); a
 	// registry must not be shared between nodes.
 	Metrics *metrics.Registry
-	// LookupCache is the capacity of the client-side key→owner location
-	// cache consulted by Lookup (0 disables caching). Cached owners are
-	// verified with a single RPC before use, so a stale entry costs one
-	// wasted call, never a wrong answer.
-	LookupCache int
-	// RouteMode selects the lookup acceleration tier: RouteClassic,
-	// RouteCached or RouteOneHop. Empty derives the mode from
-	// LookupCache for compatibility (cached when a cache is sized,
-	// classic otherwise). RouteOneHop maintains a gossip-fed near-full
-	// membership table of the global ring and answers lookups from it
-	// with a single verification RPC; the table is disseminated via
-	// TRouteGossip on the stabilize cadence.
+	// RouteMode selects the lookup acceleration tier: RouteClassic (also
+	// the empty value) or RouteOneHop. RouteOneHop maintains a gossip-fed
+	// near-full membership table of the global ring and answers lookups
+	// from it with a single verification RPC; the table is disseminated
+	// via TRouteGossip on the stabilize cadence.
 	RouteMode string
 	// Replication configures the replicated KV layer: replica factor,
 	// write quorum and read quorum (see replica.Options). The zero value
@@ -157,14 +146,14 @@ func (c Config) validate() error {
 	if c.CallTimeout < 0 {
 		return fmt.Errorf("%w: negative call timeout %v", ErrBadOptions, c.CallTimeout)
 	}
-	if c.LookupCache < 0 {
-		return fmt.Errorf("%w: negative lookup-cache capacity %d", ErrBadOptions, c.LookupCache)
+	if c.SuccListLen < 0 {
+		return fmt.Errorf("%w: successor list length %d, must be >= 1", ErrBadOptions, c.SuccListLen)
 	}
 	switch c.RouteMode {
-	case "", RouteClassic, RouteCached, RouteOneHop:
+	case "", RouteClassic, RouteOneHop:
 	default:
-		return fmt.Errorf("%w: route mode %q, want %s, %s or %s",
-			ErrBadOptions, c.RouteMode, RouteClassic, RouteCached, RouteOneHop)
+		return fmt.Errorf("%w: route mode %q, want %s or %s",
+			ErrBadOptions, c.RouteMode, RouteClassic, RouteOneHop)
 	}
 	if c.Replication.Factor < 0 {
 		return fmt.Errorf("%w: replication factor %d, must be >= 1", ErrBadOptions, c.Replication.Factor)
@@ -211,13 +200,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AntiEntropyEvery == 0 {
 		c.AntiEntropyEvery = 1
-	}
-	if c.RouteMode == "" {
-		if c.LookupCache > 0 {
-			c.RouteMode = RouteCached
-		} else {
-			c.RouteMode = RouteClassic
-		}
 	}
 	c.Replication = c.Replication.WithDefaults()
 	return c
@@ -269,11 +251,10 @@ type Node struct {
 	conns  map[net.Conn]struct{} // live server-side sessions, force-closed on Close
 
 	nm      *nodeMetrics
-	store   *replica.Engine       // versioned local KV store
-	co      *replica.Coordinator  // quorum write/read/anti-entropy driver over the store
-	cache   *lru.Cache[wire.Peer] // key→owner hints, verified before use; nil when Config.LookupCache == 0
-	routes  *routes.Table         // one-hop membership table; nil unless RouteMode == RouteOneHop
-	retrier *wire.Retrier         // full outgoing chain: retrier → (injector) → instrumented pool
+	store   *replica.Engine      // versioned local KV store
+	co      *replica.Coordinator // quorum write/read/anti-entropy driver over the store
+	routes  *routes.Table        // one-hop membership table; nil unless RouteMode == RouteOneHop
+	retrier *wire.Retrier        // full outgoing chain: retrier → (injector) → instrumented pool
 	pool    *wire.Pool
 }
 
@@ -313,15 +294,6 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	switch cfg.RouteMode {
-	case RouteClassic:
-		// An explicit classic mode switches every acceleration tier off.
-		cfg.LookupCache = 0
-	case RouteCached:
-		if cfg.LookupCache == 0 {
-			cfg.LookupCache = 256
-		}
-	}
 	var ladder binning.Ladder
 	if cfg.Depth > 1 {
 		var err error
@@ -376,9 +348,6 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 		retry.PerAttempt = cfg.CallTimeout
 	}
 	n.retrier = wire.NewRetrier(base, retry, cfg.Breaker, reg)
-	if cfg.LookupCache > 0 {
-		n.cache = lru.New[wire.Peer](cfg.LookupCache)
-	}
 	if cfg.RouteMode == RouteOneHop {
 		n.routes = routes.New()
 	}
