@@ -231,17 +231,23 @@ func (n *Node) gossipFanout() []string {
 }
 
 // pushRoutes reconciles the one-hop table with each target, asking before
-// it tells: the first message is a probe, TRouteGossip with no events and
-// the table's summary in Key. A target with the same summary says so
-// (Found) and that is the whole exchange — an idle round costs one small
-// frame per neighbor. One that differs replies with its event set; this
-// node merges it and pushes back only what the reply shows the target to
-// lack, again with its summary. The summary is read per target: what one
-// target taught is passed on to the next in the same round. Exchanged
-// payload bytes are counted against route_gossip_bytes_total.
-func (n *Node) pushRoutes(targets []string) {
+// it tells. A target that agreed names — its last liveness reply of this
+// round was "same" to the summary the table still has (see askLive) — has
+// been asked already, and is skipped. Any other gets a probe, TRouteGossip
+// with no events and the table's summary in Key. A target with the same
+// summary says so (Found) and that is the whole exchange. One that differs
+// replies with its event set; this node merges it and pushes back only
+// what the reply shows the target to lack, again with its summary. The
+// summary is read per target: what one target taught is passed on to the
+// next in the same round. Exchanged payload bytes are counted against
+// route_gossip_bytes_total.
+func (n *Node) pushRoutes(targets []string, agreed map[string]uint64) {
 	for _, addr := range targets {
-		resp, err := n.callBG(addr, wire.Request{Type: wire.TRouteGossip, Key: summaryKey(n.routes.Summary())})
+		sum := n.routes.Summary()
+		if s, ok := agreed[addr]; ok && s == sum {
+			continue
+		}
+		resp, err := n.callBG(addr, wire.Request{Type: wire.TRouteGossip, Key: summaryKey(sum)})
 		if err != nil {
 			continue
 		}
@@ -285,22 +291,59 @@ func routeEventsBytes(evs []wire.RouteEvent) uint64 {
 // routeProbeBytes is the payload of a probe: type, field mask and Key.
 const routeProbeBytes = 22
 
+// routeSummaryBytes is what a summary adds to a liveness request: its Key.
+const routeSummaryBytes = 20
+
 // RouteGossipOnce runs one route-gossip exchange (see pushRoutes) with the
-// gossip fanout. StabilizeOnce calls it every round; it is exposed
-// separately so harnesses can drive the gossip cadence explicitly.
+// gossip fanout. StabilizeOnce calls it every round, after the global
+// ring's stabilization has asked most of the fanout already; it takes what
+// those answers agreed on, so a call with no stabilization before it
+// probes every target. It is exposed separately so harnesses can drive the
+// gossip cadence explicitly.
 func (n *Node) RouteGossipOnce() error {
 	if n.routes == nil {
 		return nil
 	}
 	n.mu.Lock()
-	joined := n.joined
+	joined, agreed := n.joined, n.agreed
+	n.agreed = nil
 	n.mu.Unlock()
 	if !joined {
 		return nil
 	}
 	n.announceRoutes()
-	n.pushRoutes(n.gossipFanout())
+	n.pushRoutes(n.gossipFanout(), agreed)
 	return nil
+}
+
+// askLive sends one of stabilizeSuccessors' liveness requests. On the
+// global ring of a node that runs the one-hop tier the request carries the
+// table's summary in Key, a field pings and get_neighbors leave unused,
+// and the reply's Found says whether addr's table has the same summary
+// (sameTableLocked): the answer a gossip probe would get, at no message of
+// its own. Each reply overwrites addr's record in agreed, so a lost one
+// leaves addr to be probed. The summary's bytes count as gossip.
+func (n *Node) askLive(layer int, addr string, req wire.Request) (wire.Response, error) {
+	if layer != 1 || n.routes == nil || addr == n.addr {
+		return n.callBG(addr, req)
+	}
+	sum := n.routes.Summary()
+	req.Key = summaryKey(sum)
+	resp, err := n.callBG(addr, req)
+	if err == nil {
+		n.nm.gossipBytes.Add(routeSummaryBytes)
+	}
+	n.mu.Lock()
+	if err == nil && resp.Found {
+		if n.agreed == nil {
+			n.agreed = make(map[string]uint64)
+		}
+		n.agreed[addr] = sum
+	} else {
+		delete(n.agreed, addr)
+	}
+	n.mu.Unlock()
+	return resp, err
 }
 
 // announceLeaveRoutes tombstones this node's own membership and pushes
@@ -312,7 +355,7 @@ func (n *Node) announceLeaveRoutes() {
 		return
 	}
 	n.routeEvent(n.Self(), wire.RouteLeave)
-	n.pushRoutes(n.gossipFanout())
+	n.pushRoutes(n.gossipFanout(), nil)
 }
 
 // ringEntry is what one consultation of a lower ring's entry point found.
@@ -868,7 +911,9 @@ func (n *Node) StabilizeOnce() error {
 	}
 	// Route gossip rides the same cadence: one push-pull exchange with
 	// the stabilized neighborhood per round, so one-hop table
-	// convergence tracks ring health.
+	// convergence tracks ring health. The global ring's liveness requests
+	// asked it already; only the neighbors they did not find equal are
+	// probed.
 	_ = n.RouteGossipOnce()
 	n.mu.Lock()
 	n.aeTick++
@@ -921,8 +966,11 @@ func (n *Node) StabilizeLayer(layer int) error {
 // stabilizeSuccessors is Chord's stabilization of one layer: drop a dead
 // predecessor, find the first live successor, adopt its predecessor when
 // that sits between, rebuild the successor list from its list and notify
-// it. It returns the successor the round settled on — this node itself on
-// a singleton ring, the zero peer when no listed successor answered.
+// it — unless its reply already names this node its predecessor, which a
+// notify cannot change. It returns the successor the round settled on —
+// this node itself on a singleton ring, the zero peer when no listed
+// successor answered. Its requests are liveness requests (askLive): on the
+// global ring they double as the round's route-gossip probes.
 //
 // A global-ring neighbor this round stops referring to because it failed
 // its call is a death confirmed here, with no walk and no eviction
@@ -939,7 +987,7 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 	// Drop a dead predecessor so a live one can be adopted (Chord's
 	// check_predecessor).
 	if pred.Addr != "" && pred.Addr != n.addr {
-		if _, err := n.callBG(pred.Addr, wire.Request{Type: wire.TPing}); err != nil {
+		if _, err := n.askLive(layer, pred.Addr, wire.Request{Type: wire.TPing}); err != nil {
 			n.mu.Lock()
 			if n.layers[layer-1].pred == pred {
 				n.layers[layer-1].pred = wire.Peer{}
@@ -958,7 +1006,7 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 	var nb wire.Response
 	lost := false // a listed successor failed its call: the rebuilt list leaves it out
 	for _, cand := range succ {
-		resp, err := n.callBG(cand.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer})
+		resp, err := n.askLive(layer, cand.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer})
 		if err == nil {
 			s0, nb = cand, resp
 			break
@@ -993,7 +1041,7 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 	// stands and the round goes on.
 	if nb.Pred.Addr != "" && nb.Pred.Addr != n.addr &&
 		id.Between(peerID(nb.Pred), n.id, peerID(s0)) {
-		if resp, err := n.callBG(nb.Pred.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer}); err == nil {
+		if resp, err := n.askLive(layer, nb.Pred.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer}); err == nil {
 			s0, nb = nb.Pred, resp
 		}
 	}
@@ -1009,11 +1057,11 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 		n.mu.Unlock()
 		return s0
 	}
-	// Rebuild the successor list from s0's list and notify it. Tail
-	// entries are pinged before adoption: a departed node otherwise
-	// survives forever in the tails, because each node rebuilds its list
-	// from its successor's equally stale copy and nothing on the happy
-	// path ever contacts a tail entry again.
+	// Rebuild the successor list from s0's list and notify s0 unless it
+	// names this node already. Tail entries are pinged before adoption: a
+	// departed node otherwise survives forever in the tails, because each
+	// node rebuilds its list from its successor's equally stale copy and
+	// nothing on the happy path ever contacts a tail entry again.
 	list := []wire.Peer{s0}
 	seen := map[string]bool{s0.Addr: true}
 	for _, p := range nb.Succ {
@@ -1024,7 +1072,7 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 			continue
 		}
 		seen[p.Addr] = true
-		if _, err := n.callBG(p.Addr, wire.Request{Type: wire.TPing}); err != nil {
+		if _, err := n.askLive(layer, p.Addr, wire.Request{Type: wire.TPing}); err != nil {
 			lost = lost || slices.Contains(succ, p)
 			continue
 		}
@@ -1034,7 +1082,9 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 	ls.succ = list
 	n.needSweep = n.needSweep || (lost && layer == 1)
 	n.mu.Unlock()
-	_, _ = n.callBG(s0.Addr, wire.Request{Type: wire.TNotify, Layer: layer, Peer: self})
+	if nb.Pred.Addr != n.addr {
+		_, _ = n.callBG(s0.Addr, wire.Request{Type: wire.TNotify, Layer: layer, Peer: self})
+	}
 	return s0
 }
 

@@ -117,13 +117,15 @@ func TestRestartedBoundaryRejoins(t *testing.T) {
 // sentCall is one RPC attempt as the WrapCaller seam sees it: what left a
 // node for the wire. Layer is the request's, 0 for types that carry none;
 // done marks the find_closest a walk ended on, events a route_gossip
-// exchange that shipped membership events in either direction.
+// exchange that shipped membership events in either direction. key marks a
+// request whose Key is set, found a reply whose Found is.
 type sentCall struct {
-	from, to string
-	typ      wire.MsgType
-	layer    int
-	done     bool
-	events   bool
+	from, to   string
+	typ        wire.MsgType
+	layer      int
+	done       bool
+	events     bool
+	key, found bool
 }
 
 // callLog counts RPC attempts at the WrapCaller seam of every node
@@ -141,7 +143,7 @@ func (l *callLog) tweak(cfg *Config) {
 			if l.sent == nil {
 				l.sent = map[sentCall]int{}
 			}
-			l.sent[sentCall{self, addr, req.Type, req.Layer, resp.Done, len(req.Events)+len(resp.Events) > 0}]++
+			l.sent[sentCall{self, addr, req.Type, req.Layer, resp.Done, len(req.Events)+len(resp.Events) > 0, req.Key != [20]byte{}, resp.Found}]++
 			l.mu.Unlock()
 			return resp, err
 		})
@@ -249,7 +251,14 @@ func TestOneTableLookupPerRingPerRound(t *testing.T) {
 // after it. No fingers are built.
 func twoRingCluster(t *testing.T, n int, tweaks ...func(*Config)) []*Node {
 	t.Helper()
-	mem := wire.NewMemNet()
+	nodes := startTwoRing(t, wire.NewMemNet(), n, tweaks...)
+	joinTwoRing(t, nodes)
+	return nodes
+}
+
+// startTwoRing starts twoRingCluster's nodes without joining them.
+func startTwoRing(t *testing.T, mem *wire.MemNet, n int, tweaks ...func(*Config)) []*Node {
+	t.Helper()
 	var nodes []*Node
 	for i := 0; i < n; i++ {
 		cfg := Config{
@@ -262,6 +271,12 @@ func twoRingCluster(t *testing.T, n int, tweaks ...func(*Config)) []*Node {
 		}
 		nodes = append(nodes, startMem(t, mem, "n"+strconv.Itoa(i), cfg))
 	}
+	return nodes
+}
+
+// joinTwoRing builds the overlay from nodes as twoRingCluster does.
+func joinTwoRing(t *testing.T, nodes []*Node) {
+	t.Helper()
 	for i, nd := range nodes {
 		if i == 0 {
 			if err := nd.CreateNetwork(); err != nil {
@@ -273,19 +288,21 @@ func twoRingCluster(t *testing.T, n int, tweaks ...func(*Config)) []*Node {
 		stabilizeAll(t, nodes[:i+1], 3)
 	}
 	stabilizeAll(t, nodes, 3)
-	return nodes
 }
 
 // TestSteadyRoundBill itemises one steady-state round of a converged
 // depth-2 network whose two landmarks are members: sixteen nodes, two
-// lower rings of eight. Per node and layer it is Chord's own six requests
-// (one get_neighbors, one notify, the predecessor's ping and three for the
-// successor list's tail); on top of that one hinted get_ring_table per
-// member that does not store its ring's table, one ring walk per boundary
-// member, one global walk from one landmark per node, the storing nodes'
-// pings of their tables' boundaries, and one route-gossip probe per
-// global-ring neighbor, none of which ships an event either way — nothing
-// else, and nothing to itself.
+// lower rings of eight. Per node and layer it is Chord's stabilization
+// less the notify — one get_neighbors, the predecessor's ping and three
+// for the successor list's tail — because every successor's reply names
+// the asker its predecessor already, which a notify cannot change. On top
+// of that one hinted get_ring_table per member that does not store its
+// ring's table, one ring walk per boundary member, one global walk from
+// one landmark per node and the storing nodes' pings of their tables'
+// boundaries — nothing else, and nothing to itself. No route_gossip is
+// sent: every global-ring neighbor was asked by a layer-1 liveness request
+// that carried the summary and was answered "same", and no lower-layer
+// request carries one.
 func TestSteadyRoundBill(t *testing.T) {
 	const n = 16
 	var log callLog
@@ -322,8 +339,25 @@ func TestSteadyRoundBill(t *testing.T) {
 			if got := sent(wire.TGetNeighbors, layer, false); got != 1 {
 				t.Errorf("%s layer %d: %d get_neighbors, want 1", from, layer, got)
 			}
-			if got := sent(wire.TNotify, layer, false); got != 1 {
-				t.Errorf("%s layer %d: %d notify, want 1", from, layer, got)
+			if got := sent(wire.TNotify, layer, false); got != 0 {
+				t.Errorf("%s layer %d: %d notify, want 0", from, layer, got)
+			}
+		}
+		liveness := func(c sentCall) bool {
+			return c.from == from && c.key && (c.typ == wire.TPing || c.typ == wire.TGetNeighbors)
+		}
+		if got := log.count(func(c sentCall) bool { return liveness(c) && c.typ == wire.TPing }); got != chordPingsPerLayer {
+			t.Errorf("%s: %d pings carried the route summary, want the %d layer-1 ones", from, got, chordPingsPerLayer)
+		}
+		if got := log.count(func(c sentCall) bool { return liveness(c) && c.typ == wire.TGetNeighbors && c.layer != 1 }); got != 0 {
+			t.Errorf("%s: %d lower-layer get_neighbors carried the route summary", from, got)
+		}
+		if got := log.count(func(c sentCall) bool { return liveness(c) && !c.found }); got != 0 {
+			t.Errorf("%s: %d liveness requests with the route summary not answered \"same\"", from, got)
+		}
+		for _, to := range nd.gossipFanout() {
+			if log.count(func(c sentCall) bool { return liveness(c) && c.to == to }) == 0 {
+				t.Errorf("%s: global-ring neighbor %s was not asked with the route summary", from, to)
 			}
 		}
 		if got, want := sent(wire.TPing, 0, false), 2*chordPingsPerLayer+pings[from]; got != want {
@@ -353,8 +387,8 @@ func TestSteadyRoundBill(t *testing.T) {
 				t.Errorf("%s is no boundary and sent %d lower-ring find_closest", from, got)
 			}
 		}
-		if got, want := sent(wire.TRouteGossip, 0, false), len(nd.gossipFanout()); got != want {
-			t.Errorf("%s: %d route_gossip probes, want %d (one per global-ring neighbor)", from, got, want)
+		if got := sent(wire.TRouteGossip, 0, false); got != 0 {
+			t.Errorf("%s: %d route_gossip probes, want 0 (every global-ring neighbor said \"same\" already)", from, got)
 		}
 	}
 	if got := log.count(func(c sentCall) bool { return c.events }); got != 0 {

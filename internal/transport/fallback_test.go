@@ -290,3 +290,95 @@ func TestSelfCallIsNotAMessage(t *testing.T) {
 		t.Errorf("rpc_requests_total moved: %v", got)
 	}
 }
+
+// exactOverlay reports the first successor list or predecessor, in either
+// layer of a depth-2 overlay, that is not what the members' identifiers
+// make it ("" when every one is exact).
+func exactOverlay(nodes []*Node, listLen int) string {
+	rings := map[string][]*Node{}
+	var names []string
+	for _, nd := range nodes {
+		name := nd.RingNames()[0]
+		if rings[name] == nil {
+			names = append(names, name)
+		}
+		rings[name] = append(rings[name], nd)
+	}
+	check := func(members []*Node, layer int) string {
+		ring := byIDOrder(members)
+		if bad := exactSuccessors(ring, layer, listLen); bad != "" {
+			return bad
+		}
+		for i, nd := range ring {
+			want := ring[(i+len(ring)-1)%len(ring)].Addr()
+			if _, pred, _ := layerSnapshot(nd, layer); pred.Addr != want {
+				return fmt.Sprintf("%s layer %d: predecessor %q, want %s", nd.Addr(), layer, pred.Addr, want)
+			}
+		}
+		return ""
+	}
+	if bad := check(nodes, 1); bad != "" {
+		return bad
+	}
+	for _, name := range names {
+		if bad := check(rings[name], 2); bad != "" {
+			return bad
+		}
+	}
+	return ""
+}
+
+// TestNotifyOnlyWhereItCanChange: stabilization notifies its successor only
+// when the successor's reply does not name it the predecessor already, the
+// one case in which the notify handler can change anything. A converged
+// round sends none. A successor that lost its predecessor gets exactly one
+// and has it back within the round. A join settles — every list and every
+// predecessor exact — in the 3 rounds it took when every round notified.
+func TestNotifyOnlyWhereItCanChange(t *testing.T) {
+	var log callLog
+	nodes := startTwoRing(t, wire.NewMemNet(), 17, log.tweak)
+	members, joiner := nodes[:16], nodes[16]
+	joinTwoRing(t, members)
+	notifies := func() int { return log.count(func(c sentCall) bool { return c.typ == wire.TNotify }) }
+
+	log.reset()
+	stabilizeAll(t, members, 1)
+	if got := notifies(); got != 0 {
+		t.Errorf("converged round: %d notify, want 0", got)
+	}
+
+	s := members[5]
+	p := predOf(members, s.ID())
+	s.mu.Lock()
+	s.layers[0].pred = wire.Peer{}
+	s.mu.Unlock()
+	log.reset()
+	stabilizeAll(t, members, 1)
+	if got := notifies(); got != 1 {
+		t.Errorf("round after %s lost its predecessor: %d notify, want 1", s.Addr(), got)
+	}
+	if got := log.count(func(c sentCall) bool {
+		return c.typ == wire.TNotify && c.from == p.Addr() && c.to == s.Addr() && c.layer == 1
+	}); got != 1 {
+		t.Errorf("%d layer-1 notify from %s to %s, want 1", got, p.Addr(), s.Addr())
+	}
+	if _, pred, _ := layerSnapshot(s, 1); pred.Addr != p.Addr() {
+		t.Errorf("%s's predecessor after the round = %q, want %s", s.Addr(), pred.Addr, p.Addr())
+	}
+
+	if err := joiner.Join("n0"); err != nil {
+		t.Fatal(err)
+	}
+	const notifyAllRounds, maxRounds = 3, 12
+	rounds, bad := 0, exactOverlay(nodes, 4)
+	for ; bad != "" && rounds < maxRounds; rounds++ {
+		stabilizeAll(t, nodes, 1)
+		bad = exactOverlay(nodes, 4)
+	}
+	if bad != "" {
+		t.Fatalf("overlay not exact %d rounds after the join: %s", maxRounds, bad)
+	}
+	if rounds != notifyAllRounds {
+		t.Errorf("the join settled in %d rounds, %d when every round notified", rounds, notifyAllRounds)
+	}
+}

@@ -62,7 +62,7 @@ func newNodeMetrics(reg *metrics.Registry, depth int) *nodeMetrics {
 	nm.onehopStale = reg.NewCounter("onehop_stale_total",
 		"One-hop table answers whose owner verification failed (stale table; lookup fell back to the classic walk).")
 	nm.gossipBytes = reg.NewCounter("route_gossip_bytes_total",
-		"Route-gossip payload bytes exchanged by this node's rounds: probes, the tables replies carry and push-backs (both directions, binary-codec size).")
+		"Route-gossip payload bytes exchanged by this node's rounds: the summaries its global-ring liveness requests carry, probes, the tables replies carry and push-backs (both directions, binary-codec size).")
 	consults := reg.NewCounterVec("ring_consults_total",
 		"Lower-ring entry-point consultations, by how the node storing the ring's table was found: hint (the node that answered last time still vouched for it) or walk (a lookup on the global ring: a join, a re-homed table, a hint that did not answer).", "path")
 	nm.consultHint = consults.With("hint")

@@ -235,6 +235,7 @@ type Node struct {
 	tables    map[string]wire.RingTable // key = ringKey(layer, name)
 	aeTick    int                       // StabilizeOnce rounds since the last anti-entropy round
 	needSweep bool                      // eviction observed; anti-entropy on the next round
+	agreed    map[string]uint64         // global-ring neighbor -> route summary its last liveness reply matched (see askLive); taken by RouteGossipOnce
 
 	closed  chan struct{}
 	handled atomic.Int64 // requests received over the wire (also exported via the registry)
@@ -514,7 +515,7 @@ func (n *Node) handle(req wire.Request) wire.Response {
 	defer n.mu.Unlock()
 	switch req.Type {
 	case wire.TPing:
-		return wire.Response{OK: true, Self: n.selfLocked()}
+		return wire.Response{OK: true, Self: n.selfLocked(), Found: n.sameTableLocked(req.Key)}
 
 	case wire.TGetInfo:
 		names := make([]string, len(n.ringNames))
@@ -536,7 +537,7 @@ func (n *Node) handle(req wire.Request) wire.Response {
 		}
 		succ := make([]wire.Peer, len(ls.succ))
 		copy(succ, ls.succ)
-		return wire.Response{OK: true, Self: n.selfLocked(), Succ: succ, Pred: ls.pred}
+		return wire.Response{OK: true, Self: n.selfLocked(), Succ: succ, Pred: ls.pred, Found: n.sameTableLocked(req.Key)}
 
 	case wire.TNotify:
 		ls, err := n.layerFor(req.Layer)
@@ -712,6 +713,14 @@ func (n *Node) handle(req wire.Request) wire.Response {
 }
 
 func (n *Node) selfLocked() wire.Peer { return wire.Peer{Addr: n.addr, ID: [20]byte(n.id)} }
+
+// sameTableLocked answers the route summary a liveness request carries in
+// Key (see askLive) the way the TRouteGossip handler answers a probe: a
+// summary equal to this node's, or any summary when the node runs no
+// table, is "same". A request without one is not asking.
+func (n *Node) sameTableLocked(key [20]byte) bool {
+	return key != [20]byte{} && (n.routes == nil || summaryKey(n.routes.Summary()) == key)
+}
 
 // replicaSuccessorsLocked returns the other members of the replica sets
 // this node owns: the first Factor-1 distinct global successors.
