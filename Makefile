@@ -17,10 +17,11 @@ race:
 
 # allocs runs the garbage-budget tests (heap objects per wire exchange,
 # per lookup step, per route lookup, per converged gossip round, per range
-# digest). They are built only without -race, where allocation counts are
-# exact.
+# digest) and the footprint tests (heap and goroutines per idle connection
+# and per settled node). They are built only without -race, where
+# allocation counts are exact.
 allocs:
-	$(GO) test -count=1 -run AllocBudget ./internal/wire ./internal/transport ./internal/routes ./internal/replica
+	$(GO) test -count=1 -run AllocBudget ./internal/wire ./internal/transport ./internal/routes ./internal/replica ./internal/churn
 
 # perf-smoke runs every bench/perf workload briefly. The harness checks
 # each answer and exits non-zero when one is wrong; the timings of a run

@@ -26,39 +26,36 @@ func putFrameHeader(buf []byte, tag uint64) {
 	binary.BigEndian.PutUint64(buf[4:12], tag)
 }
 
-// readFrame reads one frame from r into buf's array, returning the
-// payload in the (possibly grown) buffer. The header is read into the
-// same array and parsed before the payload overwrites it: a header
-// array of readFrame's own would move to the heap on every frame,
-// because it crosses the io.Reader interface. A payload length above
-// maxFramePayload is a protocol error.
-func readFrame(r io.Reader, buf []byte) (payload []byte, tag uint64, err error) {
-	if cap(buf) < frameHeader {
-		buf = make([]byte, frameHeader, 512)
-	}
-	hdr := buf[:frameHeader]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return buf, 0, err
+// readFrame reads one frame from r: it parks on the header, read into
+// the connection's own hdr (on the heap already; an array of readFrame's
+// would move there per frame, crossing io.Reader), and only then takes a
+// frameBufPool buffer for the payload, so an idle connection holds none.
+// The caller returns pb with putFrameBuf once payload is decoded. pb is
+// nil whenever err is not; a payload above maxFramePayload is an error.
+func readFrame(r io.Reader, hdr *[frameHeader]byte) (pb *[]byte, payload []byte, tag uint64, err error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, nil, 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[0:4])
 	if n > maxFramePayload {
-		return buf, 0, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, maxFramePayload)
+		return nil, nil, 0, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, maxFramePayload)
 	}
 	tag = binary.BigEndian.Uint64(hdr[4:12])
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	} else {
-		buf = buf[:n]
+	pb = getFrameBuf()
+	if cap(*pb) < int(n) {
+		*pb = make([]byte, n)
 	}
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, tag, err
+	payload = (*pb)[:n]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		putFrameBuf(pb)
+		return nil, nil, tag, err
 	}
-	return buf, tag, nil
+	return pb, payload, tag, nil
 }
 
-// frameBufPool recycles frame encode/decode buffers across calls; the
-// pooled transport and the server session loop both draw from it, so a
-// steady-state exchange allocates nothing for framing.
+// frameBufPool recycles frame buffers per frame, never per connection:
+// a steady-state exchange allocates nothing for framing, and an idle
+// connection holds no buffer.
 var frameBufPool = sync.Pool{
 	New: func() interface{} {
 		b := make([]byte, 0, 512)
@@ -66,5 +63,14 @@ var frameBufPool = sync.Pool{
 	},
 }
 
-func getFrameBuf() *[]byte  { return frameBufPool.Get().(*[]byte) }
-func putFrameBuf(b *[]byte) { frameBufPool.Put(b) }
+// maxPooledFrameBuf bounds the buffers frameBufPool keeps, so one large
+// frame does not pin its buffer behind every later one.
+const maxPooledFrameBuf = 64 << 10
+
+func getFrameBuf() *[]byte { return frameBufPool.Get().(*[]byte) }
+
+func putFrameBuf(b *[]byte) {
+	if cap(*b) <= maxPooledFrameBuf {
+		frameBufPool.Put(b)
+	}
+}

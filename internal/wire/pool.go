@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -256,6 +255,8 @@ type muxConn struct {
 	pending map[uint64]*exchange
 	failed  error // set once: the connection is dead
 	strikes int   // consecutive abandoned waits since the last completion
+
+	hdr [frameHeader]byte // readLoop's frame header
 }
 
 func (c *muxConn) broken() bool {
@@ -398,16 +399,14 @@ func (c *muxConn) fail(cause error) {
 // decode error kills the connection (and with it, all in-flight
 // exchanges).
 func (c *muxConn) readLoop() {
-	br := bufio.NewReaderSize(c.conn, 4096)
-	buf := make([]byte, 0, 512)
 	for {
-		payload, tag, err := readFrame(br, buf[:0])
+		pb, payload, tag, err := readFrame(c.conn, &c.hdr)
 		if err != nil {
 			c.fail(err)
 			return
 		}
-		buf = payload
 		resp, derr := Binary{}.DecodeResponse(payload)
+		putFrameBuf(pb)
 		if derr != nil {
 			c.fail(fmt.Errorf("wire: decoding response frame: %w", derr))
 			return

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -58,6 +59,44 @@ func TestPoolReusesConnections(t *testing.T) {
 	}
 	if n := atomic.LoadInt32(accepts); n != 1 {
 		t.Errorf("20 pooled calls opened %d connections, want 1", n)
+	}
+}
+
+// TestFrameBufPoolDropsLarge: a frame far larger than the usual few
+// hundred bytes does not leave its buffer in frameBufPool, where it would
+// stay pinned behind every later frame. After an exchange carrying 1 MiB
+// each way, every buffer the pool hands out is within maxPooledFrameBuf.
+func TestFrameBufPoolDropsLarge(t *testing.T) {
+	big := bytes.Repeat([]byte{'v'}, 1<<20)
+	mn := NewMemNet()
+	ln, err := mn.Listen("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() {
+		conn, aerr := ln.Accept()
+		if aerr != nil {
+			served <- aerr
+			return
+		}
+		served <- ServeConn(conn, func(req Request) Response { return Response{OK: true, Value: req.Value} }, ServeOptions{})
+	}()
+	p := NewPool(PoolOptions{Dial: mn.Dial})
+	resp, err := poolCall(p, "peer", Request{Type: TPut, Name: "k", Value: big}, time.Minute)
+	if err != nil || !bytes.Equal(resp.Value, big) {
+		t.Fatalf("1 MiB echo: %d bytes back, %v", len(resp.Value), err)
+	}
+	// Closing both ends is what returns every buffer the exchange used.
+	p.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	for i := 0; i < 64; i++ {
+		if c := cap(*getFrameBuf()); c > maxPooledFrameBuf {
+			t.Fatalf("frameBufPool handed out a %d B buffer, limit %d", c, maxPooledFrameBuf)
+		}
 	}
 }
 

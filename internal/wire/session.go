@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -94,8 +93,7 @@ func ServeConn(conn net.Conn, h Handler, o ServeOptions) error {
 	if err := conn.SetReadDeadline(time.Now().Add(wt)); err != nil {
 		return err
 	}
-	br := bufio.NewReaderSize(conn, 4096)
-	if err := readPreamble(br); err != nil {
+	if err := readPreamble(conn); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil // probe connect-and-close
 		}
@@ -105,18 +103,11 @@ func ServeConn(conn net.Conn, h Handler, o ServeOptions) error {
 	s := &session{conn: conn, handler: h, observe: o.Observe, writeTimeout: wt}
 	defer s.wg.Wait()
 
-	pb := getFrameBuf()
-	buf := *pb
-	defer func() {
-		*pb = buf
-		putFrameBuf(pb)
-	}()
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(idleTimeout)); err != nil {
 			return err
 		}
-		payload, tag, rerr := readFrame(br, buf[:0])
-		buf = payload
+		pb, payload, tag, rerr := readFrame(conn, &s.hdr)
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) {
 				return nil // peer closed between frames: clean shutdown
@@ -125,7 +116,9 @@ func ServeConn(conn net.Conn, h Handler, o ServeOptions) error {
 		}
 		x := servedPool.Get().(*served)
 		var derr error
-		if x.req, derr = (Binary{}).DecodeRequest(payload); derr != nil {
+		x.req, derr = (Binary{}).DecodeRequest(payload)
+		putFrameBuf(pb)
+		if derr != nil {
 			// Framing survives a bad payload, but a client whose encoder
 			// disagrees with ours is not worth keeping: drop the session.
 			return fmt.Errorf("wire: decoding request frame: %w", derr)
@@ -144,6 +137,7 @@ type session struct {
 	writeTimeout time.Duration
 	wmu          sync.Mutex // serializes response frames
 	wg           sync.WaitGroup
+	hdr          [frameHeader]byte // the ServeConn loop's frame header
 }
 
 // served is the server's record of one in-flight request: everything
