@@ -3,8 +3,12 @@
 package replica
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // TestRangeDigestAllocBudget: a digest over a store whose identifiers are
@@ -26,5 +30,63 @@ func TestRangeDigestAllocBudget(t *testing.T) {
 	avg := testing.AllocsPerRun(100, func() { e.RangeDigest(keyID, whole, whole) })
 	if avg != 1 || hashed != 0 {
 		t.Errorf("a warm digest made %.1f heap objects and hashed %d keys, budget 1 and 0", avg, hashed)
+	}
+}
+
+// TestAllocBudgetIdleAntiEntropyRound: the garbage of an idle round —
+// three converged stores, every key placed from the ring stretch, a digest
+// to each peer — does not grow with the number of keys held: the same heap
+// objects at 100 and at 1,000 keys (within 2), and at most 96 bytes per
+// held key, what one pass over a ring-ordered snapshot costs (17 objects
+// at both sizes, 84 B). The round this replaced listed the keys twice,
+// built three maps keyed by key and sorted each peer's identifiers: 62
+// objects at 100 keys, 91 at 1,000, and 446 B per held key.
+func TestAllocBudgetIdleAntiEntropyRound(t *testing.T) {
+	perRound := func(keys int) (objects, bytes float64) {
+		fc := newFakeCluster("n0", "n1", "n2")
+		for i := 0; i < keys; i++ {
+			for _, e := range fc.engines {
+				e.Apply(item(fmt.Sprintf("k%d", i), "v", 1, "w#1"))
+			}
+		}
+		co := fc.coordinator("n0", Options{Factor: 3})
+		ring := []wire.Peer{{Addr: "n0"}, {Addr: "n1", ID: [20]byte{1}}, {Addr: "n2", ID: [20]byte{2}}, {Addr: "n0"}, {Addr: "n1"}, {Addr: "n2"}}
+		co.Neighbors = func(context.Context) ([]wire.Peer, int, bool) { return ring, 3, true }
+		round := func() {
+			fc.calls = fc.calls[:0]
+			if pulled, pushed, dropped, err := co.AntiEntropyOnce(context.Background()); err != nil || pulled+pushed+dropped != 0 {
+				t.Fatalf("round on a converged cluster: pulled %d pushed %d dropped %d, %v", pulled, pushed, dropped, err)
+			}
+		}
+		round() // the first round fills the identifier memos
+		const rounds = 20
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for r := 0; r < rounds; r++ {
+			round()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / rounds, float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	}
+	small, _ := perRound(100)
+	large, bytes := perRound(1000)
+	t.Logf("heap objects per round: %.1f at 100 keys, %.1f at 1,000; %.0f B per round, %.1f B per held key", small, large, bytes, bytes/1000)
+	if large-small > 2 || small-large > 2 {
+		t.Errorf("an idle round made %.1f heap objects at 100 keys and %.1f at 1,000: it allocates per key", small, large)
+	}
+	if perKey := bytes / 1000; perKey > 96 {
+		t.Errorf("an idle round allocated %.1f B per held key, budget 96", perKey)
+	}
+}
+
+// TestAllocBudgetReplicaSet: a replica set is one heap object, the set
+// itself, whatever the successor list repeats — no list with the owner
+// prepended, no map to dedupe: the set is at most want long, so scanning
+// it is the dedupe.
+func TestAllocBudgetReplicaSet(t *testing.T) {
+	succs := []string{"n1", "n0", "n2", "n1", "n3"}
+	if avg := testing.AllocsPerRun(100, func() { ReplicaSet("n0", succs, 3) }); avg != 1 {
+		t.Errorf("ReplicaSet made %.1f heap objects, budget 1", avg)
 	}
 }

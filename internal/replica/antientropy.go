@@ -4,7 +4,8 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/id"
 	"repro/internal/wire"
@@ -57,7 +58,8 @@ func ItemHash(it wire.StoreItem) uint64 {
 // engines holding the same items produce identical digests regardless
 // of insertion history. Items past their expiry stamp are treated as
 // absent — both sides of an exchange judge expiry against the same
-// travelling stamp, so a purged replica and a lagging one agree.
+// travelling stamp, so a purged replica and a lagging one agree. Each
+// item's hash is the one Apply memoised beside it.
 func (e *Engine) RangeDigest(keyID func(string) [20]byte, lo, hi [20]byte) []uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -71,7 +73,7 @@ func (e *Engine) RangeDigest(keyID func(string) [20]byte, lo, hi [20]byte) []uin
 		if !id.InOpenClosed(id.ID(kid), id.ID(lo), id.ID(hi)) {
 			continue
 		}
-		digest[BucketOf(kid)] ^= ItemHash(h.item)
+		digest[BucketOf(kid)] ^= h.hash
 	}
 	return digest
 }
@@ -80,9 +82,11 @@ func (e *Engine) RangeDigest(keyID func(string) [20]byte, lo, hi [20]byte) []uin
 // whose digest bucket is listed in buckets, sorted by key. Expired
 // items are omitted, mirroring RangeDigest.
 func (e *Engine) RangeItems(keyID func(string) [20]byte, lo, hi [20]byte, buckets []uint32) []wire.StoreItem {
-	want := make(map[int]bool, len(buckets))
+	var want [DigestBuckets]bool
 	for _, b := range buckets {
-		want[int(b)] = true
+		if b < DigestBuckets {
+			want[b] = true
+		}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -100,31 +104,40 @@ func (e *Engine) RangeItems(keyID func(string) [20]byte, lo, hi [20]byte, bucket
 		cp.Value = append([]byte(nil), cp.Value...)
 		out = append(out, cp)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b wire.StoreItem) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
-// coveringArc returns the minimal (lo, hi] arc containing every ID in
-// ids: the complement of the largest circular gap between consecutive
-// IDs. A digest over this arc sees exactly the keys two replica-set
-// members share (membership arcs are contiguous on the ring), so
-// converged peers produce identical digests and the exchange settles
+// cover accumulates the minimal (lo, hi] arc containing every ID added,
+// in ring order: the complement of the largest circular gap between
+// consecutive IDs. A digest over this arc sees exactly the keys two
+// replica-set members share (membership arcs are contiguous on the ring),
+// so converged peers produce identical digests and the exchange settles
 // at zero transfer.
-func coveringArc(ids []id.ID) (lo, hi id.ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Cmp(ids[j]) < 0 })
-	// Largest gap follows ids[gapAt] (circularly); the arc runs from
-	// just before ids[gapAt+1] around to ids[gapAt].
-	gapAt := len(ids) - 1 // wrap gap: ids[n-1] -> ids[0]
-	largest := id.Sub(ids[0], ids[len(ids)-1])
-	for i := 0; i+1 < len(ids); i++ {
-		if g := id.Sub(ids[i+1], ids[i]); g.Cmp(largest) > 0 {
-			largest = g
-			gapAt = i
-		}
+type cover struct {
+	n                   int
+	first, prev         id.ID
+	gap, gapLo, gapNext id.ID // largest gap between consecutive IDs so far
+}
+
+func (c *cover) add(x id.ID) {
+	if c.n == 0 {
+		c.first = x
+	} else if g := id.Sub(x, c.prev); c.n == 1 || g.Cmp(c.gap) > 0 {
+		c.gap, c.gapLo, c.gapNext = g, c.prev, x
 	}
-	first := ids[(gapAt+1)%len(ids)]
+	c.prev = x
+	c.n++
+}
+
+// arc returns the covering arc. Ties go to the wrap gap (last back to
+// first), then to the earliest gap.
+func (c *cover) arc() (lo, hi id.ID) {
 	one := id.ID{19: 1}
-	return id.Sub(first, one), ids[gapAt]
+	if c.n < 2 || c.gap.Cmp(id.Sub(c.first, c.prev)) <= 0 {
+		return id.Sub(c.first, one), c.prev
+	}
+	return id.Sub(c.gapNext, one), c.gapLo
 }
 
 // itemWireBytes approximates one item's on-the-wire cost: key, value
@@ -161,6 +174,10 @@ const digestWireBytes = 40 + 8*DigestBuckets
 // for goes to the network resolver, so the decision to drop a copy is
 // never taken on local state.
 //
+// The store is walked once, as a ring-ordered snapshot with each key's
+// replica set beside it, so the keys a peer shares come out in the order
+// their covering arc is folded in and no per-key map is built.
+//
 // Pulled items for keys this node has never seen are applied only when
 // the node is actually in the key's replica set, so a transiently
 // mis-scoped digest cannot seed stray copies that would oscillate
@@ -176,69 +193,42 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 	}
 
 	now := c.clock()
-	place := c.placement(ctx)
-	keyMembers := map[string][]string{}
-	selfMember := map[string]bool{}
-	peerKeys := map[string][]string{} // peer -> shared keys (self and peer both members)
-	var peers []string                // first-appearance order over sorted keys
-	for _, key := range c.Engine.Keys() {
-		item, ok := c.Engine.Get(key)
-		if !ok {
-			continue
+	place, snap, sets, firstErr := c.placeAll(ctx)
+	var peers []string
+	for i, set := range sets {
+		at := slices.Index(set, c.Self)
+		if at < 0 {
+			continue // unresolved or foreign
 		}
-		set, err := c.replicaSet(ctx, place, key)
-		if err != nil || len(set) == 0 {
-			if err != nil && firstErr == nil {
-				firstErr = err
+		// Republish: the owner re-stamps a live item entering the last
+		// half of its TTL, so a key that is still wanted outlives its
+		// expiry. The fresh stamp leaves the republish window immediately,
+		// which keeps the round idempotent under a frozen clock.
+		if en := snap[i]; at == 0 && c.TTL > 0 && !en.tombstone && now < en.expire && en.expire-now < c.TTL/2 {
+			if item, ok := c.Engine.Get(en.key); ok {
+				version, writer := c.Engine.Stamp(en.key, c.Self, item.Version)
+				item.Version, item.Writer, item.Expire = version, writer, now+c.TTL
+				c.Engine.Apply(item)
 			}
-			continue // unresolved: keep the copy, try next round
-		}
-		keyMembers[key] = set
-		for i, addr := range set {
-			if addr == c.Self {
-				selfMember[key] = true
-				// Republish: the owner re-stamps a live item entering the
-				// last half of its TTL, so a key that is still wanted
-				// outlives its expiry. The fresh stamp leaves the republish
-				// window immediately, which keeps the round idempotent
-				// under a frozen clock.
-				if i == 0 && c.TTL > 0 && item.Expire != 0 && !item.Tombstone &&
-					!Expired(item, now) && item.Expire-now < c.TTL/2 {
-					version, writer := c.Engine.Stamp(key, c.Self, item.Version)
-					item.Version, item.Writer, item.Expire = version, writer, now+c.TTL
-					c.Engine.Apply(item)
-				}
-			}
-		}
-	}
-	for key, set := range keyMembers {
-		if !selfMember[key] {
-			continue
 		}
 		for _, addr := range set {
-			if addr == c.Self {
-				continue
-			}
-			if _, seen := peerKeys[addr]; !seen {
+			if addr != c.Self && !slices.Contains(peers, addr) {
 				peers = append(peers, addr)
 			}
-			peerKeys[addr] = append(peerKeys[addr], key)
 		}
 	}
-	sort.Strings(peers)
-	for _, addr := range peers {
-		sort.Strings(peerKeys[addr])
-	}
+	slices.Sort(peers)
 
-	dropped = c.rehomeForeign(ctx, keyMembers, selfMember, &firstErr)
+	dropped = c.rehomeForeign(ctx, snap, sets, &firstErr)
 
 	for _, peer := range peers {
-		shared := peerKeys[peer]
-		ids := make([]id.ID, 0, len(shared))
-		for _, key := range shared {
-			ids = append(ids, id.ID(c.Engine.KeyID(c.KeyID, key)))
+		var arc cover
+		for i, en := range snap {
+			if shares(sets[i], c.Self, peer) {
+				arc.add(en.id)
+			}
 		}
-		lo, hi := coveringArc(ids)
+		lo, hi := arc.arc()
 		local := c.Engine.RangeDigest(c.KeyID, lo, hi)
 		resp, err := c.Call(ctx, peer, wire.Request{Type: wire.TDigest, Key: lo, KeyHi: hi})
 		m.AEBytes.Add(digestWireBytes)
@@ -273,8 +263,8 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 			m.AEBytes.Add(itemWireBytes(it))
 			theirs[it.Key] = it
 			if _, held := c.Engine.Get(it.Key); !held {
-				set, rErr := c.replicaSet(ctx, place, it.Key)
-				if rErr != nil || !contains(set, c.Self) {
+				set, rErr := c.replicaSet(ctx, place, it.Key, c.KeyID(it.Key))
+				if rErr != nil || !slices.Contains(set, c.Self) {
 					continue // not ours to hold: never seed a stray copy
 				}
 			}
@@ -287,13 +277,15 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 		// only for keys the peer is a current member of — pushing
 		// beyond membership would plant strays that the re-homing pass
 		// keeps resurrecting.
-		sharedSet := make(map[string]bool, len(shared))
-		for _, key := range shared {
-			sharedSet[key] = true
+		shared := map[string]bool{}
+		for i, en := range snap {
+			if shares(sets[i], c.Self, peer) {
+				shared[en.key] = true
+			}
 		}
 		var push []wire.StoreItem
 		for _, it := range c.Engine.RangeItems(c.KeyID, lo, hi, divergent) {
-			if !sharedSet[it.Key] {
+			if !shared[it.Key] {
 				continue
 			}
 			th, have := theirs[it.Key]
@@ -328,67 +320,80 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 	return pulled, pushed, dropped, firstErr
 }
 
+// placeAll takes the round's snapshot of the store and each key's replica
+// set, in a parallel slice: nil where the set could not be resolved, so
+// the copy is kept and tried again next round. err is the first resolve
+// error; place is the round's Placement.
+func (c *Coordinator) placeAll(ctx context.Context) (place Placement, snap []entry, sets [][]string, err error) {
+	place = c.placement(ctx)
+	snap = c.Engine.snapshot(c.KeyID)
+	sets = make([][]string, len(snap))
+	for i, en := range snap {
+		set, rErr := c.replicaSet(ctx, place, en.key, en.id)
+		if rErr != nil && err == nil {
+			err = rErr
+		}
+		if rErr == nil && len(set) > 0 {
+			sets[i] = set
+		}
+	}
+	return place, snap, sets, err
+}
+
+// shares reports whether set names both self and peer: a key the two
+// must agree on.
+func shares(set []string, self, peer string) bool {
+	return slices.Contains(set, self) && slices.Contains(set, peer)
+}
+
 // rehomeForeign pushes keys this node no longer owes to their current
-// replica-set members, batched per member in deterministic (sorted-key,
+// replica-set members, batched per member in deterministic (ring-order,
 // set-order) sequence, and drops a local copy only once every member of
 // the key's set confirmed the batch that carried it — so a copy is never
 // destroyed before its replacement provably exists.
-func (c *Coordinator) rehomeForeign(ctx context.Context, keyMembers map[string][]string, selfMember map[string]bool, firstErr *error) (dropped int) {
+func (c *Coordinator) rehomeForeign(ctx context.Context, snap []entry, sets [][]string, firstErr *error) (dropped int) {
 	m := c.metrics()
-	type plan struct{ items []wire.StoreItem }
-	batches := map[string]*plan{}
-	var order []string
-	var foreign []string
-	for _, key := range c.Engine.Keys() {
-		set, ok := keyMembers[key]
-		if !ok || selfMember[key] {
+	var members []string // first-appearance order over the ring
+	var batches [][]wire.StoreItem
+	var foreign []int
+	for i, set := range sets {
+		if set == nil || slices.Contains(set, c.Self) {
 			continue
 		}
-		item, held := c.Engine.Get(key)
+		item, held := c.Engine.Get(snap[i].key)
 		if !held {
 			continue
 		}
-		foreign = append(foreign, key)
+		foreign = append(foreign, i)
 		for _, addr := range set {
-			if addr == c.Self {
-				continue
+			at := slices.Index(members, addr)
+			if at < 0 {
+				at = len(members)
+				members, batches = append(members, addr), append(batches, nil)
 			}
-			b := batches[addr]
-			if b == nil {
-				b = &plan{}
-				batches[addr] = b
-				order = append(order, addr)
-			}
-			b.items = append(b.items, item)
+			batches[at] = append(batches[at], item)
 		}
 	}
-	memberOK := map[string]bool{}
-	for _, addr := range order {
-		b := batches[addr]
-		resp, err := c.Call(ctx, addr, wire.Request{Type: wire.TReplicate, Items: b.items})
+	confirmed := make([]bool, len(members))
+	for j, addr := range members {
+		resp, err := c.Call(ctx, addr, wire.Request{Type: wire.TReplicate, Items: batches[j]})
 		if err != nil {
 			if *firstErr == nil {
 				*firstErr = err
 			}
 			continue
 		}
-		memberOK[addr] = true
+		confirmed[j] = true
 		if resp.Applied > 0 {
-			for _, it := range b.items {
+			for _, it := range batches[j] {
 				m.RereplBytes.Add(uint64(len(it.Value)))
 			}
 		}
 	}
-	for _, key := range foreign {
-		confirmed := true
-		for _, addr := range keyMembers[key] {
-			if addr != c.Self && !memberOK[addr] {
-				confirmed = false
-				break
-			}
-		}
-		if confirmed {
-			c.Engine.Drop(key)
+	unconfirmed := func(addr string) bool { return !confirmed[slices.Index(members, addr)] }
+	for _, i := range foreign {
+		if !slices.ContainsFunc(sets[i], unconfirmed) {
+			c.Engine.Drop(snap[i].key)
 			m.Dropped.Inc()
 			dropped++
 		}
@@ -402,31 +407,21 @@ func (c *Coordinator) rehomeForeign(ctx context.Context, keyMembers map[string][
 // divergence. It is an analytic figure and moves no data; the chaos
 // suite uses it as the denominator digest sync is measured against.
 func (c *Coordinator) SweepBytes(ctx context.Context) (uint64, error) {
+	_, snap, sets, err := c.placeAll(ctx)
+	if err != nil {
+		return 0, err
+	}
 	var total uint64
-	place := c.placement(ctx)
-	for _, key := range c.Engine.Keys() {
-		item, ok := c.Engine.Get(key)
+	for i, en := range snap {
+		item, ok := c.Engine.Get(en.key)
 		if !ok {
 			continue
 		}
-		set, err := c.replicaSet(ctx, place, key)
-		if err != nil {
-			return total, err
-		}
-		for _, addr := range set {
+		for _, addr := range sets[i] {
 			if addr != c.Self {
 				total += itemWireBytes(item)
 			}
 		}
 	}
 	return total, nil
-}
-
-func contains(set []string, addr string) bool {
-	for _, a := range set {
-		if a == addr {
-			return true
-		}
-	}
-	return false
 }

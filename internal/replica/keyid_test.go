@@ -74,6 +74,77 @@ func TestKeyIDMemoFollowsStore(t *testing.T) {
 	}
 }
 
+// FuzzEngineMemo is TestKeyIDMemoFollowsStore with the sequence read off
+// the input, three bytes a step for up to 240 steps: writes, overwrites
+// and stale deliveries (random stamps, some expiring, some tombstones),
+// drops, clock advances with a purge, and owner republishes by Stamp.
+// After every step both memos — the identifier and the item hash — are
+// held to the memo-less reference through RangeDigest and RangeItems over
+// an arc the step names, and the round's snapshot must list every held
+// key once, in ring order, with its own identifier and stamps.
+func FuzzEngineMemo(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		prog := make([]byte, 3*120)
+		rand.New(rand.NewSource(seed)).Read(prog)
+		f.Add(prog)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		var now uint64
+		e := NewEngine()
+		e.SetClock(func() uint64 { return now })
+		for step := 0; len(prog) >= 3 && step < 240; step++ {
+			op, a, b := prog[0], prog[1], prog[2]
+			prog = prog[3:]
+			key := fmt.Sprintf("k%d", a%24)
+			switch op % 10 {
+			case 0, 1, 2, 3, 4:
+				it := item(key, "v", uint64(1+b%6), fmt.Sprintf("w#%d", b/6%3))
+				if op&0x10 != 0 {
+					it.Expire = now + uint64(1+a/24%5)
+				}
+				it.Tombstone = op&0xe0 == 0xe0
+				e.Apply(it)
+			case 5, 6:
+				e.Drop(key)
+			case 7, 8:
+				now += uint64(b % 4)
+				e.PurgeExpired()
+			default:
+				if it, ok := e.Get(key); ok {
+					it.Version, it.Writer = e.Stamp(key, "self", it.Version)
+					it.Expire = now + 8
+					e.Apply(it)
+				}
+			}
+			lo, hi := [20]byte{a, b}, [20]byte{b, a}
+			if op&0x10 != 0 {
+				hi = lo // the whole ring
+			}
+			buckets := []uint32{uint32(a % DigestBuckets), uint32(b % DigestBuckets)}
+			wantDigest, wantItems := referenceRange(e, now, lo, hi, buckets)
+			if got := e.RangeDigest(testKeyID, lo, hi); !reflect.DeepEqual(got, wantDigest) {
+				t.Fatalf("step %d: RangeDigest %x, reference %x", step, got, wantDigest)
+			}
+			if got := e.RangeItems(testKeyID, lo, hi, buckets); !reflect.DeepEqual(got, wantItems) {
+				t.Fatalf("step %d: RangeItems %v, reference %v", step, got, wantItems)
+			}
+			snap := e.snapshot(testKeyID)
+			if len(snap) != e.Len() {
+				t.Fatalf("step %d: snapshot lists %d keys, the store holds %d", step, len(snap), e.Len())
+			}
+			for i, en := range snap {
+				it, ok := e.Get(en.key)
+				if !ok || en.id != testKeyID(en.key) || en.expire != it.Expire || en.tombstone != it.Tombstone {
+					t.Fatalf("step %d: snapshot entry %+v, store holds %+v (%v)", step, en, it, ok)
+				}
+				if i > 0 && snap[i-1].id.Cmp(en.id) >= 0 {
+					t.Fatalf("step %d: snapshot out of ring order at %d", step, i)
+				}
+			}
+		}
+	})
+}
+
 // TestIdleRoundHashesNoKey: a node's first anti-entropy round hashes each
 // key once per store that holds it — its own, and each peer's when that
 // serves its first digest — and a second, idle round hashes nothing, on

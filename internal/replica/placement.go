@@ -86,13 +86,13 @@ func (c *Coordinator) placement(ctx context.Context) Placement {
 	return NewPlacement(chain, self, c.Opts.WithDefaults().Factor)
 }
 
-// replicaSet maps a held or pulled key to its replica set: computed from
-// the ring stretch when the key falls inside it, looked up over the
-// network otherwise — a foreign key awaiting re-home, or a round whose
-// stretch could not be learned.
-func (c *Coordinator) replicaSet(ctx context.Context, p Placement, key string) ([]string, error) {
+// replicaSet maps a held or pulled key, whose identifier is kid, to its
+// replica set: computed from the ring stretch when the key falls inside
+// it, looked up over the network otherwise — a foreign key awaiting
+// re-home, or a round whose stretch could not be learned.
+func (c *Coordinator) replicaSet(ctx context.Context, p Placement, key string, kid id.ID) ([]string, error) {
 	if len(p.arcs) > 0 {
-		if set, ok := p.SetOf(c.Engine.KeyID(c.KeyID, key)); ok {
+		if set, ok := p.SetOf(kid); ok {
 			c.metrics().LocalSets.Inc()
 			return set, nil
 		}

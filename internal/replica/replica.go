@@ -15,10 +15,14 @@
 package replica
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
+	"repro/internal/id"
 	"repro/internal/wire"
 )
 
@@ -88,7 +92,7 @@ func Supersedes(a, b wire.StoreItem) bool {
 // once and the wire operations feeding the engine are idempotent.
 //
 // An engine is read through one key-to-identifier mapping for its whole
-// life (the node's; see KeyID): identifiers are memoised beside the items.
+// life (the node's): identifiers are memoised beside the items.
 type Engine struct {
 	mu    sync.Mutex
 	items map[string]held
@@ -96,11 +100,13 @@ type Engine struct {
 	clock func() uint64
 }
 
-// held is one stored item and, once something asked for it, its key's
-// ring identifier: a function of the key alone, so it outlives every
-// version of the item and goes only when the key does (Drop, PurgeExpired).
+// held is one stored item, its ItemHash (refreshed with every version
+// stored) and, once something asked for it, its key's ring identifier: a
+// function of the key alone, so it outlives every version of the item and
+// goes only when the key does (Drop, PurgeExpired).
 type held struct {
 	item   wire.StoreItem
+	hash   uint64
 	id     [20]byte
 	hashed bool
 }
@@ -110,17 +116,27 @@ func NewEngine() *Engine {
 	return &Engine{items: make(map[string]held)}
 }
 
-// KeyID is keyID(key), computed at most once while key is held: a round
-// of anti-entropy asks for it several times per key (its replica set, each
-// shared arc, each digest sent and served) and the mapping is a SHA-1.
-func (e *Engine) KeyID(keyID func(string) [20]byte, key string) [20]byte {
+// entry is one held key as an anti-entropy round sees it: its ring
+// identifier and the lifecycle stamps the round decides on.
+type entry struct {
+	key       string
+	id        id.ID
+	expire    uint64
+	tombstone bool
+}
+
+// snapshot lists every held key in ring-identifier order, taken under one
+// lock, filling the identifier memo of any key not yet mapped: the single
+// walk of the store an anti-entropy round makes.
+func (e *Engine) snapshot(keyID func(string) [20]byte) []entry {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	h, ok := e.items[key]
-	if !ok {
-		return keyID(key)
+	out := make([]entry, 0, len(e.items))
+	for k, h := range e.items {
+		out = append(out, entry{key: k, id: e.idLocked(keyID, k, h), expire: h.item.Expire, tombstone: h.item.Tombstone})
 	}
-	return e.idLocked(keyID, key, h)
+	e.mu.Unlock()
+	slices.SortFunc(out, func(a, b entry) int { return cmp.Or(a.id.Cmp(b.id), strings.Compare(a.key, b.key)) })
+	return out
 }
 
 // idLocked returns the identifier of held key, whose entry is h, filling
@@ -182,7 +198,7 @@ func (e *Engine) Apply(item wire.StoreItem) bool {
 	if ok && !Supersedes(item, cur.item) {
 		return false
 	}
-	cur.item = item
+	cur.item, cur.hash = item, ItemHash(item)
 	e.items[item.Key] = cur
 	return true
 }
@@ -305,15 +321,13 @@ func ReplicaSet(owner string, succs []string, want int) []string {
 		want = 1
 	}
 	set := make([]string, 0, want)
-	seen := map[string]bool{}
-	for _, addr := range append([]string{owner}, succs...) {
-		if addr == "" || seen[addr] {
-			continue
+	for i := -1; i < len(succs) && len(set) < want; i++ {
+		addr := owner
+		if i >= 0 {
+			addr = succs[i]
 		}
-		seen[addr] = true
-		set = append(set, addr)
-		if len(set) == want {
-			break
+		if addr != "" && !slices.Contains(set, addr) {
+			set = append(set, addr)
 		}
 	}
 	return set

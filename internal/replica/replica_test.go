@@ -323,3 +323,55 @@ func TestCoordinatorSweepDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestAntiEntropyRoundCharacterized pins one round's exact wire traffic
+// across four nodes, every branch taken once: n0 re-homes two foreign keys,
+// pulls the newer copy of "a" from n1, pushes "a" and "b" back to n2, and
+// finds n3 converged on "c".
+func TestAntiEntropyRoundCharacterized(t *testing.T) {
+	fc := newFakeCluster("n0", "n1", "n2", "n3")
+	sets := map[string][]string{
+		"a": {"n0", "n1", "n2"}, "b": {"n0", "n1", "n2"}, "c": {"n3", "n0", "n1"},
+		"orphan-1": {"n1", "n2", "n3"}, "orphan-2": {"n3", "n2", "n1"},
+	}
+	for _, k := range []string{"a", "b", "c", "orphan-1", "orphan-2"} {
+		fc.engines["n0"].Apply(item(k, "v", 1, "w#1"))
+	}
+	fc.engines["n1"].ApplyBatch([]wire.StoreItem{item("a", "v2", 2, "w#2"), item("b", "v", 1, "w#1"), item("c", "v", 1, "w#1")})
+	fc.engines["n2"].Apply(item("a", "v", 1, "w#1"))
+	fc.engines["n3"].Apply(item("c", "v", 1, "w#1"))
+	co := fc.coordinator("n0", Options{Factor: 3})
+	co.Resolve = func(_ context.Context, key string) ([]string, error) { return sets[key], nil }
+
+	pulled, pushed, dropped, err := co.AntiEntropyOnce(context.Background())
+	if err != nil || pulled != 1 || pushed != 2 || dropped != 2 {
+		t.Errorf("round pulled %d pushed %d dropped %d (%v), want 1, 2 and 2", pulled, pushed, dropped, err)
+	}
+	// Re-home batches go out in first-appearance order over the round's
+	// ring-ordered snapshot: orphan-2 (identifier 0x2543…) comes before
+	// orphan-1 (0xe34c…), so its set's order, n3 n2 n1, leads. A round that
+	// walked the keys in name order sent n1 n2 n3; either order is fixed
+	// by the store alone. Everything after the re-home is per peer, in
+	// address order, and did not move.
+	want := []string{
+		"n3:replicate", "n2:replicate", "n1:replicate",
+		"n1:digest", "n1:sync_pull",
+		"n2:digest", "n2:sync_pull", "n2:replicate",
+		"n3:digest",
+	}
+	if !reflect.DeepEqual(fc.calls, want) {
+		t.Errorf("round's calls\n  %v\nwant\n  %v", fc.calls, want)
+	}
+	held := map[string][]string{
+		"n0": {"a", "b", "c"}, "n1": {"a", "b", "c", "orphan-1", "orphan-2"},
+		"n2": {"a", "b", "orphan-1", "orphan-2"}, "n3": {"c", "orphan-1", "orphan-2"},
+	}
+	for node, keys := range held {
+		if got := fc.engines[node].Keys(); !reflect.DeepEqual(got, keys) {
+			t.Errorf("%s holds %v after the round, want %v", node, got, keys)
+		}
+		if it, _ := fc.engines[node].Get("a"); node != "n3" && it.Version != 2 {
+			t.Errorf("%s holds version %d of a, want 2", node, it.Version)
+		}
+	}
+}

@@ -256,6 +256,65 @@ func TestReplicaCostPins(t *testing.T) {
 	}
 }
 
+// TestAntiEntropyRepairsPlantedDivergence: between two rounds one replica
+// loses its copy of one key, as if the replicate that carried it never
+// landed. The next round restores it, leaving every key's replica set
+// holding byte-identical items, and the round after that is an idle round
+// again: the predecessor chain's get_neighbors and one digest per replica
+// peer, no sync_pull and no replicate.
+func TestAntiEntropyRepairsPlantedDivergence(t *testing.T) {
+	const factor, keys = 3, 48
+	ctx := context.Background()
+	nodes := replicaCluster(t, wire.NewMemNet(), 8, factor, RouteOneHop)
+	keyAt := func(i int) string { return "plant-" + strconv.Itoa(i) }
+	for i := 0; i < keys; i++ {
+		if err := nodes[i%len(nodes)].Put(ctx, keyAt(i), []byte(keyAt(i))); err != nil {
+			t.Fatalf("put %s: %v", keyAt(i), err)
+		}
+	}
+	stabilizeAll(t, nodes, 2)
+	round := func() map[string]float64 {
+		t.Helper()
+		before := rpcsByType(t, nodes...)
+		for _, nd := range nodes {
+			if _, _, _, err := nd.ReplicaAntiEntropyOnce(); err != nil {
+				t.Fatalf("%s: %v", nd.Addr(), err)
+			}
+		}
+		return rpcsSince(t, before, nodes...)
+	}
+	identical := func() {
+		t.Helper()
+		for i := 0; i < keys; i++ {
+			set := replicaSetOf(nodes, keyAt(i), factor)
+			want, _ := set[0].store.Get(keyAt(i))
+			for _, nd := range set {
+				if got, ok := nd.store.Get(keyAt(i)); !ok || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s on %s = %+v (%v), owner holds %+v", keyAt(i), nd.Addr(), got, ok, want)
+				}
+			}
+			if got := copiesOf(nodes, keyAt(i)); got != factor {
+				t.Errorf("%s has %d copies, want %d", keyAt(i), got, factor)
+			}
+		}
+	}
+	idle := round()
+	if len(idle) != 2 || idle["get_neighbors"] == 0 || idle["digest"] == 0 {
+		t.Fatalf("a settled cluster's round cost %v, want get_neighbors and digests only", idle)
+	}
+	identical()
+
+	planted := replicaSetOf(nodes, keyAt(7), factor)[1]
+	planted.store.Drop(keyAt(7))
+	if got := round(); got["sync_pull"] == 0 {
+		t.Errorf("the round after the plant pulled nothing: %v", got)
+	}
+	identical()
+	if got := round(); !reflect.DeepEqual(got, idle) {
+		t.Errorf("the round after the repair cost %v, an idle round %v", got, idle)
+	}
+}
+
 // ownedBy returns count keys named prefix-<i> whose identifiers fall in
 // (after, owner].
 func ownedBy(prefix string, after, owner id.ID, count int) []string {
