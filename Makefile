@@ -17,7 +17,7 @@ race:
 
 # allocs runs the garbage-budget tests (heap objects per wire exchange,
 # per lookup step, per route lookup, per converged gossip round, per range
-# digest) and the footprint tests (heap and goroutines per idle connection
+# digest, per agreeing quorum read) and the footprint tests (heap and goroutines per idle connection
 # and per settled node). They are built only without -race, where
 # allocation counts are exact.
 allocs:

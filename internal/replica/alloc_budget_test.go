@@ -80,6 +80,37 @@ func TestAllocBudgetIdleAntiEntropyRound(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetQuorumGet: a quorum read whose polled members agree
+// builds nothing it does not send — no read-repair request, no slice of
+// polled members. Through a Call that answers from a fixed item it makes
+// no heap object at all; it made 3 when it built the repair request (and
+// its Items) up front and grew the polled list by append.
+func TestAllocBudgetQuorumGet(t *testing.T) {
+	set := []string{"n0", "n1", "n2"}
+	stored := wire.Response{OK: true, Found: true, Value: []byte("v"), Version: 4, Writer: "n0#1"}
+	co := &Coordinator{
+		Self:    "n0",
+		Opts:    Options{Factor: 3, ReadQuorum: 2},
+		Engine:  NewEngine(),
+		Resolve: func(context.Context, string) ([]string, error) { return set, nil },
+		Call: func(_ context.Context, _ string, req wire.Request) (wire.Response, error) {
+			if req.Type != wire.TStoreGet {
+				return wire.Response{}, fmt.Errorf("unexpected %v", req.Type)
+			}
+			return stored, nil
+		},
+		Metrics: NewMetrics(nil),
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		if v, found, err := co.Get(context.Background(), "k"); err != nil || !found || string(v) != "v" {
+			t.Fatalf("get = %q, %v, %v", v, found, err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("an agreeing quorum read made %.1f heap objects, budget 0", avg)
+	}
+}
+
 // TestAllocBudgetReplicaSet: a replica set is one heap object, the set
 // itself, whatever the successor list repeats — no list with the owner
 // prepended, no map to dedupe: the set is at most want long, so scanning

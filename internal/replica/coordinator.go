@@ -270,7 +270,8 @@ func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, bool, error)
 	found := false
 	answers := 0
 	held := map[string]wire.StoreItem{} // answered members that found the key
-	var polled []string                 // answered members in poll order
+	var buf [8]string
+	polled := buf[:0] // answered members in poll order
 	var lastErr error
 	for i, addr := range set {
 		resp, callErr := atOwner, error(nil) // the owner's answer may already be in hand
@@ -318,10 +319,13 @@ func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, bool, error)
 	// resurrecting the key on a later read.
 	alive := Alive(best, c.clock())
 	// Read-repair: refresh answered members that lack the winner.
-	repair := wire.Request{Type: wire.TStorePut, Name: key, Items: []wire.StoreItem{best}}
+	var repair wire.Request
 	for _, addr := range polled {
 		if it, ok := held[addr]; ok && it.Version == best.Version && it.Writer == best.Writer {
 			continue
+		}
+		if repair.Items == nil {
+			repair = wire.Request{Type: wire.TStorePut, Name: key, Items: []wire.StoreItem{best}}
 		}
 		if resp, repErr := c.Call(ctx, addr, repair); repErr == nil && resp.Applied > 0 {
 			m.ReadRepairs.Inc()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Binary is the wire codec: a hand-rolled, reflection-free,
@@ -24,8 +25,8 @@ import (
 // allocates nothing, so the pooled transport and the server session loop
 // reuse frame buffers; decoding validates every length claim against the
 // remaining input, never panics, and retains none of its input (decoded
-// values own their memory). It is a stateless value, safe for concurrent
-// use.
+// values own their memory; names of nodes and rings are interned, see
+// intern). It is a stateless value, safe for concurrent use.
 type Binary struct{}
 
 var (
@@ -621,15 +622,59 @@ func (r *breader) length(minUnit int) (int, error) {
 }
 
 func (r *breader) str() (string, error) {
+	raw, err := r.raw()
+	return string(raw), err
+}
+
+// name reads a string naming a node or a ring (an address, a ring name, a
+// landmark), interned. Keys, values, writer stamps and error text are str.
+func (r *breader) name() (string, error) {
+	raw, err := r.raw()
+	return intern(raw), err
+}
+
+// raw reads one length-prefixed string's bytes, still in the input.
+func (r *breader) raw() ([]byte, error) {
 	n, err := r.length(1)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	raw, err := r.take(n)
-	if err != nil {
-		return "", err
+	return r.take(n)
+}
+
+// The intern table is direct-mapped and process-wide, not per connection:
+// any connection's replies may name any peer. Whatever peers send, it
+// holds at most internSlots × (16 B + internMaxLen) ≈ 320 KiB, so a flood
+// of distinct names costs allocations, never memory or a wrong value.
+const (
+	internSlots  = 4096 // a power of two: 32 KiB of pointers
+	internMaxLen = 64   // longer strings bypass the table
+)
+
+var internTable [internSlots]atomic.Pointer[string]
+
+// intern returns a string equal to raw: the slot's when it matches (the
+// comparison allocates nothing), else a new one that takes the slot.
+func intern(raw []byte) string {
+	if len(raw) == 0 || len(raw) > internMaxLen {
+		return string(raw)
 	}
-	return string(raw), nil
+	slot := &internTable[internSlot(raw)]
+	if p := slot.Load(); p != nil && *p == string(raw) {
+		return *p
+	}
+	s := string(raw)
+	slot.Store(&s)
+	return s
+}
+
+// internSlot is raw's slot: a fixed hash (FNV-1a), so runs repeat.
+func internSlot(raw []byte) uint32 {
+	h := uint32(2166136261)
+	for _, b := range raw {
+		h = (h ^ uint32(b)) * 16777619
+	}
+	return h & (internSlots - 1)
 }
 
 // blob returns a copy: frame payload buffers are pooled, so decoded
@@ -661,7 +706,7 @@ func (r *breader) strings() ([]string, error) {
 	}
 	out := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		s, err := r.str()
+		s, err := r.name()
 		if err != nil {
 			return nil, err
 		}
@@ -683,7 +728,7 @@ func (r *breader) id() ([20]byte, error) {
 func (r *breader) peer() (Peer, error) {
 	var p Peer
 	var err error
-	if p.Addr, err = r.str(); err != nil {
+	if p.Addr, err = r.name(); err != nil {
 		return p, err
 	}
 	p.ID, err = r.id()
@@ -716,7 +761,7 @@ func (r *breader) table() (RingTable, error) {
 	if t.Layer, err = r.vint(); err != nil {
 		return t, err
 	}
-	if t.Name, err = r.str(); err != nil {
+	if t.Name, err = r.name(); err != nil {
 		return t, err
 	}
 	for _, dst := range []*Peer{&t.Smallest, &t.SecondSm, &t.Largest, &t.SecondLg} {
@@ -784,7 +829,7 @@ func (r *breader) events() ([]RouteEvent, error) {
 		if ev.Layer, err = r.vint(); err != nil {
 			return nil, err
 		}
-		if ev.Ring, err = r.str(); err != nil {
+		if ev.Ring, err = r.name(); err != nil {
 			return nil, err
 		}
 		if ev.Peer, err = r.peer(); err != nil {

@@ -3,15 +3,18 @@ package wire
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
 
 // FuzzDecodeMessage feeds arbitrary bytes to the envelope decoders. The
-// contract under fuzz: decoding never panics, and any input that decodes
-// successfully re-encodes to a canonical byte form that decodes to the
-// same value and is a fixed point of decode-then-encode (no lossy or
-// ambiguous envelopes, up to the nil≡empty equivalence).
+// contract under fuzz: decoding never panics, decoding has no memory (the
+// same bytes decoded twice give equal values, whatever the first decode
+// left in the intern table), and any input that decodes successfully
+// re-encodes to a canonical byte form that decodes to the same value and
+// is a fixed point of decode-then-encode (no lossy or ambiguous
+// envelopes, up to the nil≡empty equivalence).
 func FuzzDecodeMessage(f *testing.F) {
 	seedReq := &Request{
 		Type: TFindClosest, Layer: 2, Key: [20]byte{1, 2, 3}, Name: "ring:az",
@@ -52,7 +55,12 @@ func FuzzDecodeMessage(f *testing.F) {
 			f.Add(b)
 		}
 	}
-	resps := append([]Response{*seedResp, *seedStoreResp, *seedDigestResp, *seedGossipResp}, testResponses()...)
+	// Addresses at the intern table's edges: one too long to intern, and
+	// an empty one.
+	seedLongAddr := &Response{OK: true, Next: Peer{Addr: strings.Repeat("h", internMaxLen) + ":9000"}}
+	seedEmptyAddr := &Response{OK: true, Next: Peer{ID: [20]byte{1}}, Succ: []Peer{{Addr: ""}}}
+	resps := append([]Response{*seedResp, *seedStoreResp, *seedDigestResp, *seedGossipResp, *seedLongAddr, *seedEmptyAddr},
+		testResponses()...)
 	for i := range resps {
 		if b, err := (Binary{}).AppendResponse(nil, &resps[i]); err == nil {
 			f.Add(b)
@@ -63,9 +71,15 @@ func FuzzDecodeMessage(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if req, err := (Binary{}).DecodeRequest(data); err == nil {
+			if again, _ := (Binary{}).DecodeRequest(data); !reflect.DeepEqual(req, again) {
+				t.Fatalf("request decoded twice differs:\n  first  %#v\n  second %#v", req, again)
+			}
 			checkCanonicalRequest(t, "fuzz input", req)
 		}
 		if resp, err := (Binary{}).DecodeResponse(data); err == nil {
+			if again, _ := (Binary{}).DecodeResponse(data); !reflect.DeepEqual(resp, again) {
+				t.Fatalf("response decoded twice differs:\n  first  %#v\n  second %#v", resp, again)
+			}
 			checkCanonicalResponse(t, "fuzz input", resp)
 		}
 	})

@@ -194,7 +194,8 @@ func (r *Retrier) Call(ctx context.Context, addr string, req Request) (Response,
 // attempt runs one try under the policy's per-attempt timeout. The bound
 // travels as a deadline only (attemptCtx): nothing below the retrier
 // blocks without honouring Deadline — that is Caller's contract — so no
-// timer, cancel func or Done channel is built per attempt.
+// timer, cancel func or Done channel is built per attempt, and nothing
+// keeps ctx past Call either, so the context itself is pooled.
 func (r *Retrier) attempt(ctx context.Context, addr string, req Request) (Response, error) {
 	if r.rp.PerAttempt <= 0 {
 		return r.inner.Call(ctx, addr, req)
@@ -203,7 +204,12 @@ func (r *Retrier) attempt(ctx context.Context, addr string, req Request) (Respon
 	if dl, ok := ctx.Deadline(); ok && !deadline.Before(dl) {
 		return r.inner.Call(ctx, addr, req) // the caller's own deadline is the tighter one
 	}
-	return r.inner.Call(&attemptCtx{Context: ctx, deadline: deadline}, addr, req)
+	actx := attemptCtxPool.Get().(*attemptCtx)
+	actx.Context, actx.deadline = ctx, deadline
+	resp, err := r.inner.Call(actx, addr, req)
+	*actx = attemptCtx{} // a pooled context pins no parent
+	attemptCtxPool.Put(actx)
+	return resp, err
 }
 
 // attemptCtx is its parent with an earlier deadline and nothing to
@@ -213,6 +219,8 @@ type attemptCtx struct {
 	context.Context
 	deadline time.Time
 }
+
+var attemptCtxPool = sync.Pool{New: func() interface{} { return new(attemptCtx) }}
 
 // Deadline implements context.Context.
 func (c *attemptCtx) Deadline() (time.Time, bool) { return c.deadline, true }

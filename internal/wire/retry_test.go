@@ -242,6 +242,67 @@ func TestRetrierOverallBudget(t *testing.T) {
 	}
 }
 
+// TestRetrierFreshDeadlinePerAttempt: the attempt contexts are pooled, so
+// one object may carry every attempt of a call. Each attempt must still
+// see its own deadline — its start plus PerAttempt, never an earlier
+// attempt's — and a parent cancelled mid-attempt must show through the
+// pooled context's Done and Err.
+func TestRetrierFreshDeadlinePerAttempt(t *testing.T) {
+	const perAttempt = time.Hour
+	type seen struct{ before, start, deadline time.Time }
+	var attempts []seen
+	last := time.Now()
+	fail := CallerFunc(func(ctx context.Context, addr string, req Request) (Response, error) {
+		dl, ok := ctx.Deadline()
+		if !ok {
+			t.Fatal("attempt context carries no deadline")
+		}
+		attempts = append(attempts, seen{before: last, start: time.Now(), deadline: dl})
+		last = time.Now()
+		return Response{}, dialErr(addr)
+	})
+	r := NewRetrier(fail, RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
+		PerAttempt: perAttempt}, BreakerPolicy{Threshold: -1}, nil)
+	if _, err := r.Call(context.Background(), "p", Request{Type: TPing}); err == nil {
+		t.Fatal("want failure")
+	}
+	if len(attempts) != 3 {
+		t.Fatalf("%d attempts, want 3", len(attempts))
+	}
+	for i, a := range attempts {
+		// The retrier stamps the deadline after the previous attempt
+		// returned and before this one started.
+		if a.deadline.Before(a.before.Add(perAttempt)) || a.deadline.After(a.start.Add(perAttempt)) {
+			t.Errorf("attempt %d: deadline %v, want in [%v, %v]", i, a.deadline, a.before.Add(perAttempt), a.start.Add(perAttempt))
+		}
+		if i > 0 && !a.deadline.After(attempts[i-1].deadline) {
+			t.Errorf("attempt %d reused attempt %d's deadline %v", i, i-1, a.deadline)
+		}
+	}
+
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelled := CallerFunc(func(ctx context.Context, addr string, req Request) (Response, error) {
+		if _, ok := ctx.Deadline(); !ok {
+			t.Fatal("attempt context carries no deadline")
+		}
+		cancel()
+		select {
+		case <-ctx.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatal("the parent's cancellation did not close the attempt context's Done")
+		}
+		if !errors.Is(ctx.Err(), context.Canceled) {
+			t.Errorf("attempt context Err = %v, want context.Canceled", ctx.Err())
+		}
+		return Response{}, &NetError{Addr: addr, Op: "call", Sent: true, Err: context.Cause(ctx)}
+	})
+	r = NewRetrier(cancelled, RetryPolicy{MaxAttempts: 3, PerAttempt: perAttempt}, BreakerPolicy{Threshold: -1}, nil)
+	if _, err := r.Call(parent, "p", Request{Type: TPing}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled call returned %v, want context.Canceled", err)
+	}
+}
+
 func TestWriteFrameStalledReader(t *testing.T) {
 	// A client that sends a request and then never reads: the server-side
 	// frame write must error out once its per-frame deadline fires instead

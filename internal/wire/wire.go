@@ -297,6 +297,8 @@ const DefaultTimeout = 3 * time.Second
 // call. Pool arms a timer from Deadline for the one wait it has; a Caller
 // that only delegates, or sleeps a bounded time of its own (faultnet's
 // delays), owes nothing.
+// The retention rule: a Caller must not use ctx after Call returns, for
+// the Retrier reuses its pooled attempt contexts as soon as Call returns.
 type Caller interface {
 	Call(ctx context.Context, addr string, req Request) (Response, error)
 }
