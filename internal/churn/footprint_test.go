@@ -18,9 +18,18 @@ import (
 // pooled connections out, as many served in). Before frame readers
 // stopped holding a bufio.Reader and a frame buffer per connection end,
 // the same node held 443 KB of heap and the same 66 goroutines.
+//
+// Its goroutine stacks, 394 KiB (403 KiB with a goroutine per served
+// request), are three times its heap. Each session's reader answers its
+// requests itself, so the serve path must fit the reader's stack: it
+// passes Request and Response by pointer, and its frames are small.
+// Answering inline through the by-value handler reads 462 KiB here (the
+// GC halves a parked reader's stack and the next request grows it back),
+// which the stack budget catches.
 const (
 	maxNodeHeap       = 160 << 10
 	maxNodeGoroutines = 76
+	maxNodeStack      = 448 << 10
 )
 
 // TestAllocBudgetNodeFootprint: the heap bytes and goroutines one settled
@@ -55,12 +64,15 @@ func TestAllocBudgetNodeFootprint(t *testing.T) {
 	runtime.ReadMemStats(&ms1)
 	heap := float64(int64(ms1.HeapAlloc)-int64(ms0.HeapAlloc)) / nodes
 	goroutines := float64(g1-g0) / nodes
-	t.Logf("one settled node: %.0f B heap, %.1f goroutines, %.0f B stack",
-		heap, goroutines, float64(int64(ms1.StackInuse)-int64(ms0.StackInuse))/nodes)
+	stack := float64(int64(ms1.StackInuse)-int64(ms0.StackInuse)) / nodes
+	t.Logf("one settled node: %.0f B heap, %.1f goroutines, %.0f B stack", heap, goroutines, stack)
 	if heap > maxNodeHeap {
 		t.Errorf("one settled node holds %.0f B of heap, budget %d", heap, maxNodeHeap)
 	}
 	if goroutines > maxNodeGoroutines {
 		t.Errorf("one settled node runs %.1f goroutines, budget %d", goroutines, maxNodeGoroutines)
+	}
+	if stack > maxNodeStack {
+		t.Errorf("one settled node holds %.0f B of goroutine stack, budget %d", stack, maxNodeStack)
 	}
 }

@@ -258,15 +258,6 @@ func (e *Engine) Stamp(key, self string, seen uint64) (version uint64, writer st
 	return version, fmt.Sprintf("%s#%d", self, e.seq)
 }
 
-// Bump stores a value under key with a stamp one past the held
-// version — the compatibility path for the legacy unversioned TPut.
-func (e *Engine) Bump(key, self string, value []byte) wire.StoreItem {
-	v, w := e.Stamp(key, self, 0)
-	it := wire.StoreItem{Key: key, Value: value, Version: v, Writer: w}
-	e.Apply(it)
-	return it
-}
-
 // Drop removes key from the store (used when an anti-entropy round
 // determines the node is no longer in the key's replica set).
 func (e *Engine) Drop(key string) {

@@ -49,7 +49,8 @@ func (n *Node) call(ctx context.Context, addr string, req wire.Request) (wire.Re
 			req.Items[i].Value = append([]byte(nil), req.Items[i].Value...)
 		}
 	}
-	resp := n.handle(req)
+	var resp wire.Response
+	n.handle(&req, &resp)
 	if !resp.OK {
 		return resp, &wire.RemoteError{Type: req.Type, Msg: resp.Err}
 	}

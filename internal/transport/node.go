@@ -429,8 +429,8 @@ func (n *Node) Close() error {
 	n.pool.Close()
 	// Peers hold persistent pooled sessions to this node; their server
 	// goroutines would otherwise block in a frame read until the idle
-	// timeout. Force-close them — ServeConn drains in-flight handlers
-	// before returning.
+	// timeout. Force-close them — a session finishes the request it is
+	// answering before its Serve returns.
 	n.connMu.Lock()
 	for c := range n.conns {
 		_ = c.Close()
@@ -480,7 +480,7 @@ func (n *Node) acceptLoop() {
 		go func() {
 			defer n.wg.Done()
 			defer n.untrack(conn)
-			_ = wire.ServeConn(n.nm.wm.CountConn(conn), n.handle, wire.ServeOptions{
+			_ = wire.Serve(n.nm.wm.CountConn(conn), n.handle, wire.ServeOptions{
 				WriteTimeout: n.cfg.CallTimeout,
 				Observe:      n.observeServed,
 			})
@@ -504,115 +504,95 @@ func (n *Node) ownsLocked(key id.ID) bool {
 	return gp.Addr != "" && id.InOpenClosed(key, peerID(gp), n.id)
 }
 
-// handle answers one request from the node's own state. It takes the node
-// mutex and never performs outgoing RPCs. The request owns its memory (the
-// codec's guarantee; call copies for a request that never crossed it), so
-// handlers may keep what it carries. Requests received over the wire are
-// counted by observeServed, after the handler: one frame more on the
-// per-request goroutine's stack is a cost every served request pays.
-func (n *Node) handle(req wire.Request) wire.Response {
+// handle answers one request from the node's own state, filling *resp,
+// which it finds zeroed (so a failure is Err alone, OK false). It takes
+// the node mutex and never performs outgoing RPCs, so it meets wire.Serve's
+// handler contract: it runs on the session's reader. The request owns its
+// memory (the codec's guarantee; call copies for a request that never
+// crossed it), so handlers may keep what it carries. Fill responses field
+// by field, never as a wire.Response literal: each literal takes a 576 B
+// slot of its own in this frame, and the frame sits on the stack of every
+// session's reader.
+func (n *Node) handle(req *wire.Request, resp *wire.Response) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	switch req.Type {
 	case wire.TPing:
-		return wire.Response{OK: true, Self: n.selfLocked(), Found: n.sameTableLocked(req.Key)}
+		resp.OK, resp.Self, resp.Found = true, n.selfLocked(), n.sameTableLocked(req.Key)
 
 	case wire.TGetInfo:
-		names := make([]string, len(n.ringNames))
-		copy(names, n.ringNames)
-		lms := make([]string, len(n.landmarks))
-		copy(lms, n.landmarks)
-		return wire.Response{
-			OK: true, Self: n.selfLocked(), RingNames: names,
-			Landmarks: lms, Coord: n.cfg.Coord,
-		}
+		resp.OK, resp.Self, resp.Coord = true, n.selfLocked(), n.cfg.Coord
+		resp.RingNames = make([]string, len(n.ringNames))
+		copy(resp.RingNames, n.ringNames)
+		resp.Landmarks = make([]string, len(n.landmarks))
+		copy(resp.Landmarks, n.landmarks)
 
 	case wire.TFindClosest:
-		return n.findClosestLocked(req)
+		n.findClosestLocked(req, resp)
 
 	case wire.TGetNeighbors:
 		ls, err := n.layerFor(req.Layer)
 		if err != nil {
-			return wire.Errorf("%v", err)
+			resp.Err = err.Error()
+			return
 		}
-		succ := make([]wire.Peer, len(ls.succ))
-		copy(succ, ls.succ)
-		return wire.Response{OK: true, Self: n.selfLocked(), Succ: succ, Pred: ls.pred, Found: n.sameTableLocked(req.Key)}
+		resp.OK, resp.Self, resp.Pred, resp.Found = true, n.selfLocked(), ls.pred, n.sameTableLocked(req.Key)
+		resp.Succ = make([]wire.Peer, len(ls.succ))
+		copy(resp.Succ, ls.succ)
 
 	case wire.TNotify:
 		ls, err := n.layerFor(req.Layer)
 		if err != nil {
-			return wire.Errorf("%v", err)
+			resp.Err = err.Error()
+			return
 		}
 		cand := req.Peer
 		if cand.Addr == "" {
-			return wire.Errorf("notify without candidate")
+			resp.Err = "notify without candidate"
+			return
 		}
 		if ls.pred.Addr == "" || id.Between(peerID(cand), peerID(ls.pred), n.id) {
 			ls.pred = cand
 		}
-		return wire.Response{OK: true}
+		resp.OK = true
 
 	case wire.TGetRingTable:
 		// Owner vouches that the table, or its absence, is this node's to
 		// report: a reader that kept this node as a hint (enterRing) skips
 		// the global walk while the flag stands.
-		t, ok := n.tables[ringKey(req.Table.Layer, req.Table.Name)]
-		return wire.Response{
-			OK: true, Table: t, Found: ok,
-			Owner: n.ownsLocked(ringID(req.Table.Layer, req.Table.Name)),
-		}
+		resp.Table, resp.Found = n.tables[ringKey(req.Table.Layer, req.Table.Name)]
+		resp.OK, resp.Owner = true, n.ownsLocked(ringID(req.Table.Layer, req.Table.Name))
 
 	case wire.TPutRingTable:
 		if req.Table.Name == "" || req.Table.Layer < 2 {
-			return wire.Errorf("invalid ring table %d:%q", req.Table.Layer, req.Table.Name)
+			resp.Err = fmt.Sprintf("invalid ring table %d:%q", req.Table.Layer, req.Table.Name)
+			return
 		}
 		n.tables[ringKey(req.Table.Layer, req.Table.Name)] = req.Table
-		return wire.Response{OK: true}
-
-	case wire.TPut:
-		// Legacy unversioned write: stamp it one past the local version so
-		// it merges into the versioned store without regressing newer data.
-		if req.Name == "" {
-			return wire.Errorf("put without key")
-		}
-		v := make([]byte, len(req.Value))
-		copy(v, req.Value)
-		n.store.Bump(req.Name, n.addr, v)
-		return wire.Response{OK: true}
-
-	case wire.TGet:
-		it, ok := n.store.Get(req.Name)
-		if !ok || !replica.Alive(it, n.clock()) {
-			// The legacy read hides tombstones and expired items: a deleted
-			// or dead key reads as absent.
-			return wire.Errorf("key %q not found", req.Name)
-		}
-		out := make([]byte, len(it.Value))
-		copy(out, it.Value)
-		return wire.Response{OK: true, Value: out}
+		resp.OK = true
 
 	case wire.TStorePut:
 		if len(req.Items) != 1 || req.Items[0].Key == "" {
-			return wire.Errorf("store_put wants exactly one keyed item, got %d", len(req.Items))
+			resp.Err = fmt.Sprintf("store_put wants exactly one keyed item, got %d", len(req.Items))
+			return
 		}
-		return wire.Response{OK: true, Applied: n.store.ApplyBatch(req.Items)}
+		resp.OK, resp.Applied = true, n.store.ApplyBatch(req.Items)
 
 	case wire.TStoreGet:
-		resp := wire.Response{OK: true}
+		resp.OK = true
 		if req.Layer == 1 {
 			// Ownership-checked read (see ownerRead): the destination check
 			// of findClosestLocked's hierarchical branch, on the key's name.
 			// A node that does not own the key says nothing about it.
 			if !n.ownsLocked(LiveKeyID(req.Name)) {
-				return resp
+				return
 			}
 			resp.Owner = true
 			resp.Succ = n.replicaSuccessorsLocked()
 		}
 		it, ok := n.store.Get(req.Name)
 		if !ok {
-			return resp
+			return
 		}
 		// Tombstones and lifecycle stamps are reported as held: quorum
 		// readers must see a fresher tombstone outrank stale live copies,
@@ -621,32 +601,34 @@ func (n *Node) handle(req wire.Request) wire.Response {
 		copy(resp.Value, it.Value)
 		resp.Found, resp.Version, resp.Writer = true, it.Version, it.Writer
 		resp.Expire, resp.Tombstone = it.Expire, it.Tombstone
-		return resp
 
 	case wire.TReplicate, wire.THandoff:
 		for _, it := range req.Items {
 			if it.Key == "" {
-				return wire.Errorf("%s with unkeyed item", req.Type)
+				resp.Err = fmt.Sprintf("%s with unkeyed item", req.Type)
+				return
 			}
 		}
-		return wire.Response{OK: true, Applied: n.store.ApplyBatch(req.Items)}
+		resp.OK, resp.Applied = true, n.store.ApplyBatch(req.Items)
 
 	case wire.TDigest:
 		// Anti-entropy digest: fold local items in the arc (Key, KeyHi]
 		// into the fixed bucket layout. Pure read over the engine — no
 		// outgoing RPCs, preserving the deadlock-free handler contract.
-		return wire.Response{OK: true, Digests: n.store.RangeDigest(liveKeyBytes, req.Key, req.KeyHi)}
+		resp.OK, resp.Digests = true, n.store.RangeDigest(liveKeyBytes, req.Key, req.KeyHi)
 
 	case wire.TSyncPull:
 		if len(req.Buckets) == 0 {
-			return wire.Errorf("sync_pull without bucket list")
+			resp.Err = "sync_pull without bucket list"
+			return
 		}
 		for _, b := range req.Buckets {
 			if b >= replica.DigestBuckets {
-				return wire.Errorf("sync_pull bucket %d out of range (protocol has %d)", b, replica.DigestBuckets)
+				resp.Err = fmt.Sprintf("sync_pull bucket %d out of range (protocol has %d)", b, replica.DigestBuckets)
+				return
 			}
 		}
-		return wire.Response{OK: true, Items: n.store.RangeItems(liveKeyBytes, req.Key, req.KeyHi, req.Buckets)}
+		resp.OK, resp.Items = true, n.store.RangeItems(liveKeyBytes, req.Key, req.KeyHi, req.Buckets)
 
 	case wire.TRouteGossip:
 		// Gossip for the one-hop tables (see pushRoutes): merge what the
@@ -654,46 +636,53 @@ func (n *Node) handle(req wire.Request) wire.Response {
 		// summaries then agree, else answer with the events the request
 		// does not supersede (for a probe, the whole set). All local table
 		// work, so the no-outgoing-RPC handler contract holds.
+		resp.OK = true
 		if n.routes == nil {
 			// Not running the tier: nothing to reconcile, which is what
 			// "same" tells a prober (a bare OK would draw a push-back).
-			return wire.Response{OK: true, Found: true}
+			resp.Found = true
+			return
 		}
-		applied := n.routes.ApplyAll(req.Events)
+		resp.Applied = n.routes.ApplyAll(req.Events)
 		if summaryKey(n.routes.Summary()) == req.Key {
-			return wire.Response{OK: true, Applied: applied, Found: true}
+			resp.Found = true
+			return
 		}
-		return wire.Response{OK: true, Applied: applied, Events: n.routes.Diff(req.Events)}
+		resp.Events = n.routes.Diff(req.Events)
 
 	case wire.TLeaveSucc:
 		ls, err := n.layerFor(req.Layer)
 		if err != nil {
-			return wire.Errorf("%v", err)
+			resp.Err = err.Error()
+			return
 		}
 		if req.Peer.Addr != "" && req.Peer.Addr != n.addr {
 			ls.pred = req.Peer
 		} else {
 			ls.pred = wire.Peer{}
 		}
-		return wire.Response{OK: true}
+		resp.OK = true
 
 	case wire.TEvict:
 		ls, err := n.layerFor(req.Layer)
 		if err != nil {
-			return wire.Errorf("%v", err)
+			resp.Err = err.Error()
+			return
 		}
 		dead := req.Peer.Addr
 		if dead == "" || dead == n.addr {
-			return wire.Errorf("invalid eviction target %q", dead)
+			resp.Err = fmt.Sprintf("invalid eviction target %q", dead)
+			return
 		}
 		purgePeerLocked(ls, dead)
 		n.recordEvictLocked(req.Layer, dead)
-		return wire.Response{OK: true}
+		resp.OK = true
 
 	case wire.TLeavePred:
 		ls, err := n.layerFor(req.Layer)
 		if err != nil {
-			return wire.Errorf("%v", err)
+			resp.Err = err.Error()
+			return
 		}
 		list := make([]wire.Peer, 0, len(req.Peers))
 		for _, p := range req.Peers {
@@ -705,10 +694,10 @@ func (n *Node) handle(req wire.Request) wire.Response {
 			list = []wire.Peer{n.selfLocked()}
 		}
 		ls.succ = list
-		return wire.Response{OK: true}
+		resp.OK = true
 
 	default:
-		return wire.Errorf("unknown message type %v", req.Type)
+		resp.Err = fmt.Sprintf("unknown message type %v", req.Type)
 	}
 }
 
@@ -806,24 +795,28 @@ func (n *Node) recordEvictLocked(layer int, dead string) bool {
 // findClosestLocked is one iterative routing step in a layer (paper §3.2):
 // report ownership, ring-predecessor termination, or the closest preceding
 // finger toward the key.
-func (n *Node) findClosestLocked(req wire.Request) wire.Response {
+func (n *Node) findClosestLocked(req *wire.Request, resp *wire.Response) {
 	ls, err := n.layerFor(req.Layer)
 	if err != nil {
-		return wire.Errorf("%v", err)
+		resp.Err = err.Error()
+		return
 	}
 	key := id.ID(req.Key)
+	var owner bool
 	if req.Hierarchical {
 		// Destination check of the multi-layer procedure (paper §3.2): am
 		// I the key's owner in the GLOBAL ring? Only the first node of a
 		// layer walk can own the key, so this matches the oracle overlay's
 		// between-layer check exactly.
-		if n.ownsLocked(key) {
-			return wire.Response{OK: true, Next: n.selfLocked(), Done: true, Owner: true, Self: n.selfLocked()}
-		}
-	} else if ls.pred.Addr != "" && id.InOpenClosed(key, peerID(ls.pred), n.id) {
+		owner = n.ownsLocked(key)
+	} else {
 		// Ring-local shortcut for join-time walks: this node is the key's
 		// successor within the queried ring.
-		return wire.Response{OK: true, Next: n.selfLocked(), Done: true, Owner: true, Self: n.selfLocked()}
+		owner = ls.pred.Addr != "" && id.InOpenClosed(key, peerID(ls.pred), n.id)
+	}
+	if owner {
+		resp.OK, resp.Next, resp.Done, resp.Owner, resp.Self = true, n.selfLocked(), true, true, n.selfLocked()
+		return
 	}
 	// An eviction can purge the last entry of a joined node's lower-ring
 	// list; until the next stabilization round re-anchors or collapses
@@ -838,19 +831,20 @@ func (n *Node) findClosestLocked(req wire.Request) wire.Response {
 	case n.joined && req.Layer > 1:
 		succ0 = n.selfLocked()
 	default:
-		return wire.Errorf("layer %d not joined", req.Layer)
+		resp.Err = fmt.Sprintf("layer %d not joined", req.Layer)
+		return
 	}
+	resp.OK, resp.Next, resp.Self = true, succ0, n.selfLocked()
 	if id.InOpenClosed(key, n.id, peerID(succ0)) {
-		return wire.Response{OK: true, Next: succ0, Done: true, Self: n.selfLocked()}
+		resp.Done = true
+		return
 	}
 	// Closest preceding finger, falling back to the successor.
-	next := succ0
 	for k := id.Bits - 1; k >= 0; k-- {
-		f := ls.fingers[k]
-		if f.Addr != "" && f.Addr != n.addr && id.Between(peerID(f), n.id, key) {
-			next = f
-			break
+		f := &ls.fingers[k]
+		if f.Addr != "" && f.Addr != n.addr && id.Between(peerID(*f), n.id, key) {
+			resp.Next = *f
+			return
 		}
 	}
-	return wire.Response{OK: true, Next: next, Done: false, Self: n.selfLocked()}
 }

@@ -2,15 +2,19 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"repro/internal/lint/leakcheck"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/id"
+	"repro/internal/replica"
 	"repro/internal/wire"
 )
 
@@ -452,14 +456,103 @@ func TestHandledCounter(t *testing.T) {
 	}
 }
 
+// TestUnknownMessageRejected: a type no handler case answers, the
+// retired unversioned put and get included, draws "unknown message type".
 func TestUnknownMessageRejected(t *testing.T) {
 	nd, err := Start("127.0.0.1:0", Config{Depth: 1, CallTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nd.Close()
-	if _, err := wireCall(nd.Addr(), wire.Request{Type: 99}, time.Second); err == nil {
-		t.Error("unknown message type accepted")
+	for _, typ := range []wire.MsgType{99, wire.TPut, wire.TGet} {
+		_, err := wireCall(nd.Addr(), wire.Request{Type: typ, Name: "k", Value: []byte("v")}, time.Second)
+		var re *wire.RemoteError
+		if !errors.As(err, &re) || !strings.Contains(re.Msg, "unknown message type") {
+			t.Errorf("%v: %v, want an unknown-message-type refusal", typ, err)
+		}
+	}
+}
+
+// TestServeHeadOfLineMeasured: a session answers its requests one at a
+// time, in arrival order, so a ping that arrives while a ~1 MiB sync_pull
+// reply is being written waits for that write. The test pins the order —
+// the whole pull reply reaches the client before the ping's — and both
+// answers; the ping's wait is logged against an idle session's ping, never
+// gated (DESIGN §14 records it).
+func TestServeHeadOfLineMeasured(t *testing.T) {
+	leakcheck.Watchdog(t, 60*time.Second)
+	const items, valueBytes = 256, 4 << 10
+	batch := make([]wire.StoreItem, items)
+	for i := range batch {
+		batch[i] = wire.StoreItem{Key: fmt.Sprintf("hol-%d", i), Value: make([]byte, valueBytes), Version: 1, Writer: "w#1"}
+	}
+	buckets := make([]uint32, replica.DigestBuckets)
+	for i := range buckets {
+		buckets[i] = uint32(i)
+	}
+	pull := wire.Request{Type: wire.TSyncPull, Buckets: buckets} // Key == KeyHi: the whole ring
+
+	mem := wire.NewMemNet()
+	for _, tr := range []struct {
+		name  string
+		start func(t *testing.T, name string) *Node
+	}{
+		{"mem", func(t *testing.T, name string) *Node { return startMem(t, mem, name, Config{Depth: 1}) }},
+		{"tcp", func(t *testing.T, _ string) *Node {
+			n, err := Start("127.0.0.1:0", Config{Depth: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { n.Close() })
+			return n
+		}},
+	} {
+		t.Run(tr.name, func(t *testing.T) {
+			// a sends and b answers, so a's bytes in are b's replies.
+			a, b := tr.start(t, "a"), tr.start(t, "b")
+			read := func() float64 { return counterValue(t, a, "rpc_bytes_in_total") }
+			b.store.ApplyBatch(batch)
+			ctx := context.Background()
+
+			var idle time.Duration
+			for i := 0; i < 2; i++ { // the first ping opens the connection
+				start := time.Now()
+				if _, err := a.call(ctx, b.Addr(), wire.Request{Type: wire.TPing}); err != nil {
+					t.Fatal(err)
+				}
+				idle = time.Since(start)
+			}
+
+			type result struct {
+				resp wire.Response
+				err  error
+			}
+			pulled := make(chan result, 1)
+			handled, before := b.Handled(), read()
+			go func() {
+				resp, err := a.call(ctx, b.Addr(), pull)
+				pulled <- result{resp, err}
+			}()
+			// Once b has answered the pull, its reply is being written.
+			for b.Handled() == handled {
+				runtime.Gosched()
+			}
+			start := time.Now()
+			resp, err := a.call(ctx, b.Addr(), wire.Request{Type: wire.TPing})
+			behind := time.Since(start)
+			if err != nil || resp.Self.Addr != b.Addr() {
+				t.Fatalf("ping behind the pull: %+v, %v", resp.Self, err)
+			}
+			if got := read() - before; got < items*valueBytes {
+				t.Errorf("the ping's answer came back after %.0f B, before the %d B pull reply: answers left out of order", got, items*valueBytes)
+			}
+			r := <-pulled
+			if r.err != nil || len(r.resp.Items) != items {
+				t.Fatalf("sync_pull: %d items, %v; want %d", len(r.resp.Items), r.err, items)
+			}
+			t.Logf("%s: a ping behind a %d KiB sync_pull reply waited %v (a ping on an idle session: %v; a tenth of CallTimeout: %v)",
+				tr.name, items*valueBytes>>10, behind, idle, a.cfg.CallTimeout/10)
+		})
 	}
 }
 

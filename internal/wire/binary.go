@@ -176,79 +176,87 @@ func (Binary) AppendRequest(dst []byte, req *Request) ([]byte, error) {
 // payload.
 func (Binary) DecodeRequest(data []byte) (Request, error) {
 	var req Request
+	err := decodeRequest(data, &req)
+	return req, err
+}
+
+// decodeRequest decodes into *req, which the caller hands over zeroed: the
+// session loop decodes straight into its pooled record, so no Request is
+// copied on the reader's stack.
+func decodeRequest(data []byte, req *Request) error {
 	r := breader{b: data}
 	t, err := r.u8()
 	if err != nil {
-		return req, err
+		return err
 	}
 	req.Type = MsgType(t)
 	mask, err := r.uvarint()
 	if err != nil {
-		return req, err
+		return err
 	}
 	if mask&^uint64(rqKnown) != 0 {
-		return req, fmt.Errorf("wire: unknown request field bits %#x", mask&^uint64(rqKnown))
+		return fmt.Errorf("wire: unknown request field bits %#x", mask&^uint64(rqKnown))
 	}
 	if mask&rqLayer != 0 {
 		if req.Layer, err = r.vint(); err != nil {
-			return req, err
+			return err
 		}
 	}
 	if mask&rqKey != 0 {
 		if req.Key, err = r.id(); err != nil {
-			return req, err
+			return err
 		}
 	}
 	if mask&rqName != 0 {
 		if req.Name, err = r.str(); err != nil {
-			return req, err
+			return err
 		}
 	}
 	if mask&rqPeer != 0 {
 		if req.Peer, err = r.peer(); err != nil {
-			return req, err
+			return err
 		}
 	}
 	if mask&rqPeers != 0 {
 		if req.Peers, err = r.peers(); err != nil {
-			return req, err
+			return err
 		}
 	}
 	if mask&rqTable != 0 {
 		if req.Table, err = r.table(); err != nil {
-			return req, err
+			return err
 		}
 	}
 	if mask&rqValue != 0 {
 		if req.Value, err = r.blob(); err != nil {
-			return req, err
+			return err
 		}
 	}
 	if mask&rqItems != 0 {
 		if req.Items, err = r.items(); err != nil {
-			return req, err
+			return err
 		}
 	}
 	if mask&rqKeyHi != 0 {
 		if req.KeyHi, err = r.id(); err != nil {
-			return req, err
+			return err
 		}
 	}
 	if mask&rqBuckets != 0 {
 		if req.Buckets, err = r.buckets(); err != nil {
-			return req, err
+			return err
 		}
 	}
 	if mask&rqEvents != 0 {
 		if req.Events, err = r.events(); err != nil {
-			return req, err
+			return err
 		}
 	}
 	req.Hierarchical = mask&rqHierarchical != 0
 	if r.off != len(r.b) {
-		return req, errTrailing
+		return errTrailing
 	}
-	return req, nil
+	return nil
 }
 
 // AppendResponse appends one encoded response envelope to dst.

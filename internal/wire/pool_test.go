@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"repro/internal/lint/leakcheck"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,6 +35,58 @@ func servePool(t *testing.T, mn *MemNet, name string, h Handler) *int32 {
 		}
 	}()
 	return accepts
+}
+
+// serveEachConcurrently is servePool for a server that answers every
+// request on a goroutine of its own, so responses leave in completion
+// order. Serve answers in arrival order, but the Pool must hold its
+// contract against any peer; the tests whose handlers block on purpose,
+// to keep exchanges in flight on one connection, run against this one.
+func serveEachConcurrently(t *testing.T, mn *MemNet, name string, h Handler) *int32 {
+	t.Helper()
+	ln, err := mn.Listen(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	accepts := new(int32)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			atomic.AddInt32(accepts, 1)
+			go serveConcurrently(conn, h)
+		}
+	}()
+	return accepts
+}
+
+func serveConcurrently(conn net.Conn, h Handler) {
+	defer conn.Close()
+	if readPreamble(conn) != nil {
+		return
+	}
+	var wmu sync.Mutex
+	hdr := new([frameHeader]byte)
+	for {
+		pb, payload, tag, err := readFrame(conn, hdr)
+		if err != nil {
+			return
+		}
+		req, err := Binary{}.DecodeRequest(payload)
+		putFrameBuf(pb)
+		if err != nil {
+			return
+		}
+		go func() {
+			resp := h(req)
+			wmu.Lock()
+			defer wmu.Unlock()
+			_ = writeFrame(conn, tag, &resp, DefaultTimeout)
+		}()
+	}
 }
 
 func poolCall(p *Pool, addr string, req Request, timeout time.Duration) (Response, error) {
@@ -107,7 +160,7 @@ func TestPoolPipelinesOutOfOrder(t *testing.T) {
 	leakcheck.Watchdog(t, 30*time.Second)
 	mn := NewMemNet()
 	release := make(chan struct{})
-	accepts := servePool(t, mn, "peer", func(req Request) Response {
+	accepts := serveEachConcurrently(t, mn, "peer", func(req Request) Response {
 		if req.Name == "slow" {
 			<-release
 		}
@@ -183,7 +236,7 @@ func TestPoolCancelAbandonsOneExchange(t *testing.T) {
 	leakcheck.Watchdog(t, 30*time.Second)
 	mn := NewMemNet()
 	release := make(chan struct{})
-	servePool(t, mn, "peer", func(req Request) Response {
+	serveEachConcurrently(t, mn, "peer", func(req Request) Response {
 		if req.Name == "stuck" {
 			<-release
 		}
@@ -450,7 +503,7 @@ func TestPoolAttemptDeadlineTimesOutLikeCtx(t *testing.T) {
 	leakcheck.Watchdog(t, 30*time.Second)
 	mn := NewMemNet()
 	release := make(chan struct{})
-	servePool(t, mn, "peer", func(req Request) Response {
+	serveEachConcurrently(t, mn, "peer", func(req Request) Response {
 		if req.Name == "stuck" {
 			<-release
 		}
@@ -508,7 +561,7 @@ func TestPoolOneConnectionPerPeer(t *testing.T) {
 	mn := NewMemNet()
 	var arrived atomic.Int32
 	all := make(chan struct{})
-	accepts := servePool(t, mn, "peer", func(req Request) Response {
+	accepts := serveEachConcurrently(t, mn, "peer", func(req Request) Response {
 		if req.Type == TPing {
 			return Response{OK: true}
 		}

@@ -53,7 +53,7 @@ func recvErr(addr string) error {
 }
 
 func TestTypedErrors(t *testing.T) {
-	addr := echoServer(t, func(req Request) Response { return Errorf("nope") })
+	addr := echoServer(t, func(req Request) Response { return Response{Err: "nope"} })
 	_, err := callT(addr, Request{Type: TGet, Name: "x"}, 2*time.Second)
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Type != TGet || !strings.Contains(re.Msg, "nope") {
@@ -311,11 +311,10 @@ func TestWriteFrameStalledReader(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	var wmu sync.Mutex
 	done := make(chan error, 1)
 	go func() {
 		resp := Response{OK: true, Value: make([]byte, 1<<20)}
-		done <- writeFrame(server, &wmu, 1, &resp, 200*time.Millisecond)
+		done <- writeFrame(server, 1, &resp, 200*time.Millisecond)
 	}()
 	select {
 	case err := <-done:

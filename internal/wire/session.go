@@ -50,12 +50,11 @@ func readPreamble(r io.Reader) error {
 	return nil
 }
 
-// Handler answers one decoded request. Handlers run on per-request
-// goroutines and must not block on other RPCs to the same caller; the
-// transport layer's handlers are pure local state transitions.
+// Handler answers one decoded request by value: the form tests and
+// harnesses write, which ServeConn adapts onto Serve.
 type Handler func(req Request) Response
 
-// ServeOptions configures one server-side session (see ServeConn).
+// ServeOptions configures one server-side session (see Serve).
 type ServeOptions struct {
 	// WriteTimeout bounds each response write. The deadline is re-armed
 	// from the current time for every frame, so it never accumulates
@@ -73,14 +72,30 @@ type ServeOptions struct {
 // will transparently redial).
 const idleTimeout = 2 * time.Minute
 
-// ServeConn runs one server-side session to completion: it reads the
-// preamble, then serves framed requests — each on its own goroutine, so
-// pipelined requests overlap and responses return in completion order,
-// matched to their request by tag. It closes conn and waits for all
-// in-flight handlers before returning. The returned error is nil for a
-// clean shutdown (peer closed or idle timeout after a quiet period) and
-// describes the protocol or I/O failure otherwise.
+// ServeConn is Serve for a by-value Handler.
 func ServeConn(conn net.Conn, h Handler, o ServeOptions) error {
+	return Serve(conn, func(req *Request, resp *Response) { *resp = h(*req) }, o)
+}
+
+// Serve runs one server-side session to completion on the calling
+// goroutine: it reads the preamble, then answers framed requests one at a
+// time — read a frame, decode it, run h, write the response, and only
+// then read the next. Responses therefore leave in arrival order (the
+// client still matches them by tag), and a session is one goroutine
+// whatever its client sends: a flood is held back by the transport, since
+// the reader stops reading, not queued.
+//
+// The handler contract: h runs on the session's reader, so it must not
+// block — no outgoing RPC, no wait on another request. It fills *resp,
+// which it finds zeroed, from *req. It may keep what the fields of *req
+// reference (decoded values own their memory) but not req or resp, whose
+// pooled record is reused once h returns.
+//
+// Serve closes conn before returning. The returned error is nil for a
+// clean shutdown (peer closed between frames) and describes the protocol
+// or I/O failure otherwise — a failed response write included, since a
+// frame cut off part-way would misalign every frame after it.
+func Serve(conn net.Conn, h func(req *Request, resp *Response), o ServeOptions) error {
 	defer conn.Close()
 	wt := o.WriteTimeout
 	if wt <= 0 {
@@ -100,89 +115,70 @@ func ServeConn(conn net.Conn, h Handler, o ServeOptions) error {
 		return err
 	}
 
-	s := &session{conn: conn, handler: h, observe: o.Observe, writeTimeout: wt}
-	defer s.wg.Wait()
-
+	if err := conn.SetReadDeadline(time.Now().Add(idleTimeout)); err != nil {
+		return err
+	}
+	hdr := new([frameHeader]byte) // on the heap once: it crosses io.Reader
 	for {
-		if err := conn.SetReadDeadline(time.Now().Add(idleTimeout)); err != nil {
-			return err
-		}
-		pb, payload, tag, rerr := readFrame(conn, &s.hdr)
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
+		pb, payload, tag, err := readFrame(conn, hdr)
+		if err != nil {
+			if errors.Is(err, io.EOF) {
 				return nil // peer closed between frames: clean shutdown
 			}
-			return rerr
+			return err
 		}
+		// The idle wait for the next frame is armed before this one is
+		// answered: the peer may close the moment it has its answer, and a
+		// closed pipe refuses a deadline.
+		err = conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		x := servedPool.Get().(*served)
-		var derr error
-		x.req, derr = (Binary{}).DecodeRequest(payload)
-		putFrameBuf(pb)
-		if derr != nil {
-			// Framing survives a bad payload, but a client whose encoder
-			// disagrees with ours is not worth keeping: drop the session.
-			return fmt.Errorf("wire: decoding request frame: %w", derr)
+		if err == nil {
+			if err = decodeRequest(payload, &x.req); err != nil {
+				// Framing survives a bad payload, but a client whose encoder
+				// disagrees with ours is not worth keeping: drop the session.
+				err = fmt.Errorf("wire: decoding request frame: %w", err)
+			}
 		}
-		x.s, x.tag = s, tag
-		s.wg.Add(1)
-		go x.serve()
+		putFrameBuf(pb)
+		if err == nil {
+			h(&x.req, &x.resp)
+			if o.Observe != nil {
+				o.Observe(x.req.Type, x.resp.OK)
+			}
+			err = writeFrame(conn, tag, &x.resp, wt)
+		}
+		*x = served{} // the pool keeps none of the request's or response's memory alive
+		servedPool.Put(x)
+		if err != nil {
+			return err
+		}
 	}
 }
 
-// session is what one ServeConn shares with its per-request goroutines.
-type session struct {
-	conn         net.Conn
-	handler      Handler
-	observe      func(t MsgType, ok bool)
-	writeTimeout time.Duration
-	wmu          sync.Mutex // serializes response frames
-	wg           sync.WaitGroup
-	hdr          [frameHeader]byte // the ServeConn loop's frame header
-}
-
-// served is the server's record of one in-flight request: everything
-// its goroutine needs, so starting it copies a pointer instead of a
-// Request, and the response is encoded from memory that is already on
-// the heap. The goroutine is the record's only holder and pools it when
-// it is done.
+// served is the record one request is decoded into and answered from.
+// Records are pooled per request, never per session: a parked session
+// holds none, and the reader's stack holds pointers, not a 432 B Request
+// and a 576 B Response.
 type served struct {
-	s    *session
-	tag  uint64
 	req  Request
 	resp Response
 }
 
 var servedPool = sync.Pool{New: func() interface{} { return new(served) }}
 
-// serve answers the request and returns the record to the pool.
-func (x *served) serve() {
-	s := x.s
-	defer s.wg.Done()
-	x.resp = s.handler(x.req)
-	if s.observe != nil {
-		s.observe(x.req.Type, x.resp.OK)
-	}
-	writeFrame(s.conn, &s.wmu, x.tag, &x.resp, s.writeTimeout)
-	*x = served{} // the pool keeps none of the request's or response's memory alive
-	servedPool.Put(x)
-}
-
-// writeFrame encodes resp and writes it as one tagged frame. Encoding
-// happens outside the write lock; the write deadline is re-armed per
-// frame (never accumulated) while the lock is held, so one slow reader
-// cannot extend another response's budget.
-func writeFrame(conn net.Conn, wmu *sync.Mutex, tag uint64, resp *Response, timeout time.Duration) error {
+// writeFrame encodes resp and writes it as one tagged frame. The write
+// deadline is re-armed per frame, never accumulated. The caller
+// serializes writes to conn; a session has one writer, its reader.
+func writeFrame(conn net.Conn, tag uint64, resp *Response, timeout time.Duration) error {
 	pb := getFrameBuf()
 	buf := append((*pb)[:0], frameHole[:]...)
 	buf, err := Binary{}.AppendResponse(buf, resp)
 	if err == nil {
 		putFrameHeader(buf, tag)
-		wmu.Lock()
 		err = conn.SetWriteDeadline(time.Now().Add(timeout))
 		if err == nil {
 			_, err = conn.Write(buf)
 		}
-		wmu.Unlock()
 	}
 	*pb = buf
 	putFrameBuf(pb)

@@ -6,6 +6,10 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -61,6 +65,103 @@ func TestServeConnBoundsPreambleWait(t *testing.T) {
 	}
 	if n := handled.Load(); n != 0 {
 		t.Errorf("handler ran %d times for a peer that sent nothing", n)
+	}
+}
+
+// TestServeConnEndsOnFailedWrite pins that a response write that fails
+// ends the session. On TCP a write that times out part-way leaves half a
+// frame on the stream, and every frame after it would be misread. A client
+// that sends one request and never reads has its session end once the
+// write timeout fires, not after the idle timeout.
+func TestServeConnEndsOnFailedWrite(t *testing.T) {
+	leakcheck.Watchdog(t, 30*time.Second)
+	mn := NewMemNet()
+	result, handled := serveOne(t, mn, ServeOptions{WriteTimeout: 100 * time.Millisecond})
+	conn, err := mn.Dial("peer", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame := append(append([]byte(nil), preamble[:]...), frameHole[:]...)
+	if frame, err = (Binary{}).AppendRequest(frame, &Request{Type: TPing}); err != nil {
+		t.Fatal(err)
+	}
+	putFrameHeader(frame[preambleLen:], 1)
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-result:
+		if err == nil {
+			t.Error("ServeConn = nil after its response write failed, want the write's error")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("session still open 5s after its response write failed")
+	}
+	if n := handled.Load(); n != 1 {
+		t.Errorf("handler ran %d times, want 1", n)
+	}
+}
+
+// goroutineID is the running goroutine's number, as its stack trace
+// names it ("goroutine 42 [running]:").
+func goroutineID() string {
+	var buf [32]byte
+	n := runtime.Stack(buf[:], false)
+	return strings.Fields(string(buf[:n]))[1]
+}
+
+// TestServeFloodBounded pins what answering on the reader buys: however
+// many requests one client has in flight on a session, the server runs
+// one handler at a time, always on the same goroutine — the session's
+// reader — so a flood is held back by the transport instead of growing
+// goroutines or a queue, and every caller still gets its own answer.
+func TestServeFloodBounded(t *testing.T) {
+	leakcheck.Watchdog(t, 2*time.Minute)
+	mn := NewMemNet()
+	var inFlight, peak atomic.Int32
+	var mu sync.Mutex
+	runners := map[string]int{} // goroutine -> requests it answered
+	accepts := servePool(t, mn, "peer", func(req Request) Response {
+		if n := inFlight.Add(1); n > peak.Load() {
+			peak.Store(n) // a race only when the bound is already broken
+		}
+		mu.Lock()
+		runners[goroutineID()]++
+		mu.Unlock()
+		inFlight.Add(-1)
+		return Response{OK: true, Err: req.Name}
+	})
+	p := NewPool(PoolOptions{Dial: mn.Dial})
+	defer p.Close()
+
+	start := make(chan struct{})
+	errs := make(chan error, floodCallers)
+	for i := 0; i < floodCallers; i++ {
+		name := strconv.Itoa(i)
+		go func() {
+			<-start
+			resp, err := poolCall(p, "peer", Request{Type: TGet, Name: name}, time.Minute)
+			if err == nil && resp.Err != name {
+				err = fmt.Errorf("call %s answered with %q", name, resp.Err)
+			}
+			errs <- err
+		}()
+	}
+	close(start)
+	for i := 0; i < floodCallers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := atomic.LoadInt32(accepts); n != 1 {
+		t.Errorf("%d calls opened %d connections, want 1", floodCallers, n)
+	}
+	if n := peak.Load(); n != 1 {
+		t.Errorf("%d handlers ran at once on one session, want 1", n)
+	}
+	if len(runners) != 1 {
+		t.Errorf("%d calls were answered on %d goroutines, want 1 (the session's reader)", floodCallers, len(runners))
 	}
 }
 

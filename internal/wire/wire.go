@@ -10,7 +10,7 @@
 //
 // The call surface is context-first: deadlines and cancellation flow
 // from the caller through Caller.Call(ctx, addr, req) instead of fixed
-// per-dial timeouts. Pool provides the client, ServeConn the server.
+// per-dial timeouts. Pool provides the client, Serve the server.
 package wire
 
 import (
@@ -324,8 +324,3 @@ func tcpDial(addr string, timeout time.Duration) (net.Conn, error) {
 // frameHole reserves header space in an encode buffer; putFrameHeader
 // fills it once the payload length is known.
 var frameHole [frameHeader]byte
-
-// Errorf builds a failed response.
-func Errorf(format string, args ...interface{}) Response {
-	return Response{OK: false, Err: fmt.Sprintf(format, args...)}
-}

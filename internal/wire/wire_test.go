@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -37,7 +38,7 @@ func callT(addr string, req Request, timeout time.Duration) (Response, error) {
 func TestCallRoundTrip(t *testing.T) {
 	addr := echoServer(t, func(req Request) Response {
 		if req.Type != TPut || req.Name != "k" || string(req.Value) != "v" {
-			return Errorf("unexpected request %v", req.Type)
+			return Response{Err: fmt.Sprintf("unexpected request %v", req.Type)}
 		}
 		return Response{OK: true, Value: []byte("stored")}
 	})
@@ -52,7 +53,7 @@ func TestCallRoundTrip(t *testing.T) {
 
 func TestCallRemoteError(t *testing.T) {
 	addr := echoServer(t, func(req Request) Response {
-		return Errorf("boom %d", 42)
+		return Response{Err: fmt.Sprintf("boom %d", 42)}
 	})
 	_, err := callT(addr, Request{Type: TGet, Name: "x"}, 2*time.Second)
 	var re *RemoteError
