@@ -11,7 +11,9 @@
 //   - Vec label values are bounded: literals/constants, enum-type
 //     conversions, strconv.Itoa, or String() methods. Raw string
 //     variables (peer addresses, keys) and fmt.Sprint* make label
-//     cardinality unbounded and memory growth linear in traffic.
+//     cardinality unbounded and memory growth linear in traffic. The
+//     same holds for the elements of a literal value set handed to
+//     NewCounterEnum, whose set is otherwise fixed at registration.
 //
 // The pass matches the metrics package by NAME, so fixtures can ship a
 // miniature stand-in with their own KnownMetricNames.
@@ -38,7 +40,7 @@ var Analyzer = &analysis.Analyzer{
 // is a metric name.
 var registerMethods = map[string]bool{
 	"NewCounter": true, "NewGauge": true, "NewHistogram": true,
-	"NewCounterVec": true, "NewCounterFunc": true,
+	"NewCounterVec": true, "NewCounterFunc": true, "NewCounterEnum": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -87,6 +89,13 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, inInit bool) {
 	switch {
 	case registerMethods[fn.Name()] && analysis.NamedFromPkg(recv.Type(), "metrics", "Registry"):
 		checkRegistration(pass, call, fn, inInit)
+		if fn.Name() == "NewCounterEnum" && len(call.Args) == 4 {
+			if lit, ok := ast.Unparen(call.Args[3]).(*ast.CompositeLit); ok {
+				for _, elt := range lit.Elts {
+					checkLabelValue(pass, elt)
+				}
+			}
+		}
 	case fn.Name() == "With" && analysis.NamedFromPkg(recv.Type(), "metrics", "CounterVec"):
 		if len(call.Args) > 0 {
 			checkLabelValue(pass, call.Args[0])

@@ -35,6 +35,23 @@ func NewTypo(reg *metrics.Registry) {
 	reg.NewCounter("antientropy_round_total", "h") // want `unknown metric name "antientropy_round_total"`
 }
 
+// An enumerated family is a registration like any other; its value set
+// is fixed here, and a literal set's elements must be bounded.
+var layers = []string{"1", "2"}
+
+func NewEnums(reg *metrics.Registry, addr string) {
+	reg.NewCounterEnum("hops_total", "h", "layer", layers)
+	reg.NewCounterEnum("good_total", "h", "kind", []string{"static", kindName})
+	reg.NewCounterEnum("goood_total", "h", "layer", layers)        // want `unknown metric name "goood_total"`
+	reg.NewCounterEnum("queue_depth", "h", "peer", []string{addr}) // want `label value addr is not obviously bounded`
+}
+
+const kindName = "k"
+
+func (t *thing) lateEnum(reg *metrics.Registry) {
+	reg.NewCounterEnum("hops_total", "h", "layer", layers) // want `metric registered outside an init path`
+}
+
 // A dynamic name can't be checked at all.
 func NewDyn(reg *metrics.Registry, name string) {
 	reg.NewCounter(name, "h") // want `metric name must be a compile-time constant`

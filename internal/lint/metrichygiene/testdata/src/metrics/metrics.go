@@ -32,6 +32,9 @@ func (*Registry) NewCounterVec(name, help string, labelNames ...string) *Counter
 	return &CounterVec{}
 }
 func (*Registry) NewCounterFunc(name, help string, fn func() float64, labels ...Label) {}
+func (*Registry) NewCounterEnum(name, help, label string, values []string) *CounterVec {
+	return &CounterVec{}
+}
 
 const KnownMetricNames = `
 antientropy_rounds_total

@@ -3,13 +3,19 @@
 // named Counter, Gauge and fixed-bucket Histogram metrics with optional
 // labels, exposed in the Prometheus text format. Update paths are
 // lock-free (sync/atomic); labelled metrics hand out pre-curried children
-// so hot paths never touch a map.
+// so hot paths never search for one.
 //
 // The paper's headline claims are distributional (lower-layer hop share,
 // per-layer link latency), so the registry is built around exactly the
 // shapes those claims need: per-label counters (hops_total{layer="2"}),
 // latency histograms, and callback metrics that surface counters other
 // subsystems already maintain (cache hits/misses).
+//
+// Every live node owns a registry, so what a registry holds is paid once
+// per node: an unlabelled metric is one allocation (its value lives in
+// its family record), a histogram shares its caller's bucket bounds, a
+// labelled family keeps its children in one slice, and a rendered label
+// set is stored once per process whichever registries use it.
 package metrics
 
 import (
@@ -69,23 +75,20 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // upper bounds; observations above the last bound land in an implicit
 // +Inf overflow bucket. Observe is lock-free.
 type Histogram struct {
-	uppers  []float64
+	uppers  []float64       // the registering caller's bounds, shared, never written
 	counts  []atomic.Uint64 // len(uppers)+1; last = overflow
 	sumBits atomic.Uint64
 }
 
-func newHistogram(buckets []float64) (*Histogram, error) {
+func checkBuckets(buckets []float64) {
 	if len(buckets) == 0 {
-		return nil, fmt.Errorf("metrics: histogram needs at least one bucket")
+		panic("metrics: histogram needs at least one bucket")
 	}
 	for i := 1; i < len(buckets); i++ {
 		if buckets[i] <= buckets[i-1] {
-			return nil, fmt.Errorf("metrics: histogram buckets must ascend, got %v", buckets)
+			panic(fmt.Sprintf("metrics: histogram buckets must ascend, got %v", buckets))
 		}
 	}
-	up := make([]float64, len(buckets))
-	copy(up, buckets)
-	return &Histogram{uppers: up, counts: make([]atomic.Uint64, len(up)+1)}, nil
 }
 
 // Observe records one observation.
@@ -142,34 +145,106 @@ type Label struct {
 	Name, Value string
 }
 
-// child is one labelled instance within a family.
-type child struct {
+// family is one registered metric name. Each kind of metric is its own
+// record type, holding its value (or its children) inline.
+type family interface {
+	describe() *desc
+	typ() string
+	// samples writes the family's sample lines, children in label order.
+	samples(w io.Writer) error
+}
+
+// desc is what every family has: the name it is exposed and indexed
+// under, and its HELP text.
+type desc struct {
+	name, help string
+}
+
+func (d *desc) describe() *desc { return d }
+
+type counterFamily struct {
+	desc
+	c Counter
+}
+
+func (*counterFamily) typ() string { return "counter" }
+
+func (f *counterFamily) samples(w io.Writer) error {
+	_, err := fmt.Fprintf(w, "%s %d\n", f.name, f.c.Value())
+	return err
+}
+
+type gaugeFamily struct {
+	desc
+	g Gauge
+}
+
+func (*gaugeFamily) typ() string { return "gauge" }
+
+func (f *gaugeFamily) samples(w io.Writer) error {
+	_, err := fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.g.Value()))
+	return err
+}
+
+type histogramFamily struct {
+	desc
+	h Histogram
+}
+
+func (*histogramFamily) typ() string { return "histogram" }
+
+func (f *histogramFamily) samples(w io.Writer) error {
+	s := f.h.Snapshot()
+	var cum uint64
+	for i, cnt := range s.Counts {
+		cum += cnt
+		upper := math.Inf(1)
+		if i < len(s.Uppers) {
+			upper = s.Uppers[i]
+		}
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", f.name, formatFloat(upper), cum); err != nil {
+			return err
+		}
+	}
+	if _, err := fmt.Fprintf(w, "%s_sum %s\n", f.name, formatFloat(s.Sum)); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(w, "%s_count %d\n", f.name, s.Count)
+	return err
+}
+
+// funcFamily holds the callback counters registered under one name, one
+// per label set.
+type funcFamily struct {
+	desc
+	labelNames int // label count every child must have
+
+	mu   sync.Mutex
+	kids []funcChild
+}
+
+type funcChild struct {
 	labels string // rendered `k="v",k2="v2"` (no braces), "" when unlabelled
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
 	fn     func() float64
 }
 
-// family groups all children sharing one metric name.
-type family struct {
-	name, help, typ string
-	labelNames      []string  // for vecs; nil for plain metrics
-	buckets         []float64 // for histogram vecs
+func (*funcFamily) typ() string { return "counter" }
 
-	mu       sync.RWMutex
-	children map[string]*child
-}
-
-func (f *family) sortedChildren() []*child {
-	f.mu.RLock()
-	out := make([]*child, 0, len(f.children))
-	for _, c := range f.children {
-		out = append(out, c)
+func (f *funcFamily) samples(w io.Writer) error {
+	f.mu.Lock()
+	kids := append([]funcChild(nil), f.kids...)
+	f.mu.Unlock()
+	sort.Slice(kids, func(a, b int) bool { return kids[a].labels < kids[b].labels })
+	for _, k := range kids {
+		labels := k.labels
+		if labels != "" {
+			labels = "{" + labels + "}"
+		}
+		if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, labels, formatFloat(k.fn())); err != nil {
+			return err
+		}
 	}
-	f.mu.RUnlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].labels < out[b].labels })
-	return out
+	return nil
 }
 
 // Registry holds named metric families. All registration methods panic on
@@ -177,13 +252,11 @@ func (f *family) sortedChildren() []*child {
 // so a clash is a programming error, not a runtime condition.
 type Registry struct {
 	mu       sync.RWMutex
-	families map[string]*family
+	families []family // sorted by name
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 func validName(s string) bool {
 	if s == "" {
@@ -198,7 +271,7 @@ func validName(s string) bool {
 	return true
 }
 
-func (r *Registry) register(name, help, typ string, labelNames []string, buckets []float64) *family {
+func checkNames(name string, labelNames []string) {
 	if !validName(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
@@ -207,18 +280,32 @@ func (r *Registry) register(name, help, typ string, labelNames []string, buckets
 			panic(fmt.Sprintf("metrics: invalid label name %q on %q", l, name))
 		}
 	}
+}
+
+// search returns the index name has, or would have, in r.families.
+// Callers hold r.mu.
+func (r *Registry) search(name string) (int, bool) {
+	i := sort.Search(len(r.families), func(i int) bool { return r.families[i].describe().name >= name })
+	return i, i < len(r.families) && r.families[i].describe().name == name
+}
+
+// register indexes f under its name, once the name and its label names
+// are checked.
+func (r *Registry) register(f family, labelNames ...string) {
+	checkNames(f.describe().name, labelNames)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.families[name]; dup {
-		panic(fmt.Sprintf("metrics: metric %q registered twice", name))
+	r.insertLocked(f)
+}
+
+func (r *Registry) insertLocked(f family) {
+	i, dup := r.search(f.describe().name)
+	if dup {
+		panic(fmt.Sprintf("metrics: metric %q registered twice", f.describe().name))
 	}
-	f := &family{
-		name: name, help: help, typ: typ,
-		labelNames: labelNames, buckets: buckets,
-		children: make(map[string]*child),
-	}
-	r.families[name] = f
-	return f
+	r.families = append(r.families, nil)
+	copy(r.families[i+1:], r.families[i:])
+	r.families[i] = f
 }
 
 func escapeLabel(v string) string {
@@ -238,32 +325,49 @@ func renderLabels(names, values []string) string {
 	return b.String()
 }
 
+// rendered holds every label set any registry has rendered, so a child
+// stores a shared string: a thousand nodes counting rpc_errors_total by
+// the same types keep one copy of each label set, not a thousand. It is
+// bounded by the label cardinality that metrichygiene bounds.
+var rendered = struct {
+	sync.Mutex
+	m map[string]string
+}{m: map[string]string{}}
+
+func internLabels(s string) string {
+	rendered.Lock()
+	defer rendered.Unlock()
+	if c, ok := rendered.m[s]; ok {
+		return c
+	}
+	rendered.m[s] = s
+	return s
+}
+
 // NewCounter registers and returns an unlabelled counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
-	f := r.register(name, help, "counter", nil, nil)
-	c := &Counter{}
-	f.children[""] = &child{c: c}
-	return c
+	f := &counterFamily{desc: desc{name, help}}
+	r.register(f)
+	return &f.c
 }
 
 // NewGauge registers and returns an unlabelled gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
-	f := r.register(name, help, "gauge", nil, nil)
-	g := &Gauge{}
-	f.children[""] = &child{g: g}
-	return g
+	f := &gaugeFamily{desc: desc{name, help}}
+	r.register(f)
+	return &f.g
 }
 
 // NewHistogram registers and returns an unlabelled histogram with the
-// given ascending bucket upper bounds.
+// given ascending bucket upper bounds. The histogram keeps buckets, not a
+// copy, so the caller must not modify it afterwards: pass a package-level
+// slice such as DefLatencyBuckets.
 func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	h, err := newHistogram(buckets)
-	if err != nil {
-		panic(err.Error())
-	}
-	f := r.register(name, help, "histogram", nil, nil)
-	f.children[""] = &child{h: h}
-	return h
+	checkBuckets(buckets)
+	f := &histogramFamily{desc: desc{name, help}}
+	f.h.uppers, f.h.counts = buckets, make([]atomic.Uint64, len(buckets)+1)
+	r.register(f)
+	return &f.h
 }
 
 // NewCounterFunc registers a counter whose value is produced by fn at
@@ -278,78 +382,122 @@ func (r *Registry) NewCounterFunc(name, help string, fn func() float64, labels .
 	for i, l := range labels {
 		names[i], values[i] = l.Name, l.Value
 	}
-	r.mu.RLock()
-	f := r.families[name]
-	r.mu.RUnlock()
-	if f == nil {
-		f = r.register(name, help, "counter", names, nil)
-	} else if f.typ != "counter" || len(f.labelNames) != len(names) {
+	checkNames(name, names)
+	key := internLabels(renderLabels(names, values))
+	r.mu.Lock()
+	var f *funcFamily
+	if i, ok := r.search(name); !ok {
+		f = &funcFamily{desc: desc{name, help}, labelNames: len(names)}
+		r.insertLocked(f)
+	} else if f, ok = r.families[i].(*funcFamily); !ok || f.labelNames != len(names) {
+		r.mu.Unlock()
 		panic(fmt.Sprintf("metrics: callback metric %q re-registered with a different shape", name))
 	}
-	key := renderLabels(names, values)
+	r.mu.Unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, dup := f.children[key]; dup {
-		panic(fmt.Sprintf("metrics: metric %q{%s} registered twice", name, key))
+	for _, k := range f.kids {
+		if k.labels == key {
+			panic(fmt.Sprintf("metrics: metric %q{%s} registered twice", name, key))
+		}
 	}
-	f.children[key] = &child{labels: key, fn: fn}
+	f.kids = append(f.kids, funcChild{labels: key, fn: fn})
 }
 
 // CounterVec is a counter family keyed by label values.
-type CounterVec struct{ f *family }
+type CounterVec struct {
+	desc
+	labelNames []string
+	// values and enum are the children fixed at registration by
+	// NewCounterEnum: enum[i] counts values[i]. values is the caller's
+	// slice, shared, never written.
+	values []string
+	enum   []Counter
+
+	mu   sync.Mutex
+	kids []*vecChild // children With created on first use
+}
+
+type vecChild struct {
+	labels string // rendered, shared process-wide (see internLabels)
+	c      Counter
+}
 
 // NewCounterVec registers a labelled counter family.
 func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *CounterVec {
 	if len(labelNames) == 0 {
 		panic(fmt.Sprintf("metrics: counter vec %q needs at least one label", name))
 	}
-	return &CounterVec{f: r.register(name, help, "counter", labelNames, nil)}
+	v := &CounterVec{desc: desc{name, help}, labelNames: labelNames}
+	r.register(v, labelNames...)
+	return v
 }
+
+// NewCounterEnum registers a one-label counter family whose label values
+// are enumerated up front — one child per value, created now and held in
+// one slice, At(i) being values[i]'s. values is kept, not copied: pass a
+// package-level slice, which every registry then shares. With still
+// accepts a value outside the set, as a child of its own.
+func (r *Registry) NewCounterEnum(name, help, label string, values []string) *CounterVec {
+	v := &CounterVec{desc: desc{name, help}, labelNames: []string{label}, values: values, enum: make([]Counter, len(values))}
+	r.register(v, label)
+	return v
+}
+
+func (*CounterVec) typ() string { return "counter" }
+
+// At returns the child of the i-th value NewCounterEnum enumerated.
+func (v *CounterVec) At(i int) *Counter { return &v.enum[i] }
 
 // With returns the pre-curried child for the given label values, creating
 // it on first use. Callers on hot paths should call With once and keep
 // the child.
 func (v *CounterVec) With(values ...string) *Counter {
-	c := v.f.lookup(values)
-	if c.c == nil {
-		panic(fmt.Sprintf("metrics: %q is not a counter", v.f.name))
+	if len(values) != len(v.labelNames) {
+		panic(fmt.Sprintf("metrics: %q wants %d label values, got %d",
+			v.name, len(v.labelNames), len(values)))
 	}
-	return c.c
+	if len(values) == 1 {
+		for i, e := range v.values {
+			if e == values[0] {
+				return &v.enum[i]
+			}
+		}
+	}
+	key := renderLabels(v.labelNames, values)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for _, k := range v.kids {
+		if k.labels == key {
+			return &k.c
+		}
+	}
+	k := &vecChild{labels: internLabels(key)}
+	v.kids = append(v.kids, k)
+	return &k.c
 }
 
-// lookup finds or creates the child for the given label values.
-func (f *family) lookup(values []string) *child {
-	if len(values) != len(f.labelNames) {
-		panic(fmt.Sprintf("metrics: %q wants %d label values, got %d",
-			f.name, len(f.labelNames), len(values)))
+func (v *CounterVec) samples(w io.Writer) error {
+	type sample struct {
+		labels string
+		value  uint64
 	}
-	key := renderLabels(f.labelNames, values)
-	f.mu.RLock()
-	c := f.children[key]
-	f.mu.RUnlock()
-	if c != nil {
-		return c
+	var out []sample
+	for i := range v.values {
+		out = append(out, sample{renderLabels(v.labelNames, v.values[i:i+1]), v.enum[i].Value()})
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c = f.children[key]; c != nil {
-		return c
+	v.mu.Lock()
+	for _, k := range v.kids {
+		out = append(out, sample{k.labels, k.c.Value()})
 	}
-	c = &child{labels: key}
-	switch f.typ {
-	case "counter":
-		c.c = &Counter{}
-	case "gauge":
-		c.g = &Gauge{}
-	case "histogram":
-		h, err := newHistogram(f.buckets)
-		if err != nil {
-			panic(err.Error())
+	v.mu.Unlock()
+	sort.Slice(out, func(a, b int) bool { return out[a].labels < out[b].labels })
+	for _, s := range out {
+		if _, err := fmt.Fprintf(w, "%s{%s} %d\n", v.name, s.labels, s.value); err != nil {
+			return err
 		}
-		c.h = h
 	}
-	f.children[key] = c
-	return c
+	return nil
 }
 
 func formatFloat(v float64) string {
@@ -363,72 +511,24 @@ func formatFloat(v float64) string {
 // families and children in deterministic (sorted) order.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
+	fams := append([]family(nil), r.families...)
 	r.mu.RUnlock()
-	sort.Slice(fams, func(a, b int) bool { return fams[a].name < fams[b].name })
-
 	cw := &countWriter{w: w}
 	for _, f := range fams {
-		if f.help != "" {
-			if _, err := fmt.Fprintf(cw, "# HELP %s %s\n", f.name, f.help); err != nil {
+		d := f.describe()
+		if d.help != "" {
+			if _, err := fmt.Fprintf(cw, "# HELP %s %s\n", d.name, d.help); err != nil {
 				return cw.n, err
 			}
 		}
-		if _, err := fmt.Fprintf(cw, "# TYPE %s %s\n", f.name, f.typ); err != nil {
+		if _, err := fmt.Fprintf(cw, "# TYPE %s %s\n", d.name, f.typ()); err != nil {
 			return cw.n, err
 		}
-		for _, c := range f.sortedChildren() {
-			if err := writeChild(cw, f, c); err != nil {
-				return cw.n, err
-			}
+		if err := f.samples(cw); err != nil {
+			return cw.n, err
 		}
 	}
 	return cw.n, nil
-}
-
-func writeChild(w io.Writer, f *family, c *child) error {
-	braced := ""
-	if c.labels != "" {
-		braced = "{" + c.labels + "}"
-	}
-	switch {
-	case c.h != nil:
-		s := c.h.Snapshot()
-		var cum uint64
-		for i, cnt := range s.Counts {
-			cum += cnt
-			upper := math.Inf(1)
-			if i < len(s.Uppers) {
-				upper = s.Uppers[i]
-			}
-			le := fmt.Sprintf(`le="%s"`, formatFloat(upper))
-			sep := le
-			if c.labels != "" {
-				sep = c.labels + "," + le
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", f.name, sep, cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, braced, formatFloat(s.Sum)); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, braced, s.Count)
-		return err
-	case c.c != nil:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, braced, c.c.Value())
-		return err
-	case c.g != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, braced, formatFloat(c.g.Value()))
-		return err
-	case c.fn != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, braced, formatFloat(c.fn()))
-		return err
-	}
-	return nil
 }
 
 type countWriter struct {

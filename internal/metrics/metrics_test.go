@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -186,5 +187,54 @@ func TestConcurrentUpdates(t *testing.T) {
 	// Values 0,1,2 in equal proportion have mean 1, so sum == count.
 	if want := float64(total); math.Abs(s.Sum-want) > 1e-6 {
 		t.Errorf("histogram sum = %v, want %v", s.Sum, want)
+	}
+}
+
+// TestCounterEnum: an enumerated family's children are created at
+// registration, At and With name the same child, a value outside the set
+// gets a child of its own, and the exposition orders them all by rendered
+// label exactly as a plain vec's would.
+func TestCounterEnum(t *testing.T) {
+	values := []string{"put_ring_table", "put", "a b", "a"}
+	enum := NewRegistry()
+	e := enum.NewCounterEnum("rpc_requests_total", "By type.", "type", values)
+	plain := NewRegistry()
+	v := plain.NewCounterVec("rpc_requests_total", "By type.", "type")
+	for i, val := range values {
+		if e.With(val) != e.At(i) {
+			t.Errorf("With(%q) and At(%d) are different children", val, i)
+		}
+		e.At(i).Add(uint64(i + 1))
+		v.With(val).Add(uint64(i + 1))
+	}
+	e.With("zz").Inc()
+	v.With("zz").Inc()
+	var eb, vb strings.Builder
+	if _, err := enum.WriteTo(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.WriteTo(&vb); err != nil {
+		t.Fatal(err)
+	}
+	if eb.String() != vb.String() {
+		t.Errorf("enumerated exposition:\n%s\nplain vec exposition:\n%s", eb.String(), vb.String())
+	}
+}
+
+// TestLabelsSharedAcrossRegistries: two registries counting the same label
+// set hold one rendered string between them, and a histogram keeps its
+// caller's bounds instead of a copy.
+func TestLabelsSharedAcrossRegistries(t *testing.T) {
+	a := NewRegistry().NewCounterVec("hops_total", "", "layer")
+	b := NewRegistry().NewCounterVec("hops_total", "", "layer")
+	a.With("1").Inc()
+	b.With("1").Inc()
+	if unsafe.StringData(a.kids[0].labels) != unsafe.StringData(b.kids[0].labels) {
+		t.Error("two registries rendered the same label set into two strings")
+	}
+	buckets := []float64{1, 2}
+	h := NewRegistry().NewHistogram("lat", "", buckets)
+	if &h.uppers[0] != &buckets[0] {
+		t.Error("the histogram copied its bucket bounds")
 	}
 }

@@ -5,11 +5,14 @@ package transport
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/id"
+	"repro/internal/metrics"
+	"repro/internal/replica"
 	"repro/internal/wire"
 )
 
@@ -78,6 +81,80 @@ func TestAllocBudgetLookupWalk(t *testing.T) {
 	t.Logf("%.1f heap objects per lookup, %.2f find_closest per lookup: %.2f per find_closest", perLookup, steps, perStep)
 	if perStep > 1 {
 		t.Errorf("a lookup made %.2f heap objects per find_closest, budget 1", perStep)
+	}
+}
+
+// maxRegistryBytes is what one node's metrics may hold — its registry,
+// every family transport, wire, the retrier and replica register, and
+// the structs holding their children — with under 20 % headroom over
+// what TestAllocBudgetNodeRegistry measures (4.6 KB). With every family
+// a map, every child a map entry with its own rendered label and a
+// math/rand source in the retrier, it was 26.9 KB.
+const maxRegistryBytes = 5500
+
+// TestAllocBudgetNodeRegistry: the heap one node's metrics hold, the
+// label strings every node shares aside.
+func TestAllocBudgetNodeRegistry(t *testing.T) {
+	const regs = 64
+	instrument := func() *metrics.Registry {
+		reg := metrics.NewRegistry()
+		newNodeMetrics(reg, 2)
+		wire.NewRetrier(nil, wire.RetryPolicy{}, wire.BreakerPolicy{}, reg)
+		replica.NewMetrics(reg)
+		return reg
+	}
+	instrument() // renders the process-wide label strings
+	keep := make([]*metrics.Registry, regs)
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	for i := range keep {
+		keep[i] = instrument()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms1)
+	per := float64(int64(ms1.HeapAlloc)-int64(ms0.HeapAlloc)) / regs
+	runtime.KeepAlive(keep)
+	t.Logf("one node's metrics: %.0f B", per)
+	if per > maxRegistryBytes {
+		t.Errorf("one node's metrics hold %.0f B, budget %d", per, maxRegistryBytes)
+	}
+}
+
+// TestAllocBudgetFingerTable: a closest-preceding scan creates no heap
+// object, and neither does a fix_fingers round that rewrites fingers to
+// the peers they already name or to a peer another slot names.
+func TestAllocBudgetFingerTable(t *testing.T) {
+	self := peerFor("self")
+	var tbl fingerTable
+	owners := make([]wire.Peer, id.Bits)
+	for k := range owners {
+		owners[k] = peerFor(fmt.Sprintf("p%d", k/20)) // 8 distinct fingers, in runs
+		tbl.set(k, owners[k])
+	}
+	keys := make([]id.ID, 64)
+	for i := range keys {
+		keys[i] = LiveKeyID(fmt.Sprintf("scan-%d", i))
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(500, func() {
+		_, _ = tbl.closestPreceding(self.Addr, peerID(self), keys[i%len(keys)])
+		i++
+	}); avg != 0 {
+		t.Errorf("a closest-preceding scan made %.1f heap objects, budget 0", avg)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		for k := range owners {
+			tbl.set(k, owners[k])
+		}
+	}); avg != 0 {
+		t.Errorf("rewriting unchanged fingers made %.1f heap objects, budget 0", avg)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		tbl.set(0, owners[id.Bits-1])
+		tbl.set(0, owners[0])
+	}); avg != 0 {
+		t.Errorf("pointing a slot at a finger another slot names made %.1f heap objects, budget 0", avg)
 	}
 }
 

@@ -1267,7 +1267,7 @@ func (n *Node) FixFingersOnce(count int) error {
 			ls.nextFix = (ls.nextFix + 1) % id.Bits
 			prev := wire.Peer{}
 			if k > 0 {
-				prev = ls.fingers[k-1]
+				prev = ls.fingers.get(k - 1)
 			}
 			n.mu.Unlock()
 			target := id.AddPow2(n.id, uint(k))
@@ -1286,7 +1286,7 @@ func (n *Node) FixFingersOnce(count int) error {
 				}
 			}
 			n.mu.Lock()
-			n.layers[layer-1].fingers[k] = owner
+			n.layers[layer-1].fingers.set(k, owner)
 			n.mu.Unlock()
 		}
 	}

@@ -22,7 +22,7 @@ func plantPeer(n *Node, layer int, p wire.Peer, fingerSlots ...int) {
 	ls.succ = append(ls.succ, p)
 	ls.pred = p
 	for _, k := range fingerSlots {
-		ls.fingers[k] = p
+		ls.fingers.set(k, p)
 	}
 }
 
@@ -30,7 +30,7 @@ func layerSnapshot(n *Node, layer int) (succ []wire.Peer, pred wire.Peer, finger
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ls := n.layers[layer-1]
-	return append([]wire.Peer(nil), ls.succ...), ls.pred, append([]wire.Peer(nil), ls.fingers...)
+	return append([]wire.Peer(nil), ls.succ...), ls.pred, ls.fingers.expand()
 }
 
 // TestEvictPurgesEveryLayer plants a dead peer in the successor list,

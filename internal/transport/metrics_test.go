@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -91,6 +92,35 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestNodeMetricsExposition pins a freshly started node's whole
+// exposition, byte for byte: every name, label, HELP and TYPE line,
+// bucket and their order. bench/perf and dashboards parse this text, so
+// a change to how the registry stores metrics must not show here. To
+// change a metric on purpose, regenerate testdata/metrics-fresh.txt from
+// this node's WriteTo output.
+func TestNodeMetricsExposition(t *testing.T) {
+	ln, err := wire.NewMemNet().Listen("fresh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := Start("", Config{Listener: ln, RouteMode: RouteOneHop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	var b strings.Builder
+	if _, err = nd.Metrics().WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/metrics-fresh.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("a fresh node's exposition differs from testdata/metrics-fresh.txt:\n%s", got)
 	}
 }
 

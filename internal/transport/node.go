@@ -209,7 +209,7 @@ func (c Config) withDefaults() Config {
 type layerState struct {
 	succ    []wire.Peer
 	pred    wire.Peer
-	fingers []wire.Peer // index k ~ successor(self + 2^k); zero Addr = unset
+	fingers fingerTable
 	nextFix int
 
 	// What the last stabilization round learned, so this one asks only for
@@ -369,7 +369,7 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 	}
 	n.layers = make([]*layerState, cfg.Depth)
 	for i := range n.layers {
-		n.layers[i] = &layerState{fingers: make([]wire.Peer, id.Bits)}
+		n.layers[i] = &layerState{}
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -732,12 +732,7 @@ func (n *Node) replicaSuccessorsLocked() []wire.Peer {
 // handling; shared by the TEvict handler and local eviction). It reports
 // whether there was one.
 func purgePeerLocked(ls *layerState, dead string) (purged bool) {
-	for k := range ls.fingers {
-		if ls.fingers[k].Addr == dead {
-			ls.fingers[k] = wire.Peer{}
-			purged = true
-		}
-	}
+	purged = ls.fingers.purge(dead)
 	kept := ls.succ[:0]
 	for _, s := range ls.succ {
 		if s.Addr != dead {
@@ -840,11 +835,7 @@ func (n *Node) findClosestLocked(req *wire.Request, resp *wire.Response) {
 		return
 	}
 	// Closest preceding finger, falling back to the successor.
-	for k := id.Bits - 1; k >= 0; k-- {
-		f := &ls.fingers[k]
-		if f.Addr != "" && f.Addr != n.addr && id.Between(peerID(*f), n.id, key) {
-			resp.Next = *f
-			return
-		}
+	if f, ok := ls.fingers.closestPreceding(n.addr, n.id, key); ok {
+		resp.Next = f
 	}
 }

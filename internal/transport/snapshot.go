@@ -60,7 +60,7 @@ func (n *Node) Snapshot() Snapshot {
 			Layer:   i + 1,
 			Succ:    append([]wire.Peer(nil), ls.succ...),
 			Pred:    ls.pred,
-			Fingers: append([]wire.Peer(nil), ls.fingers...),
+			Fingers: ls.fingers.expand(),
 		}
 		if i > 0 && i-1 < len(n.ringNames) {
 			layer.Name = n.ringNames[i-1]

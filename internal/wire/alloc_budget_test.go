@@ -158,7 +158,7 @@ func TestAllocBudgetMetricsPick(t *testing.T) {
 	m := NewMetrics(metrics.NewRegistry())
 	for _, typ := range AllMsgTypes {
 		avg := testing.AllocsPerRun(100, func() {
-			pick(&m.reqs, m.reqVec, typ).Inc()
+			pick(m.reqs, typ).Inc()
 			m.ObserveServed(typ, false)
 		})
 		if avg != 0 {

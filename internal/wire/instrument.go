@@ -20,6 +20,16 @@ var AllMsgTypes = func() []MsgType {
 	return all
 }()
 
+// msgTypeNames is AllMsgTypes' label values, in the same order: every
+// node's per-type families enumerate this one slice.
+var msgTypeNames = func() []string {
+	names := make([]string, len(AllMsgTypes))
+	for i, t := range AllMsgTypes {
+		names[i] = t.String()
+	}
+	return names
+}()
+
 // Metrics instruments the wire protocol against a metrics registry:
 // per-MsgType request and error counts for both the client and server
 // roles, total bytes in/out, and a call-latency histogram. One Metrics
@@ -33,42 +43,35 @@ type Metrics struct {
 	bytesIn  *metrics.Counter
 	bytesOut *metrics.Counter
 
-	reqVec, errVec       *metrics.CounterVec
-	srvReqVec, srvErrVec *metrics.CounterVec
-	// Pre-curried children indexed by MsgType (index 0 unused).
-	reqs, errs, srvReqs, srvErrs [numMsgTypes]*metrics.Counter
+	// Per-type families, one child per AllMsgTypes entry.
+	reqs, errs, srvReqs, srvErrs *metrics.CounterVec
 }
 
 // NewMetrics registers the wire metric families on reg.
 func NewMetrics(reg *metrics.Registry) *Metrics {
-	m := &Metrics{
+	return &Metrics{
 		latency: reg.NewHistogram("rpc_latency_seconds",
 			"Outgoing RPC latency, submission through response decode.", metrics.DefLatencyBuckets),
 		bytesIn: reg.NewCounter("rpc_bytes_in_total",
 			"Bytes read from wire connections, both roles."),
 		bytesOut: reg.NewCounter("rpc_bytes_out_total",
 			"Bytes written to wire connections, both roles."),
-		reqVec: reg.NewCounterVec("rpc_requests_total",
-			"Outgoing RPCs by message type.", "type"),
-		errVec: reg.NewCounterVec("rpc_errors_total",
-			"Outgoing RPCs that failed, by message type.", "type"),
-		srvReqVec: reg.NewCounterVec("rpc_server_requests_total",
-			"Requests served, by message type.", "type"),
-		srvErrVec: reg.NewCounterVec("rpc_server_errors_total",
-			"Requests answered with an error, by message type.", "type"),
+		reqs: reg.NewCounterEnum("rpc_requests_total",
+			"Outgoing RPCs by message type.", "type", msgTypeNames),
+		errs: reg.NewCounterEnum("rpc_errors_total",
+			"Outgoing RPCs that failed, by message type.", "type", msgTypeNames),
+		srvReqs: reg.NewCounterEnum("rpc_server_requests_total",
+			"Requests served, by message type.", "type", msgTypeNames),
+		srvErrs: reg.NewCounterEnum("rpc_server_errors_total",
+			"Requests answered with an error, by message type.", "type", msgTypeNames),
 	}
-	for _, t := range AllMsgTypes {
-		m.reqs[t] = m.reqVec.With(t.String())
-		m.errs[t] = m.errVec.With(t.String())
-		m.srvReqs[t] = m.srvReqVec.With(t.String())
-		m.srvErrs[t] = m.srvErrVec.With(t.String())
-	}
-	return m
 }
 
-func pick(curried *[numMsgTypes]*metrics.Counter, vec *metrics.CounterVec, t MsgType) *metrics.Counter {
-	if int(t) < len(curried) && curried[t] != nil {
-		return curried[t]
+// pick returns t's child of a per-type family. A type outside
+// AllMsgTypes (a peer may send any byte) gets a child of its own.
+func pick(vec *metrics.CounterVec, t MsgType) *metrics.Counter {
+	if t >= TPing && int(t) < numMsgTypes {
+		return vec.At(int(t - TPing))
 	}
 	return vec.With(t.String())
 }
@@ -80,9 +83,9 @@ func (m *Metrics) Wrap(inner Caller) Caller {
 		start := time.Now()
 		resp, err := inner.Call(ctx, addr, req)
 		m.latency.Observe(time.Since(start).Seconds())
-		pick(&m.reqs, m.reqVec, req.Type).Inc()
+		pick(m.reqs, req.Type).Inc()
 		if err != nil {
-			pick(&m.errs, m.errVec, req.Type).Inc()
+			pick(m.errs, req.Type).Inc()
 		}
 		return resp, err
 	})
@@ -117,8 +120,8 @@ func (c *meteredConn) Write(p []byte) (int, error) {
 // how it was answered. (Bytes are accounted by CountConn on the accepted
 // connection.)
 func (m *Metrics) ObserveServed(t MsgType, ok bool) {
-	pick(&m.srvReqs, m.srvReqVec, t).Inc()
+	pick(m.srvReqs, t).Inc()
 	if !ok {
-		pick(&m.srvErrs, m.srvErrVec, t).Inc()
+		pick(m.srvErrs, t).Inc()
 	}
 }

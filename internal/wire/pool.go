@@ -44,6 +44,10 @@ type Pool struct {
 	mu     sync.Mutex
 	peers  map[string]*poolPeer
 	closed bool
+
+	// readers counts the connections' reader goroutines; Close waits
+	// for them.
+	readers sync.WaitGroup
 }
 
 // NewPool builds a pooled caller. Close releases its connections.
@@ -62,7 +66,9 @@ func (p *Pool) Call(ctx context.Context, addr string, req Request) (Response, er
 	if err := ctx.Err(); err != nil {
 		return Response{}, &NetError{Addr: addr, Op: "dial", Sent: false, Err: context.Cause(ctx)}
 	}
-	c, err := p.peer(addr).conn(ctx)
+	pp := p.hold(addr)
+	c, err := pp.conn(ctx)
+	p.release(pp, c)
 	if err != nil {
 		return Response{}, err
 	}
@@ -71,8 +77,9 @@ func (p *Pool) Call(ctx context.Context, addr string, req Request) (Response, er
 
 // Close tears down every pooled connection, failing their in-flight
 // exchanges; a dial in flight is waited out (it is bounded by Timeout) so
-// that the connection it produces is failed too. Calls on a closed pool
-// fail without dialling.
+// that the connection it produces is failed too. It returns once every
+// connection's reader has exited. Calls on a closed pool fail without
+// dialling.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	peers := p.peers
@@ -82,35 +89,68 @@ func (p *Pool) Close() error {
 	for _, pp := range peers {
 		pp.close()
 	}
+	p.readers.Wait()
 	return nil
 }
 
-// peer returns addr's record. On a closed pool it is a detached, closed
-// one, so no caller can dial a connection Close will never reach.
-func (p *Pool) peer(addr string) *poolPeer {
+// hold returns addr's record, kept from pruning until release. On a
+// closed pool it is a detached, closed one, so no caller can dial a
+// connection Close will never reach.
+func (p *Pool) hold(addr string) *poolPeer {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return &poolPeer{pool: p, addr: addr, closed: true}
+		return &poolPeer{pool: p, addr: addr, closed: true, holds: 1}
 	}
 	pp, ok := p.peers[addr]
 	if !ok {
 		pp = &poolPeer{pool: p, addr: addr}
 		p.peers[addr] = pp
 	}
+	pp.holds++
 	return pp
+}
+
+// release lets go of a record hold returned, c being the connection the
+// call got from it (nil when its dial failed). The last holder of a
+// record without a live connection deletes it before its call returns.
+func (p *Pool) release(pp *poolPeer, c *muxConn) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pp.holds--
+	if c == nil || c.broken() {
+		p.pruneLocked(pp)
+	}
+}
+
+// pruneLocked deletes pp from the pool unless a call holds it or its
+// connection is live, so the pool keeps a record per peer it can reach,
+// not one per address it ever called: under churn, the dead would
+// otherwise pile up with history. The caller holds p.mu. pp.mu is free
+// here, since only a held record dials.
+func (p *Pool) pruneLocked(pp *poolPeer) {
+	if pp.holds > 0 || p.peers[pp.addr] != pp {
+		return
+	}
+	pp.mu.Lock()
+	live := pp.c != nil && !pp.c.broken()
+	pp.mu.Unlock()
+	if !live {
+		delete(p.peers, pp.addr)
+	}
 }
 
 // poolPeer holds one peer's connection.
 type poolPeer struct {
-	pool *Pool
-	addr string
+	pool  *Pool
+	addr  string
+	holds int32 // calls between hold and release; guarded by pool.mu
 
 	// mu is held across a dial, so a burst of first calls to a peer opens
 	// one connection, not one per caller.
 	mu     sync.Mutex
-	c      *muxConn // nil until the first call
 	closed bool     // the pool closed: a call that raced Close must not dial
+	c      *muxConn // nil until the first call
 }
 
 // conn returns the connection to run one exchange on, dialling when there
@@ -163,11 +203,11 @@ func (pp *poolPeer) dial(ctx context.Context) (*muxConn, error) {
 	}
 	c := &muxConn{
 		conn:         conn,
-		addr:         pp.addr,
+		pp:           pp,
 		writeTimeout: o.Timeout,
 		nextTag:      1,
-		pending:      make(map[uint64]*exchange),
 	}
+	pp.pool.readers.Add(1)
 	go c.readLoop()
 	return c, nil
 }
@@ -243,7 +283,7 @@ func expired(ctx context.Context, now time.Time) error {
 // frames back to waiting exchanges by tag.
 type muxConn struct {
 	conn         net.Conn
-	addr         string
+	pp           *poolPeer // the record the connection was dialled for
 	writeTimeout time.Duration
 
 	// wmu serializes frame writes; the write deadline is re-armed under
@@ -252,11 +292,72 @@ type muxConn struct {
 
 	mu      sync.Mutex
 	nextTag uint64
-	pending map[uint64]*exchange
+	pending tagTable
 	failed  error // set once: the connection is dead
-	strikes int   // consecutive abandoned waits since the last completion
+	strikes int32 // consecutive abandoned waits since the last completion
 
 	hdr [frameHeader]byte // readLoop's frame header
+}
+
+// inlineTags is how many in-flight exchanges a connection tracks without
+// a map. A node's client paths are sequential walks, so one exchange in
+// flight per connection is the common case, and a map per connection
+// (created at dial, grown at the first exchange) was ~176 B on each of a
+// cluster's thousand connections.
+const inlineTags = 2
+
+// tagTable is a connection's in-flight exchanges by tag: inline slots,
+// then a map made only while more exchanges than slots are in flight. A
+// slot holding no exchange is free, whatever tag a peer's frame names.
+type tagTable struct {
+	inline [inlineTags]struct {
+		tag uint64
+		x   *exchange
+	}
+	more map[uint64]*exchange
+}
+
+func (t *tagTable) put(tag uint64, x *exchange) {
+	for i := range t.inline {
+		if t.inline[i].x == nil {
+			t.inline[i].tag, t.inline[i].x = tag, x
+			return
+		}
+	}
+	if t.more == nil {
+		t.more = make(map[uint64]*exchange)
+	}
+	t.more[tag] = x
+}
+
+// take removes tag's exchange, reporting whether it was registered.
+func (t *tagTable) take(tag uint64) (*exchange, bool) {
+	for i := range t.inline {
+		if x := t.inline[i].x; x != nil && t.inline[i].tag == tag {
+			t.inline[i].tag, t.inline[i].x = 0, nil
+			return x, true
+		}
+	}
+	x, ok := t.more[tag]
+	if ok {
+		delete(t.more, tag)
+		if len(t.more) == 0 {
+			t.more = nil // a burst's map does not outlive it
+		}
+	}
+	return x, ok
+}
+
+// each calls fn on every registered exchange.
+func (t *tagTable) each(fn func(*exchange)) {
+	for i := range t.inline {
+		if x := t.inline[i].x; x != nil {
+			fn(x)
+		}
+	}
+	for _, x := range t.more {
+		fn(x)
+	}
 }
 
 func (c *muxConn) broken() bool {
@@ -293,7 +394,7 @@ func (c *muxConn) roundTrip(ctx context.Context, addr string, req Request) (Resp
 	}
 	tag := c.nextTag
 	c.nextTag++
-	c.pending[tag] = x
+	c.pending.put(tag, x)
 	c.mu.Unlock()
 	putFrameHeader(buf, tag)
 
@@ -365,10 +466,9 @@ func (c *muxConn) roundTrip(ctx context.Context, addr string, req Request) (Resp
 func (c *muxConn) forget(tag uint64, strike bool) (wedged bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.pending[tag]; !ok {
+	if _, ok := c.pending.take(tag); !ok {
 		return false // the reader beat us to it
 	}
-	delete(c.pending, tag)
 	if strike {
 		c.strikes++
 		return c.strikes >= wedgeStrikes && c.failed == nil
@@ -386,12 +486,12 @@ func (c *muxConn) fail(cause error) {
 	}
 	c.failed = cause
 	pending := c.pending
-	c.pending = make(map[uint64]*exchange)
+	c.pending = tagTable{}
 	c.mu.Unlock()
 	c.conn.Close()
-	for _, x := range pending {
-		x.ch <- muxResult{err: &NetError{Addr: c.addr, Op: "recv", Sent: true, Err: cause}}
-	}
+	pending.each(func(x *exchange) {
+		x.ch <- muxResult{err: &NetError{Addr: c.pp.addr, Op: "recv", Sent: true, Err: cause}}
+	})
 }
 
 // readLoop is the connection's single reader: it decodes response frames
@@ -402,19 +502,18 @@ func (c *muxConn) readLoop() {
 	for {
 		pb, payload, tag, err := readFrame(c.conn, &c.hdr)
 		if err != nil {
-			c.fail(err)
+			c.exit(err)
 			return
 		}
 		resp, derr := Binary{}.DecodeResponse(payload)
 		putFrameBuf(pb)
 		if derr != nil {
-			c.fail(fmt.Errorf("wire: decoding response frame: %w", derr))
+			c.exit(fmt.Errorf("wire: decoding response frame: %w", derr))
 			return
 		}
 		c.mu.Lock()
-		x, ok := c.pending[tag]
+		x, ok := c.pending.take(tag)
 		if ok {
-			delete(c.pending, tag)
 			c.strikes = 0
 		}
 		c.mu.Unlock()
@@ -424,4 +523,16 @@ func (c *muxConn) readLoop() {
 		// An unknown tag is an abandoned exchange: the response is
 		// discarded, the connection stays healthy.
 	}
+}
+
+// exit ends the reader: it fails the connection, deletes the record the
+// connection was dialled for unless a call holds it or it has a newer
+// live connection, and reports the reader gone.
+func (c *muxConn) exit(cause error) {
+	c.fail(cause)
+	p := c.pp.pool
+	p.mu.Lock()
+	p.pruneLocked(c.pp)
+	p.mu.Unlock()
+	p.readers.Done()
 }

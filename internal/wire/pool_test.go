@@ -180,7 +180,7 @@ func TestPoolPipelinesOutOfOrder(t *testing.T) {
 	// Wait until the slow request is in flight on the pooled connection.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if p.peer("peer").load() >= 1 || time.Now().After(deadline) {
+		if p.load("peer") >= 1 || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -212,6 +212,17 @@ func TestPoolPipelinesOutOfOrder(t *testing.T) {
 	}
 }
 
+// load reports the in-flight exchanges to addr (test helper).
+func (p *Pool) load(addr string) int {
+	p.mu.Lock()
+	pp := p.peers[addr]
+	p.mu.Unlock()
+	if pp == nil {
+		return 0
+	}
+	return pp.load()
+}
+
 // load reports a peer's in-flight exchanges (test helper).
 func (pp *poolPeer) load() int {
 	pp.mu.Lock()
@@ -226,7 +237,9 @@ func (pp *poolPeer) load() int {
 func (c *muxConn) load() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.pending)
+	n := 0
+	c.pending.each(func(*exchange) { n++ })
+	return n
 }
 
 // TestPoolCancelAbandonsOneExchange pins per-exchange cancellation: a
@@ -376,7 +389,7 @@ func TestPoolWedgedConnStrikeLimit(t *testing.T) {
 		bystander <- callErr
 	}()
 	deadline := time.Now().Add(2 * time.Second)
-	for p.peer("peer").load() < 1 && !time.Now().After(deadline) {
+	for p.load("peer") < 1 && !time.Now().After(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -525,7 +538,7 @@ func TestPoolAttemptDeadlineTimesOutLikeCtx(t *testing.T) {
 	strikes := func() int {
 		conn.mu.Lock()
 		defer conn.mu.Unlock()
-		return conn.strikes
+		return int(conn.strikes)
 	}
 
 	for i := 1; i <= wedgeStrikes; i++ {
@@ -595,6 +608,125 @@ func TestPoolOneConnectionPerPeer(t *testing.T) {
 	}
 	if n := atomic.LoadInt32(accepts); n != 1 {
 		t.Errorf("%d concurrent exchanges opened %d connections, want 1", callers, n)
+	}
+}
+
+// TestPoolDiscardsUnknownTags: a response frame whose tag no exchange
+// registered — 0, which the pool never issues, or one far ahead — is
+// dropped, whatever the in-flight table's free slots hold, and the
+// connection keeps serving.
+func TestPoolDiscardsUnknownTags(t *testing.T) {
+	leakcheck.Watchdog(t, 30*time.Second)
+	mn := NewMemNet()
+	ln, err := mn.Listen("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var accepts atomic.Int32
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			go func() {
+				defer conn.Close()
+				if readPreamble(conn) != nil {
+					return
+				}
+				hdr := new([frameHeader]byte)
+				for {
+					pb, _, tag, err := readFrame(conn, hdr)
+					if err != nil {
+						return
+					}
+					putFrameBuf(pb)
+					for _, stray := range []uint64{0, tag + 1<<40} {
+						_ = writeFrame(conn, stray, &Response{OK: true, Err: "stray"}, DefaultTimeout)
+					}
+					_ = writeFrame(conn, tag, &Response{OK: true, Err: "mine"}, DefaultTimeout)
+				}
+			}()
+		}
+	}()
+	p := NewPool(PoolOptions{Dial: mn.Dial})
+	defer p.Close()
+	for i := 0; i < 3; i++ {
+		resp, err := poolCall(p, "peer", Request{Type: TPing}, 2*time.Second)
+		if err != nil || resp.Err != "mine" {
+			t.Fatalf("call %d: %+v, %v", i, resp, err)
+		}
+	}
+	if n := accepts.Load(); n != 1 {
+		t.Errorf("stray frames cost %d connections, want 1", n)
+	}
+}
+
+// TestPoolForgetsDeadPeers: the pool keeps a record per peer it can
+// reach, not per address it ever called. 64 peers are called, then die
+// (listener and served connection closed) and are called once more: a
+// connection whose reader exits leaves its record, a record whose dial
+// fails is deleted before the call returns, and neither leaves a reader
+// goroutine behind.
+func TestPoolForgetsDeadPeers(t *testing.T) {
+	leakcheck.Watchdog(t, 30*time.Second)
+	const peers = 64
+	mn := NewMemNet()
+	var mu sync.Mutex
+	var served []net.Conn
+	var lns []net.Listener
+	for i := 0; i < peers; i++ {
+		ln, err := mn.Listen(fmt.Sprintf("peer-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns = append(lns, ln)
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				mu.Lock()
+				served = append(served, conn)
+				mu.Unlock()
+				go func() { _ = ServeConn(conn, func(Request) Response { return Response{OK: true} }, ServeOptions{}) }()
+			}
+		}()
+	}
+	p := NewPool(PoolOptions{Dial: mn.Dial})
+	defer p.Close()
+	for i := 0; i < peers; i++ {
+		if _, err := poolCall(p, fmt.Sprintf("peer-%d", i), Request{Type: TPing}, 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.mu.Lock()
+	if n := len(p.peers); n != peers {
+		t.Fatalf("%d live peers called, %d records", peers, n)
+	}
+	p.mu.Unlock()
+
+	for _, ln := range lns {
+		ln.Close()
+	}
+	mu.Lock()
+	for _, conn := range served {
+		conn.Close()
+	}
+	mu.Unlock()
+	for i := 0; i < peers; i++ {
+		if _, err := poolCall(p, fmt.Sprintf("peer-%d", i), Request{Type: TPing}, 2*time.Second); err == nil {
+			t.Fatalf("peer-%d answered after it died", i)
+		}
+	}
+	p.readers.Wait() // every connection's reader has exited
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.peers); n != 0 {
+		t.Errorf("%d records left for %d dead peers, want 0", n, peers)
 	}
 }
 

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -96,11 +95,12 @@ type Retrier struct {
 	bp    BreakerPolicy
 
 	mu sync.Mutex
-	// rng draws backoff jitter. Jitter decorrelates retry storms between
-	// peers; it never decides which calls are retried, so one fixed seed
-	// serves every retrier.
-	rng   *rand.Rand
-	peers map[string]*breaker
+	// jitter is the state of the splitmix64 generator backoff draws from.
+	// Jitter decorrelates retry storms between peers; it never decides
+	// which calls are retried, so one fixed seed serves every retrier, and
+	// 8 bytes of state do (a math/rand source was 5 KB a node).
+	jitter uint64
+	peers  map[string]*breaker
 
 	retries  *metrics.Counter
 	opens    *metrics.Counter
@@ -115,11 +115,11 @@ func NewRetrier(inner Caller, rp RetryPolicy, bp BreakerPolicy, reg *metrics.Reg
 	rp = rp.withDefaults()
 	bp = bp.withDefaults()
 	r := &Retrier{
-		inner: inner,
-		rp:    rp,
-		bp:    bp,
-		rng:   rand.New(rand.NewSource(1)),
-		peers: make(map[string]*breaker),
+		inner:  inner,
+		rp:     rp,
+		bp:     bp,
+		jitter: 1,
+		peers:  make(map[string]*breaker),
 	}
 	if reg != nil {
 		r.retries = reg.NewCounter("wire_retries_total",
@@ -234,8 +234,13 @@ func (r *Retrier) backoff(retry int) time.Duration {
 		d = r.rp.MaxBackoff
 	}
 	r.mu.Lock()
-	f := 0.5 + 0.5*r.rng.Float64()
+	r.jitter += 0x9e3779b97f4a7c15
+	z := r.jitter
 	r.mu.Unlock()
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	f := 0.5 + 0.5*float64(z>>11)/(1<<53) // z>>11 / 2^53 is uniform in [0, 1)
 	return time.Duration(float64(d) * f)
 }
 

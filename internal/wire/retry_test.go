@@ -400,3 +400,28 @@ func TestMsgTypeIdempotencyTable(t *testing.T) {
 		t.Error("TRouteGossip should be idempotent (stamp-guarded merge)")
 	}
 }
+
+// TestRetrierBackoffJitter: every backoff lies in [d/2, d) for its capped
+// step d, the draws are not all equal, and two retriers draw the same
+// sequence (one fixed seed; jitter never decides what is retried).
+func TestRetrierBackoffJitter(t *testing.T) {
+	p := RetryPolicy{MaxAttempts: 8, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 300 * time.Millisecond}
+	a := NewRetrier(nil, p, BreakerPolicy{}, nil)
+	b := NewRetrier(nil, p, BreakerPolicy{}, nil)
+	distinct := map[time.Duration]bool{}
+	for i := 0; i < 1000; i++ {
+		retry := 1 + i%7
+		d := min(10*time.Millisecond<<(retry-1), 300*time.Millisecond)
+		got := a.backoff(retry)
+		if got < d/2 || got >= d {
+			t.Fatalf("draw %d: backoff(%d) = %v, want in [%v, %v)", i, retry, got, d/2, d)
+		}
+		if again := b.backoff(retry); again != got {
+			t.Fatalf("draw %d: two retriers drew %v and %v", i, got, again)
+		}
+		distinct[got] = true
+	}
+	if len(distinct) < 900 {
+		t.Errorf("1,000 draws gave only %d distinct backoffs", len(distinct))
+	}
+}
