@@ -5,55 +5,38 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/topology"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// Cluster is an in-process HIERAS deployment driven by one goroutine: real
-// transport.Nodes in classic route mode, one per topology host, listening
-// on a shared wire.MemNet. Host h listens as "h<h>", so node identifiers
-// are the same on every run; landmarks are names only — a node's probe of
-// landmark "lm<i>" is answered from the topology model, so no landmark
-// process exists (and the global ring's merge scan through the landmarks
-// costs a refused dial, not messages). The caller invokes every node
-// method itself, so a run is a pure function of its inputs and Msgs
-// counts the requests nodes really served.
+// Cluster is an in-process HIERAS deployment on a Driver: real
+// transport.Nodes in classic route mode, one per topology host. Host h
+// listens as "h<h>", so node identifiers are the same on every run;
+// landmarks are names only — a node's probe of landmark "lm<i>" is
+// answered from the topology model, so no landmark process exists (and
+// the global ring's merge scan through the landmarks costs a refused
+// dial, not messages).
 type Cluster struct {
+	*Driver
 	net     *topology.Network
-	rng     *rand.Rand // ping noise, drawn on the caller's goroutine
-	mem     *wire.MemNet
-	cfg     transport.Config // what every node starts with, less its prober and listener
+	rng     *rand.Rand       // ping noise, drawn on the caller's goroutine
+	cfg     transport.Config // what every node starts with, less its prober
 	routers map[string]int   // landmark name -> underlay router
-
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	live     []*transport.Node
-	hosts    []int // hosts[i] is live[i]'s topology host
-	departed int64 // requests served by nodes that have since left or failed
+	hosts   []int            // hosts[i] is Live()[i]'s topology host
 }
 
 // NewCluster prepares an empty cluster over net. depth and succListLen are
 // handed to every node unchanged (0 = the transport defaults, 2 and 4);
 // landmarks routers (default 4) are selected up front for depth > 1.
 func NewCluster(net *topology.Network, depth, landmarks, succListLen int, rng *rand.Rand) (*Cluster, error) {
-	c := &Cluster{net: net, rng: rng, mem: wire.NewMemNet(), routers: make(map[string]int)}
+	c := &Cluster{net: net, rng: rng, routers: make(map[string]int)}
 	c.cfg = transport.Config{
 		Depth:       depth,
 		SuccListLen: succListLen,
 		RouteMode:   transport.RouteClassic,
-		CallTimeout: 2 * time.Second,
-		// MemNet refuses a dial to a dead peer at once, so two attempts
-		// with near-zero backoff confirm a death in microseconds. The
-		// breaker's cool-down is wall-clock time, which would leak into
-		// the result; suspicion runs on the failure count alone.
-		Retry:      wire.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond, MaxBackoff: time.Millisecond},
-		Breaker:    wire.BreakerPolicy{Threshold: -1},
-		WrapCaller: c.refuseLandmarks,
-		Dial:       c.mem.Dial,
+		WrapCaller:  c.refuseLandmarks,
 	}
 	if depth != 1 {
 		if landmarks == 0 {
@@ -69,7 +52,7 @@ func NewCluster(net *topology.Network, depth, landmarks, succListLen int, rng *r
 			c.routers[name] = r
 		}
 	}
-	c.ctx, c.cancel = context.WithCancel(context.Background()) //lint:allow ctxflow the cluster's run root: Close cancels it, and every lookup Run issues derives from it
+	c.Driver = NewDriver()
 	return c, nil
 }
 
@@ -104,81 +87,34 @@ func (c *Cluster) refuseLandmarks(_ string, inner wire.Caller) wire.Caller {
 	})
 }
 
-// Live returns the live nodes. The slice is the cluster's own: valid until
-// the next Join or Remove, which reorder it.
-func (c *Cluster) Live() []*transport.Node { return c.live }
-
 // Join starts a node for host and integrates it the way hieras-node does:
 // the §3.3 join through boot, then a full finger build. A nil boot creates
 // the network. A node whose join fails is closed and forgotten.
 func (c *Cluster) Join(host int, boot *transport.Node) error {
-	ln, err := c.mem.Listen(fmt.Sprintf("h%d", host))
-	if err != nil {
-		return err
-	}
 	cfg := c.cfg
-	cfg.Prober, cfg.Listener = topoProber{c, host}, ln
-	n, err := transport.Start("", cfg)
+	cfg.Prober = topoProber{c, host}
+	n, err := c.Start(fmt.Sprintf("h%d", host), cfg)
 	if err != nil {
-		_ = ln.Close()
 		return err
 	}
+	c.hosts = append(c.hosts, host)
 	if boot == nil {
 		err = n.CreateNetwork()
 	} else if err = n.Join(boot.Addr()); err == nil {
 		err = n.BuildAllFingers()
 	}
 	if err != nil {
-		_ = n.Close()
-		c.departed += n.Handled()
-		return err
+		c.Remove(len(c.hosts)-1, false)
 	}
-	c.live = append(c.live, n)
-	c.hosts = append(c.hosts, host)
-	return nil
+	return err
 }
 
 // Remove takes live node i out of the overlay — a graceful Leave, or a
 // silent failure (the node just stops) — and returns its host.
 func (c *Cluster) Remove(i int, graceful bool) int {
-	n, host := c.live[i], c.hosts[i]
-	last := len(c.live) - 1
-	c.live[i], c.hosts[i] = c.live[last], c.hosts[last]
-	c.live, c.hosts = c.live[:last], c.hosts[:last]
-	if graceful {
-		_ = n.Leave() // best-effort handover; Leave always ends in Close
-	} else {
-		_ = n.Close()
-	}
-	c.departed += n.Handled()
+	host, last := c.hosts[i], len(c.hosts)-1
+	c.hosts[i] = c.hosts[last]
+	c.hosts = c.hosts[:last]
+	c.Driver.Remove(c.Live()[i], graceful)
 	return host
-}
-
-// Round runs one maintenance period on every live node, as each node's
-// own timer would: stabilize every layer and repair ring tables, then
-// refresh `fingers` finger slots per layer.
-func (c *Cluster) Round(fingers int) {
-	for _, n := range c.live {
-		_ = n.StabilizeOnce()
-		_ = n.FixFingersOnce(fingers)
-	}
-}
-
-// Msgs returns the requests served so far by every node the cluster ever
-// started — the real wire-message count of the run.
-func (c *Cluster) Msgs() int64 {
-	total := c.departed
-	for _, n := range c.live {
-		total += n.Handled()
-	}
-	return total
-}
-
-// Close stops every live node.
-func (c *Cluster) Close() {
-	c.cancel()
-	for _, n := range c.live {
-		_ = n.Close()
-	}
-	c.live, c.hosts = nil, nil
 }

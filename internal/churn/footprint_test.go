@@ -69,8 +69,8 @@ func TestAllocBudgetNodeFootprint(t *testing.T) {
 			}
 			defer c.Close()
 			var dials atomic.Int64
-			dial := c.cfg.Dial
-			c.cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+			dial := c.dial
+			c.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 				dials.Add(1)
 				return dial(addr, timeout)
 			}

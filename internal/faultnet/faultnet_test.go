@@ -86,16 +86,16 @@ func TestReplayReproducesEvents(t *testing.T) {
 	nw.Bind("addrB", "b")
 	nw.Bind("addrC", "c")
 	for i := 0; i < 15; i++ {
-		_, _ = a.Call(context.Background(), "addrB", wire.Request{Type: wire.TGet})
+		_, _ = a.Call(context.Background(), "addrB", wire.Request{Type: wire.TStoreGet})
 	}
 	nw.Partition([]string{"a"}, []string{"b"})
 	for i := 0; i < 5; i++ {
-		_, _ = a.Call(context.Background(), "addrB", wire.Request{Type: wire.TGet})
-		_, _ = a.Call(context.Background(), "addrC", wire.Request{Type: wire.TGet})
+		_, _ = a.Call(context.Background(), "addrB", wire.Request{Type: wire.TStoreGet})
+		_, _ = a.Call(context.Background(), "addrC", wire.Request{Type: wire.TStoreGet})
 	}
 	nw.Heal()
 	for i := 0; i < 5; i++ {
-		_, _ = a.Call(context.Background(), "addrB", wire.Request{Type: wire.TGet})
+		_, _ = a.Call(context.Background(), "addrB", wire.Request{Type: wire.TStoreGet})
 	}
 	got := eventStrings(Replay(42, nw.Log()))
 	want := eventStrings(nw.Events())
@@ -128,7 +128,7 @@ func TestDropReplyExecutesInner(t *testing.T) {
 	nw.SetRules(Rule{DropReply: 1})
 	inner := &okCaller{}
 	c := nw.Caller("x", inner)
-	_, err := c.Call(context.Background(), "y", wire.Request{Type: wire.TPut})
+	_, err := c.Call(context.Background(), "y", wire.Request{Type: wire.TNotify})
 	var ne *wire.NetError
 	if !errors.As(err, &ne) || !ne.Sent {
 		t.Fatalf("want sent NetError, got %v", err)
@@ -143,7 +143,7 @@ func TestErrReplyIsRemoteError(t *testing.T) {
 	nw.SetRules(Rule{ErrReply: 1})
 	inner := &okCaller{}
 	c := nw.Caller("x", inner)
-	_, err := c.Call(context.Background(), "y", wire.Request{Type: wire.TGet})
+	_, err := c.Call(context.Background(), "y", wire.Request{Type: wire.TStoreGet})
 	if !wire.IsRemote(err) {
 		t.Fatalf("want RemoteError, got %v", err)
 	}
@@ -151,7 +151,7 @@ func TestErrReplyIsRemoteError(t *testing.T) {
 		t.Error("err_reply should short-circuit the inner call")
 	}
 	// And therefore the retry layer must not retry it.
-	if wire.Retryable(wire.TGet, err) {
+	if wire.Retryable(wire.TStoreGet, err) {
 		t.Error("injected remote error classified retryable")
 	}
 }
@@ -175,19 +175,19 @@ func TestDelayRule(t *testing.T) {
 
 func TestRuleMatchers(t *testing.T) {
 	nw := New(1)
-	nw.SetRules(Rule{Src: "a", Dst: "b", Type: wire.TPut, Drop: 1})
+	nw.SetRules(Rule{Src: "a", Dst: "b", Type: wire.TNotify, Drop: 1})
 	inner := &okCaller{}
 	ca := nw.Caller("addrA", inner)
 	nw.Bind("addrA", "a")
 	nw.Bind("addrB", "b")
-	if _, err := ca.Call(context.Background(), "addrB", wire.Request{Type: wire.TGet}); err != nil {
+	if _, err := ca.Call(context.Background(), "addrB", wire.Request{Type: wire.TStoreGet}); err != nil {
 		t.Errorf("wrong msg type matched: %v", err)
 	}
-	if _, err := ca.Call(context.Background(), "addrB", wire.Request{Type: wire.TPut}); err == nil {
+	if _, err := ca.Call(context.Background(), "addrB", wire.Request{Type: wire.TNotify}); err == nil {
 		t.Error("matching call not dropped")
 	}
 	cb := nw.Caller("addrB", inner)
-	if _, err := cb.Call(context.Background(), "addrA", wire.Request{Type: wire.TPut}); err != nil {
+	if _, err := cb.Call(context.Background(), "addrA", wire.Request{Type: wire.TNotify}); err != nil {
 		t.Errorf("reverse direction matched: %v", err)
 	}
 }

@@ -11,16 +11,16 @@ import (
 	"repro/internal/wire"
 )
 
-// maxMemberBytes is what one member of a depth-2 one-hop table may hold,
+// maxMemberBytes is what one member of a one-hop table may hold,
 // committed with under 20 % headroom over what
-// TestAllocBudgetRouteTableMember measures (~590 B): at 1,000 one-hop
-// nodes that is ~0.6 MB a node, the holder after a node's fixed ~21 KB
+// TestAllocBudgetRouteTableMember measures (~282 B): at 1,000 one-hop
+// nodes that is ~0.28 MB a node, the holder after a node's fixed ~21 KB
 // and its ~2 KB per connection.
-const maxMemberBytes = 700
+const maxMemberBytes = 330
 
 // TestAllocBudgetRouteTableMember: the bytes a one-hop table holds per
-// member, for 1,000 members each in the global ring and in one lower
-// ring (a depth-2 table), with both rings' member indexes built.
+// member, for 1,000 members of the global ring with its member index
+// built — the table a live node keeps, which tracks no lower ring.
 func TestAllocBudgetRouteTableMember(t *testing.T) {
 	const members = 1000
 	var ms0, ms1 runtime.MemStats
@@ -31,21 +31,17 @@ func TestAllocBudgetRouteTableMember(t *testing.T) {
 		addr := fmt.Sprintf("10.0.%d.%d:4000", i/250, i%250)
 		p := wire.Peer{Addr: addr, ID: [20]byte(id.HashString(addr))}
 		tbl.Apply(wire.RouteEvent{Layer: 1, Peer: p, Kind: wire.RouteJoin, Stamp: 1})
-		tbl.Apply(wire.RouteEvent{Layer: 2, Ring: "r0", Peer: p, Kind: wire.RouteJoin, Stamp: 1})
 	}
 	if _, ok := tbl.Owner(1, "", [20]byte{}); !ok {
 		t.Fatal("no owner in the global ring")
-	}
-	if _, ok := tbl.Owner(2, "r0", [20]byte{}); !ok {
-		t.Fatal("no owner in the lower ring")
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&ms1)
 	perMember := float64(int64(ms1.HeapAlloc)-int64(ms0.HeapAlloc)) / members
 	runtime.KeepAlive(tbl)
-	t.Logf("one member of a depth-2 one-hop table: %.0f B", perMember)
+	t.Logf("one member of a one-hop table: %.0f B", perMember)
 	if perMember > maxMemberBytes {
-		t.Errorf("one member of a depth-2 one-hop table holds %.0f B, budget %d", perMember, maxMemberBytes)
+		t.Errorf("one member of a one-hop table holds %.0f B, budget %d", perMember, maxMemberBytes)
 	}
 }
 

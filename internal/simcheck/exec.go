@@ -33,8 +33,7 @@ func (h *harness) exec(op Op) *Failure {
 			return fail("join-availability", "start n%d: %v", op.Slot, err)
 		}
 		if err := h.nodes[op.Slot].Join(slotAddr(boot)); err != nil {
-			h.nodes[op.Slot].Close()
-			h.nodes[op.Slot] = nil
+			h.remove(op.Slot, false)
 			// A join against a maintained, partition-free cluster must
 			// succeed; a refusal means the ring tables or landmark walk
 			// are advertising unusable state.
@@ -46,22 +45,18 @@ func (h *harness) exec(op Op) *Failure {
 		if h.partitioned || op.Slot < 2 || op.Slot >= h.cfg.Slots || h.nodes[op.Slot] == nil {
 			return nil
 		}
-		n := h.nodes[op.Slot]
 		// A failed handoff is survivable by design: every acknowledged
 		// write has quorum copies on other replica-set members, and the
 		// sweeps inside maintain re-home them. The durability invariant
 		// holds the cluster to that claim immediately below.
-		_ = n.Leave()
-		n.Close()
-		h.nodes[op.Slot] = nil
+		h.remove(op.Slot, true)
 		h.maintain()
 
 	case OpFail:
 		if op.Slot < 2 || op.Slot >= h.cfg.Slots || h.nodes[op.Slot] == nil {
 			return nil
 		}
-		h.nodes[op.Slot].Close()
-		h.nodes[op.Slot] = nil
+		h.remove(op.Slot, false)
 		// Crash, no handoff. Replication makes this survivable too: a
 		// write quorum put copies on at least two nodes, a crash destroys
 		// one, and the death-triggered sweeps in maintain restore the
@@ -71,7 +66,7 @@ func (h *harness) exec(op Op) *Failure {
 	case OpPut:
 		n := h.origin(op.Slot)
 		wasDeleted := h.model.deleted[op.Key]
-		err := n.Put(h.ctx, op.Key, []byte(op.Value))
+		err := n.Put(h.d.Context(), op.Key, []byte(op.Value))
 		// Record the value even when the put reports failure: part of the
 		// replica set may have accepted the write before the quorum
 		// fell short, so the value can legitimately be read back later.
@@ -99,7 +94,7 @@ func (h *harness) exec(op Op) *Failure {
 
 	case OpGet:
 		n := h.origin(op.Slot)
-		v, err := n.Get(h.ctx, op.Key)
+		v, err := n.Get(h.d.Context(), op.Key)
 		acc := h.model.vals[op.Key]
 		if err != nil {
 			// Acknowledged writes must stay readable in a partition-free
@@ -119,7 +114,7 @@ func (h *harness) exec(op Op) *Failure {
 
 	case OpDelete:
 		n := h.origin(op.Slot)
-		err := n.Delete(h.ctx, op.Key)
+		err := n.Delete(h.d.Context(), op.Key)
 		h.extendLease(op.Key) // the tombstone's grace is a fresh lease
 		if err != nil {
 			// A failed delete may still have installed tombstones on a
@@ -150,7 +145,7 @@ func (h *harness) exec(op Op) *Failure {
 
 	case OpLookup:
 		n := h.origin(op.Slot)
-		res, err := n.Lookup(h.ctx, transport.LiveKeyID(op.Key))
+		res, err := n.Lookup(h.d.Context(), transport.LiveKeyID(op.Key))
 		if err != nil {
 			if !h.partitioned {
 				return fail("lookup-availability", "lookup %q from n%d: %v", op.Key, op.Slot, err)
@@ -210,7 +205,7 @@ func (h *harness) checkpoint() *Failure {
 	if h.partitioned {
 		return h.runInvariants(false)
 	}
-	if err := h.quiesce(); err != nil {
+	if err := h.d.Settle(); err != nil {
 		return &Failure{Invariant: "quiescence", Err: err}
 	}
 	return h.runInvariants(true)

@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/binning"
+	"repro/internal/churn"
 	"repro/internal/faultnet"
 	"repro/internal/replica"
 	"repro/internal/transport"
@@ -76,21 +76,17 @@ func (m *model) mustRead(key string, now uint64) bool {
 	return m.acked[key] && !m.deleted[key] && !m.expired(key, now)
 }
 
-// harness owns one in-process cluster: a wire.MemNet for transport (so
-// node addresses — and therefore node IDs — are identical on every run),
-// a faultnet.Network for partitions, and the data model. Slots 0 and 1
-// are the two landmarks; they are started before any generated op runs
-// and never leave or fail.
+// harness owns one in-process cluster: a churn.Driver runs the nodes (on
+// MemNet, so node addresses — and therefore node IDs — are identical on
+// every run, and every operation the executor issues derives from the
+// driver's run context), a faultnet.Network partitions them, and the
+// data model judges them. Slots 0 and 1 are the two landmarks; they are
+// started before any generated op runs and never leave or fail.
 type harness struct {
-	cfg Config
-	// ctx is the run's root context: every operation the executor issues
-	// (puts, gets, lookups) flows from it, and close cancels it so no op
-	// can outlive the harness.
-	ctx         context.Context
-	cancel      context.CancelFunc
-	mem         *wire.MemNet
+	cfg         Config
+	d           *churn.Driver
 	fnet        *faultnet.Network
-	nodes       []*transport.Node
+	nodes       []*transport.Node // by slot; nil when the slot is empty
 	coords      [][2]float64
 	expectNames [][]string // per slot, from an independent binning run
 	partitioned bool
@@ -122,7 +118,6 @@ func slotCoord(slot int) [2]float64 {
 func newHarness(cfg Config) (*harness, error) {
 	h := &harness{
 		cfg:         cfg,
-		mem:         wire.NewMemNet(),
 		fnet:        faultnet.New(cfg.Seed),
 		nodes:       make([]*transport.Node, cfg.Slots),
 		coords:      make([][2]float64, cfg.Slots),
@@ -135,8 +130,7 @@ func newHarness(cfg Config) (*harness, error) {
 			expireAt: map[string]uint64{},
 		},
 	}
-	h.ctx, h.cancel = context.WithCancel(context.Background()) //lint:allow ctxflow the harness run root: close cancels it, and every executed op derives from it
-	h.clock.Store(1)                                           // tick 0 would read as replica's "no clock" sentinel
+	h.clock.Store(1) // tick 0 would read as replica's "no clock" sentinel
 	ladder, err := binning.DefaultLadder(cfg.Depth)
 	if err != nil {
 		return nil, err
@@ -155,6 +149,7 @@ func newHarness(cfg Config) (*harness, error) {
 	}
 	// Bootstrap the two landmarks outside the op stream. Both listen
 	// before the network is created: creating it probes every landmark.
+	h.d = churn.NewDriver()
 	if err := h.startNode(0); err != nil {
 		return nil, err
 	}
@@ -214,11 +209,18 @@ type stamp struct {
 // that no production struct carries a switch production must never set.
 func (h *harness) wrapCaller(self string, inner wire.Caller) wire.Caller {
 	inner = h.fnet.Caller(self, inner)
-	if !h.cfg.RouteGossipBug && !h.cfg.ReplicationBug {
+	if h.cfg.SkipRepairLayer == 0 && !h.cfg.RouteGossipBug && !h.cfg.ReplicationBug {
 		return inner
 	}
 	return wire.CallerFunc(func(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
 		switch req.Type {
+		case wire.TNotify:
+			if req.Layer == h.cfg.SkipRepairLayer {
+				// Acknowledged and dropped: no node of the layer's rings
+				// learns of a new predecessor, so a join or a death leaves
+				// the ring's predecessor pointers wrong for good.
+				return wire.Response{OK: true}, nil
+			}
 		case wire.TRouteGossip:
 			if h.cfg.RouteGossipBug {
 				// Acknowledged empty and never delivered: the pusher
@@ -257,27 +259,14 @@ func (h *harness) wrapCaller(self string, inner wire.Caller) wire.Caller {
 }
 
 func (h *harness) startNode(slot int) error {
-	ln, err := h.mem.Listen(slotAddr(slot))
-	if err != nil {
-		return err
-	}
-	n, err := transport.Start("", transport.Config{
-		Depth:       h.cfg.Depth,
-		Landmarks:   []string{slotAddr(0), slotAddr(1)},
-		Coord:       h.coords[slot],
-		CallTimeout: 2 * time.Second,
+	n, err := h.d.Start(slotAddr(slot), transport.Config{
+		Depth:     h.cfg.Depth,
+		Landmarks: []string{slotAddr(0), slotAddr(1)},
+		Coord:     h.coords[slot],
 		// Every checked cluster runs the one-hop route tier, so the
 		// route-table-accuracy invariant exercises gossip dissemination
 		// on top of ordinary maintenance.
-		RouteMode: transport.RouteOneHop,
-		// Two attempts with near-zero backoff: MemNet refuses dials to
-		// dead peers immediately, so retries cost microseconds, and two
-		// failed attempts reach the default eviction suspicion.
-		Retry: wire.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond, MaxBackoff: time.Millisecond},
-		// The breaker's cooldown is wall-clock time — nondeterministic
-		// under load — so it stays off; eviction runs on the consecutive
-		// failure count, which is schedule-determined.
-		Breaker:     wire.BreakerPolicy{Threshold: -1},
+		RouteMode:   transport.RouteOneHop,
 		Replication: h.replOptions(),
 		// Every node shares the harness's logical clock, so expiry
 		// decisions are identical cluster-wide and replayable; TTL is in
@@ -285,11 +274,8 @@ func (h *harness) startNode(slot int) error {
 		Clock:      h.clock.Load,
 		TTL:        time.Duration(h.cfg.TTL),
 		WrapCaller: h.wrapCaller,
-		Listener:   ln,
-		Dial:       h.mem.Dial,
 	})
 	if err != nil {
-		ln.Close()
 		return err
 	}
 	h.fnet.Bind(slotAddr(slot), slotAddr(slot))
@@ -297,15 +283,14 @@ func (h *harness) startNode(slot int) error {
 	return nil
 }
 
-func (h *harness) close() {
-	h.cancel()
-	for s, n := range h.nodes {
-		if n != nil {
-			n.Close()
-			h.nodes[s] = nil
-		}
-	}
+// remove takes slot's node out of the cluster: a graceful leave, or a
+// crash.
+func (h *harness) remove(slot int, graceful bool) {
+	h.d.Remove(h.nodes[slot], graceful)
+	h.nodes[slot] = nil
 }
+
+func (h *harness) close() { h.d.Close() }
 
 // liveSlots returns occupied slots in ascending order.
 func (h *harness) liveSlots() []int {
@@ -329,71 +314,13 @@ func (h *harness) origin(slot int) *transport.Node {
 }
 
 // maintain runs the steady-state maintenance a deployment's background
-// timers would: two full stabilization sweeps over all live nodes in slot
-// order, plus a finger-refresh batch. Two sweeps, because repairing a
-// crashed node's predecessor link can take one sweep to clear the dead
-// pointer and a second for the notify that fills it. cfg.SkipRepairLayer
-// suppresses one layer's sweep — the hook the seeded-bug acceptance test
-// uses to prove the invariants catch a maintenance regression.
+// timers would: two driver rounds (each node's StabilizeOnce and a batch
+// of 16 finger refreshes per layer). Two, because repairing a crashed
+// node's predecessor link can take one round to clear the dead pointer
+// and a second for the notify that fills it.
 func (h *harness) maintain() {
-	for round := 0; round < 2; round++ {
-		h.maintainRound(false)
-	}
-}
-
-func (h *harness) maintainRound(full bool) {
-	for _, s := range h.liveSlots() {
-		n := h.nodes[s]
-		for layer := 1; layer <= h.cfg.Depth; layer++ {
-			if layer == h.cfg.SkipRepairLayer {
-				continue
-			}
-			_ = n.StabilizeLayer(layer)
-		}
-		_ = n.RepairRingTables()
-		// Route gossip rides the maintenance cadence exactly as it rides
-		// StabilizeOnce in a deployment: membership events spread one
-		// fanout hop per round, so quiescence implies table convergence.
-		_ = n.RouteGossipOnce()
-		if full {
-			_ = n.BuildAllFingers()
-		} else {
-			_ = n.FixFingersOnce(16)
-		}
-		// Anti-entropy round, last: it re-homes data, syncs replicas by
-		// digest and expires dead leases over whatever ring state this
-		// round repaired, exactly as StabilizeOnce would in a deployment.
-		// Best-effort by design — a round that cannot reach a member
-		// keeps the local copy and retries next round.
-		_, _, _, _ = n.ReplicaAntiEntropyOnce()
-	}
-}
-
-// quiesce drives maintenance to a fixpoint: full rounds (exact finger
-// rebuilds included) until two consecutive rounds leave every node's
-// snapshot unchanged. Convergence is what makes the quiescent invariants
-// exact instead of probabilistic; the round cap turns a non-converging
-// protocol bug into an invariant failure rather than a hang.
-func (h *harness) quiesce() error {
-	const maxRounds = 30
-	var prev []transport.Snapshot
-	for round := 0; round < maxRounds; round++ {
-		h.maintainRound(true)
-		cur := h.snapshots()
-		if prev != nil && reflect.DeepEqual(prev, cur) {
-			return nil
-		}
-		prev = cur
-	}
-	return fmt.Errorf("maintenance did not reach a fixpoint after %d rounds", maxRounds)
-}
-
-func (h *harness) snapshots() []transport.Snapshot {
-	var out []transport.Snapshot
-	for _, s := range h.liveSlots() {
-		out = append(out, h.nodes[s].Snapshot())
-	}
-	return out
+	h.d.Round(16)
+	h.d.Round(16)
 }
 
 // parityGroups builds the even/odd slot-name groups used by OpPartition.

@@ -49,10 +49,10 @@ func (h *harness) world(quiescent bool) *world {
 		Partitioned: h.partitioned,
 		Model:       h.model,
 		lookup: func(slot int, key id.ID) (transport.LookupResult, error) {
-			return h.nodes[slot].Lookup(h.ctx, key)
+			return h.nodes[slot].Lookup(h.d.Context(), key)
 		},
 		get: func(slot int, key string) ([]byte, error) {
-			return h.nodes[slot].Get(h.ctx, key)
+			return h.nodes[slot].Get(h.d.Context(), key)
 		},
 	}
 	for _, s := range h.liveSlots() {

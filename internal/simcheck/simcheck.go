@@ -39,11 +39,12 @@ type Config struct {
 	// after the same grace. 0 — the default — keeps data and tombstones
 	// forever.
 	TTL uint64
-	// SkipRepairLayer, when in 1..Depth, suppresses that layer's
-	// stabilization during maintenance, and with it the entry-point
-	// consultation that keeps the ring's table — a deliberately seeded
-	// maintenance bug used to prove the invariant suite catches and
-	// shrinks real regressions. 0 checks the honest protocol.
+	// SkipRepairLayer, when in 1..Depth, seeds a maintenance fault at the
+	// nodes' outgoing seam (harness.wrapCaller): every notify of that
+	// layer is acknowledged and dropped, so its rings never learn a new
+	// predecessor — a deliberately seeded maintenance bug used to prove
+	// the invariant suite catches and shrinks real regressions. 0 checks
+	// the honest protocol.
 	SkipRepairLayer int
 	// ReplicationBug, when true, seeds a replication fault at the nodes'
 	// outgoing seam (harness.wrapCaller): a written item is stored only

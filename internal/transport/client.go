@@ -42,7 +42,6 @@ func (n *Node) call(ctx context.Context, addr string, req wire.Request) (wire.Re
 	if ctx.Err() != nil {
 		return wire.Response{}, &wire.NetError{Addr: addr, Op: "call", Sent: false, Err: context.Cause(ctx)}
 	}
-	req.Value = append([]byte(nil), req.Value...)
 	if len(req.Items) > 0 {
 		req.Items = slices.Clone(req.Items)
 		for i := range req.Items {
@@ -937,8 +936,8 @@ func (n *Node) StabilizeOnce() error {
 // consultation of the layer's entry points, which is at once the merge
 // scan of a healthy ring, the re-anchor of one whose successor list died,
 // the probe of a singleton for the rest of its ring and, on a lower ring,
-// the re-announce of its ring table. Exposed separately so harnesses can
-// drive — or, to seed a bug, selectively withhold — maintenance per layer.
+// the re-announce of its ring table. Exposed separately so a harness can
+// drive and time maintenance per layer.
 func (n *Node) StabilizeLayer(layer int) error {
 	if layer < 1 || layer > n.cfg.Depth {
 		return fmt.Errorf("transport: layer %d out of range (depth %d)", layer, n.cfg.Depth)

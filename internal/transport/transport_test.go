@@ -457,15 +457,16 @@ func TestHandledCounter(t *testing.T) {
 }
 
 // TestUnknownMessageRejected: a type no handler case answers, the
-// retired unversioned put and get included, draws "unknown message type".
+// retired unversioned put and get (numbers 8 and 9) included, draws
+// "unknown message type".
 func TestUnknownMessageRejected(t *testing.T) {
 	nd, err := Start("127.0.0.1:0", Config{Depth: 1, CallTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nd.Close()
-	for _, typ := range []wire.MsgType{99, wire.TPut, wire.TGet} {
-		_, err := wireCall(nd.Addr(), wire.Request{Type: typ, Name: "k", Value: []byte("v")}, time.Second)
+	for _, typ := range []wire.MsgType{99, 8, 9} {
+		_, err := wireCall(nd.Addr(), wire.Request{Type: typ, Name: "k"}, time.Second)
 		var re *wire.RemoteError
 		if !errors.As(err, &re) || !strings.Contains(re.Msg, "unknown message type") {
 			t.Errorf("%v: %v, want an unknown-message-type refusal", typ, err)

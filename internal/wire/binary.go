@@ -43,14 +43,14 @@ const (
 	rqPeer
 	rqPeers
 	rqTable
-	rqValue
+	rqRetired // the retired put's value: reserved, and refused on decode
 	rqItems
 	rqHierarchical // no body: the bit is the value
 	rqKeyHi
 	rqBuckets
 	rqEvents
 
-	rqKnown = rqEvents<<1 - 1
+	rqKnown = (rqEvents<<1 - 1) &^ rqRetired
 )
 
 // Response field mask bits, in encode order. The four bools ride in the
@@ -105,9 +105,6 @@ func (Binary) AppendRequest(dst []byte, req *Request) ([]byte, error) {
 	if req.Table != (RingTable{}) {
 		mask |= rqTable
 	}
-	if len(req.Value) > 0 {
-		mask |= rqValue
-	}
 	if len(req.Items) > 0 {
 		mask |= rqItems
 	}
@@ -144,9 +141,6 @@ func (Binary) AppendRequest(dst []byte, req *Request) ([]byte, error) {
 	}
 	if mask&rqTable != 0 {
 		dst = appendTable(dst, &req.Table)
-	}
-	if mask&rqValue != 0 {
-		dst = appendBlob(dst, req.Value)
 	}
 	if mask&rqItems != 0 {
 		dst = binary.AppendUvarint(dst, uint64(len(req.Items)))
@@ -224,11 +218,6 @@ func decodeRequest(data []byte, req *Request) error {
 	}
 	if mask&rqTable != 0 {
 		if req.Table, err = r.table(); err != nil {
-			return err
-		}
-	}
-	if mask&rqValue != 0 {
-		if req.Value, err = r.blob(); err != nil {
 			return err
 		}
 	}

@@ -25,7 +25,7 @@ func testRequests() []Request {
 			Largest:  Peer{Addr: "l:1", ID: [20]byte{3}},
 			SecondLg: Peer{Addr: "l:2", ID: [20]byte{4}},
 		}},
-		{Type: TPut, Name: "doc", Value: []byte("payload bytes")},
+		{Type: TStoreGet, Layer: 1, Name: "doc"},
 		{Type: TReplicate, Items: []StoreItem{
 			{Key: "a", Value: []byte("1"), Version: 9, Writer: "n1:1#4"},
 			{Key: "b", Version: 1, Writer: "n2:2#1"},

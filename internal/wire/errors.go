@@ -60,7 +60,7 @@ func IsRemote(err error) bool {
 // Idempotent reports whether an operation can be repeated safely even
 // when a previous attempt may already have been applied by the peer.
 // Reads and the eviction notice (purging an address twice is a no-op)
-// qualify; state-installing writes (TPut, TNotify, TPutRingTable, the
+// qualify; state-installing writes (TNotify, TPutRingTable, the
 // leave handoffs) are only retried when the request provably never
 // reached the peer (NetError.Sent == false).
 // The switch is exhaustive over MsgType on purpose: the retrysafe
@@ -69,7 +69,7 @@ func IsRemote(err error) bool {
 // rather than silently defaulting to "not idempotent".
 func Idempotent(t MsgType) bool {
 	switch t {
-	case TPing, TGetInfo, TFindClosest, TGetNeighbors, TGetRingTable, TGet, TEvict:
+	case TPing, TGetInfo, TFindClosest, TGetNeighbors, TGetRingTable, TEvict:
 		return true
 	case TStorePut, TReplicate, THandoff:
 		// Version-guarded merges: the receiver applies an item only when
@@ -84,7 +84,7 @@ func Idempotent(t MsgType) bool {
 		// Stamp-guarded merge: the receiver keeps only events that beat
 		// what it holds, so replaying a delivered gossip push is a no-op.
 		return true
-	case TNotify, TPutRingTable, TPut, TLeaveSucc, TLeavePred:
+	case TNotify, TPutRingTable, TLeaveSucc, TLeavePred:
 		// State-installing writes: replaying one can resurrect state
 		// the ring has already moved past, so these are retried only
 		// when the request provably never reached the peer.

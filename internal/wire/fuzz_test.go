@@ -90,7 +90,7 @@ func FuzzDecodeMessage(f *testing.F) {
 // through the raw codec and through a full framed MemNet exchange.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint8(TPing), 1, []byte("key material"), "ring:a", "n0:9000", []byte("value"), true)
-	f.Add(uint8(TPut), 3, []byte{}, "", "", []byte(nil), false)
+	f.Add(uint8(TStorePut), 3, []byte{}, "", "", []byte(nil), false)
 	f.Add(uint8(TEvict), -7, bytes.Repeat([]byte{0xaa}, 40), "deep/ring", "host:1", []byte{0}, true)
 
 	f.Fuzz(func(t *testing.T, typ uint8, layer int, keyMat []byte, name, addr string, value []byte, hier bool) {
@@ -105,7 +105,6 @@ func FuzzRoundTrip(f *testing.F) {
 			Peer:  Peer{Addr: addr, ID: pid},
 			Peers: []Peer{{Addr: addr + "'", ID: key}},
 			Table: RingTable{Layer: layer, Name: name, Smallest: Peer{Addr: addr, ID: key}},
-			Value: value,
 			Items: []StoreItem{{Key: name, Value: value, Version: uint64(typ), Writer: addr + "#1",
 				Expire: uint64(typ) * 3, Tombstone: hier}},
 			KeyHi:   pid,
@@ -176,9 +175,6 @@ func FuzzRoundTrip(f *testing.F) {
 // is on the wire iff it is non-zero, so nil and empty slices are one
 // value and the codec identity holds up to that equivalence.
 func normalizeReq(r Request) Request {
-	if len(r.Value) == 0 {
-		r.Value = nil
-	}
 	if len(r.Peers) == 0 {
 		r.Peers = nil
 	}

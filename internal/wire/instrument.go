@@ -11,13 +11,25 @@ import (
 // AllMsgTypes lists every protocol operation, so instrumentation can
 // pre-curry per-type child metrics once instead of formatting label
 // values on the hot path. It is generated from the constant block's end
-// marker, so a new operation cannot be left out.
+// marker, less the two reserved numbers, so a new operation cannot be
+// left out.
 var AllMsgTypes = func() []MsgType {
-	all := make([]MsgType, 0, numMsgTypes-1)
+	all := make([]MsgType, 0, numMsgTypes-3)
 	for t := TPing; int(t) < numMsgTypes; t++ {
-		all = append(all, t)
+		if t != TPutRingTable+1 && t != TPutRingTable+2 {
+			all = append(all, t)
+		}
 	}
 	return all
+}()
+
+// msgTypeChild is each type's position in AllMsgTypes plus one, 0 for a
+// type it does not list: the child a per-type family keeps for it.
+var msgTypeChild = func() (at [numMsgTypes]uint8) {
+	for i, t := range AllMsgTypes {
+		at[t] = uint8(i + 1)
+	}
+	return at
 }()
 
 // msgTypeNames is AllMsgTypes' label values, in the same order: every
@@ -70,8 +82,8 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 // pick returns t's child of a per-type family. A type outside
 // AllMsgTypes (a peer may send any byte) gets a child of its own.
 func pick(vec *metrics.CounterVec, t MsgType) *metrics.Counter {
-	if t >= TPing && int(t) < numMsgTypes {
-		return vec.At(int(t - TPing))
+	if int(t) < numMsgTypes && msgTypeChild[t] != 0 {
+		return vec.At(int(msgTypeChild[t]) - 1)
 	}
 	return vec.With(t.String())
 }

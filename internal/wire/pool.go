@@ -238,7 +238,7 @@ type muxResult struct {
 // collector.
 type exchange struct {
 	ch    chan muxResult
-	timer *time.Timer // idle (stopped and drained) whenever the record is pooled
+	timer *time.Timer // stopped whenever the record is pooled; a stopped timer delivers nothing
 }
 
 var exchangePool = sync.Pool{
@@ -251,16 +251,6 @@ func (x *exchange) arm(d time.Duration) {
 		x.timer = time.NewTimer(d)
 	} else {
 		x.timer.Reset(d)
-	}
-}
-
-// disarm returns an armed timer whose channel was not received from to
-// idle. The channel is the pre-Go-1.23 kind (go.mod says 1.22): a timer
-// that fired before Stop has left a value in it, which the record's next
-// exchange would take for its own deadline.
-func (x *exchange) disarm() {
-	if !x.timer.Stop() {
-		<-x.timer.C
 	}
 }
 
@@ -436,7 +426,7 @@ func (c *muxConn) roundTrip(ctx context.Context, addr string, req Request) (Resp
 	select {
 	case r := <-x.ch:
 		if bounded {
-			x.disarm()
+			x.timer.Stop()
 		}
 		if r.err != nil {
 			return Response{}, r.err
@@ -448,7 +438,7 @@ func (c *muxConn) roundTrip(ctx context.Context, addr string, req Request) (Resp
 		return r.resp, nil
 	case <-ctx.Done():
 		if bounded {
-			x.disarm()
+			x.timer.Stop()
 		}
 		cause = context.Cause(ctx)
 	case <-timeout:

@@ -134,10 +134,10 @@ func TestFrameBufPoolDropsLarge(t *testing.T) {
 			served <- aerr
 			return
 		}
-		served <- ServeConn(conn, func(req Request) Response { return Response{OK: true, Value: req.Value} }, ServeOptions{})
+		served <- ServeConn(conn, func(req Request) Response { return Response{OK: true, Value: req.Items[0].Value} }, ServeOptions{})
 	}()
 	p := NewPool(PoolOptions{Dial: mn.Dial})
-	resp, err := poolCall(p, "peer", Request{Type: TPut, Name: "k", Value: big}, time.Minute)
+	resp, err := poolCall(p, "peer", Request{Type: TStorePut, Items: []StoreItem{{Key: "k", Value: big}}}, time.Minute)
 	if err != nil || !bytes.Equal(resp.Value, big) {
 		t.Fatalf("1 MiB echo: %d bytes back, %v", len(resp.Value), err)
 	}
@@ -171,7 +171,7 @@ func TestPoolPipelinesOutOfOrder(t *testing.T) {
 
 	slowDone := make(chan Response, 1)
 	go func() {
-		resp, err := poolCall(p, "peer", Request{Type: TGet, Name: "slow"}, 5*time.Second)
+		resp, err := poolCall(p, "peer", Request{Type: TStoreGet, Name: "slow"}, 5*time.Second)
 		if err != nil {
 			t.Errorf("slow call: %v", err)
 		}
@@ -186,7 +186,7 @@ func TestPoolPipelinesOutOfOrder(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	fast, err := poolCall(p, "peer", Request{Type: TGet, Name: "fast"}, 2*time.Second)
+	fast, err := poolCall(p, "peer", Request{Type: TStoreGet, Name: "fast"}, 2*time.Second)
 	if err != nil {
 		t.Fatalf("fast call blocked behind the slow exchange: %v", err)
 	}
@@ -262,7 +262,7 @@ func TestPoolCancelAbandonsOneExchange(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	stuckErr := make(chan error, 1)
 	go func() {
-		_, err := p.Call(ctx, "peer", Request{Type: TGet, Name: "stuck"})
+		_, err := p.Call(ctx, "peer", Request{Type: TStoreGet, Name: "stuck"})
 		stuckErr <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -320,7 +320,7 @@ func TestPoolBrokenConnFailsAllInflight(t *testing.T) {
 	errs := make(chan error, inflight)
 	for i := 0; i < inflight; i++ {
 		go func() {
-			_, err := poolCall(p, "peer", Request{Type: TGet, Name: "doomed"}, 5*time.Second)
+			_, err := poolCall(p, "peer", Request{Type: TStoreGet, Name: "doomed"}, 5*time.Second)
 			errs <- err
 		}()
 	}
@@ -385,7 +385,7 @@ func TestPoolWedgedConnStrikeLimit(t *testing.T) {
 	// far out; only the wedge teardown can fail it quickly.
 	bystander := make(chan error, 1)
 	go func() {
-		_, callErr := poolCall(p, "peer", Request{Type: TGet, Name: "bystander"}, time.Minute)
+		_, callErr := poolCall(p, "peer", Request{Type: TStoreGet, Name: "bystander"}, time.Minute)
 		bystander <- callErr
 	}()
 	deadline := time.Now().Add(2 * time.Second)
@@ -396,7 +396,7 @@ func TestPoolWedgedConnStrikeLimit(t *testing.T) {
 	// Each timed-out exchange with no intervening completion is one
 	// strike; the limit kills the connection.
 	for i := 0; i < wedgeStrikes; i++ {
-		_, strikeErr := poolCall(p, "peer", Request{Type: TGet, Name: "strike"}, 25*time.Millisecond)
+		_, strikeErr := poolCall(p, "peer", Request{Type: TStoreGet, Name: "strike"}, 25*time.Millisecond)
 		if !errors.Is(strikeErr, context.DeadlineExceeded) {
 			t.Fatalf("strike %d: %v, want deadline exceeded", i, strikeErr)
 		}
@@ -456,7 +456,7 @@ func TestPoolTimedOutExchangeFreesTagSlot(t *testing.T) {
 		return p.peers["peer"].c
 	}()
 
-	if _, err := poolCall(p, "peer", Request{Type: TGet, Name: "stuck"}, 50*time.Millisecond); err == nil {
+	if _, err := poolCall(p, "peer", Request{Type: TStoreGet, Name: "stuck"}, 50*time.Millisecond); err == nil {
 		t.Fatal("exchange against a stuck handler should time out")
 	}
 	// No grace, no sleep: the timed-out waiter already released its slot.
@@ -543,7 +543,7 @@ func TestPoolAttemptDeadlineTimesOutLikeCtx(t *testing.T) {
 
 	for i := 1; i <= wedgeStrikes; i++ {
 		start := time.Now()
-		_, err := r.Call(context.Background(), "peer", Request{Type: TGet, Name: "stuck"})
+		_, err := r.Call(context.Background(), "peer", Request{Type: TStoreGet, Name: "stuck"})
 		var ne *NetError
 		if !errors.As(err, &ne) || ne.Op != "call" || !ne.Sent || !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("attempt %d: err = %v, want a sent \"call\" NetError wrapping context.DeadlineExceeded", i, err)
@@ -594,7 +594,7 @@ func TestPoolOneConnectionPerPeer(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		name := fmt.Sprintf("call-%d", i)
 		go func() {
-			resp, err := poolCall(p, "peer", Request{Type: TGet, Name: name}, 10*time.Second)
+			resp, err := poolCall(p, "peer", Request{Type: TStoreGet, Name: name}, 10*time.Second)
 			if err == nil && resp.Err != name {
 				err = fmt.Errorf("%s answered with %q", name, resp.Err)
 			}

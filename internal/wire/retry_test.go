@@ -54,9 +54,9 @@ func recvErr(addr string) error {
 
 func TestTypedErrors(t *testing.T) {
 	addr := echoServer(t, func(req Request) Response { return Response{Err: "nope"} })
-	_, err := callT(addr, Request{Type: TGet, Name: "x"}, 2*time.Second)
+	_, err := callT(addr, Request{Type: TStoreGet, Name: "x"}, 2*time.Second)
 	var re *RemoteError
-	if !errors.As(err, &re) || re.Type != TGet || !strings.Contains(re.Msg, "nope") {
+	if !errors.As(err, &re) || re.Type != TStoreGet || !strings.Contains(re.Msg, "nope") {
 		t.Fatalf("want RemoteError, got %#v", err)
 	}
 	if !IsRemote(err) {
@@ -75,13 +75,13 @@ func TestRetryableClassification(t *testing.T) {
 		err  error
 		want bool
 	}{
-		{TGet, &RemoteError{Type: TGet, Msg: "missing"}, false}, // app error: never
-		{TPut, dialErr("a"), true},                              // never sent: always
-		{TPut, recvErr("a"), false},                             // maybe applied: unsafe
-		{TNotify, recvErr("a"), false},                          // maybe applied: unsafe
-		{TFindClosest, recvErr("a"), true},                      // idempotent read
-		{TEvict, recvErr("a"), true},                            // purging twice is a no-op
-		{TPing, &CircuitOpenError{Addr: "a"}, false},            // breaker decides, not retry
+		{TStoreGet, &RemoteError{Type: TStoreGet, Msg: "missing"}, false}, // app error: never
+		{TNotify, dialErr("a"), true},                                     // never sent: always
+		{TNotify, recvErr("a"), false},                                    // maybe applied: unsafe
+		{TPutRingTable, recvErr("a"), false},                              // maybe applied: unsafe
+		{TFindClosest, recvErr("a"), true},                                // idempotent read
+		{TEvict, recvErr("a"), true},                                      // purging twice is a no-op
+		{TPing, &CircuitOpenError{Addr: "a"}, false},                      // breaker decides, not retry
 		{TPing, nil, false},
 	}
 	for i, c := range cases {
@@ -112,9 +112,9 @@ func TestRetrierRecoversTransientFailure(t *testing.T) {
 }
 
 func TestRetrierNeverRetriesRemoteErrors(t *testing.T) {
-	sc := &scriptCaller{outs: []error{&RemoteError{Type: TGet, Msg: "missing"}}}
+	sc := &scriptCaller{outs: []error{&RemoteError{Type: TStoreGet, Msg: "missing"}}}
 	r := NewRetrier(sc, fastRetry(), BreakerPolicy{}, nil)
-	_, err := r.Call(context.Background(), "p", Request{Type: TGet})
+	_, err := r.Call(context.Background(), "p", Request{Type: TStoreGet})
 	if !IsRemote(err) {
 		t.Fatalf("want RemoteError through, got %v", err)
 	}
@@ -127,20 +127,20 @@ func TestRetrierNeverRetriesRemoteErrors(t *testing.T) {
 }
 
 func TestRetrierIdempotencyAware(t *testing.T) {
-	// A non-idempotent put whose request may have been applied: one shot.
+	// A non-idempotent notify whose request may have been applied: one shot.
 	sc := &scriptCaller{outs: []error{recvErr("p")}}
 	r := NewRetrier(sc, fastRetry(), BreakerPolicy{}, nil)
-	if _, err := r.Call(context.Background(), "p", Request{Type: TPut, Name: "k"}); err == nil {
+	if _, err := r.Call(context.Background(), "p", Request{Type: TNotify, Layer: 1}); err == nil {
 		t.Fatal("want failure")
 	}
 	if sc.count() != 1 {
-		t.Errorf("unsafe put retried: %d attempts", sc.count())
+		t.Errorf("unsafe notify retried: %d attempts", sc.count())
 	}
-	// The same put failing at dial never reached the peer: retried.
+	// The same notify failing at dial never reached the peer: retried.
 	sc2 := &scriptCaller{outs: []error{dialErr("p"), nil}}
 	r2 := NewRetrier(sc2, fastRetry(), BreakerPolicy{}, nil)
-	if _, err := r2.Call(context.Background(), "p", Request{Type: TPut, Name: "k"}); err != nil {
-		t.Fatalf("unsent put not retried: %v", err)
+	if _, err := r2.Call(context.Background(), "p", Request{Type: TNotify, Layer: 1}); err != nil {
+		t.Fatalf("unsent notify not retried: %v", err)
 	}
 	if sc2.count() != 2 {
 		t.Errorf("attempts = %d, want 2", sc2.count())
@@ -372,11 +372,11 @@ func TestWriteDeadlineResetPerFrame(t *testing.T) {
 }
 
 func TestMsgTypeIdempotencyTable(t *testing.T) {
-	if Idempotent(TPut) || Idempotent(TNotify) || Idempotent(TPutRingTable) ||
+	if Idempotent(TNotify) || Idempotent(TPutRingTable) ||
 		Idempotent(TLeaveSucc) || Idempotent(TLeavePred) {
 		t.Error("state-installing writes must not be idempotent")
 	}
-	for _, typ := range []MsgType{TPing, TGetInfo, TFindClosest, TGetNeighbors, TGetRingTable, TGet, TEvict} {
+	for _, typ := range []MsgType{TPing, TGetInfo, TFindClosest, TGetNeighbors, TGetRingTable, TEvict} {
 		if !Idempotent(typ) {
 			t.Errorf("%v should be idempotent", typ)
 		}

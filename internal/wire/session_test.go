@@ -141,7 +141,7 @@ func TestServeFloodBounded(t *testing.T) {
 		name := strconv.Itoa(i)
 		go func() {
 			<-start
-			resp, err := poolCall(p, "peer", Request{Type: TGet, Name: name}, time.Minute)
+			resp, err := poolCall(p, "peer", Request{Type: TStoreGet, Name: name}, time.Minute)
 			if err == nil && resp.Err != name {
 				err = fmt.Errorf("call %s answered with %q", name, resp.Err)
 			}
@@ -236,7 +236,7 @@ func TestCallViaTypesSetDeadlineFailure(t *testing.T) {
 		t.Cleanup(func() { server.Close() })
 		return deadlineFailConn{client}, nil
 	}
-	_, err := callVia(dial, "peer", Request{Type: TPut, Name: "k"}, time.Second)
+	_, err := callVia(dial, "peer", Request{Type: TNotify, Layer: 1}, time.Second)
 	var ne *NetError
 	if !errors.As(err, &ne) {
 		t.Fatalf("Call = %v, want *NetError", err)
@@ -244,7 +244,7 @@ func TestCallViaTypesSetDeadlineFailure(t *testing.T) {
 	if ne.Sent {
 		t.Errorf("Sent = true for a failure before the first write")
 	}
-	if !Retryable(TPut, err) {
+	if !Retryable(TNotify, err) {
 		t.Errorf("a non-idempotent request that never left must be retryable: %v", err)
 	}
 }

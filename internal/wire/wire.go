@@ -39,10 +39,11 @@ const (
 	TGetRingTable
 	// TPutRingTable stores/updates a ring table.
 	TPutRingTable
-	// TPut stores a key/value pair on the receiving node.
-	TPut
-	// TGet reads a key from the receiving node.
-	TGet
+	// 8 and 9 were the unversioned put and get, retired once the
+	// replicated store took over. They stay reserved, so every later type
+	// keeps its number on the wire.
+	_
+	_
 	// TLeaveSucc tells a departing node's successor to adopt the
 	// departing node's predecessor.
 	TLeaveSucc
@@ -68,7 +69,7 @@ const (
 	// store — the re-replication/republish path of the stabilize sweep.
 	TReplicate
 	// THandoff transfers a departing node's versioned items to its
-	// successor (the replicated counterpart of the TPut-per-key handoff).
+	// successor in one batch.
 	THandoff
 	// TDigest asks a replica-set member for its per-bucket range digest
 	// over the key-ID arc (Key, KeyHi]: DigestBuckets XOR-folded item
@@ -112,10 +113,6 @@ func (m MsgType) String() string {
 		return "get_ring_table"
 	case TPutRingTable:
 		return "put_ring_table"
-	case TPut:
-		return "put"
-	case TGet:
-		return "get"
 	case TLeaveSucc:
 		return "leave_succ"
 	case TLeavePred:
@@ -203,12 +200,11 @@ type RingTable struct {
 type Request struct {
 	Type  MsgType
 	Layer int      // TFindClosest, TGetNeighbors, TNotify: ring layer (1 = global); TStoreGet: 1 = ownership-checked
-	Key   [20]byte // TFindClosest: routing target; TPut/TGet use Name; TRouteGossip: the sender's table summary, first 8 bytes
+	Key   [20]byte // TFindClosest: routing target; TRouteGossip: the sender's table summary, first 8 bytes
 	Name  string   // ring name or kv key
 	Peer  Peer     // TNotify: candidate predecessor; TLeaveSucc: new predecessor; TEvict: the dead peer
 	Peers []Peer   // TLeavePred: the departing node's successor list
 	Table RingTable
-	Value []byte      // TPut payload
 	Items []StoreItem // TStorePut: the single item; TReplicate/THandoff: a batch
 	// TDigest/TSyncPull: the key-ID arc (Key, KeyHi] being synced; Key
 	// doubles as the arc's exclusive lower bound. Key == KeyHi covers the
@@ -247,7 +243,7 @@ type Response struct {
 	Table RingTable
 	Found bool
 
-	// TGet:
+	// TStoreGet: the stored item's value.
 	Value []byte
 
 	// TStoreGet: the stored item's version stamp (Found reports presence).

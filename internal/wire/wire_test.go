@@ -37,12 +37,12 @@ func callT(addr string, req Request, timeout time.Duration) (Response, error) {
 
 func TestCallRoundTrip(t *testing.T) {
 	addr := echoServer(t, func(req Request) Response {
-		if req.Type != TPut || req.Name != "k" || string(req.Value) != "v" {
+		if req.Type != TStoreGet || req.Name != "k" || req.Layer != 1 {
 			return Response{Err: fmt.Sprintf("unexpected request %v", req.Type)}
 		}
 		return Response{OK: true, Value: []byte("stored")}
 	})
-	resp, err := callT(addr, Request{Type: TPut, Name: "k", Value: []byte("v")}, 2*time.Second)
+	resp, err := callT(addr, Request{Type: TStoreGet, Layer: 1, Name: "k"}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestCallRemoteError(t *testing.T) {
 	addr := echoServer(t, func(req Request) Response {
 		return Response{Err: fmt.Sprintf("boom %d", 42)}
 	})
-	_, err := callT(addr, Request{Type: TGet, Name: "x"}, 2*time.Second)
+	_, err := callT(addr, Request{Type: TStoreGet, Name: "x"}, 2*time.Second)
 	var re *RemoteError
 	if err == nil || !errors.As(err, &re) || re.Msg != "boom 42" {
 		t.Errorf("want remote error, got %v", err)
@@ -185,7 +185,8 @@ func TestMsgTypeStrings(t *testing.T) {
 		TPing: "ping", TGetInfo: "get_info", TFindClosest: "find_closest",
 		TGetNeighbors: "get_neighbors", TNotify: "notify",
 		TGetRingTable: "get_ring_table", TPutRingTable: "put_ring_table",
-		TPut: "put", TGet: "get",
+		TStoreGet: "store_get", TRouteGossip: "route_gossip",
+		8: "MsgType(8)", 9: "MsgType(9)", // the retired put and get
 	}
 	for m, want := range names {
 		if m.String() != want {
