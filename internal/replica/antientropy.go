@@ -203,13 +203,11 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 		// Republish: the owner re-stamps a live item entering the last
 		// half of its TTL, so a key that is still wanted outlives its
 		// expiry. The fresh stamp leaves the republish window immediately,
-		// which keeps the round idempotent under a frozen clock.
+		// which keeps the round idempotent under a frozen clock. One engine
+		// step re-stamps whatever is held by then, so a write the owner
+		// installs meanwhile is republished, never overwritten.
 		if en := snap[i]; at == 0 && c.TTL > 0 && !en.tombstone && now < en.expire && en.expire-now < uint64(c.TTL/2) {
-			if item, ok := c.Engine.Get(en.key); ok {
-				version, writer := c.Engine.Stamp(en.key, c.Self, item.Version)
-				item.Version, item.Writer, item.Expire = version, writer, now+uint64(c.TTL)
-				c.Engine.Apply(item)
-			}
+			c.Engine.Restamp(en.key, c.Self, now+uint64(c.TTL))
 		}
 		for _, addr := range set {
 			if addr != c.Self && !slices.Contains(peers, addr) {

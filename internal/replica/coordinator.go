@@ -38,8 +38,8 @@ type Metrics struct {
 	Expired      *metrics.Counter
 	// LocalSets and WalkSets count replica sets by how they were obtained
 	// (replica_resolves_total{path}): without a resolve round trip — computed
-	// from the ring stretch, or named by the owner on the operation's own
-	// read — or by the network resolver's lookup walk.
+	// from the ring stretch, or named by the owner on the operation's first
+	// request — or by the network resolver's lookup walk.
 	LocalSets *metrics.Counter
 	WalkSets  *metrics.Counter
 }
@@ -98,7 +98,7 @@ type Coordinator struct {
 	// Neighbors and OwnerRead are the local sources of replica sets: the
 	// first serves anti-entropy (every key of the node's ring stretch, no
 	// RPC per key), the second the quorum operations (the owner names the
-	// set on the operation's first read). Both are optional and both fall
+	// set on the operation's first request). Both are optional and both fall
 	// back to Resolve, the only source a Coordinator without them has.
 	Neighbors NeighborsFunc
 	OwnerRead OwnerReadFunc
@@ -130,10 +130,10 @@ func (c *Coordinator) metrics() *Metrics {
 	return c.Metrics
 }
 
-// Put performs one quorum write: locate the key's replica set, read
-// the owner's current version, stamp the value past it, and install
-// the item on every member, acknowledging once WriteQuorum members
-// (clamped to the set size) accepted it. Failing members are tolerated
+// Put performs one quorum write: locate the key's replica set, have the
+// owner stamp the value past the version it holds as it installs it, and
+// install that stamp on every other member, acknowledging once
+// WriteQuorum members (clamped to the set size) accepted it. Failing members are tolerated
 // as long as the quorum holds; anti-entropy re-replicates to them later.
 func (c *Coordinator) Put(ctx context.Context, key string, value []byte) error {
 	err := c.write(ctx, "put", wire.StoreItem{Key: key, Value: value})
@@ -143,9 +143,9 @@ func (c *Coordinator) Put(ctx context.Context, key string, value []byte) error {
 	return err
 }
 
-// Delete performs one quorum delete: a tombstone item is stamped past
-// the freshest version visible at the owner and installed on every
-// replica-set member under the same quorum rule as Put. The tombstone
+// Delete performs one quorum delete: a tombstone item is stamped by the
+// owner past the version it holds and installed on every replica-set
+// member under the same quorum rule as Put. The tombstone
 // supersedes live versions through the normal LWW order, so a stale
 // replica that missed the delete cannot resurrect the key; it is
 // garbage-collected TTL after the delete (and kept forever when TTL is
@@ -162,42 +162,45 @@ func (c *Coordinator) Delete(ctx context.Context, key string) error {
 // value or a tombstone) and installs it on the key's replica set. op
 // names the caller in errors. Counting the failure is the caller's, so
 // the metric label stays a constant and costs nothing on success.
+//
+// The first exchange installs the write at the owner: an ownership-checked
+// store_put the owner stamps past what it holds (Engine.ApplyPast), whose
+// reply is an ack and the stamp for the other members. If set[0] refuses
+// or is unreachable, the write is stamped past what it reported and put to
+// every member.
 func (c *Coordinator) write(ctx context.Context, op string, item wire.StoreItem) error {
 	start := time.Now()
 	opts := c.Opts.WithDefaults()
 	key := item.Key
-	set, held, asked, err := c.locate(ctx, key)
+	item.Version, item.Writer = c.Engine.Stamp(key, c.Self, 0)
+	item.Expire = c.expireStamp()
+	first := wire.Request{Type: wire.TStorePut, Name: key, Layer: 1, Items: []wire.StoreItem{item}}
+	set, atOwner, asked, err := c.locate(ctx, first)
 	if err != nil {
 		return fmt.Errorf("replica %s %q: resolve: %w", op, key, err)
 	}
 	if len(set) == 0 {
 		return fmt.Errorf("replica %s %q: empty replica set", op, key)
 	}
-
-	// Freshest version visible at the owner orders this write after
-	// everything already acknowledged there. An unreachable owner is
-	// fine: the local engine's stamp still advances past anything this
-	// node has seen, and the writer nonce keeps stamps unique.
+	var lastErr error
 	if !asked {
-		if resp, getErr := c.Call(ctx, set[0], wire.Request{Type: wire.TStoreGet, Name: key}); getErr == nil {
-			held = resp
-		}
+		atOwner, lastErr = c.Call(ctx, set[0], first)
+		asked = lastErr == nil && atOwner.Owner
 	}
-	var seen uint64
-	if held.Found {
-		seen = held.Version
+	acks, rest := 0, set
+	if asked {
+		item.Version = atOwner.Version
+		acks, rest = 1, set[1:]
+	} else {
+		item.Version, item.Writer = c.Engine.Stamp(key, c.Self, atOwner.Version)
 	}
-	item.Version, item.Writer = c.Engine.Stamp(key, c.Self, seen)
-	item.Expire = c.expireStamp()
 
 	need := opts.WriteQuorum
 	if need > len(set) {
 		need = len(set)
 	}
-	acks := 0
-	var lastErr error
-	for _, addr := range set { // ring order, owner first: the order Get polls in
-		req := wire.Request{Type: wire.TStorePut, Name: key, Items: []wire.StoreItem{item}}
+	req := wire.Request{Type: wire.TStorePut, Name: key, Items: []wire.StoreItem{item}}
+	for _, addr := range rest { // ring order: the order Get polls in
 		if _, callErr := c.Call(ctx, addr, req); callErr != nil {
 			lastErr = callErr
 			continue
@@ -222,7 +225,7 @@ func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, bool, error)
 	m := c.metrics()
 	start := time.Now()
 	opts := c.Opts.WithDefaults()
-	set, atOwner, asked, err := c.locate(ctx, key)
+	set, atOwner, asked, err := c.locate(ctx, wire.Request{Type: wire.TStoreGet, Name: key, Layer: 1})
 	if err != nil {
 		m.Failures.With("get").Inc()
 		return nil, false, fmt.Errorf("replica get %q: resolve: %w", key, err)

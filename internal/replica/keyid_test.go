@@ -81,7 +81,8 @@ func TestKeyIDMemoFollowsStore(t *testing.T) {
 // FuzzEngineMemo is TestKeyIDMemoFollowsStore with the sequence read off
 // the input, three bytes a step for up to 240 steps: writes, overwrites
 // and stale deliveries (random stamps, some expiring, some tombstones),
-// drops, clock advances with a purge, and owner republishes by Stamp.
+// drops, clock advances with a purge, owner installs (ApplyPast) and owner
+// republishes (Restamp).
 // After every step both memos — the identifier and the item hash — are
 // held to the memo-less reference through RangeDigest and RangeItems over
 // an arc the step names, and the round's snapshot must list every held
@@ -108,7 +109,11 @@ func FuzzEngineMemo(f *testing.F) {
 					it.Expire = now + uint64(1+a/24%5)
 				}
 				it.Tombstone = op&0xe0 == 0xe0
-				e.Apply(it)
+				if op%10 == 4 {
+					e.ApplyPast(it) // the owner's install of a write
+				} else {
+					e.Apply(it)
+				}
 			case 5, 6:
 				e.Drop(key)
 			case 7, 8:
@@ -116,11 +121,7 @@ func FuzzEngineMemo(f *testing.F) {
 				clock.Advance(time.Duration(b % 4))
 				e.PurgeExpired()
 			default:
-				if it, ok := e.Get(key); ok {
-					it.Version, it.Writer = e.Stamp(key, "self", it.Version)
-					it.Expire = now + 8
-					e.Apply(it)
-				}
+				e.Restamp(key, "self", now+8)
 			}
 			lo, hi := [20]byte{a, b}, [20]byte{b, a}
 			if op&0x10 != 0 {

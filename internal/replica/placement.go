@@ -17,14 +17,15 @@ import (
 // successor.
 type NeighborsFunc func(ctx context.Context) (chain []wire.Peer, self int, ok bool)
 
-// OwnerReadFunc performs a quorum operation's first exchange — the read
-// of key at its owner — with ownership checked on that exchange itself:
-// the node believed to own the key answers only if it does, and names
-// its successors along with the item. On ok, set is the key's replica
-// set built from that answer and held is the answer (Found, Version and
-// the rest as for any TStoreGet). Not ok means nobody vouched for owning
-// the key; the caller resolves the set over the network instead.
-type OwnerReadFunc func(ctx context.Context, key string) (set []string, held wire.Response, ok bool)
+// OwnerReadFunc performs a quorum operation's first exchange, first — a
+// Get's TStoreGet or a write's TStorePut, Layer 1 set — at the key's
+// owner, with ownership checked on that exchange itself: the node believed
+// to own the key acts on it only if it does, and names its successors. On
+// ok, set is the key's replica set built from that answer and answer is
+// the owner's reply (the item for a get, the stamp it installed for a
+// put). Not ok means nobody vouched for owning the key; the caller
+// resolves the set over the network instead.
+type OwnerReadFunc func(ctx context.Context, first wire.Request) (set []string, answer wire.Response, ok bool)
 
 // Placement maps the key arcs a ring stretch decides to their replica
 // sets. The zero value decides nothing.
@@ -101,17 +102,17 @@ func (c *Coordinator) replicaSet(ctx context.Context, p Placement, key string, k
 }
 
 // locate finds a quorum operation's replica set. When the key's owner
-// vouched for it on the operation's own first read (OwnerRead), asked is
-// true and held is that read's answer, which the caller uses instead of
-// asking set[0] again.
-func (c *Coordinator) locate(ctx context.Context, key string) (set []string, held wire.Response, asked bool, err error) {
+// vouched for it on the operation's first request (OwnerRead), asked is
+// true and answer is its reply to first, which the caller uses instead of
+// sending first to set[0] again.
+func (c *Coordinator) locate(ctx context.Context, first wire.Request) (set []string, answer wire.Response, asked bool, err error) {
 	if c.OwnerRead != nil {
-		if set, held, asked = c.OwnerRead(ctx, key); asked {
+		if set, answer, asked = c.OwnerRead(ctx, first); asked {
 			c.metrics().LocalSets.Inc()
-			return set, held, true, nil
+			return set, answer, true, nil
 		}
 	}
-	set, err = c.resolve(ctx, key)
+	set, err = c.resolve(ctx, first.Name)
 	return set, wire.Response{}, false, err
 }
 

@@ -62,20 +62,26 @@ func TestPlacementArcs(t *testing.T) {
 
 // TestCoordinatorLocalSources: with the local sources configured the
 // network resolver is reached only for what they do not cover — a held
-// key outside the stretch, an operation whose owner read was refused —
-// and an owner read's answer stands in for the first poll of set[0].
+// key outside the stretch, an operation whose first request the owner
+// refused — and the owner's answer to that request stands in for the
+// first poll of set[0], or for a write its install there.
 func TestCoordinatorLocalSources(t *testing.T) {
 	ctx := context.Background()
 	fc := newFakeCluster("n0", "n1", "n2")
-	co := fc.coordinator("n0", Options{Factor: 3, WriteQuorum: 2, ReadQuorum: 2})
+	co := fc.coordinator("n1", Options{Factor: 3, WriteQuorum: 2, ReadQuorum: 2})
 	walked := 0
 	co.Resolve = func(context.Context, string) ([]string, error) { walked++; return fc.set, nil }
 	vouch := true
-	co.OwnerRead = func(_ context.Context, key string) ([]string, wire.Response, bool) {
+	co.OwnerRead = func(_ context.Context, first wire.Request) ([]string, wire.Response, bool) {
 		if !vouch {
 			return nil, wire.Response{}, false
 		}
-		it, ok := fc.engines["n0"].Get(key)
+		owner := fc.engines["n0"]
+		if first.Type == wire.TStorePut {
+			v, _ := owner.ApplyPast(first.Items[0])
+			return fc.set, wire.Response{OK: true, Owner: true, Version: v}, true
+		}
+		it, ok := owner.Get(first.Name)
 		return fc.set, wire.Response{OK: true, Owner: true, Found: ok, Value: it.Value, Version: it.Version, Writer: it.Writer}, true
 	}
 	fc.engines["n0"].Apply(item("doc", "old", 41, "w#1"))
@@ -84,14 +90,14 @@ func TestCoordinatorLocalSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	if it, _ := fc.engines["n2"].Get("doc"); it.Version != 42 || string(it.Value) != "new" {
-		t.Errorf("put stamped %d %q, want 42 (one past the owner read's answer)", it.Version, it.Value)
+		t.Errorf("put stamped %d %q, want 42 (one past the owner's version)", it.Version, it.Value)
 	}
 	if v, found, err := co.Get(ctx, "doc"); err != nil || !found || string(v) != "new" {
 		t.Fatalf("get = %q, %v, %v", v, found, err)
 	}
-	wantCalls := []string{"n0:store_put", "n1:store_put", "n2:store_put", "n1:store_get"}
+	wantCalls := []string{"n1:store_put", "n2:store_put", "n1:store_get"}
 	if !reflect.DeepEqual(fc.calls, wantCalls) {
-		t.Errorf("calls = %v, want %v (the owner is not asked twice)", fc.calls, wantCalls)
+		t.Errorf("calls = %v, want %v (the owner is asked once, by the operation's first request)", fc.calls, wantCalls)
 	}
 	if walked != 0 || co.Metrics.WalkSets.Value() != 0 || co.Metrics.LocalSets.Value() != 2 {
 		t.Errorf("vouched operations: %d walks, walk=%d local=%d", walked, co.Metrics.WalkSets.Value(), co.Metrics.LocalSets.Value())

@@ -15,6 +15,7 @@
 package replica
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -237,11 +238,15 @@ func (e *Engine) Get(key string) (wire.StoreItem, bool) {
 
 // Stamp allocates the next version stamp for a locally coordinated
 // write of key: one past the held version (or past `seen`, whichever
-// is larger — callers pass the freshest version observed from the
-// owner), with a writer string unique to this (node, write).
+// is larger — callers pass the version a refusing owner reported), with
+// a writer string unique to this (node, write).
 func (e *Engine) Stamp(key, self string, seen uint64) (version uint64, writer string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.stampLocked(key, self, seen)
+}
+
+func (e *Engine) stampLocked(key, self string, seen uint64) (version uint64, writer string) {
 	version = seen
 	if cur, ok := e.items[key]; ok && cur.item.Version > version {
 		version = cur.item.Version
@@ -249,6 +254,40 @@ func (e *Engine) Stamp(key, self string, seen uint64) (version uint64, writer st
 	version++
 	e.seq++
 	return version, fmt.Sprintf("%s#%d", self, e.seq)
+}
+
+// ApplyPast is the owner's install of a write: in one critical section the
+// item's version is raised past the held one and the item applied. It
+// returns the version held after and the items installed (0 or 1). A
+// replay — equal to the held item but for the version, as a writer nonce
+// repeats after a restart — installs nothing; an expired item neither.
+func (e *Engine) ApplyPast(item wire.StoreItem) (version uint64, applied int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	cur, ok := e.items[item.Key]
+	replay := ok && cur.item.Writer == item.Writer && cur.item.Expire == item.Expire &&
+		cur.item.Tombstone == item.Tombstone && bytes.Equal(cur.item.Value, item.Value)
+	if replay || Expired(item, e.Now()) {
+		return cur.item.Version, 0
+	}
+	item.Version = max(item.Version, cur.item.Version+1)
+	cur.item, cur.hash = item, ItemHash(item)
+	e.items[item.Key] = cur
+	return item.Version, 1
+}
+
+// Restamp is the owner's republish of key: whatever is held at the call
+// gets a fresh stamp past its own and the given expiry in one critical
+// section, so a concurrent ApplyPast is never overwritten by older data.
+func (e *Engine) Restamp(key, self string, expire uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if cur, ok := e.items[key]; ok {
+		cur.item.Version, cur.item.Writer = e.stampLocked(key, self, 0)
+		cur.item.Expire = expire
+		cur.hash = ItemHash(cur.item)
+		e.items[key] = cur
+	}
 }
 
 // Drop removes key from the store (used when an anti-entropy round

@@ -134,10 +134,13 @@ type fakeCluster struct {
 	// keyID is the key → ring identifier mapping the members and the
 	// coordinators share: testKeyID, unless a test counts its calls.
 	keyID func(string) [20]byte
+	// owner answers ownership-checked puts as every key's owner: the
+	// first member, unless a test moves it ("" = nobody owns).
+	owner string
 }
 
 func newFakeCluster(members ...string) *fakeCluster {
-	fc := &fakeCluster{engines: map[string]*Engine{}, dead: map[string]bool{}, set: members, keyID: testKeyID}
+	fc := &fakeCluster{engines: map[string]*Engine{}, dead: map[string]bool{}, set: members, keyID: testKeyID, owner: members[0]}
 	for _, m := range members {
 		fc.engines[m] = NewEngine()
 	}
@@ -158,6 +161,14 @@ func (fc *fakeCluster) call(ctx context.Context, addr string, req wire.Request) 
 		it, ok := e.Get(req.Name)
 		return wire.Response{OK: true, Found: ok, Value: it.Value, Version: it.Version, Writer: it.Writer}, nil
 	case wire.TStorePut, wire.TReplicate, wire.THandoff:
+		if req.Layer == 1 && addr != fc.owner { // a refused ownership-checked put
+			it, _ := e.Get(req.Name)
+			return wire.Response{OK: true, Version: it.Version}, nil
+		}
+		if req.Layer == 1 {
+			v, applied := e.ApplyPast(req.Items[0])
+			return wire.Response{OK: true, Owner: true, Version: v, Applied: applied}, nil
+		}
 		return wire.Response{OK: true, Applied: e.ApplyBatch(req.Items)}, nil
 	case wire.TDigest:
 		return wire.Response{OK: true, Digests: e.RangeDigest(fc.keyID, req.Key, req.KeyHi)}, nil

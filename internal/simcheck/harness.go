@@ -99,7 +99,7 @@ type harness struct {
 	// firstSentTo is the seeded replication bug's memory (see wrapCaller);
 	// nodes call out from several goroutines.
 	bugMu       sync.Mutex
-	firstSentTo map[stamp]string
+	firstSentTo map[writeID]string
 }
 
 func slotAddr(slot int) string { return fmt.Sprintf("n%d", slot) }
@@ -127,7 +127,7 @@ func newHarness(cfg Config) (*harness, error) {
 		nodes:       make([]*transport.Node, cfg.Slots),
 		coords:      make([][2]float64, cfg.Slots),
 		expectNames: make([][]string, cfg.Slots),
-		firstSentTo: map[stamp]string{},
+		firstSentTo: map[writeID]string{},
 		model: &model{
 			vals:     map[string]map[string]bool{},
 			acked:    map[string]bool{},
@@ -202,11 +202,11 @@ func (h *harness) replOptions() replica.Options {
 	}
 }
 
-// stamp identifies one written item version.
-type stamp struct {
-	key     string
-	version uint64
-	writer  string
+// writeID identifies one write: its key and writer nonce. The version is
+// no part of it, since the owner raises it on the write's first exchange.
+type writeID struct {
+	key    string
+	writer string
 }
 
 // wrapCaller is every node's outgoing seam: the fault network and, above
@@ -236,16 +236,15 @@ func (h *harness) wrapCaller(self string, inner wire.Caller) wire.Caller {
 			}
 		case wire.TStorePut:
 			if h.cfg.ReplicationBug && len(req.Items) == 1 {
-				// A stamped item is stored only by the first address it
-				// is sent to — the coordinator writes the owner first —
-				// and acknowledged unstored by everyone after: no replica
-				// copies, and no read-repair of that stamp either.
-				it := req.Items[0]
-				st := stamp{it.Key, it.Version, it.Writer}
+				// A write is stored only by the first address it is sent
+				// to — the coordinator writes the owner first — and
+				// acknowledged unstored by everyone after: no replica
+				// copies, and no read-repair of that write either.
+				w := writeID{req.Items[0].Key, req.Items[0].Writer}
 				h.bugMu.Lock()
-				first, sent := h.firstSentTo[st]
+				first, sent := h.firstSentTo[w]
 				if !sent {
-					h.firstSentTo[st] = addr
+					h.firstSentTo[w] = addr
 				}
 				h.bugMu.Unlock()
 				if sent && first != addr {

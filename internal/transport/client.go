@@ -786,17 +786,18 @@ func (n *Node) replicaNeighbors(ctx context.Context) ([]wire.Peer, int, bool) {
 }
 
 // ownerRead is the replica coordinator's local source of replica sets for
-// quorum operations (replica.OwnerReadFunc): the operation's first
-// TStoreGet goes straight to the node the one-hop table, else a lookup
-// names as the key's owner, with Layer 1 set — which the handler reads as
-// "answer only if you own this key in the global ring, and name your
-// successors". A vouched answer is at once the ownership verification
-// Lookup spends a find_closest on, the neighbor read resolveReplicaSet
-// spends a get_neighbors on, and the read itself. A refusal or an
-// unreachable hint invalidates the hint exactly as a failed verification
-// in Lookup does, and the caller takes the network path.
-func (n *Node) ownerRead(ctx context.Context, key string) ([]string, wire.Response, bool) {
-	kid := LiveKeyID(key)
+// quorum operations (replica.OwnerReadFunc): the operation's first request
+// — a Get's TStoreGet or a write's TStorePut, Layer 1 set — goes straight
+// to the node the one-hop table, else a lookup names as the key's owner.
+// The handler reads Layer 1 as "act on this only if you own the key in
+// the global ring, and name your successors". A vouched answer is at once
+// the ownership verification Lookup spends a find_closest on, the
+// neighbor read resolveReplicaSet spends a get_neighbors on, and the read
+// or the install itself. A refusal or an unreachable hint invalidates the
+// hint exactly as a failed verification in Lookup does, and the caller
+// takes the network path.
+func (n *Node) ownerRead(ctx context.Context, first wire.Request) ([]string, wire.Response, bool) {
+	kid := LiveKeyID(first.Name)
 	var owner wire.Peer
 	hint := false
 	if n.routes != nil {
@@ -809,7 +810,7 @@ func (n *Node) ownerRead(ctx context.Context, key string) ([]string, wire.Respon
 		}
 		owner = res.Owner
 	}
-	resp, err := n.call(ctx, owner.Addr, wire.Request{Type: wire.TStoreGet, Name: key, Layer: 1})
+	resp, err := n.call(ctx, owner.Addr, first)
 	if err != nil || !resp.Owner {
 		if hint {
 			n.nm.onehopStale.Inc()

@@ -573,7 +573,19 @@ func (n *Node) handle(req *wire.Request, resp *wire.Response) {
 			resp.Err = fmt.Sprintf("store_put wants exactly one keyed item, got %d", len(req.Items))
 			return
 		}
-		resp.OK, resp.Applied = true, n.store.ApplyBatch(req.Items)
+		switch {
+		case req.Layer != 1:
+			resp.Applied = n.store.ApplyBatch(req.Items)
+		case n.ownsLocked(LiveKeyID(req.Items[0].Key)):
+			// Ownership-checked put (see ownerRead): the owner stamps the
+			// write past the version it holds and names the replica set.
+			resp.Owner, resp.Succ = true, n.replicaSuccessorsLocked()
+			resp.Version, resp.Applied = n.store.ApplyPast(req.Items[0])
+		default: // any other node installs nothing and reports its version
+			held, _ := n.store.Get(req.Items[0].Key)
+			resp.Version = held.Version
+		}
+		resp.OK = true
 
 	case wire.TStoreGet:
 		resp.OK = true

@@ -137,7 +137,7 @@ func TestLocalReplicaSetsMatchResolver(t *testing.T) {
 						if err != nil {
 							t.Fatalf("resolve %s: %v", key, err)
 						}
-						got, _, ok := nodes[(k+1)%n].ownerRead(ctx, key)
+						got, _, ok := nodes[(k+1)%n].ownerRead(ctx, wire.Request{Type: wire.TStoreGet, Name: key, Layer: 1})
 						if !ok || !slices.Equal(got, want) {
 							t.Fatalf("%s: owner read names %v (ok=%v), resolver %v", key, got, ok, want)
 						}
@@ -172,9 +172,10 @@ func TestLocalReplicaSetsMatchResolver(t *testing.T) {
 // what the local sources make the replica layer cost on a converged
 // 8-node one-hop cluster: an anti-entropy round is Factor-1 get_neighbors
 // (the predecessor chain) plus one digest per replica peer, a Get is one
-// store_get per remote member of the read quorum and a Put one store_get
-// at the owner and one store_put per member, each unless that member is the
-// coordinator itself — no find_closest anywhere, and no replica set
+// store_get per remote member of the read quorum and a Put one store_put
+// per member (the first installs at the owner and reads nothing), each
+// unless that member is the coordinator itself — no find_closest
+// anywhere, no store_get in a write, and no replica set
 // obtained by a walk. (The pins used to read ReadQuorum and 1 + Factor
 // flat: the coordinator sent itself its own share over its listener. What
 // a node asks itself is answered in-process and is not a message.)
@@ -242,7 +243,6 @@ func TestReplicaCostPins(t *testing.T) {
 		if err := from.Put(ctx, keyAt(i), []byte("again")); err != nil {
 			t.Fatalf("put %s: %v", keyAt(i), err)
 		}
-		want["store_get"] += remote(i, from, 1)
 		want["store_put"] += remote(i, from, factor)
 	}
 	if got := rpcsSince(t, before, nodes...); !reflect.DeepEqual(got, want) {
@@ -399,7 +399,7 @@ func TestStaleOwnerHintFallsBack(t *testing.T) {
 		t.Fatalf("put through a stale table: %v", err)
 	}
 	if counterValue(t, writer, "onehop_stale_total") == stale {
-		t.Error("the old owner's refusal of the write's read did not count as a stale table answer")
+		t.Error("the old owner's refusal of the write's put did not count as a stale table answer")
 	}
 	if v, err := reader.Get(ctx, keys[1]); err != nil || string(v) != "v2" {
 		t.Fatalf("get after the put = %q, %v", v, err)

@@ -74,7 +74,8 @@ func Idempotent(t MsgType) bool {
 	case TStorePut, TReplicate, THandoff:
 		// Version-guarded merges: the receiver applies an item only when
 		// its (Version, Writer) stamp strictly exceeds what it holds, so
-		// replaying a delivered write is a no-op, not a resurrection.
+		// replaying a delivered write is a no-op, not a resurrection; the
+		// owner tells a replayed ownership-checked put by its Writer.
 		return true
 	case TStoreGet:
 		return true // plain read

@@ -31,6 +31,14 @@ func FuzzDecodeMessage(f *testing.F) {
 	seedStoreResp := &Response{
 		OK: true, Found: true, Value: []byte("v1"), Version: 7, Writer: "n1:9000#3", Applied: 1,
 	}
+	seedOwnerPut := &Request{
+		Type: TStorePut, Layer: 1, Name: "doc-3",
+		Items: []StoreItem{{Key: "doc-3", Value: []byte("v3"), Version: 4, Writer: "n1:9000#8", Expire: 90}},
+	}
+	seedOwnerPutResp := &Response{
+		OK: true, Owner: true, Version: 6, Applied: 1,
+		Succ: []Peer{{Addr: "n2:9000", ID: [20]byte{2}}, {Addr: "n3:9000", ID: [20]byte{3}}},
+	}
 	seedDigest := &Request{
 		Type: TSyncPull, Key: [20]byte{4}, KeyHi: [20]byte{8}, Buckets: []uint32{0, 7, 31},
 	}
@@ -49,7 +57,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		OK: true, Applied: 1,
 		Events: []RouteEvent{{Layer: 1, Ring: "global", Peer: Peer{Addr: "n6:9000"}, Kind: RouteLeave, Stamp: 7}},
 	}
-	reqs := append([]Request{*seedReq, *seedStore, *seedDigest, *seedGossip}, testRequests()...)
+	reqs := append([]Request{*seedReq, *seedStore, *seedOwnerPut, *seedDigest, *seedGossip}, testRequests()...)
 	for i := range reqs {
 		if b, err := (Binary{}).AppendRequest(nil, &reqs[i]); err == nil {
 			f.Add(b)
@@ -59,7 +67,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	// an empty one.
 	seedLongAddr := &Response{OK: true, Next: Peer{Addr: strings.Repeat("h", internMaxLen) + ":9000"}}
 	seedEmptyAddr := &Response{OK: true, Next: Peer{ID: [20]byte{1}}, Succ: []Peer{{Addr: ""}}}
-	resps := append([]Response{*seedResp, *seedStoreResp, *seedDigestResp, *seedGossipResp, *seedLongAddr, *seedEmptyAddr},
+	resps := append([]Response{*seedResp, *seedStoreResp, *seedOwnerPutResp, *seedDigestResp, *seedGossipResp, *seedLongAddr, *seedEmptyAddr},
 		testResponses()...)
 	for i := range resps {
 		if b, err := (Binary{}).AppendResponse(nil, &resps[i]); err == nil {
@@ -91,6 +99,8 @@ func FuzzDecodeMessage(f *testing.F) {
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint8(TPing), 1, []byte("key material"), "ring:a", "n0:9000", []byte("value"), true)
 	f.Add(uint8(TStorePut), 3, []byte{}, "", "", []byte(nil), false)
+	// An ownership-checked put (Layer 1) and its Owner+Succ+Version reply.
+	f.Add(uint8(TStorePut), 1, []byte("doc"), "doc", "n1:9000", []byte("v"), false)
 	f.Add(uint8(TEvict), -7, bytes.Repeat([]byte{0xaa}, 40), "deep/ring", "host:1", []byte{0}, true)
 
 	f.Fuzz(func(t *testing.T, typ uint8, layer int, keyMat []byte, name, addr string, value []byte, hier bool) {

@@ -56,7 +56,11 @@ const (
 	TEvict
 	// TStorePut installs one versioned replica item (Items[0]) into the
 	// receiver's store; the write is a version-guarded merge, so replays
-	// are no-ops.
+	// are no-ops. With Layer set to 1 it is a write's first exchange,
+	// ownership-checked: a receiver that owns the key on the global ring
+	// raises the item's version past the one it holds, installs it, and
+	// replies Owner, Succ (as for TStoreGet) and the installed Version;
+	// any other receiver installs nothing and replies its held Version.
 	TStorePut
 	// TStoreGet reads a key's versioned item from the receiving node. With
 	// Layer set to 1 the read is ownership-checked: the receiver answers
@@ -199,7 +203,7 @@ type RingTable struct {
 // Request is the single request envelope; fields are used per Type.
 type Request struct {
 	Type  MsgType
-	Layer int      // TFindClosest, TGetNeighbors, TNotify: ring layer (1 = global); TStoreGet: 1 = ownership-checked
+	Layer int      // TFindClosest, TGetNeighbors, TNotify: ring layer (1 = global); TStoreGet, TStorePut: 1 = ownership-checked
 	Key   [20]byte // TFindClosest: routing target; TRouteGossip: the sender's table summary, first 8 bytes
 	Name  string   // ring name or kv key
 	Peer  Peer     // TNotify: candidate predecessor; TLeaveSucc: new predecessor; TEvict: the dead peer
@@ -247,6 +251,7 @@ type Response struct {
 	Value []byte
 
 	// TStoreGet: the stored item's version stamp (Found reports presence).
+	// Ownership-checked TStorePut: the version installed, or held.
 	// TStorePut/TReplicate/THandoff: Applied counts items that advanced
 	// the receiver's store (replayed items merge to zero).
 	Version uint64
