@@ -11,15 +11,19 @@ import (
 	"repro/internal/transport"
 )
 
-// settledCluster joins nodes hosts into a depth-2 classic cluster the
-// way the churn study does, one round after each join, then settles it.
-func settledCluster(t *testing.T, nodes int) *Cluster {
+// settledCluster joins nodes hosts into a classic cluster of the given
+// depth the way the churn study does, one round after each join, then
+// settles it. tweaks adjust the configuration every node starts with.
+func settledCluster(t *testing.T, nodes, depth int, tweaks ...func(*transport.Config)) *Cluster {
 	t.Helper()
-	c, err := NewCluster(testNet(t, nodes, 9), 2, 4, 0, rand.New(rand.NewSource(9)))
+	c, err := NewCluster(testNet(t, nodes, 9), depth, 4, 0, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
+	for _, tweak := range tweaks {
+		tweak(&c.cfg)
+	}
 	for h := 0; h < nodes; h++ {
 		var boot *transport.Node
 		if h > 0 {
@@ -42,7 +46,7 @@ func settledCluster(t *testing.T, nodes int) *Cluster {
 // coordinates (simcheck's harness).
 func TestDriverSettles(t *testing.T) {
 	t.Run("classic/topology", func(t *testing.T) {
-		c := settledCluster(t, 24)
+		c := settledCluster(t, 24, 2)
 		if got := len(c.Live()); got != 24 {
 			t.Fatalf("%d live nodes, want 24", got)
 		}
@@ -97,7 +101,7 @@ func TestDriverSettles(t *testing.T) {
 // serves exactly the requests that each node's StabilizeOnce and
 // FixFingersOnce serve when called on their own.
 func TestDriverRoundAddsNoMessages(t *testing.T) {
-	c := settledCluster(t, 24)
+	c := settledCluster(t, 24, 2)
 	before := c.Msgs()
 	for _, n := range c.Live() {
 		_ = n.StabilizeOnce()

@@ -68,11 +68,19 @@ func TestAllocBudgetNodeFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			var dials atomic.Int64
+			// Only a dial that returned a connection opened one: the
+			// global ring's merge scan dials the name-only landmarks,
+			// and those dials are refused.
+			var opened, refused atomic.Int64
 			dial := c.dial
 			c.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-				dials.Add(1)
-				return dial(addr, timeout)
+				conn, dialErr := dial(addr, timeout)
+				if dialErr != nil {
+					refused.Add(1)
+				} else {
+					opened.Add(1)
+				}
+				return conn, dialErr
 			}
 			res, err := drive(c, cfg, rng)
 			if err != nil {
@@ -88,8 +96,8 @@ func TestAllocBudgetNodeFootprint(t *testing.T) {
 			heap := float64(int64(ms1.HeapAlloc)-int64(ms0.HeapAlloc)) / n
 			goroutines := float64(g1-g0) / n
 			stack := float64(int64(ms1.StackInuse)-int64(ms0.StackInuse)) / n
-			t.Logf("one settled node of %d: %.0f B heap, %.1f connections opened, %.1f goroutines, %.0f B stack (%v)",
-				b.nodes, heap, float64(dials.Load())/n, goroutines, stack, time.Since(start).Round(time.Millisecond))
+			t.Logf("one settled node of %d: %.0f B heap, %.1f connections opened (%.1f dials refused), %.1f goroutines, %.0f B stack (%v)",
+				b.nodes, heap, float64(opened.Load())/n, float64(refused.Load())/n, goroutines, stack, time.Since(start).Round(time.Millisecond))
 			if heap > b.heap {
 				t.Errorf("one settled node holds %.0f B of heap, budget %.0f", heap, b.heap)
 			}

@@ -542,17 +542,19 @@ var errWalkDiverged = errors.New("walk did not converge")
 
 // walk routes one key through one ring: TFindClosest steps in `layer`
 // starting at `from`, until a node gives a terminal reply (it owns the
-// key, or the key falls between it and its successor). It returns that
-// reply — resp.Self is where the walk ended — and the forwarding steps
-// taken. A dead hop is handled in stages: the step is retried from the
-// node that supplied the hop (which is told to evict the reference once
-// the suspicion tracker confirms the peer dead), and when no supplier is
-// left, the walk restarts from `home` (bounded by maxWalkRestarts); the
-// error of the hop the policy finally gave up on is returned.
-// Application-level errors mean the hop is alive and are returned at
-// once — never grounds for eviction.
-func (n *Node) walk(ctx context.Context, from, home string, layer int, key id.ID, hierarchical bool) (wire.Response, int, error) {
-	cur, prev := from, ""
+// key, or the key falls between it and its successor) or, in a
+// hierarchical walk, a climbed one (resp.Layer names the layer further up
+// that the node went on to answer for). It returns that reply — resp.Self is where
+// the walk ended — and the forwarding steps taken. A dead hop is handled
+// in stages: the step is retried from the node that supplied the hop
+// (`supplier` for `from`, if any; the node is told to evict the reference
+// once the suspicion tracker confirms the peer dead), and when no
+// supplier is left, the walk restarts from `home` (bounded by
+// maxWalkRestarts); the error of the hop the policy finally gave up on is
+// returned. Application-level errors mean the hop is alive and are
+// returned at once — never grounds for eviction.
+func (n *Node) walk(ctx context.Context, from, supplier, home string, layer int, key id.ID, hierarchical bool) (wire.Response, int, error) {
+	cur, prev := from, supplier
 	hops, restarts := 0, 0
 	for i := 0; i < maxWalk; i++ {
 		resp, err := n.call(ctx, cur, wire.Request{
@@ -583,7 +585,11 @@ func (n *Node) walk(ctx context.Context, from, home string, layer int, key id.ID
 			}
 			return wire.Response{}, hops, err
 		}
-		if resp.Done {
+		if resp.Layer != 0 && (!hierarchical || resp.Layer < 1 || resp.Layer >= layer) {
+			return wire.Response{}, hops, &wire.RemoteError{Type: wire.TFindClosest,
+				Msg: fmt.Sprintf("%s answered a layer-%d step for layer %d", cur, layer, resp.Layer)}
+		}
+		if resp.Done || resp.Layer != 0 {
 			return resp, hops, nil
 		}
 		prev, cur = cur, resp.Next.Addr
@@ -596,7 +602,7 @@ func (n *Node) walk(ctx context.Context, from, home string, layer int, key id.ID
 // hierarchical destination check) and returns the key's owner in that
 // layer and the number of hops.
 func (n *Node) walkOwner(ctx context.Context, via string, layer int, key id.ID) (wire.Peer, int, error) {
-	resp, hops, err := n.walk(ctx, via, via, layer, key, false)
+	resp, hops, err := n.walk(ctx, via, "", via, layer, key, false)
 	if err != nil {
 		return wire.Peer{}, hops, err
 	}
@@ -666,22 +672,39 @@ func (n *Node) verifyOwner(ctx context.Context, owner wire.Peer, key id.ID) (Loo
 
 // lookupFull is the uncached hierarchical routing procedure: one walk per
 // layer, most local ring first, each starting where the previous one
-// ended. It degrades gracefully under failures: when a lower ring stays
-// unroutable after walk's retries and restarts, the lookup climbs to the
-// next layer up from this node instead of aborting — the global ring is
-// the final authority on ownership, so skipping a broken lower ring
-// costs hops, never correctness.
+// ended. The node a lower-ring walk ends at answers for the layers above
+// in the same reply (findClosestLocked), so the climb costs no message:
+// its answer is the next walk's first step, and the hop it names stays
+// its to supply. It degrades gracefully under failures: when a lower ring
+// stays unroutable after walk's retries and restarts, the lookup climbs
+// to the next layer up from this node instead of aborting — the global
+// ring is the final authority on ownership, so skipping a broken lower
+// ring costs hops, never correctness.
 func (n *Node) lookupFull(ctx context.Context, key id.ID) (LookupResult, error) {
 	res := LookupResult{LayerHops: make([]int, n.cfg.Depth)}
-	cur := n.addr
-	for layer := n.cfg.Depth; ; layer-- {
-		resp, hops, err := n.walk(ctx, cur, n.addr, layer, key, true)
-		if err == nil && layer == 1 && !resp.Owner {
-			hops++ // the final forward to the last hop's successor, the owner
-		}
+	count := func(layer, hops int) {
 		res.Hops += hops
 		res.LayerHops[layer-1] += hops
 		n.nm.hops[layer-1].Add(uint64(hops))
+	}
+	cur, supplier, layer := n.addr, "", n.cfg.Depth
+	for {
+		resp, hops, err := n.walk(ctx, cur, supplier, n.addr, layer, key, true)
+		supplier = ""
+		if err == nil && resp.Layer != 0 {
+			count(layer, hops)
+			n.nm.ringClimbs.Add(uint64(layer - resp.Layer))
+			layer, hops = resp.Layer, 0
+			if !resp.Done {
+				count(layer, 1)
+				cur, supplier = resp.Next.Addr, resp.Self.Addr
+				continue
+			}
+		}
+		if err == nil && layer == 1 && !resp.Owner {
+			hops++ // the final forward to the last hop's successor, the owner
+		}
+		count(layer, hops)
 		switch {
 		case err == nil && (resp.Owner || layer == 1):
 			res.Owner = resp.Next
@@ -697,6 +720,7 @@ func (n *Node) lookupFull(ctx context.Context, key id.ID) (LookupResult, error) 
 			n.nm.failoverClimbs.Inc()
 			cur = n.addr
 		}
+		layer--
 	}
 }
 

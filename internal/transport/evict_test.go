@@ -2,10 +2,14 @@ package transport
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/id"
 	"repro/internal/wire"
 )
 
@@ -232,5 +236,137 @@ func TestRejoinBeforeEvictionIsRefused(t *testing.T) {
 		if succ, _, _ := layerSnapshot(late, layer); len(succ) != 1 || succ[0].Addr == "b" {
 			t.Errorf("layer %d successors after rejoin = %v, want one other node", layer, succ)
 		}
+	}
+}
+
+// TestClimbedReplyDeadNextHop: the node a lower-ring walk ends at answers
+// for the global ring in the same reply, and the hop it names there is
+// dead. The answerer stays that hop's supplier, as it would be had the
+// origin asked it for the global step itself: the step is retried from
+// it, it is told to evict the dead hop once the hop is suspected, and the
+// walk goes on from there to the true owner — no restart from the origin.
+func TestClimbedReplyDeadNextHop(t *testing.T) {
+	type climb struct{ answerer, next string }
+	var (
+		mu      sync.Mutex
+		origin  string
+		climbed []climb       // the origin's remote replies that climbed to the global ring
+		evicted map[climb]int // TEvict the origin sent: (told, dead)
+	)
+	wrap := func(cfg *Config) {
+		cfg.WrapCaller = func(self string, inner wire.Caller) wire.Caller {
+			return wire.CallerFunc(func(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
+				resp, err := inner.Call(ctx, addr, req)
+				mu.Lock()
+				defer mu.Unlock()
+				switch {
+				case self != origin:
+				case req.Type == wire.TFindClosest && err == nil && resp.Layer == 1 && !resp.Done:
+					climbed = append(climbed, climb{addr, resp.Next.Addr})
+				case req.Type == wire.TEvict:
+					evicted[climb{addr, req.Peer.Addr}]++
+				}
+				return resp, err
+			})
+		}
+	}
+	nodes := twoRingCluster(t, 16, wrap)
+	for _, nd := range nodes {
+		if err := nd.BuildAllFingers(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	from := nodes[2]
+	mu.Lock()
+	origin, evicted = from.Addr(), map[climb]int{}
+	mu.Unlock()
+	// Find a key whose lookup gets a climbed reply from a remote node
+	// naming a global hop other than the origin.
+	var key id.ID
+	var c climb
+	for trial := 0; c == (climb{}); trial++ {
+		if trial == 1000 {
+			t.Fatal("no key in 1000 lookups gets a climbed reply naming a remote global hop")
+		}
+		key = id.HashString(fmt.Sprintf("climbed-%d", trial))
+		mu.Lock()
+		climbed = climbed[:0]
+		mu.Unlock()
+		if _, err := from.Lookup(context.Background(), key); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		if len(climbed) > 0 && climbed[0].next != origin {
+			c = climbed[0]
+		}
+		mu.Unlock()
+	}
+	var dead *Node
+	for _, nd := range nodes {
+		if nd.Addr() == c.next {
+			dead = nd
+		}
+	}
+	dead.Close()
+	survivors := without(nodes, dead)
+	retries, restarts, failovers := from.nm.walkRetries.Value(), from.nm.walkRestarts.Value(), from.nm.failoverClimbs.Value()
+
+	res, err := from.Lookup(context.Background(), key)
+	if err != nil {
+		t.Fatalf("lookup past a dead hop named by %s's climbed reply: %v", c.answerer, err)
+	}
+	if want := trueOwner(survivors, key).Addr(); res.Owner.Addr != want {
+		t.Errorf("owner %s, want %s", res.Owner.Addr, want)
+	}
+	if got := from.nm.walkRetries.Value() - retries; got < 1 {
+		t.Errorf("walk_retries_total moved by %d, want at least 1: the step was not retried from %s", got, c.answerer)
+	}
+	if got := from.nm.walkRestarts.Value() - restarts; got != 0 {
+		t.Errorf("walk_restarts_total moved by %d, want 0: the climbed reply's answerer was not kept as the supplier", got)
+	}
+	if got := from.nm.failoverClimbs.Value() - failovers; got != 0 {
+		t.Errorf("failover_climbs_total moved by %d, want 0", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if evicted[climb{c.answerer, c.next}] == 0 {
+		t.Errorf("%s was never told to evict the dead hop %s (evictions sent: %v)", c.answerer, c.next, evicted)
+	}
+}
+
+// TestClimbedReplyBadLayer: a find_closest reply that names a layer the
+// walk cannot climb to — not above the step's own — is refused as a
+// remote error, never followed and never used to index the per-layer hop
+// counts.
+func TestClimbedReplyBadLayer(t *testing.T) {
+	var sent atomic.Int64
+	wrap := func(cfg *Config) {
+		cfg.WrapCaller = func(self string, inner wire.Caller) wire.Caller {
+			return wire.CallerFunc(func(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
+				resp, err := inner.Call(ctx, addr, req)
+				if req.Type == wire.TFindClosest && req.Hierarchical {
+					sent.Add(1)
+					resp.Layer = req.Layer
+				}
+				return resp, err
+			})
+		}
+	}
+	nodes := twoRingCluster(t, 8, wrap)
+	refused := 0
+	for i := 0; i < 16; i++ {
+		before := sent.Load()
+		_, err := nodes[0].Lookup(context.Background(), id.HashString(fmt.Sprintf("bad-layer-%d", i)))
+		switch {
+		case sent.Load() == before && err != nil:
+			t.Fatalf("lookup %d sent no find_closest and failed: %v", i, err)
+		case sent.Load() > before && !wire.IsRemote(err):
+			t.Fatalf("lookup %d followed a reply for its own layer: err = %v, want a remote error", i, err)
+		case err != nil:
+			refused++
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no lookup sent a find_closest to a remote node")
 	}
 }

@@ -798,7 +798,10 @@ func (n *Node) recordEvictLocked(layer int, dead string) bool {
 
 // findClosestLocked is one iterative routing step in a layer (paper §3.2):
 // report ownership, ring-predecessor termination, or the closest preceding
-// finger toward the key.
+// finger toward the key. A hierarchical walk that ends here, at the key's
+// predecessor in a lower ring, climbs here too: the node answers for the
+// layers above from its own state while it keeps preceding the key, so
+// the climb costs no message (see climbLocked).
 func (n *Node) findClosestLocked(req *wire.Request, resp *wire.Response) {
 	ls, err := n.layerFor(req.Layer)
 	if err != nil {
@@ -838,13 +841,39 @@ func (n *Node) findClosestLocked(req *wire.Request, resp *wire.Response) {
 		resp.Err = fmt.Sprintf("layer %d not joined", req.Layer)
 		return
 	}
-	resp.OK, resp.Next, resp.Self = true, succ0, n.selfLocked()
-	if id.InOpenClosed(key, n.id, peerID(succ0)) {
-		resp.Done = true
+	resp.OK, resp.Self = true, n.selfLocked()
+	n.stepLocked(ls, succ0, key, resp)
+	if req.Hierarchical {
+		n.climbLocked(req.Layer-1, key, resp)
+	}
+}
+
+// stepLocked answers one non-owning routing step in ls from its first
+// successor succ0: Done when the key falls between this node and succ0,
+// else the closest preceding finger, falling back to the successor.
+func (n *Node) stepLocked(ls *layerState, succ0 wire.Peer, key id.ID, resp *wire.Response) {
+	resp.Next = succ0
+	if resp.Done = id.InOpenClosed(key, n.id, peerID(succ0)); resp.Done {
 		return
 	}
-	// Closest preceding finger, falling back to the successor.
 	if f, ok := ls.fingers.closestPreceding(n.addr, n.id, key); ok {
 		resp.Next = f
+	}
+}
+
+// climbLocked continues a hierarchical reply that ended its ring walk at
+// this node, which does not own the key: it answers for `layer`, then for
+// each layer up toward the global ring, as the origin's next request would
+// have asked, while the answer stays Done, and records in resp.Layer the
+// last layer answered. A layer with an empty successor list is not climbed into: the
+// reply stands as it is and the origin asks for that layer itself.
+func (n *Node) climbLocked(layer int, key id.ID, resp *wire.Response) {
+	for ; resp.Done && layer >= 1; layer-- {
+		ls := n.layers[layer-1]
+		if len(ls.succ) == 0 {
+			return
+		}
+		n.stepLocked(ls, ls.succ[0], key, resp)
+		resp.Layer = layer
 	}
 }

@@ -78,8 +78,9 @@ const (
 	rsDigests
 	rsItems
 	rsEvents
+	rsLayer
 
-	rsKnown = rsEvents<<1 - 1
+	rsKnown = rsLayer<<1 - 1
 )
 
 // AppendRequest appends one encoded request envelope to dst and returns
@@ -317,6 +318,9 @@ func (Binary) AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 	if len(resp.Events) > 0 {
 		mask |= rsEvents
 	}
+	if resp.Layer != 0 {
+		mask |= rsLayer
+	}
 	dst = binary.AppendUvarint(dst, mask)
 	if mask&rsErr != 0 {
 		dst = appendString(dst, resp.Err)
@@ -381,6 +385,9 @@ func (Binary) AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 		for i := range resp.Events {
 			dst = appendEvent(dst, &resp.Events[i])
 		}
+	}
+	if mask&rsLayer != 0 {
+		dst = binary.AppendUvarint(dst, uint64(resp.Layer))
 	}
 	return dst, nil
 }
@@ -489,6 +496,13 @@ func (Binary) DecodeResponse(data []byte) (Response, error) {
 		if resp.Events, err = r.events(); err != nil {
 			return resp, err
 		}
+	}
+	if mask&rsLayer != 0 {
+		layer, lerr := r.uvarint()
+		if lerr != nil {
+			return resp, lerr
+		}
+		resp.Layer = int(layer)
 	}
 	if r.off != len(r.b) {
 		return resp, errTrailing

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -51,6 +52,41 @@ func testResponses() []Response {
 		{OK: true, Applied: 2, Events: []RouteEvent{
 			{Layer: 1, Ring: "global", Peer: Peer{Addr: "n3:9000", ID: [20]byte{3}}, Kind: RouteLeave, Stamp: 8},
 		}},
+		climbedReply(),
+	}
+}
+
+// climbedReply is a find_closest reply whose walk ended at the answerer,
+// which went on to answer for layer 1: a forward to its closest preceding
+// global finger.
+func climbedReply() Response {
+	return Response{OK: true, Self: Peer{Addr: "p:4", ID: [20]byte{4}}, Next: Peer{Addr: "f:6", ID: [20]byte{6}}, Layer: 1}
+}
+
+// TestClimbedReplyCodec: a climbed reply is the same reply unclimbed with
+// the rsLayer bit set in its mask and the layer as one trailing uvarint,
+// so every reply that did not climb encodes as it did before the field
+// existed. A mask bit past rsLayer is still refused.
+func TestClimbedReplyCodec(t *testing.T) {
+	climbed := climbedReply()
+	plain := climbed
+	plain.Layer = 0
+	plainEnc, _ := roundTripResponse(t, "unclimbed", &plain)
+	enc, got := roundTripResponse(t, "climbed", &climbed)
+	if !reflect.DeepEqual(got, climbed) {
+		t.Errorf("climbed reply changed by the codec:\n  sent %#v\n  got  %#v", climbed, got)
+	}
+	mask, n := binary.Uvarint(plainEnc)
+	if mask&rsLayer != 0 {
+		t.Fatalf("an unclimbed reply sets the rsLayer bit: mask %#x", mask)
+	}
+	want := append(binary.AppendUvarint(nil, mask|rsLayer), plainEnc[n:]...)
+	if want = binary.AppendUvarint(want, 1); !bytes.Equal(enc, want) {
+		t.Errorf("climbed reply encodes as\n  %x\nwant the unclimbed one with rsLayer and a trailing layer\n  %x", enc, want)
+	}
+	unknown := append(binary.AppendUvarint(nil, mask|rsLayer<<1), plainEnc[n:]...)
+	if _, err := (Binary{}).DecodeResponse(unknown); err == nil {
+		t.Errorf("a response with mask bit %#x past rsLayer decoded", rsLayer<<1)
 	}
 }
 

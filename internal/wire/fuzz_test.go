@@ -136,6 +136,7 @@ func FuzzRoundTrip(f *testing.F) {
 			Digests: []uint64{uint64(typ), ^uint64(typ)},
 			Items:   req.Items,
 			Events:  req.Events,
+			Layer:   layer,
 		}
 
 		if _, got := roundTripRequest(t, "fuzzed", &req); !reflect.DeepEqual(normalizeReq(req), normalizeReq(got)) {

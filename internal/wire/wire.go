@@ -234,6 +234,13 @@ type Response struct {
 	Next  Peer // next hop (or the owner when Done)
 	Done  bool // the queried node precedes the key in this layer
 	Owner bool // the queried node itself owns the key
+	// Layer names the layer a hierarchical reply answers for when it is
+	// not the request's: the walk in the request's ring ended at the
+	// answerer (the key's ring predecessor, not its owner), which went on
+	// to answer for the layers above it, toward 1, the global ring (paper
+	// §3.2's climb, made where the ring walk stopped). Next and Done then
+	// speak for that layer. 0: the reply answers the request's layer.
+	Layer int
 
 	// TGetInfo / TGetNeighbors:
 	Self      Peer
