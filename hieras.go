@@ -287,7 +287,7 @@ func (s *System) Compare(requests int) (ComparisonSummary, error) {
 func (s *System) CompareContext(ctx context.Context, requests int) (ComparisonSummary, error) {
 	sc := s.scenario
 	sc.Requests = requests
-	cmp, err := experiments.CompareContext(ctx, s.overlay, sc)
+	cmp, err := experiments.CompareStream(ctx, s.overlay, sc, nil)
 	if err != nil {
 		return ComparisonSummary{}, err
 	}

@@ -10,7 +10,7 @@ import (
 // atomic pointer so instrumenting an overlay keeps Route safe for
 // concurrent use.
 type routeMetrics struct {
-	hops        []*metrics.Counter // hops[l-1] = hops taken in ring layer l
+	hops        *metrics.CounterVec // hops.At(l-1) = hops taken in ring layer l
 	ringClimbs  *metrics.Counter
 	routes      *metrics.Counter
 	accelerated *metrics.Counter
@@ -36,12 +36,12 @@ func (o *Overlay) Instrument(reg *metrics.Registry) {
 		layerAborts: reg.NewCounter("failure_layer_aborts_total",
 			"Lower-ring walks abandoned on a shattered ring, retried one layer up."),
 	}
-	hopsVec := reg.NewCounterVec("hops_total",
-		"Routing hops by ring layer (1 = global ring).", "layer")
-	rm.hops = make([]*metrics.Counter, o.cfg.Depth)
-	for l := 1; l <= o.cfg.Depth; l++ {
-		rm.hops[l-1] = hopsVec.With(strconv.Itoa(l))
+	layers := make([]string, o.cfg.Depth)
+	for i := range layers {
+		layers[i] = strconv.Itoa(i + 1)
 	}
+	rm.hops = reg.NewCounterVec("hops_total",
+		"Routing hops by ring layer (1 = global ring).", "layer", layers)
 	o.instr.Store(rm)
 }
 
@@ -50,5 +50,5 @@ func (rm *routeMetrics) hop(layer int) {
 	if rm == nil {
 		return
 	}
-	rm.hops[layer-1].Inc()
+	rm.hops.At(layer - 1).Inc()
 }

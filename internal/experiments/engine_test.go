@@ -119,7 +119,7 @@ func TestCompareWorkerCountInvariance(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		sw := s
 		sw.Workers = workers
-		cmp, err := CompareOn(o, sw)
+		cmp, err := CompareStream(context.Background(), o, sw, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -274,19 +274,7 @@ func RunComparison(s Scenario) (*Comparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	return CompareOn(o, s)
-}
-
-// CompareOn runs the comparison workload over an existing overlay (so
-// several experiments can share one expensive build).
-func CompareOn(o *core.Overlay, s Scenario) (*Comparison, error) {
-	return CompareStream(context.Background(), o, s, nil) //lint:allow ctxflow CompareOn is the documented ctx-less convenience wrapper over CompareContext/CompareStream
-}
-
-// CompareContext is CompareOn with cancellation: it returns early with
-// ctx.Err() when ctx is cancelled mid-run.
-func CompareContext(ctx context.Context, o *core.Overlay, s Scenario) (*Comparison, error) {
-	return CompareStream(ctx, o, s, nil)
+	return CompareStream(context.Background(), o, s, nil) //lint:allow ctxflow RunComparison is the documented ctx-less convenience entry over CompareStream
 }
 
 // Progress is one progressive summary of a streaming comparison: the
@@ -301,8 +289,10 @@ type Progress struct {
 	LatencyRatio    float64
 }
 
-// CompareStream runs the comparison workload through the parallel batch
-// query engine. Requests are generated in deterministic blocks of
+// CompareStream runs the comparison workload over an existing overlay (so
+// several experiments can share one expensive build) through the parallel
+// batch query engine, returning ctx.Err() early when ctx is cancelled
+// mid-run. Requests are generated in deterministic blocks of
 // blockSize (each block draws from its own RNG stream split off s.Seed)
 // and merged in block order, so the result is byte-identical for any
 // worker count. progress, when non-nil, is invoked after every committed

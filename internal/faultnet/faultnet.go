@@ -48,8 +48,8 @@ const (
 	KindPartition Kind = "partition"
 )
 
-// allKinds is the exposition order for counters.
-var allKinds = []Kind{KindDrop, KindDropReply, KindErrReply, KindDelay, KindPartition}
+// kindNames is faultnet_injected_total's value set.
+var kindNames = []string{string(KindDrop), string(KindDropReply), string(KindErrReply), string(KindDelay), string(KindPartition)}
 
 // Rule matches a subset of calls and assigns fault probabilities to
 // them. Zero-valued matchers match everything, so Rule{Drop: 0.2} makes
@@ -111,7 +111,6 @@ type Network struct {
 	counts  map[Kind]int
 
 	injected *metrics.CounterVec
-	kids     map[Kind]*metrics.Counter
 
 	clock wire.Clock // what KindDelay waits on
 }
@@ -137,11 +136,7 @@ func (nw *Network) Instrument(reg *metrics.Registry) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	nw.injected = reg.NewCounterVec("faultnet_injected_total",
-		"Faults injected by the chaos harness, by kind.", "kind")
-	nw.kids = make(map[Kind]*metrics.Counter, len(allKinds))
-	for _, k := range allKinds {
-		nw.kids[k] = nw.injected.With(string(k))
-	}
+		"Faults injected by the chaos harness, by kind.", "kind", kindNames)
 }
 
 // Bind maps a transport address to a stable logical name. Decisions and
@@ -340,8 +335,8 @@ func (nw *Network) decideLocked(src, dst string, t wire.MsgType, count bool) dec
 func (nw *Network) recordLocked(src, dst string, t wire.MsgType, k Kind, count bool) {
 	nw.events = append(nw.events, Event{Seq: len(nw.events), Src: src, Dst: dst, Type: t, Kind: k})
 	nw.counts[k]++
-	if count && nw.kids != nil {
-		nw.kids[k].Inc()
+	if count && nw.injected != nil {
+		nw.injected.With(string(k)).Inc()
 	}
 }
 

@@ -19,7 +19,7 @@ func (*Histogram) Observe(float64) {}
 
 type CounterVec struct{}
 
-func (*CounterVec) With(v string) *Counter { return &Counter{} }
+func (*CounterVec) At(i int) *Counter { return &Counter{} }
 
 type Registry struct{}
 
@@ -28,13 +28,10 @@ func (*Registry) NewGauge(name, help string) *Gauge     { return &Gauge{} }
 func (*Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
 	return &Histogram{}
 }
-func (*Registry) NewCounterVec(name, help string, labelNames ...string) *CounterVec {
+func (*Registry) NewCounterVec(name, help, label string, values []string) *CounterVec {
 	return &CounterVec{}
 }
 func (*Registry) NewCounterFunc(name, help string, fn func() float64, labels ...Label) {}
-func (*Registry) NewCounterEnum(name, help, label string, values []string) *CounterVec {
-	return &CounterVec{}
-}
 
 const KnownMetricNames = `
 antientropy_rounds_total

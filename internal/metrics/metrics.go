@@ -2,8 +2,10 @@
 // subsystem for the live HIERAS node and the simulators: a Registry of
 // named Counter, Gauge and fixed-bucket Histogram metrics with optional
 // labels, exposed in the Prometheus text format. Update paths are
-// lock-free (sync/atomic); labelled metrics hand out pre-curried children
-// so hot paths never search for one.
+// lock-free (sync/atomic). A labelled counter family has one label whose
+// values are fixed when it is registered, so nothing a peer sends can
+// mint a series, and hot paths keep its children or index them by
+// position.
 //
 // The paper's headline claims are distributional (lower-layer hop share,
 // per-layer link latency), so the registry is built around exactly the
@@ -13,9 +15,9 @@
 //
 // Every live node owns a registry, so what a registry holds is paid once
 // per node: an unlabelled metric is one allocation (its value lives in
-// its family record), a histogram shares its caller's bucket bounds, a
-// labelled family keeps its children in one slice, and a rendered label
-// set is stored once per process whichever registries use it.
+// its family record), a histogram shares its caller's bucket bounds, and
+// a labelled family keeps its children in one slice and shares its
+// caller's value set, a package-level slice every registry uses.
 package metrics
 
 import (
@@ -325,25 +327,6 @@ func renderLabels(names, values []string) string {
 	return b.String()
 }
 
-// rendered holds every label set any registry has rendered, so a child
-// stores a shared string: a thousand nodes counting rpc_errors_total by
-// the same types keep one copy of each label set, not a thousand. It is
-// bounded by the label cardinality that metrichygiene bounds.
-var rendered = struct {
-	sync.Mutex
-	m map[string]string
-}{m: map[string]string{}}
-
-func internLabels(s string) string {
-	rendered.Lock()
-	defer rendered.Unlock()
-	if c, ok := rendered.m[s]; ok {
-		return c
-	}
-	rendered.m[s] = s
-	return s
-}
-
 // NewCounter registers and returns an unlabelled counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
 	f := &counterFamily{desc: desc{name, help}}
@@ -383,7 +366,7 @@ func (r *Registry) NewCounterFunc(name, help string, fn func() float64, labels .
 		names[i], values[i] = l.Name, l.Value
 	}
 	checkNames(name, names)
-	key := internLabels(renderLabels(names, values))
+	key := renderLabels(names, values)
 	r.mu.Lock()
 	var f *funcFamily
 	if i, ok := r.search(name); !ok {
@@ -404,77 +387,42 @@ func (r *Registry) NewCounterFunc(name, help string, fn func() float64, labels .
 	f.kids = append(f.kids, funcChild{labels: key, fn: fn})
 }
 
-// CounterVec is a counter family keyed by label values.
+// CounterVec is a one-label counter family whose label values are fixed
+// at registration: one child per value, created then and held in one
+// slice, so a family's series are bounded by construction and all of
+// them are exposed from the first scrape.
 type CounterVec struct {
 	desc
-	labelNames []string
-	// values and enum are the children fixed at registration by
-	// NewCounterEnum: enum[i] counts values[i]. values is the caller's
-	// slice, shared, never written.
+	label string
+	// values is the caller's slice, shared, never written; kids[i] counts
+	// values[i].
 	values []string
-	enum   []Counter
-
-	mu   sync.Mutex
-	kids []*vecChild // children With created on first use
+	kids   []Counter
 }
 
-type vecChild struct {
-	labels string // rendered, shared process-wide (see internLabels)
-	c      Counter
-}
-
-// NewCounterVec registers a labelled counter family.
-func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *CounterVec {
-	if len(labelNames) == 0 {
-		panic(fmt.Sprintf("metrics: counter vec %q needs at least one label", name))
-	}
-	v := &CounterVec{desc: desc{name, help}, labelNames: labelNames}
-	r.register(v, labelNames...)
-	return v
-}
-
-// NewCounterEnum registers a one-label counter family whose label values
-// are enumerated up front — one child per value, created now and held in
-// one slice, At(i) being values[i]'s. values is kept, not copied: pass a
-// package-level slice, which every registry then shares. With still
-// accepts a value outside the set, as a child of its own.
-func (r *Registry) NewCounterEnum(name, help, label string, values []string) *CounterVec {
-	v := &CounterVec{desc: desc{name, help}, labelNames: []string{label}, values: values, enum: make([]Counter, len(values))}
+// NewCounterVec registers a counter family labelled label, with one child
+// per element of values. values is kept, not copied: pass a package-level
+// slice, which every registry then shares.
+func (r *Registry) NewCounterVec(name, help, label string, values []string) *CounterVec {
+	v := &CounterVec{desc: desc{name, help}, label: label, values: values, kids: make([]Counter, len(values))}
 	r.register(v, label)
 	return v
 }
 
 func (*CounterVec) typ() string { return "counter" }
 
-// At returns the child of the i-th value NewCounterEnum enumerated.
-func (v *CounterVec) At(i int) *Counter { return &v.enum[i] }
+// At returns the child of values[i].
+func (v *CounterVec) At(i int) *Counter { return &v.kids[i] }
 
-// With returns the pre-curried child for the given label values, creating
-// it on first use. Callers on hot paths should call With once and keep
-// the child.
-func (v *CounterVec) With(values ...string) *Counter {
-	if len(values) != len(v.labelNames) {
-		panic(fmt.Sprintf("metrics: %q wants %d label values, got %d",
-			v.name, len(v.labelNames), len(values)))
-	}
-	if len(values) == 1 {
-		for i, e := range v.values {
-			if e == values[0] {
-				return &v.enum[i]
-			}
+// With returns value's child. It panics on a value the family was not
+// registered with: the set is fixed, so that is a programming error.
+func (v *CounterVec) With(value string) *Counter {
+	for i, e := range v.values {
+		if e == value {
+			return &v.kids[i]
 		}
 	}
-	key := renderLabels(v.labelNames, values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, k := range v.kids {
-		if k.labels == key {
-			return &k.c
-		}
-	}
-	k := &vecChild{labels: internLabels(key)}
-	v.kids = append(v.kids, k)
-	return &k.c
+	panic(fmt.Sprintf("metrics: %q has no child %s=%q", v.name, v.label, value))
 }
 
 func (v *CounterVec) samples(w io.Writer) error {
@@ -482,15 +430,10 @@ func (v *CounterVec) samples(w io.Writer) error {
 		labels string
 		value  uint64
 	}
-	var out []sample
+	out := make([]sample, len(v.values))
 	for i := range v.values {
-		out = append(out, sample{renderLabels(v.labelNames, v.values[i:i+1]), v.enum[i].Value()})
+		out[i] = sample{renderLabels([]string{v.label}, v.values[i:i+1]), v.kids[i].Value()}
 	}
-	v.mu.Lock()
-	for _, k := range v.kids {
-		out = append(out, sample{k.labels, k.c.Value()})
-	}
-	v.mu.Unlock()
 	sort.Slice(out, func(a, b int) bool { return out[a].labels < out[b].labels })
 	for _, s := range out {
 		if _, err := fmt.Fprintf(w, "%s{%s} %d\n", v.name, s.labels, s.value); err != nil {

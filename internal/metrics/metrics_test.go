@@ -28,7 +28,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 func TestVecCurrying(t *testing.T) {
 	r := NewRegistry()
-	v := r.NewCounterVec("rpc_requests_total", "RPCs by type.", "type")
+	v := r.NewCounterVec("rpc_requests_total", "RPCs by type.", "type", []string{"get", "ping"})
 	ping := v.With("ping")
 	ping.Inc()
 	ping.Inc()
@@ -67,7 +67,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestExposition(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounterVec("rpc_requests_total", "RPCs by type.", "type").With("find_closest").Add(7)
+	r.NewCounterVec("rpc_requests_total", "RPCs by type.", "type", []string{"find_closest"}).With("find_closest").Add(7)
 	r.NewGauge("up", "Liveness.").Set(1)
 	r.NewHistogram("rpc_latency_seconds", "Call latency.", []float64{0.1, 1}).Observe(0.05)
 	r.NewCounterFunc("cache_hits_total", "Cache hits.", func() float64 { return 3 })
@@ -100,7 +100,7 @@ func TestExposition(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounterVec("odd", "", "k").With("a\"b\\c\nd").Inc()
+	r.NewCounterVec("odd", "", "k", []string{"a\"b\\c\nd"}).At(0).Inc()
 	var b strings.Builder
 	if _, err := r.WriteTo(&b); err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	const goroutines = 16
 	const perG = 4998 // divisible by 3 so the bucket math below is exact
 	r := NewRegistry()
-	c := r.NewCounterVec("c_total", "", "who")
+	c := r.NewCounterVec("c_total", "", "who", []string{"worker"})
 	g := r.NewGauge("g", "")
 	h := r.NewHistogram("h", "", []float64{0.5, 1.5, 2.5})
 
@@ -190,48 +190,50 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 }
 
-// TestCounterEnum: an enumerated family's children are created at
-// registration, At and With name the same child, a value outside the set
-// gets a child of its own, and the exposition orders them all by rendered
-// label exactly as a plain vec's would.
-func TestCounterEnum(t *testing.T) {
+// TestCounterVec: a family's children are created at registration and
+// exposed at 0 from then on, in label order; With and At name the same
+// child; With refuses a value outside the set; and two registries share
+// the caller's value slice instead of copying it.
+func TestCounterVec(t *testing.T) {
 	values := []string{"put_ring_table", "put", "a b", "a"}
-	enum := NewRegistry()
-	e := enum.NewCounterEnum("rpc_requests_total", "By type.", "type", values)
-	plain := NewRegistry()
-	v := plain.NewCounterVec("rpc_requests_total", "By type.", "type")
+	r := NewRegistry()
+	v := r.NewCounterVec("rpc_requests_total", "By type.", "type", values)
+	var b strings.Builder
+	if _, err := r.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP rpc_requests_total By type.
+# TYPE rpc_requests_total counter
+rpc_requests_total{type="a b"} 0
+rpc_requests_total{type="a"} 0
+rpc_requests_total{type="put"} 0
+rpc_requests_total{type="put_ring_table"} 0
+`
+	if b.String() != want {
+		t.Errorf("fresh exposition:\n%s\nwant:\n%s", b.String(), want)
+	}
 	for i, val := range values {
-		if e.With(val) != e.At(i) {
+		if v.With(val) != v.At(i) {
 			t.Errorf("With(%q) and At(%d) are different children", val, i)
 		}
-		e.At(i).Add(uint64(i + 1))
-		v.With(val).Add(uint64(i + 1))
 	}
-	e.With("zz").Inc()
-	v.With("zz").Inc()
-	var eb, vb strings.Builder
-	if _, err := enum.WriteTo(&eb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.WriteTo(&vb); err != nil {
-		t.Fatal(err)
-	}
-	if eb.String() != vb.String() {
-		t.Errorf("enumerated exposition:\n%s\nplain vec exposition:\n%s", eb.String(), vb.String())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("With on an unregistered value did not panic")
+			}
+		}()
+		v.With("zz")
+	}()
+	other := NewRegistry().NewCounterVec("rpc_requests_total", "By type.", "type", values)
+	if unsafe.SliceData(v.values) != unsafe.SliceData(other.values) {
+		t.Error("two registries hold two copies of one value set")
 	}
 }
 
-// TestLabelsSharedAcrossRegistries: two registries counting the same label
-// set hold one rendered string between them, and a histogram keeps its
-// caller's bounds instead of a copy.
-func TestLabelsSharedAcrossRegistries(t *testing.T) {
-	a := NewRegistry().NewCounterVec("hops_total", "", "layer")
-	b := NewRegistry().NewCounterVec("hops_total", "", "layer")
-	a.With("1").Inc()
-	b.With("1").Inc()
-	if unsafe.StringData(a.kids[0].labels) != unsafe.StringData(b.kids[0].labels) {
-		t.Error("two registries rendered the same label set into two strings")
-	}
+// TestHistogramSharesBounds: a histogram keeps its caller's bounds
+// instead of a copy.
+func TestHistogramSharesBounds(t *testing.T) {
 	buckets := []float64{1, 2}
 	h := NewRegistry().NewHistogram("lat", "", buckets)
 	if &h.uppers[0] != &buckets[0] {

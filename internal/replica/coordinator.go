@@ -44,6 +44,13 @@ type Metrics struct {
 	WalkSets  *metrics.Counter
 }
 
+// The value sets of replica_resolves_total{path} and
+// quorum_failures_total{op}.
+var (
+	resolvePaths = []string{"local", "walk"}
+	quorumOps    = []string{"delete", "get", "put"}
+)
+
 var quorumBuckets = []float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}
 
 // NewMetrics registers the replica metrics on reg. A nil registry
@@ -54,7 +61,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		reg = metrics.NewRegistry()
 	}
 	resolves := reg.NewCounterVec("replica_resolves_total",
-		"Replica sets obtained, by path: local (computed from ring state or named by the owner on the operation itself) or walk (the network resolver: a lookup plus a get_neighbors).", "path")
+		"Replica sets obtained, by path: local (computed from ring state or named by the owner on the operation itself) or walk (the network resolver: a lookup plus a get_neighbors).", "path", resolvePaths)
 	return &Metrics{
 		LocalSets: resolves.With("local"),
 		WalkSets:  resolves.With("walk"),
@@ -67,7 +74,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		ReadSeconds: reg.NewHistogram("quorum_read_seconds",
 			"Latency of quorum reads, from replica-set resolution to quorum answer.", quorumBuckets),
 		Failures: reg.NewCounterVec("quorum_failures_total",
-			"Operations that failed to assemble a quorum.", "op"),
+			"Operations that failed to assemble a quorum.", "op", quorumOps),
 		ReadRepairs: reg.NewCounter("read_repairs_total",
 			"Stale or missing replicas refreshed by quorum reads."),
 		HandoffItems: reg.NewCounter("replica_handoff_items_total",

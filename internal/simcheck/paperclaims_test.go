@@ -1,6 +1,7 @@
 package simcheck
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -34,7 +35,7 @@ func TestPaperClaimBandsAcrossSeeds(t *testing.T) {
 			if invErr := o.CheckInvariants(); invErr != nil {
 				t.Fatalf("overlay invariants: %v", invErr)
 			}
-			cmp, err := experiments.CompareOn(o, s)
+			cmp, err := experiments.CompareStream(context.Background(), o, s, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -666,7 +666,7 @@ func (n *Node) verifyOwner(ctx context.Context, owner wire.Peer, key id.ID) (Loo
 	}
 	res := LookupResult{Owner: resp.Next, Hops: 1, LayerHops: make([]int, n.cfg.Depth)}
 	res.LayerHops[0] = 1
-	n.nm.hops[0].Inc()
+	n.nm.hops.At(0).Inc()
 	return res, true
 }
 
@@ -685,7 +685,7 @@ func (n *Node) lookupFull(ctx context.Context, key id.ID) (LookupResult, error) 
 	count := func(layer, hops int) {
 		res.Hops += hops
 		res.LayerHops[layer-1] += hops
-		n.nm.hops[layer-1].Add(uint64(hops))
+		n.nm.hops.At(layer - 1).Add(uint64(hops))
 	}
 	cur, supplier, layer := n.addr, "", n.cfg.Depth
 	for {
@@ -847,7 +847,7 @@ func (n *Node) ownerRead(ctx context.Context, first wire.Request) ([]string, wir
 	if hint {
 		// A hint the owner confirmed is a lookup answered in one hop.
 		n.nm.lookups.Inc()
-		n.nm.hops[0].Inc()
+		n.nm.hops.At(0).Inc()
 		n.nm.onehopHits.Inc()
 	}
 	succs := make([]string, len(resp.Succ))

@@ -14,8 +14,8 @@ type nodeMetrics struct {
 	reg *metrics.Registry
 	wm  *wire.Metrics
 
-	// hops[l-1] counts lookup hops taken in ring layer l (1 = global).
-	hops           []*metrics.Counter
+	// hops.At(l-1) counts lookup hops taken in ring layer l (1 = global).
+	hops           *metrics.CounterVec
 	ringClimbs     *metrics.Counter
 	lookups        *metrics.Counter
 	lookupErrors   *metrics.Counter
@@ -33,14 +33,17 @@ type nodeMetrics struct {
 	consultWalk *metrics.Counter
 }
 
+// consultPaths is ring_consults_total's value set.
+var consultPaths = []string{"hint", "walk"}
+
 func newNodeMetrics(reg *metrics.Registry, depth int) *nodeMetrics {
 	nm := &nodeMetrics{reg: reg, wm: wire.NewMetrics(reg)}
-	hopsVec := reg.NewCounterVec("hops_total",
-		"Hierarchical lookup hops by ring layer (1 = global ring).", "layer")
-	nm.hops = make([]*metrics.Counter, depth)
-	for l := 1; l <= depth; l++ {
-		nm.hops[l-1] = hopsVec.With(strconv.Itoa(l))
+	layers := make([]string, depth)
+	for i := range layers {
+		layers[i] = strconv.Itoa(i + 1)
 	}
+	nm.hops = reg.NewCounterVec("hops_total",
+		"Hierarchical lookup hops by ring layer (1 = global ring).", "layer", layers)
 	nm.ringClimbs = reg.NewCounter("ring_climbs_total",
 		"Lookup transitions from a lower ring to the next layer up.")
 	nm.lookups = reg.NewCounter("lookups_total",
@@ -64,7 +67,7 @@ func newNodeMetrics(reg *metrics.Registry, depth int) *nodeMetrics {
 	nm.gossipBytes = reg.NewCounter("route_gossip_bytes_total",
 		"Route-gossip payload bytes exchanged by this node's rounds: the summaries its global-ring liveness requests carry, probes, the tables replies carry and push-backs (both directions, binary-codec size).")
 	consults := reg.NewCounterVec("ring_consults_total",
-		"Lower-ring entry-point consultations, by how the node storing the ring's table was found: hint (the node that answered last time still vouched for it) or walk (a lookup on the global ring: a join, a re-homed table, a hint that did not answer).", "path")
+		"Lower-ring entry-point consultations, by how the node storing the ring's table was found: hint (the node that answered last time still vouched for it) or walk (a lookup on the global ring: a join, a re-homed table, a hint that did not answer).", "path", consultPaths)
 	nm.consultHint = consults.With("hint")
 	nm.consultWalk = consults.With("walk")
 	return nm

@@ -41,7 +41,8 @@ func TestHopCountersMatchLookups(t *testing.T) {
 	}
 
 	var gotTotal uint64
-	for l, c := range src.nm.hops {
+	for l := range perLayer {
+		c := src.nm.hops.At(l)
 		if c.Value() != perLayer[l] {
 			t.Errorf("hops_total{layer=%d} = %d, want %d", l+1, c.Value(), perLayer[l])
 		}

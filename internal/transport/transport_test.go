@@ -458,19 +458,36 @@ func TestHandledCounter(t *testing.T) {
 
 // TestUnknownMessageRejected: a type no handler case answers, the
 // retired unversioned put and get (numbers 8 and 9) included, draws
-// "unknown message type".
+// "unknown message type", and all such types are counted under one
+// type="unknown" series: the requests add no line to the exposition.
 func TestUnknownMessageRejected(t *testing.T) {
 	nd, err := Start("127.0.0.1:0", Config{Depth: 1, CallTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nd.Close()
+	exposition := func() string {
+		var b strings.Builder
+		if _, err := nd.Metrics().WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	before := strings.Count(exposition(), "\n")
 	for _, typ := range []wire.MsgType{99, 8, 9} {
 		_, err := wireCall(nd.Addr(), wire.Request{Type: typ, Name: "k"}, time.Second)
 		var re *wire.RemoteError
 		if !errors.As(err, &re) || !strings.Contains(re.Msg, "unknown message type") {
 			t.Errorf("%v: %v, want an unknown-message-type refusal", typ, err)
 		}
+	}
+	for _, name := range []string{`rpc_server_requests_total{type="unknown"}`, `rpc_server_errors_total{type="unknown"}`} {
+		if got := counterValue(t, nd, name); got != 3 {
+			t.Errorf("%s = %v, want 3", name, got)
+		}
+	}
+	if after := strings.Count(exposition(), "\n"); after != before {
+		t.Errorf("the exposition grew from %d to %d lines", before, after)
 	}
 }
 

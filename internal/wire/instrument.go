@@ -23,23 +23,27 @@ var AllMsgTypes = func() []MsgType {
 	return all
 }()
 
-// msgTypeChild is each type's position in AllMsgTypes plus one, 0 for a
-// type it does not list: the child a per-type family keeps for it.
-var msgTypeChild = func() (at [numMsgTypes]uint8) {
+// msgTypeChild is each type byte's child in a per-type family: its
+// position in AllMsgTypes, or the trailing "unknown" child for a byte
+// that names no operation.
+var msgTypeChild = func() (at [256]uint8) {
+	for i := range at {
+		at[i] = uint8(len(AllMsgTypes))
+	}
 	for i, t := range AllMsgTypes {
-		at[t] = uint8(i + 1)
+		at[t] = uint8(i)
 	}
 	return at
 }()
 
-// msgTypeNames is AllMsgTypes' label values, in the same order: every
-// node's per-type families enumerate this one slice.
+// msgTypeNames is AllMsgTypes' label values, in the same order, then
+// "unknown": every node's per-type families enumerate this one slice.
 var msgTypeNames = func() []string {
-	names := make([]string, len(AllMsgTypes))
+	names := make([]string, len(AllMsgTypes), len(AllMsgTypes)+1)
 	for i, t := range AllMsgTypes {
 		names[i] = t.String()
 	}
-	return names
+	return append(names, "unknown")
 }()
 
 // Metrics instruments the wire protocol against a metrics registry:
@@ -55,7 +59,8 @@ type Metrics struct {
 	bytesIn  *metrics.Counter
 	bytesOut *metrics.Counter
 
-	// Per-type families, one child per AllMsgTypes entry.
+	// Per-type families, one child per AllMsgTypes entry and one for
+	// every other type byte.
 	reqs, errs, srvReqs, srvErrs *metrics.CounterVec
 }
 
@@ -68,24 +73,21 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 			"Bytes read from wire connections, both roles."),
 		bytesOut: reg.NewCounter("rpc_bytes_out_total",
 			"Bytes written to wire connections, both roles."),
-		reqs: reg.NewCounterEnum("rpc_requests_total",
+		reqs: reg.NewCounterVec("rpc_requests_total",
 			"Outgoing RPCs by message type.", "type", msgTypeNames),
-		errs: reg.NewCounterEnum("rpc_errors_total",
+		errs: reg.NewCounterVec("rpc_errors_total",
 			"Outgoing RPCs that failed, by message type.", "type", msgTypeNames),
-		srvReqs: reg.NewCounterEnum("rpc_server_requests_total",
+		srvReqs: reg.NewCounterVec("rpc_server_requests_total",
 			"Requests served, by message type.", "type", msgTypeNames),
-		srvErrs: reg.NewCounterEnum("rpc_server_errors_total",
+		srvErrs: reg.NewCounterVec("rpc_server_errors_total",
 			"Requests answered with an error, by message type.", "type", msgTypeNames),
 	}
 }
 
-// pick returns t's child of a per-type family. A type outside
-// AllMsgTypes (a peer may send any byte) gets a child of its own.
+// pick returns t's child of a per-type family. Every type outside
+// AllMsgTypes (a peer may send any byte) shares the "unknown" child.
 func pick(vec *metrics.CounterVec, t MsgType) *metrics.Counter {
-	if int(t) < numMsgTypes && msgTypeChild[t] != 0 {
-		return vec.At(int(msgTypeChild[t]) - 1)
-	}
-	return vec.With(t.String())
+	return vec.At(int(msgTypeChild[t]))
 }
 
 // Wrap instruments a caller: every call through the returned Caller
