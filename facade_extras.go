@@ -47,7 +47,7 @@ func (cs *CachedSystem) Lookup(origin int, key string) (Route, error) {
 		return Route{}, err
 	}
 	res := cs.c.Lookup(origin, core.KeyID(key))
-	r := fromResult(res.RouteResult)
+	r := fromTotals(res.Totals())
 	r.CacheHit = res.Hit
 	return r, nil
 }
@@ -123,7 +123,7 @@ func (os *OneHopSystem) Lookup(origin int, key string) (Route, error) {
 		// Stale: the probe to the wrong peer is a wasted round trip; pay
 		// for it on top of the classic fallback walk.
 		os.stale.Add(1)
-		r := fromResult(o.Route(origin, kid))
+		r := fromTotals(o.RouteTotals(origin, kid))
 		if err == nil && idx != origin && idx >= 0 && idx < os.sys.N() {
 			r.Latency += o.Network().Latency(o.Node(origin).Host, o.Node(idx).Host)
 		}
@@ -131,7 +131,7 @@ func (os *OneHopSystem) Lookup(origin int, key string) (Route, error) {
 	}
 	// No live view of the ring at all: straight to the classic walk.
 	os.stale.Add(1)
-	return fromResult(o.Route(origin, kid)), nil
+	return fromTotals(o.RouteTotals(origin, kid)), nil
 }
 
 // ChordLookup routes over the flat global ring, bypassing the table —
@@ -222,11 +222,11 @@ func (d *DegradedSystem) Lookup(origin int, key string) (Route, error) {
 	if err := d.sys.checkOrigin(origin); err != nil {
 		return Route{}, err
 	}
-	res, err := d.view.Route(origin, core.KeyID(key))
+	res, err := d.view.RouteTotals(origin, core.KeyID(key))
 	if err != nil {
 		return Route{}, err
 	}
-	return fromResult(res), nil
+	return fromTotals(res), nil
 }
 
 // ChordLookup is the flat baseline under the same failures.
@@ -234,9 +234,9 @@ func (d *DegradedSystem) ChordLookup(origin int, key string) (Route, error) {
 	if err := d.sys.checkOrigin(origin); err != nil {
 		return Route{}, err
 	}
-	res, err := d.view.ChordRoute(origin, core.KeyID(key))
+	res, err := d.view.ChordRouteTotals(origin, core.KeyID(key))
 	if err != nil {
 		return Route{}, err
 	}
-	return fromResult(res), nil
+	return fromTotals(res), nil
 }

@@ -168,13 +168,13 @@ type Route struct {
 	CacheHit bool
 }
 
-func fromResult(r core.RouteResult) Route {
+func fromTotals(t core.Totals) Route {
 	return Route{
-		Dest:         r.Dest,
-		Hops:         r.NumHops(),
-		LowerHops:    r.LowerHops,
-		Latency:      r.Latency,
-		LowerLatency: r.LowerLatency,
+		Dest:         t.Dest,
+		Hops:         t.Hops,
+		LowerHops:    t.LowerHops,
+		Latency:      t.Latency,
+		LowerLatency: t.LowerLatency,
 	}
 }
 
@@ -192,7 +192,7 @@ func (s *System) Lookup(origin int, key string) (Route, error) {
 	if err := s.checkOrigin(origin); err != nil {
 		return Route{}, err
 	}
-	return fromResult(s.overlay.Route(origin, core.KeyID(key))), nil
+	return fromTotals(s.overlay.RouteTotals(origin, core.KeyID(key))), nil
 }
 
 // ChordLookup routes the same request over the flat global ring — the
@@ -201,7 +201,7 @@ func (s *System) ChordLookup(origin int, key string) (Route, error) {
 	if err := s.checkOrigin(origin); err != nil {
 		return Route{}, err
 	}
-	return fromResult(s.overlay.ChordRoute(origin, core.KeyID(key))), nil
+	return fromTotals(s.overlay.ChordRouteTotals(origin, core.KeyID(key))), nil
 }
 
 // BatchLookup routes one lookup per (origins[i], keys[i]) pair through
@@ -227,7 +227,7 @@ func (s *System) BatchLookup(origins []int, keys []string) ([]Route, error) {
 				hi = len(keys)
 			}
 			for i := lo; i < hi; i++ {
-				out[i] = fromResult(s.overlay.Route(origins[i], core.KeyID(keys[i])))
+				out[i] = fromTotals(s.overlay.RouteTotals(origins[i], core.KeyID(keys[i])))
 			}
 			return nil
 		}, nil)

@@ -73,16 +73,16 @@ func BuildTablePNS(members []Member, lat LatencyFunc, samples int, seed int64, w
 }
 
 // pnsFingers re-picks member i's fingers by proximity, drawing candidates
-// from rng.
+// from rng. Slots are re-picked in ascending order, so while slot k is
+// chosen, slot k+1 still holds the plain finger successor(start_{k+1}).
 func pnsFingers(t *Table, i int, lat LatencyFunc, samples int, rng *rand.Rand) {
 	n := t.Len()
+	fs := t.fingers[i]
 	for k := uint(0); k < id.Bits; k++ {
-		first := int(t.fingers[i][k]) // successor(start_k)
-		var lastExcl int
+		first := int(fs[k]) // successor(start_k)
+		lastExcl := i       // interval [n+2^159, n) ends at self
 		if k+1 < id.Bits {
-			lastExcl = t.SuccessorIndex(id.AddPow2(t.ids[i], k+1))
-		} else {
-			lastExcl = i // interval [n+2^159, n) ends at self
+			lastExcl = int(fs[k+1])
 		}
 		// Members in the finger interval form the circular index range
 		// [first, lastExcl). Empty => keep the plain fallback finger.
@@ -95,21 +95,22 @@ func pnsFingers(t *Table, i int, lat LatencyFunc, samples int, rng *rand.Rand) {
 		}
 		// Verify `first` actually lies inside the interval (it may be the
 		// fallback successor beyond it).
-		if !id.InClosedOpen(t.ids[first], id.AddPow2(t.ids[i], k), endOf(t.ids[i], k)) {
+		start, end := id.AddPow2(t.ids[i], k), endOf(t.ids[i], k)
+		if !id.InClosedOpen(t.ids[first], start, end) {
 			continue
 		}
 		best := first
 		bestLat := lat(int(t.hosts[i]), int(t.hosts[first]))
 		for s := 0; s < samples-1; s++ {
 			cand := (first + rng.Intn(size)) % n
-			if !id.InClosedOpen(t.ids[cand], id.AddPow2(t.ids[i], k), endOf(t.ids[i], k)) {
+			if !id.InClosedOpen(t.ids[cand], start, end) {
 				continue
 			}
 			if l := lat(int(t.hosts[i]), int(t.hosts[cand])); l < bestLat {
 				best, bestLat = cand, l
 			}
 		}
-		t.fingers[i][k] = int32(best)
+		fs[k] = int32(best)
 	}
 }
 

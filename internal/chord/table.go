@@ -79,16 +79,37 @@ func BuildTable(members []Member, workers int) (*Table, error) {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				f := make([]int32, id.Bits)
-				for k := uint(0); k < id.Bits; k++ {
-					f[k] = int32(t.SuccessorIndex(id.AddPow2(t.ids[i], k)))
-				}
-				t.fingers[i] = f
+				t.fillFingers(i)
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
 	return t, nil
+}
+
+// fillFingers computes member i's exact fingers with one search per
+// distinct finger, about log2(n) of them instead of Bits. Finger k is
+// successor(x + 2^k) for x = ids[i]; when it lies d past x, no member
+// lies in [x + 2^k, x + d), so every slot j with 2^j <= d names the same
+// member. The next search starts at the first slot past d's top bit. A
+// finger that wrapped round to i itself serves every remaining slot.
+func (t *Table) fillFingers(i int) {
+	fs := make([]int32, id.Bits)
+	t.fingers[i] = fs
+	x := t.ids[i]
+	f := t.Next(i) // successor(x + 1): identifiers are distinct
+	for k := 0; k < id.Bits; {
+		end := id.Bits
+		if f != i {
+			end = id.Dist(x, t.ids[f]).BitLen()
+		}
+		for ; k < end; k++ {
+			fs[k] = int32(f)
+		}
+		if k < id.Bits {
+			f = t.SuccessorIndex(id.AddPow2(x, uint(k)))
+		}
+	}
 }
 
 // Len returns the number of members.
@@ -138,11 +159,28 @@ func (t *Table) SuccessorIndex(key id.ID) int {
 // (ids[i], key). A finger pointing at a dead peer is skipped (a timeout
 // in a real deployment) and the next lower one tried. A nil mask means
 // nobody is dead.
+//
+// The scan is the full top-down one, less the slots that cannot answer.
+// Finger k, exact or chosen by proximity, is i itself or lies at least
+// 2^k past ids[i], so no slot above the top bit of the distance to key
+// precedes key; a key equal to ids[i] makes (ids[i], key) the whole
+// ring, and the scan then starts at the top slot. A run of slots naming
+// one member is tested once: the test reads the member, not the slot.
 func (t *Table) closestPreceding(i int, key id.ID, dead []bool) int {
-	for k := id.Bits - 1; k >= 0; k-- {
-		f := int(t.fingers[i][k])
-		if f != i && (dead == nil || !dead[f]) && id.Between(t.ids[f], t.ids[i], key) {
-			return f
+	k := id.Dist(t.ids[i], key).BitLen() - 1
+	if k < 0 {
+		k = id.Bits - 1
+	}
+	fs := t.fingers[i]
+	last := int32(i) // i itself never lies inside (ids[i], key)
+	for ; k >= 0; k-- {
+		f := fs[k]
+		if f == last {
+			continue
+		}
+		last = f
+		if (dead == nil || !dead[f]) && id.Between(t.ids[f], t.ids[i], key) {
+			return int(f)
 		}
 	}
 	return i

@@ -69,10 +69,20 @@ func (v *FaultyView) LiveOwner(key id.ID) int {
 // Overlay.Route's loop with the view's masks. The originator must be
 // alive. On success Dest is the key's live owner.
 func (v *FaultyView) Route(from int, key id.ID) (RouteResult, error) {
-	return v.o.route(from, key, v.o.cfg.Depth, v, v.rm)
+	return v.o.traced(from, key, v.o.cfg.Depth, v, v.rm)
 }
 
 // ChordRoute is the flat baseline under the same failures.
 func (v *FaultyView) ChordRoute(from int, key id.ID) (RouteResult, error) {
-	return v.o.route(from, key, 1, v, nil)
+	return v.o.traced(from, key, 1, v, nil)
+}
+
+// RouteTotals is Route without the per-hop record.
+func (v *FaultyView) RouteTotals(from int, key id.ID) (Totals, error) {
+	return v.o.route(from, key, v.o.cfg.Depth, v, v.rm, nil)
+}
+
+// ChordRouteTotals is ChordRoute without the per-hop record.
+func (v *FaultyView) ChordRouteTotals(from int, key id.ID) (Totals, error) {
+	return v.o.route(from, key, 1, v, nil, nil)
 }

@@ -159,11 +159,12 @@ type Overlay struct {
 
 // NodeID derives the overlay identifier for a host, SHA-1 as in the paper.
 func NodeID(host int) id.ID {
-	return id.HashString("node:" + strconv.Itoa(host))
+	return id.HashTagged("node:", strconv.Itoa(host))
 }
 
-// KeyID derives the identifier of an application key.
-func KeyID(name string) id.ID { return id.HashString("key:" + name) }
+// KeyID derives the identifier of an application key (the live node's
+// transport.LiveKeyID).
+func KeyID(name string) id.ID { return id.HashTagged("key:", name) }
 
 // Build constructs the exact HIERAS overlay for every host of net.
 func Build(net *topology.Network, cfg Config, rng *rand.Rand) (*Overlay, error) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/id"
 )
@@ -34,6 +35,24 @@ type RouteResult struct {
 // NumHops returns the routing hop count.
 func (r *RouteResult) NumHops() int { return len(r.Hops) }
 
+// Totals returns the result's counts and sums.
+func (r *RouteResult) Totals() Totals {
+	return Totals{Dest: r.Dest, Hops: len(r.Hops), LowerHops: r.LowerHops,
+		Latency: r.Latency, LowerLatency: r.LowerLatency, Accelerated: r.Accelerated}
+}
+
+// Totals is a routing procedure's outcome without the hops themselves:
+// what a caller that reads only counts and sums needs, from the same loop
+// as RouteResult and with no heap object.
+type Totals struct {
+	Dest            int // overlay node index
+	Hops, LowerHops int
+	// Latency and LowerLatency sum the hops' link latencies in
+	// milliseconds, in hop order, as RouteResult does.
+	Latency, LowerLatency float64
+	Accelerated           bool
+}
+
 // Route performs a HIERAS routing procedure for key starting at overlay
 // node `from` (paper §3.2): the lookup runs the underlying Chord routing
 // once per layer from the originator's most local ring up to the global
@@ -48,7 +67,7 @@ func (r *RouteResult) NumHops() int { return len(r.Hops) }
 // metric counters loaded through o.instr. route_race_test.go exercises
 // this contract under -race.
 func (o *Overlay) Route(from int, key id.ID) RouteResult {
-	res, _ := o.route(from, key, o.cfg.Depth, nil, o.instr.Load())
+	res, _ := o.traced(from, key, o.cfg.Depth, nil, o.instr.Load())
 	return res
 }
 
@@ -57,8 +76,29 @@ func (o *Overlay) Route(from int, key id.ID) RouteResult {
 // layer 1. The baseline is never instrumented, so the overlay's counters
 // describe the hierarchical procedure alone.
 func (o *Overlay) ChordRoute(from int, key id.ID) RouteResult {
-	res, _ := o.route(from, key, 1, nil, nil)
+	res, _ := o.traced(from, key, 1, nil, nil)
 	return res
+}
+
+// RouteTotals is Route without the per-hop record.
+func (o *Overlay) RouteTotals(from int, key id.ID) Totals {
+	t, _ := o.route(from, key, o.cfg.Depth, nil, o.instr.Load(), nil)
+	return t
+}
+
+// ChordRouteTotals is ChordRoute without the per-hop record.
+func (o *Overlay) ChordRouteTotals(from int, key id.ID) Totals {
+	t, _ := o.route(from, key, 1, nil, nil, nil)
+	return t
+}
+
+// traced is route keeping every hop, as a RouteResult.
+func (o *Overlay) traced(from int, key id.ID, top int, v *FaultyView, rm *routeMetrics) (RouteResult, error) {
+	res := RouteResult{Origin: from, Key: key}
+	t, err := o.route(from, key, top, v, rm, &res.Hops)
+	res.Dest, res.Accelerated = t.Dest, t.Accelerated
+	res.Latency, res.LowerHops, res.LowerLatency = t.Latency, t.LowerHops, t.LowerLatency
+	return res, err
 }
 
 // route is the one routing loop: Chord's ring walk once per layer from
@@ -66,39 +106,53 @@ func (o *Overlay) ChordRoute(from int, key id.ID) RouteResult {
 // between loops, and the final forward to the key's owner on the global
 // ring. A non-nil view routes around its failed peers, before any repair
 // has run (paper §3.3); only then can the procedure fail. rm may be nil.
-func (o *Overlay) route(from int, key id.ID, top int, v *FaultyView, rm *routeMetrics) (RouteResult, error) {
+// Each hop is appended to *path unless path is nil.
+func (o *Overlay) route(from int, key id.ID, top int, v *FaultyView, rm *routeMetrics, path *[]Hop) (Totals, error) {
 	owner := o.global.Table.SuccessorIndex(key)
 	if v != nil {
 		if v.dead[from] {
-			return RouteResult{}, fmt.Errorf("core: route from dead peer %d", from)
+			return Totals{}, fmt.Errorf("core: route from dead peer %d", from)
 		}
 		owner = v.LiveOwner(key)
 	}
-	res := RouteResult{Origin: from, Key: key, Dest: owner}
+	res := Totals{Dest: owner}
 	if rm != nil {
 		rm.routes.Inc()
 	}
 
-	var ring *Ring
-	layer := top
-	record := func(f, t int) {
-		gf, gt := int(ring.Global[f]), int(ring.Global[t])
+	// hop takes one forward, between overlay node indexes, in ring layer l.
+	hop := func(l, gf, gt int) {
 		lat := o.net.Latency(o.nodes[gf].Host, o.nodes[gt].Host)
-		res.Hops = append(res.Hops, Hop{Layer: layer, From: gf, To: gt, Latency: lat})
+		if path != nil {
+			*path = append(*path, Hop{Layer: l, From: gf, To: gt, Latency: lat})
+		}
+		res.Hops++
 		res.Latency += lat
-		if layer >= 2 {
+		if l >= 2 {
 			res.LowerHops++
 			res.LowerLatency += lat
 		}
-		rm.hop(layer)
+		rm.hop(l)
 	}
+	var ring *Ring
+	layer := top
+	record := func(f, t int) { hop(layer, int(ring.Global[f]), int(ring.Global[t])) }
 
 	// cur == owner is the destination check between loops (paper §3.2).
 	for cur := from; layer >= 1 && cur != owner; layer-- {
 		if rm != nil && layer < top {
 			rm.ringClimbs.Inc() // the previous, more local layer did not finish
 		}
-		if v == nil && o.cfg.AccelerateWithSuccessorList && o.trySuccessorShortcut(&res, rm, cur, owner) {
+		if v == nil && o.cfg.AccelerateWithSuccessorList &&
+			slices.Contains(o.global.Table.SuccessorList(cur, o.cfg.SuccessorListLen), owner) {
+			// The paper's successor-list acceleration: the destination is
+			// in the current peer's global successor list, so forward
+			// straight to it.
+			hop(1, cur, owner)
+			res.Accelerated = true
+			if rm != nil {
+				rm.accelerated.Inc()
+			}
 			break
 		}
 		var member int
@@ -132,24 +186,4 @@ func (o *Overlay) route(from int, key id.ID, top int, v *FaultyView, rm *routeMe
 		}
 	}
 	return res, nil
-}
-
-// trySuccessorShortcut implements the paper's successor-list acceleration:
-// if the destination is within the current peer's successor list in the
-// global ring, forward straight to it.
-func (o *Overlay) trySuccessorShortcut(res *RouteResult, rm *routeMetrics, cur, owner int) bool {
-	for _, s := range o.global.Table.SuccessorList(cur, o.cfg.SuccessorListLen) {
-		if s == owner {
-			lat := o.net.Latency(o.nodes[cur].Host, o.nodes[owner].Host)
-			res.Hops = append(res.Hops, Hop{Layer: 1, From: cur, To: owner, Latency: lat})
-			res.Latency += lat
-			res.Accelerated = true
-			rm.hop(1)
-			if rm != nil {
-				rm.accelerated.Inc()
-			}
-			return true
-		}
-	}
-	return false
 }

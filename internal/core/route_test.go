@@ -212,3 +212,58 @@ func BenchmarkRoute(b *testing.B) {
 		})
 	}
 }
+
+// TestTotalsMatchRoute: the hop-free entries are the same loop as the
+// traced ones, so their totals are Route's to the bit — healthy and
+// under failures, at every depth, with and without the successor-list
+// shortcut; and where one fails, so does the other.
+func TestTotalsMatchRoute(t *testing.T) {
+	same := func(t *testing.T, what string, got Totals, gerr error, want RouteResult, werr error) {
+		t.Helper()
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("%s: error %v, traced entry's %v", what, gerr, werr)
+		}
+		if werr == nil && got != want.Totals() {
+			t.Fatalf("%s: totals %+v, traced entry's %+v", what, got, want.Totals())
+		}
+	}
+	for depth := 1; depth <= 3; depth++ {
+		for _, accel := range []bool{false, true} {
+			o := buildOverlay(t, 90, Config{Depth: depth, AccelerateWithSuccessorList: accel}, 80)
+			rng := rand.New(rand.NewSource(81))
+			dead := make([]bool, o.N())
+			for i := range dead {
+				dead[i] = rng.Intn(10) < 3
+			}
+			dead[0] = false
+			v, err := o.WithFailures(dead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shortcuts := 0
+			for trial := 0; trial < 300; trial++ {
+				from := rng.Intn(o.N())
+				key := id.Rand(rng)
+				if trial%5 == 0 {
+					key = o.Node(rng.Intn(o.N())).ID
+				}
+				what := fmt.Sprintf("depth %d accel %v from %d key %s", depth, accel, from, key.Short())
+				tot := o.RouteTotals(from, key)
+				if tot.Accelerated {
+					shortcuts++
+				}
+				same(t, what+" Route", tot, nil, o.Route(from, key), nil)
+				same(t, what+" ChordRoute", o.ChordRouteTotals(from, key), nil, o.ChordRoute(from, key), nil)
+				got, gerr := v.RouteTotals(from, key)
+				want, werr := v.Route(from, key)
+				same(t, what+" faulty Route", got, gerr, want, werr)
+				got, gerr = v.ChordRouteTotals(from, key)
+				want, werr = v.ChordRoute(from, key)
+				same(t, what+" faulty ChordRoute", got, gerr, want, werr)
+			}
+			if accel && depth > 1 && shortcuts == 0 {
+				t.Fatalf("depth %d: no route took the successor-list shortcut", depth)
+			}
+		}
+	}
+}

@@ -91,24 +91,24 @@ func CompareAlgorithms(s Scenario) (*AlgoComparison, error) {
 		return hops, lat
 	}
 	for _, req := range reqs {
-		c := plain.ChordRoute(req.Origin, req.Key)
-		rows[0].Hops.Add(float64(c.NumHops()))
+		c := plain.ChordRouteTotals(req.Origin, req.Key)
+		rows[0].Hops.Add(float64(c.Hops))
 		rows[0].Latency.Add(c.Latency)
 
-		cp := pns.ChordRoute(req.Origin, req.Key)
-		rows[1].Hops.Add(float64(cp.NumHops()))
+		cp := pns.ChordRouteTotals(req.Origin, req.Key)
+		rows[1].Hops.Add(float64(cp.Hops))
 		rows[1].Latency.Add(cp.Latency)
 
 		ph, pl := pastryLat(req.Origin, req.Key)
 		rows[2].Hops.Add(float64(ph))
 		rows[2].Latency.Add(pl)
 
-		h := plain.Route(req.Origin, req.Key)
-		rows[3].Hops.Add(float64(h.NumHops()))
+		h := plain.RouteTotals(req.Origin, req.Key)
+		rows[3].Hops.Add(float64(h.Hops))
 		rows[3].Latency.Add(h.Latency)
 
-		hp := pns.Route(req.Origin, req.Key)
-		rows[4].Hops.Add(float64(hp.NumHops()))
+		hp := pns.RouteTotals(req.Origin, req.Key)
+		rows[4].Hops.Add(float64(hp.Hops))
 		rows[4].Latency.Add(hp.Latency)
 	}
 	return &AlgoComparison{Scenario: s, Rows: rows}, nil

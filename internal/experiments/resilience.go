@@ -64,11 +64,11 @@ func FailureResilience(s Scenario, fractions []float64) (*ResilienceResult, erro
 			}
 			trials++
 			key := id.Rand(rng)
-			if r, err := view.Route(from, key); err == nil {
+			if r, err := view.RouteTotals(from, key); err == nil {
 				hOK++
 				hLat.Add(r.Latency)
 			}
-			if r, err := view.ChordRoute(from, key); err == nil {
+			if r, err := view.ChordRouteTotals(from, key); err == nil {
 				cOK++
 				cLat.Add(r.Latency)
 			}
@@ -131,7 +131,7 @@ func CacheStudy(s Scenario, capacities []int, policy cache.Policy) (*CacheResult
 	var base stats.Online
 	for i := 0; i < s.Requests; i++ {
 		req := gen.Next()
-		base.Add(o.Route(req.Origin, req.Key).Latency)
+		base.Add(o.RouteTotals(req.Origin, req.Key).Latency)
 	}
 	res.NoCacheMean = base.Mean()
 	for _, capa := range capacities {

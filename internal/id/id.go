@@ -10,6 +10,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
 )
 
@@ -32,6 +33,15 @@ func HashBytes(b []byte) ID {
 // HashString returns the SHA-1 identifier of s.
 func HashString(s string) ID {
 	return HashBytes([]byte(s))
+}
+
+// HashTagged returns HashString(tag + s), hashed from a stack buffer: the
+// concatenation and its []byte copy would be two heap objects per call.
+// Inputs beyond the buffer (tag + s > 96 B) cost the one allocation
+// append makes.
+func HashTagged(tag, s string) ID {
+	var stack [96]byte
+	return HashBytes(append(append(stack[:0], tag...), s...))
 }
 
 // FromUint64 returns the identifier whose low 64 bits are v and whose
@@ -115,6 +125,17 @@ func (x ID) Equal(y ID) bool { return x == y }
 
 // IsZero reports whether x is the zero identifier.
 func (x ID) IsZero() bool { return x == ID{} }
+
+// BitLen returns the length of x in bits: one more than the index of its
+// top set bit, and 0 for the zero identifier (math/big's BitLen).
+func (x ID) BitLen() int {
+	for i, b := range x {
+		if b != 0 {
+			return (Size-1-i)*8 + bits.Len8(b)
+		}
+	}
+	return 0
+}
 
 // Add returns (x + y) mod 2^160.
 func Add(x, y ID) ID {

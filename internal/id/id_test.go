@@ -320,6 +320,26 @@ func TestQuickIntervalConsistency(t *testing.T) {
 	}
 }
 
+func TestBitLenMatchesBig(t *testing.T) {
+	var ones ID
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	cases := []ID{{}, FromUint64(1), FromUint64(2), AddPow2(ID{}, Bits-1), ones}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		x := Rand(rng)
+		// Shift right by a random amount so every bit length shows up,
+		// not only the 159 and 160 of uniform identifiers.
+		cases = append(cases, FromBig(new(big.Int).Rsh(x.ToBig(), uint(rng.Intn(Bits+1)))))
+	}
+	for _, x := range cases {
+		if got, want := x.BitLen(), x.ToBig().BitLen(); got != want {
+			t.Fatalf("BitLen(%s) = %d, want %d", x, got, want)
+		}
+	}
+}
+
 func TestQuickRandInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	seen := map[ID]bool{}

@@ -96,8 +96,8 @@ func (s *Store) Put(origin int, key string, value []byte) (CostReport, error) {
 	if origin < 0 || origin >= s.o.N() {
 		return CostReport{}, fmt.Errorf("kv: origin %d out of range", origin)
 	}
-	res := s.o.Route(origin, keyID(key))
-	rep := CostReport{Hops: res.NumHops(), Latency: res.Latency}
+	res := s.o.RouteTotals(origin, keyID(key))
+	rep := CostReport{Hops: res.Hops, Latency: res.Latency}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	targets := s.targets(res.Dest)
@@ -142,8 +142,8 @@ func (s *Store) Get(origin int, key string) ([]byte, CostReport, error) {
 	if origin < 0 || origin >= s.o.N() {
 		return nil, CostReport{}, fmt.Errorf("kv: origin %d out of range", origin)
 	}
-	res := s.o.Route(origin, keyID(key))
-	rep := CostReport{Hops: res.NumHops(), Latency: res.Latency}
+	res := s.o.RouteTotals(origin, keyID(key))
+	rep := CostReport{Hops: res.Hops, Latency: res.Latency}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	candidates := s.targets(res.Dest)
@@ -202,8 +202,8 @@ func (s *Store) Delete(origin int, key string) (CostReport, error) {
 	if origin < 0 || origin >= s.o.N() {
 		return CostReport{}, fmt.Errorf("kv: origin %d out of range", origin)
 	}
-	res := s.o.Route(origin, keyID(key))
-	rep := CostReport{Hops: res.NumHops(), Latency: res.Latency}
+	res := s.o.RouteTotals(origin, keyID(key))
+	rep := CostReport{Hops: res.Hops, Latency: res.Latency}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, n := range s.targets(res.Dest) {

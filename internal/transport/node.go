@@ -263,19 +263,11 @@ type Node struct {
 }
 
 // NodeID derives a live node's identifier from its address.
-func NodeID(addr string) id.ID { return hashTagged("live:", addr) }
+func NodeID(addr string) id.ID { return id.HashTagged("live:", addr) }
 
-// LiveKeyID derives the identifier of an application key (shared with the
-// kv convention).
-func LiveKeyID(key string) id.ID { return hashTagged("key:", key) }
-
-// hashTagged is id.HashString(tag + s), hashed from a stack buffer: the
-// concatenation and its []byte copy were two heap objects per call. Keys
-// beyond the buffer (tag + s > 96 B) cost the one allocation append makes.
-func hashTagged(tag, s string) id.ID {
-	var stack [96]byte
-	return id.HashBytes(append(append(stack[:0], tag...), s...))
-}
+// LiveKeyID derives the identifier of an application key: the oracle's
+// core.KeyID, so a key has one identifier in both drivers.
+func LiveKeyID(key string) id.ID { return id.HashTagged("key:", key) }
 
 // liveKeyBytes is LiveKeyID in the raw-array form the replica layer's
 // range digests use.
