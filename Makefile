@@ -31,7 +31,7 @@ allocs:
 perf-smoke:
 	$(GO) run ./bench/perf -seconds 1 -scale 0.25 -json > perf.json
 
-# examples runs every examples/* program (~10 s, most of it churnstudy).
+# examples runs every examples/* program (~5 s, half of it churnstudy).
 # Each one checks its own result and exits non-zero when it is wrong.
 examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d > /dev/null || exit 1; done

@@ -1,5 +1,5 @@
 // Package churn drives node dynamics on the live HIERAS node: real
-// transport.Nodes on an in-process wire.MemNet (Cluster) join, leave
+// transport.Nodes in-process (Cluster on a Driver's direct net) join, leave
 // gracefully and fail silently as Poisson processes on the eventsim
 // clock, while lookups measure routing availability and a periodic
 // maintenance round repairs the rings. The paper assumes Chord's failure

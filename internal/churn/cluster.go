@@ -15,9 +15,9 @@ import (
 // listens as "h<h>", so node identifiers are the same on every run;
 // landmarks are names only — a node's probe of landmark "lm<i>" is
 // answered from the topology model, so no landmark process exists (and
-// the global ring's merge scan through the landmarks costs refused
-// dials, whose retry waits cost no time on the driver's clock, and no
-// messages).
+// the global ring's merge scan through the landmarks costs calls the
+// driver refuses as dials to dead addresses, whose retry waits cost no
+// time on the driver's clock, and no messages).
 type Cluster struct {
 	*Driver
 	net     *topology.Network

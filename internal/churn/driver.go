@@ -12,15 +12,18 @@ import (
 )
 
 // Driver runs live transport.Nodes in-process, from one goroutine: it
-// owns the wire.MemNet they listen on, the clock they run on, the
-// maintenance round and the run's root context. The caller invokes every
-// node method itself, so a run is a pure function of its inputs. Cluster
-// (topology hosts, the churn and overhead studies) and simcheck's
-// invariant harness both drive their nodes through it.
+// owns their net (a node answers an RPC through Dispatch, beneath
+// Config.WrapCaller; MemNet listeners only name nodes and carry landmark
+// probes), the clock they run on, the maintenance round and the run's
+// root context. The caller invokes every node method itself, so a run is
+// a pure function of its inputs. Cluster (topology hosts, the churn and
+// overhead studies) and simcheck's harness both drive nodes through it.
 type Driver struct {
-	mem   *wire.MemNet
-	dial  wire.DialFunc // mem.Dial, behind which a test may count connections
-	clock *wire.ManualClock
+	mem      *wire.MemNet
+	dial     wire.DialFunc // mem.Dial, behind which a test may count connections
+	clock    *wire.ManualClock
+	nodes    map[string]*transport.Node // by address: the direct net's routing table
+	memCalls bool                       // RPCs over MemNet sessions: the footprint test's deployment proxy
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -31,7 +34,7 @@ type Driver struct {
 
 // NewDriver returns a driver with an empty network.
 func NewDriver() *Driver {
-	d := &Driver{mem: wire.NewMemNet(), clock: new(wire.ManualClock)}
+	d := &Driver{mem: wire.NewMemNet(), clock: new(wire.ManualClock), nodes: make(map[string]*transport.Node)}
 	d.clock.Advance(time.Second) // no route event carries the zero stamp
 	d.dial = d.mem.Dial
 	d.ctx, d.cancel = context.WithCancel(context.Background()) //lint:allow ctxflow the run root: Close cancels it, and every operation a driven run issues derives from it
@@ -54,13 +57,30 @@ func (d *Driver) Start(addr string, cfg transport.Config) (*transport.Node, erro
 		return nil, err
 	}
 	cfg.Listener, cfg.Dial, cfg.Clock = ln, d.dial, d.clock
+	if wrap := cfg.WrapCaller; !d.memCalls {
+		cfg.WrapCaller = func(self string, _ wire.Caller) wire.Caller {
+			if wrap == nil {
+				return wire.CallerFunc(d.call)
+			}
+			return wrap(self, wire.CallerFunc(d.call))
+		}
+	}
 	n, err := transport.Start("", cfg)
 	if err != nil {
 		_ = ln.Close()
 		return nil, err
 	}
+	d.nodes[addr] = n
 	d.live = append(d.live, n)
 	return n, nil
+}
+
+// call is the direct net; an address with no node refuses like a dead one.
+func (d *Driver) call(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
+	if n := d.nodes[addr]; n != nil {
+		return n.Dispatch(ctx, req)
+	}
+	return wire.Response{}, &wire.NetError{Addr: addr, Op: "dial", Sent: false, Err: wire.ErrConnRefused}
 }
 
 // Live returns the live nodes in the order rounds visit them: started
@@ -80,6 +100,7 @@ func (d *Driver) Remove(n *transport.Node, graceful bool) {
 	} else {
 		_ = n.Close()
 	}
+	delete(d.nodes, n.Addr())
 	d.departed += n.Handled()
 }
 

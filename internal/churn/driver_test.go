@@ -3,6 +3,7 @@ package churn
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -183,4 +184,48 @@ func TestBreakerCooldownOnDriverClock(t *testing.T) {
 			t.Errorf("round %d (%v after the breaker opened): reborn n1 served requests %t, want %t", round+1, waited, served, want.served)
 		}
 	}
+}
+
+// TestDirectNetMatchesMemNet: the direct net changes what a run costs,
+// not what it does. One seeded churn run — 64 nodes at depth 2 with
+// joins, graceful leaves, silent failures and lookups — gives the same
+// Result, messages included, over MemNet sessions and over the direct
+// net, and every surviving node ends with the same snapshot. This is
+// what keeps the driver's MemNet path a checked reference.
+func TestDirectNetMatchesMemNet(t *testing.T) {
+	cfg := baseConfig()
+	cfg.InitialNodes, cfg.Duration = 64, 60
+	cfg.JoinEvery, cfg.LeaveEvery, cfg.FailEvery = 5, 10, 10
+	run := func(memCalls bool) (Result, []transport.Snapshot) {
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		c, err := NewCluster(testNet(t, 96, 5), cfg.Depth, cfg.Landmarks, cfg.SuccessorListLen, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.memCalls = memCalls
+		res, err := drive(c, cfg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps := make([]transport.Snapshot, len(c.Live()))
+		for i, n := range c.Live() {
+			snaps[i] = n.Snapshot()
+		}
+		return *res, snaps
+	}
+	mem, memSnaps := run(true)
+	direct, directSnaps := run(false)
+	if direct != mem {
+		t.Fatalf("the nets diverged:\n  MemNet %+v\n  direct %+v", mem, direct)
+	}
+	if mem.Joins == 0 || mem.Leaves == 0 || mem.Fails == 0 || mem.Completed == 0 {
+		t.Fatalf("degenerate run exercised too little: %+v", mem)
+	}
+	for i := range memSnaps {
+		if !reflect.DeepEqual(memSnaps[i], directSnaps[i]) {
+			t.Errorf("survivor %s: snapshots differ:\n  MemNet %+v\n  direct %+v", memSnaps[i].Addr, memSnaps[i], directSnaps[i])
+		}
+	}
+	t.Logf("both nets: %+v", mem)
 }

@@ -36,22 +36,36 @@ import (
 //     inline through the by-value handler reads 462 KiB at 64 nodes (the
 //     GC halves a parked reader's stack and the next request grows it
 //     back), which the stack budget catches.
+//
+// Those rows send their RPCs over MemNet sessions on purpose: a session
+// per link is what a deployed node pays, so they stand in for a
+// deployment. The direct row, measured first so no session's leftovers
+// skew it, is what a node holds on the direct net a Driver uses by default
+// (10,868 B heap, 1.0 goroutines, 2,816 B stack): the node's own state,
+// its MemNet listener and that listener's accept loop, and no connection.
 var footprintBudgets = []struct {
 	nodes       int
+	direct      bool    // the driver's direct net instead of MemNet sessions
 	heap, stack float64 // bytes per node
 	goroutines  float64 // per node
 }{
+	{nodes: 256, direct: true, heap: 12800, goroutines: 1.2, stack: 3328},
 	{nodes: 64, heap: 100 << 10, goroutines: 76, stack: 448 << 10},
 	{nodes: 256, heap: 168 << 10, goroutines: 144, stack: 864 << 10},
 }
 
 // TestAllocBudgetNodeFootprint: the heap bytes, goroutines and goroutine
 // stack one settled node holds — started, joined and run through the
-// churn study's own path (drive) with no churn — at two cluster sizes,
-// beside the connections a node opened.
+// churn study's own path (drive) with no churn — at two cluster sizes over
+// MemNet sessions and at 256 nodes on the direct net, beside the
+// connections a node opened.
 func TestAllocBudgetNodeFootprint(t *testing.T) {
 	for _, b := range footprintBudgets {
-		t.Run(fmt.Sprintf("n=%d", b.nodes), func(t *testing.T) {
+		name := fmt.Sprintf("n=%d", b.nodes)
+		if b.direct {
+			name += ",direct"
+		}
+		t.Run(name, func(t *testing.T) {
 			start := time.Now()
 			topo := testNet(t, b.nodes, 11)
 			cfg := baseConfig()
@@ -68,6 +82,7 @@ func TestAllocBudgetNodeFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
+			c.memCalls = !b.direct
 			// Only a dial that returned a connection opened one: the
 			// global ring's merge scan dials the name-only landmarks,
 			// and those dials are refused.

@@ -80,8 +80,8 @@ func (m *model) mustRead(key string, now uint64) bool {
 }
 
 // harness owns one in-process cluster: a churn.Driver runs the nodes (on
-// MemNet, so node addresses — and therefore node IDs — are identical on
-// every run; on its clock, which exec moves a tick per op, so expiry is a
+// its direct net, with node addresses — and therefore node IDs — identical
+// on every run; on its clock, which exec moves a tick per op, so expiry is a
 // function of the program; and every operation the executor issues
 // derives from the driver's run context), a faultnet.Network partitions
 // them, and the data model judges them. Slots 0 and 1 are the two

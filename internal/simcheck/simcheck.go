@@ -1,15 +1,15 @@
 // Package simcheck is a property-based invariant harness for the HIERAS
 // transport stack. It generates seeded random operation programs (joins,
 // crashes, graceful departures, puts, gets, lookups, partitions, heals)
-// against an in-process multi-layer cluster running over wire.MemNet,
+// against an in-process multi-layer cluster on churn.Driver's direct net,
 // checks a registry of invariants as the program executes, and on
 // failure shrinks the program — delta debugging over the op sequence,
 // then field-wise value shrinking — to a minimal artifact replayable
 // with Replay(seed, ops).
 //
-// Determinism is the load-bearing property: MemNet gives every node the
-// same logical address (and therefore the same node ID) on every run,
-// faultnet partitions are probability-free, every node runs on the
+// Determinism is the load-bearing property: every node has the same
+// logical address (and therefore the same node ID) on every run, an RPC
+// is a direct call, faultnet partitions are probability-free, every node runs on the
 // driver's manual clock (so backoffs, breaker cool-downs and expiry are
 // functions of the program, never of wall time), and the executor is
 // single-threaded with exactly one RPC in flight at a time. Running the

@@ -405,6 +405,34 @@ func (n *Node) observeServed(t wire.MsgType, ok bool) {
 	n.nm.wm.ObserveServed(t, ok)
 }
 
+// Dispatch answers req as the wire would, with no connection: request and
+// answer each round-trip through wire.Binary, the request counts toward
+// Handled and rpc_server_requests_total, a !OK answer is a
+// *wire.RemoteError, and a closed node refuses as a dead address refuses a
+// dial. churn.Driver's net is Dispatch beneath Config.WrapCaller (DESIGN §11).
+func (n *Node) Dispatch(_ context.Context, req wire.Request) (wire.Response, error) {
+	if n.lifeCtx.Err() != nil {
+		return wire.Response{}, &wire.NetError{Addr: n.addr, Op: "dial", Sent: false, Err: wire.ErrConnRefused}
+	}
+	var codec wire.Binary // its encoders cannot fail
+	buf, _ := codec.AppendRequest(nil, &req)
+	req, err := codec.DecodeRequest(buf)
+	var resp wire.Response
+	if err == nil {
+		n.handle(&req, &resp)
+		n.observeServed(req.Type, resp.OK)
+		buf, _ = codec.AppendResponse(buf[:0], &resp)
+		resp, err = codec.DecodeResponse(buf)
+	}
+	if err != nil { // a codec fault, which on the wire breaks the session
+		return wire.Response{}, &wire.NetError{Addr: n.addr, Op: "recv", Sent: true, Err: err}
+	}
+	if !resp.OK {
+		return resp, &wire.RemoteError{Type: req.Type, Msg: resp.Err}
+	}
+	return resp, nil
+}
+
 // Close stops serving. Outstanding handlers finish first.
 func (n *Node) Close() error {
 	select {
