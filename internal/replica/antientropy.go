@@ -165,7 +165,10 @@ const digestWireBytes = 40 + 8*DigestBuckets
 //     a DigestBuckets-bucket digest over the covering arc of the
 //     shared keys, pull only the divergent buckets, merge them under
 //     the LWW order, and push back exactly the items the peer proved
-//     to lack or hold stale.
+//     to lack or hold stale. A peer whose fold of the shared arc was
+//     found equal on a liveness request since the last round (Folded)
+//     is skipped: the digests would match too. A changed ring stretch
+//     or a republished key it shares voids that evidence.
 //
 // Replica sets are learned once per round, not once per key: the node's
 // verified stretch of the ring (Neighbors) decides every key it owes a
@@ -194,6 +197,7 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 
 	now := c.Engine.Now()
 	place, snap, sets, firstErr := c.placeAll(ctx)
+	same := c.agreedPeers(place)
 	var peers []string
 	for i, set := range sets {
 		at := slices.Index(set, c.Self)
@@ -208,6 +212,8 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 		// installs meanwhile is republished, never overwritten.
 		if en := snap[i]; at == 0 && c.TTL > 0 && !en.tombstone && now < en.expire && en.expire-now < uint64(c.TTL/2) {
 			c.Engine.Restamp(en.key, c.Self, now+uint64(c.TTL))
+			// The fresh stamp is news to every member the fold spoke for.
+			same = slices.DeleteFunc(same, func(addr string) bool { return slices.Contains(set, addr) })
 		}
 		for _, addr := range set {
 			if addr != c.Self && !slices.Contains(peers, addr) {
@@ -220,6 +226,9 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 	dropped = c.rehomeForeign(ctx, snap, sets, &firstErr)
 
 	for _, peer := range peers {
+		if slices.Contains(same, peer) {
+			continue // its fold matched on a liveness request: the digest would too
+		}
 		var arc cover
 		for i, en := range snap {
 			if shares(sets[i], c.Self, peer) {

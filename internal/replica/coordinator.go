@@ -3,6 +3,7 @@ package replica
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -120,6 +121,14 @@ type Coordinator struct {
 	// cluster's convergence time or a delete can be forgotten before
 	// every replica learns it.
 	TTL time.Duration
+
+	// Folded, when set, takes the replica peers whose answer to a liveness
+	// request since the last anti-entropy round found their fold equal to
+	// this node's (see Fold): the peers the round sends no digest. Each
+	// answer is evidence for one round. Without it every peer gets one.
+	Folded func() []string
+
+	last atomic.Pointer[Placement] // the last round's Placement: the arcs folds are taken over
 }
 
 // expireStamp computes the Expire field for a write coordinated now.

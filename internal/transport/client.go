@@ -241,10 +241,10 @@ func (n *Node) gossipFanout() []string {
 // summary is read per target: what one target taught is passed on to the
 // next in the same round. Exchanged payload bytes are counted against
 // route_gossip_bytes_total.
-func (n *Node) pushRoutes(targets []string, agreed map[string]uint64) {
+func (n *Node) pushRoutes(targets []string, agreed map[string]heard) {
 	for _, addr := range targets {
 		sum := n.routes.Summary()
-		if s, ok := agreed[addr]; ok && s == sum {
+		if h := agreed[addr]; h.sum != 0 && h.sum == sum {
 			continue
 		}
 		resp, err := n.callBG(addr, wire.Request{Type: wire.TRouteGossip, Key: summaryKey(sum)})
@@ -298,8 +298,9 @@ const routeSummaryBytes = 20
 // gossip fanout. StabilizeOnce calls it every round, after the global
 // ring's stabilization has asked most of the fanout already; it takes what
 // those answers agreed on, so a call with no stabilization before it
-// probes every target. It is exposed separately so harnesses can drive the
-// gossip cadence explicitly.
+// probes every target. The folds those answers agreed on it leaves for the
+// round's anti-entropy. It is exposed separately so harnesses can drive
+// the gossip cadence explicitly.
 func (n *Node) RouteGossipOnce() error {
 	if n.routes == nil {
 		return nil
@@ -308,42 +309,105 @@ func (n *Node) RouteGossipOnce() error {
 	joined, agreed := n.joined, n.agreed
 	n.agreed = nil
 	n.mu.Unlock()
-	if !joined {
-		return nil
+	if joined {
+		n.announceRoutes()
+		n.pushRoutes(n.gossipFanout(), agreed)
 	}
-	n.announceRoutes()
-	n.pushRoutes(n.gossipFanout(), agreed)
+	for addr, h := range agreed {
+		if h.fold {
+			agreed[addr] = heard{fold: true}
+		} else {
+			delete(agreed, addr)
+		}
+	}
+	n.mu.Lock()
+	if n.agreed == nil { // else a liveness reply came in since: its evidence is the newer
+		n.agreed = agreed
+	}
+	n.mu.Unlock()
 	return nil
 }
 
-// askLive sends one of stabilizeSuccessors' liveness requests. On the
-// global ring of a node that runs the one-hop tier the request carries the
-// table's summary in Key, a field pings and get_neighbors leave unused,
-// and the reply's Found says whether addr's table has the same summary
-// (sameTableLocked): the answer a gossip probe would get, at no message of
-// its own. Each reply overwrites addr's record in agreed, so a lost one
-// leaves addr to be probed. The summary's bytes count as gossip.
-func (n *Node) askLive(layer int, addr string, req wire.Request) (wire.Response, error) {
-	if layer != 1 || n.routes == nil || addr == n.addr {
+// heard is what a global-ring neighbor's liveness reply said "same" to.
+type heard struct {
+	sum  uint64 // the route summary its table matched; 0: none
+	fold bool   // its replica fold of the arc the two share matched this node's
+}
+
+// askLive sends one of stabilizeSuccessors' liveness requests: on the
+// global ring through ask, with the one-hop table's summary when the node
+// runs the tier and, when fold is set, the replica fold for addr.
+func (n *Node) askLive(layer int, addr string, req wire.Request, fold bool) (wire.Response, error) {
+	if layer != 1 || addr == n.addr {
 		return n.callBG(addr, req)
 	}
-	sum := n.routes.Summary()
-	req.Key = summaryKey(sum)
-	resp, err := n.callBG(addr, req)
+	var sum uint64
+	if n.routes != nil {
+		sum = n.routes.Summary()
+	}
+	return n.ask(n.lifeCtx, addr, req, sum, fold)
+}
+
+// ask sends a global-ring liveness request with the questions it can carry
+// in Key, a field pings and get_neighbors leave unused: a route-table
+// summary sum (0: none) in Key[0:8], which the reply's Found says addr's
+// table matches — the answer a gossip probe would get —
+// and, when fold is set, the replica fold of the arc this node shares with
+// addr in Key[8:16] (replica.Coordinator.Fold), which the reply's SameFold
+// says addr's store matches — the answer a digest would get. Both at no
+// message of their own. Each reply overwrites addr's record in agreed, so
+// a lost one leaves addr to be probed and sent a digest. The summary's
+// bytes count as gossip, the fold's as anti-entropy.
+func (n *Node) ask(ctx context.Context, addr string, req wire.Request, sum uint64, fold bool) (wire.Response, error) {
+	var f uint64
+	if fold {
+		f = n.co.Fold(addr)
+	}
+	if sum == 0 && f == 0 {
+		return n.call(ctx, addr, req)
+	}
+	binary.BigEndian.PutUint64(req.Key[:8], sum)
+	binary.BigEndian.PutUint64(req.Key[8:16], f)
+	resp, err := n.call(ctx, addr, req)
+	var h heard
 	if err == nil {
-		n.nm.gossipBytes.Add(routeSummaryBytes)
+		if sum != 0 {
+			n.nm.gossipBytes.Add(routeSummaryBytes)
+		}
+		if resp.Found && sum != 0 {
+			h.sum = sum
+		}
+		h.fold = resp.SameFold && f != 0
 	}
 	n.mu.Lock()
-	if err == nil && resp.Found {
+	if h != (heard{}) {
 		if n.agreed == nil {
-			n.agreed = make(map[string]uint64)
+			n.agreed = make(map[string]heard)
 		}
-		n.agreed[addr] = sum
+		n.agreed[addr] = h
 	} else {
 		delete(n.agreed, addr)
 	}
 	n.mu.Unlock()
 	return resp, err
+}
+
+// takeFolded is the replica coordinator's evidence source
+// (replica.Coordinator.Folded): it takes agreed — what route gossip left
+// of it, or all of it when none ran — and returns the peers whose fold
+// matched.
+func (n *Node) takeFolded() []string {
+	n.mu.Lock()
+	agreed := n.agreed
+	n.agreed = nil
+	n.mu.Unlock()
+	var same []string
+	for addr, h := range agreed {
+		if h.fold {
+			same = append(same, addr)
+		}
+	}
+	return same
 }
 
 // announceLeaveRoutes tombstones this node's own membership and pushes
@@ -785,11 +849,21 @@ func (n *Node) resolveReplicaSet(ctx context.Context, key string) ([]string, err
 // vouched for (no predecessor yet, one that died or changed since the last
 // stabilization round) is not reported; the round then resolves every key
 // over the network, as it did before there was a local source.
+//
+// The first step costs nothing when this round's predecessor check was it
+// (head, see stabilizeSuccessors): the walk then goes on the liveness
+// exchange that check began, and each further step asks its answerer's
+// fold too (see ask).
 func (n *Node) replicaNeighbors(ctx context.Context) ([]wire.Peer, int, bool) {
 	self := n.Self()
 	succ, pred, _ := n.Neighbors(1)
+	n.mu.Lock()
+	head := n.head
+	n.head = chainLink{}
+	n.mu.Unlock()
 	factor := n.cfg.Replication.Factor
 	preds := make([]wire.Peer, 0, factor) // nearest first
+	live := false                         // the walk goes on this round's liveness exchange
 	for from, p := self, pred; ; {
 		if p.Addr == "" || (p.Addr != n.addr && from.Addr != n.addr && !id.Between(peerID(p), n.id, peerID(from))) {
 			return nil, 0, false
@@ -798,11 +872,27 @@ func (n *Node) replicaNeighbors(ctx context.Context) ([]wire.Peer, int, bool) {
 		if p.Addr == n.addr || len(preds) == factor {
 			break
 		}
-		nb, err := n.call(ctx, p.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: 1})
-		if err != nil || len(nb.Succ) == 0 || nb.Succ[0].Addr != from.Addr {
+		next, first := head.pred, head.succ
+		if from.Addr == n.addr && p.Addr == head.of {
+			live = true
+		} else {
+			req := wire.Request{Type: wire.TGetNeighbors, Layer: 1}
+			var nb wire.Response
+			var err error
+			if live {
+				nb, err = n.ask(ctx, p.Addr, req, 0, true)
+			} else {
+				nb, err = n.call(ctx, p.Addr, req)
+			}
+			if err != nil || len(nb.Succ) == 0 {
+				return nil, 0, false
+			}
+			next, first = nb.Pred, nb.Succ[0].Addr
+		}
+		if first != from.Addr {
 			return nil, 0, false
 		}
-		from, p = p, nb.Pred
+		from, p = p, next
 	}
 	slices.Reverse(preds)
 	chain := append(append(preds, self), succ...)
@@ -945,6 +1035,11 @@ func (n *Node) StabilizeOnce() error {
 	due := n.needSweep || n.aeTick >= n.cfg.AntiEntropyEvery
 	if due {
 		n.aeTick = 0
+		if n.needSweep {
+			// A death since the liveness exchange: every peer gets a
+			// digest, the chain walk's further steps ask no fold either.
+			n.agreed, n.head = nil, chainLink{}
+		}
 		n.needSweep = false
 	}
 	n.mu.Unlock()
@@ -1008,11 +1103,22 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 	ls := n.layers[layer-1]
 	succ := append([]wire.Peer(nil), ls.succ...)
 	pred := ls.pred
+	chain := layer == 1 && n.chainRoundLocked()
+	if layer == 1 {
+		n.head = chainLink{}
+	}
 	n.mu.Unlock()
 	// Drop a dead predecessor so a live one can be adopted (Chord's
-	// check_predecessor).
+	// check_predecessor). In a round whose anti-entropy walks the replica
+	// chain the check is the walk's first step, a get_neighbors the walk
+	// reuses (head), and every global-ring liveness request of the round
+	// asks its target's replica fold.
 	if pred.Addr != "" && pred.Addr != n.addr {
-		if _, err := n.askLive(layer, pred.Addr, wire.Request{Type: wire.TPing}); err != nil {
+		check := wire.Request{Type: wire.TPing}
+		if chain {
+			check = wire.Request{Type: wire.TGetNeighbors, Layer: 1}
+		}
+		if resp, err := n.askLive(layer, pred.Addr, check, chain); err != nil {
 			n.mu.Lock()
 			if n.layers[layer-1].pred == pred {
 				n.layers[layer-1].pred = wire.Peer{}
@@ -1024,6 +1130,10 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 				}
 			}
 			n.mu.Unlock()
+		} else if chain && len(resp.Succ) > 0 {
+			n.mu.Lock()
+			n.head = chainLink{of: pred.Addr, pred: resp.Pred, succ: resp.Succ[0].Addr}
+			n.mu.Unlock()
 		}
 	}
 	// Find the first live successor and fetch its neighbor state.
@@ -1031,7 +1141,7 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 	var nb wire.Response
 	lost := false // a listed successor failed its call: the rebuilt list leaves it out
 	for _, cand := range succ {
-		resp, err := n.askLive(layer, cand.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer})
+		resp, err := n.askLive(layer, cand.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer}, chain)
 		if err == nil {
 			s0, nb = cand, resp
 			break
@@ -1066,7 +1176,7 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 	// stands and the round goes on.
 	if nb.Pred.Addr != "" && nb.Pred.Addr != n.addr &&
 		id.Between(peerID(nb.Pred), n.id, peerID(s0)) {
-		if resp, err := n.askLive(layer, nb.Pred.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer}); err == nil {
+		if resp, err := n.askLive(layer, nb.Pred.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer}, chain); err == nil {
 			s0, nb = nb.Pred, resp
 		}
 	}
@@ -1097,7 +1207,7 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 			continue
 		}
 		seen[p.Addr] = true
-		if _, err := n.askLive(layer, p.Addr, wire.Request{Type: wire.TPing}); err != nil {
+		if _, err := n.askLive(layer, p.Addr, wire.Request{Type: wire.TPing}, chain); err != nil {
 			lost = lost || slices.Contains(succ, p)
 			continue
 		}
@@ -1111,6 +1221,23 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 		_, _ = n.callBG(s0.Addr, wire.Request{Type: wire.TNotify, Layer: layer, Peer: self})
 	}
 	return s0
+}
+
+// chainLink is one answered step of the replica chain walk: the member
+// that answered, its predecessor and its first successor.
+type chainLink struct {
+	of   string
+	pred wire.Peer
+	succ string
+}
+
+// chainRoundLocked reports whether this stabilization round ends in an
+// anti-entropy round that walks the replica chain: one is due
+// (StabilizeOnce's cadence, or a sweep was asked for), there is data to
+// place, and the replica sets reach past the predecessor.
+func (n *Node) chainRoundLocked() bool {
+	return n.cfg.Replication.Factor > 1 && n.store.Len() > 0 &&
+		(n.needSweep || n.aeTick+1 >= n.cfg.AntiEntropyEvery)
 }
 
 // findAnchor asks a layer's entry points for this node's key-space

@@ -23,6 +23,7 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -239,7 +240,8 @@ type Node struct {
 	tables    map[string]wire.RingTable // key = ringKey(layer, name)
 	aeTick    int                       // StabilizeOnce rounds since the last anti-entropy round
 	needSweep bool                      // eviction observed; anti-entropy on the next round
-	agreed    map[string]uint64         // global-ring neighbor -> route summary its last liveness reply matched (see askLive); taken by RouteGossipOnce
+	agreed    map[string]heard          // global-ring neighbor -> what its last liveness reply of this round agreed on (see ask); route gossip takes the summaries, anti-entropy the folds
+	head      chainLink                 // the predecessor's answer to this round's predecessor check, when that was the replica chain walk's first step (see replicaNeighbors)
 
 	closed  chan struct{}
 	handled atomic.Int64 // requests received over the wire (also exported via the registry)
@@ -355,6 +357,7 @@ func Start(listenAddr string, cfg Config) (*Node, error) {
 
 		Neighbors: n.replicaNeighbors,
 		OwnerRead: n.ownerRead,
+		Folded:    n.takeFolded,
 	}
 	n.layers = make([]*layerState, cfg.Depth)
 	for i := range n.layers {
@@ -535,7 +538,8 @@ func (n *Node) handle(req *wire.Request, resp *wire.Response) {
 	defer n.mu.Unlock()
 	switch req.Type {
 	case wire.TPing:
-		resp.OK, resp.Self, resp.Found = true, n.selfLocked(), n.sameTableLocked(req.Key)
+		resp.OK, resp.Self = true, n.selfLocked()
+		n.answerLiveLocked(&req.Key, resp)
 
 	case wire.TGetInfo:
 		resp.OK, resp.Self, resp.Coord = true, n.selfLocked(), n.cfg.Coord
@@ -553,7 +557,8 @@ func (n *Node) handle(req *wire.Request, resp *wire.Response) {
 			resp.Err = err.Error()
 			return
 		}
-		resp.OK, resp.Self, resp.Pred, resp.Found = true, n.selfLocked(), ls.pred, n.sameTableLocked(req.Key)
+		resp.OK, resp.Self, resp.Pred = true, n.selfLocked(), ls.pred
+		n.answerLiveLocked(&req.Key, resp)
 		resp.Succ = make([]wire.Peer, len(ls.succ))
 		copy(resp.Succ, ls.succ)
 
@@ -732,12 +737,16 @@ func (n *Node) handle(req *wire.Request, resp *wire.Response) {
 
 func (n *Node) selfLocked() wire.Peer { return wire.Peer{Addr: n.addr, ID: [20]byte(n.id)} }
 
-// sameTableLocked answers the route summary a liveness request carries in
-// Key (see askLive) the way the TRouteGossip handler answers a probe: a
-// summary equal to this node's, or any summary when the node runs no
-// table, is "same". A request without one is not asking.
-func (n *Node) sameTableLocked(key [20]byte) bool {
-	return key != [20]byte{} && (n.routes == nil || summaryKey(n.routes.Summary()) == key)
+// answerLiveLocked answers what a liveness request asks in Key besides
+// liveness (see ask). Found: the route summary in Key[0:8] is "same", as
+// the TRouteGossip handler answers a probe — equal to this node's, or any
+// summary when the node runs no table. SameFold: the replica fold in
+// Key[8:16] equals this node's fold of the same arc. A zero half is not
+// asking.
+func (n *Node) answerLiveLocked(key *[20]byte, resp *wire.Response) {
+	sum := binary.BigEndian.Uint64(key[:8])
+	resp.Found = sum != 0 && (n.routes == nil || n.routes.Summary() == sum)
+	resp.SameFold = n.co.SameFold(binary.BigEndian.Uint64(key[8:16]))
 }
 
 // replicaSuccessorsLocked returns the other members of the replica sets

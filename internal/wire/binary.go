@@ -53,8 +53,8 @@ const (
 	rqKnown = (rqEvents<<1 - 1) &^ rqRetired
 )
 
-// Response field mask bits, in encode order. The four bools ride in the
-// mask; the rest gate a body field.
+// Response field mask bits, in encode order. The bools ride in the mask;
+// the rest gate a body field.
 const (
 	rsOK = 1 << iota
 	rsDone
@@ -79,8 +79,9 @@ const (
 	rsItems
 	rsEvents
 	rsLayer
+	rsSameFold // no body: the bit is the value
 
-	rsKnown = rsLayer<<1 - 1
+	rsKnown = rsSameFold<<1 - 1
 )
 
 // AppendRequest appends one encoded request envelope to dst and returns
@@ -321,6 +322,9 @@ func (Binary) AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 	if resp.Layer != 0 {
 		mask |= rsLayer
 	}
+	if resp.SameFold {
+		mask |= rsSameFold
+	}
 	dst = binary.AppendUvarint(dst, mask)
 	if mask&rsErr != 0 {
 		dst = appendString(dst, resp.Err)
@@ -407,6 +411,7 @@ func (Binary) DecodeResponse(data []byte) (Response, error) {
 	resp.Done = mask&rsDone != 0
 	resp.Owner = mask&rsOwner != 0
 	resp.Found = mask&rsFound != 0
+	resp.SameFold = mask&rsSameFold != 0
 	if mask&rsErr != 0 {
 		if resp.Err, err = r.str(); err != nil {
 			return resp, err

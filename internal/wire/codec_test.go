@@ -53,6 +53,7 @@ func testResponses() []Response {
 			{Layer: 1, Ring: "global", Peer: Peer{Addr: "n3:9000", ID: [20]byte{3}}, Kind: RouteLeave, Stamp: 8},
 		}},
 		climbedReply(),
+		sameFoldReply(),
 	}
 }
 
@@ -66,7 +67,7 @@ func climbedReply() Response {
 // TestClimbedReplyCodec: a climbed reply is the same reply unclimbed with
 // the rsLayer bit set in its mask and the layer as one trailing uvarint,
 // so every reply that did not climb encodes as it did before the field
-// existed. A mask bit past rsLayer is still refused.
+// existed. A mask bit past the known ones is still refused.
 func TestClimbedReplyCodec(t *testing.T) {
 	climbed := climbedReply()
 	plain := climbed
@@ -84,9 +85,50 @@ func TestClimbedReplyCodec(t *testing.T) {
 	if want = binary.AppendUvarint(want, 1); !bytes.Equal(enc, want) {
 		t.Errorf("climbed reply encodes as\n  %x\nwant the unclimbed one with rsLayer and a trailing layer\n  %x", enc, want)
 	}
-	unknown := append(binary.AppendUvarint(nil, mask|rsLayer<<1), plainEnc[n:]...)
+	unknown := append(binary.AppendUvarint(nil, mask|(rsKnown+1)), plainEnc[n:]...)
 	if _, err := (Binary{}).DecodeResponse(unknown); err == nil {
-		t.Errorf("a response with mask bit %#x past rsLayer decoded", rsLayer<<1)
+		t.Errorf("a response with mask bit %#x past the known ones decoded", rsKnown+1)
+	}
+}
+
+// sameFoldReply is a get_neighbors reply to a liveness request that
+// carried a replica fold the answerer found equal to its own.
+func sameFoldReply() Response {
+	return Response{OK: true, Found: true, SameFold: true, Self: Peer{Addr: "s:1", ID: [20]byte{1}},
+		Pred: Peer{Addr: "p:2", ID: [20]byte{2}}, Succ: []Peer{{Addr: "t:3", ID: [20]byte{3}}}}
+}
+
+// TestSameFoldCodec: a reply saying "same fold" is the reply without it
+// plus the rsSameFold bit in the mask, no body byte; a request carrying a
+// summary and a fold is the request with only the summary but for Key's
+// bytes 8..16. The bit is rsLayer's successor and the last one known.
+func TestSameFoldCodec(t *testing.T) {
+	same := sameFoldReply()
+	plain := same
+	plain.SameFold = false
+	plainEnc, _ := roundTripResponse(t, "no fold answer", &plain)
+	enc, got := roundTripResponse(t, "same fold", &same)
+	if !reflect.DeepEqual(normalizeResp(got), normalizeResp(same)) {
+		t.Errorf("same-fold reply changed by the codec:\n  sent %#v\n  got  %#v", same, got)
+	}
+	mask, n := binary.Uvarint(plainEnc)
+	if want := append(binary.AppendUvarint(nil, mask|rsSameFold), plainEnc[n:]...); !bytes.Equal(enc, want) {
+		t.Errorf("same-fold reply encodes as\n  %x\nwant the plain one with rsSameFold\n  %x", enc, want)
+	}
+	if rsSameFold != rsLayer<<1 || rsKnown != rsSameFold<<1-1 {
+		t.Errorf("rsSameFold %#x, rsKnown %#x: the bit must follow rsLayer and close the known set", rsSameFold, rsKnown)
+	}
+
+	summary := Request{Type: TGetNeighbors, Layer: 1, Key: [20]byte{0: 0x5a, 7: 0xa5}}
+	folded := summary
+	folded.Key[8], folded.Key[15] = 0x11, 0xee
+	sumEnc, _ := roundTripRequest(t, "summary", &summary)
+	foldEnc, gotReq := roundTripRequest(t, "summary and fold", &folded)
+	if !reflect.DeepEqual(normalizeReq(gotReq), normalizeReq(folded)) {
+		t.Errorf("request with a fold changed by the codec: %#v", gotReq)
+	}
+	if len(foldEnc) != len(sumEnc) {
+		t.Errorf("a fold beside a summary costs %d bytes, want 0", len(foldEnc)-len(sumEnc))
 	}
 }
 

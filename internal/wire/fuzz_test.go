@@ -53,11 +53,15 @@ func FuzzDecodeMessage(f *testing.F) {
 			{Layer: 2, Ring: "az", Peer: Peer{Addr: "n5:9000"}, Kind: RouteEvict, Stamp: 40},
 		},
 	}
+	// A liveness request with a route summary and a replica fold in Key,
+	// and a reply saying "same" to both.
+	seedFold := &Request{Type: TPing, Key: [20]byte{0: 0x5a, 7: 0x01, 8: 0xf0, 15: 0x0d}}
+	seedFoldResp := &Response{OK: true, Found: true, SameFold: true, Self: Peer{Addr: "n7:9000", ID: [20]byte{7}}}
 	seedGossipResp := &Response{
 		OK: true, Applied: 1,
 		Events: []RouteEvent{{Layer: 1, Ring: "global", Peer: Peer{Addr: "n6:9000"}, Kind: RouteLeave, Stamp: 7}},
 	}
-	reqs := append([]Request{*seedReq, *seedStore, *seedOwnerPut, *seedDigest, *seedGossip}, testRequests()...)
+	reqs := append([]Request{*seedReq, *seedStore, *seedOwnerPut, *seedDigest, *seedGossip, *seedFold}, testRequests()...)
 	for i := range reqs {
 		if b, err := (Binary{}).AppendRequest(nil, &reqs[i]); err == nil {
 			f.Add(b)
@@ -67,7 +71,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	// an empty one.
 	seedLongAddr := &Response{OK: true, Next: Peer{Addr: strings.Repeat("h", internMaxLen) + ":9000"}}
 	seedEmptyAddr := &Response{OK: true, Next: Peer{ID: [20]byte{1}}, Succ: []Peer{{Addr: ""}}}
-	resps := append([]Response{*seedResp, *seedStoreResp, *seedOwnerPutResp, *seedDigestResp, *seedGossipResp, *seedLongAddr, *seedEmptyAddr},
+	resps := append([]Response{*seedResp, *seedStoreResp, *seedOwnerPutResp, *seedDigestResp, *seedGossipResp, *seedFoldResp, *seedLongAddr, *seedEmptyAddr},
 		testResponses()...)
 	for i := range resps {
 		if b, err := (Binary{}).AppendResponse(nil, &resps[i]); err == nil {
@@ -102,6 +106,9 @@ func FuzzRoundTrip(f *testing.F) {
 	// An ownership-checked put (Layer 1) and its Owner+Succ+Version reply.
 	f.Add(uint8(TStorePut), 1, []byte("doc"), "doc", "n1:9000", []byte("v"), false)
 	f.Add(uint8(TEvict), -7, bytes.Repeat([]byte{0xaa}, 40), "deep/ring", "host:1", []byte{0}, true)
+	// A global-ring get_neighbors carrying a route summary and a replica
+	// fold, answered "same fold".
+	f.Add(uint8(TGetNeighbors), 1, []byte("summary\x01fold\x02\x03\x04"), "", "n2:9000", []byte(nil), true)
 
 	f.Fuzz(func(t *testing.T, typ uint8, layer int, keyMat []byte, name, addr string, value []byte, hier bool) {
 		var key, pid [20]byte
@@ -137,6 +144,8 @@ func FuzzRoundTrip(f *testing.F) {
 			Items:   req.Items,
 			Events:  req.Events,
 			Layer:   layer,
+
+			SameFold: hier,
 		}
 
 		if _, got := roundTripRequest(t, "fuzzed", &req); !reflect.DeepEqual(normalizeReq(req), normalizeReq(got)) {

@@ -203,11 +203,16 @@ type RingTable struct {
 // Request is the single request envelope; fields are used per Type.
 type Request struct {
 	Type  MsgType
-	Layer int      // TFindClosest, TGetNeighbors, TNotify: ring layer (1 = global); TStoreGet, TStorePut: 1 = ownership-checked
-	Key   [20]byte // TFindClosest: routing target; TRouteGossip: the sender's table summary, first 8 bytes
-	Name  string   // ring name or kv key
-	Peer  Peer     // TNotify: candidate predecessor; TLeaveSucc: new predecessor; TEvict: the dead peer
-	Peers []Peer   // TLeavePred: the departing node's successor list
+	Layer int // TFindClosest, TGetNeighbors, TNotify: ring layer (1 = global); TStoreGet, TStorePut: 1 = ownership-checked
+	// TFindClosest: routing target. TRouteGossip: the sender's table
+	// summary in Key[0:8]. A global-ring TPing or TGetNeighbors may ask two
+	// questions beside liveness: the sender's table summary in Key[0:8] and
+	// its replica fold of the arc the two share in Key[8:16], each zero
+	// when not asked (answered by Response.Found and Response.SameFold).
+	Key   [20]byte
+	Name  string // ring name or kv key
+	Peer  Peer   // TNotify: candidate predecessor; TLeaveSucc: new predecessor; TEvict: the dead peer
+	Peers []Peer // TLeavePred: the departing node's successor list
 	Table RingTable
 	Items []StoreItem // TStorePut: the single item; TReplicate/THandoff: a batch
 	// TDigest/TSyncPull: the key-ID arc (Key, KeyHi] being synced; Key
@@ -280,6 +285,11 @@ type Response struct {
 	// from the request's set; none when Found reports equal summaries.
 	// Applied counts request events that advanced the receiver's table.
 	Events []RouteEvent
+
+	// TPing / TGetNeighbors carrying a replica fold (Request.Key[8:16]):
+	// the receiver's fold of the same arc is equal, so the two hold the
+	// same live items there and need no digest exchange this round.
+	SameFold bool
 }
 
 // DefaultTimeout bounds a call whose context carries no deadline. Every
