@@ -17,8 +17,8 @@ race:
 
 # allocs runs the garbage-budget tests (heap objects per wire exchange,
 # per lookup step, per route lookup, per finger scan, per converged gossip
-# round, per range digest, per agreeing quorum read, per simulated
-# lookup through the façade) and the footprint
+# round, per range digest, per agreed anti-entropy round, per agreeing
+# quorum read, per simulated lookup through the façade) and the footprint
 # tests (heap and goroutines per idle connection, per settled node of a
 # 64- and a 256-node cluster, and heap per one-hop route-table member).
 # They are built only without -race, where allocation counts are exact.

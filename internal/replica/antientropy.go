@@ -177,9 +177,10 @@ const digestWireBytes = 40 + 8*DigestBuckets
 // for goes to the network resolver, so the decision to drop a copy is
 // never taken on local state.
 //
-// The store is walked once, as a ring-ordered snapshot with each key's
-// replica set beside it, so the keys a peer shares come out in the order
-// their covering arc is folded in and no per-key map is built.
+// The store is read as its ring-ordered index with each key's replica set
+// beside it — the last round's over an unchanged store and stretch — so
+// the keys a peer shares come out in the order their covering arc is
+// folded in and no per-key map is built.
 //
 // Pulled items for keys this node has never seen are applied only when
 // the node is actually in the key's replica set, so a transiently
@@ -196,7 +197,7 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 	}
 
 	now := c.Engine.Now()
-	place, snap, sets, firstErr := c.placeAll(ctx)
+	place, snap, sets, firstErr := c.placeAll(ctx, true)
 	same := c.agreedPeers(place)
 	var peers []string
 	for i, set := range sets {
@@ -270,7 +271,7 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 			m.AEBytes.Add(itemWireBytes(it))
 			theirs[it.Key] = it
 			if _, held := c.Engine.Get(it.Key); !held {
-				set, rErr := c.replicaSet(ctx, place, it.Key, c.KeyID(it.Key))
+				set, _, rErr := c.replicaSet(ctx, place, it.Key, c.KeyID(it.Key))
 				if rErr != nil || !slices.Contains(set, c.Self) {
 					continue // not ours to hold: never seed a stray copy
 				}
@@ -330,13 +331,21 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 // placeAll takes the round's snapshot of the store and each key's replica
 // set, in a parallel slice: nil where the set could not be resolved, so
 // the copy is kept and tried again next round. err is the first resolve
-// error; place is the round's Placement.
-func (c *Coordinator) placeAll(ctx context.Context) (place Placement, snap []entry, sets [][]string, err error) {
+// error; place is the round's Placement. With reuse, a round whose
+// snapshot and Placement are those of the last round that placed every
+// key from the stretch takes that round's sets (roundSets).
+func (c *Coordinator) placeAll(ctx context.Context, reuse bool) (place Placement, snap []entry, sets [][]string, err error) {
 	place = c.placement(ctx)
 	snap = c.Engine.snapshot(c.KeyID)
+	if r := c.sets.Load(); reuse && r != nil && sameIndex(r.snap, snap) && r.place.equal(place) {
+		c.metrics().LocalSets.Add(uint64(len(snap)))
+		return place, snap, r.sets, nil
+	}
 	sets = make([][]string, len(snap))
+	local := true
 	for i, en := range snap {
-		set, rErr := c.replicaSet(ctx, place, en.key, en.id)
+		set, placed, rErr := c.replicaSet(ctx, place, en.key, en.id)
+		local = local && placed
 		if rErr != nil && err == nil {
 			err = rErr
 		}
@@ -344,7 +353,24 @@ func (c *Coordinator) placeAll(ctx context.Context) (place Placement, snap []ent
 			sets[i] = set
 		}
 	}
+	if reuse && local {
+		c.sets.Store(&roundSets{place: place, snap: snap, sets: sets})
+	}
 	return place, snap, sets, err
+}
+
+// roundSets is a round's replica sets beside the snapshot and the
+// Placement they were placed from, every one from the ring stretch: with
+// neither changed, the next round's sets are these.
+type roundSets struct {
+	place Placement
+	snap  []entry
+	sets  [][]string
+}
+
+// sameIndex reports whether a and b are one listing of the store index.
+func sameIndex(a, b []entry) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // shares reports whether set names both self and peer: a key the two
@@ -414,7 +440,7 @@ func (c *Coordinator) rehomeForeign(ctx context.Context, snap []entry, sets [][]
 // divergence. It is an analytic figure and moves no data; the chaos
 // suite uses it as the denominator digest sync is measured against.
 func (c *Coordinator) SweepBytes(ctx context.Context) (uint64, error) {
-	_, snap, sets, err := c.placeAll(ctx)
+	_, snap, sets, err := c.placeAll(ctx, false)
 	if err != nil {
 		return 0, err
 	}

@@ -129,6 +129,7 @@ type Coordinator struct {
 	Folded func() []string
 
 	last atomic.Pointer[Placement] // the last round's Placement: the arcs folds are taken over
+	sets atomic.Pointer[roundSets] // the last round's sets, when every one was placed from the stretch
 }
 
 // expireStamp computes the Expire field for a write coordinated now.

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/id"
@@ -38,31 +39,46 @@ func arcTag(lo, hi id.ID) uint64 {
 	return h
 }
 
+// foldMemo is the store's folds over the arcs of one Placement, kept until
+// a mutation lands, the Placement changes or the clock leaves [at, horizon):
+// before at, or at the earliest expiry among the folded items.
+type foldMemo struct {
+	place       *Placement
+	gen         uint64
+	at, horizon uint64
+	folds       []uint64
+}
+
 // foldArcs returns, in buf (grown when short), the fold of the store over
-// each of arcs without the arc's tag: every live item's memoised ItemHash
-// XORed into the arc holding its key (arcs are disjoint), expiry judged as
-// RangeDigest judges it.
-func (e *Engine) foldArcs(keyID func(string) [20]byte, arcs []arc, buf []uint64) []uint64 {
-	folds := buf[:0]
-	for range arcs {
-		folds = append(folds, 0)
-	}
+// each of p's arcs without the arc's tag: every live item's memoised
+// ItemHash XORed into the arc holding its key (arcs are disjoint), expiry
+// judged as RangeDigest judges it. The folds are memoised (foldMemo), so
+// asking again of an unchanged store walks nothing.
+func (e *Engine) foldArcs(keyID func(string) [20]byte, p *Placement, buf []uint64) []uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	now := e.Now()
-	for k, h := range e.items {
-		if Expired(h.item, now) {
-			continue
-		}
-		kid := id.ID(e.idLocked(keyID, k, h))
-		for i, a := range arcs {
-			if id.InOpenClosed(kid, a.lo, a.hi) {
-				folds[i] ^= h.hash
-				break
+	now, m := e.Now(), &e.folds
+	if m.place != p || m.gen != e.gen || now < m.at || now >= m.horizon {
+		m.folds = slices.Grow(m.folds[:0], len(p.arcs))[:len(p.arcs)]
+		clear(m.folds)
+		m.place, m.gen, m.at, m.horizon = p, e.gen, now, math.MaxUint64
+		for k, h := range e.items {
+			if Expired(h.item, now) {
+				continue
+			}
+			kid := id.ID(e.idLocked(keyID, k, h))
+			for i, a := range p.arcs {
+				if id.InOpenClosed(kid, a.lo, a.hi) {
+					m.folds[i] ^= h.hash
+					if h.item.Expire != 0 {
+						m.horizon = min(m.horizon, h.item.Expire)
+					}
+					break
+				}
 			}
 		}
 	}
-	return folds
+	return append(buf[:0], m.folds...)
 }
 
 // run returns the arcs i..j of p whose replica sets name member. They are
@@ -105,7 +121,7 @@ func (c *Coordinator) Fold(peer string) uint64 {
 	}
 	var buf [8]uint64
 	var items uint64
-	for _, f := range c.Engine.foldArcs(c.KeyID, p.arcs, buf[:])[i : j+1] {
+	for _, f := range c.Engine.foldArcs(c.KeyID, p, buf[:])[i : j+1] {
 		items ^= f
 	}
 	if items == 0 {
@@ -128,7 +144,7 @@ func (c *Coordinator) SameFold(fold uint64) bool {
 		return false
 	}
 	var buf [8]uint64
-	folds := c.Engine.foldArcs(c.KeyID, p.arcs, buf[:])
+	folds := c.Engine.foldArcs(c.KeyID, p, buf[:])
 	for i := range folds {
 		x := uint64(0)
 		for j := i; j < len(folds); j++ {
@@ -143,16 +159,20 @@ func (c *Coordinator) SameFold(fold uint64) bool {
 
 // agreedPeers takes the fold evidence gathered since the last round
 // (Folded) and records place as the Placement the next round's folds are
-// taken over. The evidence was taken over the last round's Placement, so
-// it stands only when this round's is the same: a stretch that changed
-// since — a new predecessor, a successor gone — voids every answer.
+// taken over; one equal to the last is not recorded, so the memos taken
+// over the last stand. The evidence was taken over the last round's
+// Placement, so it stands only when this round's is the same: a stretch
+// that changed since — a new predecessor, a successor gone — voids every
+// answer.
 func (c *Coordinator) agreedPeers(place Placement) []string {
 	var same []string
 	if c.Folded != nil {
 		same = c.Folded()
 	}
-	if prev := c.last.Swap(&place); prev == nil || !prev.equal(place) {
-		return nil
+	if prev := c.last.Load(); prev != nil && prev.equal(place) {
+		return same
 	}
-	return same
+	fresh := place // allocated only here: a kept Placement costs nothing
+	c.last.Store(&fresh)
+	return nil
 }

@@ -89,16 +89,15 @@ func (c *Coordinator) placement(ctx context.Context) Placement {
 
 // replicaSet maps a held or pulled key, whose identifier is kid, to its
 // replica set: computed from the ring stretch when the key falls inside
-// it, looked up over the network otherwise — a foreign key awaiting
-// re-home, or a round whose stretch could not be learned.
-func (c *Coordinator) replicaSet(ctx context.Context, p Placement, key string, kid id.ID) ([]string, error) {
-	if len(p.arcs) > 0 {
-		if set, ok := p.SetOf(kid); ok {
-			c.metrics().LocalSets.Inc()
-			return set, nil
-		}
+// it (true), looked up over the network otherwise — a foreign key
+// awaiting re-home, or a round whose stretch could not be learned.
+func (c *Coordinator) replicaSet(ctx context.Context, p Placement, key string, kid id.ID) ([]string, bool, error) {
+	if set, ok := p.SetOf(kid); ok {
+		c.metrics().LocalSets.Inc()
+		return set, true, nil
 	}
-	return c.resolve(ctx, key)
+	set, err := c.resolve(ctx, key)
+	return set, false, err
 }
 
 // locate finds a quorum operation's replica set. When the key's owner

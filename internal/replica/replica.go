@@ -100,6 +100,12 @@ type Engine struct {
 	items map[string]held
 	seq   uint64 // node-local write counter, feeds unique Writer stamps
 
+	// gen counts the mutations that landed (Apply, ApplyPast, Restamp,
+	// Drop, PurgeExpired: changedLocked); the memos below are valid for one.
+	gen   uint64
+	index []entry // the store in ring order, nil once it changed; shared read-only
+	folds foldMemo
+
 	// Clock is what item lifecycles are judged against: an item with
 	// Expire != 0 is dead once wire.Stamp(Clock) >= Expire. With none
 	// nothing ever expires. Every node of a cluster runs on one clock:
@@ -132,18 +138,37 @@ type entry struct {
 	tombstone bool
 }
 
-// snapshot lists every held key in ring-identifier order, taken under one
-// lock, filling the identifier memo of any key not yet mapped: the single
-// walk of the store an anti-entropy round makes.
+// snapshot lists every held key in ring-identifier order, filling the
+// identifier memo of any key not yet mapped. The listing is kept as the
+// store's index until a mutation lands, so a round over an unchanged store
+// walks nothing; the slice is shared and must not be modified (a rebuild
+// allocates a new one, leaving any reader of the old one undisturbed).
 func (e *Engine) snapshot(keyID func(string) [20]byte) []entry {
 	e.mu.Lock()
+	if idx := e.index; idx != nil {
+		e.mu.Unlock()
+		return idx
+	}
+	gen := e.gen
 	out := make([]entry, 0, len(e.items))
 	for k, h := range e.items {
 		out = append(out, entry{key: k, id: e.idLocked(keyID, k, h), expire: h.item.Expire, tombstone: h.item.Tombstone})
 	}
 	e.mu.Unlock()
 	slices.SortFunc(out, func(a, b entry) int { return cmp.Or(a.id.Cmp(b.id), strings.Compare(a.key, b.key)) })
+	e.mu.Lock()
+	if e.gen == gen {
+		e.index = out
+	}
+	e.mu.Unlock()
 	return out
+}
+
+// changedLocked records a mutation that landed: the index and the folds are
+// stale. Callers hold e.mu.
+func (e *Engine) changedLocked() {
+	e.gen++
+	e.index = nil
 }
 
 // idLocked returns the identifier of held key, whose entry is h, filling
@@ -194,6 +219,7 @@ func (e *Engine) Apply(item wire.StoreItem) bool {
 	}
 	cur.item, cur.hash = item, ItemHash(item)
 	e.items[item.Key] = cur
+	e.changedLocked()
 	return true
 }
 
@@ -212,6 +238,9 @@ func (e *Engine) PurgeExpired() int {
 			delete(e.items, k)
 			purged++
 		}
+	}
+	if purged > 0 {
+		e.changedLocked()
 	}
 	return purged
 }
@@ -273,6 +302,7 @@ func (e *Engine) ApplyPast(item wire.StoreItem) (version uint64, applied int) {
 	item.Version = max(item.Version, cur.item.Version+1)
 	cur.item, cur.hash = item, ItemHash(item)
 	e.items[item.Key] = cur
+	e.changedLocked()
 	return item.Version, 1
 }
 
@@ -287,6 +317,7 @@ func (e *Engine) Restamp(key, self string, expire uint64) {
 		cur.item.Expire = expire
 		cur.hash = ItemHash(cur.item)
 		e.items[key] = cur
+		e.changedLocked()
 	}
 }
 
@@ -296,6 +327,7 @@ func (e *Engine) Drop(key string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	delete(e.items, key)
+	e.changedLocked()
 }
 
 // Len returns the number of keys held.
