@@ -12,18 +12,14 @@ import (
 )
 
 // Driver runs live transport.Nodes in-process, from one goroutine: it
-// owns their net (a node answers an RPC through Dispatch, beneath
-// Config.WrapCaller; MemNet listeners only name nodes and carry landmark
-// probes), the clock they run on, the maintenance round and the run's
-// root context. The caller invokes every node method itself, so a run is
-// a pure function of its inputs. Cluster (topology hosts, the churn and
-// overhead studies) and simcheck's harness both drive nodes through it.
+// owns their net (a transport.DirectNet: a node answers an RPC through
+// Dispatch, beneath Config.WrapCaller), the clock they run on (the net's),
+// the maintenance round and the run's root context. The caller invokes
+// every node method itself, so a run is a pure function of its inputs.
+// Cluster (topology hosts, the churn and overhead studies) and simcheck's
+// harness both drive nodes through it.
 type Driver struct {
-	mem      *wire.MemNet
-	dial     wire.DialFunc // mem.Dial, behind which a test may count connections
-	clock    *wire.ManualClock
-	nodes    map[string]*transport.Node // by address: the direct net's routing table
-	memCalls bool                       // RPCs over MemNet sessions: the footprint test's deployment proxy
+	direct *transport.DirectNet
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -34,9 +30,7 @@ type Driver struct {
 
 // NewDriver returns a driver with an empty network.
 func NewDriver() *Driver {
-	d := &Driver{mem: wire.NewMemNet(), clock: new(wire.ManualClock), nodes: make(map[string]*transport.Node)}
-	d.clock.Advance(time.Second) // no route event carries the zero stamp
-	d.dial = d.mem.Dial
+	d := &Driver{direct: transport.NewDirectNet()}
 	d.ctx, d.cancel = context.WithCancel(context.Background()) //lint:allow ctxflow the run root: Close cancels it, and every operation a driven run issues derives from it
 	return d
 }
@@ -46,41 +40,18 @@ func (d *Driver) Context() context.Context { return d.ctx }
 
 // Clock is the clock every driven node runs on. Round advances it; a
 // caller may advance it further.
-func (d *Driver) Clock() *wire.ManualClock { return d.clock }
+func (d *Driver) Clock() *wire.ManualClock { return d.direct.Clock() }
 
-// Start starts a node listening on addr with cfg, on the driver's clock,
-// and adds it to the live nodes. The node has not joined anything yet:
-// the caller creates or joins the network through it.
+// Start starts a node listening on addr with cfg, on the driver's net and
+// clock, and adds it to the live nodes. The node has not joined anything
+// yet: the caller creates or joins the network through it.
 func (d *Driver) Start(addr string, cfg transport.Config) (*transport.Node, error) {
-	ln, err := d.mem.Listen(addr)
+	n, err := d.direct.Start(addr, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Listener, cfg.Dial, cfg.Clock = ln, d.dial, d.clock
-	if wrap := cfg.WrapCaller; !d.memCalls {
-		cfg.WrapCaller = func(self string, _ wire.Caller) wire.Caller {
-			if wrap == nil {
-				return wire.CallerFunc(d.call)
-			}
-			return wrap(self, wire.CallerFunc(d.call))
-		}
-	}
-	n, err := transport.Start("", cfg)
-	if err != nil {
-		_ = ln.Close()
-		return nil, err
-	}
-	d.nodes[addr] = n
 	d.live = append(d.live, n)
 	return n, nil
-}
-
-// call is the direct net; an address with no node refuses like a dead one.
-func (d *Driver) call(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
-	if n := d.nodes[addr]; n != nil {
-		return n.Dispatch(ctx, req)
-	}
-	return wire.Response{}, &wire.NetError{Addr: addr, Op: "dial", Sent: false, Err: wire.ErrConnRefused}
 }
 
 // Live returns the live nodes in the order rounds visit them: started
@@ -100,7 +71,7 @@ func (d *Driver) Remove(n *transport.Node, graceful bool) {
 	} else {
 		_ = n.Close()
 	}
-	delete(d.nodes, n.Addr())
+	d.direct.Remove(n)
 	d.departed += n.Handled()
 }
 
@@ -113,7 +84,7 @@ func (d *Driver) Round(fingers int) {
 }
 
 func (d *Driver) round(fix func(*transport.Node) error) {
-	d.clock.Advance(time.Second)
+	d.direct.Clock().Advance(time.Second)
 	for _, n := range d.live {
 		_ = n.StabilizeOnce()
 		_ = fix(n)

@@ -203,7 +203,7 @@ func TestDirectNetMatchesMemNet(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		c.memCalls = memCalls
+		c.direct.Sessions = memCalls
 		res, err := drive(c, cfg, rng)
 		if err != nil {
 			t.Fatal(err)

@@ -82,13 +82,13 @@ func TestAllocBudgetNodeFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			c.memCalls = !b.direct
+			c.direct.Sessions = !b.direct
 			// Only a dial that returned a connection opened one: the
 			// global ring's merge scan dials the name-only landmarks,
 			// and those dials are refused.
 			var opened, refused atomic.Int64
-			dial := c.dial
-			c.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+			dial := c.direct.Dial
+			c.direct.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 				conn, dialErr := dial(addr, timeout)
 				if dialErr != nil {
 					refused.Add(1)

@@ -8,12 +8,10 @@
 // order would depend on goroutine scheduling) but from hashing
 // (seed, src, dst, msg type, per-edge call sequence, rule index): the
 // n-th call on a given edge always meets the same fate, regardless of
-// how calls on different edges interleave. Re-running the same logical
-// call sequence against the same seed and rules therefore reproduces the
-// exact injected-fault sequence — Replay verifies this mechanically.
-//
-// Peers are identified by logical names (Bind), never by raw addresses,
-// so decisions survive the ephemeral ports of in-process clusters.
+// how calls on different edges interleave. Peers are named by their
+// addresses, so a cluster whose nodes listen under fixed names and issue
+// the same calls in the same order — a driven cluster on
+// transport.DirectNet — injects the same faults on every run.
 package faultnet
 
 import (
@@ -57,7 +55,7 @@ var kindNames = []string{string(KindDrop), string(KindDropReply), string(KindErr
 // n3 a slow peer, and Rule{Dst: "n1", Type: wire.TFindClosest, ErrReply: 1}
 // makes n1 reject every routing step.
 type Rule struct {
-	Src, Dst    string        // logical peer names; "" matches any
+	Src, Dst    string        // peer addresses; "" matches any
 	Type        wire.MsgType  // 0 matches any message type
 	Drop        float64       // P(request lost before the peer)
 	DropReply   float64       // P(reply lost after the peer applied the request)
@@ -85,29 +83,15 @@ func (e Event) String() string {
 	return fmt.Sprintf("%d %s->%s %s %s", e.Seq, e.Src, e.Dst, e.Type, e.Kind)
 }
 
-// Op is one entry of the logical operation log used by Replay: either a
-// call or a control change (rule swap / partition / heal).
-type Op struct {
-	src, dst string
-	typ      wire.MsgType
-	call     bool
-	groups   [][]string // non-nil: partition installed
-	heal     bool
-	rules    []Rule // non-nil: rule set replaced
-	setRules bool
-}
-
 // Network holds the fault rules and deterministic decision state shared
 // by all callers of one simulated deployment.
 type Network struct {
 	mu      sync.Mutex
 	seed    int64
-	names   map[string]string // transport addr -> logical name
 	rules   []Rule
-	groups  map[string]int // logical name -> partition group; nil = whole
+	groups  map[string]int // peer -> partition group; nil = whole
 	edgeSeq map[string]uint64
 	events  []Event
-	log     []Op
 	counts  map[Kind]int
 
 	injected *metrics.CounterVec
@@ -122,7 +106,6 @@ type Network struct {
 func New(seed int64, clock wire.Clock) *Network {
 	return &Network{
 		seed:    seed,
-		names:   make(map[string]string),
 		edgeSeq: make(map[string]uint64),
 		counts:  make(map[Kind]int),
 		clock:   clock,
@@ -139,36 +122,19 @@ func (nw *Network) Instrument(reg *metrics.Registry) {
 		"Faults injected by the chaos harness, by kind.", "kind", kindNames)
 }
 
-// Bind maps a transport address to a stable logical name. Decisions and
-// events use logical names, so a scenario is reproducible across runs
-// even though listeners get fresh ephemeral ports each time.
-func (nw *Network) Bind(addr, name string) {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	nw.names[addr] = name
-}
-
-// SetRules replaces the rule set. Like Partition, the change lands in
-// the operation log so Replay applies it at the same position.
+// SetRules replaces the rule set.
 func (nw *Network) SetRules(rules ...Rule) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	nw.rules = append([]Rule(nil), rules...)
-	nw.log = append(nw.log, Op{rules: append([]Rule(nil), rules...), setRules: true})
 }
 
 // Partition splits the named peers into isolated groups: any call whose
 // endpoints sit in different groups is blocked. Peers in no group are
-// unaffected. The change is recorded in the operation log so Replay
-// reproduces it at the same position.
+// unaffected.
 func (nw *Network) Partition(groups ...[]string) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	nw.partitionLocked(groups)
-	nw.log = append(nw.log, Op{groups: copyGroups(groups)})
-}
-
-func (nw *Network) partitionLocked(groups [][]string) {
 	nw.groups = make(map[string]int)
 	for g, members := range groups {
 		for _, name := range members {
@@ -182,23 +148,24 @@ func (nw *Network) Heal() {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	nw.groups = nil
-	nw.log = append(nw.log, Op{heal: true})
 }
 
-// Blocked reports whether a call from src to dst (logical names or bound
-// addresses) would currently be cut by the partition. Invariant checkers
-// use it to decide which consistency properties may be asserted: a pair
-// of live nodes that Blocked separates is entitled to disagree.
+// Blocked reports whether a call from src to dst would currently be cut
+// by the partition. Invariant checkers use it to decide which consistency
+// properties may be asserted: a pair of live nodes that Blocked separates
+// is entitled to disagree.
 func (nw *Network) Blocked(src, dst string) bool {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	s := nw.nameLocked(src)
-	d := nw.nameLocked(dst)
-	if s == d || nw.groups == nil {
+	return nw.blockedLocked(src, dst)
+}
+
+func (nw *Network) blockedLocked(src, dst string) bool {
+	if src == dst || nw.groups == nil {
 		return false
 	}
-	gs, oks := nw.groups[s]
-	gd, okd := nw.groups[d]
+	gs, oks := nw.groups[src]
+	gd, okd := nw.groups[dst]
 	return oks && okd && gs != gd
 }
 
@@ -220,38 +187,6 @@ func (nw *Network) Counts() map[Kind]int {
 	return out
 }
 
-// Log returns the logical operation log (calls and partition changes) —
-// the input Replay needs to reproduce Events.
-func (nw *Network) Log() []Op {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return append([]Op(nil), nw.log...)
-}
-
-// Replay re-executes a logical operation log against a fresh decision
-// state with the same seed, returning the injected-fault sequence it
-// produces. Rule and partition changes are part of the log, so the
-// determinism contract is simply: Replay(seed, nw.Log()) equals
-// nw.Events() for the nw that recorded the log.
-func Replay(seed int64, log []Op) []Event {
-	nw := New(seed, wire.WallClock)
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	for _, o := range log {
-		switch {
-		case o.call:
-			nw.decideLocked(o.src, o.dst, o.typ, false)
-		case o.setRules:
-			nw.rules = o.rules
-		case o.groups != nil:
-			nw.partitionLocked(o.groups)
-		case o.heal:
-			nw.groups = nil
-		}
-	}
-	return nw.events
-}
-
 // decision is the fate assigned to one call.
 type decision struct {
 	kind  Kind // "" = deliver untouched (Delay may still apply)
@@ -259,46 +194,24 @@ type decision struct {
 	msg   string // err_reply text
 }
 
-// decide resolves addresses, appends to the operation log and rolls the
-// deterministic dice for one call.
-func (nw *Network) decide(srcAddr, dstAddr string, t wire.MsgType) decision {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	src := nw.nameLocked(srcAddr)
-	dst := nw.nameLocked(dstAddr)
+// decide rolls the deterministic dice for one call from src to dst.
+func (nw *Network) decide(src, dst string, t wire.MsgType) decision {
 	if src == dst {
 		// A node's loopback calls to itself never cross the network, so
-		// they are exempt from fault rules and partitions (and from the
-		// log: they cannot produce events).
+		// they are exempt from fault rules and partitions.
 		return decision{}
 	}
-	nw.log = append(nw.log, Op{src: src, dst: dst, typ: t, call: true})
-	return nw.decideLocked(src, dst, t, true)
-}
-
-func (nw *Network) nameLocked(addr string) string {
-	if n, ok := nw.names[addr]; ok {
-		return n
-	}
-	return addr
-}
-
-// decideLocked implements the deterministic core. count distinguishes a
-// live decision (metrics) from a Replay.
-func (nw *Network) decideLocked(src, dst string, t wire.MsgType, count bool) decision {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
 	edge := src + "\x00" + dst
 	seq := nw.edgeSeq[edge]
 	nw.edgeSeq[edge] = seq + 1
 
 	var d decision
-	if nw.groups != nil {
-		gs, oks := nw.groups[src]
-		gd, okd := nw.groups[dst]
-		if oks && okd && gs != gd {
-			nw.recordLocked(src, dst, t, KindPartition, count)
-			d.kind = KindPartition
-			return d
-		}
+	if nw.blockedLocked(src, dst) {
+		nw.recordLocked(src, dst, t, KindPartition)
+		d.kind = KindPartition
+		return d
 	}
 	for i, r := range nw.rules {
 		if !r.matches(src, dst, t) {
@@ -310,20 +223,20 @@ func (nw *Network) decideLocked(src, dst string, t wire.MsgType, count bool) dec
 				extra += time.Duration(nw.roll(src, dst, t, seq, i, 3) * float64(r.DelayJitter))
 			}
 			d.delay += extra
-			nw.recordLocked(src, dst, t, KindDelay, count)
+			nw.recordLocked(src, dst, t, KindDelay)
 		}
 		if r.Drop > 0 && nw.roll(src, dst, t, seq, i, 0) < r.Drop {
-			nw.recordLocked(src, dst, t, KindDrop, count)
+			nw.recordLocked(src, dst, t, KindDrop)
 			d.kind = KindDrop
 			return d
 		}
 		if r.DropReply > 0 && nw.roll(src, dst, t, seq, i, 1) < r.DropReply {
-			nw.recordLocked(src, dst, t, KindDropReply, count)
+			nw.recordLocked(src, dst, t, KindDropReply)
 			d.kind = KindDropReply
 			return d
 		}
 		if r.ErrReply > 0 && nw.roll(src, dst, t, seq, i, 2) < r.ErrReply {
-			nw.recordLocked(src, dst, t, KindErrReply, count)
+			nw.recordLocked(src, dst, t, KindErrReply)
 			d.kind = KindErrReply
 			d.msg = fmt.Sprintf("faultnet: injected error (%s->%s %s)", src, dst, t)
 			return d
@@ -332,10 +245,10 @@ func (nw *Network) decideLocked(src, dst string, t wire.MsgType, count bool) dec
 	return d
 }
 
-func (nw *Network) recordLocked(src, dst string, t wire.MsgType, k Kind, count bool) {
+func (nw *Network) recordLocked(src, dst string, t wire.MsgType, k Kind) {
 	nw.events = append(nw.events, Event{Seq: len(nw.events), Src: src, Dst: dst, Type: t, Kind: k})
 	nw.counts[k]++
-	if count && nw.injected != nil {
+	if nw.injected != nil {
 		nw.injected.With(string(k)).Inc()
 	}
 }
@@ -398,12 +311,4 @@ func (c *caller) Call(ctx context.Context, addr string, req wire.Request) (wire.
 		return wire.Response{}, &wire.NetError{Addr: addr, Op: "faultnet:drop_reply", Sent: true, Err: errInjected}
 	}
 	return resp, err
-}
-
-func copyGroups(groups [][]string) [][]string {
-	out := make([][]string, len(groups))
-	for i, g := range groups {
-		out[i] = append([]string(nil), g...)
-	}
-	return out
 }

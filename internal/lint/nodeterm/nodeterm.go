@@ -1,8 +1,8 @@
 // Package nodeterm enforces the determinism contract of the simulation
-// packages: replay (simcheck.Replay, faultnet.Replay, the experiments
-// commit frontier) only reproduces when the code between a seed and its
-// results never consults the wall clock, a global random source, or map
-// iteration order. The rules:
+// packages: a seeded run (simcheck.Replay, a faultnet scenario run twice,
+// the experiments commit frontier) only reproduces when the code between
+// a seed and its results never consults the wall clock, a global random
+// source, or map iteration order. The rules:
 //
 //   - no time.Now / time.Since / time.Until / time.Sleep / time.Tick /
 //     time.AfterFunc. Timeout guards (time.After, time.NewTimer in a

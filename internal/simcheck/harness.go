@@ -279,7 +279,6 @@ func (h *harness) startNode(slot int) error {
 	if err != nil {
 		return err
 	}
-	h.fnet.Bind(slotAddr(slot), slotAddr(slot))
 	h.nodes[slot] = n
 	return nil
 }

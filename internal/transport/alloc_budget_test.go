@@ -16,11 +16,12 @@ import (
 	"repro/internal/wire"
 )
 
-// memCluster is twoRingCluster in classic mode with fingers built. Every
+// memCluster is twoRingCluster over MemNet sessions, in classic mode with
+// fingers built: the byte path is what a lookup's budget covers. Every
 // node's outgoing RPCs are counted by type in rpcs.
 func memCluster(t *testing.T, n int, rpcs *[32]atomic.Uint64) []*Node {
 	t.Helper()
-	nodes := twoRingCluster(t, n, func(cfg *Config) {
+	nodes := startTwoRing(t, sessionsNet(), n, func(cfg *Config) {
 		cfg.RouteMode = RouteClassic
 		cfg.WrapCaller = func(_ string, inner wire.Caller) wire.Caller {
 			return wire.CallerFunc(func(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
@@ -29,12 +30,8 @@ func memCluster(t *testing.T, n int, rpcs *[32]atomic.Uint64) []*Node {
 			})
 		}
 	})
-	for _, nd := range nodes {
-		if err := nd.BuildAllFingers(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return nodes
+	joinTwoRing(t, nodes)
+	return withFingers(t, nodes)
 }
 
 // TestAllocBudgetLookupWalk: a classic hierarchical lookup may create at
@@ -190,7 +187,7 @@ func TestAllocBudgetKeyIDs(t *testing.T) {
 // the table: no event slice is built, encoded or decoded on either side.
 // Shipping the table made 49.
 func TestGossipProbeAllocBudget(t *testing.T) {
-	a, b := gossipPair(t, RouteOneHop)
+	a, b := gossipPair(t, sessionsNet(), RouteOneHop) // the budget covers the byte path
 	for i := 0; i < 30; i++ {
 		ev := wire.RouteEvent{Layer: 1, Peer: peerFor(fmt.Sprintf("phantom-%d", i)), Kind: wire.RouteJoin, Stamp: 1}
 		a.routes.Apply(ev)

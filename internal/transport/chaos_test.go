@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,9 +19,8 @@ import (
 	"repro/internal/wire"
 )
 
-// chaosSeed fixes the injected-fault sequence; the harness asserts that
-// replaying the recorded call log against the same seed reproduces it
-// exactly.
+// chaosSeed fixes the injected-fault sequence: on the direct net, under
+// fixed names, a run is a function of its seed, and replays checks that.
 const chaosSeed = 1012
 
 // chaosRules is the steady-state chaos: every RPC 12% flaky, every link
@@ -37,80 +37,50 @@ func chaosRules() []faultnet.Rule {
 	}
 }
 
-// chaosCluster builds an n-node depth-2 overlay (same two-coordinate-
-// cluster layout as cluster) whose outgoing calls all pass through wrap,
-// with a fast retry policy and the given breaker. Nodes get the logical
-// names n0..n{n-1}. Optional tweak funcs adjust each node's Config
-// before start (e.g. explicit replication quorums).
-func chaosCluster(t *testing.T, n int, wrap func(string, wire.Caller) wire.Caller, breaker wire.BreakerPolicy, tweaks ...func(*Config)) []*Node {
+// chaosCluster builds twoRingCluster's n-node depth-2 overlay on dn,
+// fingers built, whose outgoing calls all pass through wrap, with a fast
+// retry policy and the given breaker. Optional tweak funcs adjust each
+// node's Config before start (e.g. explicit replication quorums).
+func chaosCluster(t *testing.T, dn *DirectNet, n int, wrap func(string, wire.Caller) wire.Caller, breaker wire.BreakerPolicy, tweaks ...func(*Config)) []*Node {
 	t.Helper()
-	coord := func(i int) [2]float64 {
-		if i%2 == 0 {
-			return [2]float64{float64(i), float64(i % 7)}
+	chaos := func(cfg *Config) {
+		cfg.CallTimeout = 5 * time.Second
+		cfg.Retry = wire.RetryPolicy{
+			MaxAttempts: 4,
+			BaseBackoff: 2 * time.Millisecond,
+			MaxBackoff:  20 * time.Millisecond,
 		}
-		return [2]float64{500 + float64(i), 500 + float64(i%7)}
+		cfg.Breaker, cfg.WrapCaller = breaker, wrap
 	}
-	nodes := make([]*Node, 0, n)
-	for i := 0; i < n; i++ {
-		cfg := Config{
-			Depth:       2,
-			Coord:       coord(i),
-			CallTimeout: 5 * time.Second,
-			Retry: wire.RetryPolicy{
-				MaxAttempts: 4,
-				BaseBackoff: 2 * time.Millisecond,
-				MaxBackoff:  20 * time.Millisecond,
-			},
-			Breaker:    breaker,
-			WrapCaller: wrap,
-		}
-		for _, tw := range tweaks {
-			tw(&cfg)
-		}
-		nd, err := Start("127.0.0.1:0", cfg)
-		if err != nil {
-			t.Fatalf("Start node %d: %v", i, err)
-		}
-		nodes = append(nodes, nd)
-	}
-	t.Cleanup(func() {
+	nodes := startTwoRing(t, dn, n, append([]func(*Config){chaos}, tweaks...)...)
+	joinTwoRing(t, nodes)
+	return withFingers(t, nodes)
+}
+
+// replays runs a chaos scenario twice, each time on a fresh cluster, and
+// fails unless both runs injected faults, the same ones, and left the
+// nodes the scenario returns with the same snapshots.
+func replays(t *testing.T, scenario func(*testing.T) (*faultnet.Network, []*Node)) {
+	t.Helper()
+	var events [2][]faultnet.Event
+	var snaps [2][]Snapshot
+	for run := range events {
+		nw, nodes := scenario(t)
+		events[run] = nw.Events()
 		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-	})
-	landmarks := []string{nodes[0].Addr(), nodes[1].Addr()}
-	for _, nd := range nodes {
-		nd.SetLandmarks(landmarks)
-	}
-	if err := nodes[0].CreateNetwork(); err != nil {
-		t.Fatalf("CreateNetwork: %v", err)
-	}
-	for i := 1; i < n; i++ {
-		if err := nodes[i].Join(nodes[0].Addr()); err != nil {
-			t.Fatalf("Join node %d: %v", i, err)
-		}
-		stabilizeAll(t, nodes[:i+1], 3)
-	}
-	stabilizeAll(t, nodes, 3)
-	for _, nd := range nodes {
-		if err := nd.BuildAllFingers(); err != nil {
-			t.Fatalf("BuildAllFingers: %v", err)
+			snaps[run] = append(snaps[run], nd.Snapshot())
 		}
 	}
-	return nodes
-}
-
-// onClock runs a chaos cluster's nodes on clock, the clock its fault
-// network waits on: backoffs and injected delays cost no wall time, and
-// breaker cool-downs pass when the test advances it.
-func onClock(clock wire.Clock) func(*Config) {
-	return func(c *Config) { c.Clock = clock }
-}
-
-// bindAll gives the nodes their logical names on the fault network.
-func bindAll(nw *faultnet.Network, nodes []*Node) {
-	for i, nd := range nodes {
-		nw.Bind(nd.Addr(), fmt.Sprintf("n%d", i))
+	if len(events[0]) == 0 {
+		t.Fatal("the chaos run injected no faults")
+	}
+	if !slices.Equal(events[0], events[1]) {
+		t.Fatalf("two runs injected different faults (%d and %d)", len(events[0]), len(events[1]))
+	}
+	for i := range snaps[0] {
+		if !reflect.DeepEqual(snaps[0][i], snaps[1][i]) {
+			t.Errorf("%s ended two runs in different states:\n  %+v\n  %+v", snaps[0][i].Addr, snaps[0][i], snaps[1][i])
+		}
 	}
 }
 
@@ -118,14 +88,18 @@ func bindAll(nw *faultnet.Network, nodes []*Node) {
 // in-process cluster stores 20 keys, then serves lookups and reads under
 // seeded drops, slow links and lost replies; a minority partition is cut
 // off and healed. Every stored key must stay reachable throughout, and
-// the injected-fault sequence must replay bit-identically from the seed.
+// a second run must inject the same faults and end in the same state.
 func TestChaosLookupsConvergeUnderFaults(t *testing.T) {
-	clock := new(wire.ManualClock)
+	replays(t, chaosLookupsConverge)
+}
+
+func chaosLookupsConverge(t *testing.T) (*faultnet.Network, []*Node) {
+	dn := NewDirectNet()
+	clock := dn.Clock()
 	nw := faultnet.New(chaosSeed, clock)
 	freg := metrics.NewRegistry()
 	nw.Instrument(freg)
-	nodes := chaosCluster(t, 8, nw.Caller, wire.BreakerPolicy{Threshold: 8}, onClock(clock))
-	bindAll(nw, nodes)
+	nodes := chaosCluster(t, dn, 8, nw.Caller, wire.BreakerPolicy{Threshold: 8})
 
 	keys := make([]string, 20)
 	for i := range keys {
@@ -202,21 +176,6 @@ func TestChaosLookupsConvergeUnderFaults(t *testing.T) {
 		}
 	}
 
-	// Determinism: the recorded logical call log replayed against the
-	// same seed must reproduce the exact injected-fault sequence.
-	events := nw.Events()
-	if len(events) == 0 {
-		t.Fatal("chaos run injected no faults")
-	}
-	replayed := faultnet.Replay(chaosSeed, nw.Log())
-	if len(replayed) != len(events) {
-		t.Fatalf("replay produced %d events, live run %d", len(replayed), len(events))
-	}
-	for i := range events {
-		if events[i].String() != replayed[i].String() {
-			t.Fatalf("fault %d diverged: live %q, replay %q", i, events[i], replayed[i])
-		}
-	}
 	counts := nw.Counts()
 	if counts[faultnet.KindDrop] == 0 || counts[faultnet.KindDelay] == 0 || counts[faultnet.KindPartition] == 0 {
 		t.Errorf("expected drops, delays and partition blocks, got %v", counts)
@@ -253,6 +212,7 @@ func TestChaosLookupsConvergeUnderFaults(t *testing.T) {
 	if !strings.Contains(fb.String(), `faultnet_injected_total{kind="drop"}`) {
 		t.Errorf("faultnet exposition missing injection counters:\n%s", fb.String())
 	}
+	return nw, nodes
 }
 
 // onehopMembers extracts the global-ring Join-latest member addresses
@@ -307,11 +267,15 @@ func waitRoutesConverged(t *testing.T, nodes []*Node, phase string) {
 // reconverge to byte-identical full tables after the heal, and pay a
 // bounded, metered gossip cost per maintenance round.
 func TestChaosOneHopConvergence(t *testing.T) {
-	clock := new(wire.ManualClock)
+	replays(t, chaosOneHopConvergence)
+}
+
+func chaosOneHopConvergence(t *testing.T) (*faultnet.Network, []*Node) {
+	dn := NewDirectNet()
+	clock := dn.Clock()
 	nw := faultnet.New(chaosSeed, clock)
-	nodes := chaosCluster(t, 8, nw.Caller, wire.BreakerPolicy{Threshold: 8},
-		onClock(clock), func(c *Config) { c.RouteMode = RouteOneHop })
-	bindAll(nw, nodes)
+	nodes := chaosCluster(t, dn, 8, nw.Caller, wire.BreakerPolicy{Threshold: 8},
+		func(c *Config) { c.RouteMode = RouteOneHop })
 
 	// Phase 0: a fault-free cluster's tables reach the gossip fixpoint.
 	waitRoutesConverged(t, nodes, "bootstrap")
@@ -428,21 +392,7 @@ func TestChaosOneHopConvergence(t *testing.T) {
 	if got := gossipAfter - gossipBefore; got > ceiling {
 		t.Errorf("converged maintenance round cost %d gossip bytes, ceiling %d", got, ceiling)
 	}
-
-	// Determinism: the injected-fault sequence replays bit-identically.
-	events := nw.Events()
-	if len(events) == 0 {
-		t.Fatal("chaos run injected no faults")
-	}
-	replayed := faultnet.Replay(chaosSeed, nw.Log())
-	if len(replayed) != len(events) {
-		t.Fatalf("replay produced %d events, live run %d", len(replayed), len(events))
-	}
-	for i := range events {
-		if events[i].String() != replayed[i].String() {
-			t.Fatalf("fault %d diverged: live %q, replay %q", i, events[i], replayed[i])
-		}
-	}
+	return nw, nodes
 }
 
 // TestChaosLowerRingClimbOnFailure pins the graceful-degradation path
@@ -474,7 +424,7 @@ func TestChaosLowerRingClimbOnFailure(t *testing.T) {
 	}
 	// The breaker stays disabled: it tracks peers, not (peer, layer)
 	// pairs, and the blackout only concerns lower-layer routing steps.
-	nodes := chaosCluster(t, 8, wrap, wire.BreakerPolicy{Threshold: -1})
+	nodes := chaosCluster(t, NewDirectNet(), 8, wrap, wire.BreakerPolicy{Threshold: -1})
 	blackout.Store(true)
 	origin := nodes[0]
 	climbs := func() uint64 { return origin.nm.ringClimbs.Value() + origin.nm.failoverClimbs.Value() }
@@ -545,7 +495,7 @@ func TestChaosSupplierDiesBetweenSteps(t *testing.T) {
 			return inner.Call(ctx, addr, req)
 		})
 	}
-	nodes := chaosCluster(t, 16, wrap, wire.BreakerPolicy{Threshold: -1})
+	nodes := chaosCluster(t, NewDirectNet(), 16, wrap, wire.BreakerPolicy{Threshold: -1})
 	from := nodes[0]
 	mu.Lock()
 	origin = from.Addr()

@@ -19,7 +19,7 @@ func TestDispatchRefusesLikeADeadAddress(t *testing.T) {
 		open, dead bool
 	}
 	judge := func(direct bool) verdict {
-		mem := wire.NewMemNet()
+		mem := sessionsNet() // Dispatch is held to a session here
 		b := startOneRing(t, mem, "b")
 		a := startOneRing(t, mem, "a", func(cfg *Config) {
 			cfg.Breaker = wire.BreakerPolicy{Threshold: 2}
@@ -49,7 +49,7 @@ func TestDispatchRefusesLikeADeadAddress(t *testing.T) {
 // served — one more Handled and one more rpc_server_requests_total of its
 // type, whether it is answered OK or refused with a RemoteError.
 func TestDispatchCountsOneServedRequest(t *testing.T) {
-	b := startOneRing(t, wire.NewMemNet(), "b")
+	b := startOneRing(t, sessionsNet(), "b")
 	if err := b.CreateNetwork(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestDispatchCountsOneServedRequest(t *testing.T) {
 // ownership rule. After a dispatched store_put the sender may reuse its
 // value buffer: the receiver stored a copy, as it does off a session.
 func TestDispatchedValuesAreCopies(t *testing.T) {
-	b := startOneRing(t, wire.NewMemNet(), "b")
+	b := startOneRing(t, sessionsNet(), "b")
 	if err := b.CreateNetwork(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,16 +12,16 @@ import (
 	"repro/internal/wire"
 )
 
-// oneRingCluster starts the named nodes in one lower ring on mem (see
+// oneRingCluster starts the named nodes in one lower ring on dn (see
 // startOneRing): the first creates the network, the others join through
 // it with three full rounds after each join. With the names a..f the
 // ring reads, in identifier order, d b c f a e, and the ring's table is
 // stored on b.
-func oneRingCluster(t *testing.T, mem *wire.MemNet, names []string, tweaks ...func(*Config)) []*Node {
+func oneRingCluster(t *testing.T, dn *DirectNet, names []string, tweaks ...func(*Config)) []*Node {
 	t.Helper()
 	var nodes []*Node
 	for i, name := range names {
-		n := startOneRing(t, mem, name, tweaks...)
+		n := startOneRing(t, dn, name, tweaks...)
 		if i == 0 {
 			if err := n.CreateNetwork(); err != nil {
 				t.Fatal(err)
@@ -87,8 +87,8 @@ func without(nodes []*Node, gone ...*Node) []*Node {
 // and walk the ring through its own not-yet-joined layer ("layer 2 not
 // joined"); it takes the next live boundary instead.
 func TestRestartedBoundaryRejoins(t *testing.T) {
-	mem := wire.NewMemNet()
-	nodes := oneRingCluster(t, mem, []string{"a", "b", "c", "d"})
+	dn := NewDirectNet()
+	nodes := oneRingCluster(t, dn, []string{"a", "b", "c", "d"})
 	smallest := byIDOrder(nodes)[0]
 	survivors := without(nodes, smallest)
 	smallest.Close()
@@ -101,7 +101,7 @@ func TestRestartedBoundaryRejoins(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	again := startOneRing(t, mem, smallest.Addr())
+	again := startOneRing(t, dn, smallest.Addr())
 	if err := again.Join(survivors[0].Addr()); err != nil {
 		t.Fatalf("rejoin of a node its ring table still lists: %v", err)
 	}
@@ -195,7 +195,7 @@ func tablePings(tab wire.RingTable, storing string) int {
 // own state is not a message.
 func TestOneTableLookupPerRingPerRound(t *testing.T) {
 	var log callLog
-	nodes := oneRingCluster(t, wire.NewMemNet(), []string{"a", "b", "c", "d", "e", "f"}, log.tweak)
+	nodes := oneRingCluster(t, NewDirectNet(), []string{"a", "b", "c", "d", "e", "f"}, log.tweak)
 	stabilizeAll(t, nodes, 3)
 	tab, holder := storedRingTable(t, nodes)
 	walks := clusterCounter(t, nodes, `ring_consults_total{path="walk"}`)
@@ -245,19 +245,19 @@ func TestOneTableLookupPerRingPerRound(t *testing.T) {
 	}
 }
 
-// twoRingCluster starts n nodes "n0".."n<n-1>" on one MemNet at depth 2,
-// the first two of them the landmarks, placed so that even and odd indexes
-// bin into two lower rings; each joins through n0 with three full rounds
-// after it. No fingers are built.
+// twoRingCluster starts n nodes "n0".."n<n-1>" on a direct net of their
+// own at depth 2, the first two of them the landmarks, placed so that even
+// and odd indexes bin into two lower rings; each joins through n0 with
+// three full rounds after it. No fingers are built.
 func twoRingCluster(t *testing.T, n int, tweaks ...func(*Config)) []*Node {
 	t.Helper()
-	nodes := startTwoRing(t, wire.NewMemNet(), n, tweaks...)
+	nodes := startTwoRing(t, NewDirectNet(), n, tweaks...)
 	joinTwoRing(t, nodes)
 	return nodes
 }
 
-// startTwoRing starts twoRingCluster's nodes without joining them.
-func startTwoRing(t *testing.T, mem *wire.MemNet, n int, tweaks ...func(*Config)) []*Node {
+// startTwoRing starts twoRingCluster's nodes on dn without joining them.
+func startTwoRing(t *testing.T, dn *DirectNet, n int, tweaks ...func(*Config)) []*Node {
 	t.Helper()
 	var nodes []*Node
 	for i := 0; i < n; i++ {
@@ -269,7 +269,7 @@ func startTwoRing(t *testing.T, mem *wire.MemNet, n int, tweaks ...func(*Config)
 		for _, tweak := range tweaks {
 			tweak(&cfg)
 		}
-		nodes = append(nodes, startMem(t, mem, "n"+strconv.Itoa(i), cfg))
+		nodes = append(nodes, startNode(t, dn, "n"+strconv.Itoa(i), cfg))
 	}
 	return nodes
 }
@@ -417,15 +417,15 @@ func TestSteadyRoundBill(t *testing.T) {
 // through a surviving boundary, and the table it writes back has retired
 // the dead ones — a joiner prunes like a round does.
 func TestRingOutlivesItsBoundaries(t *testing.T) {
-	mem := wire.NewMemNet()
-	nodes := oneRingCluster(t, mem, []string{"a", "b", "c", "d", "e", "f"})
+	dn := NewDirectNet()
+	nodes := oneRingCluster(t, dn, []string{"a", "b", "c", "d", "e", "f"})
 	ring := byIDOrder(nodes)
 	smallest, largest := ring[0], ring[len(ring)-1]
 	survivors := without(nodes, smallest, largest)
 	smallest.Close()
 	largest.Close()
 
-	joiner := startOneRing(t, mem, "j1") // between c and f: its successor is alive
+	joiner := startOneRing(t, dn, "j1") // between c and f: its successor is alive
 	if err := joiner.Join("a"); err != nil {
 		t.Fatalf("join into a ring whose extremes died: %v", err)
 	}
@@ -450,7 +450,7 @@ func TestRingOutlivesItsBoundaries(t *testing.T) {
 // identifier, so the next joiner does not found a second ring of the
 // same name.
 func TestMissingRingTableIsRecreated(t *testing.T) {
-	nodes := oneRingCluster(t, wire.NewMemNet(), []string{"a", "b", "c", "d", "e", "f"})
+	nodes := oneRingCluster(t, NewDirectNet(), []string{"a", "b", "c", "d", "e", "f"})
 	_, holder := storedRingTable(t, nodes)
 	survivors := without(nodes, holder)
 	holder.Close()

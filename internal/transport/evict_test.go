@@ -158,9 +158,9 @@ func (p constProber) Latency(context.Context, wire.Caller, string) (float64, err
 	return float64(p), nil
 }
 
-// startOneRing starts a depth-2 node on mem whose constant prober bins it
+// startOneRing starts a depth-2 node on dn whose constant prober bins it
 // into the same lower ring as every other node started this way.
-func startOneRing(t *testing.T, mem *wire.MemNet, addr string, tweaks ...func(*Config)) *Node {
+func startOneRing(t *testing.T, dn *DirectNet, addr string, tweaks ...func(*Config)) *Node {
 	t.Helper()
 	cfg := Config{
 		Depth: 2, Landmarks: []string{"lm"}, Prober: constProber(10),
@@ -171,7 +171,7 @@ func startOneRing(t *testing.T, mem *wire.MemNet, addr string, tweaks ...func(*C
 	for _, tweak := range tweaks {
 		tweak(&cfg)
 	}
-	return startMem(t, mem, addr, cfg)
+	return startNode(t, dn, addr, cfg)
 }
 
 // TestEmptiedLowerRingListClimbs pins the reply of a joined node whose
@@ -180,7 +180,7 @@ func startOneRing(t *testing.T, mem *wire.MemNet, addr string, tweaks ...func(*C
 // become, so a lookup entering that ring climbs to the global ring and a
 // joiner adopts the node, instead of both dying on "layer 2 not joined".
 func TestEmptiedLowerRingListClimbs(t *testing.T) {
-	nodes := oneRingCluster(t, wire.NewMemNet(), []string{"a", "b"})
+	nodes := oneRingCluster(t, NewDirectNet(), []string{"a", "b"})
 	a, b := nodes[0], nodes[1]
 	if succ, _, _ := layerSnapshot(a, 2); len(succ) != 1 || succ[0].Addr != "b" {
 		t.Fatalf("a's layer-2 successors = %v, want [b]", succ)
@@ -218,17 +218,17 @@ func TestEmptiedLowerRingListClimbs(t *testing.T) {
 // the rest of the ring routed into; the join is refused and succeeds
 // once the stale entry is gone.
 func TestRejoinBeforeEvictionIsRefused(t *testing.T) {
-	mem := wire.NewMemNet()
-	nodes := oneRingCluster(t, mem, []string{"a", "b", "c"})
+	dn := NewDirectNet()
+	nodes := oneRingCluster(t, dn, []string{"a", "b", "c"})
 	nodes[1].Close()
-	early := startOneRing(t, mem, "b")
+	early := startOneRing(t, dn, "b")
 	if err := early.Join("a"); err == nil {
 		succ, pred, _ := layerSnapshot(early, 1)
 		t.Fatalf("rejoin before eviction succeeded with successors %v, predecessor %v", succ, pred)
 	}
 	early.Close()
 	stabilizeAll(t, without(nodes, nodes[1]), 3)
-	late := startOneRing(t, mem, "b")
+	late := startOneRing(t, dn, "b")
 	if err := late.Join("a"); err != nil {
 		t.Fatalf("rejoin after eviction: %v", err)
 	}

@@ -54,8 +54,8 @@ func extremes(ring []*Node) [4]string {
 // one node that stores it.
 func TestStaleTableHintFallsBack(t *testing.T) {
 	var log callLog
-	mem := wire.NewMemNet()
-	nodes := oneRingCluster(t, mem, []string{"a", "b", "c", "d", "e", "f"}, log.tweak)
+	dn := NewDirectNet()
+	nodes := oneRingCluster(t, dn, []string{"a", "b", "c", "d", "e", "f"}, log.tweak)
 	stabilizeAll(t, nodes, 3)
 	name := nodes[0].RingNames()[0]
 	_, holder := storedRingTable(t, nodes)
@@ -68,7 +68,7 @@ func TestStaleTableHintFallsBack(t *testing.T) {
 		addr := "j" + strconv.Itoa(i)
 		// Between the owner and its predecessor, at or past the table's id.
 		if jid := NodeID(addr); id.Between(jid, before.ID(), holder.ID()) && id.InOpenClosed(ringID(2, name), before.ID(), jid) {
-			joiner = startOneRing(t, mem, addr, log.tweak)
+			joiner = startOneRing(t, dn, addr, log.tweak)
 		}
 	}
 	walked := map[*Node]float64{}
@@ -117,7 +117,7 @@ func TestStaleTableHintFallsBack(t *testing.T) {
 // carries the merge around the ring within the round bound
 // TestChurnReconverges uses, to exact successor lists and exact boundaries.
 func TestLowerRingPartitionHeals(t *testing.T) {
-	nodes := oneRingCluster(t, wire.NewMemNet(), []string{"a", "b", "c", "d", "e", "f", "g", "h"})
+	nodes := oneRingCluster(t, NewDirectNet(), []string{"a", "b", "c", "d", "e", "f", "g", "h"})
 	stabilizeAll(t, nodes, 3)
 	ring := byIDOrder(nodes)
 	const listLen = 4
@@ -165,7 +165,7 @@ func TestLowerRingPartitionHeals(t *testing.T) {
 // and re-create the table there from the members that announce themselves:
 // the dead boundary is not in it.
 func TestStoringNodeAndBoundaryDieTogether(t *testing.T) {
-	nodes := oneRingCluster(t, wire.NewMemNet(), []string{"a", "b", "c", "d", "e", "f", "g"})
+	nodes := oneRingCluster(t, NewDirectNet(), []string{"a", "b", "c", "d", "e", "f", "g"})
 	stabilizeAll(t, nodes, 3)
 	tab, holder := storedRingTable(t, nodes)
 	ring := byIDOrder(nodes)
@@ -255,7 +255,7 @@ func TestLookupsUnchangedBySelfCalls(t *testing.T) {
 // the value buffer it passed, as it may after a write over the wire.
 func TestSelfCallIsNotAMessage(t *testing.T) {
 	var log callLog
-	a := startOneRing(t, wire.NewMemNet(), "a", log.tweak)
+	a := startOneRing(t, NewDirectNet(), "a", log.tweak)
 	if err := a.CreateNetwork(); err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func exactOverlay(nodes []*Node, listLen int) string {
 // predecessor exact — in the 3 rounds it took when every round notified.
 func TestNotifyOnlyWhereItCanChange(t *testing.T) {
 	var log callLog
-	nodes := startTwoRing(t, wire.NewMemNet(), 17, log.tweak)
+	nodes := startTwoRing(t, NewDirectNet(), 17, log.tweak)
 	members, joiner := nodes[:16], nodes[16]
 	joinTwoRing(t, members)
 	notifies := func() int { return log.count(func(c sentCall) bool { return c.typ == wire.TNotify }) }

@@ -18,18 +18,18 @@ func foldKey(i int) string { return "fold-" + strconv.Itoa(i) }
 // foldCluster is eight nodes in one ring (Factor 3, majority quorums, the
 // given route mode, every RPC logged) holding foldKeys keys, settled with
 // the data: the rounds that follow are idle ones.
-func foldCluster(t *testing.T, mode string, log *callLog) (*wire.MemNet, []*Node) {
+func foldCluster(t *testing.T, mode string, log *callLog) (*DirectNet, []*Node) {
 	t.Helper()
-	mem := wire.NewMemNet()
+	dn := NewDirectNet()
 	names := []string{"n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7"}
-	nodes := oneRingCluster(t, mem, names, replicaTweak(foldFactor, mode), log.tweak)
+	nodes := oneRingCluster(t, dn, names, replicaTweak(foldFactor, mode), log.tweak)
 	for i := 0; i < foldKeys; i++ {
 		if err := nodes[i%len(nodes)].Put(context.Background(), foldKey(i), []byte(foldKey(i))); err != nil {
 			t.Fatalf("put %s: %v", foldKey(i), err)
 		}
 	}
 	stabilizeAll(t, nodes, 3)
-	return mem, nodes
+	return dn, nodes
 }
 
 // sentTo returns the distinct addresses from sent typ to, per the log.
@@ -212,8 +212,8 @@ func TestFoldFindsPlantedDivergence(t *testing.T) {
 func TestFoldVoidedByChange(t *testing.T) {
 	t.Run("new predecessor", func(t *testing.T) {
 		var log callLog
-		mem, nodes := foldCluster(t, RouteOneHop, &log)
-		joiner := startOneRing(t, mem, "joiner", replicaTweak(foldFactor, RouteOneHop), log.tweak)
+		dn, nodes := foldCluster(t, RouteOneHop, &log)
+		joiner := startOneRing(t, dn, "joiner", replicaTweak(foldFactor, RouteOneHop), log.tweak)
 		if err := joiner.Join("n0"); err != nil {
 			t.Fatal(err)
 		}

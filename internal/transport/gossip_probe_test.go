@@ -99,9 +99,9 @@ func (g *gossipTap) takeFrames() int {
 	return frames
 }
 
-// gossipNode starts a depth-1 node on mem in the given route mode, with
+// gossipNode starts a depth-1 node on dn in the given route mode, with
 // neither retries nor a breaker: one lost attempt is one failed call.
-func gossipNode(t *testing.T, mem *wire.MemNet, addr, mode string, tweaks ...func(*Config)) *Node {
+func gossipNode(t *testing.T, dn *DirectNet, addr, mode string, tweaks ...func(*Config)) *Node {
 	t.Helper()
 	cfg := Config{
 		Depth: 1, RouteMode: mode,
@@ -111,15 +111,14 @@ func gossipNode(t *testing.T, mem *wire.MemNet, addr, mode string, tweaks ...fun
 	for _, tweak := range tweaks {
 		tweak(&cfg)
 	}
-	return startMem(t, mem, addr, cfg)
+	return startNode(t, dn, addr, cfg)
 }
 
-// gossipPair starts a converged two-node depth-1 overlay: a runs the
+// gossipPair starts a converged two-node depth-1 overlay on dn: a runs the
 // one-hop tier, b the tier mode names.
-func gossipPair(t *testing.T, mode string, tweaks ...func(*Config)) (a, b *Node) {
+func gossipPair(t *testing.T, dn *DirectNet, mode string, tweaks ...func(*Config)) (a, b *Node) {
 	t.Helper()
-	mem := wire.NewMemNet()
-	a, b = gossipNode(t, mem, "a", RouteOneHop, tweaks...), gossipNode(t, mem, "b", mode, tweaks...)
+	a, b = gossipNode(t, dn, "a", RouteOneHop, tweaks...), gossipNode(t, dn, "b", mode, tweaks...)
 	if err := a.CreateNetwork(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +139,7 @@ func gossipPair(t *testing.T, mode string, tweaks ...func(*Config)) (a, b *Node)
 // lost costs one round, not convergence.
 func TestGossipProbe(t *testing.T) {
 	var tap gossipTap
-	a, b := gossipPair(t, RouteOneHop, tap.tweak)
+	a, b := gossipPair(t, NewDirectNet(), RouteOneHop, tap.tweak)
 	news := func(nd *Node, addr string) { nd.routeEvent(peerFor(addr), wire.RouteJoin) }
 	converged := func(when string) {
 		t.Helper()
@@ -210,7 +209,7 @@ func TestGossipProbe(t *testing.T) {
 // and not the push-back a bare acknowledgement would read as asking for.
 func TestGossipProbeMixedMode(t *testing.T) {
 	var tap gossipTap
-	a, _ := gossipPair(t, RouteClassic, tap.tweak)
+	a, _ := gossipPair(t, NewDirectNet(), RouteClassic, tap.tweak)
 	for round := 1; round <= 3; round++ {
 		tap.take()
 		tap.takeFrames()
@@ -230,10 +229,10 @@ func TestGossipProbeMixedMode(t *testing.T) {
 // the one-hop tier, and returns them in ring order.
 func gossipRing(t *testing.T, names []string, tweaks ...func(*Config)) []*Node {
 	t.Helper()
-	mem := wire.NewMemNet()
+	dn := NewDirectNet()
 	var nodes []*Node
 	for i, name := range names {
-		nd := gossipNode(t, mem, name, RouteOneHop, tweaks...)
+		nd := gossipNode(t, dn, name, RouteOneHop, tweaks...)
 		if i == 0 {
 			if err := nd.CreateNetwork(); err != nil {
 				t.Fatal(err)
@@ -348,7 +347,7 @@ func TestSummaryRidesLiveness(t *testing.T) {
 
 	// A classic neighbor: "same" to any summary, nothing to any bare ping.
 	var pairTap gossipTap
-	a, b := gossipPair(t, RouteClassic, pairTap.tweak)
+	a, b := gossipPair(t, NewDirectNet(), RouteClassic, pairTap.tweak)
 	ctx := context.Background()
 	if resp, err := a.call(ctx, b.Addr(), wire.Request{Type: wire.TPing, Key: summaryKey(a.routes.Summary())}); err != nil || !resp.Found {
 		t.Errorf("classic node's reply to a ping with a summary: Found %v, %v; want Found", resp.Found, err)

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 )
 
 func TestGracefulLeaveHandsOverData(t *testing.T) {
-	nodes := cluster(t, 8)
+	nodes := builtCluster(t, 8)
 	// Store data whose owner we will evict.
 	for i := 0; i < 12; i++ {
 		if err := nodes[i%len(nodes)].Put(context.Background(), fmt.Sprintf("doc-%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -56,7 +57,7 @@ func TestGracefulLeaveHandsOverData(t *testing.T) {
 }
 
 func TestLeaveImmediateNeighborConsistency(t *testing.T) {
-	nodes := cluster(t, 6)
+	nodes := builtCluster(t, 6)
 	victim := nodes[2]
 	// Identify the victim's global neighbors before departure.
 	succ, pred, err := victim.Neighbors(1)
@@ -109,32 +110,13 @@ func TestLiveDepth3(t *testing.T) {
 		base[1] += float64(i % 5)
 		return base
 	}
+	dn := NewDirectNet()
 	var nodes []*Node
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-	})
 	for i := 0; i < 10; i++ {
-		nd, err := Start("127.0.0.1:0", Config{Depth: 3, Coord: coord(i), CallTimeout: 5 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, nd)
+		cfg := Config{Depth: 3, Coord: coord(i), Landmarks: []string{"n0", "n1"}, CallTimeout: 5 * time.Second}
+		nodes = append(nodes, startNode(t, dn, "n"+strconv.Itoa(i), cfg))
 	}
-	landmarks := []string{nodes[0].Addr(), nodes[1].Addr()}
-	for _, nd := range nodes {
-		nd.SetLandmarks(landmarks)
-	}
-	if err := nodes[0].CreateNetwork(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(nodes); i++ {
-		if err := nodes[i].Join(nodes[0].Addr()); err != nil {
-			t.Fatalf("join %d: %v", i, err)
-		}
-		stabilizeAll(t, nodes[:i+1], 3)
-	}
+	joinTwoRing(t, nodes)
 	for _, nd := range nodes {
 		if len(nd.RingNames()) != 2 {
 			t.Fatalf("depth-3 node should have 2 ring names, got %v", nd.RingNames())
@@ -160,7 +142,7 @@ func TestLiveDepth3(t *testing.T) {
 }
 
 func TestReplicatedGetSurvivesOwnerFailure(t *testing.T) {
-	nodes := cluster(t, 8)
+	nodes := builtCluster(t, 8)
 	key := "replicated-doc"
 	if err := nodes[1].Put(context.Background(), key, []byte("precious")); err != nil {
 		t.Fatal(err)

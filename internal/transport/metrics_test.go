@@ -17,7 +17,7 @@ import (
 // hop accounting: across a three-node overlay, the per-layer hop counters
 // a node exports must sum exactly to the hop counts its lookups reported.
 func TestHopCountersMatchLookups(t *testing.T) {
-	nodes := cluster(t, 3)
+	nodes := builtCluster(t, 3)
 	src := nodes[1]
 
 	var wantTotal uint64

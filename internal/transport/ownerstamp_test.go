@@ -21,7 +21,7 @@ import (
 func TestOwnerStampPut(t *testing.T) {
 	const factor, key = 3, "stamped"
 	ctx := context.Background()
-	nodes := replicaCluster(t, wire.NewMemNet(), 8, factor, RouteOneHop)
+	nodes := replicaCluster(t, NewDirectNet(), 8, factor, RouteOneHop)
 	stabilizeAll(t, nodes, 2)
 	set := replicaSetOf(nodes, key, factor)
 	owner, member, coord := set[0], set[1], set[2]
@@ -87,12 +87,12 @@ func TestOwnerStampPut(t *testing.T) {
 func TestOwnerStampRefusedHint(t *testing.T) {
 	const factor = 3
 	ctx := context.Background()
-	mem := wire.NewMemNet()
-	nodes := replicaCluster(t, mem, 8, factor, RouteOneHop)
+	dn := NewDirectNet()
+	nodes := replicaCluster(t, dn, 8, factor, RouteOneHop)
 	joinerID := NodeID("joiner")
 	key := ownedBy("refused", predOf(nodes, joinerID).ID(), joinerID, 1)[0]
 	oldOwner := trueOwner(nodes, joinerID)
-	joiner := startOneRing(t, mem, "joiner", replicaTweak(factor, RouteOneHop))
+	joiner := startOneRing(t, dn, "joiner", replicaTweak(factor, RouteOneHop))
 	if err := joiner.Join("n0"); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,9 @@ func TestOwnerStampRefusedHint(t *testing.T) {
 func TestOwnerStampConcurrentWriters(t *testing.T) {
 	const factor, key = 3, "contended"
 	ctx := context.Background()
-	nodes := replicaCluster(t, wire.NewMemNet(), 8, factor, RouteOneHop)
+	// Over MemNet sessions: the writers overlap, which a driven net does
+	// not schedule.
+	nodes := replicaCluster(t, sessionsNet(), 8, factor, RouteOneHop)
 	stabilizeAll(t, nodes, 2)
 	var wg sync.WaitGroup
 	for i, nd := range nodes {

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/id"
@@ -24,42 +23,16 @@ func replicaTweak(factor int, mode string) func(*Config) {
 	}
 }
 
-// replicaCluster starts n nodes "n0".."n<n-1>" in one lower ring on mem
+// replicaCluster starts n nodes "n0".."n<n-1>" in one lower ring on dn
 // (see oneRingCluster), configured by replicaTweak, and stabilises them
 // to convergence.
-func replicaCluster(t *testing.T, mem *wire.MemNet, n, factor int, mode string) []*Node {
+func replicaCluster(t *testing.T, dn *DirectNet, n, factor int, mode string) []*Node {
 	t.Helper()
 	names := make([]string, n)
 	for i := range names {
 		names[i] = "n" + strconv.Itoa(i)
 	}
-	return oneRingCluster(t, mem, names, replicaTweak(factor, mode))
-}
-
-// rpcsByType sums the nodes' outgoing RPC attempts by message type, read
-// off their own registries (rpc_requests_total{type}).
-func rpcsByType(t *testing.T, nodes ...*Node) map[string]float64 {
-	t.Helper()
-	out := map[string]float64{}
-	for _, nd := range nodes {
-		var b strings.Builder
-		if _, err := nd.Metrics().WriteTo(&b); err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(b.String(), "\n") {
-			rest, ok := strings.CutPrefix(line, `rpc_requests_total{type="`)
-			if !ok {
-				continue
-			}
-			typ, val, _ := strings.Cut(rest, `"} `)
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				t.Fatalf("parse %q: %v", line, err)
-			}
-			out[typ] += v
-		}
-	}
-	return out
+	return oneRingCluster(t, dn, names, replicaTweak(factor, mode))
 }
 
 // rpcsSince returns the per-type RPC attempts made since before was
@@ -106,7 +79,7 @@ func TestLocalReplicaSetsMatchResolver(t *testing.T) {
 		for _, n := range []int{1, 2, 3, 4, 5, 16} {
 			for factor := 1; factor <= 3; factor++ {
 				t.Run(fmt.Sprintf("%s/n=%d/r=%d", mode, n, factor), func(t *testing.T) {
-					nodes := replicaCluster(t, wire.NewMemNet(), n, factor, mode)
+					nodes := replicaCluster(t, NewDirectNet(), n, factor, mode)
 					before := rpcsByType(t, nodes...)
 					for _, nd := range nodes {
 						if _, _, _, err := nd.ReplicaAntiEntropyOnce(); err != nil {
@@ -182,7 +155,7 @@ func TestLocalReplicaSetsMatchResolver(t *testing.T) {
 func TestReplicaCostPins(t *testing.T) {
 	const factor, keys = 3, 64
 	ctx := context.Background()
-	nodes := replicaCluster(t, wire.NewMemNet(), 8, factor, RouteOneHop)
+	nodes := replicaCluster(t, NewDirectNet(), 8, factor, RouteOneHop)
 	keyAt := func(i int) string { return "pin-" + strconv.Itoa(i) }
 	for i := 0; i < keys; i++ {
 		if err := nodes[i%len(nodes)].Put(ctx, keyAt(i), []byte(keyAt(i))); err != nil {
@@ -265,7 +238,7 @@ func TestReplicaCostPins(t *testing.T) {
 func TestAntiEntropyRepairsPlantedDivergence(t *testing.T) {
 	const factor, keys = 3, 48
 	ctx := context.Background()
-	nodes := replicaCluster(t, wire.NewMemNet(), 8, factor, RouteOneHop)
+	nodes := replicaCluster(t, NewDirectNet(), 8, factor, RouteOneHop)
 	keyAt := func(i int) string { return "plant-" + strconv.Itoa(i) }
 	for i := 0; i < keys; i++ {
 		if err := nodes[i%len(nodes)].Put(ctx, keyAt(i), []byte(keyAt(i))); err != nil {
@@ -350,8 +323,8 @@ func predOf(nodes []*Node, target id.ID) *Node {
 func TestStaleOwnerHintFallsBack(t *testing.T) {
 	const factor = 3
 	ctx := context.Background()
-	mem := wire.NewMemNet()
-	nodes := replicaCluster(t, mem, 8, factor, RouteOneHop)
+	dn := NewDirectNet()
+	nodes := replicaCluster(t, dn, 8, factor, RouteOneHop)
 	joinerID := NodeID("joiner")
 	keys := ownedBy("stale", predOf(nodes, joinerID).ID(), joinerID, 4)
 	for i, key := range keys {
@@ -361,7 +334,7 @@ func TestStaleOwnerHintFallsBack(t *testing.T) {
 	}
 	oldOwner := trueOwner(nodes, joinerID)
 
-	joiner := startOneRing(t, mem, "joiner", replicaTweak(factor, RouteOneHop))
+	joiner := startOneRing(t, dn, "joiner", replicaTweak(factor, RouteOneHop))
 	if err := joiner.Join("n0"); err != nil {
 		t.Fatal(err)
 	}
@@ -431,16 +404,16 @@ func TestUnvouchedStretchFallsBack(t *testing.T) {
 	const factor, keys = 3, 48
 	ctx := context.Background()
 	keyAt := func(i int) string { return "flux-" + strconv.Itoa(i) }
-	setup := func(t *testing.T) (*wire.MemNet, []*Node) {
-		mem := wire.NewMemNet()
-		nodes := replicaCluster(t, mem, 8, factor, RouteOneHop)
+	setup := func(t *testing.T) (*DirectNet, []*Node) {
+		dn := NewDirectNet()
+		nodes := replicaCluster(t, dn, 8, factor, RouteOneHop)
 		for i := 0; i < keys; i++ {
 			if err := nodes[i%len(nodes)].Put(ctx, keyAt(i), []byte(keyAt(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
 		stabilizeAll(t, nodes, 2)
-		return mem, nodes
+		return dn, nodes
 	}
 	// fallsBack runs one anti-entropy round on nd and checks it was a
 	// network-resolved one that destroyed nothing.
@@ -485,9 +458,9 @@ func TestUnvouchedStretchFallsBack(t *testing.T) {
 		settled(t, without(nodes, ring[2]))
 	})
 	t.Run("node joined behind the predecessor", func(t *testing.T) {
-		mem, nodes := setup(t)
+		dn, nodes := setup(t)
 		ring := byIDOrder(nodes)
-		joiner := startOneRing(t, mem, "joiner", replicaTweak(factor, RouteOneHop))
+		joiner := startOneRing(t, dn, "joiner", replicaTweak(factor, RouteOneHop))
 		if err := joiner.Join("n0"); err != nil {
 			t.Fatal(err)
 		}
@@ -521,7 +494,7 @@ func TestUnvouchedStretchFallsBack(t *testing.T) {
 func TestFarCoordinatorDoesNotGuessReplicaSet(t *testing.T) {
 	const factor = 3
 	ctx := context.Background()
-	nodes := replicaCluster(t, wire.NewMemNet(), 8, factor, RouteOneHop)
+	nodes := replicaCluster(t, NewDirectNet(), 8, factor, RouteOneHop)
 	ring := byIDOrder(nodes)
 	owner, coord := ring[2], ring[5]
 	key := ownedBy("far", ring[1].ID(), owner.ID(), 1)[0]
@@ -549,7 +522,7 @@ func TestDeadLandmarkKeepsAntiEntropyCadence(t *testing.T) {
 	const factor, keys, every = 3, 32, 4
 	ctx := context.Background()
 	names := []string{"n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7"}
-	nodes := oneRingCluster(t, wire.NewMemNet(), names, replicaTweak(factor, RouteOneHop),
+	nodes := oneRingCluster(t, NewDirectNet(), names, replicaTweak(factor, RouteOneHop),
 		func(cfg *Config) { cfg.AntiEntropyEvery = every })
 	for i := 0; i < keys; i++ {
 		if err := nodes[i%len(nodes)].Put(ctx, "cadence-"+strconv.Itoa(i), []byte("v")); err != nil {
@@ -618,7 +591,7 @@ func TestStabilizationDeathForcesAntiEntropy(t *testing.T) {
 	const factor, keys, every = 3, 32, 4
 	ctx := context.Background()
 	names := []string{"n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8"}
-	nodes := oneRingCluster(t, wire.NewMemNet(), names, replicaTweak(factor, RouteClassic),
+	nodes := oneRingCluster(t, NewDirectNet(), names, replicaTweak(factor, RouteClassic),
 		func(cfg *Config) { cfg.Depth, cfg.Landmarks, cfg.AntiEntropyEvery = 1, names[:1], every })
 	for i := 0; i < keys; i++ {
 		if err := nodes[i%len(nodes)].Put(ctx, "death-"+strconv.Itoa(i), []byte("v")); err != nil {

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"repro/internal/lint/leakcheck"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,9 +30,12 @@ func wireCall(addr string, req wire.Request, timeout time.Duration) (wire.Respon
 	return p.Call(ctx, addr, req)
 }
 
-// cluster starts n live nodes placed in two virtual-coordinate clusters
-// ("west" around (0,0) and "east" around (500,500)), with one landmark per
-// cluster, and joins them into a depth-2 overlay.
+// cluster starts n live nodes on loopback TCP, placed in two
+// virtual-coordinate clusters ("west" around (0,0) and "east" around
+// (500,500)), the first two the landmarks, and joins them into a depth-2
+// overlay with fingers built. Only TestMetricsExposition runs on it: a
+// node's client-side series meter its connection pool, which the direct
+// net does not use (builtCluster is the direct-net cluster).
 func cluster(t *testing.T, n int) []*Node {
 	t.Helper()
 	nodes := make([]*Node, 0, n)
@@ -50,12 +55,6 @@ func cluster(t *testing.T, n int) []*Node {
 		nodes = append(nodes, nd)
 	}
 	landmarks := []string{nodes[0].Addr(), nodes[1].Addr()}
-	// Reconfigure the first two nodes is not possible post-Start; instead
-	// close and restart them with the landmark list (same coords).
-	for i := 0; i < 2; i++ {
-		_ = nodes[i] // keep the listeners: landmarks only need Ping/GetInfo,
-		// but they are also overlay members, so give them the full config.
-	}
 	full := make([]*Node, 0, n)
 	for i := 0; i < n; i++ {
 		var nd *Node
@@ -89,12 +88,28 @@ func cluster(t *testing.T, n int) []*Node {
 		stabilizeAll(t, full[:i+1], 3)
 	}
 	stabilizeAll(t, full, 3)
-	for _, nd := range full {
+	return withFingers(t, full)
+}
+
+// builtCluster is twoRingCluster with the settings cluster's nodes run
+// with — the default retry policy and breaker, a 5 s call timeout — and
+// every finger built.
+func builtCluster(t *testing.T, n int) []*Node {
+	t.Helper()
+	return withFingers(t, twoRingCluster(t, n, func(cfg *Config) {
+		cfg.Retry, cfg.Breaker, cfg.CallTimeout = wire.RetryPolicy{}, wire.BreakerPolicy{}, 5*time.Second
+	}))
+}
+
+// withFingers builds every node's fingers and returns the nodes.
+func withFingers(t *testing.T, nodes []*Node) []*Node {
+	t.Helper()
+	for _, nd := range nodes {
 		if err := nd.BuildAllFingers(); err != nil {
 			t.Fatalf("BuildAllFingers: %v", err)
 		}
 	}
-	return full
+	return nodes
 }
 
 func stabilizeAll(t *testing.T, nodes []*Node, rounds int) {
@@ -147,7 +162,7 @@ func TestSingleNodeNetwork(t *testing.T) {
 
 func TestClusterLookupCorrectness(t *testing.T) {
 	leakcheck.Watchdog(t, time.Minute)
-	nodes := cluster(t, 8)
+	nodes := builtCluster(t, 8)
 	for trial := 0; trial < 40; trial++ {
 		key := id.HashString(fmt.Sprintf("key-%d", trial))
 		want := trueOwner(nodes, key)
@@ -165,7 +180,7 @@ func TestClusterLookupCorrectness(t *testing.T) {
 }
 
 func TestClusterBinning(t *testing.T) {
-	nodes := cluster(t, 8)
+	nodes := builtCluster(t, 8)
 	// Even indexes (west cluster) share a ring name; odd indexes (east)
 	// share a different one.
 	west := nodes[0].RingNames()[0]
@@ -186,7 +201,7 @@ func TestClusterBinning(t *testing.T) {
 }
 
 func TestGlobalRingComplete(t *testing.T) {
-	nodes := cluster(t, 6)
+	nodes := builtCluster(t, 6)
 	// Walking successors from any node must visit all nodes exactly once.
 	byAddr := map[string]*Node{}
 	for _, nd := range nodes {
@@ -222,7 +237,7 @@ func TestGlobalRingComplete(t *testing.T) {
 }
 
 func TestPutGetAcrossNodes(t *testing.T) {
-	nodes := cluster(t, 6)
+	nodes := builtCluster(t, 6)
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("file-%d", i)
 		val := []byte(fmt.Sprintf("location-%d", i))
@@ -243,7 +258,7 @@ func TestPutGetAcrossNodes(t *testing.T) {
 }
 
 func TestLowerLayerHopsHappen(t *testing.T) {
-	nodes := cluster(t, 10)
+	nodes := builtCluster(t, 10)
 	lower, total := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		key := id.HashString(fmt.Sprintf("probe-%d", trial))
@@ -269,7 +284,7 @@ func TestLowerLayerHopsHappen(t *testing.T) {
 }
 
 func TestRingTablesDiscoverable(t *testing.T) {
-	nodes := cluster(t, 8)
+	nodes := builtCluster(t, 8)
 	// Every ring's table must be retrievable from its current storing
 	// node (found by flat routing), and must name live members.
 	seen := map[string]bool{}
@@ -284,17 +299,17 @@ func TestRingTablesDiscoverable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := wireCall(owner.Addr, wire.Request{
+		resp, err := nodes[0].call(context.Background(), owner.Addr, wire.Request{
 			Type:  wire.TGetRingTable,
 			Table: wire.RingTable{Layer: 2, Name: name},
-		}, 5*time.Second)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !resp.Found {
 			t.Fatalf("ring table %q not at its storing node %s", name, owner.Addr)
 		}
-		if _, err := wireCall(resp.Table.Smallest.Addr, wire.Request{Type: wire.TPing}, time.Second); err != nil {
+		if _, err := nodes[0].call(context.Background(), resp.Table.Smallest.Addr, wire.Request{Type: wire.TPing}); err != nil {
 			t.Errorf("ring table %q names unreachable member", name)
 		}
 	}
@@ -305,7 +320,7 @@ func TestRingTablesDiscoverable(t *testing.T) {
 
 func TestNodeFailureHealing(t *testing.T) {
 	leakcheck.Watchdog(t, time.Minute)
-	nodes := cluster(t, 8)
+	nodes := builtCluster(t, 8)
 	victim := nodes[4]
 	_ = victim.Close()
 	alive := append(append([]*Node{}, nodes[:4]...), nodes[5:]...)
@@ -363,23 +378,97 @@ func TestRTTProber(t *testing.T) {
 	}
 }
 
-// startMem starts a node listening as addr on mem.
-func startMem(t *testing.T, mem *wire.MemNet, addr string, cfg Config) *Node {
+// seams holds every node startNode started, mapped to its count seam: its
+// outgoing RPC attempts by type, counted beneath its Config.WrapCaller,
+// where its pool sits. rpc_requests_total meters the pool, which a node on
+// the direct net does not use (DESIGN §11).
+var seams sync.Map // *Node -> *[256]atomic.Uint64
+
+// sessionsNet returns a net whose nodes talk over MemNet sessions: for
+// tests of the byte path, the pool and the landmark dials.
+func sessionsNet() *DirectNet {
+	dn := NewDirectNet()
+	dn.Sessions = true
+	return dn
+}
+
+// startNode starts a node listening as addr on dn, with a count seam,
+// closed when the test ends.
+func startNode(t *testing.T, dn *DirectNet, addr string, cfg Config) *Node {
 	t.Helper()
-	ln, err := mem.Listen(addr)
+	sent := new([256]atomic.Uint64)
+	wrap := cfg.WrapCaller
+	cfg.WrapCaller = func(self string, inner wire.Caller) wire.Caller {
+		counted := wire.CallerFunc(func(ctx context.Context, to string, req wire.Request) (wire.Response, error) {
+			sent[req.Type].Add(1)
+			return inner.Call(ctx, to, req)
+		})
+		if wrap == nil {
+			return counted
+		}
+		return wrap(self, counted)
+	}
+	n, err := dn.Start(addr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Listener = ln
-	if cfg.Dial == nil {
-		cfg.Dial = mem.Dial
-	}
-	n, err := Start("", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
+	seams.Store(n, sent)
+	t.Cleanup(func() {
+		n.Close()
+		seams.Delete(n)
+	})
 	return n
+}
+
+// rpcsByType sums the nodes' outgoing RPC attempts by message type, as
+// their count seams saw them.
+func rpcsByType(t *testing.T, nodes ...*Node) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, nd := range nodes {
+		seam, ok := seams.Load(nd)
+		if !ok {
+			t.Fatalf("%s was not started with a count seam", nd.Addr())
+		}
+		sent := seam.(*[256]atomic.Uint64)
+		for typ := range sent {
+			if v := sent[typ].Load(); v != 0 {
+				out[wire.MsgType(typ).String()] += float64(v)
+			}
+		}
+	}
+	return out
+}
+
+// TestCountSeamMatchesServed: in a settled round, what the count seams
+// saw the nodes send is what the nodes served, type by type.
+func TestCountSeamMatchesServed(t *testing.T) {
+	nodes := twoRingCluster(t, 8, replicaTweak(3, RouteOneHop))
+	for i := 0; i < 16; i++ {
+		if err := nodes[i%len(nodes)].Put(context.Background(), fmt.Sprintf("seam-%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stabilizeAll(t, nodes, 2)
+	served := func() map[string]float64 {
+		out := map[string]float64{}
+		for _, typ := range wire.AllMsgTypes {
+			out[typ.String()] = clusterCounter(t, nodes, `rpc_server_requests_total{type="`+typ.String()+`"}`)
+		}
+		return out
+	}
+	sentBefore, servedBefore := rpcsByType(t, nodes...), served()
+	stabilizeAll(t, nodes, 1)
+	sent, got := rpcsSince(t, sentBefore, nodes...), map[string]float64{}
+	for typ, v := range served() {
+		if d := v - servedBefore[typ]; d != 0 {
+			got[typ] = d
+		}
+	}
+	if len(sent) == 0 || !reflect.DeepEqual(sent, got) {
+		t.Errorf("one settled round: the seams saw %v sent, the nodes served %v", sent, got)
+	}
+	t.Logf("one settled round: %v", sent)
 }
 
 // TestRTTProberExcludesDial pins what a probe times: an exchange on an
@@ -388,11 +477,11 @@ func startMem(t *testing.T, mem *wire.MemNet, addr string, cfg Config) *Node {
 // one-shot dial per sample, the prober reported half of handshake plus
 // exchange — here at least 15 ms — as the one-way delay.)
 func TestRTTProberExcludesDial(t *testing.T) {
-	mem := wire.NewMemNet()
-	startMem(t, mem, "n", Config{Depth: 1})
+	dn := sessionsNet() // a probe is a pool exchange
+	startNode(t, dn, "n", Config{Depth: 1})
 	pool := wire.NewPool(wire.PoolOptions{Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
 		time.Sleep(30 * time.Millisecond)
-		return mem.Dial(addr, timeout)
+		return dn.Dial(addr, timeout)
 	}})
 	defer pool.Close()
 	lat, err := (&RTTProber{Samples: 3}).Latency(context.Background(), pool, "n")
@@ -410,10 +499,10 @@ func TestRTTProberExcludesDial(t *testing.T) {
 // once, not once to probe and once more to talk.
 func TestJoinOpensOneConnectionPerLandmark(t *testing.T) {
 	leakcheck.Watchdog(t, 30*time.Second)
-	mem := wire.NewMemNet()
+	dn := sessionsNet() // what is counted is connections
 	landmarks := []string{"lm0", "lm1"}
-	lm0 := startMem(t, mem, "lm0", Config{Depth: 2, Landmarks: landmarks})
-	lm1 := startMem(t, mem, "lm1", Config{Depth: 2, Coord: [2]float64{500, 500}})
+	lm0 := startNode(t, dn, "lm0", Config{Depth: 2, Landmarks: landmarks})
+	lm1 := startNode(t, dn, "lm1", Config{Depth: 2, Coord: [2]float64{500, 500}})
 	if err := lm0.CreateNetwork(); err != nil {
 		t.Fatal(err)
 	}
@@ -422,12 +511,12 @@ func TestJoinOpensOneConnectionPerLandmark(t *testing.T) {
 	}
 	var mu sync.Mutex
 	dials := make(map[string]int)
-	joiner := startMem(t, mem, "j", Config{Depth: 2, Coord: [2]float64{3, 4},
+	joiner := startNode(t, dn, "j", Config{Depth: 2, Coord: [2]float64{3, 4},
 		Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
 			mu.Lock()
 			dials[addr]++
 			mu.Unlock()
-			return mem.Dial(addr, timeout)
+			return dn.Dial(addr, timeout)
 		}})
 	if err := joiner.Join("lm0"); err != nil {
 		t.Fatal(err)
@@ -510,12 +599,12 @@ func TestServeHeadOfLineMeasured(t *testing.T) {
 	}
 	pull := wire.Request{Type: wire.TSyncPull, Buckets: buckets} // Key == KeyHi: the whole ring
 
-	mem := wire.NewMemNet()
+	dn := sessionsNet() // what is measured is a session's order of answers
 	for _, tr := range []struct {
 		name  string
 		start func(t *testing.T, name string) *Node
 	}{
-		{"mem", func(t *testing.T, name string) *Node { return startMem(t, mem, name, Config{Depth: 1}) }},
+		{"mem", func(t *testing.T, name string) *Node { return startNode(t, dn, name, Config{Depth: 1}) }},
 		{"tcp", func(t *testing.T, _ string) *Node {
 			n, err := Start("127.0.0.1:0", Config{Depth: 1})
 			if err != nil {

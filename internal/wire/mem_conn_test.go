@@ -131,7 +131,7 @@ func TestMemConnConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			go func() {
-				time.Sleep(60 * time.Millisecond)
+				time.Sleep(60 * time.Millisecond) // past the replaced deadline
 				_, _ = b.Write([]byte("late"))
 			}()
 			got := make([]byte, 4)
@@ -187,7 +187,7 @@ func TestMemConnConformance(t *testing.T) {
 		{"Close unblocks a blocked Write", func(t *testing.T, a, b net.Conn) {
 			wrote := make(chan error, 1)
 			go func() { _, err := a.Write([]byte("nobody reads this")); wrote <- err }()
-			time.Sleep(20 * time.Millisecond)
+			time.Sleep(20 * time.Millisecond) // let the Write block
 			_ = b.Close()
 			within(t, "Write blocked across the peer's Close", func() {
 				if err := <-wrote; !errors.Is(err, io.ErrClosedPipe) {
@@ -283,7 +283,7 @@ func TestMemConnStaleExpiryIsIgnored(t *testing.T) {
 		if err := a.SetReadDeadline(time.Now().Add(50 * time.Microsecond)); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(time.Duration(i%4) * 25 * time.Microsecond)
+		time.Sleep(time.Duration(i%4) * 25 * time.Microsecond) // replace the deadline before, around and after it fires
 		if err := a.SetReadDeadline(time.Now().Add(time.Minute)); err != nil {
 			t.Fatal(err)
 		}

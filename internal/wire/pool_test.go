@@ -265,7 +265,11 @@ func TestPoolCancelAbandonsOneExchange(t *testing.T) {
 		_, err := p.Call(ctx, "peer", Request{Type: TStoreGet, Name: "stuck"})
 		stuckErr <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	// Wait until the stuck request is in flight on the pooled connection.
+	deadline := time.Now().Add(2 * time.Second)
+	for p.load("peer") < 1 && !time.Now().After(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	cancel()
 	select {
 	case err := <-stuckErr:
@@ -325,8 +329,11 @@ func TestPoolBrokenConnFailsAllInflight(t *testing.T) {
 		}()
 	}
 	victim := <-kill
-	// Give the calls a moment to register their tags, then cut the wire.
-	time.Sleep(50 * time.Millisecond)
+	// Wait until every call has registered its tag, then cut the wire.
+	deadline := time.Now().Add(2 * time.Second)
+	for p.load("peer") < inflight && !time.Now().After(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	victim.Close()
 	for i := 0; i < inflight; i++ {
 		select {
@@ -500,7 +507,7 @@ func TestPoolExpiredContextSendsNothing(t *testing.T) {
 	if got := conn.load(); got != 0 {
 		t.Fatalf("load = %d after expired-ctx roundTrip, want 0", got)
 	}
-	time.Sleep(50 * time.Millisecond)
+	time.Sleep(50 * time.Millisecond) // a frame that was written anyway would have been served by now
 	if got := served.Load(); got != warm {
 		t.Fatalf("server handled %d frame(s) from an expired exchange, want none", got-warm)
 	}

@@ -105,7 +105,7 @@ func TestCallHonorsContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	stall := make(chan struct{})
+	stall, arrived := make(chan struct{}), make(chan struct{})
 	defer close(stall)
 	go func() {
 		conn, acceptErr := ln.Accept()
@@ -115,6 +115,7 @@ func TestCallHonorsContextCancel(t *testing.T) {
 		defer conn.Close()
 		buf := make([]byte, 1024)
 		_, _ = conn.Read(buf)
+		close(arrived)
 		<-stall
 	}()
 	p := NewPool(PoolOptions{})
@@ -125,7 +126,7 @@ func TestCallHonorsContextCancel(t *testing.T) {
 		_, callErr := p.Call(ctx, ln.Addr().String(), Request{Type: TPing})
 		done <- callErr
 	}()
-	time.Sleep(50 * time.Millisecond)
+	<-arrived // the call is in flight
 	cancel()
 	select {
 	case err := <-done:
