@@ -16,14 +16,15 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # allocs runs the garbage-budget tests (heap objects per wire exchange,
-# per lookup step, per route lookup, per finger scan, per converged gossip
+# per lookup step, per route lookup, per finger scan (package chord's
+# finger table, the oracle's and the live node's), per converged gossip
 # round, per range digest, per agreed anti-entropy round, per agreeing
 # quorum read, per simulated lookup through the façade) and the footprint
 # tests (heap and goroutines per idle connection, per settled node of a
 # 64- and a 256-node cluster, and heap per one-hop route-table member).
 # They are built only without -race, where allocation counts are exact.
 allocs:
-	$(GO) test -count=1 -run AllocBudget . ./internal/wire ./internal/transport ./internal/routes ./internal/replica ./internal/churn
+	$(GO) test -count=1 -run AllocBudget . ./internal/wire ./internal/chord ./internal/transport ./internal/routes ./internal/replica ./internal/churn
 
 # perf-smoke runs every bench/perf workload briefly. The harness checks
 # each answer and exits non-zero when one is wrong; the timings of a run

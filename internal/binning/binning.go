@@ -18,6 +18,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"repro/internal/id"
 )
 
 // MaxLevels bounds how many quantisation levels a threshold set may induce
@@ -93,6 +95,13 @@ func Order(lats []float64, t Thresholds) (string, error) {
 		sb.WriteByte(levelDigit(t.Level(lat)))
 	}
 	return sb.String(), nil
+}
+
+// RingID derives a ring's identifier, which its ring table is stored
+// under (paper §3.1): the hash of its name, qualified by layer so equal
+// order strings in different layers name distinct rings.
+func RingID(layer int, name string) id.ID {
+	return id.HashString(fmt.Sprintf("ring:%d:%s", layer, name))
 }
 
 // DropLandmark removes the digit for a failed landmark from an order

@@ -77,7 +77,7 @@ func BuildTablePNS(members []Member, lat LatencyFunc, samples int, seed int64, w
 // chosen, slot k+1 still holds the plain finger successor(start_{k+1}).
 func pnsFingers(t *Table, i int, lat LatencyFunc, samples int, rng *rand.Rand) {
 	n := t.Len()
-	fs := t.fingers[i]
+	fs := t.fingers[i].Expand()
 	for k := uint(0); k < id.Bits; k++ {
 		first := int(fs[k]) // successor(start_k)
 		lastExcl := i       // interval [n+2^159, n) ends at self
@@ -112,6 +112,12 @@ func pnsFingers(t *Table, i int, lat LatencyFunc, samples int, rng *rand.Rand) {
 		}
 		fs[k] = int32(best)
 	}
+	var pns Fingers[int32]
+	for k, m := range fs {
+		pns.Set(k, m)
+	}
+	pns.defined = true // each finger lies in its slot's interval
+	t.fingers[i] = pns
 }
 
 // endOf returns the exclusive end of finger interval k for node x:

@@ -33,7 +33,7 @@ type Member struct {
 type Table struct {
 	ids     []id.ID
 	hosts   []int32
-	fingers [][]int32 // fingers[i][k] = member index of successor(ids[i] + 2^k)
+	fingers []Fingers[int32] // member i's slot k = member index of successor(ids[i] + 2^k)
 }
 
 // BuildTable constructs the exact finger tables for the given members.
@@ -58,7 +58,7 @@ func BuildTable(members []Member, workers int) (*Table, error) {
 		t.hosts[i] = int32(m.Host)
 	}
 	n := len(ms)
-	t.fingers = make([][]int32, n)
+	t.fingers = make([]Fingers[int32], n)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -94,22 +94,21 @@ func BuildTable(members []Member, workers int) (*Table, error) {
 // member. The next search starts at the first slot past d's top bit. A
 // finger that wrapped round to i itself serves every remaining slot.
 func (t *Table) fillFingers(i int) {
-	fs := make([]int32, id.Bits)
-	t.fingers[i] = fs
-	x := t.ids[i]
+	var refs [id.Bits]int32 // the distinct fingers, in slot order
+	var ends [id.Bits]uint8 // refs[j] fills the slots from ends[j-1] below ends[j]
+	n, x := 0, t.ids[i]
 	f := t.Next(i) // successor(x + 1): identifiers are distinct
-	for k := 0; k < id.Bits; {
-		end := id.Bits
+	for k := 0; k < id.Bits; n++ {
+		k = id.Bits
 		if f != i {
-			end = id.Dist(x, t.ids[f]).BitLen()
+			k = id.Dist(x, t.ids[f]).BitLen()
 		}
-		for ; k < end; k++ {
-			fs[k] = int32(f)
-		}
+		refs[n], ends[n] = int32(f), uint8(k)
 		if k < id.Bits {
 			f = t.SuccessorIndex(id.AddPow2(x, uint(k)))
 		}
 	}
+	t.fingers[i].fill(refs[:n], ends[:n])
 }
 
 // Len returns the number of members.
@@ -129,7 +128,7 @@ func (t *Table) Prev(i int) int { return (i - 1 + len(t.ids)) % len(t.ids) }
 
 // Finger returns the k'th finger of member i: the member whose identifier
 // is the first to succeed ids[i] + 2^k.
-func (t *Table) Finger(i int, k uint) int { return int(t.fingers[i][k]) }
+func (t *Table) Finger(i int, k uint) int { return int(t.fingers[i].Get(int(k))) }
 
 // IndexOf returns the member index holding exactly this identifier, or -1.
 func (t *Table) IndexOf(x id.ID) int {
@@ -153,39 +152,6 @@ func (t *Table) SuccessorIndex(key id.ID) int {
 	return i
 }
 
-// closestPreceding is Chord's closest_preceding_finger over the live
-// members only: it returns the member among i's fingers whose identifier
-// most immediately precedes key, or i itself when no finger falls inside
-// (ids[i], key). A finger pointing at a dead peer is skipped (a timeout
-// in a real deployment) and the next lower one tried. A nil mask means
-// nobody is dead.
-//
-// The scan is the full top-down one, less the slots that cannot answer.
-// Finger k, exact or chosen by proximity, is i itself or lies at least
-// 2^k past ids[i], so no slot above the top bit of the distance to key
-// precedes key; a key equal to ids[i] makes (ids[i], key) the whole
-// ring, and the scan then starts at the top slot. A run of slots naming
-// one member is tested once: the test reads the member, not the slot.
-func (t *Table) closestPreceding(i int, key id.ID, dead []bool) int {
-	k := id.Dist(t.ids[i], key).BitLen() - 1
-	if k < 0 {
-		k = id.Bits - 1
-	}
-	fs := t.fingers[i]
-	last := int32(i) // i itself never lies inside (ids[i], key)
-	for ; k >= 0; k-- {
-		f := fs[k]
-		if f == last {
-			continue
-		}
-		last = f
-		if (dead == nil || !dead[f]) && id.Between(t.ids[f], t.ids[i], key) {
-			return int(f)
-		}
-	}
-	return i
-}
-
 // Walk is the one Chord ring walk: it routes from member `from` toward
 // key using fingers and stops at the live member that immediately
 // precedes key in this ring (the node "numerically closest to the
@@ -196,7 +162,7 @@ func (t *Table) closestPreceding(i int, key id.ID, dead []bool) int {
 // dead, when non-nil, marks failed members by member index, before any
 // repair has run: a member's successor is then the first live entry of
 // its r-long successor list, and fingers to dead members are skipped.
-// With a nil mask the successor of u is Next(u) and r is unused.
+// With a nil mask or in a ring of one, u's successor is Next(u), r unused.
 //
 // It returns the predecessor reached, that member's live successor, and
 // how many dead successors were bridged on the way. ok is false when the
@@ -208,10 +174,15 @@ func (t *Table) Walk(from int, key id.ID, dead []bool, r int, visit func(from, t
 	if r > n-1 {
 		r = n - 1
 	}
+	idOf := func(m int32) id.ID { return t.ids[m] }
+	var skip func(int32) bool // a finger to a dead member times out
+	if dead != nil {
+		skip = func(m int32) bool { return dead[m] }
+	}
 	u := from
 	for step := 0; step < 4*id.Bits; step++ {
 		s := t.Next(u)
-		if dead != nil {
+		if dead != nil && n > 1 { // a ring of one is its own successor
 			d := 1
 			for ; d <= r && dead[(u+d)%n]; d++ {
 				skips++
@@ -221,17 +192,14 @@ func (t *Table) Walk(from int, key id.ID, dead []bool, r int, visit func(from, t
 			}
 			s = (u + d) % n
 		}
-		if id.InOpenClosed(key, t.ids[u], t.ids[s]) {
+		v, done := t.fingers[u].Step(t.ids[u], int32(s), key, idOf, skip)
+		if done {
 			return u, s, skips, true
 		}
-		v := t.closestPreceding(u, key, dead)
-		if v == u {
-			v = s
-		}
 		if visit != nil {
-			visit(u, v)
+			visit(u, int(v))
 		}
-		u = v
+		u = int(v)
 	}
 	return u, u, skips, false
 }

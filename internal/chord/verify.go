@@ -32,13 +32,10 @@ func (t *Table) verify(exact bool) error {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if len(t.fingers[i]) != id.Bits {
-			return fmt.Errorf("chord: member %d has %d fingers, want %d", i, len(t.fingers[i]), id.Bits)
-		}
 		for k := uint(0); k < id.Bits; k++ {
 			target := id.AddPow2(t.ids[i], k)
 			first := t.SuccessorIndex(target)
-			got := int(t.fingers[i][k])
+			got := t.Finger(i, k)
 			if exact {
 				if got != first {
 					return fmt.Errorf("chord: member %d finger %d = %d, want successor(%s) = %d",

@@ -38,15 +38,17 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		i := rng.Intn(tbl.Len())
 		k := rng.Intn(id.Bits)
-		orig := tbl.fingers[i][k]
-		tbl.fingers[i][k] = int32(rng.Intn(tbl.Len()))
-		if tbl.fingers[i][k] != orig {
+		f := &tbl.fingers[i]
+		orig := f.Get(k)
+		bad := int32(rng.Intn(tbl.Len()))
+		f.Set(k, bad)
+		if bad != orig {
 			if err := tbl.Verify(); err == nil {
-				t.Fatalf("corrupted finger (%d,%d): %d -> %d not detected", i, k, orig, tbl.fingers[i][k])
+				t.Fatalf("corrupted finger (%d,%d): %d -> %d not detected", i, k, orig, bad)
 			}
 			broken++
 		}
-		tbl.fingers[i][k] = orig
+		f.Set(k, orig)
 	}
 	if broken == 0 {
 		t.Fatal("no corruption trials actually changed a finger")

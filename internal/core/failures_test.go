@@ -3,9 +3,11 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/id"
+	"repro/internal/metrics"
 )
 
 func TestWithFailuresValidation(t *testing.T) {
@@ -23,10 +25,14 @@ func TestWithFailuresValidation(t *testing.T) {
 }
 
 // TestNoFailuresMatchesPlainRoute: an all-false mask and no mask must be
-// the same walk — same hops in the same rings at the same latency.
+// the same walk — same hops in the same rings at the same latency — and
+// the faulty view then counts no failure handling: no dead successor
+// bridged, no lower-ring walk abandoned (a ring of one is its own live
+// successor).
 func TestNoFailuresMatchesPlainRoute(t *testing.T) {
 	for depth := 1; depth <= 3; depth++ {
-		o := buildOverlay(t, 80, Config{Depth: depth}, 71)
+		reg := metrics.NewRegistry()
+		o := buildOverlay(t, 80, Config{Depth: depth, Metrics: reg}, 71)
 		v, err := o.WithFailures(make([]bool, o.N()))
 		if err != nil {
 			t.Fatal(err)
@@ -48,6 +54,15 @@ func TestNoFailuresMatchesPlainRoute(t *testing.T) {
 			}
 			if pc := o.ChordRoute(from, key); !reflect.DeepEqual(cf, pc) {
 				t.Fatalf("depth %d: healthy faulty chord view differs from plain:\n%+v\nvs\n%+v", depth, cf, pc)
+			}
+		}
+		var b strings.Builder
+		if _, err := reg.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"failure_layer_aborts_total ", "failure_succ_skips_total "} {
+			if got := afterPrefix(t, b.String(), name); got != "0" {
+				t.Errorf("depth %d: %s= %s on an all-live mask, want 0", depth, name, got)
 			}
 		}
 	}

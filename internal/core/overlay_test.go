@@ -184,7 +184,7 @@ func TestRingTables(t *testing.T) {
 			t.Fatalf("missing ring table for %q", r.Name)
 		}
 		count++
-		if rt.RingID != (RingKey{Layer: 2, Name: r.Name}).RingID() {
+		if rt.RingID != binning.RingID(2, r.Name) {
 			t.Error("ring id mismatch")
 		}
 		// Boundary entries.

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-
+	"repro/internal/binning"
 	"repro/internal/id"
 )
 
@@ -10,13 +9,6 @@ import (
 type RingKey struct {
 	Layer int
 	Name  string
-}
-
-// RingID derives the ring identifier: the collision-free hash of the ring
-// name (paper §3.1), qualified by layer so equal order strings in
-// different layers map to distinct rings.
-func (k RingKey) RingID() id.ID {
-	return id.HashString(fmt.Sprintf("ring:%d:%s", k.Layer, k.Name))
 }
 
 // RingTable is the paper's ring table (§3.1, Table 3): stored on the node
@@ -63,7 +55,7 @@ func (o *Overlay) buildRingTables() {
 	for _, layerRings := range o.rings {
 		for _, r := range layerRings {
 			key := RingKey{Layer: r.Layer, Name: r.Name}
-			rt := &RingTable{Key: key, RingID: key.RingID()}
+			rt := &RingTable{Key: key, RingID: binning.RingID(key.Layer, key.Name)}
 			ids := make([]id.ID, r.Size())
 			for i := range ids {
 				ids[i] = r.Table.ID(i)

@@ -283,7 +283,7 @@ func checkRingTables(w *world) error {
 	byID, ids := sortedByID(w.Live)
 	for layer := 2; layer <= w.Depth; layer++ {
 		for name, g := range ringGroups(w, layer) {
-			holder := byID[successorIndex(ids, transport.RingID(layer, name))]
+			holder := byID[successorIndex(ids, binning.RingID(layer, name))]
 			var table *wire.RingTable
 			for i := range holder.Snap.Tables {
 				t := &holder.Snap.Tables[i]

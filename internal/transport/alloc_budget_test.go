@@ -118,43 +118,6 @@ func TestAllocBudgetNodeRegistry(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetFingerTable: a closest-preceding scan creates no heap
-// object, and neither does a fix_fingers round that rewrites fingers to
-// the peers they already name or to a peer another slot names.
-func TestAllocBudgetFingerTable(t *testing.T) {
-	self := peerFor("self")
-	var tbl fingerTable
-	owners := make([]wire.Peer, id.Bits)
-	for k := range owners {
-		owners[k] = peerFor(fmt.Sprintf("p%d", k/20)) // 8 distinct fingers, in runs
-		tbl.set(k, owners[k])
-	}
-	keys := make([]id.ID, 64)
-	for i := range keys {
-		keys[i] = LiveKeyID(fmt.Sprintf("scan-%d", i))
-	}
-	i := 0
-	if avg := testing.AllocsPerRun(500, func() {
-		_, _ = tbl.closestPreceding(self.Addr, peerID(self), keys[i%len(keys)])
-		i++
-	}); avg != 0 {
-		t.Errorf("a closest-preceding scan made %.1f heap objects, budget 0", avg)
-	}
-	if avg := testing.AllocsPerRun(50, func() {
-		for k := range owners {
-			tbl.set(k, owners[k])
-		}
-	}); avg != 0 {
-		t.Errorf("rewriting unchanged fingers made %.1f heap objects, budget 0", avg)
-	}
-	if avg := testing.AllocsPerRun(50, func() {
-		tbl.set(0, owners[id.Bits-1])
-		tbl.set(0, owners[0])
-	}); avg != 0 {
-		t.Errorf("pointing a slot at a finger another slot names made %.1f heap objects, budget 0", avg)
-	}
-}
-
 // TestAllocBudgetKeyIDs: identifiers are hashed from a stack buffer, so
 // a key of up to 64 bytes costs no heap object, and they are the
 // identifiers the concatenating expression produced, byte for byte.

@@ -473,7 +473,7 @@ func (n *Node) enterRing(via string, layer int, name string, unsettled bool) (ri
 		n.nm.consultHint.Inc()
 	} else {
 		n.nm.consultWalk.Inc()
-		if e.storing, _, err = n.walkOwner(n.lifeCtx, via, 1, ringID(layer, name)); err != nil {
+		if e.storing, _, err = n.walkOwner(n.lifeCtx, via, 1, binning.RingID(layer, name)); err != nil {
 			return ringEntry{}, err
 		}
 		if resp, err = n.callBG(e.storing.Addr, get); err != nil {
@@ -1393,7 +1393,7 @@ func (n *Node) RepairRingTables() error {
 		if !ok {
 			continue
 		}
-		owner, _, err := n.walkOwner(n.lifeCtx, n.addr, 1, ringID(t.Layer, t.Name))
+		owner, _, err := n.walkOwner(n.lifeCtx, n.addr, 1, binning.RingID(t.Layer, t.Name))
 		if err != nil || owner.Addr == n.addr {
 			continue
 		}
@@ -1418,7 +1418,7 @@ func (n *Node) FixFingersOnce(count int) error {
 			ls.nextFix = (ls.nextFix + 1) % id.Bits
 			prev := wire.Peer{}
 			if k > 0 {
-				prev = ls.fingers.get(k - 1)
+				prev = ls.fingers.Get(k - 1)
 			}
 			n.mu.Unlock()
 			target := id.AddPow2(n.id, uint(k))
@@ -1437,7 +1437,11 @@ func (n *Node) FixFingersOnce(count int) error {
 				}
 			}
 			n.mu.Lock()
-			n.layers[layer-1].fingers.set(k, owner)
+			if fs := &n.layers[layer-1].fingers; owner.Addr != "" {
+				fs.Set(k, owner)
+			} else {
+				fs.Clear(k)
+			}
 			n.mu.Unlock()
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/binning"
 	"repro/internal/wire"
 )
 
@@ -56,7 +57,7 @@ func stabilizeLayers(t *testing.T, nodes []*Node) {
 func storedRingTable(t *testing.T, live []*Node) (wire.RingTable, *Node) {
 	t.Helper()
 	name := live[0].RingNames()[0]
-	holder := trueOwner(live, ringID(2, name))
+	holder := trueOwner(live, binning.RingID(2, name))
 	for _, tab := range holder.Snapshot().Tables {
 		if tab.Layer == 2 && tab.Name == name {
 			return tab, holder

@@ -26,7 +26,7 @@ func plantPeer(n *Node, layer int, p wire.Peer, fingerSlots ...int) {
 	ls.succ = append(ls.succ, p)
 	ls.pred = p
 	for _, k := range fingerSlots {
-		ls.fingers.set(k, p)
+		ls.fingers.Set(k, p)
 	}
 }
 
@@ -34,7 +34,7 @@ func layerSnapshot(n *Node, layer int) (succ []wire.Peer, pred wire.Peer, finger
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ls := n.layers[layer-1]
-	return append([]wire.Peer(nil), ls.succ...), ls.pred, ls.fingers.expand()
+	return append([]wire.Peer(nil), ls.succ...), ls.pred, ls.fingers.Expand()
 }
 
 // TestEvictPurgesEveryLayer plants a dead peer in the successor list,

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/binning"
 	"repro/internal/id"
 	"repro/internal/wire"
 )
@@ -67,7 +68,7 @@ func TestStaleTableHintFallsBack(t *testing.T) {
 		}
 		addr := "j" + strconv.Itoa(i)
 		// Between the owner and its predecessor, at or past the table's id.
-		if jid := NodeID(addr); id.Between(jid, before.ID(), holder.ID()) && id.InOpenClosed(ringID(2, name), before.ID(), jid) {
+		if jid := NodeID(addr); id.Between(jid, before.ID(), holder.ID()) && id.InOpenClosed(binning.RingID(2, name), before.ID(), jid) {
 			joiner = startOneRing(t, dn, addr, log.tweak)
 		}
 	}

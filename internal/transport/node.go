@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/binning"
+	"repro/internal/chord"
 	"repro/internal/id"
 	"repro/internal/metrics"
 	"repro/internal/replica"
@@ -214,7 +215,7 @@ func (c Config) withDefaults() Config {
 type layerState struct {
 	succ    []wire.Peer
 	pred    wire.Peer
-	fingers fingerTable
+	fingers chord.Fingers[wire.Peer]
 	nextFix int
 
 	// What the last stabilization round learned, so this one asks only for
@@ -276,10 +277,6 @@ func LiveKeyID(key string) id.ID { return id.HashTagged("key:", key) }
 func liveKeyBytes(key string) [20]byte { return [20]byte(LiveKeyID(key)) }
 
 func ringKey(layer int, name string) string { return fmt.Sprintf("%d|%s", layer, name) }
-
-func ringID(layer int, name string) id.ID {
-	return id.HashString(fmt.Sprintf("ring:%d:%s", layer, name))
-}
 
 func peerID(p wire.Peer) id.ID { return id.ID(p.ID) }
 
@@ -583,7 +580,7 @@ func (n *Node) handle(req *wire.Request, resp *wire.Response) {
 		// report: a reader that kept this node as a hint (enterRing) skips
 		// the global walk while the flag stands.
 		resp.Table, resp.Found = n.tables[ringKey(req.Table.Layer, req.Table.Name)]
-		resp.OK, resp.Owner = true, n.ownsLocked(ringID(req.Table.Layer, req.Table.Name))
+		resp.OK, resp.Owner = true, n.ownsLocked(binning.RingID(req.Table.Layer, req.Table.Name))
 
 	case wire.TPutRingTable:
 		if req.Table.Name == "" || req.Table.Layer < 2 {
@@ -770,7 +767,7 @@ func (n *Node) replicaSuccessorsLocked() []wire.Peer {
 // handling; shared by the TEvict handler and local eviction). It reports
 // whether there was one.
 func purgePeerLocked(ls *layerState, dead string) (purged bool) {
-	purged = ls.fingers.purge(dead)
+	purged = ls.fingers.Purge(func(p wire.Peer) bool { return p.Addr == dead })
 	kept := ls.succ[:0]
 	for _, s := range ls.succ {
 		if s.Addr != dead {
@@ -878,16 +875,9 @@ func (n *Node) findClosestLocked(req *wire.Request, resp *wire.Response) {
 }
 
 // stepLocked answers one non-owning routing step in ls from its first
-// successor succ0: Done when the key falls between this node and succ0,
-// else the closest preceding finger, falling back to the successor.
+// successor succ0: the oracle's Chord step, never naming this node.
 func (n *Node) stepLocked(ls *layerState, succ0 wire.Peer, key id.ID, resp *wire.Response) {
-	resp.Next = succ0
-	if resp.Done = id.InOpenClosed(key, n.id, peerID(succ0)); resp.Done {
-		return
-	}
-	if f, ok := ls.fingers.closestPreceding(n.addr, n.id, key); ok {
-		resp.Next = f
-	}
+	resp.Next, resp.Done = ls.fingers.Step(n.id, succ0, key, peerID, func(p wire.Peer) bool { return p.Addr == n.addr })
 }
 
 // climbLocked continues a hierarchical reply that ended its ring walk at

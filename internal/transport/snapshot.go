@@ -36,11 +36,6 @@ type Snapshot struct {
 	Routes []wire.RouteEvent
 }
 
-// RingID returns the identifier a (layer, name) ring's table is stored
-// under on the global ring. Exported so invariant checkers can compute
-// which node is responsible for a table without re-deriving the format.
-func RingID(layer int, name string) id.ID { return ringID(layer, name) }
-
 // Snapshot captures the node's current state.
 func (n *Node) Snapshot() Snapshot {
 	n.mu.Lock()
@@ -60,7 +55,7 @@ func (n *Node) Snapshot() Snapshot {
 			Layer:   i + 1,
 			Succ:    append([]wire.Peer(nil), ls.succ...),
 			Pred:    ls.pred,
-			Fingers: ls.fingers.expand(),
+			Fingers: ls.fingers.Expand(),
 		}
 		if i > 0 && i-1 < len(n.ringNames) {
 			layer.Name = n.ringNames[i-1]

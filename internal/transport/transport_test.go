@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"repro/internal/binning"
 	"repro/internal/lint/leakcheck"
 	"runtime"
 	"sort"
@@ -294,7 +295,7 @@ func TestRingTablesDiscoverable(t *testing.T) {
 			continue
 		}
 		seen[name] = true
-		rid := ringID(2, name)
+		rid := binning.RingID(2, name)
 		owner, _, err := nodes[0].walkOwner(context.Background(), nodes[0].Addr(), 1, rid)
 		if err != nil {
 			t.Fatal(err)
