@@ -16,7 +16,7 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # allocs runs the garbage-budget tests (heap objects per wire exchange,
-# per lookup step, per route lookup, per finger scan (package chord's
+# per lookup, traced or not, per route lookup, per finger scan (package chord's
 # finger table, the oracle's and the live node's), per converged gossip
 # round, per range digest, per agreed anti-entropy round, per agreeing
 # quorum read, per simulated lookup through the façade) and the footprint

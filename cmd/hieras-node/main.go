@@ -200,12 +200,16 @@ func repl(node *transport.Node) {
 				fmt.Println("usage: lookup <key>")
 				break
 			}
-			res, err := node.Lookup(context.Background(), transport.LiveKeyID(fields[1]))
+			var tr transport.Trace
+			res, err := node.Lookup(transport.WithTrace(context.Background(), &tr), transport.LiveKeyID(fields[1]))
 			if err != nil {
 				fmt.Println("error:", err)
 				break
 			}
-			fmt.Printf("owner %s (%d hops, per layer %v)\n", res.Owner.Addr, res.Hops, res.LayerHops)
+			fmt.Printf("owner %s (%d hops, per layer %v)\n", res.Owner.Addr, res.Hops, res.LayerHops[:len(node.RingNames())+1])
+			for _, c := range tr.Calls {
+				fmt.Printf("  %s %s, layer %d, %v\n", c.Type, c.Addr, c.Layer, c.RTT)
+			}
 		case "put":
 			if len(fields) < 3 {
 				fmt.Println("usage: put <key> <value...>")

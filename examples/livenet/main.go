@@ -89,12 +89,16 @@ func main() {
 	// Hierarchical lookups over TCP.
 	fmt.Println("\nlookups from node 0:")
 	for _, key := range []string{"song.mp3", "paper.pdf", "trace.csv"} {
-		res, err := nodes[0].Lookup(context.Background(), transport.LiveKeyID(key))
+		var tr transport.Trace // the calls the lookup sent
+		res, err := nodes[0].Lookup(transport.WithTrace(context.Background(), &tr), transport.LiveKeyID(key))
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-10s -> %s (%d hops: %d global, %d in-ring)\n",
-			key, res.Owner.Addr, res.Hops, res.LayerHops[0], sum(res.LayerHops[1:]))
+			key, res.Owner.Addr, res.Hops, res.LayerHops[0], res.LayerHops[1])
+		for _, c := range tr.Calls {
+			fmt.Printf("      %s to %s, layer %d, %v\n", c.Type, c.Addr, c.Layer, c.RTT)
+		}
 	}
 
 	// Put/Get across the wire.
@@ -113,12 +117,4 @@ func main() {
 func nodesWithLandmarks(n *transport.Node, landmarks []string) *transport.Node {
 	n.SetLandmarks(landmarks)
 	return n
-}
-
-func sum(xs []int) int {
-	t := 0
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }

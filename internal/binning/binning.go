@@ -22,6 +22,10 @@ import (
 	"repro/internal/id"
 )
 
+// MaxDepth is the deepest hierarchy either ladder builds: the global ring
+// and four lower layers.
+const MaxDepth = 5
+
 // MaxLevels bounds how many quantisation levels a threshold set may induce
 // (one base-36 digit per landmark in the order string).
 const MaxLevels = 36
@@ -163,8 +167,8 @@ func AdaptiveThresholds(samples []float64, levels int) (Thresholds, error) {
 // (i/3 ⊂ i/6 ⊂ i/12 …, all cut from one sorted sample), the nesting
 // property holds and deeper rings refine shallower ones.
 func AdaptiveLadder(samples []float64, depth int) (Ladder, error) {
-	if depth < 2 || depth > 5 {
-		return nil, fmt.Errorf("binning: adaptive ladder depth must be in [2,5], got %d", depth)
+	if depth < 2 || depth > MaxDepth {
+		return nil, fmt.Errorf("binning: adaptive ladder depth must be in [2,%d], got %d", MaxDepth, depth)
 	}
 	// Build the deepest layer once, then derive shallower layers by taking
 	// every second boundary — nesting is then exact by construction, even
@@ -196,18 +200,19 @@ func AdaptiveLadder(samples []float64, depth int) (Ladder, error) {
 type Ladder []Thresholds
 
 // DefaultLadder returns the nested threshold ladder for a HIERAS system of
-// the given hierarchy depth (2..5). Depth 2 reproduces the paper exactly.
+// the given hierarchy depth (2..MaxDepth). Depth 2 reproduces the paper
+// exactly.
 func DefaultLadder(depth int) (Ladder, error) {
-	full := Ladder{
+	full := [MaxDepth - 1]Thresholds{
 		{20, 100},
 		{10, 20, 50, 100, 200},
 		{5, 10, 20, 35, 50, 100, 200, 400},
 		{2.5, 5, 10, 20, 35, 50, 75, 100, 150, 200, 400, 800},
 	}
-	if depth < 2 || depth > len(full)+1 {
-		return nil, fmt.Errorf("binning: hierarchy depth must be in [2,%d], got %d", len(full)+1, depth)
+	if depth < 2 || depth > MaxDepth {
+		return nil, fmt.Errorf("binning: hierarchy depth must be in [2,%d], got %d", MaxDepth, depth)
 	}
-	return full[:depth-1], nil
+	return Ladder(full[:depth-1]), nil
 }
 
 // Validate checks every threshold set and the nesting property: each

@@ -116,9 +116,9 @@ func (f *Fingers[P]) fill(refs []P, ends []uint8) {
 // at least 2^k past self, as the oracle's are) no slot above the top bit of
 // Dist(self, key) precedes key, so the scan starts there (at the top slot
 // when key is self: (self, self) is the whole ring). A table written by
-// Set, which fix_fingers can fill with a too-near peer while a ring forms,
-// is scanned from the top slot: a finger in (self, key), maybe not the
-// closest one.
+// Set is scanned from the top slot, since Set does not check the
+// definition: it returns a finger in (self, key), maybe not the closest
+// one.
 func (f *Fingers[P]) ClosestPreceding(self, key id.ID, idOf func(P) id.ID, skip func(P) bool) (P, bool) {
 	k := id.Bits - 1
 	if d := id.Dist(self, key).BitLen() - 1; f.defined && d >= 0 {

@@ -74,7 +74,7 @@ func TestLookupMessagesAreHops(t *testing.T) {
 				}
 				if sent != want {
 					t.Errorf("lookup %d from %s: %d find_closest sent for %d hops %v (final forward %v), want %d",
-						i, from.Addr(), sent, res.Hops, res.LayerHops, finalForward, want)
+						i, from.Addr(), sent, res.Hops, res.LayerHops[:depth], finalForward, want)
 				}
 				msgs += sent
 				hops += res.Hops

@@ -34,29 +34,60 @@ func memCluster(t *testing.T, n int, rpcs *[32]atomic.Uint64) []*Node {
 	return withFingers(t, nodes)
 }
 
-// TestAllocBudgetLookupWalk: a classic hierarchical lookup may create at
-// most 1 heap object per find_closest it issues, counting everything
-// every node does to answer — the whole path bench/perf's lookup-walk
-// measures (retrier, instrumented pool, MemNet, server session, handler,
-// decode). What is spent today is one LayerHops slice per lookup; the
-// attempt's deadline context (now pooled), the two address strings of the
-// decoded reply (now interned) and the closure of a goroutine per served
-// request (now answered by the session's reader) made it four.
+// TestAllocBudgetLookupWalk: a classic hierarchical lookup creates no
+// heap object, counting everything every node does to answer — the whole
+// path bench/perf's lookup-walk measures (retrier, instrumented pool,
+// MemNet, server session, handler, decode). The budget is per lookup, so
+// a change that cuts messages cannot trip it. The attempt's deadline
+// context (now pooled), the two address strings of the decoded reply (now
+// interned), the closure of a goroutine per served request (now answered
+// by the session's reader) and the LayerHops slice (now an array) made it
+// four, then one.
 func TestAllocBudgetLookupWalk(t *testing.T) {
+	if perLookup := lookupAllocs(t, nil); perLookup != 0 {
+		t.Errorf("a lookup made %.2f heap objects, budget 0", perLookup)
+	}
+}
+
+// TestAllocBudgetLookupTraced: tracing a lookup into a Trace sized ahead
+// adds no heap object either: a record is a value appended in place.
+func TestAllocBudgetLookupTraced(t *testing.T) {
+	tr := &Trace{Calls: make([]TraceCall, 0, 64)}
+	if perLookup := lookupAllocs(t, tr); perLookup != 0 {
+		t.Errorf("a traced lookup made %.2f heap objects, budget 0", perLookup)
+	}
+}
+
+// lookupAllocs runs lookups from every node of an 8-node memCluster in
+// turn, once every connection they use is dialled, and returns the heap
+// objects one makes. With tr set each runs traced into tr, emptied first,
+// and the calls traced must be the find_closest the nodes sent.
+func lookupAllocs(t *testing.T, tr *Trace) float64 {
 	var rpcs [32]atomic.Uint64
 	nodes := memCluster(t, 8, &rpcs)
 	keys := make([]id.ID, 64)
 	for i := range keys {
 		keys[i] = LiveKeyID(fmt.Sprintf("budget-%d", i))
 	}
+	ctx := context.Background()
+	if tr != nil {
+		ctx = WithTrace(ctx, tr)
+	}
+	traced := 0
 	lookup := func(i int) {
 		key := keys[i%len(keys)]
-		res, err := nodes[i%len(nodes)].Lookup(context.Background(), key)
+		if tr != nil {
+			tr.Calls = tr.Calls[:0]
+		}
+		res, err := nodes[i%len(nodes)].Lookup(ctx, key)
 		if err != nil {
 			t.Fatalf("lookup: %v", err)
 		}
 		if want := trueOwner(nodes, key); res.Owner.Addr != want.Addr() {
 			t.Fatalf("lookup of %s found %s, want %s", key.Short(), res.Owner.Addr, want.Addr())
+		}
+		if tr != nil {
+			traced += len(tr.Calls)
 		}
 	}
 	for i := 0; i < 2*len(keys); i++ {
@@ -65,20 +96,21 @@ func TestAllocBudgetLookupWalk(t *testing.T) {
 	const runs = 512
 	i := 0
 	before := rpcs[wire.TFindClosest].Load()
+	traced = 0
 	perLookup := testing.AllocsPerRun(runs, func() {
 		lookup(i)
 		i++
 	})
 	// AllocsPerRun calls the function once more than runs, to warm up.
-	steps := float64(rpcs[wire.TFindClosest].Load()-before) / (runs + 1)
-	if steps < 1 {
-		t.Fatalf("%.2f find_closest per lookup: the walk is not being exercised", steps)
+	sent := rpcs[wire.TFindClosest].Load() - before
+	if sent < runs {
+		t.Fatalf("%d find_closest in %d lookups: the walk is not being exercised", sent, runs+1)
 	}
-	perStep := perLookup / steps
-	t.Logf("%.1f heap objects per lookup, %.2f find_closest per lookup: %.2f per find_closest", perLookup, steps, perStep)
-	if perStep > 1 {
-		t.Errorf("a lookup made %.2f heap objects per find_closest, budget 1", perStep)
+	if tr != nil && uint64(traced) != sent {
+		t.Fatalf("%d calls traced, %d find_closest sent", traced, sent)
 	}
+	t.Logf("%.2f heap objects per lookup, %.2f find_closest per lookup", perLookup, float64(sent)/(runs+1))
+	return perLookup
 }
 
 // maxRegistryBytes is what one node's metrics may hold — its registry,

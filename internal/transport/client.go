@@ -35,8 +35,15 @@ const maxWalkRestarts = 2
 // its own successor, so callers need no local case of their own. The
 // handler keeps what a request carries, and over the wire the codec hands
 // it fresh copies; here the value payloads are copied in its place.
+//
+// Every RPC of a lookup and of a quorum operation passes here, so this is
+// where a Trace on the context records them (WithTrace); without one a
+// call pays one ctx.Value.
 func (n *Node) call(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
 	if addr != n.addr {
+		if t, _ := ctx.Value(traceKey{}).(*Trace); t != nil {
+			return n.tracedCall(ctx, t, addr, req)
+		}
 		return n.retrier.Call(ctx, addr, req)
 	}
 	if ctx.Err() != nil {
@@ -681,7 +688,11 @@ type LookupResult struct {
 	Owner wire.Peer
 	Hops  int
 	// LayerHops[0] counts global-ring hops; LayerHops[l] layer-(l+1) hops.
-	LayerHops []int
+	// Entries past the node's depth read 0.
+	LayerHops [binning.MaxDepth]int
+	// OneHop is set when the one-hop table's hint answered, verified with
+	// one call; the walk answered otherwise.
+	OneHop bool
 }
 
 // Lookup routes hierarchically from this node to the owner of key,
@@ -728,8 +739,7 @@ func (n *Node) verifyOwner(ctx context.Context, owner wire.Peer, key id.ID) (Loo
 	if err != nil || !resp.Owner {
 		return LookupResult{}, false
 	}
-	res := LookupResult{Owner: resp.Next, Hops: 1, LayerHops: make([]int, n.cfg.Depth)}
-	res.LayerHops[0] = 1
+	res := LookupResult{Owner: resp.Next, Hops: 1, LayerHops: [binning.MaxDepth]int{1}, OneHop: true}
 	n.nm.hops.At(0).Inc()
 	return res, true
 }
@@ -745,7 +755,7 @@ func (n *Node) verifyOwner(ctx context.Context, owner wire.Peer, key id.ID) (Loo
 // ring is the final authority on ownership, so skipping a broken lower
 // ring costs hops, never correctness.
 func (n *Node) lookupFull(ctx context.Context, key id.ID) (LookupResult, error) {
-	res := LookupResult{LayerHops: make([]int, n.cfg.Depth)}
+	var res LookupResult
 	count := func(layer, hops int) {
 		res.Hops += hops
 		res.LayerHops[layer-1] += hops
@@ -1408,7 +1418,12 @@ func (n *Node) RepairRingTables() error {
 
 // FixFingersOnce refreshes `count` fingers per layer (rotating), keeping
 // lookup cost logarithmic. Consecutive fingers that fall inside the
-// previous finger's range are filled without extra lookups.
+// previous finger's range are filled without extra lookups. While a ring
+// forms, a walk for successor(self + 2^k) can answer a peer less than 2^k
+// past this node: its last step vouched that no member lies from the
+// target round to that peer, a stretch this node is in. By that account
+// the target's successor is this node, so the slot names it and a later
+// refresh corrects it; a slot never names a too-near peer.
 func (n *Node) FixFingersOnce(count int) error {
 	for layer := 1; layer <= n.cfg.Depth; layer++ {
 		for c := 0; c < count; c++ {
@@ -1434,6 +1449,9 @@ func (n *Node) FixFingersOnce(count int) error {
 					// the dead reference and the next refresh succeeds —
 					// rather than aborting the whole maintenance round.
 					continue
+				}
+				if id.Between(peerID(owner), n.id, target) {
+					owner = n.Self()
 				}
 			}
 			n.mu.Lock()

@@ -135,8 +135,8 @@ func TestLiveDepth3(t *testing.T) {
 		if res.Owner.Addr != want.Addr() {
 			t.Fatalf("owner %s, want %s", res.Owner.Addr, want.Addr())
 		}
-		if len(res.LayerHops) != 3 {
-			t.Fatal("expected 3 layer-hop buckets")
+		if res.LayerHops[0]+res.LayerHops[1]+res.LayerHops[2] != res.Hops {
+			t.Fatalf("LayerHops %v: %d hops are not all in the 3 layers", res.LayerHops, res.Hops)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func TestHopCountersMatchLookups(t *testing.T) {
 			t.Fatalf("lookup %d: %v", trial, err)
 		}
 		layerSum := 0
-		for l, h := range res.LayerHops {
+		for l, h := range res.LayerHops[:len(perLayer)] {
 			layerSum += h
 			perLayer[l] += uint64(h)
 		}
