@@ -8,10 +8,11 @@ import "repro/internal/id"
 // about log2(n) distinct fingers, so each is stored once, with a count of
 // the one-byte slots naming it. P names a member: a member index in the
 // oracle's Table, a wire.Peer on a live node; the oracle and the live
-// node both route with Step. The zero Fingers has every slot unset.
+// node both route with Step. The zero Fingers has every slot unset. Every
+// writer keeps Chord's finger definition, which ClosestPreceding relies
+// on: slot k is unset, names the node itself or a member 2^k or more past it.
 type Fingers[P comparable] struct {
 	slot    [id.Bits]uint8 // 1 + index into entries; 0 = unset
-	defined bool           // meets Chord's finger definition (see ClosestPreceding)
 	entries []fingerEntry[P]
 }
 
@@ -29,14 +30,13 @@ func (f *Fingers[P]) Get(k int) (p P) {
 	return p
 }
 
-// Set points slot k at p. Setting a slot to the finger it already
-// names, or to a finger another slot names, allocates nothing. A table
-// written by Set is not taken to meet Chord's finger definition.
+// Set points slot k at p, which must meet the finger definition there.
+// Setting a slot to the finger it already names, or to a finger another
+// slot names, allocates nothing.
 func (f *Fingers[P]) Set(k int, p P) {
 	if s := f.slot[k]; s != 0 && f.entries[s-1].ref == p {
 		return
 	}
-	f.defined = false
 	f.Clear(k)
 	i := 0
 	for i < len(f.entries) && f.entries[i].ref != p {
@@ -96,9 +96,9 @@ func (f *Fingers[P]) Expand() []P {
 
 // fill points the slots below ends[0] at refs[0], those from there below
 // ends[1] at refs[1], and so on, allocating the entries once: BuildTable
-// finds each run of exact fingers whole, and the finger definition holds.
+// finds each run of exact fingers whole.
 func (f *Fingers[P]) fill(refs []P, ends []uint8) {
-	f.defined, f.entries = true, make([]fingerEntry[P], len(refs))
+	f.entries = make([]fingerEntry[P], len(refs))
 	k := uint8(0)
 	for j, p := range refs {
 		f.entries[j] = fingerEntry[P]{ref: p, refs: ends[j] - k}
@@ -112,16 +112,12 @@ func (f *Fingers[P]) fill(refs []P, ends []uint8) {
 // highest slot inside (self, key) that skip, if non-nil, does not reject
 // (the oracle's dead members, the live node's own address); idOf reads a
 // finger's identifier. A run of slots naming one finger is tested once.
-// On a table that meets Chord's finger definition (slot k unset, self or
-// at least 2^k past self, as the oracle's are) no slot above the top bit of
-// Dist(self, key) precedes key, so the scan starts there (at the top slot
-// when key is self: (self, self) is the whole ring). A table written by
-// Set is scanned from the top slot, since Set does not check the
-// definition: it returns a finger in (self, key), maybe not the closest
-// one.
+// By the finger definition no slot above the top bit of Dist(self, key)
+// precedes key, so the scan starts there (at the top slot when key is
+// self: (self, self) is the whole ring).
 func (f *Fingers[P]) ClosestPreceding(self, key id.ID, idOf func(P) id.ID, skip func(P) bool) (P, bool) {
 	k := id.Bits - 1
-	if d := id.Dist(self, key).BitLen() - 1; f.defined && d >= 0 {
+	if d := id.Dist(self, key).BitLen() - 1; d >= 0 {
 		k = d
 	}
 	var tested uint8

@@ -116,7 +116,6 @@ func pnsFingers(t *Table, i int, lat LatencyFunc, samples int, rng *rand.Rand) {
 	for k, m := range fs {
 		pns.Set(k, m)
 	}
-	pns.defined = true // each finger lies in its slot's interval
 	t.fingers[i] = pns
 }
 

@@ -73,13 +73,10 @@ func (p topoProber) Latency(_ context.Context, _ wire.Caller, landmark string) (
 // the §3.3 join through boot, then a full finger build. A nil boot creates
 // the network. A node whose join fails is closed and forgotten.
 func (c *Cluster) Join(host int, boot *transport.Node) error {
-	cfg := c.cfg
-	cfg.Prober = topoProber{c, host}
-	n, err := c.Start(fmt.Sprintf("h%d", host), cfg)
+	n, err := c.start(host)
 	if err != nil {
 		return err
 	}
-	c.hosts = append(c.hosts, host)
 	if boot == nil {
 		err = n.CreateNetwork()
 	} else if err = n.Join(boot.Addr()); err == nil {
@@ -89,6 +86,17 @@ func (c *Cluster) Join(host int, boot *transport.Node) error {
 		c.Remove(len(c.hosts)-1, false)
 	}
 	return err
+}
+
+// start starts a node for host, joined to nothing yet.
+func (c *Cluster) start(host int) (*transport.Node, error) {
+	cfg := c.cfg
+	cfg.Prober = topoProber{c, host}
+	n, err := c.Start(fmt.Sprintf("h%d", host), cfg)
+	if err == nil {
+		c.hosts = append(c.hosts, host)
+	}
+	return n, err
 }
 
 // Remove takes live node i out of the overlay — a graceful Leave, or a

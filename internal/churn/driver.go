@@ -97,20 +97,25 @@ func (d *Driver) round(fix func(*transport.Node) error) {
 // instead of probabilistic; the round cap turns a protocol that never
 // converges into an error rather than a hang.
 func (d *Driver) Settle() error {
-	const maxRounds = 30
+	_, err := d.settle(30)
+	return err
+}
+
+// settle is Settle with a round cap; it returns the rounds run.
+func (d *Driver) settle(maxRounds int) (int, error) {
 	var prev []transport.Snapshot
-	for round := 0; round < maxRounds; round++ {
+	for round := 1; round <= maxRounds; round++ {
 		d.round((*transport.Node).BuildAllFingers)
 		cur := make([]transport.Snapshot, len(d.live))
 		for i, n := range d.live {
 			cur[i] = n.Snapshot()
 		}
 		if prev != nil && reflect.DeepEqual(prev, cur) {
-			return nil
+			return round, nil
 		}
 		prev = cur
 	}
-	return fmt.Errorf("maintenance did not reach a fixpoint after %d rounds", maxRounds)
+	return maxRounds, fmt.Errorf("maintenance did not reach a fixpoint after %d rounds", maxRounds)
 }
 
 // Msgs returns the requests served so far by every node the driver ever

@@ -12,10 +12,28 @@ import (
 	"repro/internal/transport"
 )
 
-// settledCluster joins nodes hosts into a classic cluster of the given
-// depth the way the churn study does, one round after each join, then
-// settles it. tweaks adjust the configuration every node starts with.
+// settledCluster installs nodes hosts as a classic cluster of the given
+// depth (transport.Install), in the state its maintenance settles on, and
+// runs one round, which fills what stabilization remembers between rounds.
+// tweaks adjust the configuration every node starts with.
 func settledCluster(t *testing.T, nodes, depth int, tweaks ...func(*transport.Config)) *Cluster {
+	t.Helper()
+	c := testCluster(t, nodes, depth, tweaks...)
+	for h := 0; h < nodes; h++ {
+		if _, err := c.start(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := transport.Install(c.Live()); err != nil {
+		t.Fatal(err)
+	}
+	c.Round(1)
+	return c
+}
+
+// testCluster is an empty classic cluster of the given depth over a
+// topology of nodes hosts.
+func testCluster(t *testing.T, nodes, depth int, tweaks ...func(*transport.Config)) *Cluster {
 	t.Helper()
 	c, err := NewCluster(testNet(t, nodes, 9), depth, 4, 0, rand.New(rand.NewSource(9)))
 	if err != nil {
@@ -25,6 +43,15 @@ func settledCluster(t *testing.T, nodes, depth int, tweaks ...func(*transport.Co
 	for _, tweak := range tweaks {
 		tweak(&c.cfg)
 	}
+	return c
+}
+
+// joinedCluster joins nodes hosts into a classic cluster of the given
+// depth the way the churn study does, one round after each join, then
+// settles it.
+func joinedCluster(t *testing.T, nodes, depth int) *Cluster {
+	t.Helper()
+	c := testCluster(t, nodes, depth)
 	for h := 0; h < nodes; h++ {
 		var boot *transport.Node
 		if h > 0 {
@@ -47,7 +74,7 @@ func settledCluster(t *testing.T, nodes, depth int, tweaks ...func(*transport.Co
 // coordinates (simcheck's harness).
 func TestDriverSettles(t *testing.T) {
 	t.Run("classic/topology", func(t *testing.T) {
-		c := settledCluster(t, 24, 2)
+		c := joinedCluster(t, 24, 2)
 		if got := len(c.Live()); got != 24 {
 			t.Fatalf("%d live nodes, want 24", got)
 		}

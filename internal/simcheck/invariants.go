@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/binning"
+	"repro/internal/chord"
 	"repro/internal/id"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -87,6 +89,7 @@ func registry() []Invariant {
 		{Name: "ring-refinement", Check: checkRefinement},
 		{Name: "durability", Check: checkDurability},
 		{Name: "route-table-accuracy", Check: checkRouteAccuracy},
+		{Name: "finger-definition", Check: checkFingerDefinition},
 		{Name: "ring-consistency", Quiescent: true, Check: checkRings},
 		{Name: "finger-exactness", Quiescent: true, Check: checkFingers},
 		{Name: "ring-table-exactness", Quiescent: true, Check: checkRingTables},
@@ -137,34 +140,33 @@ func checkRefinement(w *world) error {
 	return binning.CheckRefinement(names)
 }
 
-// ringGroups collects, for one layer, the live members of every ring,
-// keyed by ring name ("" for the global ring), each group sorted by node
-// ID — the oracle ring order.
-func ringGroups(w *world, layer int) map[string][]nodeView {
-	groups := map[string][]nodeView{}
-	for _, v := range w.Live {
-		name := ""
-		if layer > 1 {
-			if layer-2 >= len(v.Snap.RingNames) {
-				continue // depth-1 overlays have no lower rings
-			}
-			name = v.Snap.RingNames[layer-2]
-		}
-		groups[name] = append(groups[name], v)
+// ideal is the state the live membership settles on (transport.Ideal),
+// in w.Live's order: what the quiescent structural checks compare with.
+func (w *world) ideal() ([]transport.Snapshot, error) {
+	const succListLen = 4 // transport's default, which every harness node runs
+	snaps := make([]transport.Snapshot, len(w.Live))
+	for i, v := range w.Live {
+		snaps[i] = v.Snap
 	}
-	for _, g := range groups {
-		sort.Slice(g, func(i, j int) bool { return g[i].Snap.ID.Less(g[j].Snap.ID) })
-	}
-	return groups
+	return transport.Ideal(snaps, succListLen)
 }
 
-func layerSnap(v nodeView, layer int) (transport.LayerSnapshot, error) {
-	for _, ls := range v.Snap.Layers {
-		if ls.Layer == layer {
-			return ls, nil
-		}
+// ring is the global ring of the live membership as the oracle's table:
+// SuccessorIndex names a key's owner, Host its index in w.Live.
+func (w *world) ring() (*chord.Table, error) {
+	ms := make([]chord.Member, len(w.Live))
+	for i, v := range w.Live {
+		ms[i] = chord.Member{ID: v.Snap.ID, Host: i}
 	}
-	return transport.LayerSnapshot{}, fmt.Errorf("%s: no layer-%d state", v.Snap.Addr, layer)
+	return chord.BuildTable(ms, 1)
+}
+
+func addrs(peers []wire.Peer) []string {
+	out := make([]string, len(peers))
+	for i, p := range peers {
+		out[i] = p.Addr
+	}
+	return out
 }
 
 // checkRings: at a maintenance fixpoint every ring on every layer is
@@ -172,77 +174,43 @@ func layerSnap(v nodeView, layer int) (transport.LayerSnapshot, error) {
 // next min(len-1, listLen) members in order, predecessors the previous
 // member, with no dead or foreign entries anywhere.
 func checkRings(w *world) error {
-	for layer := 1; layer <= w.Depth; layer++ {
-		for name, g := range ringGroups(w, layer) {
-			for i, v := range g {
-				ls, err := layerSnap(v, layer)
-				if err != nil {
-					return err
-				}
-				if ls.Name != name {
-					return fmt.Errorf("%s layer %d: ring label %q, binned into %q", v.Snap.Addr, layer, ls.Name, name)
-				}
-				wantSucc := succListOracle(g, i)
-				gotSucc := make([]string, 0, len(ls.Succ))
-				for _, p := range ls.Succ {
-					gotSucc = append(gotSucc, p.Addr)
-				}
-				if !reflect.DeepEqual(gotSucc, wantSucc) {
-					return fmt.Errorf("%s layer %d ring %q: successor list %v, want %v",
-						v.Snap.Addr, layer, name, gotSucc, wantSucc)
-				}
-				wantPred := g[(i-1+len(g))%len(g)].Snap.Addr
-				if ls.Pred.Addr != wantPred {
-					return fmt.Errorf("%s layer %d ring %q: predecessor %q, want %q",
-						v.Snap.Addr, layer, name, ls.Pred.Addr, wantPred)
-				}
+	ideal, err := w.ideal()
+	if err != nil {
+		return err
+	}
+	for i, v := range w.Live {
+		for l, want := range ideal[i].Layers {
+			ls := v.Snap.Layers[l]
+			if ls.Name != want.Name {
+				return fmt.Errorf("%s layer %d: ring label %q, binned into %q", v.Snap.Addr, want.Layer, ls.Name, want.Name)
+			}
+			if gotSucc, wantSucc := addrs(ls.Succ), addrs(want.Succ); !slices.Equal(gotSucc, wantSucc) {
+				return fmt.Errorf("%s layer %d ring %q: successor list %v, want %v",
+					v.Snap.Addr, want.Layer, ls.Name, gotSucc, wantSucc)
+			}
+			if ls.Pred.Addr != want.Pred.Addr {
+				return fmt.Errorf("%s layer %d ring %q: predecessor %q, want %q",
+					v.Snap.Addr, want.Layer, ls.Name, ls.Pred.Addr, want.Pred.Addr)
 			}
 		}
 	}
 	return nil
-}
-
-// succListOracle is the converged successor list of member i in ring g:
-// the following min(len(g)-1, listLen) members clockwise — or the node
-// itself for a singleton ring.
-func succListOracle(g []nodeView, i int) []string {
-	const listLen = 4 // transport's default SuccListLen
-	if len(g) == 1 {
-		return []string{g[0].Snap.Addr}
-	}
-	k := len(g) - 1
-	if k > listLen {
-		k = listLen
-	}
-	out := make([]string, 0, k)
-	for d := 1; d <= k; d++ {
-		out = append(out, g[(i+d)%len(g)].Snap.Addr)
-	}
-	return out
 }
 
 // checkFingers: after a full finger rebuild at a fixpoint, finger k of
 // every node equals the true successor of (self + 2^k) among the ring's
 // live members — the ideal Chord table, per layer.
 func checkFingers(w *world) error {
-	for layer := 1; layer <= w.Depth; layer++ {
-		for name, g := range ringGroups(w, layer) {
-			ids := make([]id.ID, len(g))
-			for i, v := range g {
-				ids[i] = v.Snap.ID
-			}
-			for _, v := range g {
-				ls, err := layerSnap(v, layer)
-				if err != nil {
-					return err
-				}
-				for k, f := range ls.Fingers {
-					target := id.AddPow2(v.Snap.ID, uint(k))
-					want := g[successorIndex(ids, target)].Snap.Addr
-					if f.Addr != want {
-						return fmt.Errorf("%s layer %d ring %q: finger %d is %q, ideal successor of self+2^%d is %q",
-							v.Snap.Addr, layer, name, k, f.Addr, k, want)
-					}
+	ideal, err := w.ideal()
+	if err != nil {
+		return err
+	}
+	for i, v := range w.Live {
+		for l, want := range ideal[i].Layers {
+			for k, f := range v.Snap.Layers[l].Fingers {
+				if f.Addr != want.Fingers[k].Addr {
+					return fmt.Errorf("%s layer %d ring %q: finger %d is %q, ideal successor of self+2^%d is %q",
+						v.Snap.Addr, want.Layer, want.Name, k, f.Addr, k, want.Fingers[k].Addr)
 				}
 			}
 		}
@@ -250,27 +218,22 @@ func checkFingers(w *world) error {
 	return nil
 }
 
-// sortedByID orders views ascending by node ID — the ring order that
-// successorIndex requires.
-func sortedByID(views []nodeView) ([]nodeView, []id.ID) {
-	byID := append([]nodeView(nil), views...)
-	sort.Slice(byID, func(i, j int) bool { return byID[i].Snap.ID.Less(byID[j].Snap.ID) })
-	ids := make([]id.ID, len(byID))
-	for i, v := range byID {
-		ids[i] = v.Snap.ID
-	}
-	return byID, ids
-}
-
-// successorIndex returns the index in ids (sorted ascending) of the first
-// identifier clockwise-at-or-after key.
-func successorIndex(ids []id.ID, key id.ID) int {
-	for i, x := range ids {
-		if !x.Less(key) {
-			return i
+// checkFingerDefinition: every finger meets Chord's finger definition,
+// the condition chord.Fingers' scan relies on to start at the key
+// distance's top bit — slot k is unset, names the node itself, or names a
+// peer at least 2^k past it. Every writer keeps it, mid-churn included, so
+// it is always on.
+func checkFingerDefinition(w *world) error {
+	for _, v := range w.Live {
+		for _, ls := range v.Snap.Layers {
+			for k, f := range ls.Fingers {
+				if f.Addr != "" && f.Addr != v.Snap.Addr && id.Dist(v.Snap.ID, id.ID(f.ID)).BitLen() <= k {
+					return fmt.Errorf("%s layer %d: finger %d is %s, less than 2^%d past it", v.Snap.Addr, ls.Layer, k, f.Addr, k)
+				}
+			}
 		}
 	}
-	return 0 // wrapped past the largest id
+	return nil
 }
 
 // checkRingTables: every lower ring with live members has its ring table
@@ -280,38 +243,27 @@ func successorIndex(ids []id.ID, key id.ID) int {
 // nodes). A missing or misplaced table is the split window: the next
 // joiner binned into the ring would start a second ring under its name.
 func checkRingTables(w *world) error {
-	byID, ids := sortedByID(w.Live)
-	for layer := 2; layer <= w.Depth; layer++ {
-		for name, g := range ringGroups(w, layer) {
-			holder := byID[successorIndex(ids, binning.RingID(layer, name))]
-			var table *wire.RingTable
-			for i := range holder.Snap.Tables {
-				t := &holder.Snap.Tables[i]
-				if t.Layer == layer && t.Name == name {
-					table = t
-					break
-				}
+	ideal, err := w.ideal()
+	if err != nil {
+		return err
+	}
+	for i, v := range w.Live {
+		for _, want := range ideal[i].Tables {
+			at := slices.IndexFunc(v.Snap.Tables, func(t wire.RingTable) bool { return t.Layer == want.Layer && t.Name == want.Name })
+			if at < 0 {
+				return fmt.Errorf("ring table (%d,%q) missing at its owner %s", want.Layer, want.Name, v.Snap.Addr)
 			}
-			if table == nil {
-				return fmt.Errorf("ring table (%d,%q) missing at its owner %s", layer, name, holder.Snap.Addr)
-			}
-			// g is sorted by ID; expected boundaries follow the
-			// transport convention (second slots repeat the extremes
-			// for a singleton ring).
-			k := len(g)
-			wantBounds := [4]string{g[0].Snap.Addr, g[0].Snap.Addr, g[k-1].Snap.Addr, g[k-1].Snap.Addr}
-			if k >= 2 {
-				wantBounds[1] = g[1].Snap.Addr
-				wantBounds[3] = g[k-2].Snap.Addr
-			}
-			gotBounds := [4]string{table.Smallest.Addr, table.SecondSm.Addr, table.Largest.Addr, table.SecondLg.Addr}
-			if gotBounds != wantBounds {
+			if got, want := boundaries(v.Snap.Tables[at]), boundaries(want); got != want {
 				return fmt.Errorf("ring table (%d,%q) at %s has boundaries %v, live extremes are %v",
-					layer, name, holder.Snap.Addr, gotBounds, wantBounds)
+					v.Snap.Tables[at].Layer, v.Snap.Tables[at].Name, v.Snap.Addr, got, want)
 			}
 		}
 	}
 	return nil
+}
+
+func boundaries(t wire.RingTable) [4]string {
+	return [4]string{t.Smallest.Addr, t.SecondSm.Addr, t.Largest.Addr, t.SecondLg.Addr}
 }
 
 // checkRouteAccuracy: the one-hop route tables stay truthful. Always
@@ -367,7 +319,10 @@ func checkRouteAccuracy(w *world) error {
 // the true owner — the global successor of the key — within the hop
 // bound. Key reachability is the paper's core correctness claim.
 func checkReachability(w *world) error {
-	byID, ids := sortedByID(w.Live)
+	ring, err := w.ring()
+	if err != nil {
+		return err
+	}
 	keys := append(w.Model.keys(), "probe-a", "probe-b")
 	if len(keys) > 10 {
 		keys = keys[:10]
@@ -376,7 +331,7 @@ func checkReachability(w *world) error {
 	for _, v := range w.Live {
 		for _, key := range keys {
 			kid := transport.LiveKeyID(key)
-			want := byID[successorIndex(ids, kid)].Snap.Addr
+			want := w.Live[ring.Host(ring.SuccessorIndex(kid))].Snap.Addr
 			res, err := w.lookup(v.Slot, kid)
 			if err != nil {
 				return fmt.Errorf("lookup %q from %s: %v", key, v.Snap.Addr, err)
@@ -446,15 +401,12 @@ func checkDurability(w *world) error {
 // of the key's identifier plus the next min(factor, n)−1 distinct live
 // nodes clockwise — the same rule the transport's replica-set resolution
 // follows, recomputed here from nothing but snapshots.
-func replicaMembers(byID []nodeView, ids []id.ID, key string, factor int) []string {
-	k := factor
-	if k > len(byID) {
-		k = len(byID)
-	}
-	start := successorIndex(ids, transport.LiveKeyID(key))
+func replicaMembers(w *world, ring *chord.Table, key string, factor int) []string {
+	k := min(factor, ring.Len())
+	at := ring.SuccessorIndex(transport.LiveKeyID(key))
 	out := make([]string, 0, k)
-	for d := 0; d < k; d++ {
-		out = append(out, byID[(start+d)%len(byID)].Snap.Addr)
+	for d := 0; d < k; d, at = d+1, ring.Next(at) {
+		out = append(out, w.Live[ring.Host(at)].Snap.Addr)
 	}
 	return out
 }
@@ -466,7 +418,10 @@ func replicaMembers(byID []nodeView, ids []id.ID, key string, factor int) []stri
 // a fixpoint is a replication bug — an owner-copy-only write fails here
 // at the first quiescent checkpoint after a single put.
 func checkPlacement(w *world) error {
-	byID, ids := sortedByID(w.Live)
+	ring, err := w.ring()
+	if err != nil {
+		return err
+	}
 	holders := map[string]map[string]wire.StoreItem{} // key → holder addr → item
 	for _, v := range w.Live {
 		for _, it := range v.Snap.Items {
@@ -482,7 +437,7 @@ func checkPlacement(w *world) error {
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		members := replicaMembers(byID, ids, key, w.Factor)
+		members := replicaMembers(w, ring, key, w.Factor)
 		inSet := map[string]bool{}
 		var ref wire.StoreItem
 		for i, addr := range members {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/id"
 	"repro/internal/lint/leakcheck"
 
 	"repro/internal/transport"
@@ -391,5 +392,31 @@ func TestArtifactRendering(t *testing.T) {
 		"})"
 	if got != want {
 		t.Fatalf("artifact rendering drifted:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestFingerDefinitionCatches feeds checkFingerDefinition a node holding
+// one finger less than 2^k past it in slot k, and the same finger one slot
+// lower, where it meets the definition.
+func TestFingerDefinitionCatches(t *testing.T) {
+	self := transport.NodeID("n0")
+	var near wire.Peer
+	for i := 1; near.Addr == ""; i++ {
+		if a := slotAddr(i); id.Dist(self, transport.NodeID(a)).BitLen() < id.Bits {
+			near = wire.Peer{Addr: a, ID: [20]byte(transport.NodeID(a))}
+		}
+	}
+	k := id.Dist(self, id.ID(near.ID)).BitLen() // near is less than 2^k past self
+	withFinger := func(slot int) *world {
+		fingers := make([]wire.Peer, id.Bits)
+		fingers[slot] = near
+		return &world{Live: []nodeView{{Snap: transport.Snapshot{Addr: "n0", ID: self,
+			Layers: []transport.LayerSnapshot{{Layer: 1, Fingers: fingers}}}}}}
+	}
+	if err := checkFingerDefinition(withFinger(k)); err == nil || !strings.Contains(err.Error(), "less than 2^") { //lint:allow wraperr the failure message is the shrink artifact a human reads; its wording is what this test pins
+		t.Errorf("a finger less than 2^%d past its node passed checkFingerDefinition: %v", k, err)
+	}
+	if err := checkFingerDefinition(withFinger(k - 1)); err != nil {
+		t.Errorf("a finger 2^%d past its node tripped checkFingerDefinition: %v", k-1, err)
 	}
 }

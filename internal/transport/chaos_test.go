@@ -37,8 +37,8 @@ func chaosRules() []faultnet.Rule {
 	}
 }
 
-// chaosCluster builds twoRingCluster's n-node depth-2 overlay on dn,
-// fingers built, whose outgoing calls all pass through wrap, with a fast
+// chaosCluster installs twoRingCluster's n-node depth-2 overlay on dn,
+// whose outgoing calls all pass through wrap, with a fast
 // retry policy and the given breaker. Optional tweak funcs adjust each
 // node's Config before start (e.g. explicit replication quorums).
 func chaosCluster(t *testing.T, dn *DirectNet, n int, wrap func(string, wire.Caller) wire.Caller, breaker wire.BreakerPolicy, tweaks ...func(*Config)) []*Node {
@@ -52,9 +52,7 @@ func chaosCluster(t *testing.T, dn *DirectNet, n int, wrap func(string, wire.Cal
 		}
 		cfg.Breaker, cfg.WrapCaller = breaker, wrap
 	}
-	nodes := startTwoRing(t, dn, n, append([]func(*Config){chaos}, tweaks...)...)
-	joinTwoRing(t, nodes)
-	return withFingers(t, nodes)
+	return install(t, startTwoRing(t, dn, n, append([]func(*Config){chaos}, tweaks...)...))
 }
 
 // replays runs a chaos scenario twice, each time on a fresh cluster, and

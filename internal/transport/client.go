@@ -570,26 +570,12 @@ func dropBoundary(t *wire.RingTable, addr string) {
 // slots.
 func updateBoundaries(t wire.RingTable, cand wire.Peer) wire.RingTable {
 	peers := []wire.Peer{t.Smallest, t.SecondSm, t.Largest, t.SecondLg, cand}
-	// Dedupe and sort by ID.
-	uniq := peers[:0]
-	seen := map[string]bool{}
-	for _, p := range peers {
-		if p.Addr != "" && !seen[p.Addr] {
-			seen[p.Addr] = true
-			uniq = append(uniq, p)
-		}
-	}
-	for i := 1; i < len(uniq); i++ {
-		for j := i; j > 0 && peerID(uniq[j]).Less(peerID(uniq[j-1])); j-- {
-			uniq[j], uniq[j-1] = uniq[j-1], uniq[j]
-		}
-	}
-	k := len(uniq)
-	t.Smallest, t.SecondSm = uniq[0], uniq[0]
-	t.Largest, t.SecondLg = uniq[k-1], uniq[k-1]
-	if k >= 2 {
-		t.SecondSm, t.SecondLg = uniq[1], uniq[k-2]
-	}
+	peers = slices.DeleteFunc(peers, func(p wire.Peer) bool { return p.Addr == "" })
+	slices.SortFunc(peers, func(a, b wire.Peer) int { return peerID(a).Cmp(peerID(b)) })
+	peers = slices.Compact(peers)
+	k := len(peers)
+	t.Smallest, t.SecondSm = peers[0], peers[min(1, k-1)]
+	t.Largest, t.SecondLg = peers[k-1], peers[max(k-2, 0)]
 	return t
 }
 
@@ -1179,16 +1165,20 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 		n.mu.Unlock()
 		return wire.Peer{}
 	}
-	// Adopt the successor's predecessor when it sits between us; when
-	// we are our own successor this adopts the first joiner that
-	// notified us (Between(x, a, a) holds for every x != a). One that
-	// does not answer is not adopted: the successor that did answer
-	// stands and the round goes on.
-	if nb.Pred.Addr != "" && nb.Pred.Addr != n.addr &&
-		id.Between(peerID(nb.Pred), n.id, peerID(s0)) {
-		if resp, err := n.askLive(layer, nb.Pred.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer}, chain); err == nil {
-			s0, nb = nb.Pred, resp
+	// Adopt the successor's predecessor while it sits between us, up to
+	// SuccListLen times: a burst of joins leaves a chain of joiners
+	// before the successor, and walking it back in one round is what
+	// lets a ring settle while joins keep coming (DESIGN §9). When we are
+	// our own successor this adopts the first joiner that notified us
+	// (Between(x, a, a) holds for every x != a). One that does not answer
+	// is not adopted: the successor that did answer stands.
+	for step := 0; step < n.cfg.SuccListLen && nb.Pred.Addr != "" && nb.Pred.Addr != n.addr &&
+		id.Between(peerID(nb.Pred), n.id, peerID(s0)); step++ {
+		resp, err := n.askLive(layer, nb.Pred.Addr, wire.Request{Type: wire.TGetNeighbors, Layer: layer}, chain)
+		if err != nil {
+			break
 		}
+		s0, nb = nb.Pred, resp
 	}
 	if s0.Addr == n.addr {
 		// Still a singleton ring: own the whole identifier space. The

@@ -14,26 +14,15 @@ import (
 )
 
 // oneRingCluster starts the named nodes in one lower ring on dn (see
-// startOneRing): the first creates the network, the others join through
-// it with three full rounds after each join. With the names a..f the
-// ring reads, in identifier order, d b c f a e, and the ring's table is
-// stored on b.
+// startOneRing) and installs them. With the names a..f the ring reads, in
+// identifier order, d b c f a e, and the ring's table is stored on b.
 func oneRingCluster(t *testing.T, dn *DirectNet, names []string, tweaks ...func(*Config)) []*Node {
 	t.Helper()
 	var nodes []*Node
-	for i, name := range names {
-		n := startOneRing(t, dn, name, tweaks...)
-		if i == 0 {
-			if err := n.CreateNetwork(); err != nil {
-				t.Fatal(err)
-			}
-		} else if err := n.Join(names[0]); err != nil {
-			t.Fatalf("join %s: %v", name, err)
-		}
-		nodes = append(nodes, n)
-		stabilizeAll(t, nodes, 3)
+	for _, name := range names {
+		nodes = append(nodes, startOneRing(t, dn, name, tweaks...))
 	}
-	return nodes
+	return install(t, nodes)
 }
 
 // stabilizeLayers heals both layers of every node the way a deployment's
@@ -257,6 +246,16 @@ func twoRingCluster(t *testing.T, n int, tweaks ...func(*Config)) []*Node {
 	return nodes
 }
 
+// settledTwoRing installs twoRingCluster's overlay and runs one round,
+// which fills what stabilization remembers between rounds: the rounds
+// after it are settled ones.
+func settledTwoRing(t *testing.T, n int, tweaks ...func(*Config)) []*Node {
+	t.Helper()
+	nodes := install(t, startTwoRing(t, NewDirectNet(), n, tweaks...))
+	stabilizeAll(t, nodes, 1)
+	return nodes
+}
+
 // startTwoRing starts twoRingCluster's nodes on dn without joining them.
 func startTwoRing(t *testing.T, dn *DirectNet, n int, tweaks ...func(*Config)) []*Node {
 	t.Helper()
@@ -307,7 +306,7 @@ func joinTwoRing(t *testing.T, nodes []*Node) {
 func TestSteadyRoundBill(t *testing.T) {
 	const n = 16
 	var log callLog
-	nodes := twoRingCluster(t, n, log.tweak, func(cfg *Config) { cfg.RouteMode = RouteOneHop })
+	nodes := settledTwoRing(t, n, log.tweak, func(cfg *Config) { cfg.RouteMode = RouteOneHop })
 	walks := clusterCounter(t, nodes, `ring_consults_total{path="walk"}`)
 	hints := clusterCounter(t, nodes, `ring_consults_total{path="hint"}`)
 	log.reset()

@@ -3,9 +3,7 @@ package transport
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/id"
 )
@@ -97,34 +95,12 @@ func TestLeaveImmediateNeighborConsistency(t *testing.T) {
 	}
 }
 
+// TestLiveDepth3: on a depth-3 overlay whose layer-2 rings each hold two
+// layer-3 rings, lookups find the true owner, every hop is counted in one
+// of the three layers, and some are taken in a layer-2 ring.
 func TestLiveDepth3(t *testing.T) {
-	// A depth-3 overlay: two coarse clusters, each with two sub-clusters.
-	coord := func(i int) [2]float64 {
-		base := [2]float64{0, 0}
-		if i%2 == 1 {
-			base = [2]float64{600, 600}
-		}
-		if (i/2)%2 == 1 {
-			base[0] += 40 // sub-cluster offset: same coarse bin, finer split
-		}
-		base[1] += float64(i % 5)
-		return base
-	}
-	dn := NewDirectNet()
-	var nodes []*Node
-	for i := 0; i < 10; i++ {
-		cfg := Config{Depth: 3, Coord: coord(i), Landmarks: []string{"n0", "n1"}, CallTimeout: 5 * time.Second}
-		nodes = append(nodes, startNode(t, dn, "n"+strconv.Itoa(i), cfg))
-	}
-	joinTwoRing(t, nodes)
-	for _, nd := range nodes {
-		if len(nd.RingNames()) != 2 {
-			t.Fatalf("depth-3 node should have 2 ring names, got %v", nd.RingNames())
-		}
-		if err := nd.BuildAllFingers(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	nodes := depthCluster(t, 3, 10)
+	layer2 := 0
 	for trial := 0; trial < 30; trial++ {
 		key := id.HashString(fmt.Sprintf("d3-%d", trial))
 		want := trueOwner(nodes, key)
@@ -138,6 +114,10 @@ func TestLiveDepth3(t *testing.T) {
 		if res.LayerHops[0]+res.LayerHops[1]+res.LayerHops[2] != res.Hops {
 			t.Fatalf("LayerHops %v: %d hops are not all in the 3 layers", res.LayerHops, res.Hops)
 		}
+		layer2 += res.LayerHops[1]
+	}
+	if layer2 == 0 {
+		t.Error("no lookup took a hop in a layer-2 ring")
 	}
 }
 

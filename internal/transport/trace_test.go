@@ -19,7 +19,7 @@ import (
 // depthCluster starts n nodes "n0".."n<n-1>" at the given depth on a
 // direct net of their own, binned by constant probers of one landmark into
 // two layer-2 rings of even and odd indexes, each split in two layer-3
-// rings; it joins them as twoRingCluster does and builds every finger.
+// rings, and installs them.
 func depthCluster(t *testing.T, depth, n int, tweaks ...func(*Config)) []*Node {
 	t.Helper()
 	// DefaultLadder: layer 2 splits at 20 ms, layer 3 at 10 and 50 ms too.
@@ -33,8 +33,7 @@ func depthCluster(t *testing.T, depth, n int, tweaks ...func(*Config)) []*Node {
 		}
 		nodes = append(nodes, startNode(t, dn, "n"+strconv.Itoa(i), cfg))
 	}
-	joinTwoRing(t, nodes)
-	return withFingers(t, nodes)
+	return install(t, nodes)
 }
 
 // TestLiveTraceMatchesResult: a traced lookup records, per layer, one

@@ -92,14 +92,24 @@ func cluster(t *testing.T, n int) []*Node {
 	return withFingers(t, full)
 }
 
-// builtCluster is twoRingCluster with the settings cluster's nodes run
-// with — the default retry policy and breaker, a 5 s call timeout — and
-// every finger built.
+// builtCluster is twoRingCluster's overlay, installed (see install),
+// with the settings cluster's nodes run with — the default retry policy
+// and breaker, a 5 s call timeout.
 func builtCluster(t *testing.T, n int) []*Node {
 	t.Helper()
-	return withFingers(t, twoRingCluster(t, n, func(cfg *Config) {
+	return install(t, startTwoRing(t, NewDirectNet(), n, func(cfg *Config) {
 		cfg.Retry, cfg.Breaker, cfg.CallTimeout = wire.RetryPolicy{}, wire.BreakerPolicy{}, 5*time.Second
 	}))
+}
+
+// install joins nodes by Install, in the state their maintenance settles
+// on, and returns them.
+func install(t *testing.T, nodes []*Node) []*Node {
+	t.Helper()
+	if err := Install(nodes); err != nil {
+		t.Fatal(err)
+	}
+	return nodes
 }
 
 // withFingers builds every node's fingers and returns the nodes.
