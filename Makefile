@@ -38,14 +38,15 @@ examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # node-smoke starts one hieras-node with default flags, drives its REPL
-# through a put, a get and a lookup (one verified hop in the default
-# onehop mode), and checks that the retired cached route mode is refused.
+# through a put, a get and a lookup (0 hops in the default onehop mode:
+# the lone node's table names itself, checked in-process), and checks
+# that the retired cached route mode is refused.
 node-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/node" ./cmd/hieras-node && \
 	printf 'put k hello\nget k\nlookup k\nquit\n' | \
 		"$$tmp/node" -listen 127.0.0.1:24090 -create -landmarks 127.0.0.1:24090 > "$$tmp/out" && \
-	grep -q hello "$$tmp/out" && grep -q '(1 hops' "$$tmp/out" || { cat "$$tmp/out"; echo "node-smoke: wrong REPL output"; exit 1; }; \
+	grep -q hello "$$tmp/out" && grep -q '(0 hops' "$$tmp/out" || { cat "$$tmp/out"; echo "node-smoke: wrong REPL output"; exit 1; }; \
 	if "$$tmp/node" -route-mode cached -create < /dev/null 2> /dev/null; then echo "node-smoke: -route-mode cached was accepted"; exit 1; fi
 
 # tables-check regenerates every EXPERIMENTS table and diffs it against

@@ -84,3 +84,34 @@ type ProgramPass struct {
 func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
+
+// Run applies analyzers to units: each per-package analyzer to every
+// unit, each program-level one once to all of them. It returns unit i's
+// diagnostics in perUnit[i] and the program-level ones apart, none of
+// them suppressed.
+func Run(fset *token.FileSet, units []*Unit, analyzers []*Analyzer) (perUnit [][]Diagnostic, program []Diagnostic, err error) {
+	perUnit = make([][]Diagnostic, len(units))
+	for i, u := range units {
+		for _, a := range analyzers {
+			if a.Run == nil {
+				continue
+			}
+			pass := &Pass{Analyzer: a, Fset: fset, Files: u.Files, Pkg: u.Pkg, TypesInfo: u.TypesInfo,
+				Report: func(d Diagnostic) { perUnit[i] = append(perUnit[i], d) }}
+			if err := a.Run(pass); err != nil {
+				return nil, nil, fmt.Errorf("%s on %s: %v", a.Name, u.Path, err)
+			}
+		}
+	}
+	for _, a := range analyzers {
+		if a.RunProgram == nil {
+			continue
+		}
+		pass := &ProgramPass{Analyzer: a, Fset: fset, Units: units,
+			Report: func(d Diagnostic) { program = append(program, d) }}
+		if err := a.RunProgram(pass); err != nil {
+			return nil, nil, fmt.Errorf("%s (program pass): %v", a.Name, err)
+		}
+	}
+	return perUnit, program, nil
+}

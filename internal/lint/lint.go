@@ -1,10 +1,12 @@
 // Package lint assembles the repo's analyzer suite and drives it over
 // loaded packages. The individual contracts live in their own
-// subpackages (nodeterm, lockrpc, retrysafe, metrichygiene, wraperr,
-// goroutinelife, ctxflow, lockorder, chandisc, stock); this package
-// owns the roster, the //lint:allow suppression layer, and
-// deterministic diagnostic ordering. cmd/hieras-lint is a thin CLI
-// over Run.
+// subpackages (nodeterm, retrysafe, metrichygiene, wraperr,
+// goroutinelife, ctxflow, chandisc, stock, and locks, whose lockrpc and
+// lockorder share one walk of the locks each statement holds);
+// analysis.Run runs them, here and in linttest's fixture tests alike.
+// This package owns the roster, the //lint:allow suppression layer, and
+// deterministic diagnostic ordering. cmd/hieras-lint is a thin CLI over
+// Run.
 package lint
 
 import (
@@ -18,8 +20,7 @@ import (
 	"repro/internal/lint/ctxflow"
 	"repro/internal/lint/goroutinelife"
 	"repro/internal/lint/loader"
-	"repro/internal/lint/lockorder"
-	"repro/internal/lint/lockrpc"
+	"repro/internal/lint/locks"
 	"repro/internal/lint/metrichygiene"
 	"repro/internal/lint/nodeterm"
 	"repro/internal/lint/retrysafe"
@@ -33,13 +34,13 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		nodeterm.Analyzer,
-		lockrpc.Analyzer,
+		locks.LockRPC,
 		retrysafe.Analyzer,
 		metrichygiene.Analyzer,
 		wraperr.Analyzer,
 		goroutinelife.Analyzer,
 		ctxflow.Analyzer,
-		lockorder.Analyzer,
+		locks.LockOrder,
 		chandisc.Analyzer,
 		stock.Nilness,
 		stock.Shadow,
@@ -57,55 +58,14 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 }
 
-// rawRun executes every analyzer over prog — per-package analyzers on
-// each package, program-level analyzers once over all of them — and
-// returns the unfiltered diagnostics grouped per package plus the
-// program-level ones.
-func rawRun(prog *loader.Program, analyzers []*analysis.Analyzer) (perPkg [][]analysis.Diagnostic, programDiags []analysis.Diagnostic, err error) {
-	perPkg = make([][]analysis.Diagnostic, len(prog.Pkgs))
-	var programAnalyzers []*analysis.Analyzer
-	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			programAnalyzers = append(programAnalyzers, a)
-		}
-	}
+// rawRun executes every analyzer over prog and returns the unfiltered
+// diagnostics of each package and the program-level ones.
+func rawRun(prog *loader.Program, analyzers []*analysis.Analyzer) ([][]analysis.Diagnostic, []analysis.Diagnostic, error) {
+	units := make([]*analysis.Unit, len(prog.Pkgs))
 	for i, pkg := range prog.Pkgs {
-		i := i
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      prog.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Pkg,
-				TypesInfo: pkg.Info,
-				Report:    func(d analysis.Diagnostic) { perPkg[i] = append(perPkg[i], d) },
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, nil, fmt.Errorf("%s on %s: %v", a.Name, pkg.Path, err)
-			}
-		}
+		units[i] = &analysis.Unit{Path: pkg.Path, Files: pkg.Files, Pkg: pkg.Pkg, TypesInfo: pkg.Info}
 	}
-	if len(programAnalyzers) > 0 {
-		units := make([]*analysis.Unit, len(prog.Pkgs))
-		for i, pkg := range prog.Pkgs {
-			units[i] = &analysis.Unit{Path: pkg.Path, Files: pkg.Files, Pkg: pkg.Pkg, TypesInfo: pkg.Info}
-		}
-		for _, a := range programAnalyzers {
-			pass := &analysis.ProgramPass{
-				Analyzer: a,
-				Fset:     prog.Fset,
-				Units:    units,
-				Report:   func(d analysis.Diagnostic) { programDiags = append(programDiags, d) },
-			}
-			if err := a.RunProgram(pass); err != nil {
-				return nil, nil, fmt.Errorf("%s (program pass): %v", a.Name, err)
-			}
-		}
-	}
-	return perPkg, programDiags, nil
+	return analysis.Run(prog.Fset, units, analyzers)
 }
 
 // Run executes every analyzer over every package of prog, applies the

@@ -15,7 +15,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -29,19 +28,11 @@ import (
 	"repro/internal/lint/loader"
 )
 
-// Fixture is one loaded fixture package ready for analysis.
-type Fixture struct {
-	Fset  *token.FileSet
-	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
-}
-
 // root caches one testdata/src tree: a shared stdlib importer plus the
 // fixture packages already checked against it.
 type root struct {
 	imp      *loader.StdImporter
-	fixtures map[string]*Fixture
+	fixtures map[string]*analysis.Unit
 }
 
 var (
@@ -59,17 +50,17 @@ func rootFor(srcRoot string) *root {
 	if r, ok := roots[abs]; ok {
 		return r
 	}
-	r := &root{imp: loader.NewStdImporter(abs), fixtures: map[string]*Fixture{}}
+	r := &root{imp: loader.NewStdImporter(abs), fixtures: map[string]*analysis.Unit{}}
 	roots[abs] = r
 	return r
 }
 
 // load parses and type-checks srcRoot/<pkg>, recursively loading
 // fixture imports that exist as sibling directories.
-func (r *root) load(t *testing.T, srcRoot, pkg string, loading map[string]bool) *Fixture {
+func (r *root) load(t *testing.T, srcRoot, pkg string, loading map[string]bool) *analysis.Unit {
 	t.Helper()
-	if fix, ok := r.fixtures[pkg]; ok {
-		return fix
+	if u, ok := r.fixtures[pkg]; ok {
+		return u
 	}
 	if loading[pkg] {
 		t.Fatalf("fixture import cycle through %q", pkg)
@@ -113,9 +104,9 @@ func (r *root) load(t *testing.T, srcRoot, pkg string, loading map[string]bool) 
 	if err != nil {
 		t.Fatalf("fixture %s: %v", pkg, err)
 	}
-	fix := &Fixture{Fset: r.imp.Fset(), Files: files, Pkg: tp, Info: info}
-	r.fixtures[pkg] = fix
-	return fix
+	u := &analysis.Unit{Path: pkg, Files: files, Pkg: tp, TypesInfo: info}
+	r.fixtures[pkg] = u
+	return u
 }
 
 var wantRE = regexp.MustCompile(`//\s*want\s+(.*)$`)
@@ -157,46 +148,27 @@ func parseWants(t *testing.T, fset *token.FileSet, files []*ast.File) []*expecta
 	return wants
 }
 
-// analyze applies the analyzer with //lint:allow suppression, exactly
-// as the real driver does, returning findings sorted by position. The
-// fixtures are presented as one unit each; a program-level analyzer
-// (RunProgram) sees all of them in a single pass.
-func analyze(t *testing.T, fixes []*Fixture, a *analysis.Analyzer) []analysis.Diagnostic {
+// analyze loads the fixture packages and applies the analyzer with
+// //lint:allow suppression, exactly as the real driver does, returning
+// the fixtures' files and the findings sorted by position. Each fixture
+// is one unit; a program-level analyzer (RunProgram) sees all of them in
+// a single pass.
+func analyze(t *testing.T, srcRoot string, pkgs []string, a *analysis.Analyzer) (*token.FileSet, []*ast.File, []analysis.Diagnostic) {
 	t.Helper()
-	fset := fixes[0].Fset
-	var diags []analysis.Diagnostic
-	report := func(d analysis.Diagnostic) {
-		d.Analyzer = a.Name
-		diags = append(diags, d)
-	}
-	switch {
-	case a.RunProgram != nil:
-		units := make([]*analysis.Unit, len(fixes))
-		for i, fix := range fixes {
-			units[i] = &analysis.Unit{Path: fix.Pkg.Path(), Files: fix.Files, Pkg: fix.Pkg, TypesInfo: fix.Info}
-		}
-		pass := &analysis.ProgramPass{Analyzer: a, Fset: fset, Units: units, Report: report}
-		if err := a.RunProgram(pass); err != nil {
-			t.Fatalf("analyzer %s: %v", a.Name, err)
-		}
-	default:
-		for _, fix := range fixes {
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      fset,
-				Files:     fix.Files,
-				Pkg:       fix.Pkg,
-				TypesInfo: fix.Info,
-				Report:    report,
-			}
-			if err := a.Run(pass); err != nil {
-				t.Fatalf("analyzer %s: %v", a.Name, err)
-			}
-		}
-	}
+	r := rootFor(srcRoot)
+	fset := r.imp.Fset()
+	units := make([]*analysis.Unit, len(pkgs))
 	var files []*ast.File
-	for _, fix := range fixes {
-		files = append(files, fix.Files...)
+	for i, pkg := range pkgs {
+		units[i] = r.load(t, srcRoot, pkg, map[string]bool{})
+		files = append(files, units[i].Files...)
+	}
+	perUnit, diags, err := analysis.Run(fset, units, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatalf("analyzer %s: %v", a.Name, err)
+	}
+	for _, ds := range perUnit {
+		diags = append(diags, ds...)
 	}
 	sup := analysis.NewSuppressor(fset, files, map[string]bool{a.Name: true})
 	kept := diags[:0]
@@ -207,7 +179,7 @@ func analyze(t *testing.T, fixes []*Fixture, a *analysis.Analyzer) []analysis.Di
 	}
 	kept = append(kept, sup.Malformed()...)
 	sort.Slice(kept, func(i, j int) bool { return kept[i].Pos < kept[j].Pos })
-	return kept
+	return fset, files, kept
 }
 
 // Run loads srcRoot/<pkg>, applies the analyzer and diffs the resulting
@@ -223,17 +195,7 @@ func Run(t *testing.T, srcRoot, pkg string, a *analysis.Analyzer) {
 // every listed package.
 func RunPkgs(t *testing.T, srcRoot string, pkgs []string, a *analysis.Analyzer) {
 	t.Helper()
-	r := rootFor(srcRoot)
-	fixes := make([]*Fixture, len(pkgs))
-	for i, pkg := range pkgs {
-		fixes[i] = r.load(t, srcRoot, pkg, map[string]bool{})
-	}
-	diags := analyze(t, fixes, a)
-	fset := fixes[0].Fset
-	var files []*ast.File
-	for _, fix := range fixes {
-		files = append(files, fix.Files...)
-	}
+	fset, files, diags := analyze(t, srcRoot, pkgs, a)
 	wants := parseWants(t, fset, files)
 
 	for _, d := range diags {
@@ -261,7 +223,6 @@ func RunPkgs(t *testing.T, srcRoot string, pkgs []string, a *analysis.Analyzer) 
 // for tests that assert on the list directly.
 func Diagnostics(t *testing.T, srcRoot, pkg string, a *analysis.Analyzer) []analysis.Diagnostic {
 	t.Helper()
-	r := rootFor(srcRoot)
-	fix := r.load(t, srcRoot, pkg, map[string]bool{})
-	return analyze(t, []*Fixture{fix}, a)
+	_, _, diags := analyze(t, srcRoot, []string{pkg}, a)
+	return diags
 }

@@ -8,10 +8,11 @@ import (
 )
 
 type node struct {
-	mu   sync.Mutex
-	rw   sync.RWMutex
-	succ string
-	c    wire.Caller
+	mu    sync.Mutex
+	rw    sync.RWMutex
+	locks [4]sync.Mutex
+	succ  string
+	c     wire.Caller
 }
 
 func (n *node) bad(req wire.Request) {
@@ -88,6 +89,14 @@ func (n *node) doubleBad(req wire.Request) {
 	n.c.Call(n.succ, req, time.Second) // want `while "n\.mu" is held` `while "n\.rw" is held`
 	n.rw.Unlock()
 	n.mu.Unlock()
+}
+
+// A lock no declaration names (an element of an array of mutexes) is
+// tracked by its source text within the function.
+func (n *node) indexBad(req wire.Request, i int) {
+	n.locks[i].Lock()
+	n.c.Call(n.succ, req, time.Second) // want `while "n\.locks\[i\]" is held`
+	n.locks[i].Unlock()
 }
 
 // Calls through a function value are resolved from the expression type.

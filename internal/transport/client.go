@@ -717,7 +717,8 @@ func (n *Node) Lookup(ctx context.Context, key id.ID) (LookupResult, error) {
 // verifyOwner checks a route-table hint with a single RPC: the
 // hierarchical destination check at the hinted peer. Only a confirmed
 // owner is used, so a stale table can waste one call but never
-// misroute.
+// misroute. A hint naming this node is checked in-process: no message,
+// so no hop.
 func (n *Node) verifyOwner(ctx context.Context, owner wire.Peer, key id.ID) (LookupResult, bool) {
 	resp, err := n.call(ctx, owner.Addr, wire.Request{
 		Type: wire.TFindClosest, Layer: 1, Key: [20]byte(key), Hierarchical: true,
@@ -725,8 +726,11 @@ func (n *Node) verifyOwner(ctx context.Context, owner wire.Peer, key id.ID) (Loo
 	if err != nil || !resp.Owner {
 		return LookupResult{}, false
 	}
-	res := LookupResult{Owner: resp.Next, Hops: 1, LayerHops: [binning.MaxDepth]int{1}, OneHop: true}
-	n.nm.hops.At(0).Inc()
+	res := LookupResult{Owner: resp.Next, OneHop: true}
+	if owner.Addr != n.addr {
+		res.Hops, res.LayerHops[0] = 1, 1
+		n.nm.hops.At(0).Inc()
+	}
 	return res, true
 }
 

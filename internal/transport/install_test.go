@@ -110,6 +110,35 @@ func TestInstalledIsFixpoint(t *testing.T) {
 	}
 }
 
+// TestUnheardLandmarkLeavesNoTombstone: a landmark name nobody listens on
+// is no member. Every round's landmark walk fails on it, and no route
+// table may record it, joined or evicted: a tombstone for it would be
+// gossiped forever. So the installed state is a fixpoint from round 1
+// with such landmarks too.
+func TestUnheardLandmarkLeavesNoTombstone(t *testing.T) {
+	dn := NewDirectNet()
+	nodes := make([]*Node, 16)
+	for i := range nodes {
+		nodes[i] = startNode(t, dn, "n"+strconv.Itoa(i), Config{
+			Depth: 2, Landmarks: []string{"lm0", "lm1"}, Prober: constProber(5 + 30*(i%2)), RouteMode: RouteOneHop,
+		})
+	}
+	installed := snapshots(install(t, nodes))
+	for r := 0; r < 3; r++ {
+		maintainRound(dn, nodes)
+	}
+	for i, s := range snapshots(nodes) {
+		for _, ev := range s.Routes {
+			if ev.Peer.Addr == "lm0" || ev.Peer.Addr == "lm1" {
+				t.Errorf("%s's route table holds %+v", s.Addr, ev)
+			}
+		}
+		if !reflect.DeepEqual(s, installed[i]) {
+			t.Errorf("three rounds moved %s:\n  installed %+v\n  now       %+v", s.Addr, installed[i], s)
+		}
+	}
+}
+
 // TestInstalledMatchesJoined: Install reaches the state the protocol
 // reaches. The same 128 addresses (32 with -short), joined one per round
 // through n0 and settled, end in the installed snapshots; route events,

@@ -806,16 +806,18 @@ func (n *Node) evictLocal(layer int, dead string) {
 
 // recordEvictLocked stamps an eviction tombstone into the one-hop table
 // on fresh failure evidence for a peer. The table tracks the global ring
-// only (see routeEvent), so only layer-1 evidence is recorded. A subject
-// that is already a departure is left alone: re-stamping on every
-// repeated failure would push stamps arbitrarily far ahead of the clock,
-// and a runaway tombstone can shadow the peer's genuine rejoin. It reports
-// whether a tombstone was stamped.
+// only (see routeEvent), so only layer-1 evidence is recorded. Only a
+// subject the table holds as joined is stamped. One that is already a
+// departure is left alone: re-stamping on every repeated failure would
+// push stamps arbitrarily far ahead of the clock, and a runaway tombstone
+// can shadow the peer's genuine rejoin. One the table never held (a
+// landmark name nobody listens on) is no member, and a tombstone for it
+// would be gossiped forever. It reports whether a tombstone was stamped.
 func (n *Node) recordEvictLocked(layer int, dead string) bool {
 	if n.routes == nil || layer != 1 || dead == "" || dead == n.addr {
 		return false
 	}
-	if cur, ok := n.routes.Latest(1, "", dead); ok && cur.Kind != wire.RouteJoin {
+	if cur, ok := n.routes.Latest(1, "", dead); !ok || cur.Kind != wire.RouteJoin {
 		return false
 	}
 	n.routeEvent(wire.Peer{Addr: dead, ID: [20]byte(NodeID(dead))}, wire.RouteEvict)

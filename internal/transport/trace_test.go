@@ -38,9 +38,9 @@ func depthCluster(t *testing.T, depth, n int, tweaks ...func(*Config)) []*Node {
 
 // TestLiveTraceMatchesResult: a traced lookup records, per layer, one
 // find_closest for each hop LayerHops reports there, less the one hop that
-// is no message: the last, when it reaches the owner without asking it —
-// the final forward from the owner's global predecessor, or a one-hop hint
-// naming the origin itself, verified in-process. A traced Put or Get
+// is no message: the final forward from the owner's global predecessor,
+// which reaches the owner without asking it. A one-hop answer is one call,
+// or none and no hop when the origin owns the key. A traced Put or Get
 // records exactly the calls the origin's count seam saw, type by type. And
 // the trace.Record a lookup converts to survives trace's CSV unchanged, so
 // traceview reads a live run as it reads a simulated one.
@@ -91,6 +91,9 @@ func TestLiveTraceMatchesResult(t *testing.T) {
 					}
 					if res.OneHop {
 						hinted++
+						if len(tr.Calls) != 1 && (res.Hops != 0 || res.Owner.Addr != from.Addr()) {
+							t.Fatalf("lookup %d from %s: one-hop answer %+v after %d calls", i, from.Addr(), res, len(tr.Calls))
+						}
 					}
 					calls += len(tr.Calls)
 					for l, h := range res.LayerHops {
