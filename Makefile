@@ -19,7 +19,10 @@ race:
 # per lookup, traced or not, per route lookup, per finger scan (package chord's
 # finger table, the oracle's and the live node's), per converged gossip
 # round, per range digest, per agreed anti-entropy round, per agreeing
-# quorum read, per simulated lookup through the façade) and the footprint
+# quorum read against a fake and per quorum read and write over MemNet
+# sessions (5 and 16 objects, every node's share counted, and a read
+# over 4x more keys than the intern table holds, under 7), per replica
+# set, per simulated lookup through the façade) and the footprint
 # tests (heap and goroutines per idle connection, per settled node of a
 # 64- and a 256-node cluster, and heap per one-hop route-table member).
 # They are built only without -race, where allocation counts are exact.

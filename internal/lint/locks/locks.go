@@ -33,8 +33,9 @@
 // mu.Unlock()` holds it for the rest of the function. An Unlock inside a
 // nested block clears the lock for that block's remaining statements
 // only (the early-unlock-and-return idiom), not for the outer list.
-// Function literals are separate functions: a goroutine spawned under
-// the lock does not itself hold it.
+// Function literals are separate functions, and a goroutine spawned under
+// the lock does not itself hold it: `go f(x)` runs f without the lock,
+// while x (and a method's receiver) is evaluated under it.
 package locks
 
 import (
@@ -295,8 +296,21 @@ func (w *walker) stmt(stmt ast.Stmt, held map[classID]site) {
 		w.clauses(st.Body, held)
 	case *ast.LabeledStmt:
 		w.stmt(st.Stmt, held)
+	case *ast.GoStmt:
+		// The spawned call runs on its own goroutine, holding nothing, but
+		// its function value and arguments are evaluated here: the
+		// receiver of a method (not the method call itself), a function
+		// value an expression computes, and every argument.
+		fun := ast.Unparen(st.Call.Fun)
+		if sel, ok := fun.(*ast.SelectorExpr); ok {
+			fun = sel.X
+		}
+		w.tree(fun, held) // a FuncLit gets a fresh held set there
+		for _, arg := range st.Call.Args {
+			w.tree(arg, held)
+		}
 	default:
-		w.tree(stmt, held) // a GoStmt's FuncLit gets a fresh held set there
+		w.tree(stmt, held)
 	}
 }
 

@@ -36,3 +36,23 @@ func Second(a *locka.A, b *B) {
 	b.Mu.Lock()
 	b.Mu.Unlock()
 }
+
+// N takes mu before conn in AB. Spawn holds conn while it starts AB on a
+// goroutine of its own, which holds nothing: no conn → mu edge, so no
+// cycle and no re-entry.
+type N struct {
+	mu, conn sync.Mutex
+}
+
+func (n *N) AB() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.conn.Lock()
+	n.conn.Unlock()
+}
+
+func (n *N) Spawn() {
+	n.conn.Lock()
+	defer n.conn.Unlock()
+	go n.AB()
+}

@@ -71,6 +71,23 @@ func (n *node) goroutineOK(req wire.Request) {
 	<-done
 }
 
+// A call spawned under the lock runs without it: not flagged.
+func (n *node) goCallOK(req wire.Request) {
+	n.mu.Lock()
+	go n.c.Call(n.succ, req, time.Second)
+	n.mu.Unlock()
+}
+
+func use(wire.Response, error) {}
+
+// The spawned call's arguments are evaluated by the spawner, under the
+// lock: flagged.
+func (n *node) goArgBad(req wire.Request) {
+	n.mu.Lock()
+	go use(n.c.Call(n.succ, req, time.Second)) // want `RPC n\.c\.Call while "n\.mu" is held`
+	n.mu.Unlock()
+}
+
 // Helpers that forward a wire.Request count as RPC-reaching too.
 func (n *node) forward(addr string, req wire.Request) {
 	n.c.Call(addr, req, time.Second)

@@ -177,13 +177,19 @@ func TestAllocBudgetQuorumGet(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetReplicaSet: a replica set is one heap object, the set
-// itself, whatever the successor list repeats — no list with the owner
-// prepended, no map to dedupe: the set is at most want long, so scanning
-// it is the dedupe.
+// TestAllocBudgetReplicaSet: a replica set built in a caller's array is
+// no heap object, and one without it (the set itself), whatever the
+// successor list repeats — no list of successor addresses, no list with
+// the owner prepended, no map to dedupe: the set is at most want long,
+// so scanning it is the dedupe. A quorum operation builds its set in an
+// array on its own stack (Coordinator.locate).
 func TestAllocBudgetReplicaSet(t *testing.T) {
-	succs := []string{"n1", "n0", "n2", "n1", "n3"}
-	if avg := testing.AllocsPerRun(100, func() { ReplicaSet("n0", succs, 3) }); avg != 1 {
+	succs := peers("n1", "n0", "n2", "n1", "n3")
+	var buf [3]string
+	if avg := testing.AllocsPerRun(100, func() { ReplicaSet(buf[:0], "n0", succs, 3) }); avg != 0 {
+		t.Errorf("ReplicaSet into a caller's array made %.1f heap objects, budget 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() { ReplicaSet(nil, "n0", succs, 3) }); avg != 1 {
 		t.Errorf("ReplicaSet made %.1f heap objects, budget 1", avg)
 	}
 }

@@ -132,6 +132,11 @@ type Coordinator struct {
 	sets atomic.Pointer[roundSets] // the last round's sets, when every one was placed from the stretch
 }
 
+// setRoom is the replica-set members a quorum operation keeps on its own
+// stack (its set, a read's polled members); a larger Factor spills to the
+// heap.
+const setRoom = 8
+
 // expireStamp computes the Expire field for a write coordinated now.
 func (c *Coordinator) expireStamp() uint64 {
 	if c.TTL == 0 {
@@ -192,7 +197,8 @@ func (c *Coordinator) write(ctx context.Context, op string, item wire.StoreItem)
 	item.Version, item.Writer = c.Engine.Stamp(key, c.Self, 0)
 	item.Expire = c.expireStamp()
 	first := wire.Request{Type: wire.TStorePut, Name: key, Layer: 1, Items: []wire.StoreItem{item}}
-	set, atOwner, asked, err := c.locate(ctx, first)
+	var buf [setRoom]string
+	set, atOwner, asked, err := c.locate(ctx, first, buf[:0])
 	if err != nil {
 		return fmt.Errorf("replica %s %q: resolve: %w", op, key, err)
 	}
@@ -242,7 +248,8 @@ func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, bool, error)
 	m := c.metrics()
 	start := time.Now()
 	opts := c.Opts.WithDefaults()
-	set, atOwner, asked, err := c.locate(ctx, wire.Request{Type: wire.TStoreGet, Name: key, Layer: 1})
+	var setBuf [setRoom]string
+	set, atOwner, asked, err := c.locate(ctx, wire.Request{Type: wire.TStoreGet, Name: key, Layer: 1}, setBuf[:0])
 	if err != nil {
 		m.Failures.With("get").Inc()
 		return nil, false, fmt.Errorf("replica get %q: resolve: %w", key, err)
@@ -260,7 +267,7 @@ func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, bool, error)
 	found := false
 	answers := 0
 	held := map[string]wire.StoreItem{} // answered members that found the key
-	var buf [8]string
+	var buf [setRoom]string
 	polled := buf[:0] // answered members in poll order
 	var lastErr error
 	for i, addr := range set {

@@ -21,11 +21,11 @@ type NeighborsFunc func(ctx context.Context) (chain []wire.Peer, self int, ok bo
 // Get's TStoreGet or a write's TStorePut, Layer 1 set — at the key's
 // owner, with ownership checked on that exchange itself: the node believed
 // to own the key acts on it only if it does, and names its successors. On
-// ok, set is the key's replica set built from that answer and answer is
-// the owner's reply (the item for a get, the stamp it installed for a
-// put). Not ok means nobody vouched for owning the key; the caller
+// ok, owner is the node that answered and answer its reply (the item for a
+// get, the stamp it installed for a put), whose Succ completes the key's
+// replica set. Not ok means nobody vouched for owning the key; the caller
 // resolves the set over the network instead.
-type OwnerReadFunc func(ctx context.Context, first wire.Request) (set []string, answer wire.Response, ok bool)
+type OwnerReadFunc func(ctx context.Context, first wire.Request) (owner string, answer wire.Response, ok bool)
 
 // Placement maps the key arcs a ring stretch decides to their replica
 // sets. The zero value decides nothing.
@@ -46,15 +46,11 @@ type arc struct {
 // is a member of every one of them, which is the point: these are exactly
 // the keys it owes a copy of.
 func NewPlacement(chain []wire.Peer, self, factor int) Placement {
-	addrs := make([]string, len(chain))
-	for i, p := range chain {
-		addrs[i] = p.Addr
-	}
 	p := Placement{arcs: make([]arc, 0, self)}
 	for i := 1; i <= self; i++ {
 		p.arcs = append(p.arcs, arc{
 			lo: id.ID(chain[i-1].ID), hi: id.ID(chain[i].ID),
-			set: ReplicaSet(addrs[i], addrs[i+1:], factor),
+			set: ReplicaSet(nil, chain[i].Addr, chain[i+1:], factor),
 		})
 	}
 	return p
@@ -102,13 +98,15 @@ func (c *Coordinator) replicaSet(ctx context.Context, p Placement, key string, k
 
 // locate finds a quorum operation's replica set. When the key's owner
 // vouched for it on the operation's first request (OwnerRead), asked is
-// true and answer is its reply to first, which the caller uses instead of
-// sending first to set[0] again.
-func (c *Coordinator) locate(ctx context.Context, first wire.Request) (set []string, answer wire.Response, asked bool, err error) {
+// true, answer is its reply to first, which the caller uses instead of
+// sending first to set[0] again, and the set is built in buf[:0] from it,
+// so a caller's array keeps the set off the heap.
+func (c *Coordinator) locate(ctx context.Context, first wire.Request, buf []string) (set []string, answer wire.Response, asked bool, err error) {
 	if c.OwnerRead != nil {
-		if set, answer, asked = c.OwnerRead(ctx, first); asked {
+		var owner string
+		if owner, answer, asked = c.OwnerRead(ctx, first); asked {
 			c.metrics().LocalSets.Inc()
-			return set, answer, true, nil
+			return ReplicaSet(buf, owner, answer.Succ, c.Opts.WithDefaults().Factor), answer, true, nil
 		}
 	}
 	set, err = c.resolve(ctx, first.Name)

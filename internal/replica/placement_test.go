@@ -72,17 +72,17 @@ func TestCoordinatorLocalSources(t *testing.T) {
 	walked := 0
 	co.Resolve = func(context.Context, string) ([]string, error) { walked++; return fc.set, nil }
 	vouch := true
-	co.OwnerRead = func(_ context.Context, first wire.Request) ([]string, wire.Response, bool) {
+	co.OwnerRead = func(_ context.Context, first wire.Request) (string, wire.Response, bool) {
 		if !vouch {
-			return nil, wire.Response{}, false
+			return "", wire.Response{}, false
 		}
-		owner := fc.engines["n0"]
+		owner, succ := fc.engines["n0"], peers(fc.set[1:]...)
 		if first.Type == wire.TStorePut {
 			v, _ := owner.ApplyPast(first.Items[0])
-			return fc.set, wire.Response{OK: true, Owner: true, Version: v}, true
+			return "n0", wire.Response{OK: true, Owner: true, Succ: succ, Version: v}, true
 		}
 		it, ok := owner.Get(first.Name)
-		return fc.set, wire.Response{OK: true, Owner: true, Found: ok, Value: it.Value, Version: it.Version, Writer: it.Writer}, true
+		return "n0", wire.Response{OK: true, Owner: true, Succ: succ, Found: ok, Value: it.Value, Version: it.Version, Writer: it.Writer}, true
 	}
 	fc.engines["n0"].Apply(item("doc", "old", 41, "w#1"))
 

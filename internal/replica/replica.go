@@ -17,9 +17,9 @@ package replica
 import (
 	"bytes"
 	"cmp"
-	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -282,7 +282,8 @@ func (e *Engine) stampLocked(key, self string, seen uint64) (version uint64, wri
 	}
 	version++
 	e.seq++
-	return version, fmt.Sprintf("%s#%d", self, e.seq)
+	var buf [64]byte
+	return version, string(strconv.AppendUint(append(append(buf[:0], self...), '#'), e.seq, 10))
 }
 
 // ApplyPast is the owner's install of a write: in one critical section the
@@ -370,16 +371,20 @@ func (e *Engine) Items() []wire.StoreItem {
 // replica set given the owner and the owner's successor list: the
 // owner first, then successors in list order, deduplicated by
 // address. Fewer members are returned when the ring is smaller than
-// the factor.
-func ReplicaSet(owner string, succs []string, want int) []string {
+// the factor. The set is built in set[:0] when it has room for want
+// members, so a caller's array keeps it off the heap.
+func ReplicaSet(set []string, owner string, succs []wire.Peer, want int) []string {
 	if want < 1 {
 		want = 1
 	}
-	set := make([]string, 0, want)
+	if cap(set) < want {
+		set = make([]string, 0, want)
+	}
+	set = set[:0]
 	for i := -1; i < len(succs) && len(set) < want; i++ {
 		addr := owner
 		if i >= 0 {
-			addr = succs[i]
+			addr = succs[i].Addr
 		}
 		if addr != "" && !slices.Contains(set, addr) {
 			set = append(set, addr)

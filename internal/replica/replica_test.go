@@ -111,16 +111,30 @@ func TestEngineItemsSortedAndDeepCopied(t *testing.T) {
 }
 
 func TestReplicaSetDedupAndClamp(t *testing.T) {
-	set := ReplicaSet("n0", []string{"n1", "n0", "n2", "n3"}, 3)
+	set := ReplicaSet(nil, "n0", peers("n1", "n0", "n2", "n3"), 3)
 	if !reflect.DeepEqual(set, []string{"n0", "n1", "n2"}) {
 		t.Errorf("set = %v", set)
 	}
-	if got := ReplicaSet("n0", []string{"n0"}, 3); !reflect.DeepEqual(got, []string{"n0"}) {
+	if got := ReplicaSet(nil, "n0", peers("n0"), 3); !reflect.DeepEqual(got, []string{"n0"}) {
 		t.Errorf("tiny ring set = %v", got)
 	}
-	if got := ReplicaSet("n0", nil, 0); !reflect.DeepEqual(got, []string{"n0"}) {
+	if got := ReplicaSet(nil, "n0", nil, 0); !reflect.DeepEqual(got, []string{"n0"}) {
 		t.Errorf("want<1 must clamp to owner-only, got %v", got)
 	}
+	// A caller's buffer is reused from its start, whatever it held.
+	buf := []string{"n2", "n3", "n9"}
+	if got := ReplicaSet(buf, "n3", peers("n2", "n3", "n4"), 3); !reflect.DeepEqual(got, []string{"n3", "n2", "n4"}) || &got[0] != &buf[0] {
+		t.Errorf("set built in a used buffer = %v", got)
+	}
+}
+
+// peers names wire peers by address alone.
+func peers(addrs ...string) []wire.Peer {
+	out := make([]wire.Peer, len(addrs))
+	for i, a := range addrs {
+		out[i].Addr = a
+	}
+	return out
 }
 
 // fakeCluster wires a Coordinator to in-memory member engines, with a

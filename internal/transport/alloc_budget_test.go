@@ -3,9 +3,11 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -21,17 +23,21 @@ import (
 // node's outgoing RPCs are counted by type in rpcs.
 func memCluster(t *testing.T, n int, rpcs *[32]atomic.Uint64) []*Node {
 	t.Helper()
-	nodes := startTwoRing(t, sessionsNet(), n, func(cfg *Config) {
-		cfg.RouteMode = RouteClassic
+	nodes := startTwoRing(t, sessionsNet(), n, countRPCs(rpcs), func(cfg *Config) { cfg.RouteMode = RouteClassic })
+	joinTwoRing(t, nodes)
+	return withFingers(t, nodes)
+}
+
+// countRPCs counts a node's outgoing RPCs by type in rpcs.
+func countRPCs(rpcs *[32]atomic.Uint64) func(*Config) {
+	return func(cfg *Config) {
 		cfg.WrapCaller = func(_ string, inner wire.Caller) wire.Caller {
 			return wire.CallerFunc(func(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
 				rpcs[req.Type].Add(1)
 				return inner.Call(ctx, addr, req)
 			})
 		}
-	})
-	joinTwoRing(t, nodes)
-	return withFingers(t, nodes)
+	}
 }
 
 // TestAllocBudgetLookupWalk: a classic hierarchical lookup creates no
@@ -201,4 +207,102 @@ func TestGossipProbeAllocBudget(t *testing.T) {
 	if avg > 1 {
 		t.Errorf("a converged gossip round made %.1f heap objects, budget 1", avg)
 	}
+}
+
+// TestAllocBudgetQuorumRead: a quorum read (r = 3, R = 2) of a key the
+// process has decoded recently makes 5 heap objects, counting everything
+// every node does to answer it, over the byte path bench/perf's kv-get
+// measures (one-hop routing, MemNet sessions). All five are the client's
+// decode of the two answers, and each must own its memory, since the
+// frame it came in is pooled: the owner's value (handed to the caller),
+// the second member's value, both writer stamps and the owner's successor
+// list (the set's other members). The members' key is the intern table's
+// (wire's name). The reader is outside the key's replica set, so both
+// answers cross the wire.
+func TestAllocBudgetQuorumRead(t *testing.T) {
+	if per := quorumAllocs(t, wire.TStoreGet, 2, 64); per != 5 {
+		t.Errorf("a quorum read made %.2f heap objects, budget 5", per)
+	}
+}
+
+// TestAllocBudgetQuorumReadManyKeys: reads cycling through 4 times as
+// many keys as the intern table has slots, so that nearly every key has
+// been evicted before it comes round again. A read makes 6.96 heap
+// objects, which AllocsPerRun rounds down to 6: the 5 above and, for the
+// 98 % of keys that share their slot, the key's intern miss, a string and
+// the slot's pointer to it. The members share this process's table, so
+// one read pays one miss; where each member is its own process, each pays
+// its own, about 9 a read, where decoding the key with str would make 7.
+func TestAllocBudgetQuorumReadManyKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stores 16,384 keys")
+	}
+	if per := quorumAllocs(t, wire.TStoreGet, 2, 16384); per != 6 {
+		t.Errorf("a quorum read of a key not in the intern table made %.2f heap objects, budget 6", per)
+	}
+}
+
+// TestAllocBudgetQuorumWrite: a quorum write (r = 3, W = 2) makes 16 heap
+// objects on the same path: the coordinator's two requests' item slices,
+// its writer stamp and its decode of the owner's successor list, and each
+// of the three members' decode of the item (slice, key, value, stamp).
+func TestAllocBudgetQuorumWrite(t *testing.T) {
+	if per := quorumAllocs(t, wire.TStorePut, 3, 64); per != 16 {
+		t.Errorf("a quorum write made %.2f heap objects, budget 16", per)
+	}
+}
+
+// quorumAllocs runs quorum operations of type op (TStoreGet: Get, else
+// Put) over nkeys keys in turn on an installed 8-node one-hop
+// memCluster-like cluster, each from a node outside the key's replica
+// set, once every connection they use is dialled, and returns the heap
+// objects one makes. Each must send at least sent requests of type op.
+func quorumAllocs(t *testing.T, op wire.MsgType, sent uint64, nkeys int) float64 {
+	var rpcs [32]atomic.Uint64
+	nodes := install(t, startTwoRing(t, sessionsNet(), 8, countRPCs(&rpcs), replicaTweak(3, RouteOneHop)))
+	ctx := context.Background()
+	value := []byte(strings.Repeat("v", 64))
+	keys := make([]string, nkeys)
+	readers := make([]*Node, len(keys))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("budget-%d", i)
+		set := replicaSetOf(nodes, keys[i], 3)
+		for _, nd := range byIDOrder(nodes) {
+			if !slices.Contains(set, nd) {
+				readers[i] = nd
+				break
+			}
+		}
+		if err := nodes[0].Put(ctx, keys[i], value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	do := func(i int) {
+		i %= len(keys)
+		if op != wire.TStoreGet {
+			if err := readers[i].Put(ctx, keys[i], value); err != nil {
+				t.Fatalf("put %s: %v", keys[i], err)
+			}
+			return
+		}
+		if v, err := readers[i].Get(ctx, keys[i]); err != nil || !bytes.Equal(v, value) {
+			t.Fatalf("get %s = %q, %v", keys[i], v, err)
+		}
+	}
+	for i := 0; i < 2*len(keys); i++ {
+		do(i) // dial every connection the measured operations will use
+	}
+	runs := max(512, len(keys))
+	i := 0
+	before := rpcs[op].Load()
+	per := testing.AllocsPerRun(runs, func() {
+		do(i)
+		i++
+	})
+	// AllocsPerRun calls the function once more than runs, to warm up.
+	if got := rpcs[op].Load() - before; got < sent*uint64(runs+1) {
+		t.Fatalf("%d %v in %d operations, want %d each: the quorum path is not being exercised", got, op, runs+1, sent)
+	}
+	t.Logf("%.2f heap objects per operation", per)
+	return per
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -33,8 +34,9 @@ const maxWalkRestarts = 2
 // counts it, nothing can lose it, nothing retries it. Walks start at their
 // origin and a node can be its own ring-table store, its own replica and
 // its own successor, so callers need no local case of their own. The
-// handler keeps what a request carries, and over the wire the codec hands
-// it fresh copies; here the value payloads are copied in its place.
+// handler keeps what a request carries and may answer with the store's
+// own value; over the wire the codec copies both ways, and here the
+// request's value payloads and the answer's value are copied in its place.
 //
 // Every RPC of a lookup and of a quorum operation passes here, so this is
 // where a Trace on the context records them (WithTrace); without one a
@@ -57,6 +59,7 @@ func (n *Node) call(ctx context.Context, addr string, req wire.Request) (wire.Re
 	}
 	var resp wire.Response
 	n.handle(&req, &resp)
+	resp.Value = bytes.Clone(resp.Value)
 	if !resp.OK {
 		return resp, &wire.RemoteError{Type: req.Type, Msg: resp.Err}
 	}
@@ -802,20 +805,16 @@ func (n *Node) resolveReplicaSet(ctx context.Context, key string) ([]string, err
 		return nil, err
 	}
 	owner := res.Owner.Addr
-	var succs []string
+	var succs []wire.Peer
 	if nb, nbErr := n.call(ctx, owner, wire.Request{Type: wire.TGetNeighbors, Layer: 1}); nbErr == nil {
-		for _, p := range nb.Succ {
-			succs = append(succs, p.Addr)
-		}
+		succs = nb.Succ
 	} else {
 		// Owner unreachable: re-walk for a live owner and fall back to our
 		// own successor list for the trailing members.
 		if again, lerr := n.Lookup(ctx, LiveKeyID(key)); lerr == nil && again.Owner.Addr != owner {
 			owner = again.Owner.Addr
 			if nb2, err2 := n.call(ctx, owner, wire.Request{Type: wire.TGetNeighbors, Layer: 1}); err2 == nil {
-				for _, p := range nb2.Succ {
-					succs = append(succs, p.Addr)
-				}
+				succs = nb2.Succ
 			}
 		}
 		if len(succs) == 0 {
@@ -829,12 +828,10 @@ func (n *Node) resolveReplicaSet(ctx context.Context, key string) ([]string, err
 			if at < 0 {
 				return nil, fmt.Errorf("transport: replica set of %q: owner %s unreachable: %w", key, owner, nbErr)
 			}
-			for _, p := range own[at+1:] {
-				succs = append(succs, p.Addr)
-			}
+			succs = own[at+1:]
 		}
 	}
-	return replica.ReplicaSet(owner, succs, n.cfg.Replication.Factor), nil
+	return replica.ReplicaSet(nil, owner, succs, n.cfg.Replication.Factor), nil
 }
 
 // replicaNeighbors is the replica coordinator's local source of replica
@@ -910,7 +907,7 @@ func (n *Node) replicaNeighbors(ctx context.Context) ([]wire.Peer, int, bool) {
 // or the install itself. A refusal or an unreachable hint invalidates the
 // hint exactly as a failed verification in Lookup does, and the caller
 // takes the network path.
-func (n *Node) ownerRead(ctx context.Context, first wire.Request) ([]string, wire.Response, bool) {
+func (n *Node) ownerRead(ctx context.Context, first wire.Request) (string, wire.Response, bool) {
 	kid := LiveKeyID(first.Name)
 	var owner wire.Peer
 	hint := false
@@ -920,7 +917,7 @@ func (n *Node) ownerRead(ctx context.Context, first wire.Request) ([]string, wir
 	if !hint {
 		res, err := n.Lookup(ctx, kid)
 		if err != nil {
-			return nil, wire.Response{}, false
+			return "", wire.Response{}, false
 		}
 		owner = res.Owner
 	}
@@ -932,7 +929,7 @@ func (n *Node) ownerRead(ctx context.Context, first wire.Request) ([]string, wir
 				n.evictLocal(1, owner.Addr)
 			}
 		}
-		return nil, wire.Response{}, false
+		return "", wire.Response{}, false
 	}
 	if hint {
 		// A hint the owner confirmed is a lookup answered in one hop.
@@ -940,11 +937,7 @@ func (n *Node) ownerRead(ctx context.Context, first wire.Request) ([]string, wir
 		n.nm.hops.At(0).Inc()
 		n.nm.onehopHits.Inc()
 	}
-	succs := make([]string, len(resp.Succ))
-	for i, p := range resp.Succ {
-		succs[i] = p.Addr
-	}
-	return replica.ReplicaSet(owner.Addr, succs, n.cfg.Replication.Factor), resp, true
+	return owner.Addr, resp, true
 }
 
 // Put stores a value durably: a quorum write of a version-stamped item

@@ -243,6 +243,7 @@ type Node struct {
 	needSweep bool                      // eviction observed; anti-entropy on the next round
 	agreed    map[string]heard          // global-ring neighbor -> what its last liveness reply of this round agreed on (see ask); route gossip takes the summaries, anti-entropy the folds
 	head      chainLink                 // the predecessor's answer to this round's predecessor check, when that was the replica chain walk's first step (see replicaNeighbors)
+	replSucc  []wire.Peer               // the replica successors last named (see replicaSuccessorsLocked); never written in place
 
 	closed  chan struct{}
 	handled atomic.Int64 // requests received over the wire (also exported via the registry)
@@ -526,10 +527,12 @@ func (n *Node) ownsLocked(key id.ID) bool {
 // the node mutex and never performs outgoing RPCs, so it meets wire.Serve's
 // handler contract: it runs on the session's reader. The request owns its
 // memory (the codec's guarantee; call copies for a request that never
-// crossed it), so handlers may keep what it carries. Fill responses field
-// by field, never as a wire.Response literal: each literal takes a 576 B
-// slot of its own in this frame, and the frame sits on the stack of every
-// session's reader.
+// crossed it), so handlers may keep what it carries. A response may carry
+// memory the node keeps, as long as nothing writes it in place (a stored
+// value, the replica successors): the codec, or call, copies what the
+// caller gets. Fill responses field by field, never as a wire.Response
+// literal: each literal takes a 576 B slot of its own in this frame, and
+// the frame sits on the stack of every session's reader.
 func (n *Node) handle(req *wire.Request, resp *wire.Response) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -627,9 +630,10 @@ func (n *Node) handle(req *wire.Request, resp *wire.Response) {
 		}
 		// Tombstones and lifecycle stamps are reported as held: quorum
 		// readers must see a fresher tombstone outrank stale live copies,
-		// or a delete would resurrect through read-repair.
-		resp.Value = make([]byte, len(it.Value))
-		copy(resp.Value, it.Value)
+		// or a delete would resurrect through read-repair. The value is the
+		// store's own: no writer changes a stored value in place, and the
+		// caller gets a copy of it from the codec, or from call.
+		resp.Value = it.Value
 		resp.Found, resp.Version, resp.Writer = true, it.Version, it.Writer
 		resp.Expire, resp.Tombstone = it.Expire, it.Tombstone
 
@@ -747,19 +751,31 @@ func (n *Node) answerLiveLocked(key *[20]byte, resp *wire.Response) {
 }
 
 // replicaSuccessorsLocked returns the other members of the replica sets
-// this node owns: the first Factor-1 distinct global successors.
+// this node owns: the first Factor-1 distinct global successors. The
+// slice is the node's (replSucc), and a reply may carry it past the lock:
+// no slice once returned is written again, since a change copies the
+// unchanged prefix into a new one. So an owner's answer to a quorum
+// operation makes no heap object for it while the list stands.
 func (n *Node) replicaSuccessorsLocked() []wire.Peer {
 	want := n.cfg.Replication.Factor - 1
-	out := make([]wire.Peer, 0, want)
+	list, named, fresh := n.replSucc, 0, false
 	for _, p := range n.layers[0].succ {
-		if len(out) == want {
+		if named == want {
 			break
 		}
-		if p.Addr != n.addr && !slices.Contains(out, p) {
-			out = append(out, p)
+		if p.Addr == n.addr || slices.Contains(list[:named], p) {
+			continue
 		}
+		if !fresh && (named == len(list) || list[named] != p) {
+			list, fresh = append(make([]wire.Peer, 0, want), list[:named]...), true
+		}
+		if fresh {
+			list = append(list, p)
+		}
+		named++
 	}
-	return out
+	n.replSucc = list[:named]
+	return n.replSucc
 }
 
 // purgePeerLocked removes every reference to a dead address from one

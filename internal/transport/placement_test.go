@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/id"
@@ -110,7 +111,8 @@ func TestLocalReplicaSetsMatchResolver(t *testing.T) {
 						if err != nil {
 							t.Fatalf("resolve %s: %v", key, err)
 						}
-						got, _, ok := nodes[(k+1)%n].ownerRead(ctx, wire.Request{Type: wire.TStoreGet, Name: key, Layer: 1})
+						owner, answer, ok := nodes[(k+1)%n].ownerRead(ctx, wire.Request{Type: wire.TStoreGet, Name: key, Layer: 1})
+						got := replica.ReplicaSet(nil, owner, answer.Succ, factor)
 						if !ok || !slices.Equal(got, want) {
 							t.Fatalf("%s: owner read names %v (ok=%v), resolver %v", key, got, ok, want)
 						}
@@ -647,6 +649,96 @@ func TestStabilizationDeathForcesAntiEntropy(t *testing.T) {
 		}
 		if got := digests() - sent; got != 0 {
 			t.Errorf("%s: %v digests in rounds 3..%d after the death, want 0: a death is news once", tc.name, got, every)
+		}
+	}
+}
+
+// TestReadValueIsCallersOwn: the value Get returns is the caller's to
+// write over. A store read hands the handler the stored bytes themselves
+// (no writer changes a stored value in place), so every way back to the
+// caller copies them once: call's in-process path for the owner's own
+// answer, the codec for one that crossed the direct net or a MemNet
+// session. Overwriting what Get returned must change neither a second Get
+// nor any node's snapshot.
+func TestReadValueIsCallersOwn(t *testing.T) {
+	for _, net := range []struct {
+		name string
+		dn   func() *DirectNet
+	}{{"direct", NewDirectNet}, {"sessions", sessionsNet}} {
+		t.Run(net.name, func(t *testing.T) {
+			ctx := context.Background()
+			nodes := replicaCluster(t, net.dn(), 4, 3, RouteOneHop)
+			const key = "callers-own"
+			want := []byte("the stored value")
+			if err := nodes[0].Put(ctx, key, want); err != nil {
+				t.Fatal(err)
+			}
+			set := replicaSetOf(nodes, key, 3)
+			outsider := nodes[slices.IndexFunc(nodes, func(nd *Node) bool { return !slices.Contains(set, nd) })]
+			for _, reader := range []struct {
+				how string
+				nd  *Node
+			}{{"self-owned", set[0]}, {"remote", outsider}} {
+				v, err := reader.nd.Get(ctx, key)
+				if err != nil || !bytes.Equal(v, want) {
+					t.Fatalf("%s get = %q, %v", reader.how, v, err)
+				}
+				for i := range v {
+					v[i] = 'x'
+				}
+				if again, err := reader.nd.Get(ctx, key); err != nil || !bytes.Equal(again, want) {
+					t.Errorf("%s get after overwriting the first answer = %q, %v", reader.how, again, err)
+				}
+				for _, nd := range nodes {
+					for _, it := range nd.Snapshot().Items {
+						if it.Key == key && !bytes.Equal(it.Value, want) {
+							t.Errorf("%s get: overwriting its answer changed %s's copy to %q", reader.how, nd.Addr(), it.Value)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestReplicaSuccessorsKeptUntilChanged: an owner names its replica
+// successors from a slice it keeps while its successor list names the
+// same ones, and a reply may hold that slice past the lock, so a change
+// must leave every slice already handed out as it was.
+func TestReplicaSuccessorsKeptUntilChanged(t *testing.T) {
+	nd := startOneRing(t, NewDirectNet(), "a", replicaTweak(3, RouteClassic))
+	named := func(succ ...string) []wire.Peer {
+		list := make([]wire.Peer, len(succ))
+		for i, s := range succ {
+			list[i] = peerFor(s)
+		}
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		nd.layers[0].succ = list
+		return nd.replicaSuccessorsLocked()
+	}
+	addrs := func(ps []wire.Peer) string {
+		var out []string
+		for _, p := range ps {
+			out = append(out, p.Addr)
+		}
+		return strings.Join(out, " ")
+	}
+	first := named("b", "a", "b", "c", "d")
+	if got := addrs(first); got != "b c" {
+		t.Fatalf("replica successors %q, want \"b c\"", got)
+	}
+	if same := named("b", "c", "d"); &same[0] != &first[0] {
+		t.Errorf("an unchanged list named a new slice")
+	}
+	shorter, other, none := named("b"), named("b", "d"), named("a")
+	for _, c := range []struct {
+		name string
+		got  []wire.Peer
+		want string
+	}{{"first", first, "b c"}, {"shorter", shorter, "b"}, {"other", other, "b d"}, {"none", none, ""}} {
+		if got := addrs(c.got); got != c.want {
+			t.Errorf("%s: %q, want %q", c.name, got, c.want)
 		}
 	}
 }

@@ -25,8 +25,9 @@ import (
 // allocates nothing, so the pooled transport and the server session loop
 // reuse frame buffers; decoding validates every length claim against the
 // remaining input, never panics, and retains none of its input (decoded
-// values own their memory; names of nodes and rings are interned, see
-// intern). It is a stateless value, safe for concurrent use.
+// values own their memory; names of nodes and rings, and a request's
+// key, are interned, see intern). It is a stateless value, safe for
+// concurrent use.
 type Binary struct{}
 
 var (
@@ -204,7 +205,7 @@ func decodeRequest(data []byte, req *Request) error {
 		}
 	}
 	if mask&rqName != 0 {
-		if req.Name, err = r.str(); err != nil {
+		if req.Name, err = r.name(); err != nil {
 			return err
 		}
 	}
@@ -643,7 +644,12 @@ func (r *breader) str() (string, error) {
 }
 
 // name reads a string naming a node or a ring (an address, a ring name, a
-// landmark), interned. Keys, values, writer stamps and error text are str.
+// landmark), or a request's Name (a key), interned. It pays off only
+// while the strings a process decodes repeat within the table; a miss
+// costs 2 heap objects where str costs 1. Store items' keys are str: a
+// transfer carries many keys at once, each seen once, which would evict
+// the addresses. So are writer stamps (nearly every one is new) and error
+// text; values are blob.
 func (r *breader) name() (string, error) {
 	raw, err := r.raw()
 	return intern(raw), err
