@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -113,19 +114,28 @@ func TestReplicaFallbackAfterFailure(t *testing.T) {
 	if _, _, downErr := s.Get(10, "resilient"); downErr == nil {
 		t.Error("read with all replicas down should fail")
 	}
-	// Revive and re-put.
+	// Revive the owner alone: one of four members is short of the write
+	// quorum of three, so the re-put fails.
 	s.MarkUp(owner)
-	if _, putErr := s.Put(0, "resilient", []byte("v2")); putErr != nil {
+	if _, putErr := s.Put(0, "resilient", []byte("v2")); putErr == nil {
+		t.Error("a put reaching 1 of 4 members was acknowledged")
+	}
+	// With the rest back a write lands again.
+	for _, n := range rep.Nodes[1:] {
+		s.MarkUp(n)
+	}
+	if _, putErr := s.Put(0, "resilient", []byte("v3")); putErr != nil {
 		t.Fatal(putErr)
 	}
 	v, _, err = s.Get(10, "resilient")
-	if err != nil || string(v) != "v2" {
+	if err != nil || string(v) != "v3" {
 		t.Errorf("after revive: %q %v", v, err)
 	}
 }
 
-// TestQuorumAndRepairAccounting: puts report acks, version stamps and
-// write-quorum state; gets repair replicas that lost their copy.
+// TestQuorumAndRepairAccounting: puts report acks and version stamps and
+// fail short of the write quorum; gets repair replicas that lost their
+// copy.
 func TestQuorumAndRepairAccounting(t *testing.T) {
 	o := testOverlay(t, 60, 9)
 	s, _ := New(o, 2) // factor 3, majority write quorum 2
@@ -133,8 +143,8 @@ func TestQuorumAndRepairAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Acks != 3 || !rep.Quorum {
-		t.Errorf("healthy put: acks=%d quorum=%v, want 3 acks with quorum", rep.Acks, rep.Quorum)
+	if rep.Acks != 3 {
+		t.Errorf("healthy put: acks=%d, want 3", rep.Acks)
 	}
 	if rep.Version != 1 {
 		t.Errorf("first put stamped version %d, want 1", rep.Version)
@@ -171,18 +181,18 @@ func TestQuorumAndRepairAccounting(t *testing.T) {
 		t.Errorf("revived replica holds %d keys after read-repair, want 1", s.KeysAt(replica1))
 	}
 
-	// With only one live member the put still lands but reports a missed
-	// write quorum.
+	// With only one live member the put lands there but misses the write
+	// quorum of two, and fails.
 	for _, n := range rep.Nodes[1:] {
 		s.MarkDown(n)
 	}
 	s.MarkUp(owner)
 	solo, err := s.Put(0, "q", []byte("v3"))
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Error("a put acknowledged by 1 of 3 members succeeded")
 	}
-	if solo.Acks != 1 || solo.Quorum {
-		t.Errorf("degraded put: acks=%d quorum=%v, want 1 ack without quorum", solo.Acks, solo.Quorum)
+	if solo.Acks != 1 {
+		t.Errorf("degraded put: acks=%d, want 1", solo.Acks)
 	}
 }
 
@@ -196,8 +206,9 @@ func TestDelete(t *testing.T) {
 	if _, _, err := s.Get(0, "gone"); err == nil {
 		t.Error("deleted key still readable")
 	}
-	if s.TotalKeys() != 0 {
-		t.Errorf("TotalKeys = %d after delete", s.TotalKeys())
+	// A delete is a tombstone on each of the three members.
+	if s.TotalKeys() != 3 {
+		t.Errorf("TotalKeys = %d after delete, want 3 tombstones", s.TotalKeys())
 	}
 }
 
@@ -269,5 +280,39 @@ func TestConcurrentAccess(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestWriteWithOwnerDown: with the owner down, the origin stamps a write
+// itself, past its own copy, which it does not hold. The members holding
+// the earlier writes keep them over that stamp and report them, and the
+// write is restamped past them, so the acknowledged write is the one read
+// back.
+func TestWriteWithOwnerDown(t *testing.T) {
+	o := testOverlay(t, 60, 10)
+	s, _ := New(o, 2)
+	var rep CostReport
+	for _, v := range []string{"v1", "v2", "v3"} {
+		var err error
+		if rep, err = s.Put(0, "k", []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var others []int
+	for n := 1; n < o.N() && len(others) < 2; n++ {
+		if !slices.Contains(rep.Nodes, n) {
+			others = append(others, n)
+		}
+	}
+	s.MarkDown(rep.Nodes[0])
+	put, err := s.Put(others[0], "k", []byte("v4"))
+	if err != nil {
+		t.Fatalf("put with the owner down: %v", err)
+	}
+	if put.Version <= rep.Version || put.Acks != 2 {
+		t.Errorf("the put installed version %d on %d members, want past %d on 2", put.Version, put.Acks, rep.Version)
+	}
+	if v, _, err := s.Get(others[1], "k"); err != nil || string(v) != "v4" {
+		t.Errorf("acknowledged write not visible: read %q, %v", v, err)
 	}
 }

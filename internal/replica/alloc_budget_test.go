@@ -168,8 +168,8 @@ func TestAllocBudgetQuorumGet(t *testing.T) {
 		Metrics: NewMetrics(nil),
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if v, found, err := co.Get(context.Background(), "k"); err != nil || !found || string(v) != "v" {
-			t.Fatalf("get = %q, %v, %v", v, found, err)
+		if v, err := co.Get(context.Background(), "k"); err != nil || string(v) != "v" {
+			t.Fatalf("get = %q, %v", v, err)
 		}
 	})
 	if avg != 0 {

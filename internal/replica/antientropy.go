@@ -297,7 +297,7 @@ func (c *Coordinator) AntiEntropyOnce(ctx context.Context) (pulled, pushed, drop
 				continue
 			}
 			th, have := theirs[it.Key]
-			if !have || Supersedes(it, th) {
+			if !have || supersedes(it, th) {
 				push = append(push, it)
 			}
 		}

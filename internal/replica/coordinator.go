@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -189,7 +190,9 @@ func (c *Coordinator) Delete(ctx context.Context, key string) error {
 // store_put the owner stamps past what it holds (Engine.ApplyPast), whose
 // reply is an ack and the stamp for the other members. If set[0] refuses
 // or is unreachable, the write is stamped past what it reported and put to
-// every member.
+// every member. A member that kept a newer copy over that stamp is no ack
+// (its copy would win), so the write is stamped past it and put once more.
+// Not so an owner's stamp: a newer copy then is a later concurrent write.
 func (c *Coordinator) write(ctx context.Context, op string, item wire.StoreItem) error {
 	start := time.Now()
 	opts := c.Opts.WithDefaults()
@@ -218,17 +221,26 @@ func (c *Coordinator) write(ctx context.Context, op string, item wire.StoreItem)
 		item.Version, item.Writer = c.Engine.Stamp(key, c.Self, atOwner.Version)
 	}
 
-	need := opts.WriteQuorum
-	if need > len(set) {
-		need = len(set)
-	}
+	need := min(opts.WriteQuorum, len(set))
 	req := wire.Request{Type: wire.TStorePut, Name: key, Items: []wire.StoreItem{item}}
-	for _, addr := range rest { // ring order: the order Get polls in
-		if _, callErr := c.Call(ctx, addr, req); callErr != nil {
-			lastErr = callErr
-			continue
+	for round := 0; ; round++ {
+		var newer uint64
+		for _, addr := range rest { // ring order: the order Get polls in
+			resp, callErr := c.Call(ctx, addr, req)
+			switch {
+			case callErr != nil:
+				lastErr = callErr
+			case !asked && resp.Found && supersedes(wire.StoreItem{Version: resp.Version, Writer: resp.Writer}, item):
+				newer = max(newer, resp.Version)
+			default:
+				acks++
+			}
 		}
-		acks++
+		if newer == 0 || round > 0 {
+			break
+		}
+		item.Version, item.Writer = c.Engine.Stamp(key, c.Self, newer)
+		req.Items, acks = []wire.StoreItem{item}, 0
 	}
 	if acks < need {
 		return fmt.Errorf("replica %s %q: %d/%d acks (need %d): %w", op, key, acks, len(set), need, lastErr)
@@ -237,14 +249,19 @@ func (c *Coordinator) write(ctx context.Context, op string, item wire.StoreItem)
 	return nil
 }
 
+// ErrNotFound is Get's answer for a key no member holds alive: every
+// member answered without it, or the freshest copy is a tombstone or
+// expired.
+var ErrNotFound = errors.New("not found")
+
 // Get performs one quorum read: poll replica-set members in ring
 // order, require ReadQuorum answers (clamped to the set size), and
 // return the freshest item seen. Members that answered stale or
 // missing are read-repaired with the winning item. A clean "not
-// found" needs every member to answer empty; when some members are
-// unreachable and nothing was found, Get reports an error so callers
-// cannot mistake a partition for an empty key.
-func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, bool, error) {
+// found" (ErrNotFound) needs every member to answer empty; when some
+// members are unreachable and nothing was found, Get reports another
+// error so callers cannot mistake a partition for an empty key.
+func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, error) {
 	m := c.metrics()
 	start := time.Now()
 	opts := c.Opts.WithDefaults()
@@ -252,16 +269,13 @@ func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, bool, error)
 	set, atOwner, asked, err := c.locate(ctx, wire.Request{Type: wire.TStoreGet, Name: key, Layer: 1}, setBuf[:0])
 	if err != nil {
 		m.Failures.With("get").Inc()
-		return nil, false, fmt.Errorf("replica get %q: resolve: %w", key, err)
+		return nil, fmt.Errorf("replica get %q: resolve: %w", key, err)
 	}
 	if len(set) == 0 {
 		m.Failures.With("get").Inc()
-		return nil, false, fmt.Errorf("replica get %q: empty replica set", key)
+		return nil, fmt.Errorf("replica get %q: empty replica set", key)
 	}
-	need := opts.ReadQuorum
-	if need > len(set) {
-		need = len(set)
-	}
+	need := min(opts.ReadQuorum, len(set))
 
 	var best wire.StoreItem
 	found := false
@@ -285,7 +299,7 @@ func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, bool, error)
 			it := wire.StoreItem{Key: key, Value: resp.Value, Version: resp.Version, Writer: resp.Writer,
 				Expire: resp.Expire, Tombstone: resp.Tombstone}
 			held[addr] = it
-			if !found || Supersedes(it, best) {
+			if !found || supersedes(it, best) {
 				best = it
 				found = true
 			}
@@ -298,14 +312,14 @@ func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, bool, error)
 	if !found {
 		if answers < len(set) {
 			m.Failures.With("get").Inc()
-			return nil, false, fmt.Errorf("replica get %q: %d/%d members answered, none held it: %w",
+			return nil, fmt.Errorf("replica get %q: %d/%d members answered, none held it: %w",
 				key, answers, len(set), lastErr)
 		}
-		return nil, false, nil // unanimous: the key does not exist
+		return nil, fmt.Errorf("replica get %q: %w", key, ErrNotFound) // unanimous
 	}
 	if answers < need {
 		m.Failures.With("get").Inc()
-		return nil, false, fmt.Errorf("replica get %q: %d/%d answers (need %d): %w",
+		return nil, fmt.Errorf("replica get %q: %d/%d answers (need %d): %w",
 			key, answers, len(set), need, lastErr)
 	}
 	// A dead winner — tombstone or past its expiry stamp — reads as
@@ -330,7 +344,7 @@ func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, bool, error)
 	}
 	m.ReadSeconds.Observe(time.Since(start).Seconds())
 	if !alive {
-		return nil, false, nil
+		return nil, fmt.Errorf("replica get %q: %w", key, ErrNotFound)
 	}
-	return best.Value, true, nil
+	return best.Value, nil
 }

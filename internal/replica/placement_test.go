@@ -92,8 +92,8 @@ func TestCoordinatorLocalSources(t *testing.T) {
 	if it, _ := fc.engines["n2"].Get("doc"); it.Version != 42 || string(it.Value) != "new" {
 		t.Errorf("put stamped %d %q, want 42 (one past the owner's version)", it.Version, it.Value)
 	}
-	if v, found, err := co.Get(ctx, "doc"); err != nil || !found || string(v) != "new" {
-		t.Fatalf("get = %q, %v, %v", v, found, err)
+	if v, err := co.Get(ctx, "doc"); err != nil || string(v) != "new" {
+		t.Fatalf("get = %q, %v", v, err)
 	}
 	wantCalls := []string{"n1:store_put", "n2:store_put", "n1:store_get"}
 	if !reflect.DeepEqual(fc.calls, wantCalls) {
@@ -103,8 +103,8 @@ func TestCoordinatorLocalSources(t *testing.T) {
 		t.Errorf("vouched operations: %d walks, walk=%d local=%d", walked, co.Metrics.WalkSets.Value(), co.Metrics.LocalSets.Value())
 	}
 	vouch = false
-	if _, found, err := co.Get(ctx, "doc"); err != nil || !found {
-		t.Fatalf("get after a refusal: %v, %v", found, err)
+	if _, err := co.Get(ctx, "doc"); err != nil {
+		t.Fatalf("get after a refusal: %v", err)
 	}
 	if walked != 1 || co.Metrics.WalkSets.Value() != 1 {
 		t.Errorf("a refused owner read walked %d times (counter %d), want 1", walked, co.Metrics.WalkSets.Value())

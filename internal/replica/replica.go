@@ -5,13 +5,14 @@
 // versioned items on graceful leave, and periodic digest anti-entropy
 // rounds that re-converge replicas and re-home data after churn.
 //
-// The package has two halves. Engine is the node-local store: a
-// versioned last-writer-wins map whose merges are idempotent, so the
-// TStorePut/TReplicate/THandoff wire operations retry safely. The
-// quorum coordination logic (replica-set resolution, ack counting,
-// read-repair, anti-entropy planning) lives in the transport client,
-// which owns lookups and the successor lists; this package supplies
-// the ordering rule (Supersedes) both halves must agree on.
+// Engine is the node-local store: a versioned last-writer-wins map whose
+// merges are idempotent, so the TStorePut/TReplicate/THandoff wire
+// operations retry safely; Engine.ServeLocked answers TStorePut and
+// TStoreGet from it. Coordinator holds the quorum logic (replica-set
+// resolution, stamping, acks, read-repair, anti-entropy) over the calls
+// its driver binds: the live node (internal/transport) over its RPCs, or
+// the oracle store (internal/kv) over in-process calls on a static
+// overlay, so a replicated put, get or delete means the same in both.
 package replica
 
 import (
@@ -75,12 +76,12 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// Supersedes reports whether item a should replace item b in a merge:
+// supersedes reports whether item a should replace item b in a merge:
 // strictly higher version wins; equal versions break the tie on the
 // writer string. Two items with the same (Version, Writer) carry the
 // same value by construction (writers never reuse a stamp), so "not
 // supersedes" means "keeping b loses nothing".
-func Supersedes(a, b wire.StoreItem) bool {
+func supersedes(a, b wire.StoreItem) bool {
 	if a.Version != b.Version {
 		return a.Version > b.Version
 	}
@@ -89,7 +90,7 @@ func Supersedes(a, b wire.StoreItem) bool {
 
 // Engine is one node's versioned store. All methods are safe for
 // concurrent use; Clock is set before the engine is shared. Merges are
-// monotone: an item is replaced only by one that Supersedes it, so
+// monotone: an item is replaced only by one that supersedes it, so
 // applying any batch twice equals applying it once and the wire
 // operations feeding the engine are idempotent.
 //
@@ -214,7 +215,7 @@ func (e *Engine) Apply(item wire.StoreItem) bool {
 		return false
 	}
 	cur, ok := e.items[item.Key]
-	if ok && !Supersedes(item, cur.item) {
+	if ok && !supersedes(item, cur.item) {
 		return false
 	}
 	cur.item, cur.hash = item, ItemHash(item)

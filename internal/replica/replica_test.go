@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -37,14 +38,14 @@ func TestOptionsWithDefaults(t *testing.T) {
 func TestSupersedesTotalOrder(t *testing.T) {
 	a := item("k", "a", 2, "n1#1")
 	b := item("k", "b", 1, "n2#9")
-	if !Supersedes(a, b) || Supersedes(b, a) {
+	if !supersedes(a, b) || supersedes(b, a) {
 		t.Error("higher version must win")
 	}
 	c := item("k", "c", 2, "n2#1")
-	if !Supersedes(c, a) || Supersedes(a, c) {
+	if !supersedes(c, a) || supersedes(a, c) {
 		t.Error("equal versions must break ties on writer")
 	}
-	if Supersedes(a, a) {
+	if supersedes(a, a) {
 		t.Error("an item must not supersede itself")
 	}
 }
@@ -171,18 +172,11 @@ func (fc *fakeCluster) call(ctx context.Context, addr string, req wire.Request) 
 		return wire.Response{}, &wire.NetError{Addr: addr, Op: "dial", Err: fmt.Errorf("down")}
 	}
 	switch req.Type {
-	case wire.TStoreGet:
-		it, ok := e.Get(req.Name)
-		return wire.Response{OK: true, Found: ok, Value: it.Value, Version: it.Version, Writer: it.Writer}, nil
-	case wire.TStorePut, wire.TReplicate, wire.THandoff:
-		if req.Layer == 1 && addr != fc.owner { // a refused ownership-checked put
-			it, _ := e.Get(req.Name)
-			return wire.Response{OK: true, Version: it.Version}, nil
-		}
-		if req.Layer == 1 {
-			v, applied := e.ApplyPast(req.Items[0])
-			return wire.Response{OK: true, Owner: true, Version: v, Applied: applied}, nil
-		}
+	case wire.TStoreGet, wire.TStorePut:
+		var resp wire.Response
+		e.ServeLocked(&req, &resp, func(string) ([]wire.Peer, bool) { return nil, addr == fc.owner })
+		return wire.Answered(req.Type, resp)
+	case wire.TReplicate, wire.THandoff:
 		return wire.Response{OK: true, Applied: e.ApplyBatch(req.Items)}, nil
 	case wire.TDigest:
 		return wire.Response{OK: true, Digests: e.RangeDigest(fc.keyID, req.Key, req.KeyHi)}, nil
@@ -217,13 +211,13 @@ func TestCoordinatorQuorumWriteAndRead(t *testing.T) {
 			t.Errorf("member %s missing the write (found %v)", m, ok)
 		}
 	}
-	v, found, err := co.Get(context.Background(), "doc")
-	if err != nil || !found || string(v) != "v1" {
-		t.Fatalf("get = %q, %v, %v", v, found, err)
+	v, err := co.Get(context.Background(), "doc")
+	if err != nil || string(v) != "v1" {
+		t.Fatalf("get = %q, %v", v, err)
 	}
 	// Unanimous empty → clean not-found.
-	if _, found, err := co.Get(context.Background(), "ghost"); err != nil || found {
-		t.Errorf("ghost get = found=%v err=%v, want clean not-found", found, err)
+	if _, err := co.Get(context.Background(), "ghost"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("ghost get = %v, want clean not-found", err)
 	}
 }
 
@@ -249,9 +243,9 @@ func TestCoordinatorReadRepair(t *testing.T) {
 	fc.engines["n0"].Apply(item("doc", "old", 1, "n8#1"))
 	fc.engines["n1"].Apply(fresh)
 	co := fc.coordinator("n0", Options{Factor: 3, ReadQuorum: 3})
-	v, found, err := co.Get(context.Background(), "doc")
-	if err != nil || !found || string(v) != "new" {
-		t.Fatalf("get = %q, %v, %v; want freshest", v, found, err)
+	v, err := co.Get(context.Background(), "doc")
+	if err != nil || string(v) != "new" {
+		t.Fatalf("get = %q, %v; want freshest", v, err)
 	}
 	// n0 (stale) and n2 (missing) must have been repaired.
 	for _, m := range []string{"n0", "n2"} {
@@ -270,8 +264,8 @@ func TestCoordinatorGetDistrustsPartialSilence(t *testing.T) {
 	co := fc.coordinator("n0", Options{Factor: 3, ReadQuorum: 1})
 	// Nothing stored anywhere, one member unreachable: must error, not
 	// report a clean miss.
-	if _, found, err := co.Get(context.Background(), "ghost"); err == nil || found {
-		t.Errorf("partial silence: found=%v err=%v, want error", found, err)
+	if _, err := co.Get(context.Background(), "ghost"); err == nil || errors.Is(err, ErrNotFound) {
+		t.Errorf("partial silence: %v, want an error other than not-found", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -35,8 +34,8 @@ const maxWalkRestarts = 2
 // origin and a node can be its own ring-table store, its own replica and
 // its own successor, so callers need no local case of their own. The
 // handler keeps what a request carries and may answer with the store's
-// own value; over the wire the codec copies both ways, and here the
-// request's value payloads and the answer's value are copied in its place.
+// own value; over the wire the codec copies both ways, and here
+// wire.Detach and wire.Answered copy in its place.
 //
 // Every RPC of a lookup and of a quorum operation passes here, so this is
 // where a Trace on the context records them (WithTrace); without one a
@@ -51,19 +50,10 @@ func (n *Node) call(ctx context.Context, addr string, req wire.Request) (wire.Re
 	if ctx.Err() != nil {
 		return wire.Response{}, &wire.NetError{Addr: addr, Op: "call", Sent: false, Err: context.Cause(ctx)}
 	}
-	if len(req.Items) > 0 {
-		req.Items = slices.Clone(req.Items)
-		for i := range req.Items {
-			req.Items[i].Value = append([]byte(nil), req.Items[i].Value...)
-		}
-	}
+	wire.Detach(&req)
 	var resp wire.Response
 	n.handle(&req, &resp)
-	resp.Value = bytes.Clone(resp.Value)
-	if !resp.OK {
-		return resp, &wire.RemoteError{Type: req.Type, Msg: resp.Err}
-	}
-	return resp, nil
+	return wire.Answered(req.Type, resp)
 }
 
 // callBG is call for maintenance paths (stabilization, repair, leave,
@@ -951,17 +941,10 @@ func (n *Node) Put(ctx context.Context, key string, value []byte) error {
 
 // Get fetches a value with a quorum read over the key's replica set,
 // returning the freshest version seen and read-repairing stale members.
-// A missing key is an error (matching the pre-replication contract);
-// Get only trusts "not found" when every replica-set member answered.
+// A missing key is an error, replica.ErrNotFound, which Get reports
+// only when every replica-set member answered.
 func (n *Node) Get(ctx context.Context, key string) ([]byte, error) {
-	v, found, err := n.co.Get(ctx, key)
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		return nil, fmt.Errorf("transport: key %q not found", key)
-	}
-	return v, nil
+	return n.co.Get(ctx, key)
 }
 
 // Delete removes a key durably: a quorum write of a tombstone that

@@ -593,49 +593,8 @@ func (n *Node) handle(req *wire.Request, resp *wire.Response) {
 		n.tables[ringKey(req.Table.Layer, req.Table.Name)] = req.Table
 		resp.OK = true
 
-	case wire.TStorePut:
-		if len(req.Items) != 1 || req.Items[0].Key == "" {
-			resp.Err = fmt.Sprintf("store_put wants exactly one keyed item, got %d", len(req.Items))
-			return
-		}
-		switch {
-		case req.Layer != 1:
-			resp.Applied = n.store.ApplyBatch(req.Items)
-		case n.ownsLocked(LiveKeyID(req.Items[0].Key)):
-			// Ownership-checked put (see ownerRead): the owner stamps the
-			// write past the version it holds and names the replica set.
-			resp.Owner, resp.Succ = true, n.replicaSuccessorsLocked()
-			resp.Version, resp.Applied = n.store.ApplyPast(req.Items[0])
-		default: // any other node installs nothing and reports its version
-			held, _ := n.store.Get(req.Items[0].Key)
-			resp.Version = held.Version
-		}
-		resp.OK = true
-
-	case wire.TStoreGet:
-		resp.OK = true
-		if req.Layer == 1 {
-			// Ownership-checked read (see ownerRead): the destination check
-			// of findClosestLocked's hierarchical branch, on the key's name.
-			// A node that does not own the key says nothing about it.
-			if !n.ownsLocked(LiveKeyID(req.Name)) {
-				return
-			}
-			resp.Owner = true
-			resp.Succ = n.replicaSuccessorsLocked()
-		}
-		it, ok := n.store.Get(req.Name)
-		if !ok {
-			return
-		}
-		// Tombstones and lifecycle stamps are reported as held: quorum
-		// readers must see a fresher tombstone outrank stale live copies,
-		// or a delete would resurrect through read-repair. The value is the
-		// store's own: no writer changes a stored value in place, and the
-		// caller gets a copy of it from the codec, or from call.
-		resp.Value = it.Value
-		resp.Found, resp.Version, resp.Writer = true, it.Version, it.Writer
-		resp.Expire, resp.Tombstone = it.Expire, it.Tombstone
+	case wire.TStorePut, wire.TStoreGet:
+		n.store.ServeLocked(req, resp, n.keyOwnerLocked)
 
 	case wire.TReplicate, wire.THandoff:
 		for _, it := range req.Items {
@@ -748,6 +707,16 @@ func (n *Node) answerLiveLocked(key *[20]byte, resp *wire.Response) {
 	sum := binary.BigEndian.Uint64(key[:8])
 	resp.Found = sum != 0 && (n.routes == nil || n.routes.Summary() == sum)
 	resp.SameFold = n.co.SameFold(binary.BigEndian.Uint64(key[8:16]))
+}
+
+// keyOwnerLocked is the node's side of the store requests' Layer-1
+// contract (replica.OwnerFunc): ownership is the destination check of
+// findClosestLocked's hierarchical branch, on the key's name.
+func (n *Node) keyOwnerLocked(key string) ([]wire.Peer, bool) {
+	if !n.ownsLocked(LiveKeyID(key)) {
+		return nil, false
+	}
+	return n.replicaSuccessorsLocked(), true
 }
 
 // replicaSuccessorsLocked returns the other members of the replica sets

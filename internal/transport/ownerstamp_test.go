@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/wire"
@@ -180,5 +182,63 @@ func TestOwnerStampConcurrentWriters(t *testing.T) {
 		if v, err := nd.Get(ctx, key); err != nil || string(v) != string(want.Value) {
 			t.Errorf("get from %s = %q, %v; the owner holds %q", nd.Addr(), v, err, want.Value)
 		}
+	}
+}
+
+// TestUnstampedWriteIsNotLost: the key's owner refuses every store_put but
+// still answers lookups and reads, so a writer cannot have the owner stamp
+// its write and stamps it itself, past its own copy, which it does not
+// hold. The other members hold a newer write and keep it; an answer that
+// kept a newer item is no ack, so the writer restamps past the version they
+// reported and puts once more. The acknowledged write must then be what a
+// quorum read returns.
+func TestUnstampedWriteIsNotLost(t *testing.T) {
+	const factor = 3
+	ctx := context.Background()
+	var refuse atomic.Value // the address whose store_puts fail, once set
+	refuse.Store("")
+	wrap := func(cfg *Config) {
+		cfg.WrapCaller = func(_ string, inner wire.Caller) wire.Caller {
+			return wire.CallerFunc(func(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
+				if req.Type == wire.TStorePut && addr == refuse.Load().(string) {
+					return wire.Response{}, &wire.RemoteError{Type: req.Type, Msg: "store_put refused"}
+				}
+				return inner.Call(ctx, addr, req)
+			})
+		}
+	}
+	names := make([]string, 16)
+	for i := range names {
+		names[i] = "n" + strconv.Itoa(i)
+	}
+	nodes := oneRingCluster(t, NewDirectNet(), names, replicaTweak(factor, RouteOneHop), wrap)
+	n0, n1 := nodes[0], nodes[1]
+	var key string
+	var set []*Node
+	for i := 0; key == ""; i++ {
+		k := "unstamped-" + strconv.Itoa(i)
+		if set = replicaSetOf(nodes, k, factor); !slices.Contains(set, n0) && !slices.Contains(set, n1) {
+			key = k
+		}
+	}
+	for _, v := range []string{"v1", "v2", "v3"} {
+		if err := n0.Put(ctx, key, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refuse.Store(set[0].Addr())
+	if err := n1.Put(ctx, key, []byte("v4")); err != nil {
+		t.Fatalf("put with the owner refusing writes: %v", err)
+	}
+	v, err := n1.Get(ctx, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(v) != "v4" {
+		for _, nd := range set {
+			it, _ := nd.store.Get(key)
+			t.Logf("%s holds %q at %d by %s", nd.Addr(), it.Value, it.Version, it.Writer)
+		}
+		t.Fatalf("acknowledged write not visible: read %q", v)
 	}
 }

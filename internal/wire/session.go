@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -183,4 +185,27 @@ func writeFrame(conn net.Conn, tag uint64, resp *Response, timeout time.Duration
 	*pb = buf
 	putFrameBuf(pb)
 	return err
+}
+
+// Detach and Answered are the copy rule of a request answered in-process,
+// around a direct call of the handler (a function value would move the
+// request and response to the heap): the handler gets its own copy of the
+// request's values, which it may keep, and the caller its own copy of the
+// answer's, as the codec gives a connection's ends; a refusal (!OK) is a
+// *RemoteError, as from Pool.Call.
+func Detach(req *Request) {
+	req.Items = slices.Clone(req.Items)
+	for i := range req.Items {
+		req.Items[i].Value = append([]byte(nil), req.Items[i].Value...)
+	}
+}
+
+// Answered is the second half of Detach's rule, for the answer to a
+// request of type t.
+func Answered(t MsgType, resp Response) (Response, error) {
+	resp.Value = bytes.Clone(resp.Value)
+	if !resp.OK {
+		return resp, &RemoteError{Type: t, Msg: resp.Err}
+	}
+	return resp, nil
 }
