@@ -256,6 +256,21 @@ func Build(net *topology.Network, cfg Config, rng *rand.Rand) (*Overlay, error) 
 		}
 	}
 
+	if err := o.assemble(rng); err != nil {
+		return nil, err
+	}
+	if cfg.Metrics != nil {
+		o.Instrument(cfg.Metrics)
+	}
+	return o, nil
+}
+
+// assemble builds the rings and ring tables over o.nodes, which carry
+// identifiers, hosts and ring names in ascending identifier order: Build's
+// steps 4-6.
+func (o *Overlay) assemble(rng *rand.Rand) error {
+	cfg, net, n := o.cfg, o.net, len(o.nodes)
+
 	// 4. Layer-1 (global) ring.
 	members := make([]chord.Member, n)
 	for i, nd := range o.nodes {
@@ -270,7 +285,7 @@ func Build(net *topology.Network, cfg Config, rng *rand.Rand) (*Overlay, error) 
 	}
 	global, err := buildTable(members, cfg.Workers)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	o.global = &Ring{Layer: 1, Table: global, Global: make([]int32, n)}
 	for i := range o.global.Global {
@@ -327,7 +342,7 @@ func Build(net *topology.Network, cfg Config, rng *rand.Rand) (*Overlay, error) 
 		wg.Wait()
 		for _, e := range errs {
 			if e != nil {
-				return nil, e
+				return e
 			}
 		}
 		for _, r := range rings {
@@ -340,10 +355,7 @@ func Build(net *topology.Network, cfg Config, rng *rand.Rand) (*Overlay, error) 
 
 	// 6. Ring tables (paper §3.1).
 	o.buildRingTables()
-	if cfg.Metrics != nil {
-		o.Instrument(cfg.Metrics)
-	}
-	return o, nil
+	return nil
 }
 
 func buildWorkers(w int) int {
