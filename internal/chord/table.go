@@ -4,7 +4,8 @@
 // set, used for large-scale trace-driven experiments (the paper simulates
 // up to 10,000 nodes and 100,000 requests); finger tables are exact. The
 // protocol itself — join, stabilization, fix-fingers, failure handling —
-// is package transport's live node.
+// is package transport's live node. The HIERAS lookup over the layers
+// (paper §3.2) is written here once, Answer and Route, for both.
 //
 // Identifiers live in the 160-bit space of package id. A Table may cover
 // any subset of the system's peers: HIERAS builds one Table per P2P ring.
@@ -204,29 +205,21 @@ func (t *Table) Walk(from int, key id.ID, dead []bool, r int, visit func(from, t
 	return u, u, skips, false
 }
 
-// WalkToPredecessor is Walk on a healthy ring: it returns the member
-// immediately preceding key and the hop count.
-func (t *Table) WalkToPredecessor(from int, key id.ID, visit func(from, to int)) (int, int) {
-	hops := 0
+// Lookup performs a full Chord lookup from member `from`: it routes to
+// predecessor(key) and takes the final hop to successor(key), the key's
+// owner. If `from` already owns the key no hops are taken (the
+// destination check of paper §3.2). It returns the owner and hop count.
+func (t *Table) Lookup(from int, key id.ID, visit func(from, to int)) (int, int) {
+	owner, hops := t.SuccessorIndex(key), 0
+	if owner == from {
+		return from, 0
+	}
 	p, _, _, _ := t.Walk(from, key, nil, 0, func(f, to int) {
 		hops++
 		if visit != nil {
 			visit(f, to)
 		}
 	})
-	return p, hops
-}
-
-// Lookup performs a full Chord lookup from member `from`: it routes to
-// predecessor(key) and takes the final hop to successor(key), the key's
-// owner. If `from` already owns the key no hops are taken (the
-// destination check of paper §3.2). It returns the owner and hop count.
-func (t *Table) Lookup(from int, key id.ID, visit func(from, to int)) (int, int) {
-	owner := t.SuccessorIndex(key)
-	if owner == from {
-		return from, 0
-	}
-	p, hops := t.WalkToPredecessor(from, key, visit)
 	if visit != nil {
 		visit(p, owner)
 	}

@@ -240,7 +240,7 @@ func TestWalkToPredecessor(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		from := rng.Intn(tbl.Len())
 		key := id.Rand(rng)
-		p, _ := tbl.WalkToPredecessor(from, key, nil)
+		p, _, _, _ := tbl.Walk(from, key, nil, 0, nil)
 		if !id.InOpenClosed(key, tbl.ID(p), tbl.ID(tbl.Next(p))) {
 			t.Fatalf("walk ended at %d which does not precede %s", p, key.Short())
 		}

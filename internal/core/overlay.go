@@ -8,8 +8,8 @@
 //
 // Overlay is oracle-built routing state over a known node population, for
 // large trace-driven experiments. The join protocol of paper §3.3, ring
-// maintenance and failure handling live in package transport — the live
-// node — which internal/simcheck holds to this package's structure.
+// maintenance and failure handling live in package transport, the live
+// node; both drive the routing procedure of package chord (chord.Route).
 package core
 
 import (

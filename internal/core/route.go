@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/chord"
 	"repro/internal/id"
 )
 
@@ -101,12 +102,12 @@ func (o *Overlay) traced(from int, key id.ID, top int, v *FaultyView, rm *routeM
 	return res, err
 }
 
-// route is the one routing loop: Chord's ring walk once per layer from
-// ring layer `top` down to the global ring (layer 1), a destination check
-// between loops, and the final forward to the key's owner on the global
-// ring. A non-nil view routes around its failed peers, before any repair
-// has run (paper §3.3); only then can the procedure fail. rm may be nil.
-// Each hop is appended to *path unless path is nil.
+// route is chord.Route driven by the oracle: an ask walks RingOf(at,
+// layer) in-process, charging each hop its link latency, and makes the
+// destination check and the successor-list shortcut itself. A non-nil
+// view routes around its failed peers before any repair has run (paper
+// §3.3); only then can the procedure fail. rm may be nil. Each hop is
+// appended to *path unless path is nil.
 func (o *Overlay) route(from int, key id.ID, top int, v *FaultyView, rm *routeMetrics, path *[]Hop) (Totals, error) {
 	owner := o.global.Table.SuccessorIndex(key)
 	if v != nil {
@@ -135,29 +136,22 @@ func (o *Overlay) route(from int, key id.ID, top int, v *FaultyView, rm *routeMe
 		rm.hop(l)
 	}
 	var ring *Ring
-	layer := top
-	record := func(f, t int) { hop(layer, int(ring.Global[f]), int(ring.Global[t])) }
-
-	// cur == owner is the destination check between loops (paper §3.2).
-	for cur := from; layer >= 1 && cur != owner; layer-- {
-		if rm != nil && layer < top {
-			rm.ringClimbs.Inc() // the previous, more local layer did not finish
-		}
-		if v == nil && o.cfg.AccelerateWithSuccessorList &&
-			slices.Contains(o.global.Table.SuccessorList(cur, o.cfg.SuccessorListLen), owner) {
-			// The paper's successor-list acceleration: the destination is
-			// in the current peer's global successor list, so forward
-			// straight to it.
-			hop(1, cur, owner)
-			res.Accelerated = true
+	record := func(f, t int) { hop(ring.Layer, int(ring.Global[f]), int(ring.Global[t])) }
+	ask := func(at, _ int, layer int) (chord.Reply[int], error) {
+		if at != owner && v == nil && o.cfg.AccelerateWithSuccessorList &&
+			slices.Contains(o.global.Table.SuccessorList(at, o.cfg.SuccessorListLen), owner) {
+			hop(1, at, owner) // the owner is in at's global successor list
+			res.Accelerated, at = true, owner
 			if rm != nil {
 				rm.accelerated.Inc()
 			}
-			break
+		}
+		if at == owner {
+			return chord.Reply[int]{Self: at, Next: at, Done: true, Owner: true}, nil
 		}
 		var member int
 		var dead []bool
-		ring, member = o.RingOf(cur, layer)
+		ring, member = o.RingOf(at, layer)
 		if v != nil {
 			dead = v.masks[ring]
 		}
@@ -165,25 +159,25 @@ func (o *Overlay) route(from int, key id.ID, top int, v *FaultyView, rm *routeMe
 		if rm != nil && skips > 0 {
 			rm.deadSkips.Add(uint64(skips))
 		}
-		cur = int(ring.Global[p])
+		r := chord.Reply[int]{Self: int(ring.Global[p]), Next: int(ring.Global[s]), Done: ok}
 		switch {
+		case ok:
+			return r, nil
 		case layer > 1:
 			// A lower ring can be shattered (r consecutive ring successors
-			// dead) while the overlay as a whole is fine; give up on this
-			// layer from wherever the partial walk reached and climb, as a
-			// real peer would after timeouts.
-			if !ok && rm != nil {
-				rm.layerAborts.Inc()
-			}
-		case !ok:
-			return res, fmt.Errorf("core: global ring unroutable past peer %d", cur)
-		case cur != owner:
-			// Global ring: the final forward, to the key's owner.
-			record(p, s)
-			if cur = s; cur != owner {
-				return res, fmt.Errorf("core: landed on %d, live owner is %d", cur, owner)
-			}
+			// dead) while the overlay is fine: climb from where the walk
+			// stopped, as a real peer would after timeouts.
+			return r, chord.ErrUnroutable
 		}
+		return r, fmt.Errorf("core: global ring unroutable past peer %d", r.Self)
 	}
-	return res, nil
+	t, err := chord.Route(from, top, ask, hop)
+	if rm != nil {
+		rm.ringClimbs.Add(uint64(t.Climbs + t.Failovers))
+		rm.layerAborts.Add(uint64(t.Failovers))
+	}
+	if err == nil && t.Owner != owner {
+		err = fmt.Errorf("core: landed on %d, live owner is %d", t.Owner, owner)
+	}
+	return res, err
 }

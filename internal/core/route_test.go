@@ -79,16 +79,23 @@ func TestRouteOwnerZeroHops(t *testing.T) {
 	}
 }
 
-func TestChordRouteMatchesGlobalLookup(t *testing.T) {
+// TestChordRouteMatchesTableLookup: the flat baseline is chord.Route
+// entered at the global ring, and chord.Table.Lookup keeps its own count
+// of the final forward; both must name the same owner in the same hops,
+// all of them in layer 1.
+func TestChordRouteMatchesTableLookup(t *testing.T) {
 	o := buildOverlay(t, 80, Config{Depth: 2}, 25)
 	rng := rand.New(rand.NewSource(26))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 2000; trial++ {
 		from := rng.Intn(o.N())
 		key := id.Rand(rng)
-		res := o.ChordRoute(from, key)
 		owner, hops := o.Global().Lookup(from, key, nil)
+		if got := o.ChordRouteTotals(from, key); got.Dest != owner || got.Hops != hops {
+			t.Fatalf("pair %d: ChordRouteTotals = %d in %d hops, Global().Lookup = %d in %d", trial, got.Dest, got.Hops, owner, hops)
+		}
+		res := o.ChordRoute(from, key)
 		if res.Dest != owner || res.NumHops() != hops {
-			t.Fatal("ChordRoute disagrees with the global table lookup")
+			t.Fatalf("pair %d: ChordRoute = %d in %d hops, Global().Lookup = %d in %d", trial, res.Dest, res.NumHops(), owner, hops)
 		}
 		for _, h := range res.Hops {
 			if h.Layer != 1 {

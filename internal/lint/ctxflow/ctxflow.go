@@ -4,9 +4,9 @@
 //
 // Three rules, applied outside package main and _test.go files:
 //
-//  1. context.Background() and context.TODO() are forbidden. Roots
-//     belong in main and in tests; everything else receives its
-//     context. The node's lifecycle root (cancelled by Close) is the
+//  1. context.Background() and context.TODO() are forbidden, package-level
+//     var initialisers included. Roots belong in main and in tests;
+//     everything else receives its context. The node's lifecycle root (cancelled by Close) is the
 //     one sanctioned library root and carries a reasoned //lint:allow.
 //  2. When a function declares a context.Context parameter, it must be
 //     the first parameter (receiver aside) — the convention every
@@ -24,6 +24,7 @@ package ctxflow
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path"
 	"strings"
@@ -46,6 +47,11 @@ func run(pass *analysis.Pass) error {
 		name := path.Base(pass.Fset.Position(f.Pos()).Filename)
 		if strings.HasSuffix(name, "_test.go") {
 			continue
+		}
+		for _, d := range f.Decls {
+			if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.VAR {
+				checkBody(pass, nil, g)
+			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -78,7 +84,7 @@ func isCtxType(t types.Type) bool {
 
 // hasCtxParam reports whether ft declares a context.Context parameter.
 func hasCtxParam(pass *analysis.Pass, ft *ast.FuncType) bool {
-	if ft.Params == nil {
+	if ft == nil || ft.Params == nil {
 		return false
 	}
 	for _, field := range ft.Params.List {
@@ -103,9 +109,10 @@ func checkCtxFirst(pass *analysis.Pass, ft *ast.FuncType, name string) {
 	}
 }
 
-// checkBody enforces rules 1 and 3 over one function body. Nested
-// function literals are handled by the outer Inspect, not here.
-func checkBody(pass *analysis.Pass, ft *ast.FuncType, body *ast.BlockStmt) {
+// checkBody enforces rules 1 and 3 over one function body, or a
+// package-level declaration when ft is nil. Nested function literals are
+// handled by the outer Inspect, not here.
+func checkBody(pass *analysis.Pass, ft *ast.FuncType, body ast.Node) {
 	hasCtx := hasCtxParam(pass, ft)
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {

@@ -13,6 +13,17 @@ func Todo() {
 	use(context.TODO()) // want `context\.TODO outside main/tests`
 }
 
+// A package-level initialiser is library code too, nested calls included;
+// a literal in one is checked with its own signature, once.
+var root = context.Background() // want `context\.Background outside main/tests`
+
+var derived, cancelDerived = context.WithCancel(context.TODO()) // want `context\.TODO outside main/tests`
+
+var (
+	hooks = []func(){func() { use(context.Background()) }} // want `context\.Background outside main/tests`
+	plain = 1
+)
+
 // Worse: the function already has a ctx and builds a fresh one anyway.
 func Rebuild(ctx context.Context) {
 	use(context.Background()) // want `rebuilds a fresh context`

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"repro/internal/binning"
+	"repro/internal/chord"
 	"repro/internal/id"
 	"repro/internal/replica"
 	"repro/internal/wire"
@@ -593,9 +594,9 @@ var errWalkDiverged = errors.New("walk did not converge")
 // walk routes one key through one ring: TFindClosest steps in `layer`
 // starting at `from`, until a node gives a terminal reply (it owns the
 // key, or the key falls between it and its successor) or, in a
-// hierarchical walk, a climbed one (resp.Layer names the layer further up
-// that the node went on to answer for). It returns that reply — resp.Self is where
-// the walk ended — and the forwarding steps taken. A dead hop is handled
+// hierarchical walk, a climbed one (chord.Answer). It returns that reply,
+// whose Self is where the walk ended, and the forwarding steps taken; a
+// lookup's chord.Route asks with it (lookupFull). A dead hop is handled
 // in stages: the step is retried from the node that supplied the hop
 // (`supplier` for `from`, if any; the node is told to evict the reference
 // once the suspicion tracker confirms the peer dead), and when no
@@ -603,7 +604,7 @@ var errWalkDiverged = errors.New("walk did not converge")
 // maxWalkRestarts); the error of the hop the policy finally gave up on is
 // returned. Application-level errors mean the hop is alive and are
 // returned at once — never grounds for eviction.
-func (n *Node) walk(ctx context.Context, from, supplier, home string, layer int, key id.ID, hierarchical bool) (wire.Response, int, error) {
+func (n *Node) walk(ctx context.Context, from, supplier, home string, layer int, key id.ID, hierarchical bool) (chord.Reply[wire.Peer], int, error) {
 	cur, prev := from, supplier
 	hops, restarts := 0, 0
 	for i := 0; i < maxWalk; i++ {
@@ -613,7 +614,7 @@ func (n *Node) walk(ctx context.Context, from, supplier, home string, layer int,
 		})
 		if err != nil {
 			if wire.IsRemote(err) {
-				return wire.Response{}, hops, err
+				return chord.Reply[wire.Peer]{}, hops, err
 			}
 			suspect := n.suspectDead(cur)
 			if suspect {
@@ -633,33 +634,27 @@ func (n *Node) walk(ctx context.Context, from, supplier, home string, layer int,
 				cur, prev = home, ""
 				continue
 			}
-			return wire.Response{}, hops, err
+			return chord.Reply[wire.Peer]{}, hops, err
 		}
 		if resp.Layer != 0 && (!hierarchical || resp.Layer < 1 || resp.Layer >= layer) {
-			return wire.Response{}, hops, &wire.RemoteError{Type: wire.TFindClosest,
+			return chord.Reply[wire.Peer]{}, hops, &wire.RemoteError{Type: wire.TFindClosest,
 				Msg: fmt.Sprintf("%s answered a layer-%d step for layer %d", cur, layer, resp.Layer)}
 		}
 		if resp.Done || resp.Layer != 0 {
-			return resp, hops, nil
+			return chord.Reply[wire.Peer]{Self: resp.Self, Next: resp.Next, Done: resp.Done, Owner: resp.Owner, Layer: resp.Layer}, hops, nil
 		}
 		prev, cur = cur, resp.Next.Addr
 		hops++
 	}
-	return wire.Response{}, hops, fmt.Errorf("transport: layer %d walk for %s: %w", layer, key.Short(), errWalkDiverged)
+	return chord.Reply[wire.Peer]{}, hops, fmt.Errorf("transport: layer %d walk for %s: %w", layer, key.Short(), errWalkDiverged)
 }
 
 // walkOwner walks one layer's ring from `via` (ring-local ownership, no
 // hierarchical destination check) and returns the key's owner in that
-// layer and the number of hops.
+// layer and the forwarding steps the walk took.
 func (n *Node) walkOwner(ctx context.Context, via string, layer int, key id.ID) (wire.Peer, int, error) {
 	resp, hops, err := n.walk(ctx, via, "", via, layer, key, false)
-	if err != nil {
-		return wire.Peer{}, hops, err
-	}
-	if !resp.Owner {
-		hops++ // the final forward to the last hop's successor
-	}
-	return resp.Next, hops, nil
+	return resp.Next, hops, err
 }
 
 // LookupResult describes a completed hierarchical lookup.
@@ -727,16 +722,12 @@ func (n *Node) verifyOwner(ctx context.Context, owner wire.Peer, key id.ID) (Loo
 	return res, true
 }
 
-// lookupFull is the uncached hierarchical routing procedure: one walk per
-// layer, most local ring first, each starting where the previous one
-// ended. The node a lower-ring walk ends at answers for the layers above
-// in the same reply (findClosestLocked), so the climb costs no message:
-// its answer is the next walk's first step, and the hop it names stays
-// its to supply. It degrades gracefully under failures: when a lower ring
-// stays unroutable after walk's retries and restarts, the lookup climbs
-// to the next layer up from this node instead of aborting — the global
-// ring is the final authority on ownership, so skipping a broken lower
-// ring costs hops, never correctness.
+// lookupFull is the uncached hierarchical routing procedure: chord.Route
+// with walk as its ask. It degrades gracefully under failures: when a
+// lower ring stays unroutable after walk's retries and restarts, the
+// lookup climbs to the next layer up from this node instead of aborting —
+// the global ring is the final authority on ownership, so skipping a
+// broken lower ring costs hops, never correctness.
 func (n *Node) lookupFull(ctx context.Context, key id.ID) (LookupResult, error) {
 	var res LookupResult
 	count := func(layer, hops int) {
@@ -744,41 +735,19 @@ func (n *Node) lookupFull(ctx context.Context, key id.ID) (LookupResult, error) 
 		res.LayerHops[layer-1] += hops
 		n.nm.hops.At(layer - 1).Add(uint64(hops))
 	}
-	cur, supplier, layer := n.addr, "", n.cfg.Depth
-	for {
-		resp, hops, err := n.walk(ctx, cur, supplier, n.addr, layer, key, true)
-		supplier = ""
-		if err == nil && resp.Layer != 0 {
-			count(layer, hops)
-			n.nm.ringClimbs.Add(uint64(layer - resp.Layer))
-			layer, hops = resp.Layer, 0
-			if !resp.Done {
-				count(layer, 1)
-				cur, supplier = resp.Next.Addr, resp.Self.Addr
-				continue
-			}
-		}
-		if err == nil && layer == 1 && !resp.Owner {
-			hops++ // the final forward to the last hop's successor, the owner
-		}
+	self := n.Self()
+	t, err := chord.Route(self, n.cfg.Depth, func(at, supplier wire.Peer, layer int) (chord.Reply[wire.Peer], error) {
+		r, hops, err := n.walk(ctx, at.Addr, supplier.Addr, n.addr, layer, key, true)
 		count(layer, hops)
-		switch {
-		case err == nil && (resp.Owner || layer == 1):
-			res.Owner = resp.Next
-			return res, nil
-		case err == nil:
-			n.nm.ringClimbs.Inc()
-			cur = resp.Self.Addr // continue upward from the ring predecessor
-		case layer == 1 || wire.IsRemote(err) || errors.Is(err, errWalkDiverged):
-			return res, err
-		default:
-			// This ring is unroutable right now; climb a layer and
-			// keep going rather than failing the lookup.
-			n.nm.failoverClimbs.Inc()
-			cur = n.addr
+		if err != nil && layer > 1 && !wire.IsRemote(err) && !errors.Is(err, errWalkDiverged) {
+			return chord.Reply[wire.Peer]{Self: self}, chord.ErrUnroutable // climb from this node
 		}
-		layer--
-	}
+		return r, err
+	}, func(layer int, _, _ wire.Peer) { count(layer, 1) })
+	n.nm.ringClimbs.Add(uint64(t.Climbs))
+	n.nm.failoverClimbs.Add(uint64(t.Failovers))
+	res.Owner = t.Owner
+	return res, err
 }
 
 // resolveReplicaSet maps a key to its current replica set over the

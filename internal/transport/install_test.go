@@ -87,6 +87,7 @@ func TestInstalledIsFixpoint(t *testing.T) {
 	}
 	for _, sz := range sizes {
 		t.Run(fmt.Sprintf("n%d/depth%d/%s", sz.n, sz.depth, sz.mode), func(t *testing.T) {
+			t.Parallel()
 			dn, nodes := installNodes(t, sz.n, sz.depth, sz.mode)
 			if err := Install(nodes); err != nil {
 				t.Fatal(err)
@@ -151,6 +152,7 @@ func TestInstalledMatchesJoined(t *testing.T) {
 	for depth := 1; depth <= 3; depth++ {
 		for _, mode := range []string{RouteClassic, RouteOneHop} {
 			t.Run(fmt.Sprintf("depth%d/%s", depth, mode), func(t *testing.T) {
+				t.Parallel()
 				_, installed := installNodes(t, n, depth, mode)
 				if err := Install(installed); err != nil {
 					t.Fatal(err)

@@ -710,8 +710,8 @@ func (n *Node) answerLiveLocked(key *[20]byte, resp *wire.Response) {
 }
 
 // keyOwnerLocked is the node's side of the store requests' Layer-1
-// contract (replica.OwnerFunc): ownership is the destination check of
-// findClosestLocked's hierarchical branch, on the key's name.
+// contract (replica.OwnerFunc): ownership is the destination check of a
+// hierarchical routing step (chord.Answer), on the key's name.
 func (n *Node) keyOwnerLocked(key string) ([]wire.Peer, bool) {
 	if !n.ownsLocked(LiveKeyID(key)) {
 		return nil, false
@@ -810,76 +810,44 @@ func (n *Node) recordEvictLocked(layer int, dead string) bool {
 }
 
 // findClosestLocked is one iterative routing step in a layer (paper §3.2):
-// report ownership, ring-predecessor termination, or the closest preceding
-// finger toward the key. A hierarchical walk that ends here, at the key's
-// predecessor in a lower ring, climbs here too: the node answers for the
-// layers above from its own state while it keeps preceding the key, so
-// the climb costs no message (see climbLocked).
+// chord.Answer on this node's state.
 func (n *Node) findClosestLocked(req *wire.Request, resp *wire.Response) {
-	ls, err := n.layerFor(req.Layer)
-	if err != nil {
+	if _, err := n.layerFor(req.Layer); err != nil {
 		resp.Err = err.Error()
 		return
 	}
-	key := id.ID(req.Key)
-	var owner bool
-	if req.Hierarchical {
-		// Destination check of the multi-layer procedure (paper §3.2): am
-		// I the key's owner in the GLOBAL ring? Only the first node of a
-		// layer walk can own the key, so this matches the oracle overlay's
-		// between-layer check exactly.
-		owner = n.ownsLocked(key)
-	} else {
-		// Ring-local shortcut for join-time walks: this node is the key's
-		// successor within the queried ring.
-		owner = ls.pred.Addr != "" && id.InOpenClosed(key, peerID(ls.pred), n.id)
+	at := n.viewLocked(req.Layer)
+	if at.Succ == nil && n.joined && req.Layer > 1 {
+		// An eviction can purge the last entry of a joined node's
+		// lower-ring list; until the next stabilization round re-anchors
+		// or collapses the ring, answer as the singleton it is about to
+		// become, so the caller climbs a layer (or a joiner adopts this
+		// node). The global ring decides ownership and must not guess:
+		// there an empty list stays a refusal, like a layer that never
+		// joined.
+		lone := at.Self
+		at.Succ = &lone
 	}
-	if owner {
-		resp.OK, resp.Next, resp.Done, resp.Owner, resp.Self = true, n.selfLocked(), true, true, n.selfLocked()
-		return
-	}
-	// An eviction can purge the last entry of a joined node's lower-ring
-	// list; until the next stabilization round re-anchors or collapses
-	// the ring, answer as the singleton it is about to become, so the
-	// caller climbs a layer (or a joiner adopts this node). The global
-	// ring decides ownership and must not guess: there an empty list
-	// stays a refusal, like a layer that never joined.
-	var succ0 wire.Peer
-	switch {
-	case len(ls.succ) > 0:
-		succ0 = ls.succ[0]
-	case n.joined && req.Layer > 1:
-		succ0 = n.selfLocked()
-	default:
+	r, ok := chord.Answer(&chord.Node[wire.Peer]{View: n.viewLocked, Owns: n.ownsLocked, ID: peerID,
+		Skip: func(p wire.Peer) bool { return p.Addr == n.addr }}, at, req.Layer, id.ID(req.Key), req.Hierarchical)
+	if !ok {
 		resp.Err = fmt.Sprintf("layer %d not joined", req.Layer)
 		return
 	}
-	resp.OK, resp.Self = true, n.selfLocked()
-	n.stepLocked(ls, succ0, key, resp)
-	if req.Hierarchical {
-		n.climbLocked(req.Layer-1, key, resp)
-	}
+	resp.OK, resp.Self, resp.Next = true, r.Self, r.Next
+	resp.Done, resp.Owner, resp.Layer = r.Done, r.Owner, r.Layer
 }
 
-// stepLocked answers one non-owning routing step in ls from its first
-// successor succ0: the oracle's Chord step, never naming this node.
-func (n *Node) stepLocked(ls *layerState, succ0 wire.Peer, key id.ID, resp *wire.Response) {
-	resp.Next, resp.Done = ls.fingers.Step(n.id, succ0, key, peerID, func(p wire.Peer) bool { return p.Addr == n.addr })
-}
-
-// climbLocked continues a hierarchical reply that ended its ring walk at
-// this node, which does not own the key: it answers for `layer`, then for
-// each layer up toward the global ring, as the origin's next request would
-// have asked, while the answer stays Done, and records in resp.Layer the
-// last layer answered. A layer with an empty successor list is not climbed into: the
-// reply stands as it is and the origin asks for that layer itself.
-func (n *Node) climbLocked(layer int, key id.ID, resp *wire.Response) {
-	for ; resp.Done && layer >= 1; layer-- {
-		ls := n.layers[layer-1]
-		if len(ls.succ) == 0 {
-			return
-		}
-		n.stepLocked(ls, ls.succ[0], key, resp)
-		resp.Layer = layer
+// viewLocked is the node's state in its layer-l ring as chord.Answer
+// reads it.
+func (n *Node) viewLocked(layer int) chord.View[wire.Peer] {
+	ls := n.layers[layer-1]
+	v := chord.View[wire.Peer]{Self: n.selfLocked(), Fingers: &ls.fingers}
+	if ls.pred.Addr != "" {
+		v.Pred = &ls.pred
 	}
+	if len(ls.succ) > 0 {
+		v.Succ = &ls.succ[0]
+	}
+	return v
 }
