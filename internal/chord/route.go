@@ -23,8 +23,8 @@ type View[P comparable] struct {
 }
 
 // Node is how Answer reads a node: functions, not an interface, so a
-// finger test costs one call into the driver, and no P, so a caller's
-// closures here stay on its stack.
+// finger test costs one call into the caller's code, and no P, so the
+// caller's closures here stay on its stack.
 type Node[P comparable] struct {
 	View func(layer int) View[P] // its state in its layer-l ring; 1 = global
 	Owns func(key id.ID) bool    // it owns key on the global ring

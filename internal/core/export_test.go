@@ -9,7 +9,7 @@ import (
 
 // Assemble builds an overlay over nodes given whole — identifiers, hosts
 // in net and ring names — instead of deriving them from net's hosts:
-// Build's steps 4-6, so a test can stand an oracle over another driver's
+// Build's steps 4-6, so a test can stand an oracle over a live cluster's
 // membership.
 func Assemble(net *topology.Network, cfg Config, nodes []Node, rng *rand.Rand) (*Overlay, error) {
 	o := &Overlay{cfg: cfg.withDefaults(), net: net, nodes: slices.Clone(nodes), ringTables: make(map[RingKey]*RingTable)}
