@@ -3,13 +3,9 @@ package hieras
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/routes"
-	"repro/internal/wire"
 )
 
 // Cached wraps the system with per-peer location caches (see
@@ -62,123 +58,42 @@ func (cs *CachedSystem) ChordLookup(origin int, key string) (Route, error) {
 func (cs *CachedSystem) HitRate() float64 { return cs.c.HitRate() }
 
 // OneHop wraps the system with the single-hop route acceleration tier
-// (ROADMAP item 2, after Monnerat & Amorim's single-hop DHT): a
-// near-full membership table, seeded from the overlay, answers lookups
-// with one verified direct hop. The table follows the same
-// verify-or-fallback contract the live transport uses — a hint is only
-// trusted when the named peer confirms ownership, so a stale table
-// costs a wasted probe and a classic fallback walk, never a wrong
-// owner. Evict/Restore simulate the staleness window between a
-// membership change and the gossip round that repairs it.
+// (ROADMAP item 2, after Monnerat & Amorim's single-hop DHT) in its
+// converged state: every peer's table names every member, so each lookup
+// is one direct hop to the key's global owner. The tier's staleness —
+// a hint the named node refuses, and the walk that follows — runs on the
+// live node (transport), and is tested there.
 func (s *System) OneHop() *OneHopSystem {
-	t := routes.New()
-	for i := 0; i < s.N(); i++ {
-		t.Apply(wire.RouteEvent{
-			Layer: 1, Ring: "",
-			Peer: wire.Peer{Addr: strconv.Itoa(i), ID: [20]byte(s.overlay.Node(i).ID)},
-			Kind: wire.RouteJoin, Stamp: 1,
-		})
-	}
-	return &OneHopSystem{sys: s, table: t}
+	return &OneHopSystem{sys: s}
 }
 
-// OneHopSystem is a System answering lookups from a near-full one-hop
-// route table. It implements Lookuper; verified table answers are
-// reported via Route.CacheHit. Safe for concurrent use (BatchLookup
-// workers share it).
+// OneHopSystem is a System answering lookups from a converged one-hop
+// route table. It implements Lookuper; table answers are reported via
+// Route.CacheHit. Safe for concurrent use.
 type OneHopSystem struct {
-	sys   *System
-	table *routes.Table
-	hits  atomic.Uint64
-	stale atomic.Uint64
+	sys *System
 }
 
-// Lookup resolves key through the one-hop table first. A verified hit
-// is the single direct hop to the owner (CacheHit set); a stale or
-// missing entry falls back to the full hierarchical route, with the
-// wasted verification probe added to the latency on the stale path.
+// Lookup is the single direct hop to the key's owner (CacheHit set), free
+// when the origin owns the key itself.
 func (os *OneHopSystem) Lookup(origin int, key string) (Route, error) {
 	if err := os.sys.checkOrigin(origin); err != nil {
 		return Route{}, err
 	}
-	kid := core.KeyID(key)
 	o := os.sys.overlay
-	truth := o.Global().SuccessorIndex(kid)
-	// The table's owner candidate is the first ring member at or after the
-	// key, wrapping — the successor rule the live transport applies.
-	if hint, ok := os.table.Owner(1, "", [20]byte(kid)); ok {
-		idx, err := strconv.Atoi(hint.Addr)
-		if err == nil && idx == truth {
-			// Verified: the verification round trip IS the lookup's one hop
-			// (free when we own the key ourselves).
-			os.hits.Add(1)
-			r := Route{Dest: truth, CacheHit: true}
-			if truth != origin {
-				lat := o.Network().Latency(o.Node(origin).Host, o.Node(truth).Host)
-				r.Hops = 1
-				r.Latency = lat
-			}
-			return r, nil
-		}
-		// Stale: the probe to the wrong peer is a wasted round trip; pay
-		// for it on top of the classic fallback walk.
-		os.stale.Add(1)
-		r := fromTotals(o.RouteTotals(origin, kid))
-		if err == nil && idx != origin && idx >= 0 && idx < os.sys.N() {
-			r.Latency += o.Network().Latency(o.Node(origin).Host, o.Node(idx).Host)
-		}
-		return r, nil
+	owner := o.Global().SuccessorIndex(core.KeyID(key))
+	r := Route{Dest: owner, CacheHit: true}
+	if owner != origin {
+		r.Hops = 1
+		r.Latency = o.Network().Latency(o.Node(origin).Host, o.Node(owner).Host)
 	}
-	// No live view of the ring at all: straight to the classic walk.
-	os.stale.Add(1)
-	return fromTotals(o.RouteTotals(origin, kid)), nil
+	return r, nil
 }
 
 // ChordLookup routes over the flat global ring, bypassing the table —
 // the same uncached baseline the underlying System reports.
 func (os *OneHopSystem) ChordLookup(origin int, key string) (Route, error) {
 	return os.sys.ChordLookup(origin, key)
-}
-
-// Evict tombstones a peer in the one-hop table without touching the
-// overlay, modelling the staleness window after an undisseminated
-// departure: lookups for the peer's keys now fail verification and fall
-// back. Restore ends the window.
-func (os *OneHopSystem) Evict(peer int) error {
-	return os.applyMembership(peer, wire.RouteEvict)
-}
-
-// Restore re-announces an evicted peer — the gossip repair completing.
-func (os *OneHopSystem) Restore(peer int) error {
-	return os.applyMembership(peer, wire.RouteJoin)
-}
-
-func (os *OneHopSystem) applyMembership(peer int, kind uint8) error {
-	if err := os.sys.checkOrigin(peer); err != nil {
-		return err
-	}
-	addr := strconv.Itoa(peer)
-	os.table.Apply(wire.RouteEvent{
-		Layer: 1, Ring: "",
-		Peer: wire.Peer{Addr: addr, ID: [20]byte(os.sys.overlay.Node(peer).ID)},
-		Kind: kind, Stamp: os.table.NextStamp(1, "", addr, 0),
-	})
-	return nil
-}
-
-// Stats returns cumulative verified-hit and stale/fallback counts.
-func (os *OneHopSystem) Stats() (hits, stale uint64) {
-	return os.hits.Load(), os.stale.Load()
-}
-
-// HitRate returns the fraction of lookups answered in one verified hop
-// (0 before any lookup).
-func (os *OneHopSystem) HitRate() float64 {
-	h, s := os.Stats()
-	if h+s == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+s)
 }
 
 // FailPeers returns a degraded view of the system in which `fraction` of

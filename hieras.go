@@ -17,9 +17,9 @@
 //	cmp, err := sys.Compare(10000)
 //
 // Every lookup surface — the plain System, the location-caching
-// CachedSystem, the route-table OneHopSystem and the failure-injecting
-// DegradedSystem — implements the Lookuper interface, so harness code is
-// written once against it.
+// CachedSystem, the converged one-hop table OneHopSystem and the
+// failure-injecting DegradedSystem — implements the Lookuper interface, so
+// harness code is written once against it.
 // Bulk measurement goes through the parallel batch query engine:
 // System.BatchLookup fans explicit requests across workers, and
 // System.Compare / CompareContext run the full HIERAS-vs-Chord workload

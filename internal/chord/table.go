@@ -248,3 +248,12 @@ func (t *Table) SuccessorList(i, r int) []int {
 	}
 	return out
 }
+
+// Boundary returns the paper's ring-table entries (§3.1, Table 3) as
+// member indexes: the smallest, second-smallest, largest and
+// second-largest identifiers. Below four members entries repeat, so the
+// table still names live members.
+func (t *Table) Boundary() [4]int {
+	last := len(t.ids) - 1
+	return [4]int{0, min(1, last), last, max(last-1, 0)}
+}

@@ -385,3 +385,23 @@ func BenchmarkLookup(b *testing.B) {
 		})
 	}
 }
+
+func TestBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		want [4]int
+	}{
+		{1, [4]int{0, 0, 0, 0}},
+		{2, [4]int{0, 1, 1, 0}},
+		{3, [4]int{0, 1, 2, 1}},
+		{5, [4]int{0, 1, 4, 3}},
+	} {
+		tb, err := BuildTable(makeMembers(rand.New(rand.NewSource(int64(tc.n))), tc.n), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tb.Boundary(); got != tc.want {
+			t.Errorf("%d members: Boundary() = %v, want %v", tc.n, got, tc.want)
+		}
+	}
+}

@@ -35,32 +35,15 @@ func (rt *RingTable) Contains(x id.ID) bool {
 	return x == rt.Smallest || x == rt.SecondSmallest || x == rt.Largest || x == rt.SecondLargest
 }
 
-// boundaryFromSorted fills the four boundary entries from a ring's sorted
-// member identifiers.
-func (rt *RingTable) boundaryFromSorted(ids []id.ID) {
-	n := len(ids)
-	rt.Smallest = ids[0]
-	rt.Largest = ids[n-1]
-	if n >= 2 {
-		rt.SecondSmallest = ids[1]
-		rt.SecondLargest = ids[n-2]
-	} else {
-		rt.SecondSmallest = ids[0]
-		rt.SecondLargest = ids[0]
-	}
-}
-
 // buildRingTables derives every ring table of the overlay.
 func (o *Overlay) buildRingTables() {
 	for _, layerRings := range o.rings {
 		for _, r := range layerRings {
 			key := RingKey{Layer: r.Layer, Name: r.Name}
 			rt := &RingTable{Key: key, RingID: binning.RingID(key.Layer, key.Name)}
-			ids := make([]id.ID, r.Size())
-			for i := range ids {
-				ids[i] = r.Table.ID(i)
-			}
-			rt.boundaryFromSorted(ids)
+			b := r.Table.Boundary()
+			rt.Smallest, rt.SecondSmallest = r.Table.ID(b[0]), r.Table.ID(b[1])
+			rt.Largest, rt.SecondLargest = r.Table.ID(b[2]), r.Table.ID(b[3])
 			rt.StoredAt = o.global.Table.SuccessorIndex(rt.RingID)
 			rt.Replicas = o.global.Table.SuccessorList(rt.StoredAt, o.cfg.SuccessorListLen)
 			o.ringTables[key] = rt

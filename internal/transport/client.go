@@ -669,57 +669,64 @@ type LookupResult struct {
 	OneHop bool
 }
 
-// Lookup routes hierarchically from this node to the owner of key,
-// asking the one-hop route table first in RouteOneHop mode; its hinted
-// owner is confirmed with one RPC before use, so staleness costs one
-// wasted call, never a wrong answer. The context bounds the whole lookup:
-// cancellation or a deadline aborts the walk between (and inside) hops.
+// Lookup routes hierarchically from this node to the owner of key: the
+// one-hop table's step first in RouteOneHop mode (hinted), else the walk
+// (walked). The context bounds the whole lookup: cancellation or a
+// deadline aborts the walk between (and inside) hops.
 func (n *Node) Lookup(ctx context.Context, key id.ID) (LookupResult, error) {
 	n.nm.lookups.Inc()
 	if n.routes != nil {
-		if owner, ok := n.routes.Owner(1, "", [20]byte(key)); ok {
-			if res, ok := n.verifyOwner(ctx, owner, key); ok {
-				n.nm.onehopHits.Inc()
-				return res, nil
+		req := wire.Request{Type: wire.TFindClosest, Layer: 1, Key: [20]byte(key), Hierarchical: true}
+		if owner, resp, ok := n.hinted(ctx, key, req); ok {
+			res := LookupResult{Owner: resp.Next, OneHop: true}
+			if owner != n.addr {
+				res.Hops, res.LayerHops[0] = 1, 1
 			}
-			n.nm.onehopStale.Inc()
-			if n.suspectDead(owner.Addr) {
-				// The table named a dead owner; tombstone it so the walk
-				// below (and every later lookup) stops consulting it.
-				n.evictLocal(1, owner.Addr)
-			}
+			return res, nil
 		}
 	}
+	return n.walked(ctx, key)
+}
+
+// hinted is the one-hop tier's step, after Monnerat & Amorim's single-hop
+// DHT: it sends req to the node the route table names as key's owner, and
+// a node answers req (Owner set) only for a key it owns on the global
+// ring, so a stale table can waste one call but never misroute. A
+// confirmed hint is a lookup answered in one hop, or in none when it names
+// this node: that call is answered in-process and is no message. A
+// refusal or a failed call counts the table stale, and a hint the
+// suspicion tracker holds dead is tombstoned so no later step asks it.
+func (n *Node) hinted(ctx context.Context, key id.ID, req wire.Request) (string, wire.Response, bool) {
+	owner, ok := n.routes.Owner(1, "", [20]byte(key))
+	if !ok {
+		return "", wire.Response{}, false
+	}
+	resp, err := n.call(ctx, owner.Addr, req)
+	if err != nil || !resp.Owner {
+		n.nm.onehopStale.Inc()
+		if n.suspectDead(owner.Addr) {
+			n.evictLocal(1, owner.Addr)
+		}
+		return "", wire.Response{}, false
+	}
+	n.nm.onehopHits.Inc()
+	if owner.Addr != n.addr {
+		n.nm.hops.At(0).Inc()
+	}
+	return owner.Addr, resp, true
+}
+
+// walked is a lookup without the table: lookupFull, whose owner a one-hop
+// table learns, so the next lookup in this key region goes single-hop. A
+// live owner also outranks any false tombstone the table may hold for it.
+func (n *Node) walked(ctx context.Context, key id.ID) (LookupResult, error) {
 	res, err := n.lookupFull(ctx, key)
 	if err != nil {
 		n.nm.lookupErrors.Inc()
 	} else if n.routes != nil {
-		// Learn the authoritative owner the walk just confirmed, so the
-		// next lookup in this key region goes single-hop. A live owner
-		// also outranks any false tombstone the table may hold for it.
 		n.learnRoute(res.Owner)
 	}
 	return res, err
-}
-
-// verifyOwner checks a route-table hint with a single RPC: the
-// hierarchical destination check at the hinted peer. Only a confirmed
-// owner is used, so a stale table can waste one call but never
-// misroute. A hint naming this node is checked in-process: no message,
-// so no hop.
-func (n *Node) verifyOwner(ctx context.Context, owner wire.Peer, key id.ID) (LookupResult, bool) {
-	resp, err := n.call(ctx, owner.Addr, wire.Request{
-		Type: wire.TFindClosest, Layer: 1, Key: [20]byte(key), Hierarchical: true,
-	})
-	if err != nil || !resp.Owner {
-		return LookupResult{}, false
-	}
-	res := LookupResult{Owner: resp.Next, OneHop: true}
-	if owner.Addr != n.addr {
-		res.Hops, res.LayerHops[0] = 1, 1
-		n.nm.hops.At(0).Inc()
-	}
-	return res, true
 }
 
 // lookupFull is the uncached hierarchical routing procedure: chord.Route
@@ -857,46 +864,31 @@ func (n *Node) replicaNeighbors(ctx context.Context) ([]wire.Peer, int, bool) {
 
 // ownerRead is the replica coordinator's local source of replica sets for
 // quorum operations (replica.OwnerReadFunc): the operation's first request
-// — a Get's TStoreGet or a write's TStorePut, Layer 1 set — goes straight
-// to the node the one-hop table, else a lookup names as the key's owner.
-// The handler reads Layer 1 as "act on this only if you own the key in
-// the global ring, and name your successors". A vouched answer is at once
-// the ownership verification Lookup spends a find_closest on, the
-// neighbor read resolveReplicaSet spends a get_neighbors on, and the read
-// or the install itself. A refusal or an unreachable hint invalidates the
-// hint exactly as a failed verification in Lookup does, and the caller
-// takes the network path.
+// — a Get's TStoreGet or a write's TStorePut, Layer 1 set — is the table's
+// step (hinted), else it goes to the owner a walk names (walked). The
+// handler reads Layer 1 as "act on this only if you own the key in the
+// global ring, and name your successors". A vouched answer is at once the
+// ownership check a Lookup spends a find_closest on, the neighbor read
+// resolveReplicaSet spends a get_neighbors on, and the read or the install
+// itself. Only when the walked owner refuses too does the caller take the
+// network path.
 func (n *Node) ownerRead(ctx context.Context, first wire.Request) (string, wire.Response, bool) {
+	n.nm.lookups.Inc()
 	kid := LiveKeyID(first.Name)
-	var owner wire.Peer
-	hint := false
 	if n.routes != nil {
-		owner, hint = n.routes.Owner(1, "", [20]byte(kid))
-	}
-	if !hint {
-		res, err := n.Lookup(ctx, kid)
-		if err != nil {
-			return "", wire.Response{}, false
+		if owner, resp, ok := n.hinted(ctx, kid, first); ok {
+			return owner, resp, true
 		}
-		owner = res.Owner
 	}
-	resp, err := n.call(ctx, owner.Addr, first)
-	if err != nil || !resp.Owner {
-		if hint {
-			n.nm.onehopStale.Inc()
-			if n.suspectDead(owner.Addr) {
-				n.evictLocal(1, owner.Addr)
-			}
-		}
+	res, err := n.walked(ctx, kid)
+	if err != nil {
 		return "", wire.Response{}, false
 	}
-	if hint {
-		// A hint the owner confirmed is a lookup answered in one hop.
-		n.nm.lookups.Inc()
-		n.nm.hops.At(0).Inc()
-		n.nm.onehopHits.Inc()
+	resp, err := n.call(ctx, res.Owner.Addr, first)
+	if err != nil || !resp.Owner {
+		return "", wire.Response{}, false
 	}
-	return owner.Addr, resp, true
+	return res.Owner.Addr, resp, true
 }
 
 // Put stores a value durably: a quorum write of a version-stamped item

@@ -298,8 +298,10 @@ func TestSelfCallIsNotAMessage(t *testing.T) {
 // TestSelfOwnedOneHopLookupIsNoHop: a one-hop hint naming the origin is
 // verified in-process, so the lookup sends nothing and reports no hop, as
 // a classic lookup of the same key does; a hint naming another node is
-// one hop, sent and counted.
+// one hop, sent and counted. A quorum put or get, whose first request is
+// the table's step, counts its hop the same way.
 func TestSelfOwnedOneHopLookupIsNoHop(t *testing.T) {
+	ctx := context.Background()
 	nodes := install(t, startTwoRing(t, NewDirectNet(), 8, func(cfg *Config) { cfg.RouteMode = RouteOneHop }))
 	a := nodes[0]
 	hopsTotal := func() (sum uint64) {
@@ -313,7 +315,7 @@ func TestSelfOwnedOneHopLookupIsNoHop(t *testing.T) {
 		hops  int
 	}{{a, 0}, {nodes[1], 1}} {
 		before, sent := hopsTotal(), rpcsByType(t, a)
-		res, err := a.Lookup(context.Background(), tc.owner.ID())
+		res, err := a.Lookup(ctx, tc.owner.ID())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,6 +327,22 @@ func TestSelfOwnedOneHopLookupIsNoHop(t *testing.T) {
 		}
 		if got := rpcsSince(t, sent, a)["find_closest"]; got != float64(tc.hops) {
 			t.Errorf("lookup of %s's id sent %v find_closest, want %d", tc.owner.Addr(), got, tc.hops)
+		}
+		key := ownedBy("self", predOf(nodes, tc.owner.ID()).ID(), tc.owner.ID(), 1)[0]
+		for _, op := range []struct {
+			name string
+			run  func() error
+		}{
+			{"put", func() error { return a.Put(ctx, key, []byte("v")) }},
+			{"get", func() error { _, err := a.Get(ctx, key); return err }},
+		} {
+			before := hopsTotal()
+			if err := op.run(); err != nil {
+				t.Fatalf("%s of %s: %v", op.name, key, err)
+			}
+			if got := hopsTotal() - before; got != uint64(tc.hops) {
+				t.Errorf("%s of a key %s owns moved hops_total by %d, want %d", op.name, tc.owner.Addr(), got, tc.hops)
+			}
 		}
 	}
 }

@@ -62,10 +62,10 @@ func Ideal(members []Snapshot, succListLen int) ([]Snapshot, error) {
 				global = t
 				continue
 			}
-			last := t.Len() - 1
+			b := t.Boundary()
 			holder := &out[global.Host(global.SuccessorIndex(binning.RingID(layer, name)))]
 			holder.Tables = append(holder.Tables, wire.RingTable{Layer: layer, Name: name,
-				Smallest: peer(t, 0), SecondSm: peer(t, min(1, last)), Largest: peer(t, last), SecondLg: peer(t, max(last-1, 0))})
+				Smallest: peer(t, b[0]), SecondSm: peer(t, b[1]), Largest: peer(t, b[2]), SecondLg: peer(t, b[3])})
 		}
 	}
 	return out, nil

@@ -319,9 +319,10 @@ func predOf(nodes []*Node, target id.ID) *Node {
 // successor's arc; the rings have healed but no gossip has run, so every
 // other node's one-hop table still names the old owner. A quorum read or
 // write of a key in that arc is refused by the old owner on the operation
-// itself, counted as a stale table answer, and completed over the network
-// path with the right value; once maintenance has run, every key sits on
-// exactly Factor nodes.
+// itself, counted as a stale table answer once, and sent again to the
+// owner a walk names, whose answer names the replica set: the stale hint
+// costs one request, and nobody is asked it twice. Once maintenance has
+// run, every key sits on exactly Factor nodes.
 func TestStaleOwnerHintFallsBack(t *testing.T) {
 	const factor = 3
 	ctx := context.Background()
@@ -359,22 +360,29 @@ func TestStaleOwnerHintFallsBack(t *testing.T) {
 		}
 	}
 	stale := counterValue(t, reader, "onehop_stale_total")
-	walks := resolves(t, "walk", reader)
+	local, walks := resolves(t, "local", reader), resolves(t, "walk", reader)
+	sent := rpcsByType(t, reader)
 	if v, err := reader.Get(ctx, keys[0]); err != nil || string(v) != "v1-"+keys[0] {
 		t.Fatalf("get through a stale table = %q, %v", v, err)
 	}
-	if counterValue(t, reader, "onehop_stale_total") == stale {
-		t.Error("the old owner's refusal did not count as a stale table answer")
+	if got := counterValue(t, reader, "onehop_stale_total") - stale; got != 1 {
+		t.Errorf("the old owner's refusal counted %v stale table answers, want 1", got)
 	}
-	if got := resolves(t, "walk", reader) - walks; got != 1 {
-		t.Errorf("the refused read took the network path %v times, want once", got)
+	if gotLocal, gotWalk := resolves(t, "local", reader)-local, resolves(t, "walk", reader)-walks; gotLocal != 1 || gotWalk != 0 {
+		t.Errorf("the refused read resolved its set %v times locally and %v times over the network, want 1 and 0", gotLocal, gotWalk)
+	}
+	// The refused store_get, a walk to the joiner, the store_get the joiner
+	// answers, the second member's store_get and the read-repair put.
+	want := map[string]float64{"find_closest": 2, "store_get": 3, "store_put": 1}
+	if got := rpcsSince(t, sent, reader); !reflect.DeepEqual(got, want) {
+		t.Errorf("the read through a stale table sent %v, want %v", got, want)
 	}
 	stale = counterValue(t, writer, "onehop_stale_total")
 	if err := writer.Put(ctx, keys[1], []byte("v2")); err != nil {
 		t.Fatalf("put through a stale table: %v", err)
 	}
-	if counterValue(t, writer, "onehop_stale_total") == stale {
-		t.Error("the old owner's refusal of the write's put did not count as a stale table answer")
+	if got := counterValue(t, writer, "onehop_stale_total") - stale; got != 1 {
+		t.Errorf("the old owner's refusal of the write's put counted %v stale table answers, want 1", got)
 	}
 	if v, err := reader.Get(ctx, keys[1]); err != nil || string(v) != "v2" {
 		t.Fatalf("get after the put = %q, %v", v, err)
