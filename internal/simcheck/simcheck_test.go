@@ -103,6 +103,36 @@ func TestSplitDeleteThenPutPrograms(t *testing.T) {
 	}
 }
 
+// TestSmallRingForgetsDepartedPrograms pins the two programs that hold a
+// lower ring smaller than a successor list to forgetting a member that
+// left or failed. A lower ring copies its successor's list, and the copy
+// stops before it wraps past the copying node; a copy that only skipped
+// itself and duplicates would pass the departed member round the small
+// ring forever. The programs are seeds 3 and 2 shrunk: with that copy
+// the first fails ring-consistency and the second quiescence.
+func TestSmallRingForgetsDepartedPrograms(t *testing.T) {
+	for _, p := range []struct {
+		seed int64
+		ops  []Op
+	}{
+		{3, []Op{
+			{Kind: OpJoin, Slot: 3},
+			{Kind: OpJoin, Slot: 7},
+			{Kind: OpLeave, Slot: 3},
+		}},
+		{2, []Op{
+			{Kind: OpJoin, Slot: 6},
+			{Kind: OpJoin, Slot: 2},
+			{Kind: OpJoin, Slot: 4},
+			{Kind: OpFail, Slot: 6},
+		}},
+	} {
+		if f := Replay(p.seed, p.ops); f != nil {
+			t.Errorf("seed %d's program failed:\n%v", p.seed, f)
+		}
+	}
+}
+
 // TestExpiryProgram pins the lease story: data written under a TTL
 // survives ordinary op-to-op ticks (owners republish before expiry),
 // but a clock jump past the lease expires it everywhere — reads stop

@@ -1134,25 +1134,39 @@ func (n *Node) stabilizeSuccessors(layer int) wire.Peer {
 		return s0
 	}
 	// Rebuild the successor list from s0's list and notify s0 unless it
-	// names this node already. Tail entries are pinged before adoption: a
-	// departed node otherwise survives forever in the tails, because each
-	// node rebuilds its list from its successor's equally stale copy and
-	// nothing on the happy path ever contacts a tail entry again.
+	// names this node already. On the global ring each tail entry is
+	// pinged before adoption, a liveness request that also carries the
+	// route summary and the replica fold. A lower ring copies s0's tail
+	// as it stands, up to the first entry that is not strictly between
+	// the previous entry and this node. The list then never wraps past
+	// this node, so a departed member cannot circulate round a ring
+	// smaller than the list: it leaves with the first node that failed
+	// to reach it, and each predecessor copies the shortened list a
+	// round later.
 	list := []wire.Peer{s0}
-	seen := map[string]bool{s0.Addr: true}
-	for _, p := range nb.Succ {
-		if len(list) >= n.cfg.SuccListLen {
-			break
+	if layer == 1 {
+		seen := map[string]bool{s0.Addr: true}
+		for _, p := range nb.Succ {
+			if len(list) >= n.cfg.SuccListLen {
+				break
+			}
+			if p.Addr == "" || p.Addr == n.addr || seen[p.Addr] {
+				continue
+			}
+			seen[p.Addr] = true
+			if _, err := n.askLive(layer, p.Addr, wire.Request{Type: wire.TPing}, chain); err != nil {
+				lost = lost || slices.Contains(succ, p)
+				continue
+			}
+			list = append(list, p)
 		}
-		if p.Addr == "" || p.Addr == n.addr || seen[p.Addr] {
-			continue
+	} else {
+		for _, p := range nb.Succ {
+			if len(list) >= n.cfg.SuccListLen || p.Addr == "" || !id.Between(peerID(p), peerID(list[len(list)-1]), n.id) {
+				break
+			}
+			list = append(list, p)
 		}
-		seen[p.Addr] = true
-		if _, err := n.askLive(layer, p.Addr, wire.Request{Type: wire.TPing}, chain); err != nil {
-			lost = lost || slices.Contains(succ, p)
-			continue
-		}
-		list = append(list, p)
 	}
 	n.mu.Lock()
 	ls.succ = list

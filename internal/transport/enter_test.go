@@ -159,10 +159,15 @@ func (l *callLog) count(match func(sentCall) bool) int {
 	return total
 }
 
-// chordPingsPerLayer is what Chord's own stabilization pings in one layer
-// of a converged ring of more than SuccListLen nodes: the predecessor and
-// the successor list's tail.
+// chordPingsPerLayer is what Chord's own stabilization pings on the global
+// ring of a converged network of more than SuccListLen nodes: the
+// predecessor and the successor list's tail.
 const chordPingsPerLayer = 4
+
+// lowerRingPings is what stabilization pings in one lower ring: the
+// predecessor alone, since a lower ring copies its successor list's tail
+// from the successor's reply.
+const lowerRingPings = 1
 
 // tablePings is what the node storing tab pings for it in one round: each
 // distinct boundary other than itself, so at most four.
@@ -220,9 +225,10 @@ func TestOneTableLookupPerRingPerRound(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("%d lower-ring find_closest steps from nodes that are not boundaries %v", got, boundaries)
 	}
-	// Pings: Chord's own in both layers, and the storing node's for the table.
+	// Pings: stabilization's in both layers, and the storing node's for the
+	// table.
 	for _, nd := range nodes {
-		want := 2 * chordPingsPerLayer
+		want := chordPingsPerLayer + lowerRingPings
 		if nd == holder {
 			want += tablePings(tab, holder.Addr())
 		}
@@ -293,9 +299,10 @@ func joinTwoRing(t *testing.T, nodes []*Node) {
 // TestSteadyRoundBill itemises one steady-state round of a converged
 // depth-2 network whose two landmarks are members: sixteen nodes, two
 // lower rings of eight. Per node and layer it is Chord's stabilization
-// less the notify — one get_neighbors, the predecessor's ping and three
-// for the successor list's tail — because every successor's reply names
-// the asker its predecessor already, which a notify cannot change. On top
+// less the notify — one get_neighbors and the predecessor's ping, plus on
+// the global ring three pings for the successor list's tail (a lower ring
+// copies its tail unpinged) — because every successor's reply names the
+// asker its predecessor already, which a notify cannot change. On top
 // of that one hinted get_ring_table per member that does not store its
 // ring's table, one ring walk per boundary member, one global walk from
 // one landmark per node and the storing nodes' pings of their tables'
@@ -360,7 +367,7 @@ func TestSteadyRoundBill(t *testing.T) {
 				t.Errorf("%s: global-ring neighbor %s was not asked with the route summary", from, to)
 			}
 		}
-		if got, want := sent(wire.TPing, 0, false), 2*chordPingsPerLayer+pings[from]; got != want {
+		if got, want := sent(wire.TPing, 0, false), chordPingsPerLayer+lowerRingPings+pings[from]; got != want {
 			t.Errorf("%s: %d pings, want %d (%d of them for the tables it stores)", from, got, want, pings[from])
 		}
 		wantGet := 1
