@@ -10,8 +10,6 @@ import "errors"
 var (
 	// ErrOriginOutOfRange reports a lookup origin outside [0, N).
 	ErrOriginOutOfRange = errors.New("hieras: origin out of range")
-	// ErrBadFraction reports a failure fraction outside [0, 1).
-	ErrBadFraction = errors.New("hieras: failure fraction out of range")
 	// ErrBadOptions reports invalid construction or batch parameters:
 	// negative Options fields, an unknown topology model, a non-positive
 	// cache capacity, or mismatched BatchLookup slice lengths.

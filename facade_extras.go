@@ -2,7 +2,6 @@ package hieras
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -94,64 +93,4 @@ func (os *OneHopSystem) Lookup(origin int, key string) (Route, error) {
 // the same uncached baseline the underlying System reports.
 func (os *OneHopSystem) ChordLookup(origin int, key string) (Route, error) {
 	return os.sys.ChordLookup(origin, key)
-}
-
-// FailPeers returns a degraded view of the system in which `fraction` of
-// the peers (chosen with the seed) have silently failed; lookups route
-// around them using the per-layer successor lists.
-func (s *System) FailPeers(fraction float64, seed int64) (*DegradedSystem, error) {
-	if fraction < 0 || fraction >= 1 {
-		return nil, fmt.Errorf("%w: %v not in [0,1)", ErrBadFraction, fraction)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	dead := make([]bool, s.N())
-	for killed := 0; killed < int(fraction*float64(s.N())); {
-		i := rng.Intn(s.N())
-		if !dead[i] {
-			dead[i] = true
-			killed++
-		}
-	}
-	v, err := s.overlay.WithFailures(dead)
-	if err != nil {
-		return nil, err
-	}
-	return &DegradedSystem{sys: s, view: v, dead: dead}, nil
-}
-
-// DegradedSystem is a System view with failed peers. It implements
-// Lookuper.
-type DegradedSystem struct {
-	sys  *System
-	view *core.FaultyView
-	dead []bool
-}
-
-// Alive reports whether a peer survived.
-func (d *DegradedSystem) Alive(peer int) bool {
-	return peer >= 0 && peer < len(d.dead) && !d.dead[peer]
-}
-
-// Lookup routes around the failures to the key's live owner.
-func (d *DegradedSystem) Lookup(origin int, key string) (Route, error) {
-	if err := d.sys.checkOrigin(origin); err != nil {
-		return Route{}, err
-	}
-	res, err := d.view.RouteTotals(origin, core.KeyID(key))
-	if err != nil {
-		return Route{}, err
-	}
-	return fromTotals(res), nil
-}
-
-// ChordLookup is the flat baseline under the same failures.
-func (d *DegradedSystem) ChordLookup(origin int, key string) (Route, error) {
-	if err := d.sys.checkOrigin(origin); err != nil {
-		return Route{}, err
-	}
-	res, err := d.view.ChordRouteTotals(origin, core.KeyID(key))
-	if err != nil {
-		return Route{}, err
-	}
-	return fromTotals(res), nil
 }

@@ -92,48 +92,3 @@ func TestOneHopSystem(t *testing.T) {
 		t.Errorf("chord baseline must bypass the table: %+v err=%v", c, err)
 	}
 }
-
-func TestDegradedSystem(t *testing.T) {
-	sys := newSmall(t)
-	if _, err := sys.FailPeers(1.5, 1); !errors.Is(err, ErrBadFraction) {
-		t.Errorf("fraction > 1: err = %v, want ErrBadFraction", err)
-	}
-	if _, err := sys.FailPeers(-0.1, 1); !errors.Is(err, ErrBadFraction) {
-		t.Errorf("negative fraction: err = %v, want ErrBadFraction", err)
-	}
-	deg, err := sys.FailPeers(0.15, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadCount := 0
-	for i := 0; i < sys.N(); i++ {
-		if !deg.Alive(i) {
-			deadCount++
-		}
-	}
-	if deadCount != sys.N()*15/100 {
-		t.Errorf("dead = %d, want %d", deadCount, sys.N()*15/100)
-	}
-	delivered := 0
-	for i := 0; i < 60; i++ {
-		origin := i % sys.N()
-		if !deg.Alive(origin) {
-			continue
-		}
-		key := fmt.Sprintf("k-%d", i)
-		r, err := deg.Lookup(origin, key)
-		if err != nil {
-			continue
-		}
-		if !deg.Alive(r.Dest) {
-			t.Fatal("delivered to a dead peer")
-		}
-		delivered++
-		if c, err := deg.ChordLookup(origin, key); err == nil && !deg.Alive(c.Dest) {
-			t.Fatal("chord delivered to a dead peer")
-		}
-	}
-	if delivered < 30 {
-		t.Errorf("only %d/60 lookups survived 15%% failures", delivered)
-	}
-}

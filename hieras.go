@@ -17,9 +17,8 @@
 //	cmp, err := sys.Compare(10000)
 //
 // Every lookup surface — the plain System, the location-caching
-// CachedSystem, the converged one-hop table OneHopSystem and the
-// failure-injecting DegradedSystem — implements the Lookuper interface, so
-// harness code is written once against it.
+// CachedSystem and the converged one-hop table OneHopSystem — implements
+// the Lookuper interface, so harness code is written once against it.
 // Bulk measurement goes through the parallel batch query engine:
 // System.BatchLookup fans explicit requests across workers, and
 // System.Compare / CompareContext run the full HIERAS-vs-Chord workload
@@ -40,9 +39,9 @@ import (
 
 // Lookuper is the unified lookup surface of this package: Lookup routes
 // hierarchically (HIERAS), ChordLookup routes over the flat global ring
-// (the paper's baseline). System, CachedSystem, OneHopSystem and
-// DegradedSystem all implement it, so experiment harnesses and cmd/*
-// accept any of the four interchangeably.
+// (the paper's baseline). System, CachedSystem and OneHopSystem all
+// implement it, so experiment harnesses and cmd/* accept any of the three
+// interchangeably.
 type Lookuper interface {
 	Lookup(origin int, key string) (Route, error)
 	ChordLookup(origin int, key string) (Route, error)
@@ -51,7 +50,6 @@ type Lookuper interface {
 var (
 	_ Lookuper = (*System)(nil)
 	_ Lookuper = (*CachedSystem)(nil)
-	_ Lookuper = (*DegradedSystem)(nil)
 	_ Lookuper = (*OneHopSystem)(nil)
 )
 

@@ -110,8 +110,8 @@ func (f *Fingers[P]) fill(refs []P, ends []uint8) {
 
 // ClosestPreceding is Chord's closest_preceding_finger: the finger in the
 // highest slot inside (self, key) that skip, if non-nil, does not reject
-// (the oracle's dead members, the live node's own address); idOf reads a
-// finger's identifier. A run of slots naming one finger is tested once.
+// (the live node's own address); idOf reads a finger's identifier. A run
+// of slots naming one finger is tested once.
 // By the finger definition no slot above the top bit of Dist(self, key)
 // precedes key, so the scan starts there (at the top slot when key is
 // self: (self, self) is the whole ring).

@@ -22,10 +22,10 @@ func fullFingers(t *Table, i int) []int32 {
 
 // fullScanPreceding is closest_preceding_finger as Chord states it: every
 // set slot, top down.
-func fullScanPreceding(t *Table, i int, key id.ID, dead []bool) int {
+func fullScanPreceding(t *Table, i int, key id.ID) int {
 	for k := id.Bits - 1; k >= 0; k-- {
 		f := t.fingers[i].Get(k)
-		if t.fingers[i].slot[k] != 0 && int(f) != i && (dead == nil || !dead[f]) && id.Between(t.ids[f], t.ids[i], key) {
+		if t.fingers[i].slot[k] != 0 && int(f) != i && id.Between(t.ids[f], t.ids[i], key) {
 			return int(f)
 		}
 	}
@@ -33,28 +33,13 @@ func fullScanPreceding(t *Table, i int, key id.ID, dead []bool) int {
 }
 
 // fullScanWalk is Walk over fullScanPreceding.
-func fullScanWalk(t *Table, from int, key id.ID, dead []bool, r int, visit func(from, to int)) (pred, succ, skips int, ok bool) {
-	n := len(t.ids)
-	if r > n-1 {
-		r = n - 1
-	}
-	u := from
-	for step := 0; step < 4*id.Bits; step++ {
+func fullScanWalk(t *Table, from int, key id.ID, visit func(from, to int)) (pred, succ int) {
+	for u := from; ; {
 		s := t.Next(u)
-		if dead != nil && n > 1 {
-			d := 1
-			for ; d <= r && dead[(u+d)%n]; d++ {
-				skips++
-			}
-			if d > r {
-				return u, u, skips, false
-			}
-			s = (u + d) % n
-		}
 		if id.InOpenClosed(key, t.ids[u], t.ids[s]) {
-			return u, s, skips, true
+			return u, s
 		}
-		v := fullScanPreceding(t, u, key, dead)
+		v := fullScanPreceding(t, u, key)
 		if v == u {
 			v = s
 		}
@@ -63,7 +48,6 @@ func fullScanWalk(t *Table, from int, key id.ID, dead []bool, r int, visit func(
 		}
 		u = v
 	}
-	return u, u, skips, false
 }
 
 // livePeer names a member as a live node does.
@@ -94,8 +78,8 @@ func flatClosest(flat []wire.Peer, self wire.Peer, key id.ID) (wire.Peer, bool) 
 // per slot), BuildTablePNS's, and BuildTable's with slots unset, as a
 // live node's table is before fix_fingers has filled it — Walk's scan
 // from the top bit of the key distance answers what the full 160-slot
-// scan answers, hop for hop, healthy and with dead members, for keys at
-// and next to member identifiers too.
+// scan answers, hop for hop, for keys at and next to member identifiers
+// too.
 //
 // arbitrary: over seeded sequences of sets (runs of equal fingers, the
 // shape fix_fingers writes, and scattered single slots), clears and
@@ -119,11 +103,6 @@ func TestWalkMatchesFullScan(t *testing.T) {
 					t.Fatalf("n=%d member %d: fingers %v, per-slot definition %v", n, i, got, want)
 				}
 			}
-			if n == 1 {
-				if _, _, _, ok := exact.Walk(0, id.Rand(rng), []bool{false}, 4, nil); !ok {
-					t.Fatal("a ring of one walked under an all-live mask cannot be routed")
-				}
-			}
 			pns, err := BuildTablePNS(ms, lat, 8, int64(n), 0)
 			if err != nil {
 				t.Fatal(err)
@@ -139,46 +118,31 @@ func TestWalkMatchesFullScan(t *testing.T) {
 					}
 				}
 			}
-			var masks [][]bool
-			for _, share := range []int{0, 20, 50} {
-				if share == 0 {
-					masks = append(masks, nil)
-					continue
-				}
-				m := make([]bool, n)
-				for i := range m {
-					m[i] = rng.Intn(100) < share
-				}
-				masks = append(masks, m)
-			}
 			for _, tc := range []struct {
 				name string
 				tbl  *Table
 			}{{"exact", exact}, {"pns", pns}, {"sparse", sparse}} {
 				tbl := tc.tbl
-				for mi, dead := range masks {
-					for trial := 0; trial < 400; trial++ {
-						from := rng.Intn(n)
-						key := id.Rand(rng)
-						switch trial % 4 {
-						case 1:
-							key = tbl.ID(rng.Intn(n))
-						case 2:
-							key = id.Add(tbl.ID(rng.Intn(n)), id.FromUint64(1))
-						case 3:
-							key = tbl.ID(from)
-						}
-						r := 1 + rng.Intn(4)
-						var got, want []int
-						gp, gs, gk, gok := tbl.Walk(from, key, dead, r, func(f, to int) { got = append(got, f, to) })
-						wp, ws, wk, wok := fullScanWalk(tbl, from, key, dead, r, func(f, to int) { want = append(want, f, to) })
-						what := fmt.Sprintf("n=%d %s mask %d from %d key %s r=%d", n, tc.name, mi, from, key.Short(), r)
-						if gp != wp || gs != ws || gk != wk || gok != wok {
-							t.Fatalf("%s: Walk = (%d, %d, %d, %v), full scan (%d, %d, %d, %v)", what, gp, gs, gk, gok, wp, ws, wk, wok)
-						}
-						if !slices.Equal(got, want) {
-							t.Fatalf("%s: Walk visited %v, full scan %v", what, got, want)
-						}
+				for trial := 0; trial < 400; trial++ {
+					from := rng.Intn(n)
+					key := id.Rand(rng)
+					switch trial % 4 {
+					case 1:
+						key = tbl.ID(rng.Intn(n))
+					case 2:
+						key = id.Add(tbl.ID(rng.Intn(n)), id.FromUint64(1))
+					case 3:
+						key = tbl.ID(from)
+					}
+					var got, want []int
+					gp, gs := tbl.Walk(from, key, func(f, to int) { got = append(got, f, to) })
+					wp, ws := fullScanWalk(tbl, from, key, func(f, to int) { want = append(want, f, to) })
+					what := fmt.Sprintf("n=%d %s from %d key %s", n, tc.name, from, key.Short())
+					if gp != wp || gs != ws {
+						t.Fatalf("%s: Walk = (%d, %d), full scan (%d, %d)", what, gp, gs, wp, ws)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: Walk visited %v, full scan %v", what, got, want)
 					}
 				}
 			}

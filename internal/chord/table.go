@@ -154,55 +154,25 @@ func (t *Table) SuccessorIndex(key id.ID) int {
 }
 
 // Walk is the one Chord ring walk: it routes from member `from` toward
-// key using fingers and stops at the live member that immediately
-// precedes key in this ring (the node "numerically closest to the
-// requested key than any other peers in this ring" of paper §3.2, one
-// position short of the ring owner). visit, if non-nil, is called once
-// per hop.
-//
-// dead, when non-nil, marks failed members by member index, before any
-// repair has run: a member's successor is then the first live entry of
-// its r-long successor list, and fingers to dead members are skipped.
-// With a nil mask or in a ring of one, u's successor is Next(u), r unused.
-//
-// It returns the predecessor reached, that member's live successor, and
-// how many dead successors were bridged on the way. ok is false when the
-// walk cannot go on from pred — r consecutive successors are dead, the
-// situation real Chord cannot survive either, or the step bound ran out —
-// and succ is then meaningless.
-func (t *Table) Walk(from int, key id.ID, dead []bool, r int, visit func(from, to int)) (pred, succ, skips int, ok bool) {
-	n := len(t.ids)
-	if r > n-1 {
-		r = n - 1
-	}
+// key using fingers and stops at the member that immediately precedes key
+// in this ring (the node "numerically closest to the requested key than
+// any other peers in this ring" of paper §3.2, one position short of the
+// ring owner). visit, if non-nil, is called once per hop. It returns the
+// predecessor reached and that member's successor. Every hop lands
+// strictly between the current member and key, so the walk ends.
+func (t *Table) Walk(from int, key id.ID, visit func(from, to int)) (pred, succ int) {
 	idOf := func(m int32) id.ID { return t.ids[m] }
-	var skip func(int32) bool // a finger to a dead member times out
-	if dead != nil {
-		skip = func(m int32) bool { return dead[m] }
-	}
-	u := from
-	for step := 0; step < 4*id.Bits; step++ {
+	for u := from; ; {
 		s := t.Next(u)
-		if dead != nil && n > 1 { // a ring of one is its own successor
-			d := 1
-			for ; d <= r && dead[(u+d)%n]; d++ {
-				skips++
-			}
-			if d > r {
-				return u, u, skips, false
-			}
-			s = (u + d) % n
-		}
-		v, done := t.fingers[u].Step(t.ids[u], int32(s), key, idOf, skip)
+		v, done := t.fingers[u].Step(t.ids[u], int32(s), key, idOf, nil)
 		if done {
-			return u, s, skips, true
+			return u, s
 		}
 		if visit != nil {
 			visit(u, int(v))
 		}
 		u = int(v)
 	}
-	return u, u, skips, false
 }
 
 // Lookup performs a full Chord lookup from member `from`: it routes to
@@ -214,7 +184,7 @@ func (t *Table) Lookup(from int, key id.ID, visit func(from, to int)) (int, int)
 	if owner == from {
 		return from, 0
 	}
-	p, _, _, _ := t.Walk(from, key, nil, 0, func(f, to int) {
+	p, _ := t.Walk(from, key, func(f, to int) {
 		hops++
 		if visit != nil {
 			visit(f, to)

@@ -88,6 +88,18 @@ func (c *Cluster) Join(host int, boot *transport.Node) error {
 	return err
 }
 
+// Install starts a node for each of hosts 0 to hosts-1 and writes into
+// them, without a message, the settled overlay they form
+// (transport.Install): what their joins and maintenance would reach.
+func (c *Cluster) Install(hosts int) error {
+	for h := 0; h < hosts; h++ {
+		if _, err := c.start(h); err != nil {
+			return err
+		}
+	}
+	return transport.Install(c.Live())
+}
+
 // start starts a node for host, joined to nothing yet.
 func (c *Cluster) start(host int) (*transport.Node, error) {
 	cfg := c.cfg

@@ -19,12 +19,7 @@ import (
 func settledCluster(t *testing.T, nodes, depth int, tweaks ...func(*transport.Config)) *Cluster {
 	t.Helper()
 	c := testCluster(t, nodes, depth, tweaks...)
-	for h := 0; h < nodes; h++ {
-		if _, err := c.start(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := transport.Install(c.Live()); err != nil {
+	if err := c.Install(nodes); err != nil {
 		t.Fatal(err)
 	}
 	c.Round(1)

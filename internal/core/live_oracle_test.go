@@ -116,3 +116,83 @@ func TestLiveMatchesOracle(t *testing.T) {
 		})
 	}
 }
+
+// TestLiveMatchesOracleAt10k is TestLiveMatchesOracle's check at the size
+// of the paper's larger runs: a depth-2 classic cluster of 10,000 nodes on
+// its own topology, 2,000 lookups equal to the oracle's in owner, hops and
+// hops per layer (about 1.5 s and 0.5 GB resident on a 2-core x86 box).
+func TestLiveMatchesOracleAt10k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10,000 live nodes")
+	}
+	const nodes, depth, pairs = 10000, 2, 2000
+	rng := rand.New(rand.NewSource(59))
+	m, err := transitstub.Generate(transitstub.DefaultConfig(nodes), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := topology.Attach(m, m.G, topology.AttachOptions{Hosts: nodes, Routers: m.StubRouters, Spread: true}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lms, err := topology.SelectLandmarks(net, 4, topology.LandmarkSpread, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routers := map[string]int{}
+	var landmarks []string
+	for i, r := range lms {
+		name := fmt.Sprintf("lm%d", i)
+		routers[name] = r
+		landmarks = append(landmarks, name)
+	}
+
+	d := churn.NewDriver()
+	defer d.Close()
+	for h := 0; h < nodes; h++ {
+		cfg := transport.Config{Depth: depth, RouteMode: transport.RouteClassic,
+			Landmarks: landmarks, Prober: landmarkProber{net, h, routers}}
+		if _, err = d.Start(fmt.Sprintf("h%d", h), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := d.Live()
+	if err = transport.Install(live); err != nil {
+		t.Fatal(err)
+	}
+	members := make([]core.Node, len(live))
+	for h, n := range live {
+		members[h] = core.Node{ID: n.ID(), Host: h, RingNames: n.Snapshot().RingNames}
+	}
+	o, err := core.Assemble(net, core.Config{Depth: depth}, members, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.NumRings() < 2 {
+		t.Fatalf("%d lower rings; the check needs several", o.NumRings())
+	}
+
+	prng := rand.New(rand.NewSource(depth))
+	lower := 0
+	for i := 0; i < pairs; i++ {
+		h, key := prng.Intn(nodes), id.Rand(prng)
+		want := o.Route(o.Global().IndexOf(live[h].ID()), key)
+		var wantLayers [depth]int
+		for _, hop := range want.Hops {
+			wantLayers[hop.Layer-1]++
+		}
+		got, err := live[h].Lookup(d.Context(), key)
+		if err != nil {
+			t.Fatalf("lookup %d from %s: %v", i, live[h].Addr(), err)
+		}
+		if got.Owner.ID != [20]byte(o.Node(want.Dest).ID) || got.Hops != want.NumHops() || [depth]int(got.LayerHops[:depth]) != wantLayers {
+			t.Fatalf("lookup %d from %s for %s: live owner %s in %d hops %v, oracle owner %s in %d hops %v",
+				i, live[h].Addr(), key.Short(), got.Owner.Addr, got.Hops, got.LayerHops[:depth],
+				o.Node(want.Dest).ID.Short(), want.NumHops(), wantLayers)
+		}
+		lower += want.LowerHops
+	}
+	if lower == 0 {
+		t.Error("no lookup took a lower-ring hop")
+	}
+}

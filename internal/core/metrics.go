@@ -14,15 +14,12 @@ type routeMetrics struct {
 	ringClimbs  *metrics.Counter
 	routes      *metrics.Counter
 	accelerated *metrics.Counter
-	deadSkips   *metrics.Counter
-	layerAborts *metrics.Counter
 }
 
 // Instrument registers the overlay's routing metrics on reg and starts
-// recording into them. Subsequent Route calls (and routing on views made
-// by WithFailures afterwards) count per-layer hops, ring climbs, and
-// failure-handling events. Call at most once per overlay, with a registry
-// no other overlay uses.
+// recording into them. Subsequent Route calls count per-layer hops, ring
+// climbs and successor-list shortcuts. Call at most once per overlay, with
+// a registry no other overlay uses.
 func (o *Overlay) Instrument(reg *metrics.Registry) {
 	rm := &routeMetrics{
 		ringClimbs: reg.NewCounter("ring_climbs_total",
@@ -31,10 +28,6 @@ func (o *Overlay) Instrument(reg *metrics.Registry) {
 			"Routing procedures executed over the overlay."),
 		accelerated: reg.NewCounter("accelerated_routes_total",
 			"Routes ended early by the successor-list shortcut."),
-		deadSkips: reg.NewCounter("failure_succ_skips_total",
-			"Dead successors bridged via successor lists during faulty-view walks."),
-		layerAborts: reg.NewCounter("failure_layer_aborts_total",
-			"Lower-ring walks abandoned on a shattered ring, retried one layer up."),
 	}
 	layers := make([]string, o.cfg.Depth)
 	for i := range layers {

@@ -64,62 +64,6 @@ func TestRouteMetricsMatchResults(t *testing.T) {
 	}
 }
 
-// TestFaultyViewMetrics checks that routing under failures counts what
-// the healthy procedure counts (routes, per-layer hops) plus the dead
-// successors it bridged, and that the flat baseline counts nothing.
-func TestFaultyViewMetrics(t *testing.T) {
-	reg := metrics.NewRegistry()
-	o := buildOverlay(t, 40, Config{Depth: 2, Metrics: reg}, 11)
-
-	dead := make([]bool, o.N())
-	rng := rand.New(rand.NewSource(3))
-	for killed := 0; killed < o.N()/4; {
-		i := rng.Intn(o.N())
-		if !dead[i] {
-			dead[i] = true
-			killed++
-		}
-	}
-	v, err := o.WithFailures(dead)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var hops, routes uint64
-	for i := 0; i < 60; i++ {
-		from := rng.Intn(o.N())
-		if dead[from] {
-			continue
-		}
-		key := KeyID(fmt.Sprintf("f%d", i))
-		v.ChordRoute(from, key) // the baseline is uninstrumented: must move no counter
-		res, _ := v.Route(from, key)
-		routes++
-		hops += uint64(len(res.Hops)) // a failed route reports the hops it did take
-	}
-
-	var b strings.Builder
-	if _, err := reg.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	read := func(prefix string) (n uint64) {
-		if _, err := fmt.Sscanf(afterPrefix(t, out, prefix), "%d", &n); err != nil {
-			t.Fatalf("parsing %s: %v", prefix, err)
-		}
-		return n
-	}
-	if counted := read(`hops_total{layer="1"} `) + read(`hops_total{layer="2"} `); counted != hops {
-		t.Errorf("hop counters sum to %d, hierarchical routes reported %d", counted, hops)
-	}
-	if got := read("routes_total "); got != routes {
-		t.Errorf("routes_total = %d, %d hierarchical routes issued", got, routes)
-	}
-	if read("failure_succ_skips_total ") == 0 {
-		t.Error("a quarter of the peers are dead and no dead successor was bridged")
-	}
-}
-
 // afterPrefix returns the remainder of the line in out starting with
 // prefix.
 func afterPrefix(t *testing.T, out, prefix string) string {

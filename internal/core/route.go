@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/chord"
@@ -68,8 +67,7 @@ type Totals struct {
 // metric counters loaded through o.instr. route_race_test.go exercises
 // this contract under -race.
 func (o *Overlay) Route(from int, key id.ID) RouteResult {
-	res, _ := o.traced(from, key, o.cfg.Depth, nil, o.instr.Load())
-	return res
+	return o.traced(from, key, o.cfg.Depth, o.instr.Load())
 }
 
 // ChordRoute performs a plain flat Chord lookup over the global ring —
@@ -77,45 +75,35 @@ func (o *Overlay) Route(from int, key id.ID) RouteResult {
 // layer 1. The baseline is never instrumented, so the overlay's counters
 // describe the hierarchical procedure alone.
 func (o *Overlay) ChordRoute(from int, key id.ID) RouteResult {
-	res, _ := o.traced(from, key, 1, nil, nil)
-	return res
+	return o.traced(from, key, 1, nil)
 }
 
 // RouteTotals is Route without the per-hop record.
 func (o *Overlay) RouteTotals(from int, key id.ID) Totals {
-	t, _ := o.route(from, key, o.cfg.Depth, nil, o.instr.Load(), nil)
-	return t
+	return o.route(from, key, o.cfg.Depth, o.instr.Load(), nil)
 }
 
 // ChordRouteTotals is ChordRoute without the per-hop record.
 func (o *Overlay) ChordRouteTotals(from int, key id.ID) Totals {
-	t, _ := o.route(from, key, 1, nil, nil, nil)
-	return t
+	return o.route(from, key, 1, nil, nil)
 }
 
 // traced is route keeping every hop, as a RouteResult.
-func (o *Overlay) traced(from int, key id.ID, top int, v *FaultyView, rm *routeMetrics) (RouteResult, error) {
+func (o *Overlay) traced(from int, key id.ID, top int, rm *routeMetrics) RouteResult {
 	res := RouteResult{Origin: from, Key: key}
-	t, err := o.route(from, key, top, v, rm, &res.Hops)
+	t := o.route(from, key, top, rm, &res.Hops)
 	res.Dest, res.Accelerated = t.Dest, t.Accelerated
 	res.Latency, res.LowerHops, res.LowerLatency = t.Latency, t.LowerHops, t.LowerLatency
-	return res, err
+	return res
 }
 
 // route is chord.Route driven by the oracle: an ask walks RingOf(at,
 // layer) in-process, charging each hop its link latency, and makes the
-// destination check and the successor-list shortcut itself. A non-nil
-// view routes around its failed peers before any repair has run (paper
-// §3.3); only then can the procedure fail. rm may be nil. Each hop is
-// appended to *path unless path is nil.
-func (o *Overlay) route(from int, key id.ID, top int, v *FaultyView, rm *routeMetrics, path *[]Hop) (Totals, error) {
+// destination check and the successor-list shortcut itself. No ask fails,
+// so neither does the route. rm may be nil. Each hop is appended to *path
+// unless path is nil.
+func (o *Overlay) route(from int, key id.ID, top int, rm *routeMetrics, path *[]Hop) Totals {
 	owner := o.global.Table.SuccessorIndex(key)
-	if v != nil {
-		if v.dead[from] {
-			return Totals{}, fmt.Errorf("core: route from dead peer %d", from)
-		}
-		owner = v.LiveOwner(key)
-	}
 	res := Totals{Dest: owner}
 	if rm != nil {
 		rm.routes.Inc()
@@ -138,7 +126,7 @@ func (o *Overlay) route(from int, key id.ID, top int, v *FaultyView, rm *routeMe
 	var ring *Ring
 	record := func(f, t int) { hop(ring.Layer, int(ring.Global[f]), int(ring.Global[t])) }
 	ask := func(at, _ int, layer int) (chord.Reply[int], error) {
-		if at != owner && v == nil && o.cfg.AccelerateWithSuccessorList &&
+		if at != owner && o.cfg.AccelerateWithSuccessorList &&
 			slices.Contains(o.global.Table.SuccessorList(at, o.cfg.SuccessorListLen), owner) {
 			hop(1, at, owner) // the owner is in at's global successor list
 			res.Accelerated, at = true, owner
@@ -150,34 +138,13 @@ func (o *Overlay) route(from int, key id.ID, top int, v *FaultyView, rm *routeMe
 			return chord.Reply[int]{Self: at, Next: at, Done: true, Owner: true}, nil
 		}
 		var member int
-		var dead []bool
 		ring, member = o.RingOf(at, layer)
-		if v != nil {
-			dead = v.masks[ring]
-		}
-		p, s, skips, ok := ring.Table.Walk(member, key, dead, o.cfg.SuccessorListLen, record)
-		if rm != nil && skips > 0 {
-			rm.deadSkips.Add(uint64(skips))
-		}
-		r := chord.Reply[int]{Self: int(ring.Global[p]), Next: int(ring.Global[s]), Done: ok}
-		switch {
-		case ok:
-			return r, nil
-		case layer > 1:
-			// A lower ring can be shattered (r consecutive ring successors
-			// dead) while the overlay is fine: climb from where the walk
-			// stopped, as a real peer would after timeouts.
-			return r, chord.ErrUnroutable
-		}
-		return r, fmt.Errorf("core: global ring unroutable past peer %d", r.Self)
+		p, s := ring.Table.Walk(member, key, record)
+		return chord.Reply[int]{Self: int(ring.Global[p]), Next: int(ring.Global[s]), Done: true}, nil
 	}
-	t, err := chord.Route(from, top, ask, hop)
+	t, _ := chord.Route(from, top, ask, hop)
 	if rm != nil {
-		rm.ringClimbs.Add(uint64(t.Climbs + t.Failovers))
-		rm.layerAborts.Add(uint64(t.Failovers))
+		rm.ringClimbs.Add(uint64(t.Climbs))
 	}
-	if err == nil && t.Owner != owner {
-		err = fmt.Errorf("core: landed on %d, live owner is %d", t.Owner, owner)
-	}
-	return res, err
+	return res
 }

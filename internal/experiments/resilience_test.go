@@ -16,13 +16,14 @@ func TestFailureResilience(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	healthy := res.Rows[0]
-	if healthy.HierasOK != 1 || healthy.ChordOK != 1 {
-		t.Errorf("healthy overlay should deliver everything: %+v", healthy)
-	}
-	broken := res.Rows[1]
-	if broken.HierasOK < 0.5 || broken.ChordOK < 0.5 {
-		t.Errorf("20%% failures should not halve delivery: %+v", broken)
+	healthy, broken := res.Rows[0], res.Rows[1]
+	for round := range healthy.Hieras {
+		if healthy.Hieras[round].Delivered != 1 || healthy.Chord[round].Delivered != 1 {
+			t.Errorf("healthy overlay should deliver everything: %+v", healthy)
+		}
+		if broken.Hieras[round].Delivered < 0.5 || broken.Chord[round].Delivered < 0.5 {
+			t.Errorf("20%% failures should not halve delivery: %+v", broken)
+		}
 	}
 	var buf bytes.Buffer
 	res.Table().Render(&buf)

@@ -93,6 +93,22 @@ const blockSize = 512
 func BuildOverlay(s Scenario) (*core.Overlay, error) {
 	s = s.withDefaults()
 	rng := rand.New(rand.NewSource(s.Seed))
+	net, err := attach(s, rng)
+	if err != nil {
+		return nil, err
+	}
+	return core.Build(net, core.Config{
+		Depth:            s.Depth,
+		Landmarks:        s.Landmarks,
+		Workers:          s.Workers,
+		ProximityFingers: s.ProximityFingers,
+		Metrics:          s.Metrics,
+	}, rng)
+}
+
+// attach generates the underlay for the scenario's topology model and
+// attaches the overlay hosts to it, drawing from rng.
+func attach(s Scenario, rng *rand.Rand) (*topology.Network, error) {
 	var u *topology.Underlay
 	switch s.Model {
 	case ModelTS:
@@ -116,20 +132,10 @@ func BuildOverlay(s Scenario) (*core.Overlay, error) {
 	default:
 		return nil, fmt.Errorf("experiments: unknown topology model %q", s.Model)
 	}
-	net, err := topology.Attach(u.Model, u.Graph, topology.AttachOptions{
+	return topology.Attach(u.Model, u.Graph, topology.AttachOptions{
 		Hosts:   s.Nodes,
 		Routers: u.HostCandidates,
 		Spread:  true,
-	}, rng)
-	if err != nil {
-		return nil, err
-	}
-	return core.Build(net, core.Config{
-		Depth:            s.Depth,
-		Landmarks:        s.Landmarks,
-		Workers:          s.Workers,
-		ProximityFingers: s.ProximityFingers,
-		Metrics:          s.Metrics,
 	}, rng)
 }
 

@@ -22,8 +22,6 @@ churn_lookups_total
 churn_wrong_owner_total
 evictions_total
 failover_climbs_total
-failure_layer_aborts_total
-failure_succ_skips_total
 faultnet_injected_total
 hops_total
 kv_expired_total
